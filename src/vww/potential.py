@@ -7,6 +7,16 @@ the jump locations.  Regularization convolves the zero-extension of q
 with a compactly supported bump psi_eps(x) = psi(x/eps)/eps; the Dirac
 part mollifies exactly to sum_i alpha_i * psi_eps(x - x_i), the smooth
 density by quadrature split at the boundary kinks of the extension.
+``mollified_q`` evaluates q_eps at points; ``mollify_potential`` is its
+sampling on a grid, behind the rule that the bump spans 8 grid nodes.
+
+:class:`NuPrimitive`, :class:`MollifiedNu` and :class:`PerturbedNu` share
+the :class:`Potential` protocol: vectorized ``nu_values`` and ``q_values``
+(the bounded part of q); ``ode_panels``, (a, b, nu) with nu smooth on
+each panel and called with one float; their interior edges
+``breakpoints``; ``jumps``, the (location, height) Dirac atoms still
+present in q, empty when q is bounded and ``q_linf`` exists; ``q_linf``,
+``norm_l2`` and ``norm_linf`` (of nu), ``total_mass`` and ``descriptor``.
 
 Moderateness / negligibility of eps-indexed nets is measured by
 least-squares slopes in log-log coordinates.
@@ -166,14 +176,39 @@ class MollifierSpec:
 @lru_cache(maxsize=64)
 def _samples_spline(values: tuple) -> InterpolatedUnivariateSpline:
     vals = np.asarray(values, dtype=float)
-    if vals.size < 8:
-        raise ConfigError("sampled smooth part needs at least 8 values")
     x = np.linspace(0.0, 1.0, vals.size)
     return InterpolatedUnivariateSpline(x, vals, k=5)
 
 
+class Potential:
+    """Base of the potential protocol (see the module docstring).
+
+    The norms here sample a fine uniform grid; :class:`NuPrimitive`
+    replaces those of nu by exact per-panel ones.  ``mollified_atoms``
+    are the centres of atoms smoothed into narrow bumps, which ``q_linf``
+    probes besides the grid.
+    """
+
+    jumps: tuple
+    breakpoints: tuple
+    mollified_atoms: tuple = ()
+
+    def q_linf(self) -> float:
+        if self.jumps:
+            raise MissingNorm("potential has Dirac atoms; no L-infinity norm")
+        xs = np.concatenate([np.linspace(0.0, 1.0, 8193), self.mollified_atoms])
+        return float(np.max(np.abs(self.q_values(xs))))
+
+    def norm_l2(self) -> float:
+        dense = Grid(8192)
+        return dense.norm_l2(self.nu_values(dense.nodes))
+
+    def norm_linf(self) -> float:
+        return float(np.max(np.abs(self.nu_values(np.linspace(0.0, 1.0, 8193)))))
+
+
 @dataclass(frozen=True)
-class NuPrimitive:
+class NuPrimitive(Potential):
     """Primitive nu of the potential q = nu', as smooth part plus jumps.
 
     Parameters
@@ -218,6 +253,11 @@ class NuPrimitive:
 
     # -- smooth part -------------------------------------------------------
 
+    def _sine(self) -> tuple[float, float, float]:
+        """(a, w, phase) of a sine smooth part a*sin(w x + phase)."""
+        p = self.smooth_params
+        return p[0], 2.0 * math.pi * p[1], p[2] if len(p) == 3 else 0.0
+
     def smooth_values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         k = self.smooth_kind
@@ -228,29 +268,38 @@ class NuPrimitive:
         if k == "linear":
             return self.smooth_params[0] * x
         if k == "sine":
-            a, m = self.smooth_params[:2]
-            phase = self.smooth_params[2] if len(self.smooth_params) == 3 else 0.0
-            return a * np.sin(2.0 * math.pi * m * x + phase)
+            a, w, phase = self._sine()
+            return a * np.sin(w * x + phase)
         return _samples_spline(self.smooth_params)(x)
 
-    def density_values(self, x) -> np.ndarray:
-        """Smooth density g = (smooth part)' of the potential."""
+    @property
+    def has_density(self) -> bool:
+        return self.smooth_kind not in ("zero", "const")
+
+    def q_values(self, x) -> np.ndarray:
+        """Smooth density g = (smooth part)' of q; the atoms are ``jumps``."""
         x = np.asarray(x, dtype=float)
         k = self.smooth_kind
-        if k in ("zero", "const"):
+        if not self.has_density:
             return np.zeros_like(x)
         if k == "linear":
             return np.full_like(x, self.smooth_params[0])
         if k == "sine":
-            a, m = self.smooth_params[:2]
-            phase = self.smooth_params[2] if len(self.smooth_params) == 3 else 0.0
-            w = 2.0 * math.pi * m
+            a, w, phase = self._sine()
             return a * w * np.cos(w * x + phase)
         return _samples_spline(self.smooth_params).derivative()(x)
 
     def density_integral(self, t) -> np.ndarray:
         """G(t) = int_0^t g, i.e. smooth(t) - smooth(0)."""
         return self.smooth_values(t) - self.smooth_values(0.0)
+
+    def extended_density(self, y) -> np.ndarray:
+        """g extended by zero outside (0, 1)."""
+        y = np.asarray(y, dtype=float)
+        inside = (y > 0.0) & (y < 1.0)
+        out = np.zeros_like(y)
+        out[inside] = self.q_values(y[inside])
+        return out
 
     # -- full primitive ----------------------------------------------------
 
@@ -295,9 +344,7 @@ class NuPrimitive:
             c = self.smooth_params[0]
             return lambda x: c * x + shift
         if k == "sine":
-            a, m = self.smooth_params[:2]
-            phase = self.smooth_params[2] if len(self.smooth_params) == 3 else 0.0
-            w = 2.0 * math.pi * m
+            a, w, phase = self._sine()
             return lambda x: a * math.sin(w * x + phase) + shift
         spl = _samples_spline(self.smooth_params)
         return lambda x: float(spl(x)) + shift
@@ -323,16 +370,6 @@ class NuPrimitive:
             xs = np.linspace(a, b, samples_per_panel)
             sup = max(sup, float(np.max(np.abs(self.smooth_values(xs) + shift))))
         return sup
-
-    def q_linf(self) -> float:
-        if self.jumps:
-            raise MissingNorm("potential has Dirac atoms; no L-infinity norm")
-        xs = np.linspace(0.0, 1.0, 8193)
-        return float(np.max(np.abs(self.density_values(xs))))
-
-    def q_values(self, x) -> np.ndarray:
-        """Potential density away from atoms (atoms excluded by caller)."""
-        return self.density_values(x)
 
     def total_mass(self) -> float:
         return float(self.density_integral(1.0)) + sum(a for _, a in self.jumps)
@@ -401,7 +438,7 @@ def _composite_rule(panels: int, order: int):
     return nodes, weights
 
 
-def _conv_with_kinks(F: Callable, x: np.ndarray, eps: float, bump: BumpProfile,
+def _conv_with_kinks(F: Callable, x: np.ndarray, eps: float,
                      weight: Callable) -> np.ndarray:
     """int_{-1}^{1} F(x - eps*u) * weight(u) du, split where x - eps*u hits 0 or 1.
 
@@ -440,37 +477,39 @@ def _conv_with_kinks(F: Callable, x: np.ndarray, eps: float, bump: BumpProfile,
     return out
 
 
-def mollify_potential(nu: NuPrimitive, m: MollifierSpec, grid: Grid) -> GridFunction:
-    """Regularized potential q_eps sampled on the grid.
+def _smooth_q_conv(nu: NuPrimitive, eps: float, bump: BumpProfile, x) -> np.ndarray:
+    """The zero-extended smooth density of q convolved with psi_eps."""
+    return _conv_with_kinks(nu.extended_density, x, eps, bump.density)
+
+
+def mollified_q(nu: NuPrimitive, eps: float, bump: BumpProfile, x) -> np.ndarray:
+    """q_eps at points x.
 
     Dirac atoms convolve exactly to scaled bumps; the smooth density is
     convolved with the bump by quadrature, honoring the kinks the zero
     extension introduces at 0 and 1.
     """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(x)
+    for loc, height in nu.jumps:
+        out += height * bump.density((x - loc) / eps) / eps
+    if nu.has_density:
+        out += _smooth_q_conv(nu, eps, bump, x)
+    return out
+
+
+def mollify_potential(nu: NuPrimitive, m: MollifierSpec, grid: Grid) -> GridFunction:
+    """q_eps sampled on the grid, which must put 8 nodes across the bump."""
     eps = m.epsilon
     if 2.0 * eps < 8.0 * grid.h * (1.0 - 1e-12):
         raise UnresolvedMollifier(
             f"grid h={grid.h:.3g} cannot resolve epsilon={eps:.3g} "
             "(need >= 8 nodes across the support)"
         )
-    bump = m.bump
-    x = grid.nodes
-    vals = np.zeros_like(x)
-    for loc, height in nu.jumps:
-        vals += height * bump.density((x - loc) / eps) / eps
-    if nu.smooth_kind not in ("zero", "const"):
-        def g_ext(pts):
-            p = np.asarray(pts, dtype=float)
-            inside = (p > 0.0) & (p < 1.0)
-            res = np.zeros_like(p)
-            res[inside] = nu.density_values(p[inside])
-            return res
-
-        vals += _conv_with_kinks(g_ext, x, eps, bump, bump.density)
-    return GridFunction(grid, vals)
+    return GridFunction(grid, mollified_q(nu, eps, m.bump, grid.nodes))
 
 
-class MollifiedNu:
+class MollifiedNu(Potential):
     """Smooth primitive nu_eps of the regularized potential q_eps.
 
     nu_eps is the convolution of the primitive of the zero-extended
@@ -478,8 +517,6 @@ class MollifiedNu:
     ``height * Psi((x - loc)/eps)``, the smooth density a slowly varying
     convolution that is tabulated once per (nu, eps) pair and evaluated by
     cubic Hermite interpolation (exact slopes from the mollified density).
-    Exposes the same potential protocol as :class:`NuPrimitive` so the
-    phase integration can consume either.
     """
 
     def __init__(self, nu: NuPrimitive, spec: MollifierSpec):
@@ -487,7 +524,7 @@ class MollifiedNu:
         self.spec = spec
         self._eps = spec.epsilon
         self._bump = spec.bump
-        self._has_smooth = nu.smooth_kind not in ("zero", "const")
+        self._has_smooth = nu.has_density
         if self._has_smooth:
             self._build_smooth_table()
 
@@ -498,20 +535,8 @@ class MollifiedNu:
         y = np.asarray(y, dtype=float)
         return self.base.density_integral(np.clip(y, 0.0, 1.0))
 
-    def _g_ext(self, y):
-        y = np.asarray(y, dtype=float)
-        inside = (y > 0.0) & (y < 1.0)
-        out = np.zeros_like(y)
-        out[inside] = self.base.density_values(y[inside])
-        return out
-
     def _smooth_conv(self, x):
-        return _conv_with_kinks(self._P_s, x, self._eps, self._bump,
-                                self._bump.density)
-
-    def _smooth_density_conv(self, x):
-        return _conv_with_kinks(self._g_ext, x, self._eps, self._bump,
-                                self._bump.density)
+        return _conv_with_kinks(self._P_s, x, self._eps, self._bump.density)
 
     def _build_smooth_table(self):
         eps = self._eps
@@ -531,8 +556,8 @@ class MollifiedNu:
             t = np.linspace(a, b, k + 1)
             xs.append(t)
             vs.append(self._smooth_conv(t))
-            ds.append(self._smooth_density_conv(t))
-        self._seg_x = [s for s in xs]
+            ds.append(_smooth_q_conv(self.base, eps, self._bump, t))
+        self._seg_x = xs
         self._seg_v = vs
         self._seg_d = ds
         self._seg_bounds = [(a, b) for a, b, _ in segs]
@@ -581,6 +606,10 @@ class MollifiedNu:
         return ()
 
     @property
+    def mollified_atoms(self) -> tuple:
+        return tuple(loc for loc, _ in self.base.jumps)
+
+    @property
     def breakpoints(self) -> tuple:
         eps = self._eps
         pts = set()
@@ -611,27 +640,7 @@ class MollifiedNu:
         return [(a, b, nu_scalar) for a, b in zip(edges[:-1], edges[1:])]
 
     def q_values(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        for loc, height in self.base.jumps:
-            out += height * self._bump.density((x - loc) / self._eps) / self._eps
-        if self._has_smooth:
-            out += self._smooth_density_conv(x)
-        return out
-
-    def q_linf(self) -> float:
-        xs = np.linspace(0.0, 1.0, 8193)
-        xs = np.concatenate([xs, [loc for loc, _ in self.base.jumps]])
-        return float(np.max(np.abs(self.q_values(xs))))
-
-    def norm_l2(self) -> float:
-        dense = Grid(8192)
-        vals = self.nu_values(dense.nodes)
-        return dense.norm_l2(vals)
-
-    def norm_linf(self) -> float:
-        xs = np.linspace(0.0, 1.0, 8193)
-        return float(np.max(np.abs(self.nu_values(xs))))
+        return mollified_q(self.base, self._eps, self._bump, x)
 
     def total_mass(self) -> float:
         return self.base.total_mass()
@@ -644,8 +653,8 @@ class MollifiedNu:
         }
 
 
-class PerturbedNu:
-    """Potential-like wrapper adding c * w to a base potential.
+class PerturbedNu(Potential):
+    """A base potential plus c * w.
 
     The perturbation is given through its primitive ``w_nu`` (a smooth
     :class:`NuPrimitive` without jumps, so w = w_nu' is bounded); the
@@ -653,7 +662,7 @@ class PerturbedNu:
     equations well defined.
     """
 
-    def __init__(self, base, w_nu: NuPrimitive, coefficient: float):
+    def __init__(self, base: Potential, w_nu: NuPrimitive, coefficient: float):
         if w_nu.jumps:
             raise ConfigError("perturbation primitive must be jump-free")
         self.base = base
@@ -665,11 +674,15 @@ class PerturbedNu:
 
     @property
     def jumps(self) -> tuple:
-        return getattr(self.base, "jumps", ())
+        return self.base.jumps
+
+    @property
+    def mollified_atoms(self) -> tuple:
+        return self.base.mollified_atoms
 
     @property
     def breakpoints(self) -> tuple:
-        return getattr(self.base, "breakpoints", ())
+        return self.base.breakpoints
 
     def ode_panels(self):
         w_fn = self.w_nu._panel_callable(0.0)
@@ -681,25 +694,7 @@ class PerturbedNu:
         return [(a, b, wrap(f)) for a, b, f in self.base.ode_panels()]
 
     def q_values(self, x) -> np.ndarray:
-        return self.base.q_values(x) + self.c * self.w_nu.density_values(x)
-
-    def _probe_points(self) -> np.ndarray:
-        xs = np.linspace(0.0, 1.0, 8193)
-        inner = getattr(self.base, "base", None)
-        atoms = [loc for loc, _ in getattr(inner, "jumps", ())]
-        return np.concatenate([xs, atoms]) if atoms else xs
-
-    def q_linf(self) -> float:
-        if getattr(self.base, "jumps", ()) and isinstance(self.base, NuPrimitive):
-            raise MissingNorm("base potential has Dirac atoms")
-        return float(np.max(np.abs(self.q_values(self._probe_points()))))
-
-    def norm_l2(self) -> float:
-        dense = Grid(8192)
-        return dense.norm_l2(self.nu_values(dense.nodes))
-
-    def norm_linf(self) -> float:
-        return float(np.max(np.abs(self.nu_values(np.linspace(0.0, 1.0, 8193)))))
+        return self.base.q_values(x) + self.c * self.w_nu.q_values(x)
 
     def total_mass(self) -> float:
         return self.base.total_mass() + self.c * float(

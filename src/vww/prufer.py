@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BracketFailure, NonPositiveLambda
 from .grid import Grid, GridFunction
 from .ode import integrate_rk45
-from .potential import NuPrimitive
+from .potential import NuPrimitive, Potential
 
 DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-11
@@ -140,7 +140,7 @@ class EigenBasis:
     """Eigenpairs n = 1..N for one potential on a shared grid."""
 
     pairs: tuple
-    nu: object
+    nu: Potential | None
     grid: Grid
     gram_max_offdiag: float
 
@@ -247,6 +247,11 @@ def _refine_roots(nu_like, ns, lo, hi, flo, fhi, rtol, atol, ftol,
     return root, froot, lo, hi
 
 
+def _phi_prime(sqrt_lam, r, theta, phi_tilde, tilde_norm, nu_nodes):
+    """phi' = (sqrt(lambda) r cos(theta) + nu phi_tilde) / ||phi_tilde||."""
+    return (sqrt_lam * r * np.cos(theta) + nu_nodes * phi_tilde) / tilde_norm
+
+
 def _solve_modes(nu_like, ns, grid: Grid, rtol: float, atol: float):
     ns = np.asarray(sorted(set(int(n) for n in ns)), dtype=float)
     if np.any(ns < 1):
@@ -301,11 +306,12 @@ def _solve_modes(nu_like, ns, grid: Grid, rtol: float, atol: float):
         phi = phi_tilde / tilde_norm
         phi[0] = 0.0
         phi[-1] = 0.0
-        dphi = (sqrt_root[j] * r * np.cos(theta) + nu_nodes * phi_tilde)
+        dphi = _phi_prime(sqrt_root[j], r, theta, phi_tilde, tilde_norm,
+                          nu_nodes)
         pairs.append(EigenPair(
             n=int(n), lam=float(root[j]),
             phi=GridFunction(grid, phi),
-            phi_prime=GridFunction(grid, dphi / tilde_norm),
+            phi_prime=GridFunction(grid, dphi),
             path=path, tilde_norm=float(tilde_norm),
             theta_residual=float(froot[j]),
         ))
@@ -325,12 +331,10 @@ def eigen_derivative(pair: EigenPair, nu_like) -> GridFunction:
     nu enters with its left limit at jump locations, matching the stored
     eigenfunction convention.
     """
-    grid = pair.path.grid
-    nu_nodes = nu_like.nu_values(grid.nodes)
-    r = pair.path.r
-    vals = (math.sqrt(pair.lam) * r * np.cos(pair.path.theta)
-            + nu_nodes * pair.phi_tilde) / pair.tilde_norm
-    return GridFunction(grid, vals)
+    path = pair.path
+    return GridFunction(path.grid, _phi_prime(
+        math.sqrt(pair.lam), path.r, path.theta, pair.phi_tilde,
+        pair.tilde_norm, nu_like.nu_values(path.grid.nodes)))
 
 
 def build_basis(nu_like, n_max: int, grid: Grid,
@@ -407,7 +411,7 @@ def basis_csv_rows(basis: EigenBasis) -> list[tuple]:
 
 def basis_to_cache(basis: EigenBasis, include_eigenfunctions: bool = False) -> dict:
     nu = basis.nu
-    desc = nu.descriptor() if hasattr(nu, "descriptor") else None
+    desc = nu.descriptor() if nu is not None else None
     cache = {
         "grid_n": basis.grid.n,
         "nu": desc,

@@ -191,7 +191,7 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
     zero = GridFunction.zeros(grid)
     w0 = w0 if w0 is not None else zero
     w1 = w1 if w1 is not None else zero
-    w_density = (w_primitive.density_values(grid.nodes)
+    w_density = (w_primitive.q_values(grid.nodes)
                  if w_primitive is not None else np.zeros(grid.n + 1))
 
     def one(eps: float):

@@ -233,7 +233,7 @@ def spatial_derivatives(sol: WaveSolution, nu_like, t: float):
     j = sol.time_index(t)
     ux = GridFunction(basis.grid, sol.modal[:, j] @ basis.phi_prime_matrix)
     nodes = basis.grid.nodes
-    for loc, _ in getattr(nu_like, "jumps", ()):
+    for loc, _ in nu_like.jumps:
         if np.min(np.abs(nodes - loc)) < 1e-12:
             raise AtomEvaluation(
                 f"d_xx undefined at the atom x={loc} lying on a grid node")

@@ -8,9 +8,9 @@ import pytest
 from vww.errors import ConfigError, DegenerateNet, MissingNorm, UnresolvedMollifier
 from vww.grid import Grid, GridFunction
 from vww.potential import (MollifiedNu, MollifierSpec, NuPrimitive,
-                           RegularizedNet, check_negligibility, default_ladder,
-                           evaluate_nu, extend_by_zero, fit_moderateness,
-                           get_profile, mollify_potential)
+                           PerturbedNu, RegularizedNet, check_negligibility,
+                           default_ladder, evaluate_nu, extend_by_zero,
+                           fit_moderateness, get_profile, mollify_potential)
 
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
 
@@ -153,6 +153,40 @@ class TestNorms:
     def test_total_mass(self):
         nu = NuPrimitive("linear", (2.0,), jumps=((0.3, 3.0),))
         assert nu.total_mass() == pytest.approx(5.0, abs=1e-12)
+
+
+class TestPerturbed:
+    W = NuPrimitive("sine", (1.0, 1.0))
+
+    def test_nested_over_atom_has_no_q_linf(self):
+        inner = PerturbedNu(STEP, self.W, 0.1)
+        with pytest.raises(MissingNorm):
+            PerturbedNu(inner, self.W, 0.1).q_linf()
+
+    def test_q_linf_probes_mollified_atom_centre(self):
+        # the bump peak at 1/2 is a probe point besides the uniform grid
+        base = MollifiedNu(STEP, MollifierSpec("bump", 1.0 / 16))
+        assert PerturbedNu(base, self.W, 0.1).q_linf() == 12.628782907187729
+
+    def test_protocol_passes_through_base(self):
+        pert = PerturbedNu(STEP, self.W, 0.1)
+        assert pert.jumps == STEP.jumps
+        assert pert.breakpoints == STEP.breakpoints
+        assert pert.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_spatial_derivatives_reject_atom_on_node(self, free_basis_small):
+        from vww.errors import AtomEvaluation
+        from vww.spectral import analyze
+        from vww.wave import (WaveProblem, solve_homogeneous,
+                              spatial_derivatives)
+        g = free_basis_small.grid
+        u0 = GridFunction(g, np.sin(math.pi * g.nodes))
+        problem = WaveProblem(free_basis_small, analyze(u0, free_basis_small),
+                              analyze(GridFunction.zeros(g), free_basis_small),
+                              1.0)
+        sol = solve_homogeneous(problem, [0.0])
+        with pytest.raises(AtomEvaluation):
+            spatial_derivatives(sol, PerturbedNu(STEP, self.W, 0.1), 0.0)
 
 
 class TestFits:
