@@ -33,7 +33,8 @@ from jsonschema import Draft202012Validator
 from . import __version__
 from .errors import ConfigError, VwwError
 from .grid import Grid, GridFunction
-from .potential import MollifierSpec, NuPrimitive, get_profile
+from .potential import (MollifierSpec, NuPrimitive, get_profile,
+                        potential_from_descriptor)
 from .prufer import basis_csv_rows, basis_to_cache, build_basis
 from .spectral import analyze
 from .wave import (ForcingTable, WaveProblem, analyze_forcing,
@@ -208,10 +209,6 @@ def validate_config(command: str, config: dict) -> None:
 # -- descriptor builders -----------------------------------------------------
 
 
-def _build_nu(desc: dict) -> NuPrimitive:
-    return NuPrimitive.from_descriptor(desc)
-
-
 def _build_data(desc: dict, grid: Grid) -> GridFunction:
     kind = desc["kind"]
     params = desc.get("params", [])
@@ -323,10 +320,10 @@ def _meta(config: dict) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_eigs(config: dict, out: str, threads: int) -> None:
+def cmd_eigs(config: dict, out: str) -> None:
     validate_config("eigs", config)
     grid = Grid(int(config["grid_n"]))
-    nu = _build_nu(config["nu"])
+    nu = potential_from_descriptor(config["nu"])
     tol = float(config.get("ode_tol", 1e-11))
     basis = build_basis(nu, int(config["n_max"]), grid, rtol=tol, atol=tol)
     _write_csv(os.path.join(out, "eigenvalues.csv"),
@@ -342,7 +339,7 @@ def cmd_eigs(config: dict, out: str, threads: int) -> None:
 
 def _solve_common(config: dict, forced: bool):
     grid = Grid(int(config["grid_n"]))
-    nu = _build_nu(config["nu"])
+    nu = potential_from_descriptor(config["nu"])
     tol = float(config.get("ode_tol", 1e-11))
     basis = build_basis(nu, int(config["n_max"]), grid, rtol=tol, atol=tol)
     u0 = _build_data(config["u0"], grid)
@@ -382,19 +379,19 @@ def _write_solution(config: dict, out: str, sol, times) -> None:
     _write_json(os.path.join(out, "energy.json"), payload)
 
 
-def cmd_solve(config: dict, out: str, threads: int) -> None:
+def cmd_solve(config: dict, out: str) -> None:
     validate_config("solve", config)
     _, _, sol, times = _solve_common(config, forced=False)
     _write_solution(config, out, sol, times)
 
 
-def cmd_forced(config: dict, out: str, threads: int) -> None:
+def cmd_forced(config: dict, out: str) -> None:
     validate_config("forced", config)
     _, _, sol, times = _solve_common(config, forced=True)
     _write_solution(config, out, sol, times)
 
 
-def cmd_estimates(config: dict, out: str, threads: int) -> None:
+def cmd_estimates(config: dict, out: str) -> None:
     validate_config("estimates", config)
     ids = config["estimate_ids"]
     if ids == "core":
@@ -417,13 +414,13 @@ def cmd_estimates(config: dict, out: str, threads: int) -> None:
                [(r.estimate_id, r.ratio, r.problem_hash) for r in reports])
 
 
-def cmd_veryweak(config: dict, out: str, threads: int) -> None:
+def cmd_veryweak(config: dict, out: str) -> None:
     validate_config("veryweak", config)
     grid = Grid(int(config["grid_n"]))
     ladder = _build_ladder(config["ladder"])
     tol = float(config.get("ode_tol", 1e-10))
     exp = VeryWeakExperiment(
-        nu=_build_nu(config["nu"]),
+        nu=potential_from_descriptor(config["nu"]),
         u0=DataNet(_build_data(config["u0"], grid),
                    float(config.get("u0_scale_exponent", 0.0))),
         u1=DataNet(_build_data(config["u1"], grid),
@@ -436,8 +433,7 @@ def cmd_veryweak(config: dict, out: str, threads: int) -> None:
     )
     mode = config["mode"]
     if mode == "existence":
-        rep = run_existence(exp, int(config.get("declared_order", 0)),
-                            threads=threads)
+        rep = run_existence(exp, int(config.get("declared_order", 0)))
         csv_rows = (
             [(eps, v, "L2_sup_t") for eps, v in zip(ladder, rep.u_norms)]
             + [(eps, v, "dt_L2_sup_t") for eps, v in zip(ladder, rep.dtu_norms)]
@@ -448,17 +444,17 @@ def cmd_veryweak(config: dict, out: str, threads: int) -> None:
     elif mode == "uniqueness":
         if "order" not in config:
             raise ConfigError("uniqueness mode needs 'order'")
-        wp = _build_nu(config["w_primitive"]) if "w_primitive" in config else None
+        wp = (potential_from_descriptor(config["w_primitive"])
+              if "w_primitive" in config else None)
         w0 = _build_data(config["w0"], grid) if "w0" in config else None
         w1 = _build_data(config["w1"], grid) if "w1" in config else None
         rep = run_uniqueness(exp, int(config["order"]), w_primitive=wp,
-                             w0=w0, w1=w1, threads=threads)
+                             w0=w0, w1=w1)
         csv_rows = [(eps, v, "diff_L2_sup_t")
                     for eps, v in zip(ladder, rep.diff_norms)]
         dat = {"epsilon": ladder, "diff_norm": rep.diff_norms}
     else:
-        rep = run_consistency(exp, float(config.get("tolerance", 1e-3)),
-                              threads=threads)
+        rep = run_consistency(exp, float(config.get("tolerance", 1e-3)))
         csv_rows = [(eps, v, "discrepancy_sup_t")
                     for eps, v in zip(ladder, rep.discrepancies)]
         dat = {"epsilon": ladder, "discrepancy": rep.discrepancies}
@@ -638,21 +634,16 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory")
         p.add_argument("--selftest", action="store_true",
                        help="run the built-in closed-form battery and exit")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: VWW_THREADS or 1)")
     args = parser.parse_args(argv)
 
     if args.selftest:
         return _selftest()
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("VWW_THREADS", "1"))
     try:
         if not args.config or not args.out:
             raise ConfigError("--config and --out are required")
         config = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        _COMMANDS[args.command](config, args.out, max(1, threads))
+        _COMMANDS[args.command](config, args.out)
     except ConfigError as exc:
         print(f"vww: config error: {exc}", file=sys.stderr)
         return 2

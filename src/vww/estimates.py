@@ -8,6 +8,16 @@ corollary (ec1..ec4), the forced family (esnh1..esnh4) and the forced
 rough-data corollary (ecnh1..ecnh4); the first thirteen form the core
 suite, the last four an extended set.
 
+The catalog is one table, ``ESTIMATES``: each id declares its left-side
+family (``u``, ``u_t``, ``u_x``, ``u_xx`` or ``w_k``) and its right side
+as an ordered sum of groups.  A group either adds its terms one by one
+(coefficient ``None``) or multiplies their sum by a coefficient; a term
+is a squared norm named in ``_NORMS`` or a nested group.  Sums run left
+to right.  A forced variant is its homogeneous base with the Duhamel
+term 2 T^2 sup_t ||f||^2 added to every group (esnh4 adds the C^1 one to
+its last group).  Norms are computed on first use, once per ``verify``,
+so ``MissingNorm`` from ``q_linf`` arises only for ids that use it.
+
 Up-to-constant inequalities are operationalized as finite reported
 ratios that stay uniform over declared sweep families; nothing sharper
 is asserted.
@@ -24,20 +34,8 @@ import numpy as np
 
 from .errors import ConfigError, MissingNorm
 from .grid import GridFunction
-from .spectral import SpectralCoeffs, sobolev_norm, synthesize
-from .wave import WaveProblem, WaveSolution
-
-CORE_ESTIMATE_IDS = (
-    "est1", "est2", "est3", "est4", "est5",
-    "ec1", "ec2", "ec3", "ec4",
-    "esnh1", "esnh2", "esnh3", "esnh4",
-)
-EXTENDED_ESTIMATE_IDS = ("ecnh1", "ecnh2", "ecnh3", "ecnh4")
-ALL_ESTIMATE_IDS = CORE_ESTIMATE_IDS + EXTENDED_ESTIMATE_IDS
-
-# right sides that do not involve the potential; their sweep ratios must
-# stay flat as the regularization scale shrinks
-Q_FREE_IDS = ("est1", "est2", "est5", "ec1", "esnh1", "esnh2", "ecnh1")
+from .spectral import sobolev_norm, synthesize
+from .wave import ForcingTable, WaveProblem, WaveSolution
 
 
 @dataclass(frozen=True)
@@ -69,136 +67,126 @@ def _sq(x: float) -> float:
     return x * x
 
 
-class _Norms:
-    """Lazy norm inventory for one problem."""
+def _duhamel_sq(problem: WaveProblem, norm) -> float:
+    """2 T^2 times the squared forcing norm, 0 without forcing."""
+    f = problem.forcing
+    return 2.0 * _sq(problem.T) * (_sq(norm(f)) if f is not None else 0.0)
 
-    def __init__(self, problem: WaveProblem):
+
+def _second_derivative_sq(coeffs) -> float:
+    return _sq(synthesize(coeffs).second_difference().norm_l2())
+
+
+# squared norms of one problem, by name: initial data in Sobolev orders
+# (k is verify's order, used by est5), second differences of the data,
+# the Duhamel forcing terms and the potential norms
+_NORMS = {
+    "u0": lambda p, k: _sq(sobolev_norm(p.u0_coeffs, 0.0)),
+    "u0_H1": lambda p, k: _sq(sobolev_norm(p.u0_coeffs, 1.0)),
+    "u0_H2": lambda p, k: _sq(sobolev_norm(p.u0_coeffs, 2.0)),
+    "u0_Hk": lambda p, k: _sq(sobolev_norm(p.u0_coeffs, k)),
+    "u0_xx": lambda p, k: _second_derivative_sq(p.u0_coeffs),
+    "u1": lambda p, k: _sq(sobolev_norm(p.u1_coeffs, 0.0)),
+    "u1_H-1": lambda p, k: _sq(sobolev_norm(p.u1_coeffs, -1.0)),
+    "u1_H1": lambda p, k: _sq(sobolev_norm(p.u1_coeffs, 1.0)),
+    "u1_Hk-1": lambda p, k: _sq(sobolev_norm(p.u1_coeffs, k - 1.0)),
+    "u1_xx": lambda p, k: _second_derivative_sq(p.u1_coeffs),
+    "duh": lambda p, k: _duhamel_sq(p, ForcingTable.sup_l2),
+    "duh_c1": lambda p, k: _duhamel_sq(p, ForcingTable.sup_c1),
+    "q_linf": lambda p, k: _sq(p.basis.nu.q_linf()),
+    "1+nu_l2": lambda p, k: 1.0 + _sq(p.basis.nu.norm_l2()),
+    "nu_linf": lambda p, k: _sq(p.basis.nu.norm_linf()),
+}
+
+
+class _Norms(dict):
+    """The squared norms of one problem, each computed on first use."""
+
+    def __init__(self, problem: WaveProblem, k: float):
+        super().__init__()
         self.problem = problem
-        self.nu = problem.basis.nu
-        self._cache: dict = {}
+        self.k = k
 
-    def data(self, which: str, k: float) -> float:
-        key = (which, k)
-        if key not in self._cache:
-            coeffs = getattr(self.problem, f"{which}_coeffs")
-            self._cache[key] = _sq(sobolev_norm(coeffs, k))
-        return self._cache[key]
-
-    def second_derivative(self, which: str) -> float:
-        key = (which, "dd")
-        if key not in self._cache:
-            coeffs: SpectralCoeffs = getattr(self.problem, f"{which}_coeffs")
-            g = synthesize(coeffs)
-            self._cache[key] = _sq(g.second_difference().norm_l2())
-        return self._cache[key]
-
-    @property
-    def nu_l2_sq(self) -> float:
-        if "nu_l2" not in self._cache:
-            self._cache["nu_l2"] = _sq(self.nu.norm_l2())
-        return self._cache["nu_l2"]
-
-    @property
-    def nu_linf_sq(self) -> float:
-        if "nu_linf" not in self._cache:
-            self._cache["nu_linf"] = _sq(self.nu.norm_linf())
-        return self._cache["nu_linf"]
-
-    @property
-    def q_linf_sq(self) -> float:
-        if "q_linf" not in self._cache:
-            self._cache["q_linf"] = _sq(self.nu.q_linf())
-        return self._cache["q_linf"]
-
-    @property
-    def forcing_sq(self) -> float:
-        f = self.problem.forcing
-        return _sq(f.sup_l2()) if f is not None else 0.0
-
-    @property
-    def forcing_c1_sq(self) -> float:
-        f = self.problem.forcing
-        return _sq(f.sup_c1()) if f is not None else 0.0
-
-    @property
-    def t_sq(self) -> float:
-        return _sq(self.problem.T)
+    def __missing__(self, name: str) -> float:
+        value = self[name] = _NORMS[name](self.problem, self.k)
+        return value
 
 
-def _lhs_series(estimate_id: str, sol: WaveSolution, nu, k: float) -> np.ndarray:
+def _forced(estimate: tuple, last: str = "duh") -> tuple:
+    """The base estimate with the Duhamel term appended to every group;
+    the last group gets ``last``."""
+    lhs, groups = estimate
+    *head, (coef, terms) = groups
+    return lhs, (*((c, t + ("duh",)) for c, t in head),
+                 (coef, terms + (last,)))
+
+
+_EC2_SUM = ("u0_xx", ("q_linf", ("u0",)), "u1")
+
+# id -> (left-side family, right-side groups)
+_CORE = {
+    "est1": ("u", ((None, ("u0", "u1_H-1")),)),
+    "est2": ("u_t", ((None, ("u0_H1", "u1")),)),
+    "est3": ("u_x", (("1+nu_l2", ("u0_H1", "u1")),
+                     ("nu_linf", ("u0", "u1_H-1")))),
+    "est4": ("u_xx", (("q_linf", ("u0", "u1_H-1")),
+                      (None, ("u0_H2", "u1_H1")))),
+    "est5": ("w_k", ((None, ("u0_Hk", "u1_Hk-1")),)),
+    "ec1": ("u", ((None, ("u0", "u1")),)),
+    "ec2": ("u_t", ((None, _EC2_SUM),)),
+    "ec3": ("u_x", (("1+nu_l2", _EC2_SUM), ("nu_linf", ("u0", "u1")))),
+    "ec4": ("u_xx", (("q_linf", ("u0", "u1")), (None, ("u0_xx", "u1_xx")))),
+}
+_CORE.update(
+    esnh1=_forced(_CORE["est1"]),
+    esnh2=_forced(_CORE["est2"]),
+    esnh3=_forced(_CORE["est3"]),
+    esnh4=_forced(_CORE["est4"], last="duh_c1"),
+)
+ESTIMATES = {
+    **_CORE,
+    "ecnh1": _forced(_CORE["ec1"]),
+    "ecnh2": _forced(_CORE["ec2"]),
+    "ecnh3": _forced(_CORE["ec3"]),
+    "ecnh4": _forced(_CORE["ec4"]),
+}
+CORE_ESTIMATE_IDS = tuple(_CORE)
+ALL_ESTIMATE_IDS = tuple(ESTIMATES)
+
+
+def _sum(terms: tuple, norms: _Norms) -> float:
+    """Left-to-right sum of norm names and (coefficient, terms) groups."""
+    total = None
+    for t in terms:
+        value = norms[t] if isinstance(t, str) \
+            else norms[t[0]] * _sum(t[1], norms)
+        total = value if total is None else total + value
+    return total
+
+
+def _right_side(groups: tuple, norms: _Norms) -> float:
+    flat = []
+    for coef, terms in groups:
+        flat.extend(terms if coef is None else [(coef, terms)])
+    return _sum(tuple(flat), norms)
+
+
+def _lhs_series(family: str, sol: WaveSolution, nu, k: float) -> np.ndarray:
     basis = sol.basis
-    family = estimate_id[-1]
-    if estimate_id == "est5":
-        return sol.wk_series(k) ** 2
-    if family == "1":
+    if family == "u":
         return sol.l2_series() ** 2
-    if family == "2":
+    if family == "u_t":
         return sol.dt_l2_series() ** 2
+    if family == "w_k":
+        return sol.wk_series(k) ** 2
     w = basis.grid.simpson_weights
-    if family == "3":
+    if family == "u_x":
         vals = sol.modal.T @ basis.phi_prime_matrix
         return vals**2 @ w
-    if family == "4":
-        q_nodes = nu.q_values(basis.grid.nodes)
-        vals = q_nodes[None, :] * sol.values \
-            - (basis.lambdas[:, None] * sol.modal).T @ basis.phi_matrix
-        return vals**2 @ w
-    raise ConfigError(f"unknown estimate id {estimate_id!r}")
-
-
-def _rhs(estimate_id: str, n: _Norms, k: float) -> float:
-    u0_l2 = n.data("u0", 0.0)
-    u1_l2 = n.data("u1", 0.0)
-    if estimate_id == "est1":
-        return u0_l2 + n.data("u1", -1.0)
-    if estimate_id == "est2":
-        return n.data("u0", 1.0) + u1_l2
-    if estimate_id == "est3":
-        return ((1.0 + n.nu_l2_sq) * (n.data("u0", 1.0) + u1_l2)
-                + n.nu_linf_sq * (u0_l2 + n.data("u1", -1.0)))
-    if estimate_id == "est4":
-        return (n.q_linf_sq * (u0_l2 + n.data("u1", -1.0))
-                + n.data("u0", 2.0) + n.data("u1", 1.0))
-    if estimate_id == "est5":
-        return n.data("u0", k) + n.data("u1", k - 1.0)
-    if estimate_id == "ec1":
-        return u0_l2 + u1_l2
-    if estimate_id == "ec2":
-        return n.second_derivative("u0") + n.q_linf_sq * u0_l2 + u1_l2
-    if estimate_id == "ec3":
-        return ((1.0 + n.nu_l2_sq)
-                * (n.second_derivative("u0") + n.q_linf_sq * u0_l2 + u1_l2)
-                + n.nu_linf_sq * (u0_l2 + u1_l2))
-    if estimate_id == "ec4":
-        return (n.q_linf_sq * (u0_l2 + u1_l2)
-                + n.second_derivative("u0") + n.second_derivative("u1"))
-    duh = 2.0 * n.t_sq * n.forcing_sq
-    if estimate_id == "esnh1":
-        return u0_l2 + n.data("u1", -1.0) + duh
-    if estimate_id == "esnh2":
-        return n.data("u0", 1.0) + u1_l2 + duh
-    if estimate_id == "esnh3":
-        return ((1.0 + n.nu_l2_sq) * (n.data("u0", 1.0) + u1_l2 + duh)
-                + n.nu_linf_sq * (u0_l2 + n.data("u1", -1.0) + duh))
-    if estimate_id == "esnh4":
-        return (n.q_linf_sq * (u0_l2 + n.data("u1", -1.0) + duh)
-                + n.data("u0", 2.0) + n.data("u1", 1.0)
-                + 2.0 * n.t_sq * n.forcing_c1_sq)
-    if estimate_id == "ecnh1":
-        return u0_l2 + u1_l2 + duh
-    if estimate_id == "ecnh2":
-        return (n.second_derivative("u0") + n.q_linf_sq * u0_l2
-                + u1_l2 + duh)
-    if estimate_id == "ecnh3":
-        return ((1.0 + n.nu_l2_sq)
-                * (n.second_derivative("u0") + n.q_linf_sq * u0_l2
-                   + u1_l2 + duh)
-                + n.nu_linf_sq * (u0_l2 + u1_l2 + duh))
-    if estimate_id == "ecnh4":
-        return (n.q_linf_sq * (u0_l2 + u1_l2 + duh)
-                + n.second_derivative("u0") + n.second_derivative("u1")
-                + duh)
-    raise ConfigError(f"unknown estimate id {estimate_id!r}")
+    q_nodes = nu.q_values(basis.grid.nodes)
+    vals = q_nodes[None, :] * sol.values \
+        - (basis.lambdas[:, None] * sol.modal).T @ basis.phi_matrix
+    return vals**2 @ w
 
 
 def verify(estimate_id: str, problem: WaveProblem, solution: WaveSolution,
@@ -208,10 +196,12 @@ def verify(estimate_id: str, problem: WaveProblem, solution: WaveSolution,
     ``k`` applies to est5 only.  ``inputs`` is an optional descriptor
     echoed into the report (used for problem hashing in sweeps).
     """
-    if estimate_id not in ALL_ESTIMATE_IDS:
-        raise ConfigError(f"unknown estimate id {estimate_id!r}")
-    rhs = _rhs(estimate_id, _Norms(problem), k)
-    series = _lhs_series(estimate_id, solution, problem.basis.nu, k)
+    try:
+        family, groups = ESTIMATES[estimate_id]
+    except KeyError:
+        raise ConfigError(f"unknown estimate id {estimate_id!r}") from None
+    rhs = _right_side(groups, _Norms(problem, k))
+    series = _lhs_series(family, solution, problem.basis.nu, k)
     j = int(np.argmax(series))
     lhs_max = float(series[j])
     if rhs <= 0.0:

@@ -38,12 +38,26 @@ from .grid import Grid, GridFunction
 SMOOTH_KINDS = ("zero", "const", "linear", "sine", "samples")
 
 _PRIMITIVE_PANELS = 16384
+_LINF_SAMPLES_PER_PANEL = 4096
 
 
 @lru_cache(maxsize=8)
 def _gauss_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+def _cubic_hermite(s, h, f0, d0, f1, d1):
+    """Cubic Hermite interpolant at s in [0, 1] of a panel of width h with
+    values f0, f1 and slopes d0, d1 at its ends."""
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2 * s3 - 3 * s2 + 1) * f0
+        + (s3 - 2 * s2 + s) * h * d0
+        + (-2 * s3 + 3 * s2) * f1
+        + (s3 - s2) * h * d1
+    )
 
 
 class BumpProfile:
@@ -88,6 +102,7 @@ class BumpProfile:
         self._table_x = edges
         self._table_v = cum / total
         self._table_v[-1] = 1.0
+        self._table_d = self._norm * self._raw(edges)
         self._table_h = edges[1] - edges[0]
         self._built = True
 
@@ -116,19 +131,10 @@ class BumpProfile:
             um = u[mid]
             h = self._table_h
             idx = np.clip(((um + 1.0) / h).astype(int), 0, _PRIMITIVE_PANELS - 1)
-            t = (um - self._table_x[idx]) / h
-            f0 = self._table_v[idx]
-            f1 = self._table_v[idx + 1]
-            d0 = self._norm * self._raw(self._table_x[idx])
-            d1 = self._norm * self._raw(self._table_x[idx + 1])
-            t2 = t * t
-            t3 = t2 * t
-            out[mid] = (
-                (2 * t3 - 3 * t2 + 1) * f0
-                + (t3 - 2 * t2 + t) * h * d0
-                + (-2 * t3 + 3 * t2) * f1
-                + (t3 - t2) * h * d1
-            )
+            out[mid] = _cubic_hermite(
+                (um - self._table_x[idx]) / h, h,
+                self._table_v[idx], self._table_d[idx],
+                self._table_v[idx + 1], self._table_d[idx + 1])
         return out
 
     def mass(self) -> float:
@@ -364,10 +370,10 @@ class NuPrimitive(Potential):
             total += half * float(gw @ vals**2)
         return math.sqrt(max(total, 0.0))
 
-    def norm_linf(self, samples_per_panel: int = 4096) -> float:
+    def norm_linf(self) -> float:
         sup = 0.0
         for a, b, shift in self._panel_offsets():
-            xs = np.linspace(a, b, samples_per_panel)
+            xs = np.linspace(a, b, _LINF_SAMPLES_PER_PANEL)
             sup = max(sup, float(np.max(np.abs(self.smooth_values(xs) + shift))))
         return sup
 
@@ -579,15 +585,8 @@ class MollifiedNu(Potential):
             xi = x[sel]
             h = t[1] - t[0]
             idx = np.clip(((xi - a) / h).astype(int), 0, len(t) - 2)
-            s = (xi - t[idx]) / h
-            s2 = s * s
-            s3 = s2 * s
-            out[sel] = (
-                (2 * s3 - 3 * s2 + 1) * v[idx]
-                + (s3 - 2 * s2 + s) * h * d[idx]
-                + (-2 * s3 + 3 * s2) * v[idx + 1]
-                + (s3 - s2) * h * d[idx + 1]
-            )
+            out[sel] = _cubic_hermite((xi - t[idx]) / h, h, v[idx], d[idx],
+                                      v[idx + 1], d[idx + 1])
         return out
 
     # potential protocol ------------------------------------------------------
@@ -706,6 +705,21 @@ class PerturbedNu(Potential):
             "w_primitive": self.w_nu.descriptor(),
             "coefficient": self.c,
         }
+
+
+def potential_from_descriptor(d: dict) -> Potential:
+    """The potential whose ``descriptor()`` is d, for every potential class."""
+    try:
+        if "mollified" in d:
+            return MollifiedNu(NuPrimitive.from_descriptor(d["mollified"]),
+                               MollifierSpec(d["profile"], d["epsilon"]))
+        if "perturbed" in d:
+            return PerturbedNu(potential_from_descriptor(d["perturbed"]),
+                               NuPrimitive.from_descriptor(d["w_primitive"]),
+                               d["coefficient"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad potential descriptor: {exc}") from exc
+    return NuPrimitive.from_descriptor(d)
 
 
 # -- moderateness / negligibility fits ---------------------------------------

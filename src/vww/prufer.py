@@ -26,11 +26,15 @@ import numpy as np
 from .errors import BracketFailure, NonPositiveLambda
 from .grid import Grid, GridFunction
 from .ode import integrate_rk45
-from .potential import NuPrimitive, Potential
+from .potential import Potential, potential_from_descriptor
 
 DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-11
 THETA_RESIDUAL_TOL = 1e-10
+# times a failing bracket's margin is doubled before BracketFailure
+BRACKET_WIDENINGS = 7
+# false-position iterations per root-refinement pass
+FALSE_POSITION_STEPS = 80
 
 
 def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
@@ -188,14 +192,14 @@ def _initial_brackets(ns: np.ndarray, c: np.ndarray):
     return lo, hi
 
 
-def _bracket_modes(nu_like, ns: np.ndarray, rtol, atol, max_grow: int = 7):
+def _bracket_modes(nu_like, ns: np.ndarray, rtol, atol):
     """Sign-changing brackets for theta(1, .) = pi n, widened on failure."""
     target = math.pi * ns
     c = np.full(ns.shape, 0.05)
     lo, hi = _initial_brackets(ns, c)
     flo = _theta_end(nu_like, lo, rtol, atol) - target
     fhi = _theta_end(nu_like, hi, rtol, atol) - target
-    for _ in range(max_grow):
+    for _ in range(BRACKET_WIDENINGS):
         bad = ~((flo < 0.0) & (fhi > 0.0))
         if not np.any(bad):
             return lo, hi, flo, fhi
@@ -208,8 +212,7 @@ def _bracket_modes(nu_like, ns: np.ndarray, rtol, atol, max_grow: int = 7):
     raise BracketFailure(int(ns[bad]), float(lo[bad]), float(hi[bad]))
 
 
-def _refine_roots(nu_like, ns, lo, hi, flo, fhi, rtol, atol, ftol,
-                  max_iter: int = 80):
+def _refine_roots(nu_like, ns, lo, hi, flo, fhi, rtol, atol, ftol):
     """Illinois-type false position on the bracketed phase condition."""
     target = math.pi * ns
     lo, hi, flo, fhi = (arr.copy() for arr in (lo, hi, flo, fhi))
@@ -218,7 +221,7 @@ def _refine_roots(nu_like, ns, lo, hi, flo, fhi, rtol, atol, ftol,
     active = np.ones(ns.shape, dtype=bool)
     stale_lo = np.zeros(ns.shape, dtype=int)
     stale_hi = np.zeros(ns.shape, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(FALSE_POSITION_STEPS):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -434,7 +437,7 @@ def basis_from_cache(cache: dict):
     if not cache.get("includes_eigenfunctions"):
         return dict(cache)
     grid = Grid(int(cache["grid_n"]))
-    nu = NuPrimitive.from_descriptor(cache["nu"]) if cache.get("nu") else None
+    nu = potential_from_descriptor(cache["nu"]) if cache.get("nu") else None
     pairs = []
     for i, lam in enumerate(cache["lambdas"]):
         eta = np.asarray(cache["eta"][i])

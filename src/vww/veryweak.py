@@ -13,15 +13,10 @@ the ladder decide the verdicts:
   leaves a difference net decaying at least like eps^(M - 0.2);
 * consistency (bounded potentials): the mollified solutions approach
   the unmollified one, strictly decreasing along the ladder.
-
-Per-rung solves are independent; an optional thread pool fans them out
-and results are assembled in ladder order, so reports do not depend on
-scheduling.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +68,6 @@ class VeryWeakExperiment:
         return np.linspace(0.0, self.T, self.n_times)
 
 
-def _map_ladder(fn, ladder, threads: int):
-    if threads <= 1:
-        return [fn(eps) for eps in ladder]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, ladder))
-
-
 def _solve_for(e: VeryWeakExperiment, potential, u0: GridFunction,
                u1: GridFunction):
     basis = build_basis(potential, e.n_max, e.grid,
@@ -127,8 +115,7 @@ class NetReport:
         }
 
 
-def run_existence(e: VeryWeakExperiment, declared_order: int = 0,
-                  threads: int = 1) -> NetReport:
+def run_existence(e: VeryWeakExperiment, declared_order: int = 0) -> NetReport:
     """Measure sup-in-t solution norms across the ladder and fit exponents."""
 
     def one(eps: float):
@@ -138,7 +125,7 @@ def run_existence(e: VeryWeakExperiment, declared_order: int = 0,
                 float(np.max(sol.dt_l2_series())),
                 q_eps.q_linf())
 
-    rows = _map_ladder(one, e.ladder, threads)
+    rows = [one(eps) for eps in e.ladder]
     u_norms, dtu_norms, q_norms = (tuple(r[i] for r in rows) for i in range(3))
     u_fit = _try_fit(e.ladder, u_norms)
     dtu_fit = _try_fit(e.ladder, dtu_norms)
@@ -175,8 +162,7 @@ class UniquenessReport:
 def run_uniqueness(e: VeryWeakExperiment, order: int,
                    w_primitive: NuPrimitive | None = None,
                    w0: GridFunction | None = None,
-                   w1: GridFunction | None = None,
-                   threads: int = 1) -> UniquenessReport:
+                   w1: GridFunction | None = None) -> UniquenessReport:
     """Inject an order-M perturbation and fit the difference-net slope.
 
     The potential perturbation eps^M * w enters through its primitive
@@ -225,7 +211,7 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
             float("inf") if rhs == 0.0 else diff_sup**2 / rhs)
         return diff_sup, ratio
 
-    rows = _map_ladder(one, e.ladder, threads)
+    rows = [one(eps) for eps in e.ladder]
     diffs = tuple(r[0] for r in rows)
     ratios = tuple(r[1] for r in rows)
     try:
@@ -264,8 +250,8 @@ class ConsistencyReport:
         }
 
 
-def run_consistency(e: VeryWeakExperiment, tolerance: float = 1e-3,
-                    threads: int = 1) -> ConsistencyReport:
+def run_consistency(e: VeryWeakExperiment,
+                    tolerance: float = 1e-3) -> ConsistencyReport:
     """Compare mollified solves against the unmollified bounded problem."""
     if e.nu.jumps:
         raise NotBoundedPotential(
@@ -281,7 +267,7 @@ def run_consistency(e: VeryWeakExperiment, tolerance: float = 1e-3,
         series = np.sqrt((classical.values - sol.values) ** 2 @ w_q)
         return float(np.max(series)), float(np.max(series[::2]))
 
-    rows = _map_ladder(one, e.ladder, threads)
+    rows = [one(eps) for eps in e.ladder]
     disc = tuple(r[0] for r in rows)
     coarse_sup = rows[-1][1]
     sens = abs(disc[-1] - coarse_sup) / disc[-1] if disc[-1] > 0.0 else 0.0

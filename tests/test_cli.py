@@ -237,22 +237,13 @@ class TestSelftest:
         assert "FAIL" not in out
 
 
-class TestThreads:
-    def test_threaded_run_matches_serial(self, tmp_path):
+class TestOptions:
+    def test_threads_flag_refused(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", VW_BASE)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert run_cli("veryweak", "--config", cfg, "--out", str(out1),
-                       "--threads", "1") == 0
-        assert run_cli("veryweak", "--config", cfg, "--out", str(out2),
-                       "--threads", "4") == 0
-        assert (out1 / "report.json").read_bytes() == \
-            (out2 / "report.json").read_bytes()
-
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VWW_THREADS", "2")
-        cfg = write_config(tmp_path, "c.json", VW_BASE)
-        assert run_cli("veryweak", "--config", cfg, "--out",
-                       str(tmp_path / "o")) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli("veryweak", "--config", cfg, "--out", str(tmp_path / "o"),
+                    "--threads", "2")
+        assert exc.value.code == 2
 
 
 class TestIOFailure:

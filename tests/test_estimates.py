@@ -94,6 +94,18 @@ class TestVerify:
                 assert reports[c][eid] == pytest.approx(
                     reports[1.0][eid], rel=1e-12)
 
+    def test_forced_ids_equal_base_without_forcing(self, const5_basis_40):
+        # the Duhamel terms are 0.0 on an unforced problem, so each forced
+        # id is its homogeneous base to the last bit
+        g = const5_basis_40.grid
+        prob, sol = _solve(const5_basis_40, parabola(g),
+                           sine_data(g, [(0.3, 1)]))
+        for i in range(1, 5):
+            for forced, base in ((f"esnh{i}", f"est{i}"),
+                                 (f"ecnh{i}", f"ec{i}")):
+                rf, rb = verify(forced, prob, sol), verify(base, prob, sol)
+                assert (rf.rhs, rf.ratio) == (rb.rhs, rb.ratio), forced
+
     def test_est1_lhs_at_zero_is_u0_norm(self, step_basis_40):
         g = step_basis_40.grid
         u0 = parabola(g)

@@ -1,5 +1,6 @@
 """Phase integration and eigenpair computation against independent oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from scipy.optimize import brentq
 
 from vww.errors import BracketFailure, NonPositiveLambda
 from vww.grid import Grid
-from vww.potential import NuPrimitive
-from vww.prufer import (asymptotic_residuals, build_basis, eigen_derivative,
-                        integrate_prufer, shoot_eigenvalue)
+from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
+from vww.prufer import (asymptotic_residuals, basis_from_cache, basis_to_cache,
+                        build_basis, eigen_derivative, integrate_prufer,
+                        shoot_eigenvalue)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -192,6 +194,23 @@ class TestBuildBasis:
         lam_a = build_basis(STEP, 3, Grid(512)).lambdas
         lam_b = build_basis(STEP, 3, Grid(1024)).lambdas
         assert np.max(np.abs(lam_a - lam_b)) <= 1e-10
+
+
+class TestCache:
+    MOLLIFIED = MollifiedNu(STEP, MollifierSpec("bump", 0.25))
+
+    @pytest.mark.parametrize("nu", [
+        MOLLIFIED,
+        PerturbedNu(MOLLIFIED, NuPrimitive("sine", (1.0, 1.0)), 0.1),
+    ], ids=["mollified", "perturbed"])
+    def test_round_trip_keeps_potential(self, nu):
+        basis = build_basis(nu, 3, Grid(256))
+        cache = json.loads(json.dumps(
+            basis_to_cache(basis, include_eigenfunctions=True)))
+        again = basis_from_cache(cache).nu
+        assert again.descriptor() == nu.descriptor()
+        x = np.linspace(0.0, 1.0, 1001)
+        assert again.nu_values(x).tobytes() == nu.nu_values(x).tobytes()
 
 
 class TestAsymptoticResiduals:
