@@ -279,12 +279,13 @@ def _build_ladder(desc) -> tuple:
 # -- output helpers ----------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, *texts: str) -> None:
+    """Write the concatenation of texts to path through a renamed temp file."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".vww-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -357,19 +358,28 @@ def _solve_common(config: dict, forced: bool):
     return basis, problem, sol, times
 
 
+def _write_solution_csv(path: str, times: list, nodes: np.ndarray,
+                        values: np.ndarray, dt_values: np.ndarray) -> None:
+    """Rows t,x,u,u_t for every time and node, as ``_write_csv`` writes
+    them; each time and node is formatted once."""
+    xs = [f",{x!r}," for x in nodes.tolist()]
+    parts = ["t,x,u,u_t\n"]
+    for t, us, uts in zip(times, values, dt_values):
+        t_r = repr(t)
+        parts.append("".join([f"{t_r}{x_r}{u!r},{ut!r}\n" for x_r, u, ut
+                              in zip(xs, us.tolist(), uts.tolist())]))
+    _atomic_write(path, *parts)
+
+
 def _write_solution(config: dict, out: str, sol, times) -> None:
-    grid = sol.basis.grid
-    rows = []
-    for j, t in enumerate(times):
-        for i, x in enumerate(grid.nodes):
-            rows.append((float(t), float(x), float(sol.values[j, i]),
-                         float(sol.dt_values[j, i])))
-    _write_csv(os.path.join(out, "solution.csv"), ("t", "x", "u", "u_t"), rows)
+    times = [float(t) for t in times]
+    _write_solution_csv(os.path.join(out, "solution.csv"), times,
+                        sol.basis.grid.nodes, sol.values, sol.dt_values)
     energy = sol.energy_series()
     e0 = float(energy[0]) if energy[0] != 0.0 else 1.0
     payload = {
         "meta": _meta(config),
-        "times": [float(t) for t in times],
+        "times": times,
         "energy": [float(v) for v in energy],
         "energy_drift": float(np.ptp(energy) / abs(e0)),
         "l2_norms": [float(v) for v in sol.l2_series()],

@@ -13,7 +13,9 @@ sampling on a grid, behind the rule that the bump spans 8 grid nodes.
 :class:`NuPrimitive`, :class:`MollifiedNu` and :class:`PerturbedNu` share
 the :class:`Potential` protocol: vectorized ``nu_values`` and ``q_values``
 (the bounded part of q); ``ode_panels``, (a, b, nu) with nu smooth on
-each panel and called with one float; their interior edges
+each panel, called with one float and computing in plain float
+arithmetic (over tables built once, for :class:`MollifiedNu`), since it
+runs at every Runge-Kutta stage; their interior edges
 ``breakpoints``; ``jumps``, the (location, height) Dirac atoms still
 present in q, empty when q is bounded and ``q_linf`` exists; ``q_linf``,
 ``norm_l2`` and ``norm_linf`` (of nu), ``total_mass`` and ``descriptor``.
@@ -25,6 +27,7 @@ least-squares slopes in log-log coordinates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -104,6 +107,9 @@ class BumpProfile:
         self._table_v[-1] = 1.0
         self._table_d = self._norm * self._raw(edges)
         self._table_h = edges[1] - edges[0]
+        # the same table as floats, for MollifiedNu's scalar ODE callable
+        self._floats = (float(self._table_h), edges.tolist(),
+                        self._table_v.tolist(), self._table_d.tolist())
         self._built = True
 
     def density(self, u) -> np.ndarray:
@@ -557,16 +563,16 @@ class MollifiedNu(Potential):
                 (2.0 * eps, 1.0 - 2.0 * eps, max(2048, int(1024 * m_freq))),
                 (1.0 - 2.0 * eps, 1.0, 512),
             ]
-        xs, vs, ds = [], [], []
+        self._segs = []
         for a, b, k in segs:
             t = np.linspace(a, b, k + 1)
-            xs.append(t)
-            vs.append(self._smooth_conv(t))
-            ds.append(_smooth_q_conv(self.base, eps, self._bump, t))
-        self._seg_x = xs
-        self._seg_v = vs
-        self._seg_d = ds
-        self._seg_bounds = [(a, b) for a, b, _ in segs]
+            self._segs.append((a, b, t, self._smooth_conv(t),
+                               _smooth_q_conv(self.base, eps, self._bump, t)))
+        # the same tables as floats, for the scalar ODE callable
+        self._seg_floats = [
+            (a, float(t[1] - t[0]), len(t) - 2, t.tolist(), v.tolist(), d.tolist())
+            for a, _, t, v, d in self._segs
+        ]
 
     def _smooth_interp(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -574,8 +580,7 @@ class MollifiedNu(Potential):
         outside = (x < 0.0) | (x > 1.0)
         if np.any(outside):
             out[outside] = self._smooth_conv(x[outside])
-        for (a, b), t, v, d in zip(self._seg_bounds, self._seg_x, self._seg_v,
-                                   self._seg_d):
+        for a, b, t, v, d in self._segs:
             if a == 0.0:
                 sel = (x >= a) & (x <= b)
             else:
@@ -615,25 +620,42 @@ class MollifiedNu(Potential):
         for loc, _ in self.base.jumps:
             pts.update((loc - eps, loc, loc + eps))
         if self._has_smooth:
-            for a, b in self._seg_bounds:
+            for a, b, *_ in self._segs:
                 pts.update((a, b))
         return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
 
     def ode_panels(self):
+        """Panels (a, b, nu), nu in float arithmetic over the tables; it is
+        ``nu_values`` up to the summation order over atoms."""
         edges = [0.0, *self.breakpoints, 1.0]
-        atom_locs = np.array([loc for loc, _ in self.base.jumps])
-        atom_heights = np.array([h for _, h in self.base.jumps])
+        atoms = self.base.jumps
         eps = self._eps
-        bump = self._bump
+        self._bump._build()
+        uh, ux, uv, ud = self._bump._floats
+        utop = _PRIMITIVE_PANELS - 1
+        segs = self._seg_floats if self._has_smooth else ()
+        ends = [b for _, b, *_ in self._segs] if self._has_smooth else ()
+        last = len(segs) - 1
 
         def nu_scalar(x: float) -> float:
+            x = float(x)  # the sampled RK pass passes numpy scalars
             acc = 0.0
-            if atom_locs.size:
-                acc += float(
-                    atom_heights @ bump.primitive((x - atom_locs) / eps)
-                )
-            if self._has_smooth:
-                acc += float(self._smooth_interp(x)[0])
+            for loc, height in atoms:
+                # Psi(u) is 0 for u <= -1 and 1 for u >= 1
+                u = (x - loc) / eps
+                if u >= 1.0:
+                    acc += height
+                elif u > -1.0:
+                    i = min(max(int((u + 1.0) / uh), 0), utop)
+                    acc += height * _cubic_hermite(
+                        (u - ux[i]) / uh, uh, uv[i], ud[i], uv[i + 1], ud[i + 1])
+            if segs:
+                # the first segment whose right end is >= x, so only the
+                # first one is closed on the left
+                a, h, top, t, v, d = segs[min(bisect_left(ends, x), last)]
+                i = min(max(int((x - a) / h), 0), top)
+                acc += _cubic_hermite((x - t[i]) / h, h, v[i], d[i],
+                                      v[i + 1], d[i + 1])
             return acc
 
         return [(a, b, nu_scalar) for a, b in zip(edges[:-1], edges[1:])]

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from vww.cli import main
+from vww.cli import _write_csv, _write_solution_csv, main
 
 
 def run_cli(*args):
@@ -96,6 +96,30 @@ class TestSolveCommands:
         lines = (out / "solution.csv").read_text().strip().splitlines()
         assert lines[0] == "t,x,u,u_t"
         assert len(lines) == 1 + 11 * 257
+
+    def test_solution_csv_bytes_match_per_cell_writer(self, tmp_path):
+        # reference: one float() tuple per cell, formatted by _write_csv
+        times = np.linspace(0.0, 2.0, 201)
+        nodes = np.linspace(0.0, 1.0, 2049)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((201, 2049)) * 10.0 ** rng.integers(
+            -20, 20, (201, 2049))
+        values[0, :4] = [-0.0, 5e-324, 1e-300, 1e16]
+        dt_values = -values[::-1]
+        rows = []
+        for j, t in enumerate(times):
+            for i, x in enumerate(nodes):
+                rows.append((float(t), float(x), float(values[j, i]),
+                             float(dt_values[j, i])))
+        _write_csv(str(tmp_path / "want.csv"), ("t", "x", "u", "u_t"), rows)
+        _write_solution_csv(str(tmp_path / "got.csv"),
+                            [float(t) for t in times], nodes, values,
+                            dt_values)
+        want = (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == want
+        assert want.startswith(b"t,x,u,u_t\n0.0,0.0,-0.0,")
+        for cell in (b",5e-324,", b",1e-300,", b",1e+16,"):
+            assert cell in want
 
     def test_forced_closed_form_through_files(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -189,6 +189,49 @@ class TestPerturbed:
             spatial_derivatives(sol, PerturbedNu(STEP, self.W, 0.1), 0.0)
 
 
+class TestOdePanels:
+    """Each ``ode_panels`` callable against ``nu_values`` inside its panel
+    (``nu_values`` takes the left limit at a jump, so edges are left out)."""
+
+    BASES = {
+        "delta": STEP,
+        "three_atoms": NuPrimitive(jumps=((0.25, 1.0), (0.5, -0.7), (0.8, 2.0))),
+        "linear": NuPrimitive("linear", (5.0,)),
+        "sine": NuPrimitive("sine", (1.0, 1.0)),
+        "mixed": NuPrimitive("linear", (2.0,), jumps=((0.3, 3.0),)),
+    }
+    W = NuPrimitive("linear", (0.5,))
+    FRACTIONS = np.concatenate([[1e-9, 0.5, 1.0 - 1e-9],
+                                np.random.default_rng(3).random(61)])
+
+    def _assert_agree(self, pot, base):
+        for a, b, nu in pot.ode_panels():
+            xs = a + (b - a) * self.FRACTIONS
+            xs = xs[(xs > a) & (xs < b)]
+            scalar = np.array([nu(x) for x in xs.tolist()])
+            vector = pot.nu_values(xs)
+            if len(base.jumps) <= 1:
+                assert scalar.tobytes() == vector.tobytes(), (a, b)
+            else:
+                # the scalar path sums the atoms in another order
+                assert np.max(np.abs(scalar - vector)) <= 1e-15, (a, b)
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_primitive(self, name):
+        base = self.BASES[name]
+        self._assert_agree(base, base)
+        self._assert_agree(PerturbedNu(base, self.W, 0.7), base)
+
+    @pytest.mark.parametrize("eps", [0.25, 1.0 / 32])
+    @pytest.mark.parametrize("profile", ["bump", "bump2", "bump_skew"])
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_mollified(self, name, profile, eps):
+        base = self.BASES[name]
+        mollified = MollifiedNu(base, MollifierSpec(profile, eps))
+        self._assert_agree(mollified, base)
+        self._assert_agree(PerturbedNu(mollified, self.W, 0.7), base)
+
+
 class TestFits:
     def test_exact_power_law(self):
         lad = tuple(2.0**-k for k in range(1, 7))
