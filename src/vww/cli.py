@@ -104,6 +104,13 @@ _COMMON = {
     "ode_tol": {"type": "number", "exclusiveMinimum": 0.0},
 }
 
+_PROBLEM = {
+    "T": {"type": "number", "exclusiveMinimum": 0.0},
+    "n_times": {"type": "integer", "minimum": 2},
+    "u0": _DATA_SCHEMA,
+    "u1": _DATA_SCHEMA,
+}
+
 _SCHEMAS = {
     "eigs": {
         "type": "object",
@@ -121,10 +128,7 @@ _SCHEMAS = {
         "required": ["nu", "grid_n", "n_max", "T", "u0", "u1"],
         "properties": {
             **_COMMON,
-            "T": {"type": "number", "exclusiveMinimum": 0.0},
-            "n_times": {"type": "integer", "minimum": 2},
-            "u0": _DATA_SCHEMA,
-            "u1": _DATA_SCHEMA,
+            **_PROBLEM,
         },
     },
     "forced": {
@@ -133,10 +137,7 @@ _SCHEMAS = {
         "required": ["nu", "grid_n", "n_max", "T", "u0", "u1", "forcing"],
         "properties": {
             **_COMMON,
-            "T": {"type": "number", "exclusiveMinimum": 0.0},
-            "n_times": {"type": "integer", "minimum": 2},
-            "u0": _DATA_SCHEMA,
-            "u1": _DATA_SCHEMA,
+            **_PROBLEM,
             "forcing": _FORCING_SCHEMA,
         },
     },
@@ -147,10 +148,7 @@ _SCHEMAS = {
                      "estimate_ids"],
         "properties": {
             **_COMMON,
-            "T": {"type": "number", "exclusiveMinimum": 0.0},
-            "n_times": {"type": "integer", "minimum": 2},
-            "u0": _DATA_SCHEMA,
-            "u1": _DATA_SCHEMA,
+            **_PROBLEM,
             "forcing": _FORCING_SCHEMA,
             "estimate_ids": {
                 "anyOf": [
@@ -170,10 +168,7 @@ _SCHEMAS = {
         "properties": {
             **_COMMON,
             "mode": {"enum": ["existence", "uniqueness", "consistency"]},
-            "T": {"type": "number", "exclusiveMinimum": 0.0},
-            "n_times": {"type": "integer", "minimum": 2},
-            "u0": _DATA_SCHEMA,
-            "u1": _DATA_SCHEMA,
+            **_PROBLEM,
             "u0_scale_exponent": {"type": "number"},
             "u1_scale_exponent": {"type": "number"},
             "ladder": {

@@ -93,10 +93,11 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     h = first_step if first_step else _initial_step(rhs, x0, y, f0, span, rtol, atol)
     h = min(h, span)
     sampled = None
-    next_sample = len(samples) if samples is not None else 0
+    next_sample = 0
     if samples is not None:
+        # Python floats, so x and the rhs argument stay floats once on a node
+        samples = np.asarray(samples, dtype=float).tolist()
         sampled = np.empty((len(samples),) + y.shape)
-        next_sample = 0
     x = x0
     k[0] = f0
     n_steps = 0

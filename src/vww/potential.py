@@ -6,7 +6,8 @@ smooth density (the derivative of the smooth part) plus Dirac layers at
 the jump locations.  Regularization convolves the zero-extension of q
 with a compactly supported bump psi_eps(x) = psi(x/eps)/eps; the Dirac
 part mollifies exactly to sum_i alpha_i * psi_eps(x - x_i), the smooth
-density by quadrature split at the boundary kinks of the extension.
+density by quadrature over one window per point, bounded by the kinks of
+the extension at 0 and 1.
 ``mollified_q`` evaluates q_eps at points; ``mollify_potential`` is its
 sampling on a grid, behind the rule that the bump spans 8 grid nodes.
 
@@ -305,14 +306,6 @@ class NuPrimitive(Potential):
         """G(t) = int_0^t g, i.e. smooth(t) - smooth(0)."""
         return self.smooth_values(t) - self.smooth_values(0.0)
 
-    def extended_density(self, y) -> np.ndarray:
-        """g extended by zero outside (0, 1)."""
-        y = np.asarray(y, dtype=float)
-        inside = (y > 0.0) & (y < 1.0)
-        out = np.zeros_like(y)
-        out[inside] = self.q_values(y[inside])
-        return out
-
     # -- full primitive ----------------------------------------------------
 
     def nu_values(self, x) -> np.ndarray:
@@ -450,63 +443,42 @@ def _composite_rule(panels: int, order: int):
     return nodes, weights
 
 
-def _conv_with_kinks(F: Callable, x: np.ndarray, eps: float,
-                     weight: Callable) -> np.ndarray:
-    """int_{-1}^{1} F(x - eps*u) * weight(u) du, split where x - eps*u hits 0 or 1.
+def _window_conv(f: Callable, x, eps: float, bump: BumpProfile) -> np.ndarray:
+    """int f(x - eps*u) * psi(u) du over the u in [-1, 1] with x - eps*u in [0, 1].
 
-    F must be continuous and piecewise smooth with kinks only at 0 and 1
-    (the zero-extension boundary).  Interior points, whose window avoids
-    both kinks, are handled in one vectorized pass.  Composite Gauss
-    panels keep the quadrature error of the flat-ended bump near machine
-    precision.
+    For each x those u form one window [lo, hi], whose ends are the kinks
+    of the zero extension of f, so the integrand is smooth on it.  The
+    composite Gauss rule mapped onto each window (interior points keep
+    [-1, 1]) holds the quadrature error of the flat-ended bump near
+    machine precision.  The loop runs over the fixed rule nodes, each
+    step one vector operation over all x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo = np.clip((x - 1.0) / eps, -1.0, 1.0)
+    hi = np.clip(x / eps, -1.0, 1.0)
+    mid = (hi + lo) / 2.0
+    half = (hi - lo) / 2.0
     un, uw = _composite_rule(16, 16)
-    out = np.empty_like(x)
-    interior = (x >= eps) & (x <= 1.0 - eps)
-    if np.any(interior):
-        xs = x[interior]
-        pts = xs[:, None] - eps * un[None, :]
-        out[interior] = F(pts) @ (uw * weight(un))
-    rest = np.nonzero(~interior)[0]
-    gx, gw = _gauss_rule(16)
-    for i in rest:
-        xi = x[i]
-        cuts = sorted(
-            {-1.0, 1.0}
-            | {u for u in ((xi - 1.0) / eps, xi / eps) if -1.0 < u < 1.0}
-        )
-        acc = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            sub = max(2, math.ceil((b - a) / 0.125))
-            edges = np.linspace(a, b, sub + 1)
-            half = (edges[1] - edges[0]) / 2.0
-            mids = (edges[:-1] + edges[1:]) / 2.0
-            u = (mids[:, None] + half * gx[None, :]).ravel()
-            w = np.tile(half * gw, sub)
-            acc += float((w * weight(u)) @ F(xi - eps * u))
-        out[i] = acc
-    return out
-
-
-def _smooth_q_conv(nu: NuPrimitive, eps: float, bump: BumpProfile, x) -> np.ndarray:
-    """The zero-extended smooth density of q convolved with psi_eps."""
-    return _conv_with_kinks(nu.extended_density, x, eps, bump.density)
+    out = np.zeros_like(x)
+    for node, weight in zip(un, uw):
+        u = mid + half * node
+        out += weight * f(x - eps * u) * bump.density(u)
+    return half * out
 
 
 def mollified_q(nu: NuPrimitive, eps: float, bump: BumpProfile, x) -> np.ndarray:
     """q_eps at points x.
 
-    Dirac atoms convolve exactly to scaled bumps; the smooth density is
-    convolved with the bump by quadrature, honoring the kinks the zero
-    extension introduces at 0 and 1.
+    Dirac atoms convolve exactly to scaled bumps; the zero-extended smooth
+    density is convolved with the bump by quadrature over one window per
+    point.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(x)
     for loc, height in nu.jumps:
         out += height * bump.density((x - loc) / eps) / eps
     if nu.has_density:
-        out += _smooth_q_conv(nu, eps, bump, x)
+        out += _window_conv(nu.q_values, x, eps, bump)
     return out
 
 
@@ -542,13 +514,16 @@ class MollifiedNu(Potential):
 
     # smooth-part tabulation ------------------------------------------------
 
-    def _P_s(self, y):
-        """Primitive of the zero-extended smooth density."""
-        y = np.asarray(y, dtype=float)
-        return self.base.density_integral(np.clip(y, 0.0, 1.0))
-
     def _smooth_conv(self, x):
-        return _conv_with_kinks(self._P_s, x, self._eps, self._bump.density)
+        """The clamped primitive G(clip(y, 0, 1)) convolved with psi_eps.
+
+        G(0) = 0, and G is the constant G(1) for y >= 1, i.e. on the part
+        u <= (x-1)/eps of the window, which contributes G(1)*Psi((x-1)/eps).
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        G, eps, bump = self.base.density_integral, self._eps, self._bump
+        return (_window_conv(G, x, eps, bump)
+                + float(G(1.0)) * bump.primitive((x - 1.0) / eps))
 
     def _build_smooth_table(self):
         eps = self._eps
@@ -566,8 +541,8 @@ class MollifiedNu(Potential):
         self._segs = []
         for a, b, k in segs:
             t = np.linspace(a, b, k + 1)
-            self._segs.append((a, b, t, self._smooth_conv(t),
-                               _smooth_q_conv(self.base, eps, self._bump, t)))
+            d = _window_conv(self.base.q_values, t, eps, self._bump)
+            self._segs.append((a, b, t, self._smooth_conv(t), d))
         # the same tables as floats, for the scalar ODE callable
         self._seg_floats = [
             (a, float(t[1] - t[0]), len(t) - 2, t.tolist(), v.tolist(), d.tolist())
@@ -638,7 +613,6 @@ class MollifiedNu(Potential):
         last = len(segs) - 1
 
         def nu_scalar(x: float) -> float:
-            x = float(x)  # the sampled RK pass passes numpy scalars
             acc = 0.0
             for loc, height in atoms:
                 # Psi(u) is 0 for u <= -1 and 1 for u >= 1

@@ -67,6 +67,19 @@ def test_samples_recorded_exactly_at_nodes():
     assert y[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sampled_pass_calls_rhs_with_python_floats():
+    # type, not isinstance: numpy's float64 subclasses float
+    seen = set()
+
+    def rhs(x, y):
+        seen.add(type(x))
+        return np.array([math.cos(x)])
+
+    nodes = np.linspace(0.0, 1.0, 17)[1:]
+    integrate_rk45(rhs, 0.0, 1.0, np.array([0.0]), samples=nodes)
+    assert seen == {float}
+
+
 def test_max_steps_guard():
     rhs = lambda x, y: np.array([1.0 / (1.0 - x + 1e-16)])
     with pytest.raises(StepFailure):

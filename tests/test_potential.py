@@ -10,7 +10,8 @@ from vww.grid import Grid, GridFunction
 from vww.potential import (MollifiedNu, MollifierSpec, NuPrimitive,
                            PerturbedNu, RegularizedNet, check_negligibility,
                            default_ladder, evaluate_nu, extend_by_zero,
-                           fit_moderateness, get_profile, mollify_potential)
+                           fit_moderateness, get_profile, mollified_q,
+                           mollify_potential)
 
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
 
@@ -127,6 +128,20 @@ class TestMollify:
         xs = np.linspace(0.0, 1.0, 301)
         direct = mn._smooth_conv(xs)
         assert np.max(np.abs(direct - mn._smooth_interp(xs))) <= 1e-11
+
+    @pytest.mark.parametrize("eps", [1.0, 0.25, 1.0 / 32])
+    @pytest.mark.parametrize("profile", ["bump", "bump2", "bump_skew"])
+    def test_linear_density_boundary_layers_closed_form(self, profile, eps):
+        # oracle: q = c on (0, 1) gives q_eps(x) = c * (Psi(hi) - Psi(lo)),
+        # with [lo, hi] the u in [-1, 1] for which x - eps*u lies in [0, 1]
+        c = -3.5
+        bump = get_profile(profile)
+        xs = np.linspace(0.0, 1.0, 4097)
+        lo = np.clip((xs - 1.0) / eps, -1.0, 1.0)
+        hi = np.clip(xs / eps, -1.0, 1.0)
+        exact = c * (bump.primitive(hi) - bump.primitive(lo))
+        got = mollified_q(NuPrimitive("linear", (c,)), eps, bump, xs)
+        assert np.max(np.abs(got - exact)) <= 5e-13 * abs(c)
 
     def test_mollified_nu_derivative_is_q(self):
         nu = NuPrimitive("linear", (3.0,), jumps=((0.5, 1.0),))
