@@ -45,6 +45,10 @@ class BracketFailure(VwwError):
         )
 
 
+class UnresolvedBasis(VwwError):
+    """Grid too coarse for the requested modes: their samples are not orthogonal."""
+
+
 class NonPositiveSpectrum(VwwError):
     """An operation requiring lambda_n > 0 met a non-positive eigenvalue."""
 

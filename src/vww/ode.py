@@ -19,9 +19,11 @@ import numpy as np
 
 from .errors import StepFailure
 
-# Dormand-Prince 5(4) tableau; propagation is 5th order, FSAL.
+# Dormand-Prince 5(4) tableau, 5th-order propagation, FSAL: _B is A's last row
+# less b_7 = 0 (stage 7 is unset on the first step).  Rows are arrays, each
+# applied to the stacked stages as one product.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
+_A = tuple(map(np.array, (
     (),
     (1.0 / 5.0,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -29,34 +31,33 @@ _A = (
     (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
      -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
-)
-_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-      11.0 / 84.0, 0.0)
-_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-      -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
+)))
+_B = np.array((35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
+               -2187.0 / 6784.0, 11.0 / 84.0))
+_E = np.array((71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                rtol: float, atol: float) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _rms(v: np.ndarray) -> float:
+    return math.sqrt(float(np.vdot(v, v)) / v.size)
+
+
+def _error_norm(err, y0, y1, rtol, atol):
+    return _rms(err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1))))
 
 
 def _initial_step(rhs, x0, y0, f0, span, rtol, atol):
     scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0
     f1 = rhs(x0 + h0, y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -88,7 +89,8 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     if span <= 0.0:
         raise StepFailure(f"empty span [{x0}, {x1}]")
     y = np.asarray(y0, dtype=float).copy()
-    k = [np.empty_like(y) for _ in range(7)]
+    k = np.empty((7,) + y.shape)  # the seven stages, stacked
+    kf = k.reshape(7, -1)  # (7, n) view for the tableau products
     f0 = rhs(x0, y)
     h = first_step if first_step else _initial_step(rhs, x0, y, f0, span, rtol, atol)
     h = min(h, span)
@@ -113,13 +115,11 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
         if hit:
             h = target - x
         for i in range(1, 6):
-            yi = y + h * sum(aij * k[j] for j, aij in enumerate(_A[i]) if aij)
+            yi = y + h * (_A[i] @ kf[:i]).reshape(y.shape)
             k[i] = rhs(x + _C[i] * h, yi)
-        y_new = y + h * (_B[0] * k[0] + _B[2] * k[2] + _B[3] * k[3]
-                         + _B[4] * k[4] + _B[5] * k[5])
+        y_new = y + h * (_B @ kf[:6]).reshape(y.shape)
         k[6] = rhs(x + h, y_new)
-        err = h * (_E[0] * k[0] + _E[2] * k[2] + _E[3] * k[3]
-                   + _E[4] * k[4] + _E[5] * k[5] + _E[6] * k[6])
+        err = h * (_E @ kf).reshape(y.shape)
         enorm = _error_norm(err, y, y_new, rtol, atol)
         n_steps += 1
         if enorm <= 1.0:

@@ -12,8 +12,12 @@ every jump of nu and carried in the corrected phase eta = theta -
 sqrt(lambda) x, which removes the dominant linear drift from the error
 control.  Eigenvalues are the solutions of theta(1, lambda) = pi n,
 located by bracketed false-position iteration on the increasing map
-lambda -> theta(1, lambda); eigenfunctions are r sin(theta), normalized
-in L^2 by the grid's Simpson rule.
+lambda -> theta(1, lambda).  These root-finding passes integrate eta
+alone, as the condition never reads log r, and evaluate both ends of a
+bracket in one batch; log r is integrated only on the final pass sampled
+on the grid.  Eigenfunctions are r sin(theta), normalized in L^2 by the
+grid's Simpson rule; a basis whose samples are not orthogonal to within
+GRAM_DEFECT_TOL is refused as unresolved.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, NonPositiveLambda
+from .errors import BracketFailure, NonPositiveLambda, UnresolvedBasis
 from .grid import Grid, GridFunction
 from .ode import integrate_rk45
 from .potential import Potential, potential_from_descriptor
@@ -35,10 +39,19 @@ THETA_RESIDUAL_TOL = 1e-10
 BRACKET_WIDENINGS = 7
 # false-position iterations per root-refinement pass
 FALSE_POSITION_STEPS = 80
+# largest off-diagonal Gram entry accepted from build_basis; resolved bases
+# sit orders of magnitude below it, aliased ones near 0.3
+GRAM_DEFECT_TOL = 1e-2
 
 
-def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
+def _make_rhs(nu_fn, sqrt_lam: np.ndarray, log_r: bool):
     inv_s = 1.0 / sqrt_lam
+
+    def eta_rhs(x: float, eta: np.ndarray) -> np.ndarray:
+        w = nu_fn(x)
+        theta = sqrt_lam * x + eta
+        st = np.sin(theta)
+        return w * (w * inv_s * (st * st) + np.sin(2.0 * theta))
 
     def rhs(x: float, y: np.ndarray) -> np.ndarray:
         w = nu_fn(x)
@@ -52,24 +65,27 @@ def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
         out[1] = -w * (0.5 * w * inv_s * s2 + (1.0 - 2.0 * st2))
         return out
 
-    return rhs
+    return rhs if log_r else eta_rhs
 
 
 def _propagate(nu_like, lams: np.ndarray, rtol: float, atol: float,
                sample_nodes: np.ndarray | None = None):
-    """Integrate (eta, log r) over [0, 1] for a batch of lambda values.
+    """Integrate the phase system over [0, 1] for a batch of lambda values.
 
-    Returns the final state of shape (2, M) and, when sample_nodes is
-    given, the recorded states of shape (len(nodes), 2, M).
+    Without sample_nodes (a root-finding pass) the state is eta alone, of
+    shape (M,), and so is the returned final state.  With sample_nodes the
+    state is (eta, log r), of shape (2, M), and the recorded states of
+    shape (len(nodes), 2, M) are returned as well.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if np.any(lams <= 0.0):
         raise NonPositiveLambda(f"lambda must be positive, got {lams.min():.6g}")
     sqrt_lam = np.sqrt(lams)
-    y = np.zeros((2, lams.size))
+    sampling = sample_nodes is not None
+    y = np.zeros((2, lams.size) if sampling else lams.size)
     out = None
     pos = 0
-    if sample_nodes is not None:
+    if sampling:
         out = np.empty((len(sample_nodes), 2, lams.size))
         if sample_nodes[0] == 0.0:
             out[0] = y
@@ -80,13 +96,13 @@ def _propagate(nu_like, lams: np.ndarray, rtol: float, atol: float,
             continue
         in_panel = None
         count = 0
-        if sample_nodes is not None:
+        if sampling:
             hi = np.searchsorted(sample_nodes, b, side="right")
             in_panel = sample_nodes[pos:hi]
             count = len(in_panel)
             if count == 0:
                 in_panel = None
-        rhs = _make_rhs(nu_fn, sqrt_lam)
+        rhs = _make_rhs(nu_fn, sqrt_lam, sampling)
         y, sampled, _, h_hint = integrate_rk45(
             rhs, a, b, y, rtol, atol, samples=in_panel, first_step=h_hint)
         if count:
@@ -96,8 +112,15 @@ def _propagate(nu_like, lams: np.ndarray, rtol: float, atol: float,
 
 
 def _theta_end(nu_like, lams: np.ndarray, rtol: float, atol: float) -> np.ndarray:
-    y, _ = _propagate(nu_like, lams, rtol, atol)
-    return np.sqrt(np.atleast_1d(lams)) + y[0]
+    eta, _ = _propagate(nu_like, lams, rtol, atol)
+    return np.sqrt(np.atleast_1d(lams)) + eta
+
+
+def _phase_misfit(nu_like, lo, hi, target, rtol, atol):
+    """theta(1, .) - target at both bracket ends, from one batched pass."""
+    f = _theta_end(nu_like, np.concatenate([lo, hi]), rtol, atol)
+    f -= np.concatenate([target, target])
+    return f[:lo.size], f[lo.size:]
 
 
 @dataclass(frozen=True)
@@ -197,8 +220,7 @@ def _bracket_modes(nu_like, ns: np.ndarray, rtol, atol):
     target = math.pi * ns
     c = np.full(ns.shape, 0.05)
     lo, hi = _initial_brackets(ns, c)
-    flo = _theta_end(nu_like, lo, rtol, atol) - target
-    fhi = _theta_end(nu_like, hi, rtol, atol) - target
+    flo, fhi = _phase_misfit(nu_like, lo, hi, target, rtol, atol)
     for _ in range(BRACKET_WIDENINGS):
         bad = ~((flo < 0.0) & (fhi > 0.0))
         if not np.any(bad):
@@ -206,8 +228,8 @@ def _bracket_modes(nu_like, ns: np.ndarray, rtol, atol):
         c[bad] *= 2.0
         lo_b, hi_b = _initial_brackets(ns[bad], c[bad])
         lo[bad], hi[bad] = lo_b, hi_b
-        flo[bad] = _theta_end(nu_like, lo_b, rtol, atol) - target[bad]
-        fhi[bad] = _theta_end(nu_like, hi_b, rtol, atol) - target[bad]
+        flo[bad], fhi[bad] = _phase_misfit(nu_like, lo_b, hi_b, target[bad],
+                                           rtol, atol)
     bad = np.nonzero(~((flo < 0.0) & (fhi > 0.0)))[0][0]
     raise BracketFailure(int(ns[bad]), float(lo[bad]), float(hi[bad]))
 
@@ -272,8 +294,7 @@ def _solve_modes(nu_like, ns, grid: Grid, rtol: float, atol: float):
     for _ in range(5):
         lo = np.maximum(root - delta, 1e-8)
         hi = root + delta
-        flo = _theta_end(nu_like, lo, rtol, atol) - target
-        fhi = _theta_end(nu_like, hi, rtol, atol) - target
+        flo, fhi = _phase_misfit(nu_like, lo, hi, target, rtol, atol)
         ok = (flo < 0.0) & (fhi > 0.0)
         if np.all(ok):
             break
@@ -355,8 +376,13 @@ def build_basis(nu_like, n_max: int, grid: Grid,
     phi = np.vstack([p.phi.values for p in pairs])
     gram = (phi * grid.simpson_weights) @ phi.T
     off = gram - np.diag(np.diag(gram))
+    defect = float(np.max(np.abs(off)))
+    if defect > GRAM_DEFECT_TOL:
+        raise UnresolvedBasis(
+            f"n_max={n_max} modes are not resolved on a grid of {grid.n} "
+            f"intervals: Gram defect {defect:.3g} > {GRAM_DEFECT_TOL:g}")
     return EigenBasis(pairs=tuple(pairs), nu=nu_like, grid=grid,
-                      gram_max_offdiag=float(np.max(np.abs(off))))
+                      gram_max_offdiag=defect)
 
 
 @dataclass(frozen=True)

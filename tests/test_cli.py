@@ -69,6 +69,13 @@ class TestEigs:
                        str(tmp_path / "o")) == 3
         assert "n=1" in capsys.readouterr().err
 
+    def test_aliased_basis_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": FREE_NU, "grid_n": 64, "n_max": 40})
+        assert run_cli("eigs", "--config", cfg, "--out",
+                       str(tmp_path / "o")) == 3
+        assert "UnresolvedBasis" in capsys.readouterr().err
+
     def test_eigenfunction_cache_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "nu": FREE_NU, "grid_n": 256, "n_max": 3,

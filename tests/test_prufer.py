@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from vww.errors import BracketFailure, NonPositiveLambda
+import vww.prufer
+from conftest import catalog_potentials
+from vww.errors import BracketFailure, NonPositiveLambda, UnresolvedBasis
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
-from vww.prufer import (asymptotic_residuals, basis_from_cache, basis_to_cache,
-                        build_basis, eigen_derivative, integrate_prufer,
-                        shoot_eigenvalue)
+from vww.prufer import (GRAM_DEFECT_TOL, _theta_end, asymptotic_residuals,
+                        basis_from_cache, basis_to_cache, build_basis,
+                        eigen_derivative, integrate_prufer, shoot_eigenvalue)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -208,6 +210,42 @@ class TestBuildBasis:
         want = build_basis(ref, 8, Grid(512)).lambdas
         assert np.max(np.abs(basis.lambdas / want - 1.0)) <= 1e-9
         assert max(p.theta_residual for p in basis.pairs) <= 1e-10
+
+
+    def test_aliased_basis_raises(self):
+        # mode 40 aliases mode 24 on 64 intervals: Gram defect 0.333
+        with pytest.raises(UnresolvedBasis, match=r"n_max=40 .* 64 .*0\.333"):
+            build_basis(FREE, 40, Grid(64))
+
+    def test_coarse_but_resolved_basis_builds(self):
+        basis = build_basis(STEP, 12, Grid(32))
+        assert basis.gram_max_offdiag <= 0.1 * GRAM_DEFECT_TOL  # 1.5e-4
+
+
+class TestRootPasses:
+    @pytest.mark.parametrize("name", ["step", "mixed", "sine"])
+    def test_eta_only_pass_matches_sampled_pass(self, name, catalog_bases_40):
+        nu = catalog_potentials()[name]
+        lams = catalog_bases_40[name].lambdas[[0, 19, 39]]
+        theta_end = _theta_end(nu, lams, 1e-11, 1e-11)
+        for lam, got in zip(lams, theta_end):
+            path = integrate_prufer(nu, float(lam), Grid(2048))
+            assert abs(got - path.theta[-1]) <= 1e-10
+
+    def test_pass_count_per_build(self, monkeypatch):
+        # bracket ends share one pass: 12 integrations from x = 0, not 14
+        passes = []
+        original = vww.prufer.integrate_rk45
+
+        def counted(rhs, x0, x1, y0, *args, **kwargs):
+            if x0 == 0.0:
+                passes.append(np.shape(y0))
+            return original(rhs, x0, x1, y0, *args, **kwargs)
+
+        monkeypatch.setattr(vww.prufer, "integrate_rk45", counted)
+        build_basis(STEP, 40, Grid(2048))
+        assert len(passes) == 12
+        assert passes[0] == (80,)
 
 
 class TestCache:
