@@ -7,17 +7,21 @@ With q = nu' and the quasi-derivative y -> y' - nu*y, the pair
     (log r)' = -[ nu^2 sin(2 theta)/(2 sqrt(lambda)) + nu cos(2 theta) ]
 
 in which only nu appears, never q, so Dirac layers in q reduce to mere
-jump discontinuities of the right-hand side.  Integration is split at
+jump discontinuities of the right-hand side.  Eigenvalues are the
+solutions of theta(1, lambda) = pi n.  They are found on the linear
+system (y, w)' = B (y, w), w = (y' - nu y)/sqrt(lambda), with
+B = [[nu, s], [-(s + nu^2/s), -nu]], s = sqrt(lambda): a closed-form
+Magnus-4 step per cell (trace 0 and det lambda make exp(Omega) a cosine
+and a sine; exact for piecewise-constant nu), vectorized over all trial
+lambdas, on a fixed mesh refined inside the narrow panels of nu.  Newton
+steps take d theta(1)/d lambda from the Pruefer identity and stay inside
+a sign bracket.  At the roots one adaptive Runge-Kutta pass, split at
 every jump of nu and carried in the corrected phase eta = theta -
-sqrt(lambda) x, which removes the dominant linear drift from the error
-control.  Eigenvalues are the solutions of theta(1, lambda) = pi n,
-located by bracketed false-position iteration on the increasing map
-lambda -> theta(1, lambda).  These root-finding passes integrate eta
-alone, as the condition never reads log r, and evaluate both ends of a
-bracket in one batch; log r is integrated only on the final pass sampled
-on the grid.  Eigenfunctions are r sin(theta), normalized in L^2 by the
-grid's Simpson rule; a basis whose samples are not orthogonal to within
-GRAM_DEFECT_TOL is refused as unresolved.
+sqrt(lambda) x (which removes the dominant linear drift from the error
+control), records (eta, log r) on the grid.  Eigenfunctions are
+r sin(theta), normalized in L^2 by the grid's Simpson rule; a basis whose
+samples are not orthogonal to within GRAM_DEFECT_TOL is refused as
+unresolved.
 """
 
 from __future__ import annotations
@@ -35,23 +39,20 @@ from .potential import Potential, potential_from_descriptor
 DEFAULT_RTOL = 1e-11
 DEFAULT_ATOL = 1e-11
 THETA_RESIDUAL_TOL = 1e-10
-# times a failing bracket's margin is doubled before BracketFailure
-BRACKET_WIDENINGS = 7
-# false-position iterations per root-refinement pass
-FALSE_POSITION_STEPS = 80
+# safeguarded Newton passes before a mode counts as unconverged
+NEWTON_PASSES = 40
+# Magnus cells per chunk, which bounds the (cells, lambdas) temporaries
+_CHUNK = 256
+# fewest Magnus cells per smooth panel of nu: resolves the fast panels of
+# a MollifiedNu at small eps, which span only a few grid intervals
+_MIN_PANEL_CELLS = 32
 # largest off-diagonal Gram entry accepted from build_basis; resolved bases
 # sit orders of magnitude below it, aliased ones near 0.3
 GRAM_DEFECT_TOL = 1e-2
 
 
-def _make_rhs(nu_fn, sqrt_lam: np.ndarray, log_r: bool):
+def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
     inv_s = 1.0 / sqrt_lam
-
-    def eta_rhs(x: float, eta: np.ndarray) -> np.ndarray:
-        w = nu_fn(x)
-        theta = sqrt_lam * x + eta
-        st = np.sin(theta)
-        return w * (w * inv_s * (st * st) + np.sin(2.0 * theta))
 
     def rhs(x: float, y: np.ndarray) -> np.ndarray:
         w = nu_fn(x)
@@ -65,62 +66,102 @@ def _make_rhs(nu_fn, sqrt_lam: np.ndarray, log_r: bool):
         out[1] = -w * (0.5 * w * inv_s * s2 + (1.0 - 2.0 * st2))
         return out
 
-    return rhs if log_r else eta_rhs
+    return rhs
 
 
 def _propagate(nu_like, lams: np.ndarray, rtol: float, atol: float,
-               sample_nodes: np.ndarray | None = None):
-    """Integrate the phase system over [0, 1] for a batch of lambda values.
+               sample_nodes: np.ndarray):
+    """Integrate (eta, log r) over [0, 1] for a batch of lambda values.
 
-    Without sample_nodes (a root-finding pass) the state is eta alone, of
-    shape (M,), and so is the returned final state.  With sample_nodes the
-    state is (eta, log r), of shape (2, M), and the recorded states of
-    shape (len(nodes), 2, M) are returned as well.
+    Returns the final state, of shape (2, M), and the states recorded at
+    sample_nodes, of shape (len(nodes), 2, M).
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if np.any(lams <= 0.0):
-        raise NonPositiveLambda(f"lambda must be positive, got {lams.min():.6g}")
     sqrt_lam = np.sqrt(lams)
-    sampling = sample_nodes is not None
-    y = np.zeros((2, lams.size) if sampling else lams.size)
-    out = None
+    y = np.zeros((2, lams.size))
+    out = np.empty((len(sample_nodes), 2, lams.size))
     pos = 0
-    if sampling:
-        out = np.empty((len(sample_nodes), 2, lams.size))
-        if sample_nodes[0] == 0.0:
-            out[0] = y
-            pos = 1
+    if sample_nodes[0] == 0.0:
+        out[0] = y
+        pos = 1
     h_hint = None
     for a, b, nu_fn in nu_like.ode_panels():
         if b - a <= 1e-15:
             continue
-        in_panel = None
-        count = 0
-        if sampling:
-            hi = np.searchsorted(sample_nodes, b, side="right")
-            in_panel = sample_nodes[pos:hi]
-            count = len(in_panel)
-            if count == 0:
-                in_panel = None
-        rhs = _make_rhs(nu_fn, sqrt_lam, sampling)
+        hi = np.searchsorted(sample_nodes, b, side="right")
+        in_panel = sample_nodes[pos:hi]
+        count = len(in_panel)
         y, sampled, _, h_hint = integrate_rk45(
-            rhs, a, b, y, rtol, atol, samples=in_panel, first_step=h_hint)
+            _make_rhs(nu_fn, sqrt_lam), a, b, y, rtol, atol,
+            samples=in_panel if count else None, first_step=h_hint)
         if count:
             out[pos:pos + count] = sampled
             pos += count
     return y, out
 
 
-def _theta_end(nu_like, lams: np.ndarray, rtol: float, atol: float) -> np.ndarray:
-    eta, _ = _propagate(nu_like, lams, rtol, atol)
-    return np.sqrt(np.atleast_1d(lams)) + eta
+def _magnus_mesh(nu_like, cells_per_unit: float):
+    """Per-cell terms of the Magnus-4 exponent, each of shape (cells, 1).
+
+    Each smooth panel of nu is cut into equal cells, at least
+    _MIN_PANEL_CELLS and none wider than 1 / cells_per_unit.  With nu_1,
+    nu_2 at the two Gauss points of a cell of width h and s = sqrt(lambda),
+    Omega = h/2 (B_1 + B_2) + sqrt(3)/12 h^2 [B_2, B_1] for
+    B = [[nu, s], [-(s + nu^2/s), -nu]] is [[a, s p], [-(s m + u/s), -a]]
+    with p, m = h +- k, k = sqrt(3)/6 h^2 (nu_2 - nu_1); its determinant,
+    p m (lambda + (nu_2 - nu_1)^2 / 4), is negative only where |k| > h.
+    """
+    edges = [0.0, *nu_like.breakpoints, 1.0]
+    cuts = [np.linspace(a, b, 1 + max(_MIN_PANEL_CELLS, math.ceil(
+        (b - a) * cells_per_unit - 1e-9))) for a, b in zip(edges, edges[1:])
+        if b - a > 1e-15]
+    h = np.concatenate([np.diff(c) for c in cuts])
+    mid = np.concatenate([c[:-1] for c in cuts]) + 0.5 * h
+    nu1, nu2 = (nu_like.nu_values(mid + t * h / math.sqrt(12.0)) for t in (-1, 1))
+    dn = nu2 - nu1
+    k = (math.sqrt(3.0) / 6.0) * h * h * dn
+    p, m = h + k, h - k
+    a = 0.5 * p * (nu1 + nu2)
+    u = 0.5 * h * (nu1 * nu1 + nu2 * nu2) + k * nu1 * nu2
+    return tuple(c[:, None] for c in (h, a, p, m, u, p * m, 0.25 * dn * dn))
 
 
-def _phase_misfit(nu_like, lo, hi, target, rtol, atol):
-    """theta(1, .) - target at both bracket ends, from one batched pass."""
-    f = _theta_end(nu_like, np.concatenate([lo, hi]), rtol, atol)
-    f -= np.concatenate([target, target])
-    return f[:lo.size], f[lo.size:]
+def _magnus_phase(mesh, lams: np.ndarray):
+    """theta(1) and d theta(1) / d lambda for each lambda, by Magnus-4.
+
+    The state is (y, w) = r (sin theta, cos theta); theta(1) sums the
+    per-cell atan2 increments, so no cell may turn by pi or more.  The
+    Pruefer identity (y Z - z Y)' = -y^2, with Y, Z the lambda-derivatives
+    of y and z = s w, gives d theta / d lambda = [s int y^2 + y w / 2] /
+    (lambda r^2); int y^2 is the trapezoid rule over the cells.
+    """
+    s = np.sqrt(lams)
+    y, w = np.zeros_like(s), np.ones_like(s)
+    theta, int_y2 = np.zeros_like(s), np.zeros_like(s)
+    for c0 in range(0, mesh[0].shape[0], _CHUNK):
+        h, a, p, m, u, pm, d2 = (c[c0:c0 + _CHUNK] for c in mesh)
+        det = pm * (lams + d2)
+        om = np.sqrt(np.abs(det))
+        cos, sinc = np.cos(om), np.sinc(om / np.pi)
+        neg = det < 0.0
+        if np.any(neg):
+            # hyperbolic cells, where nu changes by over 2 sqrt(3) / h
+            cos[neg], sinc[neg] = np.cosh(om[neg]), np.sinh(om[neg]) / om[neg]
+        e11, e22 = cos + sinc * a, cos - sinc * a
+        e12, e21 = sinc * s * p, -sinc * (s * m + u / s)
+        ys = np.empty((h.shape[0] + 1, s.size))
+        ws = np.empty_like(ys)
+        ys[0], ws[0] = y, w
+        for j in range(h.shape[0]):
+            y, w = e11[j] * y + e12[j] * w, e21[j] * y + e22[j] * w
+            ys[j + 1], ws[j + 1] = y, w
+        theta += np.sum(np.arctan2(ws[:-1] * ys[1:] - ys[:-1] * ws[1:],
+                                   ws[:-1] * ws[1:] + ys[:-1] * ys[1:]), axis=0)
+        sq = ys * ys
+        # rescaled to r = 1 after every chunk, so no chunk can overflow
+        r2 = y * y + w * w
+        int_y2 = (int_y2 + np.sum(0.5 * h * (sq[:-1] + sq[1:]), axis=0)) / r2
+        y, w = y / np.sqrt(r2), w / np.sqrt(r2)
+    return theta, (s * int_y2 + 0.5 * y * w) / lams
 
 
 @dataclass(frozen=True)
@@ -207,74 +248,62 @@ def integrate_prufer(nu_like, lam: float, grid: Grid,
 LAMBDA_FLOOR = 1e-2
 
 
-def _initial_brackets(ns: np.ndarray, c: np.ndarray):
-    base = (math.pi * ns) ** 2
-    widen = 2.0 / ns + c
-    lo = np.maximum(base * (1.0 - widen), LAMBDA_FLOOR)
-    hi = base * (1.0 + widen)
-    return lo, hi
-
-
-def _bracket_modes(nu_like, ns: np.ndarray, rtol, atol):
-    """Sign-changing brackets for theta(1, .) = pi n, widened on failure."""
-    target = math.pi * ns
-    c = np.full(ns.shape, 0.05)
-    lo, hi = _initial_brackets(ns, c)
-    flo, fhi = _phase_misfit(nu_like, lo, hi, target, rtol, atol)
-    for _ in range(BRACKET_WIDENINGS):
-        bad = ~((flo < 0.0) & (fhi > 0.0))
-        if not np.any(bad):
-            return lo, hi, flo, fhi
-        c[bad] *= 2.0
-        lo_b, hi_b = _initial_brackets(ns[bad], c[bad])
-        lo[bad], hi[bad] = lo_b, hi_b
-        flo[bad], fhi[bad] = _phase_misfit(nu_like, lo_b, hi_b, target[bad],
-                                           rtol, atol)
-    bad = np.nonzero(~((flo < 0.0) & (fhi > 0.0)))[0][0]
-    raise BracketFailure(int(ns[bad]), float(lo[bad]), float(hi[bad]))
-
-
-def _refine_roots(nu_like, ns, lo, hi, flo, fhi, rtol, atol, ftol):
-    """Illinois-type false position on the bracketed phase condition."""
-    target = math.pi * ns
-    lo, hi, flo, fhi = (arr.copy() for arr in (lo, hi, flo, fhi))
-    root = 0.5 * (lo + hi)
-    froot = np.full(ns.shape, np.inf)
-    active = np.ones(ns.shape, dtype=bool)
-    stale_lo = np.zeros(ns.shape, dtype=int)
-    stale_hi = np.zeros(ns.shape, dtype=int)
-    for _ in range(FALSE_POSITION_STEPS):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        denom = fhi[idx] - flo[idx]
-        mid = hi[idx] - fhi[idx] * (hi[idx] - lo[idx]) / denom
-        width = hi[idx] - lo[idx]
-        # guard against stagnation at an endpoint
-        mid = np.clip(mid, lo[idx] + 1e-3 * width, hi[idx] - 1e-3 * width)
-        f = _theta_end(nu_like, mid, rtol, atol) - target[idx]
-        root[idx] = mid
-        froot[idx] = f
-        neg = f < 0.0
-        i_neg, i_pos = idx[neg], idx[~neg]
-        lo[i_neg], flo[i_neg] = mid[neg], f[neg]
-        stale_hi[i_neg] += 1
-        stale_lo[i_neg] = 0
-        hi[i_pos], fhi[i_pos] = mid[~neg], f[~neg]
-        stale_lo[i_pos] += 1
-        stale_hi[i_pos] = 0
-        # Illinois weighting when one endpoint is retained twice running
-        fhi[idx[stale_hi[idx] >= 2]] *= 0.5
-        flo[idx[stale_lo[idx] >= 2]] *= 0.5
-        done = (np.abs(froot[idx]) <= ftol) | (
-            hi[idx] - lo[idx] <= 1e-15 * np.abs(hi[idx]))
-        active[idx[done]] = False
-    return root, froot, lo, hi
-
-
 def _phi_prime(sqrt_lam, r, theta, phi_tilde, tilde_norm, nu_nodes):
     """phi' = (sqrt(lambda) r cos(theta) + nu phi_tilde) / ||phi_tilde||."""
     return (sqrt_lam * r * np.cos(theta) + nu_nodes * phi_tilde) / tilde_norm
+
+
+def _phase_map(nu_like, grid: Grid):
+    """lambdas -> (theta(1), d theta(1) / d lambda), one Magnus pass each,
+    on cells no wider than the grid's nor than 1/sqrt(max lambda)."""
+    meshes = {}
+
+    def phase(lams: np.ndarray):
+        k = max(1, math.ceil(math.sqrt(float(np.max(lams))) / grid.n))
+        if k not in meshes:
+            meshes[k] = _magnus_mesh(nu_like, k * grid.n)
+        return _magnus_phase(meshes[k], lams)
+
+    return phase
+
+
+def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
+    """Newton on theta(1, lambda) = pi n for the unconverged modes, inside
+    the bracket [lo, hi] that the sign of theta(1) - pi n gives (lo = 0, hi
+    = inf while unknown).  A step out of it bisects, or doubles lambda
+    while hi is unknown, or probes LAMBDA_FLOOR while lo is."""
+    target = math.pi * ns
+    lam = np.maximum(start, LAMBDA_FLOOR)
+    res = np.full(ns.shape, np.inf)
+    lo, hi = np.zeros(ns.shape), np.full(ns.shape, np.inf)
+    idx = np.arange(ns.size)
+    for _ in range(NEWTON_PASSES):
+        x = lam[idx]
+        f, df = phase(x)
+        f -= target[idx]
+        res[idx] = f
+        below = f < 0.0
+        lo[idx[below]] = x[below]
+        hi[idx[~below]] = x[~below]
+        floor = (f > ftol) & (x <= LAMBDA_FLOOR)
+        if np.any(floor):
+            j = idx[floor][0]
+            raise BracketFailure(int(ns[j]), LAMBDA_FLOOR, float(hi[j]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - f / df
+        l, h = lo[idx], hi[idx]
+        out = ~((step > l) & (step < h))
+        step[out] = np.where(np.isinf(h), 2.0 * x,
+                             np.where(l > 0.0, 0.5 * (l + h), LAMBDA_FLOOR))[out]
+        keep = np.abs(f) > ftol
+        lam[idx[keep]] = step[keep]
+        idx = idx[keep]
+        if idx.size == 0:
+            return lam, res
+    j = idx[0]
+    raise BracketFailure(int(ns[j]), float(lo[j]), float(hi[j]),
+                         f"phase residual {res[j]:.3g} above tolerance for "
+                         f"mode n={int(ns[j])}")
 
 
 def _solve_modes(nu_like, ns, grid: Grid, rtol: float, atol: float):
@@ -282,39 +311,10 @@ def _solve_modes(nu_like, ns, grid: Grid, rtol: float, atol: float):
     if np.any(ns < 1):
         raise BracketFailure(int(ns.min()), 0.0, 0.0,
                              "mode index must be >= 1")
-    # coarse pass brackets the roots cheaply, the fine pass polishes them
-    rtol_c, atol_c = max(rtol * 100.0, 1e-9), max(atol * 100.0, 1e-9)
-    lo, hi, flo, fhi = _bracket_modes(nu_like, ns, rtol_c, atol_c)
-    root, _, _, _ = _refine_roots(nu_like, ns, lo, hi, flo, fhi,
-                                  rtol_c, atol_c, ftol=1e-7)
-    # fresh fine-tolerance bracket around the coarse root, wide enough that
-    # the endpoint residuals (~ delta / 2 sqrt(lambda)) dwarf solver noise
-    target = math.pi * ns
-    delta = 2e-5 * np.sqrt(root)
-    for _ in range(5):
-        lo = np.maximum(root - delta, 1e-8)
-        hi = root + delta
-        flo, fhi = _phase_misfit(nu_like, lo, hi, target, rtol, atol)
-        ok = (flo < 0.0) & (fhi > 0.0)
-        if np.all(ok):
-            break
-        delta = np.where(ok, delta, delta * 8.0)
-    else:
-        bad = np.nonzero(~ok)[0][0]
-        raise BracketFailure(int(ns[bad]), float(lo[bad]), float(hi[bad]),
-                             "could not re-bracket at fine tolerance for "
-                             f"mode n={int(ns[bad])}")
-    # the numerical phase map carries noise of the order of the ODE
-    # tolerance; the residual target sets no tighter than that
+    # the residual target sets no tighter than the sampled pass's tolerance
     ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * max(rtol, atol))
-    root, froot, _, _ = _refine_roots(nu_like, ns, lo, hi, flo, fhi,
-                                      rtol, atol, ftol=ftol)
-    if np.any(np.abs(froot) > 2.0 * ftol):
-        bad = np.nonzero(np.abs(froot) > 2.0 * ftol)[0][0]
-        raise BracketFailure(
-            int(ns[bad]), float(root[bad]), float(root[bad]),
-            f"phase residual {froot[bad]:.3g} above tolerance for mode "
-            f"n={int(ns[bad])}")
+    root, froot = _newton_roots(_phase_map(nu_like, grid), ns,
+                                (math.pi * ns) ** 2 + nu_like.total_mass(), ftol)
     _, sampled = _propagate(nu_like, root, rtol, atol, sample_nodes=grid.nodes)
     nu_nodes = nu_like.nu_values(grid.nodes)
     pairs = []

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 import vww.prufer
@@ -12,7 +13,8 @@ from conftest import catalog_potentials
 from vww.errors import BracketFailure, NonPositiveLambda, UnresolvedBasis
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
-from vww.prufer import (GRAM_DEFECT_TOL, _theta_end, asymptotic_residuals,
+from vww.prufer import (GRAM_DEFECT_TOL, _magnus_mesh, _magnus_phase,
+                        _phase_map, asymptotic_residuals,
                         basis_from_cache, basis_to_cache, build_basis,
                         eigen_derivative, integrate_prufer, shoot_eigenvalue)
 
@@ -122,6 +124,12 @@ class TestShootEigenvalue:
         assert pair.phi.norm_l2() == pytest.approx(1.0, abs=1e-9)
         assert pair.phi.values[0] == 0.0 and pair.phi.values[-1] == 0.0
 
+    def test_unconverged_mode_reports_residual(self, grid512, monkeypatch):
+        monkeypatch.setattr(vww.prufer, "NEWTON_PASSES", 1)
+        with pytest.raises(BracketFailure,
+                           match="phase residual .* above tolerance for mode n=1"):
+            shoot_eigenvalue(STEP, 1, grid512)
+
     def test_deep_well_reports_bracket_failure(self, grid512):
         # alpha < -4 pushes the ground state below the positivity floor
         deep = NuPrimitive(jumps=((0.5, -6.0),))
@@ -224,28 +232,90 @@ class TestBuildBasis:
 
 class TestRootPasses:
     @pytest.mark.parametrize("name", ["step", "mixed", "sine"])
-    def test_eta_only_pass_matches_sampled_pass(self, name, catalog_bases_40):
+    def test_magnus_theta_matches_sampled_pass(self, name, catalog_bases_40):
         nu = catalog_potentials()[name]
         lams = catalog_bases_40[name].lambdas[[0, 19, 39]]
-        theta_end = _theta_end(nu, lams, 1e-11, 1e-11)
+        theta_end, _ = _phase_map(nu, Grid(2048))(lams)
         for lam, got in zip(lams, theta_end):
             path = integrate_prufer(nu, float(lam), Grid(2048))
             assert abs(got - path.theta[-1]) <= 1e-10
 
+    @pytest.mark.parametrize("nu, hyperbolic", [
+        (NuPrimitive("sine", (1.0, 1.0)), 0),
+        (NuPrimitive("sine", (3000.0, 1.0)), 24),
+        (NuPrimitive("linear", (1e4,)), 32),
+    ], ids=["sine", "steep_sine", "steep_linear"])
+    @pytest.mark.parametrize("lam", [0.5, 300.0])
+    def test_closed_form_step_matches_expm(self, nu, hyperbolic, lam):
+        # 32 cells: nu changes by over 2 sqrt(3)/h across some of them, so
+        # det Omega < 0 there and the cosh/sinh branch is taken
+        mesh = _magnus_mesh(nu, 32)
+        assert int(np.sum(mesh[5] < 0.0)) == hyperbolic
+        x = np.linspace(0.0, 1.0, 33)
+        h, s = 1.0 / 32, math.sqrt(lam)
+        B = lambda v: np.array([[v, s], [-(s + v * v / s), -v]])
+        v, theta = np.array([1.0, 0.0]), 0.0  # (w, y)
+        for mid in x[:-1] + 0.5 * h:
+            b1, b2 = (B(float(nu.nu_values(mid + t * h / math.sqrt(12.0))))
+                      for t in (-1, 1))
+            om = 0.5 * h * (b1 + b2) + math.sqrt(3.0) / 12.0 * h * h * (
+                b2 @ b1 - b1 @ b2)
+            y, w = expm(om) @ v[::-1]
+            theta += math.atan2(v[0] * y - v[1] * w, v[0] * w + v[1] * y)
+            v = np.array([w, y]) / math.hypot(w, y)
+        got, _ = _magnus_phase(mesh, np.array([lam]))
+        assert got[0] == pytest.approx(theta, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.0, 100.0, 1e4])
+    def test_newton_derivative_free(self, lam):
+        _, dtheta = _phase_map(FREE, Grid(2048))(np.array([lam]))
+        assert dtheta[0] == pytest.approx(0.5 / math.sqrt(lam), rel=1e-5)
+
+    @pytest.mark.parametrize("name", ["step", "sine"])
+    @pytest.mark.parametrize("lam", [5.0, 500.0, 1e4])
+    def test_newton_derivative_central_difference(self, name, lam):
+        phase = _phase_map(catalog_potentials()[name], Grid(2048))
+        d = 1e-5 * lam
+        theta, dtheta = phase(np.array([lam - d, lam, lam + d]))
+        assert (theta[2] - theta[0]) / (2.0 * d) == pytest.approx(
+            dtheta[1], rel=1e-5)
+
+    @pytest.mark.parametrize("n", [1, 12, 24])
+    def test_fast_panels_refined(self, n):
+        # the bump's panels span 4 grid intervals; unrefined Magnus cells
+        # leave theta(1) off by 5.8e-9 to 1.3e-8 at these roots
+        nu = MollifiedNu(STEP, MollifierSpec("bump", 2.0**-9))
+        lam = shoot_eigenvalue(nu, n, Grid(2048)).lam
+        path = integrate_prufer(nu, lam, Grid(2048), rtol=1e-12, atol=1e-12)
+        assert abs(path.theta[-1] - math.pi * n) <= 1e-10
+
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_cells_turn_less_than_pi(self, n):
+        # 6.3 rad (n = 8) and 31 rad (n = 40) per grid interval of Grid(4)
+        lam = shoot_eigenvalue(FREE, n, Grid(4)).lam
+        assert lam == pytest.approx((n * math.pi) ** 2, rel=1e-10)
+
     def test_pass_count_per_build(self, monkeypatch):
-        # bracket ends share one pass: 12 integrations from x = 0, not 14
-        passes = []
-        original = vww.prufer.integrate_rk45
+        # one RK45 pass, the sampled one, and a few Magnus passes
+        rk45, magnus = [], []
+        original_rk45 = vww.prufer.integrate_rk45
+        original_magnus = vww.prufer._magnus_phase
 
-        def counted(rhs, x0, x1, y0, *args, **kwargs):
+        def counted_rk45(rhs, x0, x1, y0, *args, **kwargs):
             if x0 == 0.0:
-                passes.append(np.shape(y0))
-            return original(rhs, x0, x1, y0, *args, **kwargs)
+                rk45.append(np.shape(y0))
+            return original_rk45(rhs, x0, x1, y0, *args, **kwargs)
 
-        monkeypatch.setattr(vww.prufer, "integrate_rk45", counted)
+        def counted_magnus(mesh, lams):
+            magnus.append(len(lams))
+            return original_magnus(mesh, lams)
+
+        monkeypatch.setattr(vww.prufer, "integrate_rk45", counted_rk45)
+        monkeypatch.setattr(vww.prufer, "_magnus_phase", counted_magnus)
         build_basis(STEP, 40, Grid(2048))
-        assert len(passes) == 12
-        assert passes[0] == (80,)
+        assert rk45 == [(2, 40)]
+        assert 1 <= len(magnus) <= 6
+        assert magnus[0] == 40
 
 
 class TestCache:
