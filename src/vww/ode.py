@@ -3,9 +3,11 @@
 The stepper is shape-agnostic: the state may be any ndarray, so a batch
 of independent trajectories sharing the same independent variable (e.g.
 phase equations at many trial eigenvalues) integrates in lockstep with a
-single scaled error norm across the batch.  Step endpoints can be forced
-onto sample points, where the state is recorded exactly (no dense-output
-interpolation error).
+single scaled error norm across the batch.  Sample points do not shorten
+the steps: the state at a sample inside an accepted step comes from the
+pair's free 4th-order continuous extension (Shampine 1986), which reuses
+the step's seven stages, so samples are as accurate as the tolerance
+asks; a sample at a step's end, x1 included, takes that step's state.
 
 Callers integrate piecewise-smooth right-hand sides panel by panel; this
 module assumes rhs is smooth on [x0, x1].
@@ -36,6 +38,25 @@ _B = np.array((35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
                -2187.0 / 6784.0, 11.0 / 84.0))
 _E = np.array((71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0))
+
+# Dormand-Prince continuous extension of order 4 (Shampine, Math. Comp. 46,
+# 1986; scipy's RK45.P): y(x + t h) = y + h (K^T _P) (t, t^2, t^3, t^4) over
+# the seven stages K, stage 7 being f(x + h, y_new)
+_P = np.array((
+    (1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0),
+    (0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0),
+    (0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0),
+    (0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0),
+    (0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
+     69997945.0 / 29380423.0),
+))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -75,8 +96,10 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     Parameters
     ----------
     samples : ndarray, optional
-        Sorted points in (x0, x1] the integration must land on exactly;
-        the state there is copied into the returned sample stack.
+        Sorted points in (x0, x1] at which to record the state.  Steps do
+        not stop on them: a sample inside an accepted step is read off the
+        step's 4th-order continuous extension, one at its end (x1
+        included) takes the step's own end state.
     first_step : float, optional
         Step hint, e.g. the final accepted step of a previous panel.
 
@@ -85,6 +108,7 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     (y_final, sampled, n_steps, last_h) with ``sampled`` an array of
     shape (len(samples),) + y0.shape, or None.
     """
+    x0, x1 = float(x0), float(x1)  # so x and the rhs argument stay floats
     span = x1 - x0
     if span <= 0.0:
         raise StepFailure(f"empty span [{x0}, {x1}]")
@@ -97,9 +121,9 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     sampled = None
     next_sample = 0
     if samples is not None:
-        # Python floats, so x and the rhs argument stay floats once on a node
-        samples = np.asarray(samples, dtype=float).tolist()
+        samples = np.asarray(samples, dtype=float)
         sampled = np.empty((len(samples),) + y.shape)
+        flat = sampled.reshape(len(samples), -1)
     x = x0
     k[0] = f0
     n_steps = 0
@@ -107,13 +131,9 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     while x < x1 - 1e-15 * max(1.0, abs(x1)):
         if n_steps >= max_steps:
             raise StepFailure(f"exceeded {max_steps} steps at x={x:.6g}")
-        target = x1
-        if sampled is not None and next_sample < len(samples):
-            target = samples[next_sample]
-        h = min(h, target - x)
-        hit = x + h >= target - 1e-15 * max(1.0, abs(target))
-        if hit:
-            h = target - x
+        last = x + h >= x1 - 1e-15 * max(1.0, abs(x1))
+        if last:
+            h = x1 - x
         for i in range(1, 6):
             yi = y + h * (_A[i] @ kf[:i]).reshape(y.shape)
             k[i] = rhs(x + _C[i] * h, yi)
@@ -123,13 +143,19 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
         enorm = _error_norm(err, y, y_new, rtol, atol)
         n_steps += 1
         if enorm <= 1.0:
-            x = target if hit else x + h
+            x_new = x1 if last else x + h
+            if sampled is not None:
+                end = len(samples) if last else int(
+                    np.searchsorted(samples, x_new, side="right"))
+                if end > next_sample:
+                    s = samples[next_sample:end]
+                    t = ((s - x) / h)[:, None] ** np.arange(1, 5)
+                    flat[next_sample:end] = y.reshape(-1) + t @ (h * (_P.T @ kf))
+                    flat[next_sample:end][s >= x_new] = y_new.reshape(-1)
+                    next_sample = end
+            x = x_new
             y = y_new
             k[0] = k[6]  # FSAL
-            if hit and sampled is not None and next_sample < len(samples) \
-                    and target == samples[next_sample]:
-                sampled[next_sample] = y
-                next_sample += 1
             factor = _MAX_FACTOR if enorm == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm ** -0.2))
             h = h * factor
@@ -139,9 +165,4 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
                 raise StepFailure(
                     f"step underflow at x={x:.6g} (h={h:.3g}, err={enorm:.3g})"
                 )
-    if sampled is not None and next_sample < len(samples):
-        # x1 reached through the generic branch; flush trailing samples at x1
-        while next_sample < len(samples):
-            sampled[next_sample] = y
-            next_sample += 1
     return y, sampled, n_steps, h

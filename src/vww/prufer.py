@@ -18,7 +18,9 @@ steps take d theta(1)/d lambda from the Pruefer identity and stay inside
 a sign bracket.  At the roots one adaptive Runge-Kutta pass, split at
 every jump of nu and carried in the corrected phase eta = theta -
 sqrt(lambda) x (which removes the dominant linear drift from the error
-control), records (eta, log r) on the grid.  Eigenfunctions are
+control), records (eta, log r) on the grid; the nodes are read off each
+step's continuous extension, valid because no step crosses a jump, and
+so are as accurate as the tolerance asks.  Eigenfunctions are
 r sin(theta), normalized in L^2 by the grid's Simpson rule; a basis whose
 samples are not orthogonal to within GRAM_DEFECT_TOL is refused as
 unresolved.
@@ -313,10 +315,14 @@ def _solve_modes(nu_like, ns, grid: Grid, rtol: float, atol: float):
                              "mode index must be >= 1")
     # the residual target sets no tighter than the sampled pass's tolerance
     ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * max(rtol, atol))
-    root, froot = _newton_roots(_phase_map(nu_like, grid), ns,
-                                (math.pi * ns) ** 2 + nu_like.total_mass(), ftol)
-    _, sampled = _propagate(nu_like, root, rtol, atol, sample_nodes=grid.nodes)
     nu_nodes = nu_like.nu_values(grid.nodes)
+    # start at first order in nu, (pi n)^2 + int q 2 sin^2(pi n x) = (pi n)^2
+    # - 2 pi n int nu sin(2 pi n x); per mode, as a (modes, nodes) table adds RSS
+    wnu = grid.simpson_weights * nu_nodes
+    start = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * np.array(
+        [wnu @ np.sin(2.0 * math.pi * n * grid.nodes) for n in ns])
+    root, froot = _newton_roots(_phase_map(nu_like, grid), ns, start, ftol)
+    _, sampled = _propagate(nu_like, root, rtol, atol, sample_nodes=grid.nodes)
     pairs = []
     sqrt_root = np.sqrt(root)
     for j, n in enumerate(ns.astype(int)):
@@ -380,7 +386,8 @@ def build_basis(nu_like, n_max: int, grid: Grid,
     if defect > GRAM_DEFECT_TOL:
         raise UnresolvedBasis(
             f"n_max={n_max} modes are not resolved on a grid of {grid.n} "
-            f"intervals: Gram defect {defect:.3g} > {GRAM_DEFECT_TOL:g}")
+            f"intervals at rtol={rtol:g}, atol={atol:g}: Gram defect "
+            f"{defect:.3g} > {GRAM_DEFECT_TOL:g}")
     return EigenBasis(pairs=tuple(pairs), nu=nu_like, grid=grid,
                       gram_max_offdiag=defect)
 

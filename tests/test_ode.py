@@ -67,6 +67,28 @@ def test_samples_recorded_exactly_at_nodes():
     assert y[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dense_output_samples_between_steps():
+    # y'' = -49 y: samples come from the continuous extension, not from
+    # one step per node (296 steps and 1.0e-10 when this was written)
+    w = 7.0
+    rhs = lambda x, y: np.array([y[1], -w * w * y[0]])
+    nodes = np.linspace(0.0, 1.0, 1001)[1:]
+    _, sampled, n_steps, _ = integrate_rk45(
+        rhs, 0.0, 1.0, np.array([1.0, 0.0]), rtol=1e-11, atol=1e-11,
+        samples=nodes)
+    exact = np.stack([np.cos(w * nodes), -w * np.sin(w * nodes)], axis=1)
+    assert np.max(np.abs(sampled - exact)) <= 1e-9
+    assert n_steps < len(nodes) // 2
+
+
+def test_sample_at_end_is_final_state():
+    rhs = lambda x, y: np.vstack([y[1], -9.0 * y[0]])
+    y0 = np.array([[1.0, 0.0], [0.0, 3.0]])
+    y, sampled, _, _ = integrate_rk45(rhs, 0.0, 0.7, y0,
+                                      samples=np.array([0.1, 0.35, 0.7]))
+    assert sampled[-1].tobytes() == y.tobytes()
+
+
 def test_sampled_pass_calls_rhs_with_python_floats():
     # type, not isinstance: numpy's float64 subclasses float
     seen = set()

@@ -225,6 +225,22 @@ class TestBuildBasis:
         with pytest.raises(UnresolvedBasis, match=r"n_max=40 .* 64 .*0\.333"):
             build_basis(FREE, 40, Grid(64))
 
+    def test_unresolved_message_names_tolerance(self):
+        # resolved at the default tolerances (Gram defect 2.1e-8)
+        nu = NuPrimitive("sine", (1.0, 1.0), jumps=((0.5, 1.0),))
+        with pytest.raises(UnresolvedBasis,
+                           match=r"256 intervals at rtol=0\.01, atol=0\.01"):
+            build_basis(nu, 12, Grid(256), rtol=1e-2, atol=1e-2)
+
+    @pytest.mark.parametrize("name", ["step", "sine"])
+    def test_eigenfunctions_match_tight_tolerance_build(
+            self, name, catalog_bases_40, grid2048):
+        # 2.5e-10 (step) and 2.7e-10 (sine) when this was written
+        tight = build_basis(catalog_potentials()[name], 40, grid2048,
+                            rtol=1e-13, atol=1e-13)
+        diff = catalog_bases_40[name].phi_matrix - tight.phi_matrix
+        assert np.max(np.abs(diff)) <= 1e-9
+
     def test_coarse_but_resolved_basis_builds(self):
         basis = build_basis(STEP, 12, Grid(32))
         assert basis.gram_max_offdiag <= 0.1 * GRAM_DEFECT_TOL  # 1.5e-4
@@ -316,6 +332,22 @@ class TestRootPasses:
         assert rk45 == [(2, 40)]
         assert 1 <= len(magnus) <= 6
         assert magnus[0] == 40
+
+
+    def test_newton_start_first_order_in_nu(self, monkeypatch):
+        # the start (pi n)^2 - 2 pi n int nu sin(2 pi n x) lands mode 1 of
+        # sine (1, 1) close enough that 4 Magnus passes do (6 from
+        # (pi n)^2 + total mass)
+        passes = []
+        original = vww.prufer._magnus_phase
+
+        def counted(mesh, lams):
+            passes.append(len(lams))
+            return original(mesh, lams)
+
+        monkeypatch.setattr(vww.prufer, "_magnus_phase", counted)
+        build_basis(NuPrimitive("sine", (1.0, 1.0)), 40, Grid(2048))
+        assert len(passes) <= 4
 
 
 class TestCache:
