@@ -321,7 +321,7 @@ def cmd_eigs(config: dict, out: str) -> None:
     grid = Grid(int(config["grid_n"]))
     nu = potential_from_descriptor(config["nu"])
     tol = float(config.get("ode_tol", 1e-11))
-    basis = build_basis(nu, int(config["n_max"]), grid, rtol=tol, atol=tol)
+    basis = build_basis(nu, int(config["n_max"]), grid, tol)
     _write_csv(os.path.join(out, "eigenvalues.csv"),
                ("n", "lambda", "theta_residual", "tilde_norm", "psi_norm"),
                basis_csv_rows(basis))
@@ -337,7 +337,7 @@ def _solve_common(config: dict, forced: bool):
     grid = Grid(int(config["grid_n"]))
     nu = potential_from_descriptor(config["nu"])
     tol = float(config.get("ode_tol", 1e-11))
-    basis = build_basis(nu, int(config["n_max"]), grid, rtol=tol, atol=tol)
+    basis = build_basis(nu, int(config["n_max"]), grid, tol)
     u0 = _build_data(config["u0"], grid)
     u1 = _build_data(config["u1"], grid)
     T = float(config["T"])
@@ -434,7 +434,7 @@ def cmd_veryweak(config: dict, out: str) -> None:
         mollifier=config.get("mollifier", "bump"),
         n_max=int(config["n_max"]), T=float(config["T"]),
         n_times=int(config.get("n_times", 65)),
-        ode_rtol=tol, ode_atol=tol,
+        ode_tol=tol,
     )
     mode = config["mode"]
     if mode == "existence":
@@ -545,12 +545,12 @@ def _selftest() -> int:
         integrate_prufer(free, 4 * math.pi**2, g).theta[-1], 2 * math.pi,
         1e-10))
     check("free lambda_3", lambda: _expect(
-        shoot_eigenvalue(free, 3, g).lam, 9 * math.pi**2, 1e-6))
+        shoot_eigenvalue(free, 3, g).lambdas[0], 9 * math.pi**2, 1e-6))
     check("constant nu lambda_1", lambda: _expect(
-        shoot_eigenvalue(NuPrimitive("const", (2.0,)), 1, g).lam,
+        shoot_eigenvalue(NuPrimitive("const", (2.0,)), 1, g).lambdas[0],
         math.pi**2, 1e-6))
     check("delta-inert mode lambda_2", lambda: _expect(
-        shoot_eigenvalue(step, 2, g).lam, 4 * math.pi**2, 1e-6))
+        shoot_eigenvalue(step, 2, g).lambdas[0], 4 * math.pi**2, 1e-6))
 
     basis = build_basis(free, 5, g)
     s1 = GridFunction(g, math.sqrt(2.0) * np.sin(math.pi * g.nodes))

@@ -19,7 +19,7 @@ arithmetic (over tables built once, for :class:`MollifiedNu`), since it
 runs at every Runge-Kutta stage; their interior edges
 ``breakpoints``; ``jumps``, the (location, height) Dirac atoms still
 present in q, empty when q is bounded and ``q_linf`` exists; ``q_linf``,
-``norm_l2`` and ``norm_linf`` (of nu), ``total_mass`` and ``descriptor``.
+``norm_l2`` and ``norm_linf`` (of nu) and ``descriptor``.
 
 Moderateness / negligibility of eps-indexed nets is measured by
 least-squares slopes in log-log coordinates.
@@ -376,9 +376,6 @@ class NuPrimitive(Potential):
             sup = max(sup, float(np.max(np.abs(self.smooth_values(xs) + shift))))
         return sup
 
-    def total_mass(self) -> float:
-        return float(self.density_integral(1.0)) + sum(a for _, a in self.jumps)
-
     def descriptor(self) -> dict:
         return {
             "smooth": {"kind": self.smooth_kind, "params": list(self.smooth_params)},
@@ -637,9 +634,6 @@ class MollifiedNu(Potential):
     def q_values(self, x) -> np.ndarray:
         return mollified_q(self.base, self._eps, self._bump, x)
 
-    def total_mass(self) -> float:
-        return self.base.total_mass()
-
     def descriptor(self) -> dict:
         return {
             "mollified": self.base.descriptor(),
@@ -690,10 +684,6 @@ class PerturbedNu(Potential):
 
     def q_values(self, x) -> np.ndarray:
         return self.base.q_values(x) + self.c * self.w_nu.q_values(x)
-
-    def total_mass(self) -> float:
-        return self.base.total_mass() + self.c * float(
-            self.w_nu.density_integral(1.0))
 
     def descriptor(self) -> dict:
         return {

@@ -20,8 +20,10 @@ every jump of nu and carried in the corrected phase eta = theta -
 sqrt(lambda) x (which removes the dominant linear drift from the error
 control), records (eta, log r) on the grid; the nodes are read off each
 step's continuous extension, valid because no step crosses a jump, and
-so are as accurate as the tolerance asks.  Eigenfunctions are
-r sin(theta), normalized in L^2 by the grid's Simpson rule; a basis whose
+so are as accurate as the tolerance asks; one tol serves as its relative
+and absolute tolerance.  Eigenfunctions are r sin(theta), normalized in
+L^2 by the grid's Simpson rule, and formed for all modes at once: an
+EigenBasis is read-only arrays with one row per mode.  A basis whose
 samples are not orthogonal to within GRAM_DEFECT_TOL is refused as
 unresolved.
 """
@@ -29,17 +31,16 @@ unresolved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BracketFailure, NonPositiveLambda, UnresolvedBasis
-from .grid import Grid, GridFunction
+from .errors import BracketFailure, GridMismatch, NonPositiveLambda, UnresolvedBasis
+from .grid import Grid
 from .ode import integrate_rk45
 from .potential import Potential, potential_from_descriptor
 
-DEFAULT_RTOL = 1e-11
-DEFAULT_ATOL = 1e-11
+DEFAULT_TOL = 1e-11
 THETA_RESIDUAL_TOL = 1e-10
 # safeguarded Newton passes before a mode counts as unconverged
 NEWTON_PASSES = 40
@@ -71,19 +72,18 @@ def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
     return rhs
 
 
-def _propagate(nu_like, lams: np.ndarray, rtol: float, atol: float,
-               sample_nodes: np.ndarray):
+def _propagate(nu_like, lams: np.ndarray, tol: float, sample_nodes: np.ndarray):
     """Integrate (eta, log r) over [0, 1] for a batch of lambda values.
 
     Returns the final state, of shape (2, M), and the states recorded at
-    sample_nodes, of shape (len(nodes), 2, M).
+    sample_nodes, of shape (2, M, len(nodes)): one row per lambda.
     """
     sqrt_lam = np.sqrt(lams)
     y = np.zeros((2, lams.size))
-    out = np.empty((len(sample_nodes), 2, lams.size))
+    out = np.empty((2, lams.size, len(sample_nodes)))
     pos = 0
     if sample_nodes[0] == 0.0:
-        out[0] = y
+        out[:, :, 0] = y
         pos = 1
     h_hint = None
     for a, b, nu_fn in nu_like.ode_panels():
@@ -93,10 +93,10 @@ def _propagate(nu_like, lams: np.ndarray, rtol: float, atol: float,
         in_panel = sample_nodes[pos:hi]
         count = len(in_panel)
         y, sampled, _, h_hint = integrate_rk45(
-            _make_rhs(nu_fn, sqrt_lam), a, b, y, rtol, atol,
+            _make_rhs(nu_fn, sqrt_lam), a, b, y, tol, tol,
             samples=in_panel if count else None, first_step=h_hint)
         if count:
-            out[pos:pos + count] = sampled
+            out[:, :, pos:pos + count] = np.moveaxis(sampled, 0, -1)
             pos += count
     return y, out
 
@@ -182,65 +182,64 @@ class PruferPath:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def r(self) -> np.ndarray:
-        return np.exp(self.log_r)
 
+@dataclass(frozen=True, eq=False)
+class EigenBasis:
+    """Eigenpairs of the modes ns on a shared grid, one read-only row each.
 
-@dataclass(frozen=True)
-class EigenPair:
-    """Mode index, eigenvalue, normalized eigenfunction and its path."""
+    phi_matrix and phi_prime_matrix are the normalized eigenfunctions and
+    their derivatives at the nodes, shape (N, nodes); eta and log_r the
+    phase path they come from; tilde_norms the L^2 norms of r sin(theta);
+    theta_residuals theta(1, lambda_n) - pi n.
+    """
 
-    n: int
-    lam: float
-    phi: GridFunction
-    phi_prime: GridFunction
-    path: PruferPath
-    tilde_norm: float
-    theta_residual: float
+    ns: np.ndarray
+    lambdas: np.ndarray
+    phi_matrix: np.ndarray = field(repr=False)
+    phi_prime_matrix: np.ndarray = field(repr=False)
+    eta: np.ndarray = field(repr=False)
+    log_r: np.ndarray = field(repr=False)
+    tilde_norms: np.ndarray
+    theta_residuals: np.ndarray
+    nu: Potential | None
+    grid: Grid
+    # largest off-diagonal Gram entry, measured by build_basis
+    gram_max_offdiag: float = math.nan
+
+    def __post_init__(self):
+        for name in ("ns", "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
+                     "log_r", "tilde_norms", "theta_residuals"):
+            arr = np.asarray(getattr(self, name),
+                             dtype=int if name == "ns" else float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        rows = {a.shape for a in (self.phi_matrix, self.phi_prime_matrix,
+                                  self.eta, self.log_r)}
+        if rows != {(len(self.ns), self.grid.n + 1)}:
+            raise GridMismatch(f"{len(self.ns)} modes on {self.grid.n + 1} "
+                               f"nodes, but rows of shapes {sorted(rows)}")
+
+    def __len__(self) -> int:
+        return len(self.lambdas)
 
     @property
     def phi_tilde(self) -> np.ndarray:
-        """Unnormalized eigenfunction r sin(theta)."""
-        return self.path.r * np.sin(self.path.theta)
-
-
-@dataclass(frozen=True)
-class EigenBasis:
-    """Eigenpairs n = 1..N for one potential on a shared grid."""
-
-    pairs: tuple
-    nu: Potential | None
-    grid: Grid
-    gram_max_offdiag: float
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([p.lam for p in self.pairs])
-
-    @property
-    def phi_matrix(self) -> np.ndarray:
-        """Eigenfunction samples, shape (N, nodes)."""
-        return np.vstack([p.phi.values for p in self.pairs])
-
-    @property
-    def phi_prime_matrix(self) -> np.ndarray:
-        return np.vstack([p.phi_prime.values for p in self.pairs])
+        """Unnormalized eigenfunctions r sin(theta), theta = sqrt(lambda) x + eta."""
+        # in place: one (modes, nodes) table besides exp(log_r)
+        out = np.sqrt(self.lambdas)[:, None] * self.grid.nodes
+        out += self.eta
+        np.sin(out, out=out)
+        out *= np.exp(self.log_r)
+        return out
 
 
 def integrate_prufer(nu_like, lam: float, grid: Grid,
-                     rtol: float = DEFAULT_RTOL,
-                     atol: float = DEFAULT_ATOL) -> PruferPath:
+                     tol: float = DEFAULT_TOL) -> PruferPath:
     """Phase/amplitude path at one trial lambda, sampled on the grid."""
     if lam <= 0.0:
         raise NonPositiveLambda(f"lambda must be positive, got {lam}")
-    _, sampled = _propagate(nu_like, np.array([lam]), rtol, atol,
-                            sample_nodes=grid.nodes)
-    eta = sampled[:, 0, 0]
-    log_r = sampled[:, 1, 0]
+    _, sampled = _propagate(nu_like, np.array([lam]), tol, grid.nodes)
+    eta, log_r = sampled[:, 0]
     theta = math.sqrt(lam) * grid.nodes + eta
     return PruferPath(lam, grid, theta, log_r, eta)
 
@@ -248,11 +247,6 @@ def integrate_prufer(nu_like, lam: float, grid: Grid,
 # lambda > 0 is assumed throughout; brackets never probe below this floor,
 # so configurations whose ground state sinks lower surface as BracketFailure
 LAMBDA_FLOOR = 1e-2
-
-
-def _phi_prime(sqrt_lam, r, theta, phi_tilde, tilde_norm, nu_nodes):
-    """phi' = (sqrt(lambda) r cos(theta) + nu phi_tilde) / ||phi_tilde||."""
-    return (sqrt_lam * r * np.cos(theta) + nu_nodes * phi_tilde) / tilde_norm
 
 
 def _phase_map(nu_like, grid: Grid):
@@ -308,13 +302,14 @@ def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
                          f"mode n={int(ns[j])}")
 
 
-def _solve_modes(nu_like, ns, grid: Grid, rtol: float, atol: float):
+def _solve_modes(nu_like, ns, grid: Grid, tol: float) -> EigenBasis:
     ns = np.asarray(sorted(set(int(n) for n in ns)), dtype=float)
     if np.any(ns < 1):
         raise BracketFailure(int(ns.min()), 0.0, 0.0,
                              "mode index must be >= 1")
     # the residual target sets no tighter than the sampled pass's tolerance
-    ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * max(rtol, atol))
+    ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
+    # nu enters phi' with its left limit at jump locations
     nu_nodes = nu_like.nu_values(grid.nodes)
     # start at first order in nu, (pi n)^2 + int q 2 sin^2(pi n x) = (pi n)^2
     # - 2 pi n int nu sin(2 pi n x); per mode, as a (modes, nodes) table adds RSS
@@ -322,74 +317,53 @@ def _solve_modes(nu_like, ns, grid: Grid, rtol: float, atol: float):
     start = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * np.array(
         [wnu @ np.sin(2.0 * math.pi * n * grid.nodes) for n in ns])
     root, froot = _newton_roots(_phase_map(nu_like, grid), ns, start, ftol)
-    _, sampled = _propagate(nu_like, root, rtol, atol, sample_nodes=grid.nodes)
-    pairs = []
-    sqrt_root = np.sqrt(root)
-    for j, n in enumerate(ns.astype(int)):
-        eta = sampled[:, 0, j].copy()
-        log_r = sampled[:, 1, j].copy()
-        theta = sqrt_root[j] * grid.nodes + eta
-        path = PruferPath(float(root[j]), grid, theta, log_r, eta)
-        r = np.exp(log_r)
-        phi_tilde = r * np.sin(theta)
-        tilde_norm = grid.norm_l2(phi_tilde)
-        phi = phi_tilde / tilde_norm
-        phi[0] = 0.0
-        phi[-1] = 0.0
-        dphi = _phi_prime(sqrt_root[j], r, theta, phi_tilde, tilde_norm,
-                          nu_nodes)
-        pairs.append(EigenPair(
-            n=int(n), lam=float(root[j]),
-            phi=GridFunction(grid, phi),
-            phi_prime=GridFunction(grid, dphi),
-            path=path, tilde_norm=float(tilde_norm),
-            theta_residual=float(froot[j]),
-        ))
-    return pairs
+    _, (eta, log_r) = _propagate(nu_like, root, tol, grid.nodes)
+    # (modes, nodes) tables, formed in place so that few are alive at once
+    sqrt_lam = np.sqrt(root)[:, None]
+    theta = sqrt_lam * grid.nodes + eta
+    dphi = np.exp(log_r)
+    phi = np.sin(theta)
+    phi *= dphi  # phi_tilde = r sin(theta), normalized below
+    # per row, as grid.norm_l2 sums; a (modes, nodes) product sums otherwise
+    tilde_norms = np.array([grid.norm_l2(v) for v in phi])
+    # phi' = (sqrt(lambda) r cos(theta) + nu phi_tilde) / ||phi_tilde||
+    dphi *= sqrt_lam
+    dphi *= np.cos(theta, out=theta)
+    dphi += np.multiply(nu_nodes, phi, out=theta)
+    dphi /= tilde_norms[:, None]
+    phi /= tilde_norms[:, None]
+    phi[:, [0, -1]] = 0.0
+    return EigenBasis(ns.astype(int), root, phi, dphi, eta, log_r,
+                      tilde_norms, froot, nu_like, grid)
 
 
 def shoot_eigenvalue(nu_like, n: int, grid: Grid,
-                     rtol: float = DEFAULT_RTOL,
-                     atol: float = DEFAULT_ATOL) -> EigenPair:
-    """Locate lambda_n with |theta(1, lambda_n) - pi n| <= 1e-10."""
-    return _solve_modes(nu_like, [n], grid, rtol, atol)[0]
-
-
-def eigen_derivative(pair: EigenPair, nu_like) -> GridFunction:
-    """phi_n' from the phase representation plus the nu-correction term.
-
-    nu enters with its left limit at jump locations, matching the stored
-    eigenfunction convention.
-    """
-    path = pair.path
-    return GridFunction(path.grid, _phi_prime(
-        math.sqrt(pair.lam), path.r, path.theta, pair.phi_tilde,
-        pair.tilde_norm, nu_like.nu_values(path.grid.nodes)))
+                     tol: float = DEFAULT_TOL) -> EigenBasis:
+    """Mode n alone, as a one-row EigenBasis, with |theta(1, lambda_n) - pi n|
+    <= max(0.5 THETA_RESIDUAL_TOL, 5 tol) (5e-11 at the default tol)."""
+    return _solve_modes(nu_like, [n], grid, tol)
 
 
 def build_basis(nu_like, n_max: int, grid: Grid,
-                rtol: float = DEFAULT_RTOL,
-                atol: float = DEFAULT_ATOL) -> EigenBasis:
+                tol: float = DEFAULT_TOL) -> EigenBasis:
     """Eigenpairs for n = 1..n_max with orthogonality bookkeeping."""
     if n_max < 1:
         raise BracketFailure(n_max, 0.0, 0.0, "n_max must be >= 1")
-    pairs = _solve_modes(nu_like, range(1, n_max + 1), grid, rtol, atol)
-    lams = np.array([p.lam for p in pairs])
+    basis = _solve_modes(nu_like, range(1, n_max + 1), grid, tol)
+    lams = basis.lambdas
     if np.any(np.diff(lams) <= 0.0):
         k = int(np.nonzero(np.diff(lams) <= 0.0)[0][0])
-        raise BracketFailure(pairs[k + 1].n, float(lams[k]), float(lams[k + 1]),
+        raise BracketFailure(int(basis.ns[k + 1]), float(lams[k]), float(lams[k + 1]),
                              "eigenvalues failed to come out increasing")
-    phi = np.vstack([p.phi.values for p in pairs])
+    phi = basis.phi_matrix
     gram = (phi * grid.simpson_weights) @ phi.T
     off = gram - np.diag(np.diag(gram))
     defect = float(np.max(np.abs(off)))
     if defect > GRAM_DEFECT_TOL:
         raise UnresolvedBasis(
             f"n_max={n_max} modes are not resolved on a grid of {grid.n} "
-            f"intervals at rtol={rtol:g}, atol={atol:g}: Gram defect "
-            f"{defect:.3g} > {GRAM_DEFECT_TOL:g}")
-    return EigenBasis(pairs=tuple(pairs), nu=nu_like, grid=grid,
-                      gram_max_offdiag=defect)
+            f"intervals at tol={tol:g}: Gram defect {defect:.3g} > {GRAM_DEFECT_TOL:g}")
+    return replace(basis, gram_max_offdiag=defect)
 
 
 @dataclass(frozen=True)
@@ -415,21 +389,17 @@ def asymptotic_residuals(basis: EigenBasis) -> AsymptoticReport:
     eigenvalue deviations from (pi n)^2.
     """
     grid = basis.grid
-    x = grid.nodes
-    psi_norms, rho_norms, devs, ns = [], [], [], []
-    for p in basis.pairs:
-        psi = p.phi_tilde - np.sin(math.sqrt(p.lam) * x)
-        psi_norms.append(grid.norm_l2(psi))
-        rho_norms.append(grid.norm_l2(p.path.r - 1.0))
-        devs.append(abs(p.lam / (math.pi * p.n) ** 2 - 1.0))
-        ns.append(p.n)
-    psi_norms = np.array(psi_norms)
+    lam = basis.lambdas
+    psi = basis.phi_tilde
+    psi -= np.sin(np.sqrt(lam)[:, None] * grid.nodes)
+    psi_norms = np.array([grid.norm_l2(v) for v in psi])
+    ns = basis.ns.astype(float)
     return AsymptoticReport(
-        ns=np.array(ns, dtype=float),
+        ns=ns,
         psi_norms=psi_norms,
-        rho_norms=np.array(rho_norms),
+        rho_norms=np.array([grid.norm_l2(v) for v in np.exp(basis.log_r) - 1.0]),
         partial_sums=np.cumsum(psi_norms**2),
-        eigenvalue_rel_dev=np.array(devs),
+        eigenvalue_rel_dev=np.abs(lam / (math.pi * ns) ** 2 - 1.0),
     )
 
 
@@ -439,29 +409,27 @@ def asymptotic_residuals(basis: EigenBasis) -> AsymptoticReport:
 def basis_csv_rows(basis: EigenBasis) -> list[tuple]:
     """(n, lambda_n, theta_residual, tilde_norm, psi_norm) per mode."""
     rep = asymptotic_residuals(basis)
-    return [
-        (p.n, p.lam, p.theta_residual, p.tilde_norm, float(rep.psi_norms[i]))
-        for i, p in enumerate(basis.pairs)
-    ]
+    return list(zip(basis.ns.tolist(), basis.lambdas.tolist(),
+                    basis.theta_residuals.tolist(), basis.tilde_norms.tolist(),
+                    rep.psi_norms.tolist()))
 
 
 def basis_to_cache(basis: EigenBasis, include_eigenfunctions: bool = False) -> dict:
     nu = basis.nu
-    desc = nu.descriptor() if nu is not None else None
     cache = {
         "grid_n": basis.grid.n,
-        "nu": desc,
-        "lambdas": [p.lam for p in basis.pairs],
-        "theta_residuals": [p.theta_residual for p in basis.pairs],
-        "tilde_norms": [p.tilde_norm for p in basis.pairs],
+        "nu": nu.descriptor() if nu is not None else None,
+        "lambdas": basis.lambdas.tolist(),
+        "theta_residuals": basis.theta_residuals.tolist(),
+        "tilde_norms": basis.tilde_norms.tolist(),
         "gram_max_offdiag": basis.gram_max_offdiag,
         "includes_eigenfunctions": bool(include_eigenfunctions),
     }
     if include_eigenfunctions:
-        cache["phi"] = [p.phi.values.tolist() for p in basis.pairs]
-        cache["phi_prime"] = [p.phi_prime.values.tolist() for p in basis.pairs]
-        cache["eta"] = [p.path.eta.tolist() for p in basis.pairs]
-        cache["log_r"] = [p.path.log_r.tolist() for p in basis.pairs]
+        cache["phi"] = basis.phi_matrix.tolist()
+        cache["phi_prime"] = basis.phi_prime_matrix.tolist()
+        cache["eta"] = basis.eta.tolist()
+        cache["log_r"] = basis.log_r.tolist()
     return cache
 
 
@@ -469,20 +437,12 @@ def basis_from_cache(cache: dict):
     """Rebuild an EigenBasis if eigenfunctions were cached, else metadata."""
     if not cache.get("includes_eigenfunctions"):
         return dict(cache)
-    grid = Grid(int(cache["grid_n"]))
     nu = potential_from_descriptor(cache["nu"]) if cache.get("nu") else None
-    pairs = []
-    for i, lam in enumerate(cache["lambdas"]):
-        eta = np.asarray(cache["eta"][i])
-        log_r = np.asarray(cache["log_r"][i])
-        theta = math.sqrt(lam) * grid.nodes + eta
-        pairs.append(EigenPair(
-            n=i + 1, lam=float(lam),
-            phi=GridFunction(grid, np.asarray(cache["phi"][i])),
-            phi_prime=GridFunction(grid, np.asarray(cache["phi_prime"][i])),
-            path=PruferPath(float(lam), grid, theta, log_r, eta),
-            tilde_norm=float(cache["tilde_norms"][i]),
-            theta_residual=float(cache["theta_residuals"][i]),
-        ))
-    return EigenBasis(pairs=tuple(pairs), nu=nu, grid=grid,
-                      gram_max_offdiag=float(cache["gram_max_offdiag"]))
+    return EigenBasis(
+        ns=np.arange(1, len(cache["lambdas"]) + 1), lambdas=cache["lambdas"],
+        phi_matrix=cache["phi"], phi_prime_matrix=cache["phi_prime"],
+        eta=cache["eta"], log_r=cache["log_r"],
+        tilde_norms=cache["tilde_norms"],
+        theta_residuals=cache["theta_residuals"], nu=nu,
+        grid=Grid(int(cache["grid_n"])),
+        gram_max_offdiag=float(cache["gram_max_offdiag"]))

@@ -54,8 +54,7 @@ class VeryWeakExperiment:
     n_max: int = 24
     T: float = 1.0
     n_times: int = 65
-    ode_rtol: float = 1e-10
-    ode_atol: float = 1e-10
+    ode_tol: float = 1e-10
 
     def __post_init__(self):
         lad = tuple(float(e) for e in self.ladder)
@@ -70,8 +69,7 @@ class VeryWeakExperiment:
 
 def _solve_for(e: VeryWeakExperiment, potential, u0: GridFunction,
                u1: GridFunction):
-    basis = build_basis(potential, e.n_max, e.grid,
-                        rtol=e.ode_rtol, atol=e.ode_atol)
+    basis = build_basis(potential, e.n_max, e.grid, tol=e.ode_tol)
     problem = WaveProblem(basis, analyze(u0, basis), analyze(u1, basis), e.T)
     return basis, problem, solve_homogeneous(problem, e.times)
 

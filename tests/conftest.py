@@ -94,7 +94,7 @@ def delta_sweep_battery(grid2048):
         for k in range(2, 10):
             eps = 2.0**-k
             q_eps = MollifiedNu(nu, MollifierSpec("bump", eps))
-            basis = build_basis(q_eps, 16, grid2048, rtol=1e-9, atol=1e-9)
+            basis = build_basis(q_eps, 16, grid2048, tol=1e-9)
             prob = WaveProblem(basis, analyze(u0, basis), analyze(u1, basis),
                                1.0)
             sol = solve_homogeneous(prob, np.linspace(0.0, 1.0, 33))

@@ -187,7 +187,7 @@ def _vw_experiment(nu, grid, **kw):
     defaults = dict(
         u0=DataNet(parabola(grid)), u1=DataNet(GridFunction.zeros(grid)),
         ladder=default_ladder(2, 9), grid=grid, n_max=24, T=1.0, n_times=65,
-        ode_rtol=1e-10, ode_atol=1e-10)
+        ode_tol=1e-10)
     defaults.update(kw)
     return VeryWeakExperiment(nu=nu, **defaults)
 

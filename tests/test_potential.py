@@ -165,10 +165,6 @@ class TestNorms:
             STEP.q_linf()
         assert NuPrimitive("linear", (5.0,)).q_linf() == pytest.approx(5.0)
 
-    def test_total_mass(self):
-        nu = NuPrimitive("linear", (2.0,), jumps=((0.3, 3.0),))
-        assert nu.total_mass() == pytest.approx(5.0, abs=1e-12)
-
 
 class TestPerturbed:
     W = NuPrimitive("sine", (1.0, 1.0))
@@ -187,7 +183,6 @@ class TestPerturbed:
         pert = PerturbedNu(STEP, self.W, 0.1)
         assert pert.jumps == STEP.jumps
         assert pert.breakpoints == STEP.breakpoints
-        assert pert.total_mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_spatial_derivatives_reject_atom_on_node(self, free_basis_small):
         from vww.errors import AtomEvaluation

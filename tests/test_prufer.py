@@ -10,13 +10,14 @@ from scipy.optimize import brentq
 
 import vww.prufer
 from conftest import catalog_potentials
-from vww.errors import BracketFailure, NonPositiveLambda, UnresolvedBasis
+from vww.errors import (BracketFailure, GridMismatch, NonPositiveLambda,
+                        UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, _magnus_mesh, _magnus_phase,
                         _phase_map, asymptotic_residuals,
                         basis_from_cache, basis_to_cache, build_basis,
-                        eigen_derivative, integrate_prufer, shoot_eigenvalue)
+                        integrate_prufer, shoot_eigenvalue)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -100,29 +101,31 @@ class TestIntegratePrufer:
 
 class TestShootEigenvalue:
     def test_free_mode_three(self, grid512):
-        pair = shoot_eigenvalue(FREE, 3, grid512)
-        assert pair.lam == pytest.approx(9.0 * math.pi**2, rel=1e-8)
+        mode = shoot_eigenvalue(FREE, 3, grid512)
+        assert list(mode.ns) == [3] and len(mode) == 1
+        assert mode.lambdas[0] == pytest.approx(9.0 * math.pi**2, rel=1e-8)
 
     def test_constant_nu_leaves_operator_free(self, grid512):
-        pair = shoot_eigenvalue(NuPrimitive("const", (2.0,)), 1, grid512)
-        assert pair.lam == pytest.approx(math.pi**2, rel=1e-8)
+        mode = shoot_eigenvalue(NuPrimitive("const", (2.0,)), 1, grid512)
+        assert mode.lambdas[0] == pytest.approx(math.pi**2, rel=1e-8)
 
     def test_delta_inert_even_mode(self, grid512):
-        pair = shoot_eigenvalue(STEP, 2, grid512)
-        assert pair.lam == pytest.approx(4.0 * math.pi**2, abs=1e-8)
+        mode = shoot_eigenvalue(STEP, 2, grid512)
+        assert mode.lambdas[0] == pytest.approx(4.0 * math.pi**2, abs=1e-8)
 
     def test_delta_ground_state_vs_transcendental(self, grid2048):
-        pair = shoot_eigenvalue(STEP, 1, grid2048)
-        assert pair.lam == pytest.approx(delta_lambda1_oracle(1.0), abs=1e-7)
+        mode = shoot_eigenvalue(STEP, 1, grid2048)
+        assert mode.lambdas[0] == pytest.approx(delta_lambda1_oracle(1.0),
+                                                abs=1e-7)
 
     def test_theta_residual_tolerance(self, grid512):
-        pair = shoot_eigenvalue(STEP, 1, grid512)
-        assert abs(pair.theta_residual) <= 1e-10
+        mode = shoot_eigenvalue(STEP, 1, grid512)
+        assert abs(mode.theta_residuals[0]) <= 1e-10
 
     def test_eigenfunction_normalized_and_pinned(self, grid512):
-        pair = shoot_eigenvalue(STEP, 1, grid512)
-        assert pair.phi.norm_l2() == pytest.approx(1.0, abs=1e-9)
-        assert pair.phi.values[0] == 0.0 and pair.phi.values[-1] == 0.0
+        phi = shoot_eigenvalue(STEP, 1, grid512).phi_matrix[0]
+        assert grid512.norm_l2(phi) == pytest.approx(1.0, abs=1e-9)
+        assert phi[0] == 0.0 and phi[-1] == 0.0
 
     def test_unconverged_mode_reports_residual(self, grid512, monkeypatch):
         monkeypatch.setattr(vww.prufer, "NEWTON_PASSES", 1)
@@ -141,30 +144,22 @@ class TestShootEigenvalue:
 
 class TestEigenDerivative:
     def test_free_mode_one_at_origin(self, free_basis_small):
-        d = eigen_derivative(free_basis_small.pairs[0], FREE)
-        assert d.values[0] == pytest.approx(math.sqrt(2.0) * math.pi,
-                                            abs=1e-9)
+        d = free_basis_small.phi_prime_matrix[0]
+        assert d[0] == pytest.approx(math.sqrt(2.0) * math.pi, abs=1e-9)
 
     def test_free_mode_two_quarter_node(self, free_basis_small):
-        d = eigen_derivative(free_basis_small.pairs[1], FREE)
         i = free_basis_small.grid.n // 4
-        assert abs(d.values[i]) <= 1e-10
+        assert abs(free_basis_small.phi_prime_matrix[1, i]) <= 1e-10
 
     def test_step_against_finite_differences(self, step_basis_40):
-        pair = step_basis_40.pairs[0]
-        d = eigen_derivative(pair, STEP)
+        d = step_basis_40.phi_prime_matrix[0]
         g = step_basis_40.grid
-        v = pair.phi.values
+        v = step_basis_40.phi_matrix[0]
         fd = (v[2:] - v[:-2]) / (2.0 * g.h)
         interior = np.arange(1, g.n)
         away = np.abs(g.nodes[interior] - 0.5) > 4.0 * g.h
-        err = np.abs(fd - d.values[1:-1])
+        err = np.abs(fd - d[1:-1])
         assert np.max(err[away]) <= 1e-5
-
-    def test_matches_precomputed_phi_prime(self, step_basis_40):
-        pair = step_basis_40.pairs[2]
-        d = eigen_derivative(pair, STEP)
-        assert np.allclose(d.values, pair.phi_prime.values, atol=1e-12)
 
 
 class TestBuildBasis:
@@ -188,17 +183,18 @@ class TestBuildBasis:
         assert np.max(rep.asymptote_constants) < 1.0
 
     def test_oscillation_count(self, step_basis_40):
-        for pair in step_basis_40.pairs[:12]:
-            v = pair.phi.values[1:-1]
+        basis = step_basis_40
+        for n, phi in zip(basis.ns[:12], basis.phi_matrix[:12]):
+            v = phi[1:-1]
             s = np.sign(v[np.abs(v) > 1e-12])
             changes = int(np.sum(s[:-1] != s[1:]))
-            assert changes == pair.n - 1
+            assert changes == n - 1
 
     def test_tilde_norm_bounds(self, step_basis_40):
         nrm = STEP.norm_l2()
-        for pair in step_basis_40.pairs:
-            bound = math.exp(nrm + nrm**2 / math.sqrt(pair.lam))
-            assert 0.1 < pair.tilde_norm <= bound
+        bound = np.exp(nrm + nrm**2 / np.sqrt(step_basis_40.lambdas))
+        assert np.all(step_basis_40.tilde_norms > 0.1)
+        assert np.all(step_basis_40.tilde_norms <= bound)
 
     def test_grid_refinement_leaves_lambda_fixed(self):
         lam_a = build_basis(STEP, 3, Grid(512)).lambdas
@@ -217,7 +213,7 @@ class TestBuildBasis:
             for a, b, _ in nu.ode_panels()])
         want = build_basis(ref, 8, Grid(512)).lambdas
         assert np.max(np.abs(basis.lambdas / want - 1.0)) <= 1e-9
-        assert max(p.theta_residual for p in basis.pairs) <= 1e-10
+        assert np.max(np.abs(basis.theta_residuals)) <= 1e-10
 
 
     def test_aliased_basis_raises(self):
@@ -229,15 +225,15 @@ class TestBuildBasis:
         # resolved at the default tolerances (Gram defect 2.1e-8)
         nu = NuPrimitive("sine", (1.0, 1.0), jumps=((0.5, 1.0),))
         with pytest.raises(UnresolvedBasis,
-                           match=r"256 intervals at rtol=0\.01, atol=0\.01"):
-            build_basis(nu, 12, Grid(256), rtol=1e-2, atol=1e-2)
+                           match=r"256 intervals at tol=0\.01: Gram"):
+            build_basis(nu, 12, Grid(256), tol=1e-2)
 
     @pytest.mark.parametrize("name", ["step", "sine"])
     def test_eigenfunctions_match_tight_tolerance_build(
             self, name, catalog_bases_40, grid2048):
         # 2.5e-10 (step) and 2.7e-10 (sine) when this was written
         tight = build_basis(catalog_potentials()[name], 40, grid2048,
-                            rtol=1e-13, atol=1e-13)
+                            tol=1e-13)
         diff = catalog_bases_40[name].phi_matrix - tight.phi_matrix
         assert np.max(np.abs(diff)) <= 1e-9
 
@@ -301,14 +297,14 @@ class TestRootPasses:
         # the bump's panels span 4 grid intervals; unrefined Magnus cells
         # leave theta(1) off by 5.8e-9 to 1.3e-8 at these roots
         nu = MollifiedNu(STEP, MollifierSpec("bump", 2.0**-9))
-        lam = shoot_eigenvalue(nu, n, Grid(2048)).lam
-        path = integrate_prufer(nu, lam, Grid(2048), rtol=1e-12, atol=1e-12)
+        lam = float(shoot_eigenvalue(nu, n, Grid(2048)).lambdas[0])
+        path = integrate_prufer(nu, lam, Grid(2048), tol=1e-12)
         assert abs(path.theta[-1] - math.pi * n) <= 1e-10
 
     @pytest.mark.parametrize("n", [8, 40])
     def test_cells_turn_less_than_pi(self, n):
         # 6.3 rad (n = 8) and 31 rad (n = 40) per grid interval of Grid(4)
-        lam = shoot_eigenvalue(FREE, n, Grid(4)).lam
+        lam = shoot_eigenvalue(FREE, n, Grid(4)).lambdas[0]
         assert lam == pytest.approx((n * math.pi) ** 2, rel=1e-10)
 
     def test_pass_count_per_build(self, monkeypatch):
@@ -365,6 +361,29 @@ class TestCache:
         assert again.descriptor() == nu.descriptor()
         x = np.linspace(0.0, 1.0, 1001)
         assert again.nu_values(x).tobytes() == nu.nu_values(x).tobytes()
+
+    def test_round_trip_keeps_every_array(self):
+        basis = build_basis(STEP, 4, Grid(256))
+        again = basis_from_cache(json.loads(json.dumps(
+            basis_to_cache(basis, include_eigenfunctions=True))))
+        for name in ("ns", "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
+                     "log_r", "tilde_norms", "theta_residuals"):
+            want, got = getattr(basis, name), getattr(again, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        assert again.gram_max_offdiag == basis.gram_max_offdiag
+        assert again.grid == basis.grid and len(again) == 4
+
+    def test_rows_must_match_grid(self):
+        cache = basis_to_cache(build_basis(STEP, 2, Grid(64)), True)
+        with pytest.raises(GridMismatch, match="2 modes on 129 nodes"):
+            basis_from_cache({**cache, "grid_n": 128})
+
+    def test_basis_arrays_read_only(self, free_basis_small):
+        with pytest.raises(ValueError):
+            free_basis_small.phi_matrix[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            free_basis_small.lambdas[0] = 1.0
 
 
 class TestAsymptoticResiduals:

@@ -110,20 +110,18 @@ class TestSobolevNorm:
     def test_nonpositive_spectrum_rejected(self, free_basis_40):
         import dataclasses
 
-        from vww.prufer import EigenBasis
         from vww.spectral import SpectralCoeffs
 
-        neg = dataclasses.replace(free_basis_40.pairs[0], lam=-1.0)
-        bad = EigenBasis(pairs=(neg,), nu=None, grid=free_basis_40.grid,
-                         gram_max_offdiag=0.0)
+        lams = np.r_[-1.0, free_basis_40.lambdas[1:]]
+        bad = dataclasses.replace(free_basis_40, lambdas=lams)
         with pytest.raises(NonPositiveSpectrum):
-            sobolev_norm(SpectralCoeffs(bad, np.ones(1)), 1.0)
+            sobolev_norm(SpectralCoeffs(bad, np.ones(len(bad))), 1.0)
 
 
 class TestParsevalDefect:
     def test_basis_member_defect_tiny(self, free_basis_40):
         f = GridFunction(free_basis_40.grid,
-                         free_basis_40.pairs[4].phi.values)
+                         free_basis_40.phi_matrix[4])
         assert abs(parseval_defect(f, free_basis_40)) <= 1e-9
 
     def test_zero_function(self, free_basis_40):

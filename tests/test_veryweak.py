@@ -18,8 +18,7 @@ def experiment(nu, grid, ladder=None, u0=None, u1=None, **kw):
     u0 = DataNet(parabola(grid)) if u0 is None else u0
     u1 = DataNet(GridFunction.zeros(grid)) if u1 is None else u1
     ladder = default_ladder(2, 7) if ladder is None else ladder
-    defaults = dict(n_max=12, T=1.0, n_times=33, ode_rtol=1e-10,
-                    ode_atol=1e-10)
+    defaults = dict(n_max=12, T=1.0, n_times=33, ode_tol=1e-10)
     defaults.update(kw)
     return VeryWeakExperiment(nu=nu, u0=u0, u1=u1, ladder=ladder, grid=grid,
                               **defaults)

@@ -186,7 +186,7 @@ class TestAnalyzeForcing:
         g = free_basis_small.grid
         tg = np.linspace(0.0, 1.0, 65)
         gt = 1.0 + 0.5 * tg**2
-        phi3 = free_basis_small.pairs[2].phi.values
+        phi3 = free_basis_small.phi_matrix[2]
         ftab = analyze_forcing(gt[:, None] * phi3[None, :],
                                free_basis_small, tg)
         assert np.max(np.abs(ftab.table[2] - gt)) <= 1e-9
