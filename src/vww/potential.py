@@ -21,6 +21,10 @@ runs at every Runge-Kutta stage; their interior edges
 present in q, empty when q is bounded and ``q_linf`` exists; ``q_linf``,
 ``norm_l2`` and ``norm_linf`` (of nu) and ``descriptor``.
 
+The ``samples`` smooth kind is the only user of scipy in vww: its quintic
+spline (``scipy.interpolate.InterpolatedUnivariateSpline``) is imported
+when first built, so importing vww loads no scipy module.
+
 Moderateness / negligibility of eps-indexed nets is measured by
 least-squares slopes in log-log coordinates.
 """
@@ -34,7 +38,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline
 
 from .errors import ConfigError, DegenerateNet, MissingNorm, UnresolvedMollifier
 from .grid import Grid, GridFunction
@@ -187,7 +190,9 @@ class MollifierSpec:
 
 
 @lru_cache(maxsize=64)
-def _samples_spline(values: tuple) -> InterpolatedUnivariateSpline:
+def _samples_spline(values: tuple):
+    """Quintic spline through equispaced samples on [0, 1]."""
+    from scipy.interpolate import InterpolatedUnivariateSpline
     vals = np.asarray(values, dtype=float)
     x = np.linspace(0.0, 1.0, vals.size)
     return InterpolatedUnivariateSpline(x, vals, k=5)

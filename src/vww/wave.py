@@ -7,8 +7,11 @@ w = sqrt(lambda_n); forcing adds the variation-of-constants terms
     + sin(w t)/w * int_0^t cos(w s) f_n(s) ds,
 
 with the Duhamel integrals accumulated by cumulative Simpson on the
-forcing time grid.  A leapfrog finite-difference scheme on a bounded
-(mollified) potential serves as an independent cross-check.
+forcing time grid: scipy's equal-interval ``cumulative_simpson`` formula,
+reproduced bit for bit in numpy, so that this module imports no scipy
+(in vww only the ``samples`` potential spline does).  A leapfrog
+finite-difference scheme on a bounded (mollified) potential serves as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (AtomEvaluation, CFLViolation, ConfigError, GridMismatch,
                      NonPositiveSpectrum, TimeGridTooCoarse)
@@ -173,6 +175,25 @@ def solve_homogeneous(problem: WaveProblem, times) -> WaveSolution:
     return _synthesize_solution(problem.basis, times, modal, modal_dt)
 
 
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """scipy's cumulative_simpson(y, dx=dx, axis=-1, initial=0) by the same
+    floating-point operations: interval j gets dx/3 (5 y_j/4 + 2 y_{j+1}
+    - y_{j+2}/4) for even j, the mirror image over the reversed samples
+    for odd j and for the last one; under 3 samples, trapezoids."""
+    parts = np.zeros(y.shape)
+    if y.shape[-1] < 3:
+        parts[..., 1:] = dx * (y[..., 1:] + y[..., :-1]) / 2.0
+        return np.cumsum(parts, axis=-1)
+    d = dx / 3
+    fwd, rev = (d * (5 * f[..., :-2] / 4 + 2 * f[..., 1:-1] - f[..., 2:] / 4)
+                for f in (y, y[..., ::-1]))
+    # fwd[j] is interval j, rev[j] interval n - 2 - j; parts[j + 1] interval j
+    parts[..., 1:-1:2] = fwd[..., ::2]
+    parts[..., 2::2] = rev[..., -1::-2]
+    parts[..., -1] = rev[..., 0]
+    return np.cumsum(parts, axis=-1)
+
+
 def solve_forced(problem: WaveProblem, times) -> WaveSolution:
     """Forced evolution; requested times must be forcing-grid nodes."""
     if problem.forcing is None:
@@ -193,8 +214,8 @@ def solve_forced(problem: WaveProblem, times) -> WaveSolution:
     wt = np.outer(w, tj)
     cos_wt = np.cos(wt)
     sin_wt = np.sin(wt)
-    S = cumulative_simpson(sin_wt * f.table, dx=f.dt, axis=1, initial=0.0)
-    C = cumulative_simpson(cos_wt * f.table, dx=f.dt, axis=1, initial=0.0)
+    S = _cumulative_simpson(sin_wt * f.table, f.dt)
+    C = _cumulative_simpson(cos_wt * f.table, f.dt)
     A = problem.u0_coeffs.coeffs[:, None]
     B = problem.u1_coeffs.coeffs[:, None]
     winv = (1.0 / w)[:, None]

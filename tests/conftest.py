@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vww
 from vww.grid import Grid, GridFunction
 from vww.potential import NuPrimitive
 from vww.prufer import build_basis
@@ -112,3 +117,16 @@ def sine_data(grid: Grid, pairs) -> GridFunction:
 def parabola(grid: Grid) -> GridFunction:
     x = grid.nodes
     return GridFunction(grid, x * (1.0 - x))
+
+
+def scipy_modules_in_fresh_python(code: str) -> list:
+    """Names of the scipy modules loaded after running ``code`` in a new
+    interpreter with this checkout's ``vww`` on its path."""
+    src = os.path.dirname(os.path.dirname(vww.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("\nimport json, sys\nprint(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", code + probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])

@@ -9,6 +9,8 @@ import pytest
 
 from vww.cli import _write_csv, _write_solution_csv, main
 
+from conftest import scipy_modules_in_fresh_python
+
 
 def run_cli(*args):
     return main(list(args))
@@ -87,6 +89,23 @@ class TestEigs:
         cache.pop("meta")
         basis = basis_from_cache(cache)
         assert basis.lambdas[2] == pytest.approx(9.0 * math.pi**2, rel=1e-8)
+
+    def test_samples_potential(self, tmp_path):
+        # 65 samples of sin(2 pi x) against the closed-form sine kind
+        xs = np.linspace(0.0, 1.0, 65)
+        lams = {}
+        for name, smooth in (
+                ("samples", {"kind": "samples",
+                             "params": np.sin(2.0 * math.pi * xs).tolist()}),
+                ("sine", {"kind": "sine", "params": [1.0, 1.0]})):
+            cfg = write_config(tmp_path, f"{name}.json", {
+                "nu": {"smooth": smooth, "jumps": [[0.5, 1.0]]},
+                "grid_n": 512, "n_max": 8})
+            out = tmp_path / name
+            assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 0
+            rows = (out / "eigenvalues.csv").read_text().splitlines()[1:]
+            lams[name] = np.array([float(r.split(",")[1]) for r in rows])
+        assert np.max(np.abs(lams["samples"] / lams["sine"] - 1.0)) <= 1e-9
 
 
 class TestSolveCommands:
@@ -266,6 +285,18 @@ class TestSelftest:
         assert run_cli("eigs", "--selftest") == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+class TestImportPath:
+    """scipy costs most of an import of vww; only ``samples`` loads it."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_in_fresh_python("import vww, vww.cli") == []
+
+    def test_forced_selftest_loads_no_scipy(self):
+        code = ("import vww.cli\n"
+                "assert vww.cli.main(['forced', '--selftest']) == 0")
+        assert scipy_modules_in_fresh_python(code) == []
 
 
 class TestOptions:

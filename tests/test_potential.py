@@ -12,6 +12,9 @@ from vww.potential import (MollifiedNu, MollifierSpec, NuPrimitive,
                            default_ladder, evaluate_nu, extend_by_zero,
                            fit_moderateness, get_profile, mollified_q,
                            mollify_potential)
+from vww.prufer import build_basis
+
+from conftest import scipy_modules_in_fresh_python
 
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
 
@@ -240,6 +243,40 @@ class TestOdePanels:
         mollified = MollifiedNu(base, MollifierSpec(profile, eps))
         self._assert_agree(mollified, base)
         self._assert_agree(PerturbedNu(mollified, self.W, 0.7), base)
+
+
+class TestSamplesKind:
+    """A quintic spline through 65 samples of sin(2 pi x), plus an atom."""
+
+    NU = NuPrimitive("samples",
+                     tuple(np.sin(2.0 * math.pi * np.linspace(0.0, 1.0, 65))),
+                     jumps=((0.5, 1.0),))
+    X = np.linspace(0.0, 1.0, 1001)
+
+    def test_nu_values_closed_form(self):
+        want = np.sin(2.0 * math.pi * self.X) + (self.X > 0.5)
+        assert np.max(np.abs(self.NU.nu_values(self.X) - want)) <= 1e-8
+
+    def test_q_values_closed_form(self):
+        # the spline's derivative is least accurate in its end intervals
+        err = np.abs(self.NU.q_values(self.X)
+                     - 2.0 * math.pi * np.cos(2.0 * math.pi * self.X))
+        inner = (self.X >= 0.1) & (self.X <= 0.9)
+        assert np.max(err[inner]) <= 1e-7
+        assert np.max(err) <= 2e-6
+
+    def test_basis_passes_gram_check(self):
+        basis = build_basis(self.NU, 12, Grid(512), tol=1e-10)
+        assert len(basis) == 12
+        assert basis.gram_max_offdiag <= 1e-7
+
+    def test_scipy_loaded_on_first_evaluation(self):
+        code = ("import sys\n"
+                "from vww.potential import NuPrimitive\n"
+                "nu = NuPrimitive('samples', tuple(range(8)))\n"
+                "assert not any(m.startswith('scipy') for m in sys.modules)\n"
+                "nu.nu_values(0.5)")
+        assert "scipy.interpolate" in scipy_modules_in_fresh_python(code)
 
 
 class TestFits:

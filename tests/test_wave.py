@@ -10,9 +10,9 @@ from vww.errors import (CFLViolation, ConfigError, GridMismatch,
 from vww.grid import Grid, GridFunction
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive
 from vww.spectral import analyze
-from vww.wave import (WaveProblem, analyze_forcing, default_time_grid,
-                      fd_oracle, solve_forced, solve_homogeneous,
-                      spatial_derivatives)
+from vww.wave import (ForcingTable, WaveProblem, _cumulative_simpson,
+                      analyze_forcing, default_time_grid, fd_oracle,
+                      solve_forced, solve_homogeneous, spatial_derivatives)
 
 from conftest import parabola, sine_data
 
@@ -179,6 +179,44 @@ class TestForced:
         z = GridFunction.zeros(g)
         with pytest.raises(TimeGridTooCoarse):
             solve_forced(_prob(free_basis_40, z, z, forcing=ftab), [0.5])
+
+    def test_three_node_table_closed_form(self, free_basis_small):
+        # constant modal forcing f: u_n = f_n (1 - cos w t)/w^2; the
+        # Simpson rule errs by O(dt^4 w^3 |f|) on each Duhamel integral
+        g = free_basis_small.grid
+        z = GridFunction.zeros(g)
+        f = np.random.default_rng(5).standard_normal(len(free_basis_small))
+        tg = np.array([0.0, 0.01, 0.02])
+        ftab = ForcingTable(tg, np.tile(f[:, None], (1, 3)))
+        sol = solve_forced(_prob(free_basis_small, z, z, T=0.02,
+                                 forcing=ftab), tg)
+        w = np.sqrt(free_basis_small.lambdas)[:, None]
+        want = f[:, None] * (1.0 - np.cos(w * tg)) / w**2
+        want_dt = f[:, None] * np.sin(w * tg) / w
+        bound = 0.01**4 * w**2 * np.abs(f[:, None]) / 12.0
+        assert np.all(np.abs(sol.modal - want) <= bound)
+        assert np.all(np.abs(sol.modal_dt - want_dt) <= w * bound)
+
+    def test_two_node_table_rejected(self):
+        with pytest.raises(ConfigError):
+            ForcingTable(np.array([0.0, 0.01]), np.zeros((3, 2)))
+
+
+class TestCumulativeSimpson:
+    """The numpy rule against scipy.integrate.cumulative_simpson."""
+
+    @pytest.mark.parametrize("shape", [(40, 201), (40, 200), (3, 3), (12, 4)])
+    def test_bit_identical_to_scipy(self, shape):
+        from scipy.integrate import cumulative_simpson
+        y = np.random.default_rng(shape[1]).standard_normal(shape)
+        want = cumulative_simpson(y, dx=0.01, axis=1, initial=0.0)
+        assert np.array_equal(_cumulative_simpson(y, 0.01), want)
+
+    def test_two_nodes_trapezoid_like_scipy(self):
+        from scipy.integrate import cumulative_simpson
+        y = np.random.default_rng(2).standard_normal((5, 2))
+        want = cumulative_simpson(y, dx=0.3, axis=1, initial=0.0)
+        assert np.array_equal(_cumulative_simpson(y, 0.3), want)
 
 
 class TestAnalyzeForcing:
