@@ -33,9 +33,9 @@ from jsonschema import Draft202012Validator
 from . import __version__
 from .errors import ConfigError, VwwError
 from .grid import Grid, GridFunction
-from .potential import (MollifierSpec, NuPrimitive, get_profile,
-                        potential_from_descriptor)
-from .prufer import basis_csv_rows, basis_to_cache, build_basis
+from .potential import (MollifierSpec, NuPrimitive, default_ladder,
+                        get_profile, potential_from_descriptor)
+from .prufer import DEFAULT_TOL, basis_csv_rows, basis_to_cache, build_basis
 from .spectral import analyze
 from .wave import (ForcingTable, WaveProblem, analyze_forcing,
                    default_time_grid, solve_forced, solve_homogeneous)
@@ -260,17 +260,6 @@ def _build_forcing(desc: dict, basis, T: float, out_steps: int) -> ForcingTable:
     return analyze_forcing(fvals, basis, times)
 
 
-def _build_ladder(desc) -> tuple:
-    if isinstance(desc, dict):
-        ks = range(int(desc["k_min"]), int(desc["k_max"]) + 1)
-        ladder = tuple(2.0 ** (-k) for k in ks)
-    else:
-        ladder = tuple(float(v) for v in desc)
-    if len(ladder) < 4:
-        raise ConfigError(f"ladder needs at least 4 rungs, got {len(ladder)}")
-    return ladder
-
-
 # -- output helpers ----------------------------------------------------------
 
 
@@ -316,12 +305,14 @@ def _meta(config: dict) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 
+def _basis(config: dict):
+    return build_basis(potential_from_descriptor(config["nu"]),
+                       int(config["n_max"]), Grid(int(config["grid_n"])),
+                       float(config.get("ode_tol", DEFAULT_TOL)))
+
+
 def cmd_eigs(config: dict, out: str) -> None:
-    validate_config("eigs", config)
-    grid = Grid(int(config["grid_n"]))
-    nu = potential_from_descriptor(config["nu"])
-    tol = float(config.get("ode_tol", 1e-11))
-    basis = build_basis(nu, int(config["n_max"]), grid, tol)
+    basis = _basis(config)
     _write_csv(os.path.join(out, "eigenvalues.csv"),
                ("n", "lambda", "theta_residual", "tilde_norm", "psi_norm"),
                basis_csv_rows(basis))
@@ -333,24 +324,23 @@ def cmd_eigs(config: dict, out: str) -> None:
                     {**cache, "meta": _meta(config)})
 
 
-def _solve_common(config: dict, forced: bool):
-    grid = Grid(int(config["grid_n"]))
-    nu = potential_from_descriptor(config["nu"])
-    tol = float(config.get("ode_tol", 1e-11))
-    basis = build_basis(nu, int(config["n_max"]), grid, tol)
+def _solve_common(config: dict):
+    """Build and solve the problem, forced when the config has a forcing."""
+    basis = _basis(config)
+    grid = basis.grid
     u0 = _build_data(config["u0"], grid)
     u1 = _build_data(config["u1"], grid)
     T = float(config["T"])
     n_times = int(config.get("n_times", 201))
     times = np.linspace(0.0, T, n_times)
     forcing = None
-    if forced:
+    if "forcing" in config:
         forcing = _build_forcing(config["forcing"], basis, T, n_times - 1)
     problem = WaveProblem(basis, analyze(u0, basis), analyze(u1, basis), T,
                           forcing=forcing)
-    sol = solve_forced(problem, times) if forced \
+    sol = solve_forced(problem, times) if forcing is not None \
         else solve_homogeneous(problem, times)
-    return basis, problem, sol, times
+    return problem, sol, times
 
 
 def _write_solution_csv(path: str, times: list, nodes: np.ndarray,
@@ -366,7 +356,9 @@ def _write_solution_csv(path: str, times: list, nodes: np.ndarray,
     _atomic_write(path, *parts)
 
 
-def _write_solution(config: dict, out: str, sol, times) -> None:
+def cmd_solve(config: dict, out: str) -> None:
+    """``solve`` and ``forced``: solution.csv and energy.json."""
+    _, sol, times = _solve_common(config)
     times = [float(t) for t in times]
     _write_solution_csv(os.path.join(out, "solution.csv"), times,
                         sol.basis.grid.nodes, sol.values, sol.dt_values)
@@ -384,20 +376,7 @@ def _write_solution(config: dict, out: str, sol, times) -> None:
     _write_json(os.path.join(out, "energy.json"), payload)
 
 
-def cmd_solve(config: dict, out: str) -> None:
-    validate_config("solve", config)
-    _, _, sol, times = _solve_common(config, forced=False)
-    _write_solution(config, out, sol, times)
-
-
-def cmd_forced(config: dict, out: str) -> None:
-    validate_config("forced", config)
-    _, _, sol, times = _solve_common(config, forced=True)
-    _write_solution(config, out, sol, times)
-
-
 def cmd_estimates(config: dict, out: str) -> None:
-    validate_config("estimates", config)
     ids = config["estimate_ids"]
     if ids == "core":
         ids = list(CORE_ESTIMATE_IDS)
@@ -406,7 +385,7 @@ def cmd_estimates(config: dict, out: str) -> None:
     unknown = [i for i in ids if i not in ALL_ESTIMATE_IDS]
     if unknown:
         raise ConfigError(f"unknown estimate ids: {unknown}")
-    _, problem, sol, _ = _solve_common(config, forced="forcing" in config)
+    problem, sol, _ = _solve_common(config)
     k = float(config.get("k", 0.0))
     inputs = {"config": config}
     reports = [verify(i, problem, sol, k=k, inputs=inputs) for i in ids]
@@ -419,33 +398,35 @@ def cmd_estimates(config: dict, out: str) -> None:
                [(r.estimate_id, r.ratio, r.problem_hash) for r in reports])
 
 
+# per mode, the net columns: (report field, net.csv norm_kind, loglog.dat column)
+_NET_COLUMNS = {
+    "existence": (("u_norms", "L2_sup_t", "u_norm"),
+                  ("dtu_norms", "dt_L2_sup_t", "dtu_norm"),
+                  ("q_linf_norms", "q_Linf", "q_linf")),
+    "uniqueness": (("diff_norms", "diff_L2_sup_t", "diff_norm"),),
+    "consistency": (("discrepancies", "discrepancy_sup_t", "discrepancy"),),
+}
+
+
 def cmd_veryweak(config: dict, out: str) -> None:
-    validate_config("veryweak", config)
     grid = Grid(int(config["grid_n"]))
-    ladder = _build_ladder(config["ladder"])
-    tol = float(config.get("ode_tol", 1e-10))
+    ladder = config["ladder"]
+    if isinstance(ladder, dict):
+        ladder = default_ladder(int(ladder["k_min"]), int(ladder["k_max"]))
     exp = VeryWeakExperiment(
         nu=potential_from_descriptor(config["nu"]),
         u0=DataNet(_build_data(config["u0"], grid),
                    float(config.get("u0_scale_exponent", 0.0))),
         u1=DataNet(_build_data(config["u1"], grid),
                    float(config.get("u1_scale_exponent", 0.0))),
-        ladder=ladder, grid=grid,
-        mollifier=config.get("mollifier", "bump"),
-        n_max=int(config["n_max"]), T=float(config["T"]),
-        n_times=int(config.get("n_times", 65)),
-        ode_tol=tol,
+        ladder=ladder, grid=grid, n_max=int(config["n_max"]),
+        T=float(config["T"]),
+        **{k: config[k] for k in ("mollifier", "n_times", "ode_tol")
+           if k in config},
     )
     mode = config["mode"]
     if mode == "existence":
         rep = run_existence(exp, int(config.get("declared_order", 0)))
-        csv_rows = (
-            [(eps, v, "L2_sup_t") for eps, v in zip(ladder, rep.u_norms)]
-            + [(eps, v, "dt_L2_sup_t") for eps, v in zip(ladder, rep.dtu_norms)]
-            + [(eps, v, "q_Linf") for eps, v in zip(ladder, rep.q_linf_norms)]
-        )
-        dat = {"epsilon": ladder, "u_norm": rep.u_norms,
-               "dtu_norm": rep.dtu_norms, "q_linf": rep.q_linf_norms}
     elif mode == "uniqueness":
         if "order" not in config:
             raise ConfigError("uniqueness mode needs 'order'")
@@ -455,25 +436,23 @@ def cmd_veryweak(config: dict, out: str) -> None:
         w1 = _build_data(config["w1"], grid) if "w1" in config else None
         rep = run_uniqueness(exp, int(config["order"]), w_primitive=wp,
                              w0=w0, w1=w1)
-        csv_rows = [(eps, v, "diff_L2_sup_t")
-                    for eps, v in zip(ladder, rep.diff_norms)]
-        dat = {"epsilon": ladder, "diff_norm": rep.diff_norms}
     else:
         rep = run_consistency(exp, float(config.get("tolerance", 1e-3)))
-        csv_rows = [(eps, v, "discrepancy_sup_t")
-                    for eps, v in zip(ladder, rep.discrepancies)]
-        dat = {"epsilon": ladder, "discrepancy": rep.discrepancies}
+    columns = _NET_COLUMNS[mode]
     _write_json(os.path.join(out, "report.json"),
                 {"meta": _meta(config), "mode": mode, "report": rep.to_dict()})
     _write_csv(os.path.join(out, "net.csv"), ("epsilon", "norm", "norm_kind"),
-               csv_rows)
-    _write_dat(os.path.join(out, "loglog.dat"), dat)
+               [(eps, v, kind) for name, kind, _ in columns
+                for eps, v in zip(rep.ladder, getattr(rep, name))])
+    _write_dat(os.path.join(out, "loglog.dat"),
+               {"epsilon": rep.ladder,
+                **{col: getattr(rep, name) for name, _, col in columns}})
 
 
 _COMMANDS = {
     "eigs": cmd_eigs,
     "solve": cmd_solve,
-    "forced": cmd_forced,
+    "forced": cmd_solve,
     "estimates": cmd_estimates,
     "veryweak": cmd_veryweak,
 }
@@ -647,6 +626,7 @@ def main(argv=None) -> int:
         if not args.config or not args.out:
             raise ConfigError("--config and --out are required")
         config = _load_config(args.config)
+        validate_config(args.command, config)
         os.makedirs(args.out, exist_ok=True)
         _COMMANDS[args.command](config, args.out)
     except ConfigError as exc:

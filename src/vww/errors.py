@@ -50,7 +50,7 @@ class UnresolvedBasis(VwwError):
 
 
 class NonPositiveSpectrum(VwwError):
-    """An operation requiring lambda_n > 0 met a non-positive eigenvalue."""
+    """An eigenbasis was given a non-positive eigenvalue."""
 
 
 class TimeGridTooCoarse(VwwError):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,14 +48,7 @@ class EstimateReport:
     inputs: dict
 
     def to_dict(self) -> dict:
-        return {
-            "estimate_id": self.estimate_id,
-            "lhs_max": self.lhs_max,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "t_at_max": self.t_at_max,
-            "inputs": self.inputs,
-        }
+        return asdict(self)
 
     @property
     def problem_hash(self) -> str:

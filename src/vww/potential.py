@@ -759,7 +759,15 @@ def default_ladder(k_min: int = 2, k_max: int = 9) -> tuple:
     return tuple(2.0 ** (-k) for k in range(k_min, k_max + 1))
 
 
-def _fit_loglog(xs: np.ndarray, ys: np.ndarray) -> ExponentFit:
+def _fit_loglog(net: RegularizedNet, xs: np.ndarray) -> ExponentFit:
+    """Least-squares line of log(norm) against xs over a net of at least 4
+    rungs; a zero norm has no logarithm and raises ``DegenerateNet``."""
+    if len(net.ladder) < 4:
+        raise ConfigError("need at least 4 ladder points to fit")
+    norms = np.asarray(net.norms)
+    if np.any(norms <= 0.0):
+        raise DegenerateNet("net contains zero norms; nothing to fit")
+    ys = np.log(norms)
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     return ExponentFit(float(slope), float(np.max(np.abs(resid))), float(intercept))
@@ -767,14 +775,7 @@ def _fit_loglog(xs: np.ndarray, ys: np.ndarray) -> ExponentFit:
 
 def fit_moderateness(net: RegularizedNet) -> ExponentFit:
     """Slope N of log(norm) against log(1/eps): norms ~ eps^-N."""
-    if len(net.ladder) < 4:
-        raise ConfigError("need at least 4 ladder points to fit")
-    norms = np.asarray(net.norms)
-    if np.any(norms <= 0.0):
-        raise DegenerateNet(
-            "net contains zero norms (exponent -inf); nothing to fit"
-        )
-    return _fit_loglog(np.log(1.0 / np.asarray(net.ladder)), np.log(norms))
+    return _fit_loglog(net, np.log(1.0 / np.asarray(net.ladder)))
 
 
 class NegligibilityReport(NamedTuple):
@@ -791,14 +792,7 @@ def check_negligibility(net: RegularizedNet, order: int) -> NegligibilityReport:
     """Fit log(norm) against log(eps); pass when slope >= order - 0.2."""
     if order < 1:
         raise ConfigError("negligibility order must be a positive integer")
-    if len(net.ladder) < 4:
-        raise ConfigError("need at least 4 ladder points to fit")
-    norms = np.asarray(net.norms)
-    if np.any(norms <= 0.0):
-        raise DegenerateNet(
-            "net contains zero norms (negligible at every order)"
-        )
-    fit = _fit_loglog(np.log(np.asarray(net.ladder)), np.log(norms))
+    fit = _fit_loglog(net, np.log(np.asarray(net.ladder)))
     return NegligibilityReport(
         fit.slope >= order - NEGLIGIBILITY_MARGIN, fit.slope, fit.max_dev, order
     )

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BracketFailure, GridMismatch, NonPositiveLambda, UnresolvedBasis
+from .errors import (BracketFailure, GridMismatch, NonPositiveLambda,
+                     NonPositiveSpectrum, UnresolvedBasis)
 from .grid import Grid
 from .ode import integrate_rk45
 from .potential import Potential, potential_from_descriptor
@@ -190,7 +191,8 @@ class EigenBasis:
     phi_matrix and phi_prime_matrix are the normalized eigenfunctions and
     their derivatives at the nodes, shape (N, nodes); eta and log_r the
     phase path they come from; tilde_norms the L^2 norms of r sin(theta);
-    theta_residuals theta(1, lambda_n) - pi n.
+    theta_residuals theta(1, lambda_n) - pi n.  Every lambda_n is positive,
+    as the frequencies sqrt(lambda_n) and negative Sobolev orders need.
     """
 
     ns: np.ndarray
@@ -218,6 +220,9 @@ class EigenBasis:
         if rows != {(len(self.ns), self.grid.n + 1)}:
             raise GridMismatch(f"{len(self.ns)} modes on {self.grid.n + 1} "
                                f"nodes, but rows of shapes {sorted(rows)}")
+        if np.any(self.lambdas <= 0.0):
+            raise NonPositiveSpectrum(
+                f"non-positive eigenvalue {self.lambdas.min():.6g} in basis")
 
     def __len__(self) -> int:
         return len(self.lambdas)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, NonPositiveSpectrum
+from .errors import GridMismatch
 from .grid import GridFunction
 from .prufer import EigenBasis
 
@@ -55,9 +55,6 @@ def synthesize(c: SpectralCoeffs) -> GridFunction:
 def sobolev_norm(c: SpectralCoeffs, k: float) -> float:
     """(sum_n lambda_n^k c_n^2)^(1/2) for real k."""
     lam = c.basis.lambdas
-    if np.any(lam <= 0.0):
-        raise NonPositiveSpectrum(
-            f"need positive spectrum for order {k}, min lambda {lam.min():.6g}")
     weights = np.exp(k * np.log(lam)) if k != 0.0 else np.ones_like(lam)
     return float(np.sqrt(np.sum(weights * c.coeffs**2)))
 

@@ -17,14 +17,15 @@ the ladder decide the verdicts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateNet, NotBoundedPotential
 from .grid import Grid, GridFunction
-from .potential import (MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu,
-                        RegularizedNet, check_negligibility, fit_moderateness)
+from .potential import (ExponentFit, MollifiedNu, MollifierSpec, NuPrimitive,
+                        PerturbedNu, RegularizedNet, check_negligibility,
+                        fit_moderateness)
 from .prufer import build_basis
 from .spectral import analyze, sobolev_norm
 from .wave import WaveProblem, solve_homogeneous
@@ -45,6 +46,9 @@ class DataNet:
 
 @dataclass(frozen=True)
 class VeryWeakExperiment:
+    """One ladder experiment; the ladder has at least 4 strictly decreasing
+    rungs, the fewest a log-log fit accepts."""
+
     nu: NuPrimitive
     u0: DataNet
     u1: DataNet
@@ -58,9 +62,12 @@ class VeryWeakExperiment:
 
     def __post_init__(self):
         lad = tuple(float(e) for e in self.ladder)
-        if not lad or any(b >= a for a, b in zip(lad, lad[1:])):
-            raise ConfigError("ladder must be nonempty, strictly decreasing")
+        if len(lad) < 4:
+            raise ConfigError(f"ladder needs at least 4 rungs, got {len(lad)}")
+        if any(b >= a for a, b in zip(lad, lad[1:])):
+            raise ConfigError("ladder must be strictly decreasing")
         object.__setattr__(self, "ladder", lad)
+        object.__setattr__(self, "n_times", int(self.n_times))
 
     @property
     def times(self) -> np.ndarray:
@@ -74,9 +81,10 @@ def _solve_for(e: VeryWeakExperiment, potential, u0: GridFunction,
     return basis, problem, solve_homogeneous(problem, e.times)
 
 
-def _try_fit(ladder, norms):
+def _try_fit(fit, ladder, norms, *args):
+    """fit(net, *args) on the net of norms, or None when a norm is zero."""
     try:
-        return fit_moderateness(RegularizedNet(tuple(ladder), tuple(norms)))
+        return fit(RegularizedNet(ladder, norms), *args)
     except DegenerateNet:
         return None
 
@@ -84,33 +92,28 @@ def _try_fit(ladder, norms):
 MODERATENESS_MARGIN = 0.2
 
 
+class _Report:
+    """A frozen dataclass report, serialized field by field."""
+
+    def to_dict(self) -> dict:
+        def plain(v):
+            if isinstance(v, ExponentFit):
+                return {"slope": v.slope, "max_dev": v.max_dev}
+            return list(v) if isinstance(v, tuple) else v
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class NetReport:
+class NetReport(_Report):
     ladder: tuple
     u_norms: tuple
     dtu_norms: tuple
     q_linf_norms: tuple
-    u_exponent: object
-    dtu_exponent: object
-    q_exponent: object
+    u_exponent: ExponentFit | None
+    dtu_exponent: ExponentFit | None
+    q_exponent: ExponentFit | None
     declared_order: int
     moderate: bool
-
-    def to_dict(self) -> dict:
-        def fit_dict(f):
-            return None if f is None else {
-                "slope": f.slope, "max_dev": f.max_dev}
-        return {
-            "ladder": list(self.ladder),
-            "u_norms": list(self.u_norms),
-            "dtu_norms": list(self.dtu_norms),
-            "q_linf_norms": list(self.q_linf_norms),
-            "u_exponent": fit_dict(self.u_exponent),
-            "dtu_exponent": fit_dict(self.dtu_exponent),
-            "q_exponent": fit_dict(self.q_exponent),
-            "declared_order": self.declared_order,
-            "moderate": self.moderate,
-        }
 
 
 def run_existence(e: VeryWeakExperiment, declared_order: int = 0) -> NetReport:
@@ -123,11 +126,9 @@ def run_existence(e: VeryWeakExperiment, declared_order: int = 0) -> NetReport:
                 float(np.max(sol.dt_l2_series())),
                 q_eps.q_linf())
 
-    rows = [one(eps) for eps in e.ladder]
-    u_norms, dtu_norms, q_norms = (tuple(r[i] for r in rows) for i in range(3))
-    u_fit = _try_fit(e.ladder, u_norms)
-    dtu_fit = _try_fit(e.ladder, dtu_norms)
-    q_fit = _try_fit(e.ladder, q_norms)
+    u_norms, dtu_norms, q_norms = zip(*(one(eps) for eps in e.ladder))
+    u_fit, dtu_fit, q_fit = (_try_fit(fit_moderateness, e.ladder, norms)
+                             for norms in (u_norms, dtu_norms, q_norms))
     bound = declared_order + MODERATENESS_MARGIN
     moderate = all(f is None or f.slope <= bound for f in (u_fit, dtu_fit))
     return NetReport(
@@ -138,23 +139,13 @@ def run_existence(e: VeryWeakExperiment, declared_order: int = 0) -> NetReport:
 
 
 @dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(_Report):
     ladder: tuple
     diff_norms: tuple
     order: int
     slope: float | None
     passed: bool
     esnh1_ratios: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "ladder": list(self.ladder),
-            "diff_norms": list(self.diff_norms),
-            "order": self.order,
-            "slope": self.slope,
-            "passed": self.passed,
-            "esnh1_ratios": list(self.esnh1_ratios),
-        }
 
 
 def run_uniqueness(e: VeryWeakExperiment, order: int,
@@ -209,21 +200,16 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
             float("inf") if rhs == 0.0 else diff_sup**2 / rhs)
         return diff_sup, ratio
 
-    rows = [one(eps) for eps in e.ladder]
-    diffs = tuple(r[0] for r in rows)
-    ratios = tuple(r[1] for r in rows)
-    try:
-        rep = check_negligibility(
-            RegularizedNet(e.ladder, diffs), order)
-        slope, passed = rep.slope, rep.passed
-    except DegenerateNet:
-        slope, passed = None, True  # identically zero difference net
+    diffs, ratios = zip(*(one(eps) for eps in e.ladder))
+    rep = _try_fit(check_negligibility, e.ladder, diffs, order)
+    # an identically zero difference net is negligible at every order
+    slope, passed = (None, True) if rep is None else (rep.slope, rep.passed)
     return UniquenessReport(ladder=e.ladder, diff_norms=diffs, order=order,
                             slope=slope, passed=passed, esnh1_ratios=ratios)
 
 
 @dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Report):
     ladder: tuple
     discrepancies: tuple
     strictly_decreasing: bool
@@ -233,19 +219,6 @@ class ConsistencyReport:
     rate: float | None
     time_grid_sensitivity: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "ladder": list(self.ladder),
-            "discrepancies": list(self.discrepancies),
-            "strictly_decreasing": self.strictly_decreasing,
-            "spike_flagged": self.spike_flagged,
-            "final_value": self.final_value,
-            "tolerance": self.tolerance,
-            "rate": self.rate,
-            "time_grid_sensitivity": self.time_grid_sensitivity,
-            "passed": self.passed,
-        }
 
 
 def run_consistency(e: VeryWeakExperiment,
@@ -272,13 +245,13 @@ def run_consistency(e: VeryWeakExperiment,
     drops = np.diff(disc)
     decreasing = bool(np.all(drops < 0.0))
     spike = bool(np.any(np.asarray(disc[1:]) > 1.05 * np.asarray(disc[:-1])))
-    rate = None
-    if len(e.ladder) >= 4 and all(d > 0.0 for d in disc):
-        rate = float(np.polyfit(np.log(e.ladder), np.log(disc), 1)[0])
+    # the log(eps) slope, which does not depend on the order passed
+    fit = _try_fit(check_negligibility, e.ladder, disc, 1)
     return ConsistencyReport(
         ladder=e.ladder, discrepancies=disc,
         strictly_decreasing=decreasing, spike_flagged=spike,
-        final_value=disc[-1], tolerance=tolerance, rate=rate,
+        final_value=disc[-1], tolerance=tolerance,
+        rate=None if fit is None else fit.slope,
         time_grid_sensitivity=float(sens),
         passed=decreasing and disc[-1] <= tolerance,
     )

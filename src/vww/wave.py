@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AtomEvaluation, CFLViolation, ConfigError, GridMismatch,
-                     NonPositiveSpectrum, TimeGridTooCoarse)
+                     TimeGridTooCoarse)
 from .grid import Grid, GridFunction
 from .prufer import EigenBasis
 from .spectral import SpectralCoeffs
@@ -129,23 +129,13 @@ class WaveSolution:
         return np.sqrt(np.sum(self.modal_dt**2, axis=0))
 
     def wk_series(self, k: float) -> np.ndarray:
-        lam = self.basis.lambdas
-        if np.any(lam <= 0.0):
-            raise NonPositiveSpectrum("need positive spectrum for W^k norms")
-        w = np.exp(k * np.log(lam))
+        w = np.exp(k * np.log(self.basis.lambdas))
         return np.sqrt(w @ self.modal**2)
 
     def energy_series(self) -> np.ndarray:
         """sum_n lambda_n u_n(t)^2 + u_n'(t)^2 per stored t."""
         lam = self.basis.lambdas
         return lam @ self.modal**2 + np.sum(self.modal_dt**2, axis=0)
-
-
-def _check_spectrum(basis: EigenBasis):
-    lam = basis.lambdas
-    if np.any(lam <= 0.0):
-        raise NonPositiveSpectrum(
-            f"non-positive eigenvalue {lam.min():.6g} in basis")
 
 
 def _synthesize_solution(basis, times, modal, modal_dt) -> WaveSolution:
@@ -161,7 +151,6 @@ def solve_homogeneous(problem: WaveProblem, times) -> WaveSolution:
     """Free evolution of the projected data over the stored times."""
     if problem.forcing is not None:
         raise ConfigError("homogeneous solve called with forcing present")
-    _check_spectrum(problem.basis)
     times = np.asarray(times, dtype=float)
     lam = problem.basis.lambdas
     w = np.sqrt(lam)
@@ -198,7 +187,6 @@ def solve_forced(problem: WaveProblem, times) -> WaveSolution:
     """Forced evolution; requested times must be forcing-grid nodes."""
     if problem.forcing is None:
         raise ConfigError("forced solve needs a forcing table")
-    _check_spectrum(problem.basis)
     f = problem.forcing
     lam = problem.basis.lambdas
     w = np.sqrt(lam)

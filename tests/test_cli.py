@@ -63,6 +63,14 @@ class TestEigs:
         assert run_cli("eigs", "--config", cfg, "--out",
                        str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("command", ["eigs", "solve", "forced",
+                                         "estimates", "veryweak"])
+    def test_invalid_config_creates_no_out_dir(self, tmp_path, command):
+        cfg = write_config(tmp_path, "c.json", {"bogus": True})
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_solver_failure_exits_3_naming_mode(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "nu": {"smooth": {"kind": "zero"}, "jumps": [[0.5, -6.0]]},
@@ -270,6 +278,40 @@ class TestVeryweakCommand:
                            dict(VW_BASE, ladder=[0.25, 0.125, 0.0625]))
         assert run_cli("veryweak", "--config", cfg, "--out",
                        str(tmp_path / "o")) == 2
+
+    def test_reversed_k_range_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json",
+                           dict(VW_BASE, ladder={"k_min": 5, "k_max": 2}))
+        assert run_cli("veryweak", "--config", cfg, "--out",
+                       str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("mode, extra, layout", [
+        ("existence", {"nu": {"smooth": {"kind": "zero"},
+                              "jumps": [[0.5, 1.0]]}},
+         [("u_norms", "L2_sup_t", "u_norm"),
+          ("dtu_norms", "dt_L2_sup_t", "dtu_norm"),
+          ("q_linf_norms", "q_Linf", "q_linf")]),
+        ("uniqueness", {"nu": FREE_NU, "order": 2,
+                        "w0": {"kind": "sine_combo", "params": [[1, 2]]}},
+         [("diff_norms", "diff_L2_sup_t", "diff_norm")]),
+        ("consistency", {},
+         [("discrepancies", "discrepancy_sup_t", "discrepancy")]),
+    ])
+    def test_net_files_follow_report(self, tmp_path, mode, extra, layout):
+        cfg = write_config(tmp_path, "c.json", dict(VW_BASE, mode=mode, **extra))
+        out = tmp_path / "o"
+        assert run_cli("veryweak", "--config", cfg, "--out", str(out)) == 0
+        rep = json.loads((out / "report.json").read_text())["report"]
+        net = (out / "net.csv").read_text().splitlines()
+        assert net[0] == "epsilon,norm,norm_kind"
+        assert [row.split(",") for row in net[1:]] == [
+            [repr(eps), repr(v), kind] for field, kind, _ in layout
+            for eps, v in zip(rep["ladder"], rep[field])]
+        dat = (out / "loglog.dat").read_text().splitlines()
+        assert dat[0] == "# epsilon " + " ".join(col for *_, col in layout)
+        columns = zip(*([float(v) for v in row.split()] for row in dat[1:]))
+        assert [list(c) for c in columns] == [
+            rep["ladder"], *(rep[field] for field, *_ in layout)]
 
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", VW_BASE)

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 import vww.prufer
 from conftest import catalog_potentials
 from vww.errors import (BracketFailure, GridMismatch, NonPositiveLambda,
-                        UnresolvedBasis)
+                        NonPositiveSpectrum, UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, _magnus_mesh, _magnus_phase,
@@ -378,6 +378,12 @@ class TestCache:
         cache = basis_to_cache(build_basis(STEP, 2, Grid(64)), True)
         with pytest.raises(GridMismatch, match="2 modes on 129 nodes"):
             basis_from_cache({**cache, "grid_n": 128})
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_nonpositive_cached_lambda_rejected(self, lam):
+        cache = basis_to_cache(build_basis(STEP, 2, Grid(64)), True)
+        with pytest.raises(NonPositiveSpectrum, match="non-positive eigenvalue"):
+            basis_from_cache({**cache, "lambdas": [lam, cache["lambdas"][1]]})
 
     def test_basis_arrays_read_only(self, free_basis_small):
         with pytest.raises(ValueError):

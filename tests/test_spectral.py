@@ -113,8 +113,8 @@ class TestSobolevNorm:
         from vww.spectral import SpectralCoeffs
 
         lams = np.r_[-1.0, free_basis_40.lambdas[1:]]
-        bad = dataclasses.replace(free_basis_40, lambdas=lams)
         with pytest.raises(NonPositiveSpectrum):
+            bad = dataclasses.replace(free_basis_40, lambdas=lams)
             sobolev_norm(SpectralCoeffs(bad, np.ones(len(bad))), 1.0)
 
 

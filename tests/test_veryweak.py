@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vww.errors import NotBoundedPotential
+from vww.errors import ConfigError, NotBoundedPotential
 from vww.grid import Grid, GridFunction
 from vww.potential import NuPrimitive, default_ladder
 from vww.veryweak import (DataNet, VeryWeakExperiment, run_consistency,
@@ -27,6 +27,23 @@ def experiment(nu, grid, ladder=None, u0=None, u1=None, **kw):
 @pytest.fixture(scope="module")
 def grid1024():
     return Grid(1024)
+
+
+class TestExperiment:
+    def test_three_rung_ladder_rejected(self, grid1024):
+        with pytest.raises(ConfigError, match="at least 4 rungs, got 3"):
+            experiment(NuPrimitive(), grid1024, ladder=default_ladder(2, 4))
+
+    def test_ladder_must_decrease(self, grid1024):
+        with pytest.raises(ConfigError, match="strictly decreasing"):
+            experiment(NuPrimitive(), grid1024, ladder=(0.5, 0.25, 0.25, 0.1))
+
+    def test_defaults_and_integral_n_times(self, grid1024):
+        e = VeryWeakExperiment(NuPrimitive(), DataNet(parabola(grid1024)),
+                               DataNet(parabola(grid1024)), default_ladder(2, 5),
+                               grid1024, n_times=17.0)
+        assert (e.mollifier, e.ode_tol) == ("bump", 1e-10)
+        assert e.n_times == 17 and e.times.size == 17
 
 
 class TestExistence:
