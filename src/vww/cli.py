@@ -622,24 +622,29 @@ def main(argv=None) -> int:
 
     if args.selftest:
         return _selftest()
+    made, code = False, 0
     try:
         if not args.config or not args.out:
             raise ConfigError("--config and --out are required")
         config = _load_config(args.config)
         validate_config(args.command, config)
+        made = not os.path.isdir(args.out)
         os.makedirs(args.out, exist_ok=True)
         _COMMANDS[args.command](config, args.out)
     except ConfigError as exc:
         print(f"vww: config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except VwwError as exc:
         print(f"vww: numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
-        return 3
+        code = 3
     except OSError as exc:
         print(f"vww: i/o failure: {exc}", file=sys.stderr)
-        return 4
-    return 0
+        code = 4
+    # a failed command leaves no empty --out behind that it created itself
+    if code and made and os.path.isdir(args.out) and not os.listdir(args.out):
+        os.rmdir(args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -357,3 +357,33 @@ class TestIOFailure:
         cfg = write_config(tmp_path, "c.json", {
             "nu": FREE_NU, "grid_n": 256, "n_max": 2})
         assert run_cli("eigs", "--config", cfg, "--out", str(blocker)) == 4
+
+
+class TestFailedCommandOutDir:
+    # each config passes the schema; the command itself raises ConfigError
+    @pytest.mark.parametrize("command, payload", [
+        ("estimates", {"nu": FREE_NU, "grid_n": 256, "n_max": 5, "T": 1.0,
+                       "u0": {"kind": "zero"}, "u1": {"kind": "zero"},
+                       "estimate_ids": ["nope"]}),
+        ("veryweak", dict(VW_BASE, mode="uniqueness", nu=FREE_NU)),
+        ("solve", {"nu": FREE_NU, "grid_n": 256, "n_max": 5, "T": 1.0,
+                   "u0": {"kind": "samples", "params": [0.0] * 10},
+                   "u1": {"kind": "zero"}}),
+    ], ids=["unknown_estimate_id", "uniqueness_without_order",
+            "samples_wrong_length"])
+    def test_config_error_leaves_no_out_dir(self, tmp_path, command, payload):
+        out = tmp_path / "o"
+        assert run_cli(command, "--config",
+                       write_config(tmp_path, "c.json", payload),
+                       "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_existing_out_dir_survives(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": FREE_NU, "grid_n": 256, "n_max": 5, "T": 1.0,
+            "u0": {"kind": "zero"}, "u1": {"kind": "zero"},
+            "estimate_ids": ["nope"]})
+        assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 2
+        assert out.is_dir() and not os.listdir(out)

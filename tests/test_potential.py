@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from vww.errors import ConfigError, DegenerateNet, MissingNorm, UnresolvedMollifier
 from vww.grid import Grid, GridFunction
 from vww.potential import (MollifiedNu, MollifierSpec, NuPrimitive,
-                           PerturbedNu, RegularizedNet, check_negligibility,
+                           PerturbedNu, RegularizedNet, _window_conv,
+                           check_negligibility,
                            default_ladder, evaluate_nu, extend_by_zero,
                            fit_moderateness, get_profile, mollified_q,
                            mollify_potential)
@@ -153,6 +155,89 @@ class TestMollify:
         h = 1e-6
         fd = (mn.nu_values(xs + h) - mn.nu_values(xs - h)) / (2.0 * h)
         assert np.max(np.abs(fd - mn.q_values(xs))) <= 1e-6
+
+
+class TestWindowConvOracle:
+    """q_eps and the smoothed primitive against adaptive quadrature
+    (scipy.integrate.quad) of the defining integrals, one window per point,
+    with psi normalized by quad too."""
+
+    NU = NuPrimitive("sine", (0.7, 2.0, 0.3))
+
+    @staticmethod
+    def points(eps):
+        ulp = [np.nextafter(e, d) for e in (eps, 1.0 - eps) for d in (0.0, 2.0)]
+        return np.array([0.5, 0.3 * eps, 1.0 - 0.7 * eps, 0.0, 1.0,
+                         eps, 1.0 - eps, *ulp,
+                         -0.5 * eps, 1.0 + 0.5 * eps, -2.0, 1.5])
+
+    @staticmethod
+    def psi(bump):
+        def raw(u):
+            return math.exp(-bump.sharpness / (1.0 - u * u)) * (1.0 + bump.tilt * u)
+        norm = quad(raw, -1.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        return lambda u: raw(u) / norm if abs(u) < 1.0 else 0.0
+
+    @staticmethod
+    def window_quad(h, psi, x, eps, clamp):
+        """int h(y(u)) psi(u) du over [-1, 1] with y = x - eps*u, split at
+        the kinks y = 0 and y = 1; outside [0, 1] h is 0 or, with clamp,
+        held at h(0) and h(1)."""
+        def integrand(u):
+            y = x - eps * u
+            if not clamp and not 0.0 <= y <= 1.0:
+                return 0.0
+            return float(h(min(max(y, 0.0), 1.0))) * psi(u)
+        kinks = [u for u in (x / eps, (x - 1.0) / eps) if -1.0 < u < 1.0]
+        return quad(integrand, -1.0, 1.0, points=kinks or None,
+                    epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    @pytest.mark.parametrize("eps", [0.25, 1.0 / 32])
+    @pytest.mark.parametrize("profile", ["bump", "bump_skew"])
+    def test_mollified_q_sine(self, profile, eps):
+        bump, xs = get_profile(profile), self.points(eps)
+        psi = self.psi(bump)
+        want = [self.window_quad(self.NU.q_values, psi, x, eps, False)
+                for x in xs]
+        scale = 0.7 * 4.0 * math.pi  # max |g| of a sin(2 pi m x + phase)
+        got = mollified_q(self.NU, eps, bump, xs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("eps", [0.25, 1.0 / 32])
+    @pytest.mark.parametrize("profile", ["bump", "bump_skew"])
+    def test_smooth_conv_sine(self, profile, eps):
+        # the clamped primitive G(clip(y, 0, 1)), G(t) = int_0^t g
+        xs = self.points(eps)
+        psi = self.psi(get_profile(profile))
+        want = [self.window_quad(self.NU.density_integral, psi, x, eps, True)
+                for x in xs]
+        got = MollifiedNu(self.NU, MollifierSpec(profile, eps))._smooth_conv(xs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * 2.0 * 0.7
+
+
+class TestWindowConvWork:
+    def test_f_called_per_chunk_not_per_node(self):
+        shapes = []
+
+        def f(y):
+            shapes.append(y.shape)
+            return np.cos(y)
+        _window_conv(f, np.linspace(0.0, 1.0, 4097), 0.25, get_profile("bump"))
+        assert len(shapes) < 64
+        assert all(len(s) == 2 for s in shapes)
+
+    def test_table_build_peak_memory(self):
+        import tracemalloc
+        nu = NuPrimitive("linear", (5.0,))
+        spec = MollifierSpec("bump", 0.25)
+        spec.bump.primitive(0.0)  # the Psi table is built once per process
+        tracemalloc.start()
+        try:
+            MollifiedNu(nu, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestNorms:
