@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, MissingNorm
 from .grid import GridFunction
 from .spectral import sobolev_norm, synthesize
-from .wave import ForcingTable, WaveProblem, WaveSolution
+from .wave import ForcingTable, WaveProblem, WaveSolution, x_derivative
 
 
 @dataclass(frozen=True)
@@ -165,21 +165,14 @@ def _right_side(groups: tuple, norms: _Norms) -> float:
 
 
 def _lhs_series(family: str, sol: WaveSolution, nu, k: float) -> np.ndarray:
-    basis = sol.basis
     if family == "u":
         return sol.l2_series() ** 2
     if family == "u_t":
         return sol.dt_l2_series() ** 2
     if family == "w_k":
         return sol.wk_series(k) ** 2
-    w = basis.grid.simpson_weights
-    if family == "u_x":
-        vals = sol.modal.T @ basis.phi_prime_matrix
-        return vals**2 @ w
-    q_nodes = nu.q_values(basis.grid.nodes)
-    vals = q_nodes[None, :] * sol.values \
-        - (basis.lambdas[:, None] * sol.modal).T @ basis.phi_matrix
-    return vals**2 @ w
+    vals = x_derivative(sol, nu, 1 if family == "u_x" else 2)
+    return vals**2 @ sol.basis.grid.simpson_weights
 
 
 def verify(estimate_id: str, problem: WaveProblem, solution: WaveSolution,

@@ -29,6 +29,17 @@ def _grid_arrays(n: int):
     return nodes, h, w
 
 
+def freeze_arrays(record, *names: str, copy: bool = False, dtype=float) -> None:
+    """Set the named fields of a frozen dataclass to read-only arrays:
+    C-ordered copies with ``copy``, else views, so that a record never
+    changes the ``writeable`` flag of the caller's arrays."""
+    for name in names:
+        arr = np.asarray(getattr(record, name), dtype=dtype)
+        arr = arr.copy() if copy else arr.view()  # ndarray.copy is C-ordered
+        arr.flags.writeable = False
+        object.__setattr__(record, name, arr)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid with ``n`` intervals (``n + 1`` nodes) on [0, 1]."""
@@ -79,14 +90,10 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n + 1,):
-            raise GridMismatch(
-                f"expected {self.grid.n + 1} samples, got shape {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        freeze_arrays(self, "values", copy=True)
+        if self.values.shape != (self.grid.n + 1,):
+            raise GridMismatch(f"expected {self.grid.n + 1} samples, "
+                               f"got shape {self.values.shape}")
 
     @classmethod
     def from_callable(cls, grid: Grid, f) -> "GridFunction":

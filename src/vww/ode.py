@@ -67,12 +67,12 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(v, v)) / v.size)
 
 
-def _error_norm(err, y0, y1, rtol, atol):
-    return _rms(err / (atol + rtol * np.maximum(np.abs(y0), np.abs(y1))))
+def _error_norm(err, y0, y1, tol):
+    return _rms(err / (tol + tol * np.maximum(np.abs(y0), np.abs(y1))))
 
 
-def _initial_step(rhs, x0, y0, f0, span, rtol, atol):
-    scale = atol + rtol * np.abs(y0)
+def _initial_step(rhs, x0, y0, f0, span, tol):
+    scale = tol + tol * np.abs(y0)
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
@@ -87,7 +87,7 @@ def _initial_step(rhs, x0, y0, f0, span, rtol, atol):
 
 
 def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
-                   rtol: float = 1e-11, atol: float = 1e-11,
+                   tol: float = 1e-11,
                    samples: np.ndarray | None = None,
                    first_step: float | None = None,
                    max_steps: int = 2_000_000):
@@ -95,6 +95,8 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
 
     Parameters
     ----------
+    tol : float
+        Relative and absolute tolerance of the scaled error norm.
     samples : ndarray, optional
         Sorted points in (x0, x1] at which to record the state.  Steps do
         not stop on them: a sample inside an accepted step is read off the
@@ -116,7 +118,7 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     k = np.empty((7,) + y.shape)  # the seven stages, stacked
     kf = k.reshape(7, -1)  # (7, n) view for the tableau products
     f0 = rhs(x0, y)
-    h = first_step if first_step else _initial_step(rhs, x0, y, f0, span, rtol, atol)
+    h = first_step if first_step else _initial_step(rhs, x0, y, f0, span, tol)
     h = min(h, span)
     sampled = None
     next_sample = 0
@@ -140,7 +142,7 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
         y_new = y + h * (_B @ kf[:6]).reshape(y.shape)
         k[6] = rhs(x + h, y_new)
         err = h * (_E @ kf).reshape(y.shape)
-        enorm = _error_norm(err, y, y_new, rtol, atol)
+        enorm = _error_norm(err, y, y_new, tol)
         n_steps += 1
         if enorm <= 1.0:
             x_new = x1 if last else x + h

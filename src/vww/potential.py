@@ -18,8 +18,10 @@ each panel, called with one float and computing in plain float
 arithmetic (over tables built once, for :class:`MollifiedNu`), since it
 runs at every Runge-Kutta stage; their interior edges
 ``breakpoints``; ``jumps``, the (location, height) Dirac atoms still
-present in q, empty when q is bounded and ``q_linf`` exists; ``q_linf``,
-``norm_l2`` and ``norm_linf`` (of nu) and ``descriptor``.
+present in q, empty when q is bounded and ``q_linf`` exists; and
+``descriptor``.  The base class states ``q_linf`` and the norms of nu,
+``norm_l2`` and ``norm_linf``, once for all three: per-panel rules read
+through ``nu_values``, ``breakpoints`` and ``jumps``.
 
 The ``samples`` smooth kind is the only user of scipy in vww: its quintic
 spline (``scipy.interpolate.InterpolatedUnivariateSpline``) is imported
@@ -150,13 +152,8 @@ class BumpProfile:
 
     def mass(self) -> float:
         """Quadrature check of int psi (should be 1 by construction)."""
-        self._build()
-        gx, gw = _gauss_rule(64)
-        edges = np.linspace(-1.0, 1.0, 65)
-        half = (edges[1] - edges[0]) / 2.0
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        pts = mids[:, None] + half * gx[None, :]
-        return float(np.sum(self.density(pts) @ gw) * half)
+        nodes, weights = _composite_rule(64, 64)
+        return float(self.density(nodes) @ weights)
 
 
 PROFILES: dict[str, BumpProfile] = {
@@ -202,8 +199,10 @@ def _samples_spline(values: tuple):
 class Potential:
     """Base of the potential protocol (see the module docstring).
 
-    The norms here sample a fine uniform grid; :class:`NuPrimitive`
-    replaces those of nu by exact per-panel ones.  ``mollified_atoms``
+    The norms of nu are per-panel rules over [0, *breakpoints, 1], read
+    through ``nu_values``: Gauss-Legendre for ``norm_l2``, uniform samples
+    for ``norm_linf``, which takes the right limit at each panel start by
+    adding the heights of the ``jumps`` located there.  ``mollified_atoms``
     are the centres of atoms smoothed into narrow bumps, which ``q_linf``
     probes besides the grid.
     """
@@ -218,12 +217,28 @@ class Potential:
         xs = np.concatenate([np.linspace(0.0, 1.0, 8193), self.mollified_atoms])
         return float(np.max(np.abs(self.q_values(xs))))
 
+    def _panels(self):
+        edges = [0.0, *self.breakpoints, 1.0]
+        return zip(edges[:-1], edges[1:])
+
     def norm_l2(self) -> float:
-        dense = Grid(8192)
-        return dense.norm_l2(self.nu_values(dense.nodes))
+        """L^2(0,1) norm of nu, by per-panel Gauss quadrature."""
+        gx, gw = _gauss_rule(64)
+        total = 0.0
+        for a, b in self._panels():
+            half = (b - a) / 2.0
+            vals = self.nu_values((a + b) / 2.0 + half * gx)
+            total += half * float(gw @ vals**2)
+        return math.sqrt(max(total, 0.0))
 
     def norm_linf(self) -> float:
-        return float(np.max(np.abs(self.nu_values(np.linspace(0.0, 1.0, 8193)))))
+        heights = dict(self.jumps)
+        sup = 0.0
+        for a, b in self._panels():
+            vals = self.nu_values(np.linspace(a, b, _LINF_SAMPLES_PER_PANEL))
+            vals[0] += heights.get(a, 0.0)  # nu_values takes the left limit
+            sup = max(sup, float(np.max(np.abs(vals))))
+        return sup
 
 
 @dataclass(frozen=True)
@@ -327,13 +342,10 @@ class NuPrimitive(Potential):
 
     def _panel_offsets(self) -> list[tuple[float, float, float]]:
         """(a, b, jump offset) for each smooth panel of [0, 1]."""
-        edges = [0.0, *self.breakpoints, 1.0]
         heights = dict(self.jumps)
-        panels = []
-        offset = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if a in heights:
-                offset += heights[a]
+        panels, offset = [], 0.0
+        for a, b in self._panels():
+            offset += heights.get(a, 0.0)
             panels.append((a, b, offset))
         return panels
 
@@ -360,27 +372,7 @@ class NuPrimitive(Potential):
         spl = _samples_spline(self.smooth_params)
         return lambda x: float(spl(x)) + shift
 
-    # -- norms and reporting -----------------------------------------------
-
-    def norm_l2(self) -> float:
-        """L^2(0,1) norm of nu, by per-panel Gauss quadrature."""
-        gx, gw = _gauss_rule(64)
-        total = 0.0
-        for a, b, shift in self._panel_offsets():
-            if b <= a:
-                continue
-            half = (b - a) / 2.0
-            pts = (a + b) / 2.0 + half * gx
-            vals = self.smooth_values(pts) + shift
-            total += half * float(gw @ vals**2)
-        return math.sqrt(max(total, 0.0))
-
-    def norm_linf(self) -> float:
-        sup = 0.0
-        for a, b, shift in self._panel_offsets():
-            xs = np.linspace(a, b, _LINF_SAMPLES_PER_PANEL)
-            sup = max(sup, float(np.max(np.abs(self.smooth_values(xs) + shift))))
-        return sup
+    # -- reporting ---------------------------------------------------------
 
     def descriptor(self) -> dict:
         return {
@@ -408,27 +400,19 @@ def evaluate_nu(nu: NuPrimitive, x: float) -> float:
     return float(nu.nu_values(np.asarray([x]))[0])
 
 
-class ZeroExtension:
-    """Zero extension of a grid function to the whole line.
+def extend_by_zero(f: GridFunction) -> Callable:
+    """Zero extension of a grid function to the whole line: inside (0, 1)
+    linear interpolation of the grid samples, zero outside."""
 
-    Inside (0, 1) values are linearly interpolated from the grid samples;
-    outside the extension vanishes identically.
-    """
-
-    def __init__(self, f: GridFunction):
-        self._f = f
-
-    def __call__(self, x) -> np.ndarray:
+    def extension(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         inside = (x > 0.0) & (x < 1.0)
         out = np.zeros_like(x)
         if np.any(inside):
-            out[inside] = np.interp(x[inside], self._f.grid.nodes, self._f.values)
+            out[inside] = np.interp(x[inside], f.grid.nodes, f.values)
         return out
 
-
-def extend_by_zero(f: GridFunction) -> ZeroExtension:
-    return ZeroExtension(f)
+    return extension
 
 
 # -- mollification ----------------------------------------------------------
@@ -614,7 +598,6 @@ class MollifiedNu(Potential):
     def ode_panels(self):
         """Panels (a, b, nu), nu in float arithmetic over the tables; it is
         ``nu_values`` up to the summation order over atoms."""
-        edges = [0.0, *self.breakpoints, 1.0]
         atoms = self.base.jumps
         eps = self._eps
         self._bump._build()
@@ -644,7 +627,7 @@ class MollifiedNu(Potential):
                                       v[i + 1], d[i + 1])
             return acc
 
-        return [(a, b, nu_scalar) for a, b in zip(edges[:-1], edges[1:])]
+        return [(a, b, nu_scalar) for a, b in self._panels()]
 
     def q_values(self, x) -> np.ndarray:
         return mollified_q(self.base, self._eps, self._bump, x)

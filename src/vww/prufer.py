@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (BracketFailure, GridMismatch, NonPositiveLambda,
                      NonPositiveSpectrum, UnresolvedBasis)
-from .grid import Grid
+from .grid import Grid, freeze_arrays
 from .ode import integrate_rk45
 from .potential import Potential, potential_from_descriptor
 
@@ -94,7 +94,7 @@ def _propagate(nu_like, lams: np.ndarray, tol: float, sample_nodes: np.ndarray):
         in_panel = sample_nodes[pos:hi]
         count = len(in_panel)
         y, sampled, _, h_hint = integrate_rk45(
-            _make_rhs(nu_fn, sqrt_lam), a, b, y, tol, tol,
+            _make_rhs(nu_fn, sqrt_lam), a, b, y, tol,
             samples=in_panel if count else None, first_step=h_hint)
         if count:
             out[:, :, pos:pos + count] = np.moveaxis(sampled, 0, -1)
@@ -178,10 +178,7 @@ class PruferPath:
     eta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("theta", "log_r", "eta"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, "theta", "log_r", "eta")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,12 +206,9 @@ class EigenBasis:
     gram_max_offdiag: float = math.nan
 
     def __post_init__(self):
-        for name in ("ns", "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
-                     "log_r", "tilde_norms", "theta_residuals"):
-            arr = np.asarray(getattr(self, name),
-                             dtype=int if name == "ns" else float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, "ns", dtype=int)
+        freeze_arrays(self, "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
+                      "log_r", "tilde_norms", "theta_residuals")
         rows = {a.shape for a in (self.phi_matrix, self.phi_prime_matrix,
                                   self.eta, self.log_r)}
         if rows != {(len(self.ns), self.grid.n + 1)}:

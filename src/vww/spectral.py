@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch
-from .grid import GridFunction
+from .grid import GridFunction, freeze_arrays
 from .prufer import EigenBasis
 
 
@@ -25,13 +25,10 @@ class SpectralCoeffs:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (len(self.basis),):
-            raise GridMismatch(
-                f"expected {len(self.basis)} coefficients, got {c.shape}")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        freeze_arrays(self, "coeffs", copy=True)
+        if self.coeffs.shape != (len(self.basis),):
+            raise GridMismatch(f"expected {len(self.basis)} coefficients, "
+                               f"got {self.coeffs.shape}")
 
     @property
     def n_max(self) -> int:
@@ -52,11 +49,15 @@ def synthesize(c: SpectralCoeffs) -> GridFunction:
     return GridFunction(c.basis.grid, c.coeffs @ c.basis.phi_matrix)
 
 
+def lambda_power(lam: np.ndarray, k: float) -> np.ndarray:
+    """lambda_n^k for real k, as exp(k log lambda_n): every lambda_n > 0."""
+    return np.exp(k * np.log(lam))
+
+
 def sobolev_norm(c: SpectralCoeffs, k: float) -> float:
     """(sum_n lambda_n^k c_n^2)^(1/2) for real k."""
-    lam = c.basis.lambdas
-    weights = np.exp(k * np.log(lam)) if k != 0.0 else np.ones_like(lam)
-    return float(np.sqrt(np.sum(weights * c.coeffs**2)))
+    return float(np.sqrt(np.sum(lambda_power(c.basis.lambdas, k)
+                                * c.coeffs**2)))
 
 
 def parseval_defect(f: GridFunction, basis: EigenBasis) -> float:

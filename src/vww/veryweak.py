@@ -47,7 +47,8 @@ class DataNet:
 @dataclass(frozen=True)
 class VeryWeakExperiment:
     """One ladder experiment; the ladder has at least 4 strictly decreasing
-    rungs, the fewest a log-log fit accepts."""
+    rungs, the fewest a log-log fit accepts, each a valid mollifier scale,
+    so a bad rung or profile fails before any basis is built."""
 
     nu: NuPrimitive
     u0: DataNet
@@ -66,6 +67,8 @@ class VeryWeakExperiment:
             raise ConfigError(f"ladder needs at least 4 rungs, got {len(lad)}")
         if any(b >= a for a, b in zip(lad, lad[1:])):
             raise ConfigError("ladder must be strictly decreasing")
+        for eps in lad:  # an unknown profile or a rung outside (0, 1]
+            MollifierSpec(self.mollifier, eps)
         object.__setattr__(self, "ladder", lad)
         object.__setattr__(self, "n_times", int(self.n_times))
 

@@ -1,17 +1,20 @@
 """Spectral evolution of u_tt + L u = f with Dirichlet walls.
 
-Each mode evolves as u_n(t) = A_n cos(w t) + B_n sin(w t)/w with
-w = sqrt(lambda_n); forcing adds the variation-of-constants terms
+Free and forced evolution share one variation-of-constants kernel, free
+evolution being the case f = 0: with w = sqrt(lambda_n), each mode is
 
-    - cos(w t)/w * int_0^t sin(w s) f_n(s) ds
-    + sin(w t)/w * int_0^t cos(w s) f_n(s) ds,
+    u_n(t) = A_n cos(w t) + B_n sin(w t)/w
+             - cos(w t)/w * int_0^t sin(w s) f_n(s) ds
+             + sin(w t)/w * int_0^t cos(w s) f_n(s) ds,
 
 with the Duhamel integrals accumulated by cumulative Simpson on the
 forcing time grid: scipy's equal-interval ``cumulative_simpson`` formula,
 reproduced bit for bit in numpy, so that this module imports no scipy
-(in vww only the ``samples`` potential spline does).  A leapfrog
-finite-difference scheme on a bounded (mollified) potential serves as an
-independent cross-check.
+(in vww only the ``samples`` potential spline does).  ``x_derivative``
+forms d_x u from the stored phi_n' and d_xx u from the eigenrelation
+d_xx phi_n = (q - lambda_n) phi_n, for ``spatial_derivatives`` and the
+estimates alike.  A leapfrog finite-difference scheme on a bounded
+(mollified) potential serves as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,9 +26,14 @@ import numpy as np
 
 from .errors import (AtomEvaluation, CFLViolation, ConfigError, GridMismatch,
                      TimeGridTooCoarse)
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, freeze_arrays
 from .prufer import EigenBasis
-from .spectral import SpectralCoeffs
+from .spectral import SpectralCoeffs, lambda_power
+
+
+def _column_l2(a: np.ndarray) -> np.ndarray:
+    """l^2 norm of each column: per time, the L^2 norm by Parseval."""
+    return np.sqrt(np.sum(a**2, axis=0))
 
 
 @dataclass(frozen=True)
@@ -36,21 +44,15 @@ class ForcingTable:
     table: np.ndarray = field(repr=False)  # shape (N, nt)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        tab = np.asarray(self.table, dtype=float)
+        freeze_arrays(self, "times", "table", copy=True)
+        t = self.times
         if t.ndim != 1 or t.size < 3:
             raise ConfigError("forcing needs at least 3 time samples")
         dt = np.diff(t)
         if t[0] != 0.0 or np.any(dt <= 0.0) or np.ptp(dt) > 1e-12 * t[-1]:
             raise ConfigError("forcing time grid must be uniform from 0")
-        if tab.shape[1] != t.size:
+        if self.table.shape[1] != t.size:
             raise ConfigError("forcing table shape does not match time grid")
-        t = t.copy()
-        tab = tab.copy()
-        t.flags.writeable = False
-        tab.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "table", tab)
 
     @property
     def dt(self) -> float:
@@ -58,15 +60,13 @@ class ForcingTable:
 
     def sup_l2(self) -> float:
         """max_t of the coefficient l^2 norm (the projected L^2 norm)."""
-        return float(np.max(np.sqrt(np.sum(self.table**2, axis=0))))
+        return float(np.max(_column_l2(self.table)))
 
     def sup_c1(self) -> float:
         """max_t of ||f(t)|| + ||df/dt(t)||, forward differences in time."""
-        norms = np.sqrt(np.sum(self.table**2, axis=0))
-        diff = np.diff(self.table, axis=1) / self.dt
-        dnorms = np.sqrt(np.sum(diff**2, axis=0))
+        dnorms = _column_l2(np.diff(self.table, axis=1) / self.dt)
         dnorms = np.append(dnorms, dnorms[-1])
-        return float(np.max(norms + dnorms))
+        return float(np.max(_column_l2(self.table) + dnorms))
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,7 @@ class WaveSolution:
     dt_values: np.ndarray = field(repr=False)  # (nt, nx)
 
     def __post_init__(self):
-        for name in ("times", "modal", "modal_dt", "values", "dt_values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, "times", "modal", "modal_dt", "values", "dt_values")
 
     def time_index(self, t: float) -> int:
         j = int(np.argmin(np.abs(self.times - t)))
@@ -123,14 +120,13 @@ class WaveSolution:
 
     def l2_series(self) -> np.ndarray:
         """||u(t)||_{L^2} per stored t (coefficient l^2, Parseval)."""
-        return np.sqrt(np.sum(self.modal**2, axis=0))
+        return _column_l2(self.modal)
 
     def dt_l2_series(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.modal_dt**2, axis=0))
+        return _column_l2(self.modal_dt)
 
     def wk_series(self, k: float) -> np.ndarray:
-        w = np.exp(k * np.log(self.basis.lambdas))
-        return np.sqrt(w @ self.modal**2)
+        return np.sqrt(lambda_power(self.basis.lambdas, k) @ self.modal**2)
 
     def energy_series(self) -> np.ndarray:
         """sum_n lambda_n u_n(t)^2 + u_n'(t)^2 per stored t."""
@@ -138,30 +134,11 @@ class WaveSolution:
         return lam @ self.modal**2 + np.sum(self.modal_dt**2, axis=0)
 
 
-def _synthesize_solution(basis, times, modal, modal_dt) -> WaveSolution:
-    phi = basis.phi_matrix
-    return WaveSolution(
-        basis=basis, times=np.asarray(times, dtype=float),
-        modal=modal, modal_dt=modal_dt,
-        values=modal.T @ phi, dt_values=modal_dt.T @ phi,
-    )
-
-
 def solve_homogeneous(problem: WaveProblem, times) -> WaveSolution:
     """Free evolution of the projected data over the stored times."""
     if problem.forcing is not None:
         raise ConfigError("homogeneous solve called with forcing present")
-    times = np.asarray(times, dtype=float)
-    lam = problem.basis.lambdas
-    w = np.sqrt(lam)
-    A = problem.u0_coeffs.coeffs
-    B = problem.u1_coeffs.coeffs
-    wt = np.outer(w, times)
-    cos_wt = np.cos(wt)
-    sin_wt = np.sin(wt)
-    modal = A[:, None] * cos_wt + (B / w)[:, None] * sin_wt
-    modal_dt = -(A * w)[:, None] * sin_wt + B[:, None] * cos_wt
-    return _synthesize_solution(problem.basis, times, modal, modal_dt)
+    return _evolve(problem, np.atleast_1d(np.asarray(times, dtype=float)))
 
 
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -183,36 +160,46 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return np.cumsum(parts, axis=-1)
 
 
+def _evolve(problem: WaveProblem, times: np.ndarray,
+            idx=slice(None)) -> WaveSolution:
+    """The solution at times[idx] by variation of constants; with forcing,
+    ``times`` is the forcing grid, over which the Duhamel integrals are
+    accumulated."""
+    basis = problem.basis
+    w = np.sqrt(basis.lambdas)
+    wt = np.outer(w, times)
+    cos_wt, sin_wt = np.cos(wt), np.sin(wt)
+    A, B = (c.coeffs[:, None] for c in (problem.u0_coeffs, problem.u1_coeffs))
+    winv = (1.0 / w)[:, None]
+    modal = A * cos_wt + B * winv * sin_wt
+    modal_dt = -A * w[:, None] * sin_wt + B * cos_wt
+    f = problem.forcing
+    if f is not None:
+        S, C = (_cumulative_simpson(trig * f.table, f.dt)
+                for trig in (sin_wt, cos_wt))
+        modal = modal - winv * cos_wt * S + winv * sin_wt * C
+        modal_dt = modal_dt + sin_wt * S + cos_wt * C
+    modal, modal_dt = modal[:, idx], modal_dt[:, idx]
+    phi = basis.phi_matrix
+    return WaveSolution(basis, times[idx], modal, modal_dt,
+                        modal.T @ phi, modal_dt.T @ phi)
+
+
 def solve_forced(problem: WaveProblem, times) -> WaveSolution:
     """Forced evolution; requested times must be forcing-grid nodes."""
-    if problem.forcing is None:
-        raise ConfigError("forced solve needs a forcing table")
     f = problem.forcing
-    lam = problem.basis.lambdas
-    w = np.sqrt(lam)
-    if float(np.max(w)) * f.dt > 0.5:
+    if f is None:
+        raise ConfigError("forced solve needs a forcing table")
+    w_max = float(np.sqrt(np.max(problem.basis.lambdas)))
+    if w_max * f.dt > 0.5:
         raise TimeGridTooCoarse(
-            f"sqrt(lambda_max)*dt = {float(np.max(w)) * f.dt:.3g} > 0.5")
+            f"sqrt(lambda_max)*dt = {w_max * f.dt:.3g} > 0.5")
     times = np.asarray(times, dtype=float)
     idx = np.rint(times / f.dt).astype(int)
     if np.any(idx < 0) or np.any(idx >= f.times.size) or \
             np.max(np.abs(f.times[idx] - times)) > 1e-9 * max(1.0, f.times[-1]):
         raise GridMismatch("requested times are not forcing-grid nodes")
-    tj = f.times
-    wt = np.outer(w, tj)
-    cos_wt = np.cos(wt)
-    sin_wt = np.sin(wt)
-    S = _cumulative_simpson(sin_wt * f.table, f.dt)
-    C = _cumulative_simpson(cos_wt * f.table, f.dt)
-    A = problem.u0_coeffs.coeffs[:, None]
-    B = problem.u1_coeffs.coeffs[:, None]
-    winv = (1.0 / w)[:, None]
-    modal = (A * cos_wt + B * winv * sin_wt
-             - winv * cos_wt * S + winv * sin_wt * C)
-    modal_dt = (-A * w[:, None] * sin_wt + B * cos_wt
-                + sin_wt * S + cos_wt * C)
-    return _synthesize_solution(problem.basis, tj[idx],
-                                modal[:, idx], modal_dt[:, idx])
+    return _evolve(problem, f.times, idx)
 
 
 def analyze_forcing(f_values: np.ndarray, basis: EigenBasis,
@@ -231,25 +218,29 @@ def analyze_forcing(f_values: np.ndarray, basis: EigenBasis,
     return ForcingTable(times, (weighted @ basis.phi_matrix.T).T)
 
 
-def spatial_derivatives(sol: WaveSolution, nu_like, t: float):
-    """(d_x u, d_xx u) at a stored time.
-
-    The second derivative uses the eigenrelation d_xx phi_n =
-    (q - lambda_n) phi_n and is only defined away from Dirac atoms;
-    atoms sitting on grid nodes abort the evaluation.
-    """
+def x_derivative(sol: WaveSolution, nu_like, order: int,
+                 j=slice(None)) -> np.ndarray:
+    """d_x u (order 1) or d_xx u (order 2) at the stored times j, one row
+    of node values per time.  d_xx is undefined at a Dirac atom, so an
+    atom on a grid node raises ``AtomEvaluation``."""
     basis = sol.basis
-    j = sol.time_index(t)
-    ux = GridFunction(basis.grid, sol.modal[:, j] @ basis.phi_prime_matrix)
+    modal = sol.modal[:, j]
+    if order == 1:
+        return modal.T @ basis.phi_prime_matrix
     nodes = basis.grid.nodes
     for loc, _ in nu_like.jumps:
         if np.min(np.abs(nodes - loc)) < 1e-12:
             raise AtomEvaluation(
                 f"d_xx undefined at the atom x={loc} lying on a grid node")
-    q_nodes = nu_like.q_values(nodes)
-    lam_modal = basis.lambdas * sol.modal[:, j]
-    uxx_vals = q_nodes * sol.values[j] - lam_modal @ basis.phi_matrix
-    return ux, GridFunction(basis.grid, uxx_vals)
+    return (nu_like.q_values(nodes)[None, :] * sol.values[j]
+            - (basis.lambdas[:, None] * modal).T @ basis.phi_matrix)
+
+
+def spatial_derivatives(sol: WaveSolution, nu_like, t: float):
+    """(d_x u, d_xx u) at a stored time, as grid functions."""
+    j = sol.time_index(t)
+    return tuple(GridFunction(sol.basis.grid, x_derivative(
+        sol, nu_like, order, slice(j, j + 1))[0]) for order in (1, 2))
 
 
 @dataclass(frozen=True)

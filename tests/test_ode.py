@@ -35,8 +35,7 @@ def test_oscillator_vs_rk4_richardson():
     w = 7.0
     rhs = lambda x, y: np.array([y[1], -w * w * y[0]])
     y0 = np.array([1.0, 0.0])
-    adaptive, _, _, _ = integrate_rk45(rhs, 0.0, 1.0, y0, rtol=1e-12,
-                                       atol=1e-12)
+    adaptive, _, _, _ = integrate_rk45(rhs, 0.0, 1.0, y0, tol=1e-12)
     coarse = rk4_fixed(rhs, 0.0, 1.0, y0, 2000)
     fine = rk4_fixed(rhs, 0.0, 1.0, y0, 4000)
     assert np.max(np.abs(coarse - fine)) / 15.0 <= 1e-9
@@ -49,8 +48,7 @@ def test_batched_states_match_individual_runs():
     rhs = lambda x, y: np.vstack([y[1], -ws * ws * y[0]])
     y0 = np.zeros((2, 3))
     y0[0] = 1.0
-    batched, _, _, _ = integrate_rk45(rhs, 0.0, 1.0, y0, rtol=1e-12,
-                                      atol=1e-12)
+    batched, _, _, _ = integrate_rk45(rhs, 0.0, 1.0, y0, tol=1e-12)
     for j, w in enumerate(ws):
         single = rk4_fixed(
             lambda x, y: np.array([y[1], -w * w * y[0]]),
@@ -74,7 +72,7 @@ def test_dense_output_samples_between_steps():
     rhs = lambda x, y: np.array([y[1], -w * w * y[0]])
     nodes = np.linspace(0.0, 1.0, 1001)[1:]
     _, sampled, n_steps, _ = integrate_rk45(
-        rhs, 0.0, 1.0, np.array([1.0, 0.0]), rtol=1e-11, atol=1e-11,
+        rhs, 0.0, 1.0, np.array([1.0, 0.0]), tol=1e-11,
         samples=nodes)
     exact = np.stack([np.cos(w * nodes), -w * np.sin(w * nodes)], axis=1)
     assert np.max(np.abs(sampled - exact)) <= 1e-9

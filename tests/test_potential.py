@@ -248,6 +248,19 @@ class TestNorms:
     def test_step_linf(self):
         assert STEP.norm_linf() == pytest.approx(1.0, abs=1e-12)
 
+    def test_linf_takes_right_limit_at_jump(self):
+        # nu = -2x + 3 H(x - 1/2) peaks at 2 just right of the jump, where
+        # nu_values takes the left limit -1
+        nu = NuPrimitive("linear", (-2.0,), jumps=((0.5, 3.0),))
+        assert nu.norm_linf() == 2.0
+
+    def test_perturbed_l2_over_atom_closed_form(self):
+        # nu = H(x - 1/2) + 0.1 sin(2 pi x): int nu^2 = 0.505 - 0.2/pi; a
+        # rule whose panels cross the jump errs near 3e-5
+        pert = PerturbedNu(STEP, NuPrimitive("sine", (1.0, 1.0)), 0.1)
+        assert pert.norm_l2() == pytest.approx(
+            math.sqrt(0.505 - 0.2 / math.pi), abs=1e-13)
+
     def test_q_linf_needs_bounded(self):
         with pytest.raises(MissingNorm):
             STEP.q_linf()

@@ -1,5 +1,6 @@
 """Regularization experiments: moderateness, negligibility, consistency."""
 
+import json
 import math
 
 import numpy as np
@@ -44,6 +45,32 @@ class TestExperiment:
                                grid1024, n_times=17.0)
         assert (e.mollifier, e.ode_tol) == ("bump", 1e-10)
         assert e.n_times == 17 and e.times.size == 17
+
+    @pytest.mark.parametrize("ladder, mollifier", [
+        ((0.5, 0.25, 0.125, 0.0625), "nope"),
+        ((2.0, 1.0, 0.5, 0.25), "bump"),
+        ((0.5, 0.25, 0.0, -0.25), "bump"),
+    ], ids=["unknown_mollifier", "rung_above_one", "rung_not_positive"])
+    def test_every_rung_validated_up_front(self, grid1024, ladder, mollifier):
+        with pytest.raises(ConfigError):
+            experiment(NuPrimitive(), grid1024, ladder=ladder,
+                       mollifier=mollifier)
+
+    def test_bad_mollifier_exits_before_any_basis(self, tmp_path, monkeypatch):
+        import vww.veryweak
+        from vww.cli import main
+        built = []
+        monkeypatch.setattr(vww.veryweak, "build_basis",
+                            lambda *args, **kw: built.append(args))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "mode": "consistency", "mollifier": "nope",
+            "nu": {"smooth": {"kind": "linear", "params": [5.0]}},
+            "grid_n": 256, "n_max": 4, "T": 0.5, "u0": {"kind": "parabola"},
+            "u1": {"kind": "zero"}, "ladder": {"k_min": 2, "k_max": 5}}))
+        assert main(["veryweak", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert built == []
 
 
 class TestExistence:
