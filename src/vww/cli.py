@@ -33,8 +33,9 @@ from jsonschema import Draft202012Validator
 from . import __version__
 from .errors import ConfigError, VwwError
 from .grid import Grid, GridFunction
-from .potential import (MollifierSpec, NuPrimitive, default_ladder,
-                        get_profile, potential_from_descriptor)
+from .potential import (PROFILES, SMOOTH_KINDS, MollifierSpec, NuPrimitive,
+                        default_ladder, get_profile,
+                        potential_from_descriptor)
 from .prufer import DEFAULT_TOL, basis_csv_rows, basis_to_cache, build_basis
 from .spectral import analyze
 from .wave import (ForcingTable, WaveProblem, analyze_forcing,
@@ -45,151 +46,91 @@ from .veryweak import (DataNet, VeryWeakExperiment, run_consistency,
 
 # -- config schemas ----------------------------------------------------------
 
-_NU_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["smooth"],
-    "properties": {
-        "smooth": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["zero", "const", "linear", "sine",
-                                  "samples"]},
-                "params": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "jumps": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "number"},
-                      "minItems": 2, "maxItems": 2},
-        },
-    },
-}
 
+def _obj(required: list, **properties) -> dict:
+    """An object schema: these properties only, the required ones present."""
+    return {"type": "object", "additionalProperties": False,
+            "required": required, "properties": properties}
+
+
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_PAIR = {**_NUMBERS, "minItems": 2, "maxItems": 2}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0.0}
+
+_NU_SCHEMA = _obj(
+    ["smooth"],
+    smooth=_obj(["kind"], kind={"enum": list(SMOOTH_KINDS)}, params=_NUMBERS),
+    jumps={"type": "array", "items": _PAIR})
+
+# data params by kind: parabola an optional amplitude, sine_combo
+# (amplitude, mode) pairs, samples one value per grid node
+_DATA_PARAMS = {
+    "zero": {"type": "array", "maxItems": 0},
+    "parabola": {**_NUMBERS, "maxItems": 1},
+    "sine_combo": {"type": "array", "items": _PAIR},
+    "samples": _NUMBERS,
+}
 _DATA_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["zero", "parabola", "sine_combo", "samples"]},
-        "params": {"type": "array"},
-    },
+    **_obj(["kind"], kind={"enum": list(_DATA_PARAMS)},
+           params={"type": "array"}),
+    "allOf": [{"if": {"properties": {"kind": {"const": kind}}},
+               "then": {"properties": {"params": params}}}
+              for kind, params in _DATA_PARAMS.items()],
 }
 
-_FORCING_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["space", "time"],
-    "properties": {
-        "space": _DATA_SCHEMA,
-        "time": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["const", "cos", "sin", "poly"]},
-                "params": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "time_steps": {"type": "integer", "minimum": 8},
-    },
-}
+_FORCING_SCHEMA = _obj(
+    ["space", "time"],
+    space=_DATA_SCHEMA,
+    time=_obj(["kind"], kind={"enum": ["const", "cos", "sin", "poly"]},
+              params=_NUMBERS),
+    time_steps={"type": "integer", "minimum": 8})
 
 _COMMON = {
     "nu": _NU_SCHEMA,
     "grid_n": {"type": "integer", "minimum": 2},
     "n_max": {"type": "integer", "minimum": 1},
-    "ode_tol": {"type": "number", "exclusiveMinimum": 0.0},
+    "ode_tol": _POSITIVE,
 }
-
 _PROBLEM = {
-    "T": {"type": "number", "exclusiveMinimum": 0.0},
+    "T": _POSITIVE,
     "n_times": {"type": "integer", "minimum": 2},
     "u0": _DATA_SCHEMA,
     "u1": _DATA_SCHEMA,
 }
+_BASIS_KEYS = ["nu", "grid_n", "n_max"]
+_PROBLEM_KEYS = [*_BASIS_KEYS, "T", "u0", "u1"]
 
 _SCHEMAS = {
-    "eigs": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["nu", "grid_n", "n_max"],
-        "properties": {
-            **_COMMON,
-            "cache_eigenfunctions": {"type": "boolean"},
-            "write_cache": {"type": "boolean"},
-        },
-    },
-    "solve": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["nu", "grid_n", "n_max", "T", "u0", "u1"],
-        "properties": {
-            **_COMMON,
-            **_PROBLEM,
-        },
-    },
-    "forced": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["nu", "grid_n", "n_max", "T", "u0", "u1", "forcing"],
-        "properties": {
-            **_COMMON,
-            **_PROBLEM,
-            "forcing": _FORCING_SCHEMA,
-        },
-    },
-    "estimates": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["nu", "grid_n", "n_max", "T", "u0", "u1",
-                     "estimate_ids"],
-        "properties": {
-            **_COMMON,
-            **_PROBLEM,
-            "forcing": _FORCING_SCHEMA,
-            "estimate_ids": {
-                "anyOf": [
-                    {"enum": ["core", "all"]},
-                    {"type": "array", "items": {"type": "string"},
-                     "minItems": 1},
-                ]
-            },
-            "k": {"type": "number"},
-        },
-    },
-    "veryweak": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["mode", "nu", "grid_n", "n_max", "T", "u0", "u1",
-                     "ladder"],
-        "properties": {
-            **_COMMON,
-            "mode": {"enum": ["existence", "uniqueness", "consistency"]},
-            **_PROBLEM,
-            "u0_scale_exponent": {"type": "number"},
-            "u1_scale_exponent": {"type": "number"},
-            "ladder": {
-                "anyOf": [
-                    {"type": "array", "items": {"type": "number"},
-                     "minItems": 1},
-                    {"type": "object", "additionalProperties": False,
-                     "required": ["k_min", "k_max"],
-                     "properties": {"k_min": {"type": "integer"},
-                                    "k_max": {"type": "integer"}}},
-                ]
-            },
-            "mollifier": {"type": "string"},
-            "declared_order": {"type": "integer", "minimum": 0},
-            "order": {"type": "integer", "minimum": 1},
-            "w_primitive": _NU_SCHEMA,
-            "w0": _DATA_SCHEMA,
-            "w1": _DATA_SCHEMA,
-            "tolerance": {"type": "number", "exclusiveMinimum": 0.0},
-        },
-    },
+    "eigs": _obj(_BASIS_KEYS, **_COMMON,
+                 cache_eigenfunctions={"type": "boolean"},
+                 write_cache={"type": "boolean"}),
+    "solve": _obj(_PROBLEM_KEYS, **_COMMON, **_PROBLEM),
+    "forced": _obj([*_PROBLEM_KEYS, "forcing"], **_COMMON, **_PROBLEM,
+                   forcing=_FORCING_SCHEMA),
+    "estimates": _obj(
+        [*_PROBLEM_KEYS, "estimate_ids"], **_COMMON, **_PROBLEM,
+        forcing=_FORCING_SCHEMA,
+        estimate_ids={"anyOf": [
+            {"enum": ["core", "all"]},
+            {"type": "array", "items": {"enum": list(ALL_ESTIMATE_IDS)},
+             "minItems": 1}]},
+        k={"type": "number"}),
+    "veryweak": _obj(
+        ["mode", *_PROBLEM_KEYS, "ladder"], **_COMMON, **_PROBLEM,
+        mode={"enum": ["existence", "uniqueness", "consistency"]},
+        u0_scale_exponent={"type": "number"},
+        u1_scale_exponent={"type": "number"},
+        ladder={"anyOf": [
+            {**_NUMBERS, "minItems": 1},
+            _obj(["k_min", "k_max"], k_min={"type": "integer"},
+                 k_max={"type": "integer"})]},
+        mollifier={"enum": list(PROFILES)},
+        declared_order={"type": "integer", "minimum": 0},
+        order={"type": "integer", "minimum": 1},
+        w_primitive=_NU_SCHEMA,
+        w0=_DATA_SCHEMA,
+        w1=_DATA_SCHEMA,
+        tolerance=_POSITIVE),
 }
 
 
@@ -219,12 +160,10 @@ def _build_data(desc: dict, grid: Grid) -> GridFunction:
             amp, m = float(pair[0]), float(pair[1])
             vals += amp * np.sin(m * math.pi * x)
         return GridFunction(grid, vals)
-    if kind == "samples":
-        if len(params) != grid.n + 1:
-            raise ConfigError(
-                f"samples data needs {grid.n + 1} values, got {len(params)}")
-        return GridFunction(grid, np.asarray(params, dtype=float))
-    raise ConfigError(f"unknown data kind {kind!r}")
+    if len(params) != grid.n + 1:  # samples
+        raise ConfigError(
+            f"samples data needs {grid.n + 1} values, got {len(params)}")
+    return GridFunction(grid, np.asarray(params, dtype=float))
 
 
 def _time_profile(desc: dict):
@@ -233,16 +172,12 @@ def _time_profile(desc: dict):
     if kind == "const":
         c = params[0] if params else 1.0
         return lambda t: np.full_like(t, c)
-    if kind == "cos":
+    if kind in ("cos", "sin"):
         amp, om = (params + [1.0, 1.0])[:2]
-        return lambda t: amp * np.cos(om * t)
-    if kind == "sin":
-        amp, om = (params + [1.0, 1.0])[:2]
-        return lambda t: amp * np.sin(om * t)
-    if kind == "poly":
-        coeffs = params or [1.0]
-        return lambda t: sum(c * t**j for j, c in enumerate(coeffs))
-    raise ConfigError(f"unknown time profile {kind!r}")
+        trig = np.cos if kind == "cos" else np.sin
+        return lambda t: amp * trig(om * t)
+    coeffs = params or [1.0]  # poly
+    return lambda t: sum(c * t**j for j, c in enumerate(coeffs))
 
 
 def _build_forcing(desc: dict, basis, T: float, out_steps: int) -> ForcingTable:
@@ -382,9 +317,6 @@ def cmd_estimates(config: dict, out: str) -> None:
         ids = list(CORE_ESTIMATE_IDS)
     elif ids == "all":
         ids = list(ALL_ESTIMATE_IDS)
-    unknown = [i for i in ids if i not in ALL_ESTIMATE_IDS]
-    if unknown:
-        raise ConfigError(f"unknown estimate ids: {unknown}")
     problem, sol, _ = _solve_common(config)
     k = float(config.get("k", 0.0))
     inputs = {"config": config}
@@ -594,11 +526,27 @@ def _assert(cond: bool):
 # -- entry point -------------------------------------------------------------
 
 
+def _non_finite(text: str):
+    raise ValueError(f"number {text} is not finite")
+
+
+def _finite(parse):
+    """``parse`` for JSON number literals, refusing one that overflows a
+    float, such as 1e400."""
+    def checked(text: str):
+        if not math.isfinite(float(text)):
+            _non_finite(text)
+        return parse(text)
+    return checked
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh, parse_constant=_non_finite,
+                               parse_float=_finite(float),
+                               parse_int=_finite(int))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")

@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from vww.cli import _write_csv, _write_solution_csv, main
+from vww.cli import _write_csv, _write_solution_csv, main, validate_config
+from vww.estimates import ALL_ESTIMATE_IDS
+from vww.potential import PROFILES, SMOOTH_KINDS
 
 from conftest import scipy_modules_in_fresh_python
 
@@ -359,17 +361,20 @@ class TestIOFailure:
         assert run_cli("eigs", "--config", cfg, "--out", str(blocker)) == 4
 
 
+# passes the schema; building the potential raises ConfigError
+JUMP_OUTSIDE = {"nu": {"smooth": {"kind": "zero"}, "jumps": [[1.5, 1.0]]},
+                "grid_n": 256, "n_max": 5}
+
+
 class TestFailedCommandOutDir:
     # each config passes the schema; the command itself raises ConfigError
     @pytest.mark.parametrize("command, payload", [
-        ("estimates", {"nu": FREE_NU, "grid_n": 256, "n_max": 5, "T": 1.0,
-                       "u0": {"kind": "zero"}, "u1": {"kind": "zero"},
-                       "estimate_ids": ["nope"]}),
+        ("eigs", JUMP_OUTSIDE),
         ("veryweak", dict(VW_BASE, mode="uniqueness", nu=FREE_NU)),
         ("solve", {"nu": FREE_NU, "grid_n": 256, "n_max": 5, "T": 1.0,
                    "u0": {"kind": "samples", "params": [0.0] * 10},
                    "u1": {"kind": "zero"}}),
-    ], ids=["unknown_estimate_id", "uniqueness_without_order",
+    ], ids=["jump_outside_interval", "uniqueness_without_order",
             "samples_wrong_length"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, command, payload):
         out = tmp_path / "o"
@@ -381,9 +386,78 @@ class TestFailedCommandOutDir:
     def test_existing_out_dir_survives(self, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
-        cfg = write_config(tmp_path, "c.json", {
-            "nu": FREE_NU, "grid_n": 256, "n_max": 5, "T": 1.0,
-            "u0": {"kind": "zero"}, "u1": {"kind": "zero"},
-            "estimate_ids": ["nope"]})
-        assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 2
+        cfg = write_config(tmp_path, "c.json", JUMP_OUTSIDE)
+        assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 2
         assert out.is_dir() and not os.listdir(out)
+
+
+SOLVE_BASE = {"nu": FREE_NU, "grid_n": 64, "n_max": 2, "T": 1.0,
+              "u0": {"kind": "zero"}, "u1": {"kind": "zero"}}
+
+
+class TestConfigLoader:
+    """Configs the schema refuses, or that are not finite JSON, exit 2
+    before --out is created."""
+
+    def _refused(self, tmp_path, command, data: bytes):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(data)
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert not out.exists()
+
+    # "ode_tol": NaN never fails the step-size floor, so it hangs a
+    # loader that lets it through
+    @pytest.mark.parametrize("command, payload, token", [
+        ("solve", dict(SOLVE_BASE, T="@"), "NaN"),
+        ("solve", dict(SOLVE_BASE, T="@"), "1e400"),
+        ("solve", dict(SOLVE_BASE, T="@"), "1" + "0" * 400),
+        ("solve", dict(SOLVE_BASE, ode_tol="@"), "NaN"),
+        ("solve", dict(SOLVE_BASE, nu={"smooth": {"kind": "zero"},
+                                       "jumps": [[0.5, "@"]]}), "NaN"),
+        ("solve", dict(SOLVE_BASE, nu={"smooth": {"kind": "linear",
+                                                  "params": ["@"]}}),
+         "Infinity"),
+        ("solve", dict(SOLVE_BASE, nu={"smooth": {"kind": "linear",
+                                                  "params": ["@"]}}),
+         "-Infinity"),
+    ], ids=["T_nan", "T_overflow", "T_overflow_int", "ode_tol_nan",
+            "jump_nan", "linear_inf", "linear_minus_inf"])
+    def test_non_finite_number_refused(self, tmp_path, command, payload,
+                                       token):
+        text = json.dumps(payload).replace('"@"', token)
+        validate_config(command, json.loads(text))  # the schema lets it by
+        self._refused(tmp_path, command, text.encode())
+
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", dict(SOLVE_BASE, u0={"kind": "parabola", "params": ["x"]})),
+        ("solve", dict(SOLVE_BASE, u0={"kind": "parabola",
+                                       "params": [[1, 2]]})),
+        ("solve", dict(SOLVE_BASE, u0={"kind": "parabola", "params": [1, 2]})),
+        ("solve", dict(SOLVE_BASE, u0={"kind": "sine_combo",
+                                       "params": [[1]]})),
+        ("solve", dict(SOLVE_BASE, u0={"kind": "sine_combo",
+                                       "params": [1, 2]})),
+        ("solve", dict(SOLVE_BASE, u0={"kind": "samples",
+                                       "params": [[1.0]] * 65})),
+        ("solve", dict(SOLVE_BASE, u0={"kind": "zero", "params": [1]})),
+        ("solve", dict(SOLVE_BASE, nu={"smooth": {"kind": "nope"}})),
+        ("veryweak", dict(VW_BASE, mollifier="nope")),
+        ("estimates", dict(SOLVE_BASE, estimate_ids=["est1", "nope"])),
+    ], ids=["parabola_string", "parabola_pair", "parabola_two_numbers",
+            "sine_combo_short_pair", "sine_combo_numbers", "samples_nested",
+            "zero_with_params", "smooth_kind", "mollifier", "estimate_id"])
+    def test_schema_refuses_before_out_dir(self, tmp_path, command, payload):
+        self._refused(tmp_path, command, json.dumps(payload).encode())
+
+    def test_undecodable_config_refused(self, tmp_path):
+        self._refused(tmp_path, "eigs", b'{"nu": "\xff"}')
+
+    def test_catalog_members_pass_schema(self):
+        for kind in SMOOTH_KINDS:
+            validate_config("solve", dict(SOLVE_BASE, nu={"smooth": {
+                "kind": kind}}))
+        for name in PROFILES:
+            validate_config("veryweak", dict(VW_BASE, mollifier=name))
+        validate_config("estimates", dict(
+            SOLVE_BASE, estimate_ids=list(ALL_ESTIMATE_IDS)))
