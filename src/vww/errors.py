@@ -45,6 +45,10 @@ class BracketFailure(VwwError):
         )
 
 
+class MeshTooLarge(VwwError):
+    """A Magnus mesh would exceed its cell ceiling."""
+
+
 class UnresolvedBasis(VwwError):
     """Grid too coarse for the requested modes: their samples are not orthogonal."""
 

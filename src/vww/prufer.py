@@ -13,7 +13,9 @@ system (y, w)' = B (y, w), w = (y' - nu y)/sqrt(lambda), with
 B = [[nu, s], [-(s + nu^2/s), -nu]], s = sqrt(lambda): a closed-form
 Magnus-4 step per cell (trace 0 and det lambda make exp(Omega) a cosine
 and a sine; exact for piecewise-constant nu), vectorized over all trial
-lambdas, on a fixed mesh refined inside the narrow panels of nu.  Newton
+lambdas, on a fixed mesh refined inside the narrow panels of nu, and
+scanned in blocks of about sqrt(cells) cells, so that a pass costs about
+4 sqrt(cells) vectorized steps rather than one per cell.  Newton
 steps take d theta(1)/d lambda from the Pruefer identity and stay inside
 a sign bracket.  At the roots one adaptive Runge-Kutta pass, split at
 every jump of nu and carried in the corrected phase eta = theta -
@@ -35,8 +37,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (BracketFailure, GridMismatch, NonPositiveLambda,
-                     NonPositiveSpectrum, UnresolvedBasis)
+from .errors import (BracketFailure, GridMismatch, MeshTooLarge,
+                     NonPositiveLambda, NonPositiveSpectrum, UnresolvedBasis)
 from .grid import Grid, freeze_arrays
 from .ode import integrate_rk45
 from .potential import Potential, potential_from_descriptor
@@ -45,8 +47,14 @@ DEFAULT_TOL = 1e-11
 THETA_RESIDUAL_TOL = 1e-10
 # safeguarded Newton passes before a mode counts as unconverged
 NEWTON_PASSES = 40
-# Magnus cells per chunk, which bounds the (cells, lambdas) temporaries
-_CHUNK = 256
+# Magnus cells x lambdas per chunk, which bounds the (cells, lambdas)
+# temporaries: 256 cells at 40 lambdas, a whole 2,048-cell mesh at one
+_CHUNK_ELEMENTS = 10240
+# most cells a Magnus mesh may hold.  Cells follow sqrt(lambda), so this
+# admits every grid up to 4M intervals and modes up to n ~ 1.3e6 on any
+# grid, while the mesh's seven per-cell arrays stay near 235 MB; a larger
+# mesh comes only from a trial lambda beyond any resolvable mode
+_MAX_CELLS = 2**22
 # fewest Magnus cells per smooth panel of nu: resolves the fast panels of
 # a MollifiedNu at small eps, which span only a few grid intervals
 _MIN_PANEL_CELLS = 32
@@ -112,11 +120,17 @@ def _magnus_mesh(nu_like, cells_per_unit: float):
     B = [[nu, s], [-(s + nu^2/s), -nu]] is [[a, s p], [-(s m + u/s), -a]]
     with p, m = h +- k, k = sqrt(3)/6 h^2 (nu_2 - nu_1); its determinant,
     p m (lambda + (nu_2 - nu_1)^2 / 4), is negative only where |k| > h.
+    A mesh of over _MAX_CELLS cells raises MeshTooLarge before any is made.
     """
     edges = [0.0, *nu_like.breakpoints, 1.0]
-    cuts = [np.linspace(a, b, 1 + max(_MIN_PANEL_CELLS, math.ceil(
-        (b - a) * cells_per_unit - 1e-9))) for a, b in zip(edges, edges[1:])
-        if b - a > 1e-15]
+    panels = [(a, b, max(_MIN_PANEL_CELLS, math.ceil((b - a) * cells_per_unit
+                                                     - 1e-9)))
+              for a, b in zip(edges, edges[1:]) if b - a > 1e-15]
+    total = sum(n for _, _, n in panels)
+    if total > _MAX_CELLS:
+        raise MeshTooLarge(f"a Magnus mesh of {total:.3g} cells exceeds the "
+                           f"ceiling of {_MAX_CELLS} cells")
+    cuts = [np.linspace(a, b, 1 + n) for a, b, n in panels]
     h = np.concatenate([np.diff(c) for c in cuts])
     mid = np.concatenate([c[:-1] for c in cuts]) + 0.5 * h
     nu1, nu2 = (nu_like.nu_values(mid + t * h / math.sqrt(12.0)) for t in (-1, 1))
@@ -136,12 +150,27 @@ def _magnus_phase(mesh, lams: np.ndarray):
     Pruefer identity (y Z - z Y)' = -y^2, with Y, Z the lambda-derivatives
     of y and z = s w, gives d theta / d lambda = [s int y^2 + y w / 2] /
     (lambda r^2); int y^2 is the trapezoid rule over the cells.
+
+    The scan is blocked.  Each chunk is cut into blocks of about
+    sqrt(chunk) cells, the last padded with identity cells of width 0.
+    The blocks' transfer matrices, and then the states inside them, are
+    stepped cell by cell over all blocks at once; in between, the block
+    start states are chained and rescaled to r = 1, recording each block's
+    growth g_b^2.  int y^2 is folded per block as (int + S_b) / g_b^2, so
+    no product of growths can overflow.
     """
     s = np.sqrt(lams)
     y, w = np.zeros_like(s), np.ones_like(s)
     theta, int_y2 = np.zeros_like(s), np.zeros_like(s)
-    for c0 in range(0, mesh[0].shape[0], _CHUNK):
-        h, a, p, m, u, pm, d2 = (c[c0:c0 + _CHUNK] for c in mesh)
+    chunk = max(1, _CHUNK_ELEMENTS // s.size)
+    for c0 in range(0, mesh[0].shape[0], chunk):
+        cells = min(chunk, mesh[0].shape[0] - c0)
+        size = math.isqrt(cells - 1) + 1
+        blocks = -(-cells // size)
+        pad = np.zeros((blocks * size - cells, 1))
+        # (cell in block, block, 1); zero terms make the identity step
+        h, a, p, m, u, pm, d2 = (np.concatenate([c[c0:c0 + cells], pad]).reshape(
+            blocks, size, 1).swapaxes(0, 1).copy() for c in mesh)
         det = pm * (lams + d2)
         om = np.sqrt(np.abs(det))
         cos, sinc = np.cos(om), np.sinc(om / np.pi)
@@ -151,19 +180,32 @@ def _magnus_phase(mesh, lams: np.ndarray):
             cos[neg], sinc[neg] = np.cosh(om[neg]), np.sinh(om[neg]) / om[neg]
         e11, e22 = cos + sinc * a, cos - sinc * a
         e12, e21 = sinc * s * p, -sinc * (s * m + u / s)
-        ys = np.empty((h.shape[0] + 1, s.size))
+        t11, t12, t21, t22 = e11[0], e12[0], e21[0], e22[0]
+        for j in range(1, size):
+            t11, t12, t21, t22 = (e11[j] * t11 + e12[j] * t21,
+                                  e11[j] * t12 + e12[j] * t22,
+                                  e21[j] * t11 + e22[j] * t21,
+                                  e21[j] * t12 + e22[j] * t22)
+        ys = np.empty((size + 1, blocks, s.size))
         ws = np.empty_like(ys)
-        ys[0], ws[0] = y, w
-        for j in range(h.shape[0]):
-            y, w = e11[j] * y + e12[j] * w, e21[j] * y + e22[j] * w
-            ys[j + 1], ws[j + 1] = y, w
-        theta += np.sum(np.arctan2(ws[:-1] * ys[1:] - ys[:-1] * ws[1:],
-                                   ws[:-1] * ws[1:] + ys[:-1] * ys[1:]), axis=0)
+        g2 = np.empty((blocks, s.size))
+        for b in range(blocks):
+            ys[0, b], ws[0, b] = y, w
+            y, w = t11[b] * y + t12[b] * w, t21[b] * y + t22[b] * w
+            g2[b] = y * y + w * w
+            r = np.sqrt(g2[b])
+            y, w = y / r, w / r
+        for j in range(size):
+            ys[j + 1] = e11[j] * ys[j] + e12[j] * ws[j]
+            ws[j + 1] = e21[j] * ys[j] + e22[j] * ws[j]
+        # summed per block, then over blocks: a sum over both axes at once
+        # would add the cells one by one and lose 1e-12 at 40 lambdas
+        theta += np.sum(np.sum(np.arctan2(ws[:-1] * ys[1:] - ys[:-1] * ws[1:],
+                                          ws[:-1] * ws[1:] + ys[:-1] * ys[1:]),
+                               axis=0), axis=0)
         sq = ys * ys
-        # rescaled to r = 1 after every chunk, so no chunk can overflow
-        r2 = y * y + w * w
-        int_y2 = (int_y2 + np.sum(0.5 * h * (sq[:-1] + sq[1:]), axis=0)) / r2
-        y, w = y / np.sqrt(r2), w / np.sqrt(r2)
+        for b, s_b in enumerate(np.sum(0.5 * h * (sq[:-1] + sq[1:]), axis=0)):
+            int_y2 = (int_y2 + s_b) / g2[b]
     return theta, (s * int_y2 + 0.5 * y * w) / lams
 
 
@@ -274,6 +316,11 @@ def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
     idx = np.arange(ns.size)
     for _ in range(NEWTON_PASSES):
         x = lam[idx]
+        if not np.all(np.isfinite(x)):
+            j = idx[~np.isfinite(x)][0]
+            raise BracketFailure(int(ns[j]), float(lo[j]), float(hi[j]),
+                                 f"trial lambda {lam[j]} for mode "
+                                 f"n={int(ns[j])} is not finite")
         f, df = phase(x)
         f -= target[idx]
         res[idx] = f
@@ -290,7 +337,7 @@ def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
         out = ~((step > l) & (step < h))
         step[out] = np.where(np.isinf(h), 2.0 * x,
                              np.where(l > 0.0, 0.5 * (l + h), LAMBDA_FLOOR))[out]
-        keep = np.abs(f) > ftol
+        keep = ~(np.abs(f) <= ftol)  # a NaN residual is not converged
         lam[idx[keep]] = step[keep]
         idx = idx[keep]
         if idx.size == 0:
@@ -308,13 +355,15 @@ def _solve_modes(nu_like, ns, grid: Grid, tol: float) -> EigenBasis:
                              "mode index must be >= 1")
     # the residual target sets no tighter than the sampled pass's tolerance
     ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
-    # nu enters phi' with its left limit at jump locations
-    nu_nodes = nu_like.nu_values(grid.nodes)
     # start at first order in nu, (pi n)^2 + int q 2 sin^2(pi n x) = (pi n)^2
-    # - 2 pi n int nu sin(2 pi n x); per mode, as a (modes, nodes) table adds RSS
-    wnu = grid.simpson_weights * nu_nodes
-    start = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * np.array(
-        [wnu @ np.sin(2.0 * math.pi * n * grid.nodes) for n in ns])
+    # - 2 pi n int nu sin(2 pi n x); per mode, as a (modes, nodes) table adds
+    # RSS.  A nu that overflows here makes a start that _newton_roots names
+    with np.errstate(over="ignore", invalid="ignore"):
+        # nu enters phi' with its left limit at jump locations
+        nu_nodes = nu_like.nu_values(grid.nodes)
+        wnu = grid.simpson_weights * nu_nodes
+        start = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * np.array(
+            [wnu @ np.sin(2.0 * math.pi * n * grid.nodes) for n in ns])
     root, froot = _newton_roots(_phase_map(nu_like, grid), ns, start, ftol)
     _, (eta, log_r) = _propagate(nu_like, root, tol, grid.nodes)
     # (modes, nodes) tables, formed in place so that few are alive at once

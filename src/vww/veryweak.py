@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateNet, NotBoundedPotential
+from .errors import ConfigError, DegenerateNet, NotBoundedPotential, VwwError
 from .grid import Grid, GridFunction
 from .potential import (ExponentFit, MollifiedNu, MollifierSpec, NuPrimitive,
                         PerturbedNu, RegularizedNet, check_negligibility,
@@ -92,6 +92,19 @@ def _try_fit(fit, ladder, norms, *args):
         return None
 
 
+def _per_rung(e: VeryWeakExperiment, one) -> list:
+    """one(eps) for each rung; a VwwError it raises names that rung's eps
+    and keeps its class."""
+    rows = []
+    for eps in e.ladder:
+        try:
+            rows.append(one(eps))
+        except VwwError as exc:
+            exc.args = (f"rung eps={eps:g}: {exc}",)
+            raise
+    return rows
+
+
 MODERATENESS_MARGIN = 0.2
 
 
@@ -129,7 +142,7 @@ def run_existence(e: VeryWeakExperiment, declared_order: int = 0) -> NetReport:
                 float(np.max(sol.dt_l2_series())),
                 q_eps.q_linf())
 
-    u_norms, dtu_norms, q_norms = zip(*(one(eps) for eps in e.ladder))
+    u_norms, dtu_norms, q_norms = zip(*_per_rung(e, one))
     u_fit, dtu_fit, q_fit = (_try_fit(fit_moderateness, e.ladder, norms)
                              for norms in (u_norms, dtu_norms, q_norms))
     bound = declared_order + MODERATENESS_MARGIN
@@ -203,7 +216,7 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
             float("inf") if rhs == 0.0 else diff_sup**2 / rhs)
         return diff_sup, ratio
 
-    diffs, ratios = zip(*(one(eps) for eps in e.ladder))
+    diffs, ratios = zip(*_per_rung(e, one))
     rep = _try_fit(check_negligibility, e.ladder, diffs, order)
     # an identically zero difference net is negligible at every order
     slope, passed = (None, True) if rep is None else (rep.slope, rep.passed)
@@ -241,7 +254,7 @@ def run_consistency(e: VeryWeakExperiment,
         series = np.sqrt((classical.values - sol.values) ** 2 @ w_q)
         return float(np.max(series)), float(np.max(series[::2]))
 
-    rows = [one(eps) for eps in e.ladder]
+    rows = _per_rung(e, one)
     disc = tuple(r[0] for r in rows)
     coarse_sup = rows[-1][1]
     sens = abs(disc[-1] - coarse_sup) / disc[-1] if disc[-1] > 0.0 else 0.0

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -359,6 +360,24 @@ class TestIOFailure:
         cfg = write_config(tmp_path, "c.json", {
             "nu": FREE_NU, "grid_n": 256, "n_max": 2})
         assert run_cli("eigs", "--config", cfg, "--out", str(blocker)) == 4
+
+
+class TestNumericalFailure:
+    """Finite but extreme potentials end in a named failure, exit 3."""
+
+    @pytest.mark.parametrize("nu, error", [
+        ({"smooth": {"kind": "const", "params": [1e308]},
+          "jumps": [[0.5, 1e308]]},
+         r"BracketFailure: trial lambda \S+ for mode n=1 is not finite"),
+        ({"smooth": {"kind": "linear", "params": [1e100]}},
+         r"MeshTooLarge: a Magnus mesh of \S+ cells exceeds the ceiling"),
+    ], ids=["overflowing_newton_start", "mesh_above_ceiling"])
+    def test_eigs_exits_3(self, tmp_path, capsys, nu, error):
+        cfg = write_config(tmp_path, "c.json",
+                           {"nu": nu, "grid_n": 64, "n_max": 2})
+        assert run_cli("eigs", "--config", cfg, "--out",
+                       str(tmp_path / "o")) == 3
+        assert re.search(error, capsys.readouterr().err)
 
 
 # passes the schema; building the potential raises ConfigError

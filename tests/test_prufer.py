@@ -15,7 +15,7 @@ from vww.errors import (BracketFailure, GridMismatch, NonPositiveLambda,
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, _magnus_mesh, _magnus_phase,
-                        _phase_map, asymptotic_residuals,
+                        _newton_roots, _phase_map, asymptotic_residuals,
                         basis_from_cache, basis_to_cache, build_basis,
                         integrate_prufer, shoot_eigenvalue)
 
@@ -60,6 +60,61 @@ def prufer_rk4_oracle(nu, lam, n_steps):
             theta += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             x += h
     return theta
+
+
+def expm_chained_phase(nu, cells, lams):
+    """theta(1) and d theta(1) / d lambda from scipy's expm of each cell's
+    Magnus-4 exponent, chained over `cells` equal cells of [0, 1] one cell
+    at a time and rescaled to r = 1 after each; nu has no breakpoints.
+
+    The exponent is built from B = [[nu, s], [-(s + nu^2/s), -nu]] at the
+    two Gauss points, not from the closed form of _magnus_mesh.
+    """
+    lams = np.asarray(lams, dtype=float)
+    s = np.sqrt(lams)[:, None, None]
+    h = 1.0 / cells
+    mid = (np.arange(cells) + 0.5) * h
+    nu1, nu2 = (nu.nu_values(mid + t * h / math.sqrt(12.0)) for t in (-1, 1))
+    B = lambda v: np.block([[np.full_like(s, v), s],
+                            [-(s + v * v / s), np.full_like(s, -v)]])
+    v = np.zeros((lams.size, 2))
+    v[:, 1] = 1.0  # (y, w)
+    theta, int_y2 = np.zeros(lams.size), np.zeros(lams.size)
+    for v1, v2 in zip(nu1, nu2):
+        b1, b2 = B(v1), B(v2)
+        om = 0.5 * h * (b1 + b2) + math.sqrt(3.0) / 12.0 * h * h * (
+            b2 @ b1 - b1 @ b2)
+        u = np.einsum("mij,mj->mi", expm(om), v)
+        theta += np.arctan2(v[:, 1] * u[:, 0] - v[:, 0] * u[:, 1],
+                            v[:, 1] * u[:, 1] + v[:, 0] * u[:, 0])
+        r2 = np.sum(u * u, axis=1)
+        int_y2 = (int_y2 + 0.5 * h * (v[:, 0] ** 2 + u[:, 0] ** 2)) / r2
+        v = u / np.sqrt(r2)[:, None]
+    return theta, (np.sqrt(lams) * int_y2 + 0.5 * v[:, 0] * v[:, 1]) / lams
+
+
+def cell_loop_phase(mesh, lams):
+    """The per-cell loop that the blocked scan replaced: the closed-form
+    step of each cell of a _magnus_mesh in turn, rescaled to r = 1 after
+    each, with the same per-cell atan2 and trapezoid sums."""
+    s = np.sqrt(lams)
+    h, a, p, m, u, pm, d2 = mesh
+    det = pm * (lams + d2)
+    om = np.sqrt(np.abs(det))
+    cos, sinc = np.cos(om), np.sinc(om / np.pi)
+    neg = det < 0.0
+    cos[neg], sinc[neg] = np.cosh(om[neg]), np.sinh(om[neg]) / om[neg]
+    e11, e22 = cos + sinc * a, cos - sinc * a
+    e12, e21 = sinc * s * p, -sinc * (s * m + u / s)
+    y, w = np.zeros_like(s), np.ones_like(s)
+    theta, int_y2 = np.zeros_like(s), np.zeros_like(s)
+    for j in range(h.shape[0]):
+        yn, wn = e11[j] * y + e12[j] * w, e21[j] * y + e22[j] * w
+        theta += np.arctan2(w * yn - y * wn, w * wn + y * yn)
+        r2 = yn * yn + wn * wn
+        int_y2 = (int_y2 + 0.5 * h[j] * (y * y + yn * yn)) / r2
+        y, w = yn / np.sqrt(r2), wn / np.sqrt(r2)
+    return theta, (s * int_y2 + 0.5 * y * w) / lams
 
 
 class TestIntegratePrufer:
@@ -132,6 +187,13 @@ class TestShootEigenvalue:
         with pytest.raises(BracketFailure,
                            match="phase residual .* above tolerance for mode n=1"):
             shoot_eigenvalue(STEP, 1, grid512)
+
+    def test_nan_phase_never_converges(self):
+        # a NaN residual is no smaller than the tolerance, so Newton
+        # reports the mode instead of returning it as a root
+        nan_phase = lambda x: (np.full_like(x, np.nan), np.ones_like(x))
+        with pytest.raises(BracketFailure, match="residual nan .* n=1"):
+            _newton_roots(nan_phase, np.array([1.0]), np.array([10.0]), 1e-10)
 
     def test_deep_well_reports_bracket_failure(self, grid512):
         # alpha < -4 pushes the ground state below the positivity floor
@@ -263,20 +325,9 @@ class TestRootPasses:
         # det Omega < 0 there and the cosh/sinh branch is taken
         mesh = _magnus_mesh(nu, 32)
         assert int(np.sum(mesh[5] < 0.0)) == hyperbolic
-        x = np.linspace(0.0, 1.0, 33)
-        h, s = 1.0 / 32, math.sqrt(lam)
-        B = lambda v: np.array([[v, s], [-(s + v * v / s), -v]])
-        v, theta = np.array([1.0, 0.0]), 0.0  # (w, y)
-        for mid in x[:-1] + 0.5 * h:
-            b1, b2 = (B(float(nu.nu_values(mid + t * h / math.sqrt(12.0))))
-                      for t in (-1, 1))
-            om = 0.5 * h * (b1 + b2) + math.sqrt(3.0) / 12.0 * h * h * (
-                b2 @ b1 - b1 @ b2)
-            y, w = expm(om) @ v[::-1]
-            theta += math.atan2(v[0] * y - v[1] * w, v[0] * w + v[1] * y)
-            v = np.array([w, y]) / math.hypot(w, y)
+        theta, _ = expm_chained_phase(nu, 32, [lam])
         got, _ = _magnus_phase(mesh, np.array([lam]))
-        assert got[0] == pytest.approx(theta, rel=1e-12, abs=1e-12)
+        assert got[0] == pytest.approx(theta[0], rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [1.0, 100.0, 1e4])
     def test_newton_derivative_free(self, lam):
@@ -344,6 +395,43 @@ class TestRootPasses:
         monkeypatch.setattr(vww.prufer, "_magnus_phase", counted)
         build_basis(NuPrimitive("sine", (1.0, 1.0)), 40, Grid(2048))
         assert len(passes) <= 4
+
+
+class TestBlockedScan:
+    """The blocked Magnus scan against per-cell references."""
+
+    @pytest.mark.parametrize("width", [1, 3, 40])
+    @pytest.mark.parametrize("cells", [33, 257, 1000])
+    def test_ragged_meshes_match_expm(self, cells, width):
+        # neither squares nor multiples of the chunk (256 cells at 40
+        # lambdas), so blocks and chunks end short
+        nu = NuPrimitive("sine", (1.0, 1.0))
+        lams = np.geomspace(0.5, 3000.0, width)
+        got = _magnus_phase(_magnus_mesh(nu, cells), lams)
+        for g, want in zip(got, expm_chained_phase(nu, cells, lams)):
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["step", "mixed", "sine"])
+    def test_batch_width_invariant(self, name):
+        # one lambda is one chunk of 2,048 cells; forty are eight chunks
+        mesh = _magnus_mesh(catalog_potentials()[name], 2048)
+        lams = np.linspace(5.0, (40 * math.pi) ** 2, 40)
+        theta, dtheta = _magnus_phase(mesh, lams)
+        for k in (0, 17, 39):
+            alone = _magnus_phase(mesh, lams[k:k + 1])
+            assert alone[0][0] == pytest.approx(theta[k], rel=0.0, abs=1e-12)
+            assert alone[1][0] == pytest.approx(dtheta[k], rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.5, 300.0])
+    @pytest.mark.parametrize("slope", [1e4, 3e4])
+    def test_steep_nu_matches_cell_loop(self, slope, lam):
+        # the states grow by orders of magnitude inside a block; an
+        # overflow would raise here, as the suite makes RuntimeWarning an error
+        mesh = _magnus_mesh(NuPrimitive("linear", (slope,)), 2048)
+        lams = np.array([lam])
+        got = _magnus_phase(mesh, lams)
+        for g, want in zip(got, cell_loop_phase(mesh, lams)):
+            assert g[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
 
 
 class TestCache:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from vww.errors import ConfigError, NotBoundedPotential
+from vww.errors import ConfigError, NotBoundedPotential, UnresolvedBasis
 from vww.grid import Grid, GridFunction
 from vww.potential import NuPrimitive, default_ladder
 from vww.veryweak import (DataNet, VeryWeakExperiment, run_consistency,
@@ -71,6 +71,31 @@ class TestExperiment:
         assert main(["veryweak", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
         assert built == []
+
+
+class TestFailingRung:
+    @pytest.mark.parametrize("run", [
+        run_existence, run_consistency,
+        lambda e: run_uniqueness(e, order=2)],
+        ids=["existence", "consistency", "uniqueness"])
+    def test_error_names_its_rung(self, run, monkeypatch):
+        # the third rung's basis fails; the error keeps its class and
+        # message and names that rung
+        import vww.veryweak
+        real = vww.veryweak.build_basis
+
+        def build(potential, *args, **kw):
+            spec = getattr(potential, "spec", None)
+            if spec is not None and spec.epsilon == 2.0**-4:
+                raise UnresolvedBasis("Gram defect 0.3")
+            return real(potential, *args, **kw)
+
+        monkeypatch.setattr(vww.veryweak, "build_basis", build)
+        e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
+                       ladder=default_ladder(2, 5), n_max=4)
+        with pytest.raises(UnresolvedBasis,
+                           match=r"^rung eps=0\.0625: Gram defect 0\.3$"):
+            run(e)
 
 
 class TestExistence:
