@@ -8,7 +8,8 @@ Usage:
     vww veryweak  --config cfg.json --out outdir
     vww <cmd> --selftest
 
-Configs are JSON, schema-validated with unknown keys rejected.  Outputs
+Configs are JSON, checked against Draft 2020-12 schemas by a short
+in-house walker (no jsonschema import) with unknown keys rejected.  Outputs
 are machine-readable: JSON for reports, CSV for bulk numbers, and
 whitespace-separated .dat files for log-log plotting.  File writes are
 atomic (temp file + rename) and contain no timestamps, so identical
@@ -28,7 +29,6 @@ import sys
 import tempfile
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .errors import ConfigError, VwwError
@@ -134,12 +134,76 @@ _SCHEMAS = {
 }
 
 
+def _is_type(value, kind: str) -> bool:
+    """JSON Schema's type test: a bool is no number, 1.0 is an integer."""
+    if kind in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return kind == "number" or isinstance(value, int) or value.is_integer()
+    return isinstance(value, {"object": dict, "array": list,
+                              "boolean": bool}[kind])
+
+
+def _schema_errors(schema: dict, value, path: tuple):
+    """Yield (path, message) for each way ``value`` breaks ``schema``.
+
+    Only the Draft 2020-12 keywords of ``_SCHEMAS`` are read, with their
+    standard meaning: a keyword about objects, arrays or numbers passes a
+    value of another type, and an ``if`` holds where its property is
+    absent.  Bounds fail as ``value < minimum`` and ``value <=
+    exclusiveMinimum``, so NaN passes them; the loader refuses it.
+    """
+    if "type" in schema and not _is_type(value, schema["type"]):
+        yield path, f"{value!r} is not of type {schema['type']!r}"
+        return
+    if "enum" in schema and value not in schema["enum"]:
+        yield path, f"{value!r} is not one of {schema['enum']!r}"
+    if "const" in schema and value != schema["const"]:
+        yield path, f"{schema['const']!r} was expected"
+    if _is_type(value, "number"):
+        low, above = schema.get("minimum"), schema.get("exclusiveMinimum")
+        if low is not None and value < low:
+            yield path, f"{value!r} is less than {low!r}"
+        if above is not None and value <= above:
+            yield path, f"{value!r} is not greater than {above!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} has fewer than {schema['minItems']} items"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            yield path, f"{value!r} has more than {schema['maxItems']} items"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _schema_errors(schema["items"], item, (*path, i))
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        extra = [key for key in value if key not in props]
+        if schema.get("additionalProperties") is False and extra:
+            yield path, f"unexpected properties {extra!r}"
+        for key, sub in props.items():
+            if key in value:
+                yield from _schema_errors(sub, value[key], (*path, key))
+    for sub in schema.get("allOf", ()):
+        yield from _schema_errors(sub, value, path)
+    if "anyOf" in schema and not any(_holds(sub, value)
+                                     for sub in schema["anyOf"]):
+        yield path, f"{value!r} is not valid under any of the given schemas"
+    if "if" in schema and _holds(schema["if"], value):
+        yield from _schema_errors(schema["then"], value, path)
+
+
+def _holds(schema: dict, value) -> bool:
+    return next(_schema_errors(schema, value, ()), None) is None
+
+
 def validate_config(command: str, config: dict) -> None:
-    validator = Draft202012Validator(_SCHEMAS[command])
-    errors = sorted(validator.iter_errors(config), key=str)
-    if errors:
-        where = "/".join(str(p) for p in errors[0].absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {errors[0].message}")
+    """Raise ConfigError at the first place, in walk order, where
+    ``config`` breaks the command's schema."""
+    for path, message in _schema_errors(_SCHEMAS[command], config, ()):
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {message}")
 
 
 # -- descriptor builders -----------------------------------------------------

@@ -75,3 +75,7 @@ class MissingNorm(VwwError):
 
 class NotBoundedPotential(VwwError):
     """Operation requires a bounded potential but atoms are present."""
+
+
+class NonFiniteResult(VwwError):
+    """A finite input would make an intermediate result overflow."""

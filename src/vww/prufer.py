@@ -38,7 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (BracketFailure, GridMismatch, MeshTooLarge,
-                     NonPositiveLambda, NonPositiveSpectrum, UnresolvedBasis)
+                     NonFiniteResult, NonPositiveLambda, NonPositiveSpectrum,
+                     UnresolvedBasis)
 from .grid import Grid, freeze_arrays
 from .ode import integrate_rk45
 from .potential import Potential, potential_from_descriptor
@@ -120,7 +121,8 @@ def _magnus_mesh(nu_like, cells_per_unit: float):
     B = [[nu, s], [-(s + nu^2/s), -nu]] is [[a, s p], [-(s m + u/s), -a]]
     with p, m = h +- k, k = sqrt(3)/6 h^2 (nu_2 - nu_1); its determinant,
     p m (lambda + (nu_2 - nu_1)^2 / 4), is negative only where |k| > h.
-    A mesh of over _MAX_CELLS cells raises MeshTooLarge before any is made.
+    A mesh of over _MAX_CELLS cells raises MeshTooLarge before any is made;
+    a nu whose square overflows raises NonFiniteResult before any pass.
     """
     edges = [0.0, *nu_like.breakpoints, 1.0]
     panels = [(a, b, max(_MIN_PANEL_CELLS, math.ceil((b - a) * cells_per_unit
@@ -134,12 +136,18 @@ def _magnus_mesh(nu_like, cells_per_unit: float):
     h = np.concatenate([np.diff(c) for c in cuts])
     mid = np.concatenate([c[:-1] for c in cuts]) + 0.5 * h
     nu1, nu2 = (nu_like.nu_values(mid + t * h / math.sqrt(12.0)) for t in (-1, 1))
-    dn = nu2 - nu1
-    k = (math.sqrt(3.0) / 6.0) * h * h * dn
-    p, m = h + k, h - k
-    a = 0.5 * p * (nu1 + nu2)
-    u = 0.5 * h * (nu1 * nu1 + nu2 * nu2) + k * nu1 * nu2
-    return tuple(c[:, None] for c in (h, a, p, m, u, p * m, 0.25 * dn * dn))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dn = nu2 - nu1
+        k = (math.sqrt(3.0) / 6.0) * h * h * dn
+        p, m = h + k, h - k
+        a = 0.5 * p * (nu1 + nu2)
+        u = 0.5 * h * (nu1 * nu1 + nu2 * nu2) + k * nu1 * nu2
+        terms = (h, a, p, m, u, p * m, 0.25 * dn * dn)
+    if not all(np.all(np.isfinite(c)) for c in terms):
+        raise NonFiniteResult(
+            "a Magnus mesh term is not finite for max |nu| = "
+            f"{max(np.max(np.abs(nu1)), np.max(np.abs(nu2))):.6g}")
+    return tuple(c[:, None] for c in terms)
 
 
 def _magnus_phase(mesh, lams: np.ndarray):

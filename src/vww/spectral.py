@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, NonFiniteResult
 from .grid import GridFunction, freeze_arrays
 from .prufer import EigenBasis
 
@@ -50,8 +50,14 @@ def synthesize(c: SpectralCoeffs) -> GridFunction:
 
 
 def lambda_power(lam: np.ndarray, k: float) -> np.ndarray:
-    """lambda_n^k for real k, as exp(k log lambda_n): every lambda_n > 0."""
-    return np.exp(k * np.log(lam))
+    """lambda_n^k for real k, as exp(k log lambda_n): every lambda_n > 0.
+    Raises NonFiniteResult when a weight overflows."""
+    with np.errstate(over="ignore"):
+        weights = np.exp(k * np.log(lam))
+    if not np.all(np.isfinite(weights)):
+        raise NonFiniteResult(f"lambda^k overflows for k={k:g} at "
+                              f"lambda_max={np.max(lam):.6g}")
+    return weights
 
 
 def sobolev_norm(c: SpectralCoeffs, k: float) -> float:

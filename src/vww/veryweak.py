@@ -21,7 +21,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateNet, NotBoundedPotential, VwwError
+from .errors import (ConfigError, DegenerateNet, NonFiniteResult,
+                     NotBoundedPotential, VwwError)
 from .grid import Grid, GridFunction
 from .potential import (ExponentFit, MollifiedNu, MollifierSpec, NuPrimitive,
                         PerturbedNu, RegularizedNet, check_negligibility,
@@ -209,9 +210,13 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
                                  @ w_q))) * c**2
         u0_diff = analyze(c * w0, basis)
         u1_diff = analyze(c * w1, basis)
+        # T * T, unlike T**2, overflows to inf instead of raising
         rhs = (sobolev_norm(u0_diff, 0.0) ** 2
                + sobolev_norm(u1_diff, -1.0) ** 2
-               + 2.0 * e.T**2 * f_sup_sq)
+               + 2.0 * e.T * e.T * f_sup_sq)
+        if not np.isfinite(rhs):
+            raise NonFiniteResult(f"the uniqueness bound is {rhs} for "
+                                  f"T={e.T:g}")
         ratio = 0.0 if rhs == 0.0 and diff_sup == 0.0 else (
             float("inf") if rhs == 0.0 else diff_sup**2 / rhs)
         return diff_sup, ratio

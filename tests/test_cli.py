@@ -1,18 +1,22 @@
 """CLI subcommands: file outputs, exit codes, determinism."""
 
+import copy
 import json
 import math
 import os
+import random
 import re
 
 import numpy as np
 import pytest
 
-from vww.cli import _write_csv, _write_solution_csv, main, validate_config
+from vww.cli import (_SCHEMAS, _write_csv, _write_solution_csv, main,
+                     validate_config)
+from vww.errors import ConfigError
 from vww.estimates import ALL_ESTIMATE_IDS
 from vww.potential import PROFILES, SMOOTH_KINDS
 
-from conftest import scipy_modules_in_fresh_python
+from conftest import modules_in_fresh_python
 
 
 def run_cli(*args):
@@ -332,16 +336,34 @@ class TestSelftest:
         assert "FAIL" not in out
 
 
+# jsonschema and the packages it imports
+JSONSCHEMA_STACK = ("jsonschema", "attrs", "referencing", "rpds")
+
+
 class TestImportPath:
-    """scipy costs most of an import of vww; only ``samples`` loads it."""
+    """scipy costs most of an import of vww; only ``samples`` loads it.
+    jsonschema, a third of the rest, no vww process loads."""
 
     def test_import_loads_no_scipy(self):
-        assert scipy_modules_in_fresh_python("import vww, vww.cli") == []
+        assert modules_in_fresh_python("import vww, vww.cli", "scipy") == []
 
     def test_forced_selftest_loads_no_scipy(self):
         code = ("import vww.cli\n"
                 "assert vww.cli.main(['forced', '--selftest']) == 0")
-        assert scipy_modules_in_fresh_python(code) == []
+        assert modules_in_fresh_python(code, "scipy") == []
+
+    def test_import_loads_no_jsonschema(self):
+        assert modules_in_fresh_python("import vww, vww.cli",
+                                       *JSONSCHEMA_STACK) == []
+
+    def test_eigs_run_loads_no_jsonschema(self, tmp_path):
+        # a lazy import would show here and not after the bare import
+        cfg = write_config(tmp_path, "c.json",
+                           {"nu": FREE_NU, "grid_n": 64, "n_max": 2})
+        code = ("import vww.cli\n"
+                f"assert vww.cli.main(['eigs', '--config', {cfg!r}, "
+                f"'--out', {str(tmp_path / 'o')!r}]) == 0")
+        assert modules_in_fresh_python(code, *JSONSCHEMA_STACK) == []
 
 
 class TestOptions:
@@ -371,13 +393,38 @@ class TestNumericalFailure:
          r"BracketFailure: trial lambda \S+ for mode n=1 is not finite"),
         ({"smooth": {"kind": "linear", "params": [1e100]}},
          r"MeshTooLarge: a Magnus mesh of \S+ cells exceeds the ceiling"),
-    ], ids=["overflowing_newton_start", "mesh_above_ceiling"])
+        ({"smooth": {"kind": "const", "params": [1e200]}},
+         r"NonFiniteResult: a Magnus mesh term is not finite for max \|nu\| "
+         r"= 1e\+200"),
+    ], ids=["overflowing_newton_start", "mesh_above_ceiling",
+            "overflowing_nu_square"])
     def test_eigs_exits_3(self, tmp_path, capsys, nu, error):
         cfg = write_config(tmp_path, "c.json",
                            {"nu": nu, "grid_n": 64, "n_max": 2})
         assert run_cli("eigs", "--config", cfg, "--out",
                        str(tmp_path / "o")) == 3
         assert re.search(error, capsys.readouterr().err)
+
+    def test_estimate_weight_overflow_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, u0={"kind": "sine_combo", "params": [[1, 1]]},
+            estimate_ids=["est5"], k=1e300))
+        out = tmp_path / "o"
+        assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 3
+        assert re.search(r"NonFiniteResult: lambda\^k overflows for k=1e\+300",
+                         capsys.readouterr().err)
+        assert not (out / "estimates.json").exists()
+
+    def test_uniqueness_bound_overflow_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, mode="uniqueness", T=1e300,
+            ladder=[0.5, 0.25, 0.125, 0.0625], order=1,
+            w0={"kind": "sine_combo", "params": [[1, 1]]}))
+        assert run_cli("veryweak", "--config", cfg, "--out",
+                       str(tmp_path / "o")) == 3
+        assert re.search(r"NonFiniteResult: rung eps=0\.5: the uniqueness "
+                         r"bound is nan for T=1e\+300",
+                         capsys.readouterr().err)
 
 
 # passes the schema; building the potential raises ConfigError
@@ -480,3 +527,132 @@ class TestConfigLoader:
             validate_config("veryweak", dict(VW_BASE, mollifier=name))
         validate_config("estimates", dict(
             SOLVE_BASE, estimate_ids=list(ALL_ESTIMATE_IDS)))
+
+
+# the Draft 2020-12 keywords that vww.cli._schema_errors reads
+WALKER_KEYWORDS = {"type", "enum", "const", "properties", "required",
+                   "additionalProperties", "items", "minItems", "maxItems",
+                   "minimum", "exclusiveMinimum", "anyOf", "allOf", "if",
+                   "then"}
+
+
+def _subschemas(schema: dict):
+    """schema and every schema nested in it."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(),
+              *schema.get("anyOf", ()), *schema.get("allOf", ())]
+    nested += [schema[k] for k in ("items", "if", "then") if k in schema]
+    for sub in nested:
+        yield from _subschemas(sub)
+
+
+# one config per command that sets every property its schema names, with
+# data and forcing kinds spread over the if/then branches
+_FULL_NU = {"smooth": {"kind": "linear", "params": [2.0]},
+            "jumps": [[0.3, 3.0]]}
+_FULL_PROBLEM = {
+    "nu": _FULL_NU, "grid_n": 64, "n_max": 2, "ode_tol": 1e-9, "T": 1.0,
+    "n_times": 5, "u0": {"kind": "parabola", "params": [1.0]},
+    "u1": {"kind": "sine_combo", "params": [[0.5, 2]]}}
+_FULL_FORCING = {"space": {"kind": "samples", "params": [0.0, 1.0, 0.0]},
+                 "time": {"kind": "cos", "params": [1.0, 3.0]},
+                 "time_steps": 16}
+DIFFERENTIAL_BASES = [
+    ("eigs", {"nu": _FULL_NU, "grid_n": 2048, "n_max": 40, "ode_tol": 1e-11,
+              "cache_eigenfunctions": True, "write_cache": False}),
+    ("solve", _FULL_PROBLEM),
+    ("forced", dict(_FULL_PROBLEM, forcing=_FULL_FORCING)),
+    ("estimates", dict(_FULL_PROBLEM, forcing=_FULL_FORCING,
+                       estimate_ids=["est1", "est5"], k=1.0)),
+    ("estimates", dict(SOLVE_BASE, estimate_ids="core")),
+    ("veryweak", dict(_FULL_PROBLEM, mode="uniqueness",
+                      ladder=[0.5, 0.25, 0.125, 0.0625], mollifier="bump",
+                      declared_order=0, order=1, w_primitive=_FULL_NU,
+                      w0={"kind": "zero", "params": []},
+                      w1={"kind": "sine_combo", "params": [[1, 1]]},
+                      tolerance=1e-3, u0_scale_exponent=0.5,
+                      u1_scale_exponent=0)),
+    ("veryweak", VW_BASE),
+]
+
+
+def _strings(schema: dict) -> list:
+    """Every enum member, const and property name in schema."""
+    out = []
+    for sub in _subschemas(schema):
+        out += [*sub.get("enum", ()), *sub.get("properties", {})]
+        out += [sub["const"]] if "const" in sub else []
+    return sorted(set(out))
+
+
+_ATOMS = [None, True, False, 0, 1, -1, 2, 8, 7, 1.0, 2.0, 0.5, -0.5, 0.0,
+          -0.0, 1e300, 10**20, float("nan"), float("inf"), "", "x", [],
+          [1.0], [1, 2], [1, 2, 3], [[1, 2]], [[1]], [True, 1], {},
+          {"kind": "zero"}, {"kind": "parabola", "params": [1]},
+          {"kind": "sine_combo", "params": [[1, 2]]},
+          {"k_min": 1, "k_max": 4}, {"smooth": {"kind": "zero"}}]
+
+
+def _mutate(rng: random.Random, config: dict, strings: list) -> dict:
+    """config with one to three nodes replaced, removed or added."""
+    config = copy.deepcopy(config)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        slots = []  # (container, key) of every node below the root
+
+        def collect(node):
+            keys = (node if isinstance(node, dict)
+                    else range(len(node)) if isinstance(node, list) else ())
+            for key in keys:
+                slots.append((node, key))
+                collect(node[key])
+
+        collect(config)
+        container, key = rng.choice(slots) if slots else (config, None)
+        op = rng.randrange(3)
+        atom = copy.deepcopy(rng.choice(_ATOMS + strings))
+        if op == 0 and key is not None:
+            container[key] = atom
+        elif op == 1 and key is not None:
+            del container[key]
+        elif isinstance(container, dict):
+            container[rng.choice(strings + ["nope"])] = atom
+        else:
+            container.append(atom)
+    return config
+
+
+class TestSchemaWalker:
+    """The in-house walker refuses what Draft 2020-12 refuses."""
+
+    def test_schemas_use_only_walker_keywords(self):
+        for command, schema in _SCHEMAS.items():
+            for sub in _subschemas(schema):
+                assert set(sub) <= WALKER_KEYWORDS, (command, sub)
+                assert sub.get("additionalProperties", False) is False
+                assert sub.get("type", "number") in {
+                    "object", "array", "number", "integer", "boolean"}
+                # so that the walker's ``in`` and ``==`` are JSON equality
+                assert all(isinstance(v, str) for v in
+                           [*sub.get("enum", ()), sub.get("const", "")])
+
+    def test_mutated_configs_match_draft_2020_12(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        rng = random.Random(20201202)
+        counts = {"accepted": 0, "refused": 0}
+        for i in range(3000):
+            command, base = DIFFERENTIAL_BASES[i % len(DIFFERENTIAL_BASES)]
+            schema = _SCHEMAS[command]
+            config = _mutate(rng, base, _strings(schema))
+            oracle = jsonschema.Draft202012Validator(schema).is_valid(config)
+            try:
+                validate_config(command, config)
+                accepted = True
+            except ConfigError:
+                accepted = False
+            assert accepted == oracle, (command, config)
+            counts["accepted" if accepted else "refused"] += 1
+        assert min(counts.values()) >= 150, counts
+
+    def test_bases_pass(self):
+        for command, base in DIFFERENTIAL_BASES:
+            validate_config(command, base)

@@ -16,7 +16,7 @@ from vww.potential import (MollifiedNu, MollifierSpec, NuPrimitive,
                            mollify_potential)
 from vww.prufer import build_basis
 
-from conftest import scipy_modules_in_fresh_python
+from conftest import modules_in_fresh_python
 
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
 
@@ -374,7 +374,7 @@ class TestSamplesKind:
                 "nu = NuPrimitive('samples', tuple(range(8)))\n"
                 "assert not any(m.startswith('scipy') for m in sys.modules)\n"
                 "nu.nu_values(0.5)")
-        assert "scipy.interpolate" in scipy_modules_in_fresh_python(code)
+        assert "scipy.interpolate" in modules_in_fresh_python(code, "scipy")
 
 
 class TestFits:
