@@ -11,8 +11,8 @@ from .potential import (BumpProfile, MollifiedNu, MollifierSpec, NuPrimitive,
                         PerturbedNu, RegularizedNet, check_negligibility,
                         default_ladder, evaluate_nu, extend_by_zero,
                         fit_moderateness, mollify_potential)
-from .prufer import (EigenBasis, PruferPath, asymptotic_residuals, build_basis,
-                     integrate_prufer, shoot_eigenvalue)
+from .prufer import (EigenBasis, PruferPath, asymptotic_residuals, build_bases,
+                     build_basis, integrate_prufer, shoot_eigenvalue)
 from .spectral import SpectralCoeffs, analyze, parseval_defect, sobolev_norm, synthesize
 from .wave import (ForcingTable, WaveProblem, WaveSolution, analyze_forcing,
                    fd_oracle, solve_forced, solve_homogeneous,

@@ -13,7 +13,9 @@ in-house walker (no jsonschema import) with unknown keys rejected.  Outputs
 are machine-readable: JSON for reports, CSV for bulk numbers, and
 whitespace-separated .dat files for log-log plotting.  File writes are
 atomic (temp file + rename) and contain no timestamps, so identical
-configs reproduce byte-identical outputs.
+configs reproduce byte-identical outputs.  Every number written is
+finite: a command formats all of its files first, and a non-finite
+number fails it (exit 3) before any file exists.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure, 4 I/O failure.
@@ -31,7 +33,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, VwwError
+from .errors import ConfigError, NonFiniteResult, VwwError
 from .grid import Grid, GridFunction
 from .potential import (PROFILES, SMOOTH_KINDS, MollifierSpec, NuPrimitive,
                         default_ladder, get_profile,
@@ -39,7 +41,8 @@ from .potential import (PROFILES, SMOOTH_KINDS, MollifierSpec, NuPrimitive,
 from .prufer import DEFAULT_TOL, basis_csv_rows, basis_to_cache, build_basis
 from .spectral import analyze
 from .wave import (ForcingTable, WaveProblem, analyze_forcing,
-                   default_time_grid, solve_forced, solve_homogeneous)
+                   check_time_grid, default_time_grid, solve_forced,
+                   solve_homogeneous)
 from .estimates import ALL_ESTIMATE_IDS, CORE_ESTIMATE_IDS, verify
 from .veryweak import (DataNet, VeryWeakExperiment, run_consistency,
                        run_existence, run_uniqueness)
@@ -254,6 +257,7 @@ def _build_forcing(desc: dict, basis, T: float, out_steps: int) -> ForcingTable:
     else:
         dt_target = default_time_grid(basis, T)[1]
         factor = max(1, math.ceil((T / out_steps) / dt_target))
+    check_time_grid(out_steps * factor + 1, basis.grid)
     times = np.linspace(0.0, T, out_steps * factor + 1)
     fvals = g(times)[:, None] * space.values[None, :]
     return analyze_forcing(fvals, basis, times)
@@ -276,25 +280,66 @@ def _atomic_write(path: str, *texts: str) -> None:
         raise
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _non_finite_field(value, path=()):
+    """Path of the first non-finite float in a JSON payload, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = (value.items() if isinstance(value, dict) else enumerate(value)
+             if isinstance(value, (list, tuple)) else ())
+    for key, item in items:
+        found = _non_finite_field(item, (*path, key))
+        if found is not None:
+            return found
+    return None
 
 
-def _write_csv(path: str, header: tuple, rows) -> None:
+def _json_text(payload: dict) -> list:
+    try:
+        return [json.dumps(payload, indent=2, sort_keys=True,
+                           allow_nan=False) + "\n"]
+    except ValueError:
+        field = "/".join(map(str, _non_finite_field(payload)))
+        raise NonFiniteResult(f"field {field} is not finite") from None
+
+
+def _finite_float(v: float, field: str) -> float:
+    if not math.isfinite(v):
+        raise NonFiniteResult(f"field {field} is {v!r}")
+    return v
+
+
+def _csv_text(header: tuple, rows) -> list:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        lines.append(",".join(
+            repr(_finite_float(v, h)) if isinstance(v, float) else str(v)
+            for h, v in zip(header, row)))
+    return ["\n".join(lines) + "\n"]
 
 
-def _write_dat(path: str, columns: dict) -> None:
+def _dat_text(columns: dict) -> list:
     keys = list(columns)
     rows = zip(*(columns[k] for k in keys))
     lines = ["# " + " ".join(keys)]
     for row in rows:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        lines.append(" ".join(repr(_finite_float(float(v), k))
+                              for k, v in zip(keys, row)))
+    return ["\n".join(lines) + "\n"]
+
+
+def _write_files(out: str, files: dict) -> None:
+    """Write files, name -> (format, *args), into out once every one is
+    formatted, so a non-finite number refuses the command with
+    NonFiniteResult, naming the file and field, before any file exists."""
+    texts = {}
+    for name, (fmt, *args) in files.items():
+        try:
+            texts[name] = fmt(*args)
+        except NonFiniteResult as exc:
+            exc.args = (f"{name}: {exc}",)
+            raise
+    for name, parts in texts.items():
+        _atomic_write(os.path.join(out, name), *parts)
 
 
 def _meta(config: dict) -> dict:
@@ -312,25 +357,27 @@ def _basis(config: dict):
 
 def cmd_eigs(config: dict, out: str) -> None:
     basis = _basis(config)
-    _write_csv(os.path.join(out, "eigenvalues.csv"),
-               ("n", "lambda", "theta_residual", "tilde_norm", "psi_norm"),
-               basis_csv_rows(basis))
+    files = {"eigenvalues.csv": (
+        _csv_text, ("n", "lambda", "theta_residual", "tilde_norm", "psi_norm"),
+        basis_csv_rows(basis))}
     if config.get("write_cache", True):
         cache = basis_to_cache(
             basis, include_eigenfunctions=config.get("cache_eigenfunctions",
                                                      False))
-        _write_json(os.path.join(out, "basis_cache.json"),
-                    {**cache, "meta": _meta(config)})
+        files["basis_cache.json"] = (_json_text,
+                                     {**cache, "meta": _meta(config)})
+    _write_files(out, files)
 
 
 def _solve_common(config: dict):
     """Build and solve the problem, forced when the config has a forcing."""
+    n_times = int(config.get("n_times", 201))
+    check_time_grid(n_times, Grid(int(config["grid_n"])))
     basis = _basis(config)
     grid = basis.grid
     u0 = _build_data(config["u0"], grid)
     u1 = _build_data(config["u1"], grid)
     T = float(config["T"])
-    n_times = int(config.get("n_times", 201))
     times = np.linspace(0.0, T, n_times)
     forcing = None
     if "forcing" in config:
@@ -342,25 +389,26 @@ def _solve_common(config: dict):
     return problem, sol, times
 
 
-def _write_solution_csv(path: str, times: list, nodes: np.ndarray,
-                        values: np.ndarray, dt_values: np.ndarray) -> None:
-    """Rows t,x,u,u_t for every time and node, as ``_write_csv`` writes
+def _solution_text(times: list, nodes: np.ndarray, values: np.ndarray,
+                   dt_values: np.ndarray) -> list:
+    """Rows t,x,u,u_t for every time and node, as ``_csv_text`` writes
     them; each time and node is formatted once."""
+    for field, column in (("t", times), ("u", values), ("u_t", dt_values)):
+        if not np.all(np.isfinite(column)):
+            raise NonFiniteResult(f"field {field} holds a non-finite value")
     xs = [f",{x!r}," for x in nodes.tolist()]
     parts = ["t,x,u,u_t\n"]
     for t, us, uts in zip(times, values, dt_values):
         t_r = repr(t)
         parts.append("".join([f"{t_r}{x_r}{u!r},{ut!r}\n" for x_r, u, ut
                               in zip(xs, us.tolist(), uts.tolist())]))
-    _atomic_write(path, *parts)
+    return parts
 
 
 def cmd_solve(config: dict, out: str) -> None:
     """``solve`` and ``forced``: solution.csv and energy.json."""
     _, sol, times = _solve_common(config)
     times = [float(t) for t in times]
-    _write_solution_csv(os.path.join(out, "solution.csv"), times,
-                        sol.basis.grid.nodes, sol.values, sol.dt_values)
     energy = sol.energy_series()
     e0 = float(energy[0]) if energy[0] != 0.0 else 1.0
     payload = {
@@ -372,7 +420,10 @@ def cmd_solve(config: dict, out: str) -> None:
         "boundary_max": float(max(np.max(np.abs(sol.values[:, 0])),
                                   np.max(np.abs(sol.values[:, -1])))),
     }
-    _write_json(os.path.join(out, "energy.json"), payload)
+    _write_files(out, {
+        "solution.csv": (_solution_text, times, sol.basis.grid.nodes,
+                         sol.values, sol.dt_values),
+        "energy.json": (_json_text, payload)})
 
 
 def cmd_estimates(config: dict, out: str) -> None:
@@ -385,13 +436,13 @@ def cmd_estimates(config: dict, out: str) -> None:
     k = float(config.get("k", 0.0))
     inputs = {"config": config}
     reports = [verify(i, problem, sol, k=k, inputs=inputs) for i in ids]
-    _write_json(os.path.join(out, "estimates.json"), {
-        "meta": _meta(config),
-        "reports": [r.to_dict() for r in reports],
-    })
-    _write_csv(os.path.join(out, "estimates.csv"),
-               ("estimate_id", "ratio", "problem_hash"),
-               [(r.estimate_id, r.ratio, r.problem_hash) for r in reports])
+    _write_files(out, {
+        "estimates.json": (_json_text, {
+            "meta": _meta(config),
+            "reports": [r.to_dict() for r in reports]}),
+        "estimates.csv": (
+            _csv_text, ("estimate_id", "ratio", "problem_hash"),
+            [(r.estimate_id, r.ratio, r.problem_hash) for r in reports])})
 
 
 # per mode, the net columns: (report field, net.csv norm_kind, loglog.dat column)
@@ -435,14 +486,15 @@ def cmd_veryweak(config: dict, out: str) -> None:
     else:
         rep = run_consistency(exp, float(config.get("tolerance", 1e-3)))
     columns = _NET_COLUMNS[mode]
-    _write_json(os.path.join(out, "report.json"),
-                {"meta": _meta(config), "mode": mode, "report": rep.to_dict()})
-    _write_csv(os.path.join(out, "net.csv"), ("epsilon", "norm", "norm_kind"),
-               [(eps, v, kind) for name, kind, _ in columns
-                for eps, v in zip(rep.ladder, getattr(rep, name))])
-    _write_dat(os.path.join(out, "loglog.dat"),
-               {"epsilon": rep.ladder,
-                **{col: getattr(rep, name) for name, _, col in columns}})
+    _write_files(out, {
+        "report.json": (_json_text, {"meta": _meta(config), "mode": mode,
+                                     "report": rep.to_dict()}),
+        "net.csv": (_csv_text, ("epsilon", "norm", "norm_kind"),
+                    [(eps, v, kind) for name, kind, _ in columns
+                     for eps, v in zip(rep.ladder, getattr(rep, name))]),
+        "loglog.dat": (_dat_text, {
+            "epsilon": rep.ladder,
+            **{col: getattr(rep, name) for name, _, col in columns}})})
 
 
 _COMMANDS = {

@@ -23,7 +23,11 @@ sqrt(lambda) x (which removes the dominant linear drift from the error
 control), records (eta, log r) on the grid; the nodes are read off each
 step's continuous extension, valid because no step crosses a jump, and
 so are as accurate as the tolerance asks; one tol serves as its relative
-and absolute tolerance.  Eigenfunctions are r sin(theta), normalized in
+and absolute tolerance.  build_bases carries the roots of R potentials
+(the rungs of an eps-ladder) through one such pass, over the union of
+their panels at tol / R, so that each member is held to tol / sqrt(R)
+and R passes cost about the steps of one; Newton and the checks stay
+per potential.  Eigenfunctions are r sin(theta), normalized in
 L^2 by the grid's Simpson rule, and formed for all modes at once: an
 EigenBasis is read-only arrays with one row per mode.  A basis whose
 samples are not orthogonal to within GRAM_DEFECT_TOL is refused as
@@ -39,7 +43,7 @@ import numpy as np
 
 from .errors import (BracketFailure, GridMismatch, MeshTooLarge,
                      NonFiniteResult, NonPositiveLambda, NonPositiveSpectrum,
-                     UnresolvedBasis)
+                     UnresolvedBasis, per_member)
 from .grid import Grid, freeze_arrays
 from .ode import integrate_rk45
 from .potential import Potential, potential_from_descriptor
@@ -82,13 +86,37 @@ def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
     return rhs
 
 
-def _propagate(nu_like, lams: np.ndarray, tol: float, sample_nodes: np.ndarray):
-    """Integrate (eta, log r) over [0, 1] for a batch of lambda values.
+def _joint_panels(potentials, modes: int):
+    """(a, b, nu) over the union of the potentials' ode_panels: nu(x) is
+    a float for one potential, else each potential's nu repeated for its
+    modes."""
+    panels = [nu_like.ode_panels() for nu_like in potentials]
+    edges = sorted({x for p in panels for a, b, _ in p for x in (a, b)})
+    for a, b in zip(edges, edges[1:]):
+        if b - a <= 1e-15:
+            continue
+        mid = 0.5 * (a + b)
+        fns = [next(f for pa, pb, f in p if pa < mid < pb) for p in panels]
+        yield a, b, fns[0] if len(fns) == 1 else (
+            lambda x, fns=fns: np.array([f(x) for f in fns]).repeat(modes))
 
-    Returns the final state, of shape (2, M), and the states recorded at
-    sample_nodes, of shape (2, M, len(nodes)): one row per lambda.
+
+def _propagate(potentials, lams: np.ndarray, tol: float,
+               sample_nodes: np.ndarray):
+    """Integrate (eta, log r) over [0, 1] for R potentials at once.
+
+    lams has shape (R, M), row i holding lambdas for potentials[i].  The
+    batch is one RK45 state of R M lambdas, stepped over the union of the
+    potentials' panels at tol / R.  The error norm is an RMS over the
+    batch, and a member's own RMS is at most sqrt(R) times it, so each
+    member is held to tol / sqrt(R), tighter than its own pass at tol.
+    (tol / sqrt(R) gives a member whose nu alone varies on a panel just
+    its own pass's control there, and its phi then erred up to 1.12
+    times as much.)  With R = 1 this is the one-potential pass, step for
+    step.  Returns the final state, of shape (2, R, M), and the states
+    recorded at sample_nodes, of shape (2, R, M, len(nodes)).
     """
-    sqrt_lam = np.sqrt(lams)
+    sqrt_lam = np.sqrt(lams.ravel())
     y = np.zeros((2, lams.size))
     out = np.empty((2, lams.size, len(sample_nodes)))
     pos = 0
@@ -96,9 +124,8 @@ def _propagate(nu_like, lams: np.ndarray, tol: float, sample_nodes: np.ndarray):
         out[:, :, 0] = y
         pos = 1
     h_hint = None
-    for a, b, nu_fn in nu_like.ode_panels():
-        if b - a <= 1e-15:
-            continue
+    tol = tol / len(potentials)
+    for a, b, nu_fn in _joint_panels(potentials, lams.shape[1]):
         hi = np.searchsorted(sample_nodes, b, side="right")
         in_panel = sample_nodes[pos:hi]
         count = len(in_panel)
@@ -108,7 +135,8 @@ def _propagate(nu_like, lams: np.ndarray, tol: float, sample_nodes: np.ndarray):
         if count:
             out[:, :, pos:pos + count] = np.moveaxis(sampled, 0, -1)
             pos += count
-    return y, out
+    return y.reshape((2,) + lams.shape), out.reshape(
+        (2,) + lams.shape + (len(sample_nodes),))
 
 
 def _magnus_mesh(nu_like, cells_per_unit: float):
@@ -287,8 +315,8 @@ def integrate_prufer(nu_like, lam: float, grid: Grid,
     """Phase/amplitude path at one trial lambda, sampled on the grid."""
     if lam <= 0.0:
         raise NonPositiveLambda(f"lambda must be positive, got {lam}")
-    _, sampled = _propagate(nu_like, np.array([lam]), tol, grid.nodes)
-    eta, log_r = sampled[:, 0]
+    _, sampled = _propagate([nu_like], np.array([[lam]]), tol, grid.nodes)
+    eta, log_r = sampled[:, 0, 0]
     theta = math.sqrt(lam) * grid.nodes + eta
     return PruferPath(lam, grid, theta, log_r, eta)
 
@@ -356,13 +384,8 @@ def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
                          f"mode n={int(ns[j])}")
 
 
-def _solve_modes(nu_like, ns, grid: Grid, tol: float) -> EigenBasis:
-    ns = np.asarray(sorted(set(int(n) for n in ns)), dtype=float)
-    if np.any(ns < 1):
-        raise BracketFailure(int(ns.min()), 0.0, 0.0,
-                             "mode index must be >= 1")
-    # the residual target sets no tighter than the sampled pass's tolerance
-    ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
+def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
+    """(lambda_n, theta(1, lambda_n) - pi n, nu at the nodes) by Newton."""
     # start at first order in nu, (pi n)^2 + int q 2 sin^2(pi n x) = (pi n)^2
     # - 2 pi n int nu sin(2 pi n x); per mode, as a (modes, nodes) table adds
     # RSS.  A nu that overflows here makes a start that _newton_roots names
@@ -372,8 +395,13 @@ def _solve_modes(nu_like, ns, grid: Grid, tol: float) -> EigenBasis:
         wnu = grid.simpson_weights * nu_nodes
         start = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * np.array(
             [wnu @ np.sin(2.0 * math.pi * n * grid.nodes) for n in ns])
-    root, froot = _newton_roots(_phase_map(nu_like, grid), ns, start, ftol)
-    _, (eta, log_r) = _propagate(nu_like, root, tol, grid.nodes)
+    return (*_newton_roots(_phase_map(nu_like, grid), ns, start, ftol),
+            nu_nodes)
+
+
+def _eigenbasis(nu_like, ns: np.ndarray, grid: Grid, root, froot, nu_nodes,
+                eta, log_r) -> EigenBasis:
+    """The basis of the roots from their sampled (eta, log r) rows."""
     # (modes, nodes) tables, formed in place so that few are alive at once
     sqrt_lam = np.sqrt(root)[:, None]
     theta = sqrt_lam * grid.nodes + eta
@@ -393,33 +421,68 @@ def _solve_modes(nu_like, ns, grid: Grid, tol: float) -> EigenBasis:
                       tilde_norms, froot, nu_like, grid)
 
 
+def _solve_modes(potentials, ns, grid: Grid, tol: float) -> list[EigenBasis]:
+    """The modes ns of each potential: Newton per potential, then one
+    sampled pass for all.  A VwwError of one potential carries its index
+    as ``member``; one of the joint pass carries none."""
+    ns = np.asarray(sorted(set(int(n) for n in ns)), dtype=float)
+    if np.any(ns < 1):
+        raise BracketFailure(int(ns.min()), 0.0, 0.0,
+                             "mode index must be >= 1")
+    # the residual target sets no tighter than the sampled pass's tolerance
+    ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
+    roots = per_member(lambda nu_like: _roots(nu_like, ns, grid, ftol),
+                       potentials)
+    _, (eta, log_r) = _propagate(potentials, np.array([r[0] for r in roots]),
+                                 tol, grid.nodes)
+    return per_member(
+        lambda nu_like, r, *path: _eigenbasis(nu_like, ns, grid, *r, *path),
+        potentials, roots, eta, log_r)
+
+
 def shoot_eigenvalue(nu_like, n: int, grid: Grid,
                      tol: float = DEFAULT_TOL) -> EigenBasis:
     """Mode n alone, as a one-row EigenBasis, with |theta(1, lambda_n) - pi n|
     <= max(0.5 THETA_RESIDUAL_TOL, 5 tol) (5e-11 at the default tol)."""
-    return _solve_modes(nu_like, [n], grid, tol)
+    return _solve_modes([nu_like], [n], grid, tol)[0]
 
 
-def build_basis(nu_like, n_max: int, grid: Grid,
-                tol: float = DEFAULT_TOL) -> EigenBasis:
-    """Eigenpairs for n = 1..n_max with orthogonality bookkeeping."""
-    if n_max < 1:
-        raise BracketFailure(n_max, 0.0, 0.0, "n_max must be >= 1")
-    basis = _solve_modes(nu_like, range(1, n_max + 1), grid, tol)
+def _checked(basis: EigenBasis, tol: float) -> EigenBasis:
+    """basis with its Gram defect, once its lambdas increase and its
+    samples are orthogonal to within GRAM_DEFECT_TOL."""
     lams = basis.lambdas
     if np.any(np.diff(lams) <= 0.0):
         k = int(np.nonzero(np.diff(lams) <= 0.0)[0][0])
         raise BracketFailure(int(basis.ns[k + 1]), float(lams[k]), float(lams[k + 1]),
                              "eigenvalues failed to come out increasing")
-    phi = basis.phi_matrix
+    phi, grid = basis.phi_matrix, basis.grid
     gram = (phi * grid.simpson_weights) @ phi.T
     off = gram - np.diag(np.diag(gram))
     defect = float(np.max(np.abs(off)))
     if defect > GRAM_DEFECT_TOL:
         raise UnresolvedBasis(
-            f"n_max={n_max} modes are not resolved on a grid of {grid.n} "
+            f"n_max={len(basis)} modes are not resolved on a grid of {grid.n} "
             f"intervals at tol={tol:g}: Gram defect {defect:.3g} > {GRAM_DEFECT_TOL:g}")
     return replace(basis, gram_max_offdiag=defect)
+
+
+def build_bases(potentials, n_max: int, grid: Grid,
+                tol: float = DEFAULT_TOL) -> list[EigenBasis]:
+    """build_basis for each potential, with one sampled pass for all of
+    them (see _propagate): the lambdas are build_basis's bit for bit, the
+    eigenfunctions come from a pass at tol / len(potentials).  A VwwError
+    of one potential's Newton solve or checks carries its index as
+    ``member``; one of the joint pass (StepFailure) carries none."""
+    if n_max < 1:
+        raise BracketFailure(n_max, 0.0, 0.0, "n_max must be >= 1")
+    bases = _solve_modes(potentials, range(1, n_max + 1), grid, tol)
+    return per_member(lambda basis: _checked(basis, tol), bases)
+
+
+def build_basis(nu_like, n_max: int, grid: Grid,
+                tol: float = DEFAULT_TOL) -> EigenBasis:
+    """Eigenpairs for n = 1..n_max with orthogonality bookkeeping."""
+    return build_bases([nu_like], n_max, grid, tol)[0]
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,17 @@ def synthesize(c: SpectralCoeffs) -> GridFunction:
 
 def lambda_power(lam: np.ndarray, k: float) -> np.ndarray:
     """lambda_n^k for real k, as exp(k log lambda_n): every lambda_n > 0.
-    Raises NonFiniteResult when a weight overflows."""
+    Raises NonFiniteResult when a weight overflows, or when even the
+    largest underflows below the smallest normal float, which would make
+    every weighted norm 0."""
     with np.errstate(over="ignore"):
         weights = np.exp(k * np.log(lam))
     if not np.all(np.isfinite(weights)):
         raise NonFiniteResult(f"lambda^k overflows for k={k:g} at "
                               f"lambda_max={np.max(lam):.6g}")
+    if np.max(weights) < np.finfo(float).tiny:
+        raise NonFiniteResult(f"lambda^k underflows for k={k:g} at "
+                              f"lambda_min={np.min(lam):.6g}")
     return weights
 
 

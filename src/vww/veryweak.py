@@ -22,14 +22,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (ConfigError, DegenerateNet, NonFiniteResult,
-                     NotBoundedPotential, VwwError)
+                     NotBoundedPotential, VwwError, per_member)
 from .grid import Grid, GridFunction
 from .potential import (ExponentFit, MollifiedNu, MollifierSpec, NuPrimitive,
                         PerturbedNu, RegularizedNet, check_negligibility,
                         fit_moderateness)
-from .prufer import build_basis
+from .prufer import build_bases, build_basis
 from .spectral import analyze, sobolev_norm
-from .wave import WaveProblem, solve_homogeneous
+from .wave import WaveProblem, check_time_grid, solve_homogeneous
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ class DataNet:
 class VeryWeakExperiment:
     """One ladder experiment; the ladder has at least 4 strictly decreasing
     rungs, the fewest a log-log fit accepts, each a valid mollifier scale,
-    so a bad rung or profile fails before any basis is built."""
+    and the time grid stays under the table ceiling, so a bad rung,
+    profile or n_times fails before any basis is built."""
 
     nu: NuPrimitive
     u0: DataNet
@@ -72,17 +73,17 @@ class VeryWeakExperiment:
             MollifierSpec(self.mollifier, eps)
         object.__setattr__(self, "ladder", lad)
         object.__setattr__(self, "n_times", int(self.n_times))
+        check_time_grid(self.n_times, self.grid)
 
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_times)
 
 
-def _solve_for(e: VeryWeakExperiment, potential, u0: GridFunction,
+def _solve_for(e: VeryWeakExperiment, basis, u0: GridFunction,
                u1: GridFunction):
-    basis = build_basis(potential, e.n_max, e.grid, tol=e.ode_tol)
     problem = WaveProblem(basis, analyze(u0, basis), analyze(u1, basis), e.T)
-    return basis, problem, solve_homogeneous(problem, e.times)
+    return solve_homogeneous(problem, e.times)
 
 
 def _try_fit(fit, ladder, norms, *args):
@@ -93,17 +94,36 @@ def _try_fit(fit, ladder, norms, *args):
         return None
 
 
-def _per_rung(e: VeryWeakExperiment, one) -> list:
-    """one(eps) for each rung; a VwwError it raises names that rung's eps
-    and keeps its class."""
-    rows = []
-    for eps in e.ladder:
-        try:
-            rows.append(one(eps))
-        except VwwError as exc:
-            exc.args = (f"rung eps={eps:g}: {exc}",)
-            raise
-    return rows
+def _on_rungs(rungs, fn, *args):
+    """fn(*args), whose batch member i is at rung rungs[i]; a VwwError it
+    raises names the eps of its member's rung, or every eps when it
+    belongs to the whole batch, and keeps its class."""
+    try:
+        return fn(*args)
+    except VwwError as exc:
+        tied = rungs if exc.member is None else rungs[exc.member:exc.member + 1]
+        eps = list(dict.fromkeys(tied))
+        exc.args = (f"rung{'s' if len(eps) > 1 else ''} eps="
+                    f"{', '.join(f'{x:g}' for x in eps)}: {exc}",)
+        raise
+
+
+def _per_rung(e: VeryWeakExperiment, one, *columns) -> list:
+    """one(eps, *row) for each rung and row of columns, naming the rung
+    of any VwwError it raises."""
+    return _on_rungs(e.ladder, per_member, one, e.ladder, *columns)
+
+
+def _bases(e: VeryWeakExperiment, potentials, rungs) -> list:
+    """The potentials' bases from one build_bases call, potentials[i]
+    being at rung rungs[i]."""
+    return _on_rungs(rungs, build_bases, potentials, e.n_max, e.grid,
+                     e.ode_tol)
+
+
+def _mollified(e: VeryWeakExperiment) -> list:
+    return _per_rung(
+        e, lambda eps: MollifiedNu(e.nu, MollifierSpec(e.mollifier, eps)))
 
 
 MODERATENESS_MARGIN = 0.2
@@ -136,14 +156,15 @@ class NetReport(_Report):
 def run_existence(e: VeryWeakExperiment, declared_order: int = 0) -> NetReport:
     """Measure sup-in-t solution norms across the ladder and fit exponents."""
 
-    def one(eps: float):
-        q_eps = MollifiedNu(e.nu, MollifierSpec(e.mollifier, eps))
-        _, _, sol = _solve_for(e, q_eps, e.u0.realize(eps), e.u1.realize(eps))
+    def one(eps: float, q_eps: MollifiedNu, basis):
+        sol = _solve_for(e, basis, e.u0.realize(eps), e.u1.realize(eps))
         return (float(np.max(sol.l2_series())),
                 float(np.max(sol.dt_l2_series())),
                 q_eps.q_linf())
 
-    u_norms, dtu_norms, q_norms = zip(*_per_rung(e, one))
+    q = _mollified(e)
+    u_norms, dtu_norms, q_norms = zip(*_per_rung(
+        e, one, q, _bases(e, q, e.ladder)))
     u_fit, dtu_fit, q_fit = (_try_fit(fit_moderateness, e.ladder, norms)
                              for norms in (u_norms, dtu_norms, q_norms))
     bound = declared_order + MODERATENESS_MARGIN
@@ -162,7 +183,9 @@ class UniquenessReport(_Report):
     order: int
     slope: float | None
     passed: bool
+    # None where the bound is 0 but the difference is not, with the reason
     esnh1_ratios: tuple
+    esnh1_reason: str | None = None
 
 
 def run_uniqueness(e: VeryWeakExperiment, order: int,
@@ -186,21 +209,12 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
     w_density = (w_primitive.q_values(grid.nodes)
                  if w_primitive is not None else np.zeros(grid.n + 1))
 
-    def one(eps: float):
+    def one(eps: float, basis, basis_p):
         c = eps**order
-        base = MollifiedNu(e.nu, MollifierSpec(e.mollifier, eps))
         u0 = e.u0.realize(eps)
         u1 = e.u1.realize(eps)
-        basis, _, sol = _solve_for(e, base, u0, u1)
-        pert = base if w_primitive is None else PerturbedNu(base, w_primitive, c)
-        u0_p = u0 + c * w0
-        u1_p = u1 + c * w1
-        if pert is base:
-            problem_p = WaveProblem(basis, analyze(u0_p, basis),
-                                    analyze(u1_p, basis), e.T)
-            sol_p = solve_homogeneous(problem_p, e.times)
-        else:
-            _, _, sol_p = _solve_for(e, pert, u0_p, u1_p)
+        sol = _solve_for(e, basis, u0, u1)
+        sol_p = _solve_for(e, basis_p, u0 + c * w0, u1 + c * w1)
         diff = sol.values - sol_p.values
         w_q = grid.simpson_weights
         diff_sup = float(np.sqrt(np.max(diff**2 @ w_q)))
@@ -217,16 +231,29 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
         if not np.isfinite(rhs):
             raise NonFiniteResult(f"the uniqueness bound is {rhs} for "
                                   f"T={e.T:g}")
-        ratio = 0.0 if rhs == 0.0 and diff_sup == 0.0 else (
-            float("inf") if rhs == 0.0 else diff_sup**2 / rhs)
-        return diff_sup, ratio
+        if rhs == 0.0:
+            return diff_sup, 0.0 if diff_sup == 0.0 else None
+        return diff_sup, diff_sup**2 / rhs
 
-    diffs, ratios = zip(*_per_rung(e, one))
+    base = _mollified(e)
+    if w_primitive is None:
+        bases = _bases(e, base, e.ladder)
+        perturbed = bases
+    else:
+        pert = [PerturbedNu(b, w_primitive, eps**order)
+                for b, eps in zip(base, e.ladder)]
+        built = _bases(e, base + pert, e.ladder * 2)
+        bases, perturbed = built[:len(base)], built[len(base):]
+    diffs, ratios = zip(*_per_rung(e, one, bases, perturbed))
     rep = _try_fit(check_negligibility, e.ladder, diffs, order)
     # an identically zero difference net is negligible at every order
     slope, passed = (None, True) if rep is None else (rep.slope, rep.passed)
+    unbounded = [f"{eps:g}" for eps, r in zip(e.ladder, ratios) if r is None]
+    reason = (f"the bound is 0 where the difference is not, at eps="
+              f"{', '.join(unbounded)}" if unbounded else None)
     return UniquenessReport(ladder=e.ladder, diff_norms=diffs, order=order,
-                            slope=slope, passed=passed, esnh1_ratios=ratios)
+                            slope=slope, passed=passed, esnh1_ratios=ratios,
+                            esnh1_reason=reason)
 
 
 @dataclass(frozen=True)
@@ -250,16 +277,16 @@ def run_consistency(e: VeryWeakExperiment,
             "consistency needs a bounded potential (no Dirac atoms)")
     u0 = e.u0.realize(1.0)
     u1 = e.u1.realize(1.0)
-    _, _, classical = _solve_for(e, e.nu, u0, u1)
+    classical = _solve_for(
+        e, build_basis(e.nu, e.n_max, e.grid, tol=e.ode_tol), u0, u1)
     w_q = e.grid.simpson_weights
 
-    def one(eps: float):
-        q_eps = MollifiedNu(e.nu, MollifierSpec(e.mollifier, eps))
-        _, _, sol = _solve_for(e, q_eps, u0, u1)
+    def one(eps: float, basis):
+        sol = _solve_for(e, basis, u0, u1)
         series = np.sqrt((classical.values - sol.values) ** 2 @ w_q)
         return float(np.max(series)), float(np.max(series[::2]))
 
-    rows = _per_rung(e, one)
+    rows = _per_rung(e, one, _bases(e, _mollified(e), e.ladder))
     disc = tuple(r[0] for r in rows)
     coarse_sup = rows[-1][1]
     sens = abs(disc[-1] - coarse_sup) / disc[-1] if disc[-1] > 0.0 else 0.0

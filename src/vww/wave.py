@@ -30,6 +30,22 @@ from .grid import Grid, GridFunction, freeze_arrays
 from .prufer import EigenBasis
 from .spectral import SpectralCoeffs, lambda_power
 
+# most entries of one (times, nodes) table: at 2^24 a float64 table is
+# 128 MiB, a solve holds a few (u, u_t, a forcing table) and its
+# solution.csv is about 1 GB of text; 40 times the largest table the
+# tests and the benchmark use (201 x 2,049)
+MAX_TABLE_ENTRIES = 2**24
+
+
+def check_time_grid(n_times: int, grid: Grid) -> None:
+    """Raise ConfigError, before any table exists, when n_times times on
+    the grid's nodes exceed MAX_TABLE_ENTRIES."""
+    entries = n_times * (grid.n + 1)
+    if entries > MAX_TABLE_ENTRIES:
+        raise ConfigError(
+            f"{n_times} times x {grid.n + 1} nodes = {entries} table "
+            f"entries exceed the ceiling of {MAX_TABLE_ENTRIES}")
+
 
 def _column_l2(a: np.ndarray) -> np.ndarray:
     """l^2 norm of each column: per time, the L^2 norm by Parseval."""

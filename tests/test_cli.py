@@ -10,11 +10,13 @@ import re
 import numpy as np
 import pytest
 
-from vww.cli import (_SCHEMAS, _write_csv, _write_solution_csv, main,
-                     validate_config)
-from vww.errors import ConfigError
+from vww.cli import (_SCHEMAS, _csv_text, _dat_text, _json_text,
+                     _solution_text, main, validate_config)
+from vww.errors import ConfigError, NonFiniteResult
 from vww.estimates import ALL_ESTIMATE_IDS
+from vww.grid import Grid
 from vww.potential import PROFILES, SMOOTH_KINDS
+from vww.wave import MAX_TABLE_ENTRIES, check_time_grid
 
 from conftest import modules_in_fresh_python
 
@@ -139,7 +141,7 @@ class TestSolveCommands:
         assert len(lines) == 1 + 11 * 257
 
     def test_solution_csv_bytes_match_per_cell_writer(self, tmp_path):
-        # reference: one float() tuple per cell, formatted by _write_csv
+        # reference: one float() tuple per cell, formatted by _csv_text
         times = np.linspace(0.0, 2.0, 201)
         nodes = np.linspace(0.0, 1.0, 2049)
         rng = np.random.default_rng(5)
@@ -152,12 +154,10 @@ class TestSolveCommands:
             for i, x in enumerate(nodes):
                 rows.append((float(t), float(x), float(values[j, i]),
                              float(dt_values[j, i])))
-        _write_csv(str(tmp_path / "want.csv"), ("t", "x", "u", "u_t"), rows)
-        _write_solution_csv(str(tmp_path / "got.csv"),
-                            [float(t) for t in times], nodes, values,
-                            dt_values)
-        want = (tmp_path / "want.csv").read_bytes()
-        assert (tmp_path / "got.csv").read_bytes() == want
+        want = "".join(_csv_text(("t", "x", "u", "u_t"), rows)).encode()
+        got = "".join(_solution_text([float(t) for t in times], nodes,
+                                     values, dt_values)).encode()
+        assert got == want
         assert want.startswith(b"t,x,u,u_t\n0.0,0.0,-0.0,")
         for cell in (b",5e-324,", b",1e-300,", b",1e+16,"):
             assert cell in want
@@ -415,6 +415,19 @@ class TestNumericalFailure:
                          capsys.readouterr().err)
         assert not (out / "estimates.json").exists()
 
+    def test_estimate_weight_underflow_exits_3(self, tmp_path, capsys):
+        # every lambda^k is 0 for k = -1e300: a ratio of 0.0 would hold
+        # only because both sides vanished
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, u0={"kind": "sine_combo", "params": [[1, 1]]},
+            estimate_ids=["est5"], k=-1e300))
+        out = tmp_path / "o"
+        assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 3
+        assert re.search(r"NonFiniteResult: lambda\^k underflows for "
+                         r"k=-1e\+300 at lambda_min=9\.8696",
+                         capsys.readouterr().err)
+        assert not (out / "estimates.json").exists()
+
     def test_uniqueness_bound_overflow_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", dict(
             SOLVE_BASE, mode="uniqueness", T=1e300,
@@ -459,6 +472,85 @@ class TestFailedCommandOutDir:
 
 SOLVE_BASE = {"nu": FREE_NU, "grid_n": 64, "n_max": 2, "T": 1.0,
               "u0": {"kind": "zero"}, "u1": {"kind": "zero"}}
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"non-finite token {token} in {path}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestNonFiniteOutput:
+    """A non-finite number refuses the command (exit 3) before any file is
+    written, naming the file and the field."""
+
+    def test_forced_energy_overflow_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, n_times=5, forcing={
+                "space": {"kind": "sine_combo", "params": [[1e300, 1]]},
+                "time": {"kind": "const"}}))
+        out = tmp_path / "o"
+        # the solve squares u_t ~ 1e300 on purpose; the gate names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("forced", "--config", cfg, "--out", str(out))
+        assert code == 3
+        assert re.search(r"NonFiniteResult: energy\.json: field energy/1 is "
+                         r"not finite", capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt, args, message", [
+        (_json_text, ({"a": {"b": [1.0, math.inf]}},),
+         "field a/b/1 is not finite"),
+        (_csv_text, (("n", "ratio"), [(1, 0.5), (2, math.nan)]),
+         "field ratio is nan"),
+        (_dat_text, ({"epsilon": [0.5], "u_norm": [-math.inf]},),
+         "field u_norm is -inf"),
+        (_solution_text, ([0.0], np.zeros(3), np.zeros((1, 3)),
+                          np.array([[0.0, math.nan, 0.0]])),
+         "field u_t holds a non-finite value"),
+    ], ids=["json", "csv", "dat", "solution_csv"])
+    def test_formatter_names_the_field(self, fmt, args, message):
+        with pytest.raises(NonFiniteResult, match=f"^{re.escape(message)}$"):
+            fmt(*args)
+
+    def test_uniqueness_ratio_null_where_bound_is_zero(self, tmp_path):
+        # a constant w leaves q, so the bound, unchanged: 0, while the
+        # solver's difference is a few 1e-13
+        cfg = write_config(tmp_path, "c.json", dict(
+            VW_BASE, mode="uniqueness", nu=FREE_NU, grid_n=256, n_max=4,
+            order=1, w_primitive={"smooth": {"kind": "const",
+                                              "params": [1.0]}}))
+        out = tmp_path / "o"
+        assert run_cli("veryweak", "--config", cfg, "--out", str(out)) == 0
+        rep = _strict_json(out / "report.json")["report"]
+        assert all(d > 0.0 for d in rep["diff_norms"])
+        assert rep["esnh1_ratios"] == [None] * 4
+        assert rep["esnh1_reason"] == (
+            "the bound is 0 where the difference is not, at "
+            "eps=0.25, 0.125, 0.0625, 0.03125")
+
+
+class TestTimeGridCeiling:
+    # 1e12 times: refused from the counts alone, before any table exists
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", dict(SOLVE_BASE, n_times=10**12)),
+        ("veryweak", dict(VW_BASE, n_times=10**12)),
+    ], ids=["solve", "veryweak"])
+    def test_oversize_time_grid_exits_2(self, tmp_path, capsys, command,
+                                        payload):
+        nodes = payload["grid_n"] + 1
+        out = tmp_path / "o"
+        assert run_cli(command, "--config",
+                       write_config(tmp_path, "c.json", payload),
+                       "--out", str(out)) == 2
+        assert (f"1000000000000 times x {nodes} nodes = {10**12 * nodes} "
+                f"table entries exceed the ceiling of {MAX_TABLE_ENTRIES}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_benchmark_tables_fit(self):
+        # the largest (times, nodes) table of the tests and the benchmark
+        check_time_grid(201, Grid(2048))
 
 
 class TestConfigLoader:

@@ -10,14 +10,15 @@ from scipy.optimize import brentq
 
 import vww.prufer
 from conftest import catalog_potentials
-from vww.errors import (BracketFailure, GridMismatch, NonPositiveLambda,
-                        NonPositiveSpectrum, UnresolvedBasis)
+from vww.errors import (BracketFailure, GridMismatch, NonFiniteResult,
+                        NonPositiveLambda, NonPositiveSpectrum, StepFailure,
+                        UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, _magnus_mesh, _magnus_phase,
                         _newton_roots, _phase_map, asymptotic_residuals,
-                        basis_from_cache, basis_to_cache, build_basis,
-                        integrate_prufer, shoot_eigenvalue)
+                        basis_from_cache, basis_to_cache, build_bases,
+                        build_basis, integrate_prufer, shoot_eigenvalue)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -302,6 +303,61 @@ class TestBuildBasis:
     def test_coarse_but_resolved_basis_builds(self):
         basis = build_basis(STEP, 12, Grid(32))
         assert basis.gram_max_offdiag <= 0.1 * GRAM_DEFECT_TOL  # 1.5e-4
+
+
+# the benchmark's seed-0 ladders: bump, eps = 2^-2 .. 2^-5, grid 1024, N 12,
+# tol 1e-8, on linear 5 (consistency) and a delta at 1/2 (existence)
+LADDER_NUS = {"linear5": NuPrimitive("linear", (5.0,)), "delta": STEP}
+
+
+@pytest.fixture(scope="module", params=list(LADDER_NUS))
+def ladder_builds(request):
+    """(batch, solo, tight): the rungs from one build_bases call, from
+    build_basis each, and from build_basis each at tol 1e-12."""
+    rungs = [MollifiedNu(LADDER_NUS[request.param],
+                         MollifierSpec("bump", 2.0**-k)) for k in range(2, 6)]
+    grid = Grid(1024)
+    return (build_bases(rungs, 12, grid, tol=1e-8),
+            [build_basis(q, 12, grid, tol=1e-8) for q in rungs],
+            [build_basis(q, 12, grid, tol=1e-12) for q in rungs])
+
+
+class TestBuildBases:
+    def test_lambdas_are_the_solo_builds(self, ladder_builds):
+        batch, solo, _ = ladder_builds
+        for b, s in zip(batch, solo):
+            assert np.array_equal(b.lambdas, s.lambdas)
+            assert np.array_equal(b.theta_residuals, s.theta_residuals)
+
+    def test_eigenfunctions_as_accurate_as_solo_builds(self, ladder_builds):
+        # the joint pass runs at tol / sqrt(4), so no rung loses accuracy
+        for b, s, t in zip(*ladder_builds):
+            err_batch = np.max(np.abs(b.phi_matrix - t.phi_matrix))
+            err_solo = np.max(np.abs(s.phi_matrix - t.phi_matrix))
+            assert err_batch <= 1.1 * err_solo
+
+    def test_one_member_batch_is_build_basis(self):
+        q = MollifiedNu(STEP, MollifierSpec("bump", 0.125))
+        (one,), solo = (build_bases([q], 12, Grid(1024), tol=1e-8),
+                        build_basis(q, 12, Grid(1024), tol=1e-8))
+        for name in ("ns", "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
+                     "log_r", "tilde_norms", "theta_residuals"):
+            assert np.array_equal(getattr(one, name), getattr(solo, name))
+        assert one.gram_max_offdiag == solo.gram_max_offdiag
+
+    def test_member_failure_carries_its_index(self):
+        with pytest.raises(NonFiniteResult) as exc:
+            build_bases([FREE, NuPrimitive("const", (1e200,))], 2, Grid(64))
+        assert exc.value.member == 1
+
+    def test_joint_pass_failure_carries_no_index(self, monkeypatch):
+        def underflow(*args, **kwargs):
+            raise StepFailure("step underflow")
+
+        monkeypatch.setattr(vww.prufer, "integrate_rk45", underflow)
+        with pytest.raises(StepFailure) as exc:
+            build_bases([FREE, STEP], 2, Grid(64))
+        assert exc.value.member is None
 
 
 class TestRootPasses:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from vww.errors import GridMismatch, NonPositiveSpectrum
+from vww.errors import GridMismatch, NonFiniteResult, NonPositiveSpectrum
 from vww.grid import Grid, GridFunction
-from vww.spectral import analyze, parseval_defect, sobolev_norm, synthesize
+from vww.spectral import (analyze, lambda_power, parseval_defect, sobolev_norm,
+                          synthesize)
 
 from conftest import parabola, sine_data
 
@@ -99,6 +100,19 @@ class TestSobolevNorm:
                     free_basis_40)
         assert sobolev_norm(c, -1.0) == pytest.approx(
             1.0 / (2.0 * math.pi * math.sqrt(2.0)), abs=1e-9)
+
+    def test_steep_negative_order_finite(self, free_basis_40):
+        # lambda_1^-50 = pi^-100 ~ 1e-50 is small but normal: no underflow
+        g = free_basis_40.grid
+        c = analyze(GridFunction(g, np.sin(math.pi * g.nodes)), free_basis_40)
+        assert sobolev_norm(c, -50.0) == pytest.approx(
+            math.pi ** -50 / math.sqrt(2.0), rel=1e-8)
+
+    def test_weights_that_all_underflow_refused(self):
+        with pytest.raises(NonFiniteResult,
+                           match=r"lambda\^k underflows for k=-1e\+300 at "
+                                 r"lambda_min=10$"):
+            lambda_power(np.array([10.0, 100.0]), -1e300)
 
     def test_monotone_in_k_when_spectrum_above_one(self, free_basis_40):
         f = sine_data(free_basis_40.grid, [(1.0, 1), (0.5, 4)])

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from vww.errors import ConfigError, NotBoundedPotential, UnresolvedBasis
+from vww.errors import (ConfigError, NotBoundedPotential, StepFailure,
+                        UnresolvedBasis, per_member)
 from vww.grid import Grid, GridFunction
 from vww.potential import NuPrimitive, default_ladder
 from vww.veryweak import (DataNet, VeryWeakExperiment, run_consistency,
@@ -60,8 +61,9 @@ class TestExperiment:
         import vww.veryweak
         from vww.cli import main
         built = []
-        monkeypatch.setattr(vww.veryweak, "build_basis",
-                            lambda *args, **kw: built.append(args))
+        for name in ("build_basis", "build_bases"):
+            monkeypatch.setattr(vww.veryweak, name,
+                                lambda *args, **kw: built.append(args))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "mode": "consistency", "mollifier": "nope",
@@ -82,19 +84,41 @@ class TestFailingRung:
         # the third rung's basis fails; the error keeps its class and
         # message and names that rung
         import vww.veryweak
-        real = vww.veryweak.build_basis
+        real = vww.veryweak.build_bases
 
-        def build(potential, *args, **kw):
+        def fail(potential):
             spec = getattr(potential, "spec", None)
             if spec is not None and spec.epsilon == 2.0**-4:
                 raise UnresolvedBasis("Gram defect 0.3")
-            return real(potential, *args, **kw)
 
-        monkeypatch.setattr(vww.veryweak, "build_basis", build)
+        def build(potentials, *args, **kw):
+            # per_member ties the error to its potential, as build_bases does
+            per_member(fail, potentials)
+            return real(potentials, *args, **kw)
+
+        monkeypatch.setattr(vww.veryweak, "build_bases", build)
         e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
                        ladder=default_ladder(2, 5), n_max=4)
         with pytest.raises(UnresolvedBasis,
                            match=r"^rung eps=0\.0625: Gram defect 0\.3$"):
+            run(e)
+
+    @pytest.mark.parametrize("run", [
+        run_existence, lambda e: run_uniqueness(e, order=2)],
+        ids=["existence", "uniqueness"])
+    def test_joint_pass_failure_names_every_rung(self, run, monkeypatch):
+        # the rungs share one sampled pass, so its failure is every rung's
+        import vww.prufer
+
+        def underflow(*args, **kwargs):
+            raise StepFailure("step underflow")
+
+        monkeypatch.setattr(vww.prufer, "integrate_rk45", underflow)
+        e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
+                       ladder=default_ladder(2, 5), n_max=4)
+        with pytest.raises(StepFailure, match=r"^rungs eps=0\.25, 0\.125, "
+                                              r"0\.0625, 0\.03125: step "
+                                              r"underflow$"):
             run(e)
 
 
@@ -173,14 +197,14 @@ class TestUniqueness:
         lad = default_ladder(2, 7)
         from vww.potential import MollifiedNu, MollifierSpec, RegularizedNet, \
             check_negligibility
+        from vww.prufer import build_basis
         from vww.veryweak import _solve_for
         e = experiment(nu, g, ladder=lad)
         diffs = []
         for eps in lad:
-            qa = MollifiedNu(nu, MollifierSpec("bump", eps))
-            qb = MollifiedNu(nu, MollifierSpec("bump_skew", eps))
-            _, _, sa = _solve_for(e, qa, e.u0.profile, e.u1.profile)
-            _, _, sb = _solve_for(e, qb, e.u0.profile, e.u1.profile)
+            sa, sb = (_solve_for(e, build_basis(MollifiedNu(nu, MollifierSpec(
+                profile, eps)), e.n_max, g, tol=e.ode_tol), e.u0.profile,
+                e.u1.profile) for profile in ("bump", "bump_skew"))
             w = g.simpson_weights
             diffs.append(float(np.sqrt(np.max(
                 (sa.values - sb.values) ** 2 @ w))))
