@@ -6,7 +6,6 @@ Usage:
     vww forced    --config cfg.json --out outdir
     vww estimates --config cfg.json --out outdir
     vww veryweak  --config cfg.json --out outdir
-    vww <cmd> --selftest
 
 Configs are JSON, checked against Draft 2020-12 schemas by a short
 in-house walker (no jsonschema import) with unknown keys rejected.  Outputs
@@ -35,8 +34,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NonFiniteResult, VwwError
 from .grid import Grid, GridFunction
-from .potential import (PROFILES, SMOOTH_KINDS, MollifierSpec, NuPrimitive,
-                        default_ladder, get_profile,
+from .potential import (PROFILES, SMOOTH_KINDS, default_ladder,
                         potential_from_descriptor)
 from .prufer import DEFAULT_TOL, basis_csv_rows, basis_to_cache, build_basis
 from .spectral import analyze
@@ -506,139 +504,6 @@ _COMMANDS = {
 }
 
 
-# -- selftest ----------------------------------------------------------------
-
-
-def _selftest() -> int:
-    """Run the quick closed-form battery in-process."""
-    from .potential import (RegularizedNet, check_negligibility, evaluate_nu,
-                            extend_by_zero, fit_moderateness,
-                            mollify_potential)
-    from .prufer import integrate_prufer, shoot_eigenvalue
-    from .spectral import sobolev_norm, synthesize
-    from .wave import fd_oracle
-
-    checks = []
-
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as exc:  # noqa: BLE001 - report every failure
-            checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    g = Grid(256)
-    step = NuPrimitive(jumps=((0.5, 1.0),))
-    mixed = NuPrimitive("linear", (2.0,), jumps=((0.3, 3.0),))
-    free = NuPrimitive()
-
-    check("evaluate_nu left of jump",
-          lambda: _expect(evaluate_nu(step, 0.25), 0.0))
-    check("evaluate_nu right of jump",
-          lambda: _expect(evaluate_nu(step, 0.75), 1.0))
-    check("evaluate_nu mixed", lambda: _expect(evaluate_nu(mixed, 0.5), 4.0))
-
-    ones = GridFunction(g, np.ones(g.n + 1))
-    ext = extend_by_zero(ones)
-    check("zero extension outside", lambda: _expect(float(ext(1.5)), 0.0))
-    check("zero extension inside", lambda: _expect(float(ext(0.5)), 1.0))
-
-    def scaling():
-        eps = 1.0 / 16.0
-        q = mollify_potential(step, MollifierSpec("bump", eps), g)
-        _expect(float(q.values.max()) * eps, get_profile("bump").peak, 1e-12)
-    check("mollifier scaling identity", scaling)
-    check("mollify zero potential", lambda: _expect(
-        float(np.abs(mollify_potential(
-            NuPrimitive("const", (3.0,)), MollifierSpec("bump", 0.05),
-            g).values).max()), 0.0))
-
-    lad = tuple(2.0 ** (-k) for k in range(1, 7))
-    check("moderateness exact power law", lambda: _expect(
-        fit_moderateness(RegularizedNet(lad, tuple(e**-2 for e in lad))).slope,
-        2.0, 1e-12))
-    check("moderateness constant", lambda: _expect(
-        fit_moderateness(RegularizedNet(lad, (1.0,) * 6)).slope, 0.0, 1e-12))
-    check("negligibility pass", lambda: _assert(
-        check_negligibility(RegularizedNet(lad, tuple(e**3 for e in lad)),
-                            3).passed))
-    check("negligibility fail", lambda: _assert(
-        not check_negligibility(RegularizedNet(lad, tuple(e**3 for e in lad)),
-                                5).passed))
-
-    check("free phase pi", lambda: _expect(
-        integrate_prufer(free, math.pi**2, g).theta[-1], math.pi, 1e-10))
-    check("free phase 2pi", lambda: _expect(
-        integrate_prufer(free, 4 * math.pi**2, g).theta[-1], 2 * math.pi,
-        1e-10))
-    check("free lambda_3", lambda: _expect(
-        shoot_eigenvalue(free, 3, g).lambdas[0], 9 * math.pi**2, 1e-6))
-    check("constant nu lambda_1", lambda: _expect(
-        shoot_eigenvalue(NuPrimitive("const", (2.0,)), 1, g).lambdas[0],
-        math.pi**2, 1e-6))
-    check("delta-inert mode lambda_2", lambda: _expect(
-        shoot_eigenvalue(step, 2, g).lambdas[0], 4 * math.pi**2, 1e-6))
-
-    basis = build_basis(free, 5, g)
-    s1 = GridFunction(g, math.sqrt(2.0) * np.sin(math.pi * g.nodes))
-    c = analyze(s1, basis)
-    check("analyze single mode", lambda: _expect(float(c.coeffs[0]), 1.0, 1e-9))
-    check("analyze single mode tail", lambda: _expect(
-        float(np.abs(c.coeffs[1:]).max()), 0.0, 1e-9))
-    check("synthesize round trip", lambda: _expect(
-        (synthesize(c) - s1).norm_l2(), 0.0, 1e-8))
-    check("sobolev k=1", lambda: _expect(
-        sobolev_norm(analyze(GridFunction(
-            g, np.sin(math.pi * g.nodes)), basis), 1.0),
-        math.pi / math.sqrt(2.0), 1e-9))
-
-    z = GridFunction.zeros(g)
-    prob = WaveProblem(basis, analyze(s1, basis), analyze(z, basis), T=1.0)
-    sol = solve_homogeneous(prob, np.linspace(0.0, 1.0, 11))
-    check("single-mode reversal at t=1", lambda: _expect(
-        (sol.u_at(1.0) + s1).norm_l2(), 0.0, 1e-8))
-    check("dirichlet walls", lambda: _expect(
-        float(np.abs(sol.values[:, [0, -1]]).max()), 0.0))
-
-    times = np.linspace(0.0, 1.0, 101)
-    ftab = analyze_forcing(np.zeros((101, g.n + 1)), basis, times)
-    probf = WaveProblem(basis, analyze(s1, basis), analyze(z, basis), T=1.0,
-                        forcing=ftab)
-    solf = solve_forced(probf, times[::10])
-    check("zero forcing reduces to homogeneous", lambda: _expect(
-        float(np.abs(solf.modal - solve_homogeneous(
-            prob, times[::10]).modal).max()), 0.0, 1e-12))
-
-    check("fd oracle zero data", lambda: _expect(
-        float(np.abs(fd_oracle(z, z, z, None, 0.5, 1.0 / 512.0,
-                               [0.5]).values).max()), 0.0))
-
-    rep = verify("est1", prob, sol)
-    check("est1 single-mode ratio 1", lambda: _expect(rep.ratio, 1.0, 1e-9))
-    check("est5(k=0) equals est1", lambda: _expect(
-        verify("est5", prob, sol, k=0.0).ratio, rep.ratio, 1e-12))
-
-    failures = 0
-    for name, ok, msg in checks:
-        line = f"[{'PASS' if ok else 'FAIL'}] {name}"
-        if not ok:
-            line += f"  ({msg})"
-            failures += 1
-        print(line)
-    print(f"selftest: {len(checks) - failures}/{len(checks)} passed")
-    return 0 if failures == 0 else 3
-
-
-def _expect(got: float, want: float, tol: float = 0.0):
-    if not abs(got - want) <= tol:
-        raise AssertionError(f"got {got!r}, want {want!r} (tol {tol})")
-
-
-def _assert(cond: bool):
-    if not cond:
-        raise AssertionError("condition failed")
-
-
 # -- entry point -------------------------------------------------------------
 
 
@@ -678,18 +543,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--selftest", action="store_true",
-                       help="run the built-in closed-form battery and exit")
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 
-    if args.selftest:
-        return _selftest()
     made, code = False, 0
     try:
-        if not args.config or not args.out:
-            raise ConfigError("--config and --out are required")
         config = _load_config(args.config)
         validate_config(args.command, config)
         made = not os.path.isdir(args.out)

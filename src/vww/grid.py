@@ -96,10 +96,6 @@ class GridFunction:
                                f"got shape {self.values.shape}")
 
     @classmethod
-    def from_callable(cls, grid: Grid, f) -> "GridFunction":
-        return cls(grid, np.asarray(f(grid.nodes), dtype=float))
-
-    @classmethod
     def zeros(cls, grid: Grid) -> "GridFunction":
         return cls(grid, np.zeros(grid.n + 1))
 

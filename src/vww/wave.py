@@ -48,8 +48,12 @@ def check_time_grid(n_times: int, grid: Grid) -> None:
 
 
 def _column_l2(a: np.ndarray) -> np.ndarray:
-    """l^2 norm of each column: per time, the L^2 norm by Parseval."""
-    return np.sqrt(np.sum(a**2, axis=0))
+    """l^2 norm of each column: per time, the L^2 norm by Parseval.
+
+    A square beyond the float range is +inf without a warning, here and
+    in the other square sums of a solution: the output gate names it."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(a**2, axis=0))
 
 
 @dataclass(frozen=True)
@@ -142,12 +146,15 @@ class WaveSolution:
         return _column_l2(self.modal_dt)
 
     def wk_series(self, k: float) -> np.ndarray:
-        return np.sqrt(lambda_power(self.basis.lambdas, k) @ self.modal**2)
+        weights = lambda_power(self.basis.lambdas, k)
+        with np.errstate(over="ignore"):
+            return np.sqrt(weights @ self.modal**2)
 
     def energy_series(self) -> np.ndarray:
         """sum_n lambda_n u_n(t)^2 + u_n'(t)^2 per stored t."""
         lam = self.basis.lambdas
-        return lam @ self.modal**2 + np.sum(self.modal_dt**2, axis=0)
+        with np.errstate(over="ignore"):
+            return lam @ self.modal**2 + np.sum(self.modal_dt**2, axis=0)
 
 
 def solve_homogeneous(problem: WaveProblem, times) -> WaveSolution:

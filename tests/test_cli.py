@@ -329,13 +329,6 @@ class TestVeryweakCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert run_cli("eigs", "--selftest") == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-
-
 # jsonschema and the packages it imports
 JSONSCHEMA_STACK = ("jsonschema", "attrs", "referencing", "rpds")
 
@@ -347,9 +340,14 @@ class TestImportPath:
     def test_import_loads_no_scipy(self):
         assert modules_in_fresh_python("import vww, vww.cli", "scipy") == []
 
-    def test_forced_selftest_loads_no_scipy(self):
+    def test_forced_run_loads_no_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, forcing={
+                "space": {"kind": "sine_combo", "params": [[1.0, 1]]},
+                "time": {"kind": "const"}}))
         code = ("import vww.cli\n"
-                "assert vww.cli.main(['forced', '--selftest']) == 0")
+                f"assert vww.cli.main(['forced', '--config', {cfg!r}, "
+                f"'--out', {str(tmp_path / 'o')!r}]) == 0")
         assert modules_in_fresh_python(code, "scipy") == []
 
     def test_import_loads_no_jsonschema(self):
@@ -367,11 +365,16 @@ class TestImportPath:
 
 
 class TestOptions:
-    def test_threads_flag_refused(self, tmp_path):
+    # argparse refuses these itself: SystemExit 2 before any config is read
+    @pytest.mark.parametrize("extra", [
+        ["--out", "o", "--threads", "2"],
+        ["--out", "o", "--selftest"],
+        [],
+    ], ids=["threads", "selftest", "missing_out"])
+    def test_flag_refused(self, tmp_path, extra):
         cfg = write_config(tmp_path, "c.json", VW_BASE)
         with pytest.raises(SystemExit) as exc:
-            run_cli("veryweak", "--config", cfg, "--out", str(tmp_path / "o"),
-                    "--threads", "2")
+            run_cli("veryweak", "--config", cfg, *extra)
         assert exc.value.code == 2
 
 
@@ -484,19 +487,28 @@ class TestNonFiniteOutput:
     """A non-finite number refuses the command (exit 3) before any file is
     written, naming the file and the field."""
 
-    def test_forced_energy_overflow_writes_nothing(self, tmp_path, capsys):
+    # the solve squares u_t ~ 1e300: the gate is the one report of it, and
+    # the suite's error::RuntimeWarning filter fails on any numpy warning
+    def _overflow_exits_3(self, tmp_path, capsys, command, message, **extra):
         cfg = write_config(tmp_path, "c.json", dict(
-            SOLVE_BASE, n_times=5, forcing={
+            SOLVE_BASE, n_max=4, n_times=5, forcing={
                 "space": {"kind": "sine_combo", "params": [[1e300, 1]]},
-                "time": {"kind": "const"}}))
+                "time": {"kind": "const"}}, **extra))
         out = tmp_path / "o"
-        # the solve squares u_t ~ 1e300 on purpose; the gate names it
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli("forced", "--config", cfg, "--out", str(out))
-        assert code == 3
-        assert re.search(r"NonFiniteResult: energy\.json: field energy/1 is "
-                         r"not finite", capsys.readouterr().err)
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            f"vww: numerical failure: NonFiniteResult: {message}\n")
         assert not out.exists()
+
+    def test_forced_energy_overflow_writes_nothing(self, tmp_path, capsys):
+        self._overflow_exits_3(tmp_path, capsys, "forced",
+                               "energy.json: field energy/1 is not finite")
+
+    def test_core_estimates_overflow_writes_nothing(self, tmp_path, capsys):
+        self._overflow_exits_3(
+            tmp_path, capsys, "estimates",
+            "estimates.json: field reports/0/lhs_max is not finite",
+            u0={"kind": "parabola"}, estimate_ids="core")
 
     @pytest.mark.parametrize("fmt, args, message", [
         (_json_text, ({"a": {"b": [1.0, math.inf]}},),
