@@ -8,9 +8,7 @@ __version__ = "0.1.0"
 from .errors import VwwError
 from .grid import Grid, GridFunction
 from .potential import (BumpProfile, MollifiedNu, MollifierSpec, NuPrimitive,
-                        PerturbedNu, RegularizedNet, check_negligibility,
-                        default_ladder, evaluate_nu, extend_by_zero,
-                        fit_moderateness, mollify_potential)
+                        PerturbedNu, evaluate_nu, extend_by_zero, mollify_potential)
 from .prufer import (EigenBasis, PruferPath, asymptotic_residuals, build_bases,
                      build_basis, integrate_prufer, shoot_eigenvalue)
 from .spectral import SpectralCoeffs, analyze, parseval_defect, sobolev_norm, synthesize
@@ -19,7 +17,9 @@ from .wave import (ForcingTable, WaveProblem, WaveSolution, analyze_forcing,
                    spatial_derivatives)
 from .estimates import (ALL_ESTIMATE_IDS, CORE_ESTIMATE_IDS, EstimateReport,
                         constant_sweep, verify)
-from .veryweak import (DataNet, NetReport, VeryWeakExperiment,
-                       run_consistency, run_existence, run_uniqueness)
+from .veryweak import (DataNet, ExponentFit, NegligibilityReport, NetReport,
+                       VeryWeakExperiment, check_negligibility, default_ladder,
+                       fit_moderateness, run_consistency, run_existence,
+                       run_uniqueness)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,16 +34,15 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NonFiniteResult, VwwError
 from .grid import Grid, GridFunction
-from .potential import (PROFILES, SMOOTH_KINDS, default_ladder,
-                        potential_from_descriptor)
+from .potential import PROFILES, SMOOTH_KINDS, potential_from_descriptor
 from .prufer import DEFAULT_TOL, basis_csv_rows, basis_to_cache, build_basis
 from .spectral import analyze
 from .wave import (ForcingTable, WaveProblem, analyze_forcing,
                    check_time_grid, default_time_grid, solve_forced,
                    solve_homogeneous)
 from .estimates import ALL_ESTIMATE_IDS, CORE_ESTIMATE_IDS, verify
-from .veryweak import (DataNet, VeryWeakExperiment, run_consistency,
-                       run_existence, run_uniqueness)
+from .veryweak import (DataNet, VeryWeakExperiment, default_ladder,
+                       run_consistency, run_existence, run_uniqueness)
 
 # -- config schemas ----------------------------------------------------------
 
@@ -453,6 +452,11 @@ _NET_COLUMNS = {
 }
 
 
+def _given(config: dict, *keys) -> dict:
+    """The keys config has, so the library holds every default."""
+    return {k: config[k] for k in keys if k in config}
+
+
 def cmd_veryweak(config: dict, out: str) -> None:
     grid = Grid(int(config["grid_n"]))
     ladder = config["ladder"]
@@ -466,12 +470,11 @@ def cmd_veryweak(config: dict, out: str) -> None:
                    float(config.get("u1_scale_exponent", 0.0))),
         ladder=ladder, grid=grid, n_max=int(config["n_max"]),
         T=float(config["T"]),
-        **{k: config[k] for k in ("mollifier", "n_times", "ode_tol")
-           if k in config},
+        **_given(config, "mollifier", "n_times", "ode_tol"),
     )
     mode = config["mode"]
     if mode == "existence":
-        rep = run_existence(exp, int(config.get("declared_order", 0)))
+        rep = run_existence(exp, **_given(config, "declared_order"))
     elif mode == "uniqueness":
         if "order" not in config:
             raise ConfigError("uniqueness mode needs 'order'")
@@ -482,7 +485,7 @@ def cmd_veryweak(config: dict, out: str) -> None:
         rep = run_uniqueness(exp, int(config["order"]), w_primitive=wp,
                              w0=w0, w1=w1)
     else:
-        rep = run_consistency(exp, float(config.get("tolerance", 1e-3)))
+        rep = run_consistency(exp, **_given(config, "tolerance"))
     columns = _NET_COLUMNS[mode]
     _write_files(out, {
         "report.json": (_json_text, {"meta": _meta(config), "mode": mode,

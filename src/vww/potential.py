@@ -26,9 +26,6 @@ through ``nu_values``, ``breakpoints`` and ``jumps``.
 The ``samples`` smooth kind is the only user of scipy in vww: its quintic
 spline (``scipy.interpolate.InterpolatedUnivariateSpline``) is imported
 when first built, so importing vww loads no scipy module.
-
-Moderateness / negligibility of eps-indexed nets is measured by
-least-squares slopes in log-log coordinates.
 """
 
 from __future__ import annotations
@@ -37,11 +34,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateNet, MissingNorm, UnresolvedMollifier
+from .errors import ConfigError, MissingNorm, UnresolvedMollifier
 from .grid import Grid, GridFunction
 
 SMOOTH_KINDS = ("zero", "const", "linear", "sine", "samples")
@@ -705,87 +702,3 @@ def potential_from_descriptor(d: dict) -> Potential:
         raise ConfigError(f"bad potential descriptor: {exc}") from exc
     return NuPrimitive.from_descriptor(d)
 
-
-# -- moderateness / negligibility fits ---------------------------------------
-
-
-@dataclass(frozen=True)
-class RegularizedNet:
-    """Norms of an eps-indexed family, ready for log-log slope fitting."""
-
-    ladder: tuple
-    norms: tuple
-    norm_kind: str = "L2"
-
-    def __post_init__(self):
-        lad = tuple(float(e) for e in self.ladder)
-        if any(b >= a for a, b in zip(lad, lad[1:])):
-            raise ConfigError("epsilon ladder must be strictly decreasing")
-        object.__setattr__(self, "ladder", lad)
-        object.__setattr__(self, "norms", tuple(float(v) for v in self.norms))
-        if len(self.ladder) != len(self.norms):
-            raise ConfigError("ladder and norms must have equal length")
-
-    @classmethod
-    def from_grid_functions(cls, ladder, members, norm_kind="L2"):
-        fn = {"L2": GridFunction.norm_l2, "Linf": GridFunction.norm_linf}
-        try:
-            measure = fn[norm_kind]
-        except KeyError:
-            raise ConfigError(f"unsupported norm kind {norm_kind!r}") from None
-        members = list(members)
-        if len({m.grid.n for m in members}) > 1:
-            raise ConfigError("net members must share one grid")
-        return cls(tuple(ladder), tuple(measure(m) for m in members), norm_kind)
-
-
-class ExponentFit(NamedTuple):
-    slope: float
-    max_dev: float
-    intercept: float
-
-
-def default_ladder(k_min: int = 2, k_max: int = 9) -> tuple:
-    """Geometric ladder eps_k = 2^-k, k = k_min..k_max."""
-    if k_max < k_min:
-        raise ConfigError("k_max must be >= k_min")
-    return tuple(2.0 ** (-k) for k in range(k_min, k_max + 1))
-
-
-def _fit_loglog(net: RegularizedNet, xs: np.ndarray) -> ExponentFit:
-    """Least-squares line of log(norm) against xs over a net of at least 4
-    rungs; a zero norm has no logarithm and raises ``DegenerateNet``."""
-    if len(net.ladder) < 4:
-        raise ConfigError("need at least 4 ladder points to fit")
-    norms = np.asarray(net.norms)
-    if np.any(norms <= 0.0):
-        raise DegenerateNet("net contains zero norms; nothing to fit")
-    ys = np.log(norms)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    return ExponentFit(float(slope), float(np.max(np.abs(resid))), float(intercept))
-
-
-def fit_moderateness(net: RegularizedNet) -> ExponentFit:
-    """Slope N of log(norm) against log(1/eps): norms ~ eps^-N."""
-    return _fit_loglog(net, np.log(1.0 / np.asarray(net.ladder)))
-
-
-class NegligibilityReport(NamedTuple):
-    passed: bool
-    slope: float
-    max_dev: float
-    order: int
-
-
-NEGLIGIBILITY_MARGIN = 0.2
-
-
-def check_negligibility(net: RegularizedNet, order: int) -> NegligibilityReport:
-    """Fit log(norm) against log(eps); pass when slope >= order - 0.2."""
-    if order < 1:
-        raise ConfigError("negligibility order must be a positive integer")
-    fit = _fit_loglog(net, np.log(np.asarray(net.ladder)))
-    return NegligibilityReport(
-        fit.slope >= order - NEGLIGIBILITY_MARGIN, fit.slope, fit.max_dev, order
-    )

@@ -5,7 +5,7 @@ An experiment fixes a (possibly singular) potential through its
 primitive, data for the wave problem, and a decreasing epsilon ladder.
 Per rung, the potential is mollified, an eigenbasis built, the wave
 problem solved, and sup-in-time norms recorded; log-log slope fits over
-the ladder decide the verdicts:
+the (ladder, norms) pairs decide the verdicts, with one margin of 0.2:
 
 * existence: the solution net and its time derivative stay moderate
   (fitted growth exponent at most the declared order plus 0.2);
@@ -18,18 +18,80 @@ the ladder decide the verdicts:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (ConfigError, DegenerateNet, NonFiniteResult,
                      NotBoundedPotential, VwwError, per_member)
 from .grid import Grid, GridFunction
-from .potential import (ExponentFit, MollifiedNu, MollifierSpec, NuPrimitive,
-                        PerturbedNu, RegularizedNet, check_negligibility,
-                        fit_moderateness)
+from .potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from .prufer import build_bases, build_basis
 from .spectral import analyze, sobolev_norm
 from .wave import WaveProblem, check_time_grid, solve_homogeneous
+
+VERDICT_MARGIN = 0.2  # moderate: slope <= order + it; negligible: >= order - it
+
+
+def default_ladder(k_min: int = 2, k_max: int = 9) -> tuple:
+    """Geometric ladder eps_k = 2^-k, k = k_min..k_max, the range checked
+    before any rung is built: past k = 1074 the rungs are 0.0."""
+    if not 0 <= k_min <= k_max <= 1074:
+        raise ConfigError(f"ladder needs 0 <= k_min <= k_max <= 1074, got "
+                          f"k_min={k_min}, k_max={k_max}")
+    return tuple(2.0 ** (-k) for k in range(k_min, k_max + 1))
+
+
+def _ladder(ladder, norms=None) -> tuple:
+    """The ladder as floats: at least 4 rungs, the fewest a log-log fit
+    accepts, strictly decreasing, and as many as the norms where given."""
+    lad = tuple(float(e) for e in ladder)
+    if len(lad) < 4:
+        raise ConfigError(f"ladder needs at least 4 rungs, got {len(lad)}")
+    if any(b >= a for a, b in zip(lad, lad[1:])):
+        raise ConfigError("ladder must be strictly decreasing")
+    if norms is not None and len(norms) != len(lad):
+        raise ConfigError("ladder and norms must have equal length")
+    return lad
+
+
+class ExponentFit(NamedTuple):
+    slope: float
+    max_dev: float
+
+
+def _fit(ladder, norms, x=np.log) -> ExponentFit:
+    """Least-squares line of log(norm) against x(eps), log(eps) by default;
+    a zero norm has no logarithm and raises ``DegenerateNet``."""
+    xs = x(np.asarray(_ladder(ladder, norms)))
+    norms = np.asarray(norms, dtype=float)
+    if np.any(norms <= 0.0):
+        raise DegenerateNet("net contains zero norms; nothing to fit")
+    ys = np.log(norms)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    return ExponentFit(float(slope),
+                       float(np.max(np.abs(ys - (slope * xs + intercept)))))
+
+
+def fit_moderateness(ladder, norms) -> ExponentFit:
+    """Slope N of log(norm) against log(1/eps): norms ~ eps^-N."""
+    return _fit(ladder, norms, lambda eps: np.log(1.0 / eps))
+
+
+class NegligibilityReport(NamedTuple):
+    passed: bool
+    slope: float
+    max_dev: float
+    order: int
+
+
+def check_negligibility(ladder, norms, order: int) -> NegligibilityReport:
+    """Fit log(norm) against log(eps); pass when slope >= order - 0.2."""
+    if order < 1:
+        raise ConfigError("negligibility order must be a positive integer")
+    fit = _fit(ladder, norms)
+    return NegligibilityReport(fit.slope >= order - VERDICT_MARGIN,
+                               fit.slope, fit.max_dev, order)
 
 
 @dataclass(frozen=True)
@@ -47,10 +109,10 @@ class DataNet:
 
 @dataclass(frozen=True)
 class VeryWeakExperiment:
-    """One ladder experiment; the ladder has at least 4 strictly decreasing
-    rungs, the fewest a log-log fit accepts, each a valid mollifier scale,
-    and the time grid stays under the table ceiling, so a bad rung,
-    profile or n_times fails before any basis is built."""
+    """One ladder experiment; the ladder keeps the ladder rule, each rung
+    is a valid mollifier scale, the time grid stays under the table
+    ceiling and each data scale eps^-p is finite, so a bad rung, profile,
+    n_times or scale exponent fails before any basis is built."""
 
     nu: NuPrimitive
     u0: DataNet
@@ -64,16 +126,20 @@ class VeryWeakExperiment:
     ode_tol: float = 1e-10
 
     def __post_init__(self):
-        lad = tuple(float(e) for e in self.ladder)
-        if len(lad) < 4:
-            raise ConfigError(f"ladder needs at least 4 rungs, got {len(lad)}")
-        if any(b >= a for a, b in zip(lad, lad[1:])):
-            raise ConfigError("ladder must be strictly decreasing")
+        lad = _ladder(self.ladder)
         for eps in lad:  # an unknown profile or a rung outside (0, 1]
             MollifierSpec(self.mollifier, eps)
         object.__setattr__(self, "ladder", lad)
         object.__setattr__(self, "n_times", int(self.n_times))
         check_time_grid(self.n_times, self.grid)
+        for name, net in (("u0", self.u0), ("u1", self.u1)):
+            for eps in lad:
+                try:
+                    eps ** -net.scale_exponent
+                except OverflowError:
+                    raise NonFiniteResult(
+                        f"{name}_scale_exponent={net.scale_exponent:g}: "
+                        f"eps^-p overflows at rung eps={eps:g}") from None
 
     @property
     def times(self) -> np.ndarray:
@@ -86,10 +152,10 @@ def _solve_for(e: VeryWeakExperiment, basis, u0: GridFunction,
     return solve_homogeneous(problem, e.times)
 
 
-def _try_fit(fit, ladder, norms, *args):
-    """fit(net, *args) on the net of norms, or None when a norm is zero."""
+def _try_fit(fit, *args):
+    """fit(*args), or None when a norm is zero."""
     try:
-        return fit(RegularizedNet(ladder, norms), *args)
+        return fit(*args)
     except DegenerateNet:
         return None
 
@@ -124,9 +190,6 @@ def _bases(e: VeryWeakExperiment, potentials, rungs) -> list:
 def _mollified(e: VeryWeakExperiment) -> list:
     return _per_rung(
         e, lambda eps: MollifiedNu(e.nu, MollifierSpec(e.mollifier, eps)))
-
-
-MODERATENESS_MARGIN = 0.2
 
 
 class _Report:
@@ -167,12 +230,12 @@ def run_existence(e: VeryWeakExperiment, declared_order: int = 0) -> NetReport:
         e, one, q, _bases(e, q, e.ladder)))
     u_fit, dtu_fit, q_fit = (_try_fit(fit_moderateness, e.ladder, norms)
                              for norms in (u_norms, dtu_norms, q_norms))
-    bound = declared_order + MODERATENESS_MARGIN
+    bound = declared_order + VERDICT_MARGIN
     moderate = all(f is None or f.slope <= bound for f in (u_fit, dtu_fit))
     return NetReport(
         ladder=e.ladder, u_norms=u_norms, dtu_norms=dtu_norms,
         q_linf_norms=q_norms, u_exponent=u_fit, dtu_exponent=dtu_fit,
-        q_exponent=q_fit, declared_order=declared_order, moderate=moderate,
+        q_exponent=q_fit, declared_order=int(declared_order), moderate=moderate,
     )
 
 
@@ -293,12 +356,11 @@ def run_consistency(e: VeryWeakExperiment,
     drops = np.diff(disc)
     decreasing = bool(np.all(drops < 0.0))
     spike = bool(np.any(np.asarray(disc[1:]) > 1.05 * np.asarray(disc[:-1])))
-    # the log(eps) slope, which does not depend on the order passed
-    fit = _try_fit(check_negligibility, e.ladder, disc, 1)
+    fit = _try_fit(_fit, e.ladder, disc)  # the log(eps) slope
     return ConsistencyReport(
         ladder=e.ladder, discrepancies=disc,
         strictly_decreasing=decreasing, spike_flagged=spike,
-        final_value=disc[-1], tolerance=tolerance,
+        final_value=disc[-1], tolerance=float(tolerance),
         rate=None if fit is None else fit.slope,
         time_grid_sensitivity=float(sens),
         passed=decreasing and disc[-1] <= tolerance,

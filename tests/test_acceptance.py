@@ -11,14 +11,14 @@ import pytest
 from scipy.optimize import brentq
 
 from vww.grid import Grid, GridFunction
-from vww.potential import NuPrimitive, default_ladder
+from vww.potential import NuPrimitive
 from vww.prufer import asymptotic_residuals
 from vww.spectral import analyze
 from vww.wave import (WaveProblem, analyze_forcing, default_time_grid,
                       fd_oracle, solve_forced, solve_homogeneous)
 from vww.estimates import CORE_ESTIMATE_IDS, constant_sweep, random_sine_data
-from vww.veryweak import (DataNet, VeryWeakExperiment, run_consistency,
-                          run_existence, run_uniqueness)
+from vww.veryweak import (DataNet, VeryWeakExperiment, default_ladder,
+                          run_consistency, run_existence, run_uniqueness)
 
 from conftest import parabola, sine_data
 

@@ -1,4 +1,5 @@
-"""Potential primitives, mollification and power-law fits."""
+"""Potential primitives, mollification, and the power-law fits of
+``vww.veryweak`` over mollified nets."""
 
 import math
 
@@ -9,12 +10,11 @@ from scipy.integrate import quad
 from vww.errors import ConfigError, DegenerateNet, MissingNorm, UnresolvedMollifier
 from vww.grid import Grid, GridFunction
 from vww.potential import (MollifiedNu, MollifierSpec, NuPrimitive,
-                           PerturbedNu, RegularizedNet, _window_conv,
-                           check_negligibility,
-                           default_ladder, evaluate_nu, extend_by_zero,
-                           fit_moderateness, get_profile, mollified_q,
+                           PerturbedNu, _window_conv, evaluate_nu,
+                           extend_by_zero, get_profile, mollified_q,
                            mollify_potential)
 from vww.prufer import build_basis
+from vww.veryweak import check_negligibility, default_ladder, fit_moderateness
 
 from conftest import modules_in_fresh_python
 
@@ -380,13 +380,13 @@ class TestSamplesKind:
 class TestFits:
     def test_exact_power_law(self):
         lad = tuple(2.0**-k for k in range(1, 7))
-        fit = fit_moderateness(RegularizedNet(lad, tuple(e**-2 for e in lad)))
+        fit = fit_moderateness(lad, tuple(e**-2 for e in lad))
         assert fit.slope == pytest.approx(2.0, abs=1e-12)
         assert fit.max_dev <= 1e-12
 
     def test_constant_net(self):
         lad = tuple(2.0**-k for k in range(1, 7))
-        fit = fit_moderateness(RegularizedNet(lad, (3.0,) * 6))
+        fit = fit_moderateness(lad, (3.0,) * 6)
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_mollified_delta_linf_exponent(self):
@@ -396,24 +396,24 @@ class TestFits:
         norms = tuple(
             mollify_potential(STEP, MollifierSpec("bump", e), g).norm_linf()
             for e in lad)
-        fit = fit_moderateness(RegularizedNet(lad, norms, "Linf"))
+        fit = fit_moderateness(lad, norms)
         assert abs(fit.slope - 1.0) <= 0.05
 
     def test_zero_norm_degenerate(self):
         lad = tuple(2.0**-k for k in range(1, 6))
         with pytest.raises(DegenerateNet):
-            fit_moderateness(RegularizedNet(lad, (1.0, 1.0, 0.0, 1.0, 1.0)))
+            fit_moderateness(lad, (1.0, 1.0, 0.0, 1.0, 1.0))
 
     def test_short_ladder_rejected(self):
-        with pytest.raises(ConfigError):
-            fit_moderateness(RegularizedNet((0.5, 0.25, 0.125), (1.0,) * 3))
+        with pytest.raises(ConfigError, match="at least 4 rungs, got 3"):
+            fit_moderateness((0.5, 0.25, 0.125), (1.0,) * 3)
 
     def test_negligibility_pass_and_fail(self):
         lad = tuple(2.0**-k for k in range(1, 7))
-        net = RegularizedNet(lad, tuple(e**3 for e in lad))
-        rep = check_negligibility(net, 3)
+        norms = tuple(e**3 for e in lad)
+        rep = check_negligibility(lad, norms, 3)
         assert rep.passed and rep.slope == pytest.approx(3.0, abs=1e-12)
-        assert not check_negligibility(net, 5).passed
+        assert not check_negligibility(lad, norms, 5).passed
 
     def test_two_profile_difference_negligible_at_order_one(self):
         # both profiles converge to the smooth potential at first order
@@ -428,28 +428,24 @@ class TestFits:
             qa = mollify_potential(nu, MollifierSpec("bump", eps), g)
             qb = mollify_potential(nu, MollifierSpec("bump2", eps), g)
             diffs.append((qa - qb).norm_l2())
-        rep = check_negligibility(RegularizedNet(lad, tuple(diffs)), 1)
+        rep = check_negligibility(lad, diffs, 1)
         assert rep.passed
 
     def test_moderateness_negligibility_consistency(self):
         # a net negligible at order M has moderateness exponent <= -M + 0.2
         lad = tuple(2.0**-k for k in range(1, 8))
         norms = tuple(e**2.5 for e in lad)
-        neg = check_negligibility(RegularizedNet(lad, norms), 2)
-        mod = fit_moderateness(RegularizedNet(lad, norms))
+        neg = check_negligibility(lad, norms, 2)
+        mod = fit_moderateness(lad, norms)
         assert neg.passed
         assert mod.slope <= -neg.order + 0.2
 
     def test_ladder_must_decrease(self):
         with pytest.raises(ConfigError):
-            RegularizedNet((0.25, 0.5), (1.0, 1.0))
+            fit_moderateness((0.25, 0.5), (1.0, 1.0))
+        with pytest.raises(ConfigError, match="strictly decreasing"):
+            fit_moderateness((0.25, 0.5, 0.125, 0.0625), (1.0,) * 4)
 
-    def test_net_from_grid_functions(self):
-        g = Grid(64)
-        members = [GridFunction(g, np.full(65, 1.0 / e)) for e in (0.5, 0.25)]
-        net = RegularizedNet.from_grid_functions((0.5, 0.25), members, "Linf")
-        assert net.norms == (2.0, 4.0)
-        with pytest.raises(ConfigError):
-            RegularizedNet.from_grid_functions(
-                (0.5, 0.25),
-                [GridFunction.zeros(g), GridFunction.zeros(Grid(32))])
+    def test_norms_match_ladder(self):
+        with pytest.raises(ConfigError, match="equal length"):
+            check_negligibility((0.5, 0.25, 0.125, 0.0625), (1.0,) * 3, 1)

@@ -9,9 +9,9 @@ import pytest
 from vww.errors import (ConfigError, NotBoundedPotential, StepFailure,
                         UnresolvedBasis, per_member)
 from vww.grid import Grid, GridFunction
-from vww.potential import NuPrimitive, default_ladder
-from vww.veryweak import (DataNet, VeryWeakExperiment, run_consistency,
-                          run_existence, run_uniqueness)
+from vww.potential import NuPrimitive
+from vww.veryweak import (DataNet, VeryWeakExperiment, default_ladder,
+                          run_consistency, run_existence, run_uniqueness)
 
 from conftest import parabola, sine_data
 
@@ -29,6 +29,32 @@ def experiment(nu, grid, ladder=None, u0=None, u1=None, **kw):
 @pytest.fixture(scope="module")
 def grid1024():
     return Grid(1024)
+
+
+CLI_BASE = {
+    "mode": "consistency",
+    "nu": {"smooth": {"kind": "linear", "params": [5.0]}},
+    "grid_n": 256, "n_max": 4, "T": 0.5, "u0": {"kind": "parabola"},
+    "u1": {"kind": "zero"}, "ladder": {"k_min": 2, "k_max": 5}}
+
+
+def run_cli(tmp_path, **changes):
+    """(exit code, --out path) of ``vww veryweak`` on CLI_BASE with changes."""
+    from vww.cli import main
+    cfg, out = tmp_path / "c.json", tmp_path / "out"
+    cfg.write_text(json.dumps(dict(CLI_BASE, **changes)))
+    return main(["veryweak", "--config", str(cfg), "--out", str(out)]), out
+
+
+def run_cli_without_bases(tmp_path, monkeypatch, **changes):
+    """run_cli with every basis build recorded instead of made:
+    (exit code, --out path, the builds' arguments)."""
+    import vww.veryweak
+    built = []
+    for name in ("build_basis", "build_bases"):
+        monkeypatch.setattr(vww.veryweak, name,
+                            lambda *args, **kw: built.append(args))
+    return (*run_cli(tmp_path, **changes), built)
 
 
 class TestExperiment:
@@ -58,21 +84,37 @@ class TestExperiment:
                        mollifier=mollifier)
 
     def test_bad_mollifier_exits_before_any_basis(self, tmp_path, monkeypatch):
-        import vww.veryweak
-        from vww.cli import main
-        built = []
-        for name in ("build_basis", "build_bases"):
-            monkeypatch.setattr(vww.veryweak, name,
-                                lambda *args, **kw: built.append(args))
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
-            "mode": "consistency", "mollifier": "nope",
-            "nu": {"smooth": {"kind": "linear", "params": [5.0]}},
-            "grid_n": 256, "n_max": 4, "T": 0.5, "u0": {"kind": "parabola"},
-            "u1": {"kind": "zero"}, "ladder": {"k_min": 2, "k_max": 5}}))
-        assert main(["veryweak", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")]) == 2
+        code, _, built = run_cli_without_bases(tmp_path, monkeypatch,
+                                               mollifier="nope")
+        assert code == 2
         assert built == []
+
+    def test_ladder_range_checked_before_any_rung(self):
+        # 10**9 rungs would take tens of GB; the range is refused first
+        for k_min, k_max in ((2, 10**9), (-2000, 5), (5, 2)):
+            with pytest.raises(ConfigError, match="0 <= k_min <= k_max"):
+                default_ladder(k_min, k_max)
+        assert default_ladder(1074, 1074) == (5e-324,)
+
+    @pytest.mark.parametrize("k_min, k_max", [(-2000, 5), (2, 10_000_000)],
+                             ids=["overflowing_rung", "zero_rungs"])
+    def test_ladder_range_exits_2(self, tmp_path, monkeypatch, k_min, k_max):
+        code, out, built = run_cli_without_bases(
+            tmp_path, monkeypatch, ladder={"k_min": k_min, "k_max": k_max})
+        assert code == 2
+        assert not out.exists() and built == []
+
+    def test_data_scale_overflow_exits_3_before_any_basis(
+            self, tmp_path, monkeypatch, capsys):
+        # 0.25^-1000 overflows a float at the first rung
+        code, out, built = run_cli_without_bases(
+            tmp_path, monkeypatch, mode="existence", u0_scale_exponent=1000)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert not out.exists() and built == []
+        assert len(err) == 1
+        assert "NonFiniteResult" in err[0]
+        assert "u0_scale_exponent=1000" in err[0] and "eps=0.25" in err[0]
 
 
 class TestFailingRung:
@@ -195,10 +237,9 @@ class TestUniqueness:
         g = Grid(1024)
         nu = NuPrimitive("sine", (0.5, 1.0))
         lad = default_ladder(2, 7)
-        from vww.potential import MollifiedNu, MollifierSpec, RegularizedNet, \
-            check_negligibility
+        from vww.potential import MollifiedNu, MollifierSpec
         from vww.prufer import build_basis
-        from vww.veryweak import _solve_for
+        from vww.veryweak import _solve_for, check_negligibility
         e = experiment(nu, g, ladder=lad)
         diffs = []
         for eps in lad:
@@ -208,7 +249,7 @@ class TestUniqueness:
             w = g.simpson_weights
             diffs.append(float(np.sqrt(np.max(
                 (sa.values - sb.values) ** 2 @ w))))
-        rep = check_negligibility(RegularizedNet(lad, tuple(diffs)), 2)
+        rep = check_negligibility(lad, diffs, 2)
         assert not rep.passed
         assert rep.slope == pytest.approx(1.0, abs=0.5)
 
@@ -244,3 +285,53 @@ class TestConsistency:
         rep = run_consistency(experiment(
             NuPrimitive("linear", (5.0,)), grid1024))
         assert rep.time_grid_sensitivity <= 0.05
+
+
+class TestVerdictsFollowNorms:
+    """The slopes and verdicts in report.json are least-squares fits of
+    the norms in the same report, with a 0.2 exponent margin."""
+
+    @staticmethod
+    def report(tmp_path, **changes):
+        code, out = run_cli(tmp_path, **changes)
+        assert code == 0
+        return json.loads((out / "report.json").read_text())["report"]
+
+    @staticmethod
+    def slope(xs, norms):
+        return np.polyfit(xs, np.log(norms), 1)[0]
+
+    @pytest.mark.parametrize("declared_order", [0, 1])
+    def test_existence(self, tmp_path, declared_order):
+        # u0 scaled by eps^-0.5 grows faster than order 0 allows
+        rep = self.report(tmp_path, mode="existence", u0_scale_exponent=0.5,
+                          declared_order=declared_order,
+                          nu={"smooth": {"kind": "zero"},
+                              "jumps": [[0.5, 1.0]]})
+        x = np.log(1.0 / np.asarray(rep["ladder"]))
+        slopes = [self.slope(x, rep[name]) for name in ("u_norms", "dtu_norms")]
+        for name, slope in zip(("u_exponent", "dtu_exponent"), slopes):
+            assert rep[name]["slope"] == pytest.approx(slope, rel=1e-9)
+        assert rep["moderate"] == all(s <= declared_order + 0.2
+                                      for s in slopes) == (declared_order == 1)
+
+    @pytest.mark.parametrize("order, scale, passed", [(1, 0.0, True),
+                                                      (2, 1.0, False)])
+    def test_uniqueness(self, tmp_path, order, scale, passed):
+        # an eps^-1 data scale takes one order off the potential
+        # perturbation's eps^order
+        rep = self.report(tmp_path, mode="uniqueness", order=order,
+                          u0_scale_exponent=scale,
+                          w_primitive={"smooth": {"kind": "sine",
+                                                  "params": [0.1, 1]}})
+        slope = self.slope(np.log(rep["ladder"]), rep["diff_norms"])
+        assert rep["slope"] == pytest.approx(slope, rel=1e-9)
+        assert rep["passed"] == (slope >= order - 0.2) == passed
+
+    def test_consistency(self, tmp_path):
+        rep = self.report(tmp_path, tolerance=1e-2)
+        disc = rep["discrepancies"]
+        slope = self.slope(np.log(rep["ladder"]), disc)
+        assert rep["rate"] == pytest.approx(slope, rel=1e-9)
+        assert rep["passed"] == (all(np.diff(disc) < 0.0)
+                                 and disc[-1] <= rep["tolerance"] == 1e-2)
