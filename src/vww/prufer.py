@@ -402,20 +402,23 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
 def _eigenbasis(nu_like, ns: np.ndarray, grid: Grid, root, froot, nu_nodes,
                 eta, log_r) -> EigenBasis:
     """The basis of the roots from their sampled (eta, log r) rows."""
-    # (modes, nodes) tables, formed in place so that few are alive at once
-    sqrt_lam = np.sqrt(root)[:, None]
-    theta = sqrt_lam * grid.nodes + eta
-    dphi = np.exp(log_r)
-    phi = np.sin(theta)
-    phi *= dphi  # phi_tilde = r sin(theta), normalized below
-    # per row, as grid.norm_l2 sums; a (modes, nodes) product sums otherwise
-    tilde_norms = np.array([grid.norm_l2(v) for v in phi])
-    # phi' = (sqrt(lambda) r cos(theta) + nu phi_tilde) / ||phi_tilde||
-    dphi *= sqrt_lam
-    dphi *= np.cos(theta, out=theta)
-    dphi += np.multiply(nu_nodes, phi, out=theta)
-    dphi /= tilde_norms[:, None]
-    phi /= tilde_norms[:, None]
+    # (modes, nodes) tables, formed in place so that few are alive at once.
+    # An r past a float's range makes inf and NaN rows, whose Gram defect
+    # _checked refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        sqrt_lam = np.sqrt(root)[:, None]
+        theta = sqrt_lam * grid.nodes + eta
+        dphi = np.exp(log_r)
+        phi = np.sin(theta)
+        phi *= dphi  # phi_tilde = r sin(theta), normalized below
+        # per row, as grid.norm_l2 sums; a table product sums otherwise
+        tilde_norms = np.array([grid.norm_l2(v) for v in phi])
+        # phi' = (sqrt(lambda) r cos(theta) + nu phi_tilde) / ||phi_tilde||
+        dphi *= sqrt_lam
+        dphi *= np.cos(theta, out=theta)
+        dphi += np.multiply(nu_nodes, phi, out=theta)
+        dphi /= tilde_norms[:, None]
+        phi /= tilde_norms[:, None]
     phi[:, [0, -1]] = 0.0
     return EigenBasis(ns.astype(int), root, phi, dphi, eta, log_r,
                       tilde_norms, froot, nu_like, grid)
@@ -443,8 +446,9 @@ def _solve_modes(potentials, ns, grid: Grid, tol: float) -> list[EigenBasis]:
 def shoot_eigenvalue(nu_like, n: int, grid: Grid,
                      tol: float = DEFAULT_TOL) -> EigenBasis:
     """Mode n alone, as a one-row EigenBasis, with |theta(1, lambda_n) - pi n|
-    <= max(0.5 THETA_RESIDUAL_TOL, 5 tol) (5e-11 at the default tol)."""
-    return _solve_modes([nu_like], [n], grid, tol)[0]
+    <= max(0.5 THETA_RESIDUAL_TOL, 5 tol) (5e-11 at the default tol); a
+    non-finite row has a NaN Gram defect and is refused."""
+    return _checked(_solve_modes([nu_like], [n], grid, tol)[0], tol)
 
 
 def _checked(basis: EigenBasis, tol: float) -> EigenBasis:
@@ -459,10 +463,11 @@ def _checked(basis: EigenBasis, tol: float) -> EigenBasis:
     gram = (phi * grid.simpson_weights) @ phi.T
     off = gram - np.diag(np.diag(gram))
     defect = float(np.max(np.abs(off)))
-    if defect > GRAM_DEFECT_TOL:
+    if not defect <= GRAM_DEFECT_TOL:  # NaN included
         raise UnresolvedBasis(
             f"n_max={len(basis)} modes are not resolved on a grid of {grid.n} "
-            f"intervals at tol={tol:g}: Gram defect {defect:.3g} > {GRAM_DEFECT_TOL:g}")
+            f"intervals at tol={tol:g}: Gram defect {defect:.3g} is not <= "
+            f"{GRAM_DEFECT_TOL:g}")
     return replace(basis, gram_max_offdiag=defect)
 
 

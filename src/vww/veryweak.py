@@ -17,6 +17,7 @@ the (ladder, norms) pairs decide the verdicts, with one margin of 0.2:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -111,8 +112,9 @@ class DataNet:
 class VeryWeakExperiment:
     """One ladder experiment; the ladder keeps the ladder rule, each rung
     is a valid mollifier scale, the time grid stays under the table
-    ceiling and each data scale eps^-p is finite, so a bad rung, profile,
-    n_times or scale exponent fails before any basis is built."""
+    ceiling and each data net's largest value max|profile| eps^-p is
+    finite, so a bad rung, profile, n_times or data scale fails before
+    any basis is built."""
 
     nu: NuPrimitive
     u0: DataNet
@@ -133,13 +135,16 @@ class VeryWeakExperiment:
         object.__setattr__(self, "n_times", int(self.n_times))
         check_time_grid(self.n_times, self.grid)
         for name, net in (("u0", self.u0), ("u1", self.u1)):
+            peak = net.profile.norm_linf()
             for eps in lad:
-                try:
-                    eps ** -net.scale_exponent
+                try:  # the largest value realize(eps) forms
+                    finite = math.isfinite(peak * eps ** -net.scale_exponent)
                 except OverflowError:
+                    finite = False
+                if not finite:
                     raise NonFiniteResult(
                         f"{name}_scale_exponent={net.scale_exponent:g}: "
-                        f"eps^-p overflows at rung eps={eps:g}") from None
+                        f"max|{name}| * eps^-p overflows at rung eps={eps:g}")
 
     @property
     def times(self) -> np.ndarray:

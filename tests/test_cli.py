@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,38 @@ class TestSolveCommands:
         assert got == want
         assert want.startswith(b"t,x,u,u_t\n0.0,0.0,-0.0,")
         for cell in (b",5e-324,", b",1e-300,", b",1e+16,"):
+            assert cell in want
+
+    def test_solution_csv_bytes_match_at_band_edges(self):
+        # repr writes fixed notation for 1e-4 <= |v| < 1e16 and exponents
+        # outside; rows in the band keep the fast writer's digits, so a
+        # writer that moves its notation or digits there shows here
+        rng = np.random.default_rng(11)
+        lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+        signs = np.array([-1.0, 1.0])
+        values, dt_values = (
+            rng.integers(lo, hi, (50, 2049)).view(float)
+            * rng.choice(signs, (50, 2049)) for _ in range(2))
+        inside = [1e-4, -1e-4, np.nextafter(1e16, 0), -np.nextafter(1e16, 0),
+                  0.0, -0.0]
+        outside = [np.nextafter(1e-4, 0), -np.nextafter(1e-4, 0), 1e16,
+                   -1e16, 5e-324, -5e-324, 1e-300, -1e-300]
+        values[0, 2:8] = inside
+        values[1, 2:10] = outside
+        dt_values[2, 2:10] = outside
+        times = [float(t) for t in np.linspace(0.0, 2.0, 50)]
+        times[-1] = 1e16
+        nodes = np.linspace(0.0, 1.0, 2049)
+        nodes[1] = 5e-5
+        rows = [(t, float(x), float(values[j, i]), float(dt_values[j, i]))
+                for j, t in enumerate(times) for i, x in enumerate(nodes)]
+        want = "".join(_csv_text(("t", "x", "u", "u_t"), rows)).encode()
+        got = "".join(_solution_text(times, nodes, values,
+                                     dt_values)).encode()
+        assert got == want
+        for cell in (b",0.0001,", b",-9999999999999998.0,", b",-0.0,",
+                     b",9.999999999999999e-05,", b",-1e+16,", b",-5e-324,",
+                     b"\n0.0,5e-05,", b"\n1e+16,0.0,"):
             assert cell in want
 
     def test_forced_closed_form_through_files(self, tmp_path):
@@ -335,7 +368,8 @@ JSONSCHEMA_STACK = ("jsonschema", "attrs", "referencing", "rpds")
 
 class TestImportPath:
     """scipy costs most of an import of vww; only ``samples`` loads it.
-    jsonschema, a third of the rest, no vww process loads."""
+    jsonschema, a third of the rest, no vww process loads; orjson only
+    ``solve`` and ``forced`` load."""
 
     def test_import_loads_no_scipy(self):
         assert modules_in_fresh_python("import vww, vww.cli", "scipy") == []
@@ -349,6 +383,10 @@ class TestImportPath:
                 f"assert vww.cli.main(['forced', '--config', {cfg!r}, "
                 f"'--out', {str(tmp_path / 'o')!r}]) == 0")
         assert modules_in_fresh_python(code, "scipy") == []
+
+    def test_import_loads_no_orjson(self):
+        # only the solution.csv writer imports it
+        assert modules_in_fresh_python("import vww, vww.cli", "orjson") == []
 
     def test_import_loads_no_jsonschema(self):
         assert modules_in_fresh_python("import vww, vww.cli",
@@ -407,6 +445,23 @@ class TestNumericalFailure:
         assert run_cli("eigs", "--config", cfg, "--out",
                        str(tmp_path / "o")) == 3
         assert re.search(error, capsys.readouterr().err)
+
+    def test_overflowing_eigenfunctions_exit_3(self, tmp_path, capsys):
+        # at ode_tol 1e6, r overflows; the basis is refused by its Gram
+        # defect, NaN, and no numpy warning is printed on the way
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": {"smooth": {"kind": "const", "params": [1e6]}},
+            "grid_n": 256, "n_max": 5, "ode_tol": 1e6})
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli("eigs", "--config", cfg, "--out",
+                           str(tmp_path / "o")) == 3
+        assert not [w for w in seen if w.category is RuntimeWarning]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.search(r"UnresolvedBasis: .*Gram defect nan is not <= 0\.01",
+                         err[0])
+        assert not (tmp_path / "o").exists()
 
     def test_estimate_weight_overflow_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", dict(
@@ -563,6 +618,38 @@ class TestTimeGridCeiling:
     def test_benchmark_tables_fit(self):
         # the largest (times, nodes) table of the tests and the benchmark
         check_time_grid(201, Grid(2048))
+
+
+class TestGridSize:
+    """grid_n is an even interval count of at least 4, the fewest whose
+    nodes hold the one-sided second difference of the estimates."""
+
+    @pytest.mark.parametrize("command, payload", [
+        ("eigs", {"nu": FREE_NU, "n_max": 1}),
+        ("solve", SOLVE_BASE),
+        ("forced", dict(SOLVE_BASE, forcing={
+            "space": {"kind": "parabola"}, "time": {"kind": "const"}})),
+        ("estimates", dict(SOLVE_BASE, estimate_ids=["ec2"])),
+        ("veryweak", VW_BASE),
+    ])
+    def test_two_intervals_exit_2(self, tmp_path, capsys, command, payload):
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", write_config(
+            tmp_path, "c.json", dict(payload, grid_n=2, n_max=1)),
+            "--out", str(out)) == 2
+        assert "grid_n: 2 is less than 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimate_id",
+                             ["ec2", "ec3", "ec4", "ecnh2", "ecnh3", "ecnh4"])
+    def test_four_intervals_estimate(self, tmp_path, estimate_id):
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, grid_n=4, n_max=1, n_times=5,
+            u0={"kind": "parabola"}, estimate_ids=[estimate_id],
+            forcing={"space": {"kind": "parabola"},
+                     "time": {"kind": "const"}}))
+        assert run_cli("estimates", "--config", cfg, "--out",
+                       str(tmp_path / "o")) == 0
 
 
 class TestConfigLoader:

@@ -27,10 +27,11 @@ def third_party_imports() -> set:
 def test_imports_are_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    # a distribution named as its import name, as numpy and scipy are
+    # a distribution named as its import name, as numpy, scipy and orjson are
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
                 for spec in project["dependencies"]}
-    assert "scipy" in third_party_imports()  # function-level imports count
+    # function-level imports count
+    assert {"orjson", "scipy"} <= third_party_imports()
     assert third_party_imports() <= declared
 
 

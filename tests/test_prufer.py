@@ -291,6 +291,16 @@ class TestBuildBasis:
                            match=r"256 intervals at tol=0\.01: Gram"):
             build_basis(nu, 12, Grid(256), tol=1e-2)
 
+    def test_overflowing_eigenfunctions_raise(self):
+        # r overflows at ode_tol 1e6: NaN rows, a NaN Gram defect, refused
+        # without a numpy warning (the suite makes RuntimeWarning an error)
+        with pytest.raises(UnresolvedBasis,
+                           match=r"Gram defect nan is not <= 0\.01"):
+            build_basis(NuPrimitive("const", (1e6,)), 5, Grid(256), tol=1e6)
+        with pytest.raises(UnresolvedBasis, match="Gram defect nan"):
+            shoot_eigenvalue(NuPrimitive("const", (1e6,)), 1, Grid(256),
+                             tol=1e6)
+
     @pytest.mark.parametrize("name", ["step", "sine"])
     def test_eigenfunctions_match_tight_tolerance_build(
             self, name, catalog_bases_40, grid2048):

@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from vww.errors import (ConfigError, NotBoundedPotential, StepFailure,
+from vww.errors import (ConfigError, NonFiniteResult,
+                        NotBoundedPotential, StepFailure,
                         UnresolvedBasis, per_member)
 from vww.grid import Grid, GridFunction
 from vww.potential import NuPrimitive
@@ -115,6 +117,33 @@ class TestExperiment:
         assert len(err) == 1
         assert "NonFiniteResult" in err[0]
         assert "u0_scale_exponent=1000" in err[0] and "eps=0.25" in err[0]
+
+    def test_scaled_profile_overflow_exits_3_before_any_basis(
+            self, tmp_path, monkeypatch, capsys):
+        # 2^(5 * 199) is finite; times max|u0| = 2.5e9 it is not, at eps=2^-5
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, out, built = run_cli_without_bases(
+                tmp_path, monkeypatch, mode="existence",
+                u0={"kind": "parabola", "params": [1e10]},
+                u0_scale_exponent=199)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert not out.exists() and built == []
+        assert not [w for w in seen if w.category is RuntimeWarning]
+        assert err == ["vww: numerical failure: NonFiniteResult: "
+                       "u0_scale_exponent=199: max|u0| * eps^-p overflows "
+                       "at rung eps=0.03125"]
+
+    def test_scale_check_reads_each_net(self, grid1024):
+        # a large profile alone, at p = 0, is kept; u1's net is checked too
+        big = DataNet(parabola(grid1024) * 1e300)
+        experiment(NuPrimitive(), grid1024, u0=big)
+        with pytest.raises(NonFiniteResult, match=r"^u1_scale_exponent=1: "
+                           r"max\|u1\| \* eps\^-p overflows at rung "
+                           r"eps=0\.125$"):
+            experiment(NuPrimitive(), grid1024,
+                       u1=DataNet(parabola(grid1024) * 1e308, 1.0))
 
 
 class TestFailingRung:
