@@ -13,8 +13,8 @@ are machine-readable: JSON for reports, CSV for bulk numbers, and
 whitespace-separated .dat files for log-log plotting.  File writes are
 atomic (temp file + rename) and contain no timestamps, so identical
 configs reproduce byte-identical outputs.  Every number written is
-finite: a command formats all of its files first, and a non-finite
-number fails it (exit 3) before any file exists.
+finite: a command checks every number of all its files first, and a
+non-finite number fails it (exit 3) before any file exists.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure, 4 I/O failure.
@@ -265,8 +265,10 @@ def _build_forcing(desc: dict, basis, T: float, out_steps: int) -> ForcingTable:
 # -- output helpers ----------------------------------------------------------
 
 
-def _atomic_write(path: str, *texts: str) -> None:
-    """Write the concatenation of texts to path through a renamed temp file."""
+def _atomic_write(path: str, texts) -> None:
+    """Write the concatenation of the iterable texts to path through a
+    renamed temp file, each text as it is drawn; a failure while drawing
+    them leaves no file behind."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".vww-tmp-")
     try:
@@ -327,9 +329,11 @@ def _dat_text(columns: dict) -> list:
 
 
 def _write_files(out: str, files: dict) -> None:
-    """Write files, name -> (format, *args), into out once every one is
-    formatted, so a non-finite number refuses the command with
-    NonFiniteResult, naming the file and field, before any file exists."""
+    """Write files, name -> (format, *args), into out once every number
+    of every one is checked, so a non-finite number refuses the command
+    with NonFiniteResult, naming the file and field, before any file
+    exists.  A formatter returns its texts, or checks at call time and
+    returns a generator that formats them as they are written."""
     texts = {}
     for name, (fmt, *args) in files.items():
         try:
@@ -338,7 +342,7 @@ def _write_files(out: str, files: dict) -> None:
             exc.args = (f"{name}: {exc}",)
             raise
     for name, parts in texts.items():
-        _atomic_write(os.path.join(out, name), *parts)
+        _atomic_write(os.path.join(out, name), parts)
 
 
 def _meta(config: dict) -> dict:
@@ -389,15 +393,18 @@ def _solve_common(config: dict):
 
 
 def _solution_text(times: list, nodes: np.ndarray, values: np.ndarray,
-                   dt_values: np.ndarray) -> list:
+                   dt_values: np.ndarray):
     """Rows t,x,u,u_t for every time and node, byte for byte as
     ``_csv_text`` writes them with ``repr``.
 
-    orjson's shortest-digit writer formats one time's (nodes, 4) table
-    at a time.  It writes the same digits as ``repr``, and the same
-    notation where 1e-4 <= |v| < 1e16 or v is 0; a row holding a value
-    outside that band (``repr`` writes 1e-05 and 1e+16, orjson 0.00001
-    and 1e16) is formatted again by ``repr``.
+    Every value is checked for finiteness when this is called; the
+    returned generator then yields the header and one time's text at a
+    time, so the whole file's text never exists at once.  orjson's
+    shortest-digit writer formats each time's (nodes, 4) table.  It
+    writes the same digits as ``repr``, and the same notation where
+    1e-4 <= |v| < 1e16 or v is 0; a row holding a value outside that
+    band (``repr`` writes 1e-05 and 1e+16, orjson 0.00001 and 1e16) is
+    formatted again by ``repr``.
     """
     import orjson
 
@@ -409,22 +416,22 @@ def _solution_text(times: list, nodes: np.ndarray, values: np.ndarray,
         mag = np.abs(v)
         return (mag == 0.0) | ((mag >= 1e-4) & (mag < 1e16))
 
-    x_fixed = fixed(nodes)
-    table = np.empty((len(nodes), 4))
-    table[:, 1] = nodes
-    parts = ["t,x,u,u_t\n"]
-    for t, us, uts in zip(times, values, dt_values):
-        table[:, 0], table[:, 2], table[:, 3] = t, us, uts
-        rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[
-            2:-2].split(b"],[")
-        for i in np.flatnonzero(~(fixed(t) & x_fixed & fixed(us)
-                                  & fixed(uts))):
-            rows[i] = ",".join(map(repr, table[i].tolist())).encode()
-        # the last newline joins in too: appending it to the decoded text
-        # copies each time's text once more, +18 MiB peak RSS on evolve
-        rows.append(b"")
-        parts.append(b"\n".join(rows).decode())
-    return parts
+    def chunks():
+        x_fixed = fixed(nodes)
+        table = np.empty((len(nodes), 4))
+        table[:, 1] = nodes
+        yield "t,x,u,u_t\n"
+        for t, us, uts in zip(times, values, dt_values):
+            table[:, 0], table[:, 2], table[:, 3] = t, us, uts
+            rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[
+                2:-2].split(b"],[")
+            for i in np.flatnonzero(~(fixed(t) & x_fixed & fixed(us)
+                                      & fixed(uts))):
+                rows[i] = ",".join(map(repr, table[i].tolist())).encode()
+            rows.append(b"")  # the last row's newline
+            yield b"\n".join(rows).decode()
+
+    return chunks()
 
 
 def cmd_solve(config: dict, out: str) -> None:
@@ -482,6 +489,14 @@ def _given(config: dict, *keys) -> dict:
     return {k: config[k] for k in keys if k in config}
 
 
+def _data_net(config: dict, name: str, grid: Grid) -> DataNet:
+    """The data net ``name``, scaled only where config gives its
+    exponent, so DataNet holds the default."""
+    key = f"{name}_scale_exponent"
+    scale = {"scale_exponent": float(config[key])} if key in config else {}
+    return DataNet(_build_data(config[name], grid), **scale)
+
+
 def cmd_veryweak(config: dict, out: str) -> None:
     grid = Grid(int(config["grid_n"]))
     ladder = config["ladder"]
@@ -489,10 +504,7 @@ def cmd_veryweak(config: dict, out: str) -> None:
         ladder = default_ladder(int(ladder["k_min"]), int(ladder["k_max"]))
     exp = VeryWeakExperiment(
         nu=potential_from_descriptor(config["nu"]),
-        u0=DataNet(_build_data(config["u0"], grid),
-                   float(config.get("u0_scale_exponent", 0.0))),
-        u1=DataNet(_build_data(config["u1"], grid),
-                   float(config.get("u1_scale_exponent", 0.0))),
+        u0=_data_net(config, "u0", grid), u1=_data_net(config, "u1", grid),
         ladder=ladder, grid=grid, n_max=int(config["n_max"]),
         T=float(config["T"]),
         **_given(config, "mollifier", "n_times", "ode_tol"),

@@ -47,8 +47,11 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
-            raise ConfigError(f"grid needs an even interval count >= 2, got {self.n}")
+        if self.n % 2 != 0:
+            raise ConfigError(f"grid needs an even interval count, got {self.n}")
+        if self.n < 4:  # second_difference's one-sided stencil reads 4 nodes
+            raise ConfigError(f"grid needs at least 4 intervals for the "
+                              f"4-node second-difference stencil, got {self.n}")
 
     @property
     def nodes(self) -> np.ndarray:

@@ -79,6 +79,12 @@ def fit_moderateness(ladder, norms) -> ExponentFit:
     return _fit(ladder, norms, lambda eps: np.log(1.0 / eps))
 
 
+def _check_order(order: int) -> None:
+    """Refuse an injected or tested order below 1: eps^M must vanish."""
+    if order < 1:
+        raise ConfigError(f"order must be >= 1, got {order}")
+
+
 class NegligibilityReport(NamedTuple):
     passed: bool
     slope: float
@@ -88,8 +94,7 @@ class NegligibilityReport(NamedTuple):
 
 def check_negligibility(ladder, norms, order: int) -> NegligibilityReport:
     """Fit log(norm) against log(eps); pass when slope >= order - 0.2."""
-    if order < 1:
-        raise ConfigError("negligibility order must be a positive integer")
+    _check_order(order)
     fit = _fit(ladder, norms)
     return NegligibilityReport(fit.slope >= order - VERDICT_MARGIN,
                                fit.slope, fit.max_dev, order)
@@ -268,8 +273,7 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
     difference (driven by the mass term (q_pert - q) u_pert) is evaluated
     per rung and reported as a cross-check ratio.
     """
-    if order < 1:
-        raise ConfigError("perturbation order must be >= 1")
+    _check_order(order)
     grid = e.grid
     zero = GridFunction.zeros(grid)
     w0 = w0 if w0 is not None else zero

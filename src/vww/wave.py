@@ -237,8 +237,10 @@ def analyze_forcing(f_values: np.ndarray, basis: EigenBasis,
         raise GridMismatch(
             f"forcing values shape {f_values.shape} does not match "
             f"(nt={times.size}, nodes={basis.grid.n + 1})")
-    weighted = f_values * basis.grid.simpson_weights[None, :]
-    return ForcingTable(times, (weighted @ basis.phi_matrix.T).T)
+    # the weights fold into the (N, nodes) basis side, so no weighted
+    # copy of the (nt, nodes) samples is made
+    weighted_phi = basis.phi_matrix * basis.grid.simpson_weights
+    return ForcingTable(times, weighted_phi @ f_values.T)
 
 
 def x_derivative(sol: WaveSolution, nu_like, order: int,

@@ -119,14 +119,19 @@ def parabola(grid: Grid) -> GridFunction:
     return GridFunction(grid, x * (1.0 - x))
 
 
+def checkout_env() -> dict:
+    """The environment with this checkout's ``vww`` first on the path."""
+    src = os.path.dirname(os.path.dirname(vww.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def modules_in_fresh_python(code: str, *packages: str) -> list:
     """Names of the modules of ``packages`` loaded after running ``code``
     in a new interpreter with this checkout's ``vww`` on its path."""
-    src = os.path.dirname(os.path.dirname(vww.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("\nimport json, sys\nprint(json.dumps(sorted("
              f"m for m in sys.modules if m.split('.')[0] in {packages!r})))")
-    done = subprocess.run([sys.executable, "-c", code + probe], env=env,
-                          capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code + probe],
+                          env=checkout_env(), capture_output=True, text=True,
+                          check=True)
     return json.loads(done.stdout.splitlines()[-1])

@@ -6,20 +6,22 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from vww.cli import (_SCHEMAS, _csv_text, _dat_text, _json_text,
-                     _solution_text, main, validate_config)
+from vww.cli import (_SCHEMAS, _atomic_write, _csv_text, _dat_text,
+                     _json_text, _solution_text, main, validate_config)
 from vww.errors import ConfigError, NonFiniteResult
 from vww.estimates import ALL_ESTIMATE_IDS
 from vww.grid import Grid
 from vww.potential import PROFILES, SMOOTH_KINDS
 from vww.wave import MAX_TABLE_ENTRIES, check_time_grid
 
-from conftest import modules_in_fresh_python
+from conftest import checkout_env, modules_in_fresh_python
 
 
 def run_cli(*args):
@@ -227,6 +229,35 @@ class TestSolveCommands:
                   for r in end)
         assert err <= 1e-8
 
+    def test_solution_csv_memory_does_not_grow_with_n_times(self, tmp_path):
+        # solution.csv is formatted as it is written: peak RSS of a solve
+        # may grow with n_times by the solution arrays, far less than the
+        # file, whose whole text would otherwise be held at once.  A fresh
+        # wrapper per run, so only its own child's RSS counts; ru_maxrss
+        # is in KiB on Linux, in bytes on macOS
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'vww', *sys.argv[1:]],"
+            " check=True)\n"
+            "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+            "print(rss * (1 if sys.platform == 'darwin' else 1024))")
+        peak = {}
+        for n_times in (11, 2001):
+            cfg = write_config(tmp_path, f"c{n_times}.json", {
+                "nu": {"smooth": {"kind": "zero"}, "jumps": [[0.5, 1.0]]},
+                "grid_n": 1024, "n_max": 8, "T": 1.0, "n_times": n_times,
+                "u0": {"kind": "parabola"}, "u1": {"kind": "zero"}})
+            out = tmp_path / f"o{n_times}"
+            done = subprocess.run(
+                [sys.executable, "-c", wrapper, "solve", "--config", cfg,
+                 "--out", str(out)],
+                env=checkout_env(), capture_output=True, text=True,
+                check=True)
+            peak[n_times] = int(done.stdout.split()[-1])
+        size = (out / "solution.csv").stat().st_size
+        assert size > 100e6
+        assert peak[2001] - peak[11] < 0.5 * size
+
     def test_missing_forcing_block_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "nu": FREE_NU, "grid_n": 256, "n_max": 5, "T": 1.0,
@@ -423,6 +454,16 @@ class TestIOFailure:
         cfg = write_config(tmp_path, "c.json", {
             "nu": FREE_NU, "grid_n": 256, "n_max": 2})
         assert run_cli("eigs", "--config", cfg, "--out", str(blocker)) == 4
+
+    def test_failure_mid_stream_leaves_no_file(self, tmp_path):
+        # a streamed file's texts are drawn while it is written
+        def texts():
+            yield "t,x,u,u_t\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(str(tmp_path / "solution.csv"), texts())
+        assert os.listdir(tmp_path) == []
 
 
 class TestNumericalFailure:

@@ -14,6 +14,9 @@ def test_grid_rejects_odd_interval_count():
         Grid(513)
     with pytest.raises(ConfigError):
         Grid(0)
+    # even, but too few nodes for second_difference's 4-node stencil
+    with pytest.raises(ConfigError, match="4-node"):
+        Grid(2)
 
 
 def test_simpson_exact_for_cubics():

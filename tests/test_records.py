@@ -66,9 +66,11 @@ def test_caller_arrays_stay_writeable(free_basis_small):
 
 
 def test_copying_records_keep_c_ordered_copies(free_basis_small):
-    # analyze_forcing hands over a transposed (Fortran-ordered) product
-    table = _forcing(free_basis_small).table
-    assert table.flags.c_contiguous
+    # a Fortran-ordered table comes back as a C-ordered copy
+    table = np.asfortranarray(_forcing(free_basis_small).table)
+    assert not table.flags.c_contiguous
+    kept = ForcingTable(np.linspace(0.0, 1.0, 5), table).table
+    assert kept.flags.c_contiguous and np.array_equal(kept, table)
     values = np.zeros(free_basis_small.grid.n + 1)
     f = GridFunction(free_basis_small.grid, values)
     values[1] = 1.0

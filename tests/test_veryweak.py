@@ -235,6 +235,13 @@ class TestExistence:
 
 
 class TestUniqueness:
+    def test_order_below_one_refused_with_one_message(self, grid1024):
+        from vww.veryweak import check_negligibility
+        with pytest.raises(ConfigError, match=r"^order must be >= 1, got 0$"):
+            run_uniqueness(experiment(NuPrimitive(), grid1024), 0)
+        with pytest.raises(ConfigError, match=r"^order must be >= 1, got 0$"):
+            check_negligibility(default_ladder(2, 5), [1.0] * 4, 0)
+
     def test_zero_perturbation_trivially_negligible(self, grid1024):
         rep = run_uniqueness(experiment(NuPrimitive(), grid1024), 2)
         assert rep.passed and rep.slope is None
