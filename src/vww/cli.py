@@ -11,7 +11,8 @@ Configs are JSON, checked against Draft 2020-12 schemas by a short
 in-house walker (no jsonschema import) with unknown keys rejected.  Outputs
 are machine-readable: JSON for reports, CSV for bulk numbers, and
 whitespace-separated .dat files for log-log plotting.  File writes are
-atomic (temp file + rename) and contain no timestamps, so identical
+atomic (temp file + rename, with the mode a plain ``open`` gives) and
+contain no timestamps, so identical
 configs reproduce byte-identical outputs.  Every number written is
 finite: a command checks every number of all its files first, and a
 non-finite number fails it (exit 3) before any file exists.
@@ -40,7 +41,8 @@ from .spectral import analyze
 from .wave import (ForcingTable, WaveProblem, analyze_forcing,
                    check_time_grid, default_time_grid, solve_forced,
                    solve_homogeneous)
-from .estimates import ALL_ESTIMATE_IDS, CORE_ESTIMATE_IDS, verify
+from .estimates import (ALL_ESTIMATE_IDS, CORE_ESTIMATE_IDS, norms_used,
+                        verify)
 from .veryweak import (DataNet, VeryWeakExperiment, default_ladder,
                        run_consistency, run_existence, run_uniqueness)
 
@@ -246,9 +248,9 @@ def _time_profile(desc: dict):
     return lambda t: sum(c * t**j for j, c in enumerate(coeffs))
 
 
-def _build_forcing(desc: dict, basis, T: float, out_steps: int) -> ForcingTable:
+def _build_forcing(desc: dict, space: GridFunction, basis, T: float,
+                   out_steps: int) -> ForcingTable:
     """Separable forcing g(t) * w(x) sampled so output times are nodes."""
-    space = _build_data(desc["space"], basis.grid)
     g = _time_profile(desc["time"])
     if "time_steps" in desc:
         base = int(desc["time_steps"])
@@ -268,11 +270,15 @@ def _build_forcing(desc: dict, basis, T: float, out_steps: int) -> ForcingTable:
 def _atomic_write(path: str, texts) -> None:
     """Write the concatenation of the iterable texts to path through a
     renamed temp file, each text as it is drawn; a failure while drawing
-    them leaves no file behind."""
+    them leaves no file behind.  The file gets the mode a plain ``open``
+    gives, 0o666 less the umask, not the temp file's 0o600."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".vww-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             fh.writelines(texts)
         os.replace(tmp, path)
     except BaseException:
@@ -372,19 +378,27 @@ def cmd_eigs(config: dict, out: str) -> None:
     _write_files(out, files)
 
 
-def _solve_common(config: dict):
-    """Build and solve the problem, forced when the config has a forcing."""
+def _solve_common(config: dict, needs_q_linf: bool = False):
+    """Build and solve the problem, forced when the config has a forcing.
+
+    The time grid and the data are checked first, and then, where the
+    estimates asked for read ||q||_inf, the potential: one with atoms has
+    none and raises ``MissingNorm``.  So neither failure builds a basis.
+    """
+    grid = Grid(int(config["grid_n"]))
     n_times = int(config.get("n_times", 201))
-    check_time_grid(n_times, Grid(int(config["grid_n"])))
-    basis = _basis(config)
-    grid = basis.grid
+    check_time_grid(n_times, grid)
     u0 = _build_data(config["u0"], grid)
     u1 = _build_data(config["u1"], grid)
+    forcing = config.get("forcing")
+    space = None if forcing is None else _build_data(forcing["space"], grid)
+    if needs_q_linf:
+        potential_from_descriptor(config["nu"]).q_linf()
+    basis = _basis(config)
     T = float(config["T"])
     times = np.linspace(0.0, T, n_times)
-    forcing = None
-    if "forcing" in config:
-        forcing = _build_forcing(config["forcing"], basis, T, n_times - 1)
+    if forcing is not None:
+        forcing = _build_forcing(forcing, space, basis, T, n_times - 1)
     problem = WaveProblem(basis, analyze(u0, basis), analyze(u1, basis), T,
                           forcing=forcing)
     sol = solve_forced(problem, times) if forcing is not None \
@@ -398,13 +412,17 @@ def _solution_text(times: list, nodes: np.ndarray, values: np.ndarray,
     ``_csv_text`` writes them with ``repr``.
 
     Every value is checked for finiteness when this is called; the
-    returned generator then yields the header and one time's text at a
-    time, so the whole file's text never exists at once.  orjson's
-    shortest-digit writer formats each time's (nodes, 4) table.  It
-    writes the same digits as ``repr``, and the same notation where
-    1e-4 <= |v| < 1e16 or v is 0; a row holding a value outside that
-    band (``repr`` writes 1e-05 and 1e+16, orjson 0.00001 and 1e16) is
-    formatted again by ``repr``.
+    returned generator then yields the header, one time's rows at a time
+    and a last newline, so the whole file's text never exists at once.
+    Each time's text begins with the newline that ends the row before it.
+
+    orjson's shortest-digit writer formats a time's (nodes, 3) table of
+    x, u and u_t as one flat list, "[x,u,u_t,x,u,u_t,...]": its bracket
+    and every third comma become newlines, and one replace puts
+    ``repr(t)`` at the head of every row.  orjson writes the same digits
+    as ``repr``, and the same notation where 1e-4 <= |v| < 1e16 or v is
+    0; a row holding a value outside that band (``repr`` writes 1e-05 and
+    1e+16, orjson 0.00001 and 1e16) is formatted again by ``repr``.
     """
     import orjson
 
@@ -418,18 +436,31 @@ def _solution_text(times: list, nodes: np.ndarray, values: np.ndarray,
 
     def chunks():
         x_fixed = fixed(nodes)
-        table = np.empty((len(nodes), 4))
-        table[:, 1] = nodes
-        yield "t,x,u,u_t\n"
+        table = np.empty((len(nodes), 3))
+        table[:, 0] = nodes
+        yield "t,x,u,u_t"
         for t, us, uts in zip(times, values, dt_values):
-            table[:, 0], table[:, 2], table[:, 3] = t, us, uts
-            rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[
-                2:-2].split(b"],[")
-            for i in np.flatnonzero(~(fixed(t) & x_fixed & fixed(us)
-                                      & fixed(uts))):
-                rows[i] = ",".join(map(repr, table[i].tolist())).encode()
-            rows.append(b"")  # the last row's newline
-            yield b"\n".join(rows).decode()
+            table[:, 1], table[:, 2] = us, uts
+            text = bytearray(orjson.dumps(
+                table.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY))
+            flat = np.frombuffer(text, np.uint8)
+            ends = np.flatnonzero(flat == ord(","))[2::3]
+            flat[0] = flat[ends] = ord("\n")
+            del flat, text[-1]  # the view first, then the closing bracket
+            bad = np.flatnonzero(~(x_fixed & fixed(us) & fixed(uts)))
+            if bad.size:
+                # row i lies between the newline at ends[i] and ends[i + 1]
+                ends = [0, *ends.tolist(), len(text)]
+                parts, prev = [], 0
+                for i in bad.tolist():
+                    parts += [text[prev:ends[i] + 1],
+                              ",".join(map(repr, table[i].tolist())).encode()]
+                    prev = ends[i + 1]
+                parts.append(text[prev:])
+                text = b"".join(parts)
+            head = b"\n" + repr(float(t)).encode() + b","
+            yield text.replace(b"\n", head).decode()
+        yield "\n"
 
     return chunks()
 
@@ -440,11 +471,13 @@ def cmd_solve(config: dict, out: str) -> None:
     times = [float(t) for t in times]
     energy = sol.energy_series()
     e0 = float(energy[0]) if energy[0] != 0.0 else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # for the gate to name
+        drift = float(np.ptp(energy) / abs(e0))
     payload = {
         "meta": _meta(config),
         "times": times,
         "energy": [float(v) for v in energy],
-        "energy_drift": float(np.ptp(energy) / abs(e0)),
+        "energy_drift": drift,
         "l2_norms": [float(v) for v in sol.l2_series()],
         "boundary_max": float(max(np.max(np.abs(sol.values[:, 0])),
                                   np.max(np.abs(sol.values[:, -1])))),
@@ -461,7 +494,8 @@ def cmd_estimates(config: dict, out: str) -> None:
         ids = list(CORE_ESTIMATE_IDS)
     elif ids == "all":
         ids = list(ALL_ESTIMATE_IDS)
-    problem, sol, _ = _solve_common(config)
+    problem, sol, _ = _solve_common(
+        config, needs_q_linf=any("q_linf" in norms_used(i) for i in ids))
     k = float(config.get("k", 0.0))
     inputs = {"config": config}
     reports = [verify(i, problem, sol, k=k, inputs=inputs) for i in ids]

@@ -16,7 +16,8 @@ is a squared norm named in ``_NORMS`` or a nested group.  Sums run left
 to right.  A forced variant is its homogeneous base with the Duhamel
 term 2 T^2 sup_t ||f||^2 added to every group (esnh4 adds the C^1 one to
 its last group).  Norms are computed on first use, once per ``verify``,
-so ``MissingNorm`` from ``q_linf`` arises only for ids that use it.
+so ``MissingNorm`` from ``q_linf`` arises only for ids that use it;
+``norms_used`` names them, so a caller can refuse an id before any solve.
 
 Up-to-constant inequalities are operationalized as finite reported
 ratios that stay uniform over declared sweep families; nothing sharper
@@ -145,6 +146,15 @@ ESTIMATES = {
 }
 CORE_ESTIMATE_IDS = tuple(_CORE)
 ALL_ESTIMATE_IDS = tuple(ESTIMATES)
+
+
+def norms_used(estimate_id: str) -> set:
+    """Names of the ``_NORMS`` entries the right side of the id reads."""
+    def names(terms):  # norm names, and (coefficient or None, terms) groups
+        return set().union(*({t} if isinstance(t, str)
+                             else names(t[1]) | ({t[0]} - {None})
+                             for t in terms))
+    return names(ESTIMATES[estimate_id][1])
 
 
 def _sum(terms: tuple, norms: _Norms) -> float:

@@ -197,6 +197,39 @@ class TestSolveCommands:
                      b"\n0.0,5e-05,", b"\n1e+16,0.0,"):
             assert cell in want
 
+    # two times of in-band values, each case then moves some out of the
+    # band where repr switches to exponent notation
+    @staticmethod
+    def _two_times(nodes):
+        rng = np.random.default_rng(7)
+        values, dt_values = (rng.uniform(0.5, 2.0, (2, len(nodes)))
+                             * rng.choice([-1.0, 1.0], (2, len(nodes)))
+                             for _ in range(2))
+        return [0.0, 0.75], nodes, values, dt_values
+
+    @pytest.mark.parametrize("case", [
+        "non_dyadic_nodes", "t_below_1e-4", "out_of_band_first_row",
+        "out_of_band_last_row", "no_row_in_band"])
+    def test_solution_csv_bytes_match_on_two_times(self, case):
+        times, nodes, values, dt_values = self._two_times(
+            np.linspace(0.0, 1.0, 1001) if case == "non_dyadic_nodes"
+            else np.linspace(0.0, 1.0, 65))
+        if case == "t_below_1e-4":
+            times[1] = 5e-5
+        elif case == "out_of_band_first_row":
+            values[1, 0] = 3e-7
+        elif case == "out_of_band_last_row":
+            dt_values[1, -1] = -2e17
+        elif case == "no_row_in_band":  # time 0 keeps every row in band
+            values[1] *= 1e-7
+        rows = [(t, float(x), float(values[j, i]), float(dt_values[j, i]))
+                for j, t in enumerate(times) for i, x in enumerate(nodes)]
+        want = "".join(_csv_text(("t", "x", "u", "u_t"), rows))
+        assert "".join(_solution_text(times, nodes, values,
+                                      dt_values)) == want
+        if case == "non_dyadic_nodes":  # 0.009000000000000001
+            assert max(len(repr(float(x))) for x in nodes) == 20
+
     def test_forced_closed_form_through_files(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "nu": FREE_NU, "grid_n": 256, "n_max": 5, "T": 1.0,
@@ -266,6 +299,12 @@ class TestSolveCommands:
                        str(tmp_path / "o")) == 2
 
 
+DELTA_NU = {"smooth": {"kind": "zero"}, "jumps": [[0.5, 1.0]]}
+DELTA_ESTIMATES = {"nu": DELTA_NU, "grid_n": 64, "n_max": 4, "T": 1.0,
+                   "n_times": 5, "u0": {"kind": "parabola"},
+                   "u1": {"kind": "zero"}}
+
+
 class TestEstimatesCommand:
     def test_single_mode_est1_end_to_end(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -292,6 +331,48 @@ class TestEstimatesCommand:
         reports = json.loads((out / "estimates.json").read_text())["reports"]
         assert len(reports) == 13
         assert all(np.isfinite(r["ratio"]) for r in reports)
+
+    def test_q_linf_on_atoms_exits_3_before_any_basis(
+            self, tmp_path, capsys, monkeypatch):
+        # est4, ec2, ec3, ec4 and esnh4 of "core" read ||q||_inf, which a
+        # delta has not: refused from the config, with no build
+        import vww.cli
+        built = []
+        monkeypatch.setattr(vww.cli, "build_basis",
+                            lambda *args, **kw: built.append(args))
+        cfg = write_config(tmp_path, "c.json",
+                           dict(DELTA_ESTIMATES, estimate_ids="core"))
+        out = tmp_path / "o"
+        assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "vww: numerical failure: MissingNorm: potential has Dirac "
+            "atoms; no L-infinity norm"]
+        assert not out.exists() and built == []
+
+    def test_ids_without_q_linf_run_on_atoms(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", dict(
+            DELTA_ESTIMATES, estimate_ids=["est1", "est2", "est3"]))
+        out = tmp_path / "o"
+        assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 0
+        reports = _strict_json(out / "estimates.json")["reports"]
+        assert [r["estimate_id"] for r in reports] == ["est1", "est2", "est3"]
+
+    @pytest.mark.parametrize("change, error", [
+        ({"n_times": 10**12}, "exceed the ceiling"),
+        ({"u0": {"kind": "samples", "params": [0.0] * 10}},
+         "samples data needs 65 values, got 10"),
+        ({"forcing": {"space": {"kind": "samples", "params": [1.0]},
+                      "time": {"kind": "const"}}},
+         "samples data needs 65 values, got 1"),
+    ], ids=["oversize_time_grid", "short_u0_samples", "short_forcing_samples"])
+    def test_config_error_comes_before_q_linf(self, tmp_path, capsys, change,
+                                              error):
+        cfg = write_config(tmp_path, "c.json", dict(
+            DELTA_ESTIMATES, estimate_ids="core", **change))
+        out = tmp_path / "o"
+        assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_estimate_id_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -466,6 +547,23 @@ class TestIOFailure:
         assert os.listdir(tmp_path) == []
 
 
+class TestFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask_022", "umask_077"])
+    def test_outputs_get_the_umask_mode(self, tmp_path, umask, mode):
+        # as a plain open would create them, not the temp file's 0o600
+        cfg = write_config(tmp_path, "c.json", dict(SOLVE_BASE, n_times=3))
+        out = tmp_path / "o"
+        old = os.umask(umask)
+        try:
+            assert run_cli("solve", "--config", cfg, "--out", str(out)) == 0
+        finally:
+            os.umask(old)
+        assert sorted(os.listdir(out)) == ["energy.json", "solution.csv"]
+        for name in os.listdir(out):
+            assert (out / name).stat().st_mode & 0o777 == mode
+
+
 class TestNumericalFailure:
     """Finite but extreme potentials end in a named failure, exit 3."""
 
@@ -605,6 +703,23 @@ class TestNonFiniteOutput:
             tmp_path, capsys, "estimates",
             "estimates.json: field reports/0/lhs_max is not finite",
             u0={"kind": "parabola"}, estimate_ids="core")
+
+    def test_non_finite_energy_has_one_stderr_line(self, tmp_path):
+        # energy +inf at every time: the drift inf - inf is nan, which only
+        # the gate reports; a fresh process shows any numpy warning
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, n_max=4, n_times=5,
+            u0={"kind": "parabola", "params": [1e300]}))
+        out = tmp_path / "o"
+        done = subprocess.run(
+            [sys.executable, "-m", "vww", "solve", "--config", cfg,
+             "--out", str(out)],
+            env=checkout_env(), capture_output=True, text=True)
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == [
+            "vww: numerical failure: NonFiniteResult: energy.json: field "
+            "energy/0 is not finite"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt, args, message", [
         (_json_text, ({"a": {"b": [1.0, math.inf]}},),

@@ -10,7 +10,7 @@ from vww.grid import GridFunction
 from vww.spectral import analyze
 from vww.wave import WaveProblem, analyze_forcing, default_time_grid, \
     solve_forced, solve_homogeneous
-from vww.estimates import (ALL_ESTIMATE_IDS, constant_sweep,
+from vww.estimates import (ALL_ESTIMATE_IDS, constant_sweep, norms_used,
                            random_sine_data, verify)
 
 from conftest import parabola, sine_data
@@ -116,11 +116,18 @@ class TestVerify:
                                         rel=1e-12)
 
     def test_missing_norm_for_atomic_potential(self, step_basis_40):
+        # exactly the ids whose catalog entry reads ||q||_inf fail on an atom
         g = step_basis_40.grid
         prob, sol = _solve(step_basis_40, parabola(g), GridFunction.zeros(g))
-        for eid in ("est4", "ec2", "ec3", "ec4"):
-            with pytest.raises(MissingNorm):
-                verify(eid, prob, sol)
+        uses = [i for i in ALL_ESTIMATE_IDS if "q_linf" in norms_used(i)]
+        assert uses == ["est4", "ec2", "ec3", "ec4", "esnh4", "ecnh2",
+                        "ecnh3", "ecnh4"]
+        for eid in ALL_ESTIMATE_IDS:
+            if eid in uses:
+                with pytest.raises(MissingNorm):
+                    verify(eid, prob, sol)
+            else:
+                assert math.isfinite(verify(eid, prob, sol).ratio)
 
     def test_c1_forcing_norm_stable_under_time_refinement(self,
                                                           free_basis_small):
