@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NonFiniteResult, VwwError
 from .grid import Grid, GridFunction
-from .potential import PROFILES, SMOOTH_KINDS, potential_from_descriptor
+from .potential import PROFILES, SMOOTH_KINDS, NuPrimitive
 from .prufer import DEFAULT_TOL, basis_csv_rows, basis_to_cache, build_basis
 from .spectral import analyze
 from .wave import (ForcingTable, WaveProblem, analyze_forcing,
@@ -248,20 +248,36 @@ def _time_profile(desc: dict):
     return lambda t: sum(c * t**j for j, c in enumerate(coeffs))
 
 
-def _build_forcing(desc: dict, space: GridFunction, basis, T: float,
-                   out_steps: int) -> ForcingTable:
-    """Separable forcing g(t) * w(x) sampled so output times are nodes."""
-    g = _time_profile(desc["time"])
+def _forcing_times(desc: dict, T: float, out_steps: int, grid: Grid,
+                   basis=None):
+    """The forcing's uniform time grid, of which the out_steps + 1 output
+    times are nodes, checked against the table ceiling.  A given
+    ``time_steps`` sets it alone; the default step follows lambda_max, so
+    without a basis there is none yet: None."""
     if "time_steps" in desc:
-        base = int(desc["time_steps"])
-        factor = max(1, math.ceil(base / out_steps))
+        factor = max(1, math.ceil(int(desc["time_steps"]) / out_steps))
+    elif basis is None:
+        return None
     else:
         dt_target = default_time_grid(basis, T)[1]
         factor = max(1, math.ceil((T / out_steps) / dt_target))
-    check_time_grid(out_steps * factor + 1, basis.grid)
-    times = np.linspace(0.0, T, out_steps * factor + 1)
-    fvals = g(times)[:, None] * space.values[None, :]
-    return analyze_forcing(fvals, basis, times)
+    check_time_grid(out_steps * factor + 1, grid)
+    return np.linspace(0.0, T, out_steps * factor + 1)
+
+
+def _build_forcing(desc: dict, space: GridFunction, basis,
+                   times: np.ndarray) -> ForcingTable:
+    """Separable forcing g(t) * w(x) at the times, projected on the
+    basis.  Its largest entry is max |g| max |w|, so where that product
+    is not finite, NonFiniteResult names the forcing before any table."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _time_profile(desc["time"])(times)
+        g_max, w_max = np.max(np.abs(g)), np.max(np.abs(space.values))
+        if not np.isfinite(g_max * w_max):
+            raise NonFiniteResult(
+                f"forcing g(t) w(x) is not finite: max |g| = {g_max:.6g}, "
+                f"max |w| = {w_max:.6g}")
+    return analyze_forcing(g[:, None] * space.values[None, :], basis, times)
 
 
 # -- output helpers ----------------------------------------------------------
@@ -359,7 +375,7 @@ def _meta(config: dict) -> dict:
 
 
 def _basis(config: dict):
-    return build_basis(potential_from_descriptor(config["nu"]),
+    return build_basis(NuPrimitive.from_descriptor(config["nu"]),
                        int(config["n_max"]), Grid(int(config["grid_n"])),
                        float(config.get("ode_tol", DEFAULT_TOL)))
 
@@ -381,24 +397,30 @@ def cmd_eigs(config: dict, out: str) -> None:
 def _solve_common(config: dict, needs_q_linf: bool = False):
     """Build and solve the problem, forced when the config has a forcing.
 
-    The time grid and the data are checked first, and then, where the
+    The time grids and the data are checked first, and then, where the
     estimates asked for read ||q||_inf, the potential: one with atoms has
-    none and raises ``MissingNorm``.  So neither failure builds a basis.
+    none and raises ``MissingNorm``.  So none of these failures builds a
+    basis; only a forcing time grid of the default step waits for one.
     """
     grid = Grid(int(config["grid_n"]))
     n_times = int(config.get("n_times", 201))
     check_time_grid(n_times, grid)
+    T = float(config["T"])
     u0 = _build_data(config["u0"], grid)
     u1 = _build_data(config["u1"], grid)
     forcing = config.get("forcing")
-    space = None if forcing is None else _build_data(forcing["space"], grid)
+    space = ftimes = None
+    if forcing is not None:
+        space = _build_data(forcing["space"], grid)
+        ftimes = _forcing_times(forcing, T, n_times - 1, grid)
     if needs_q_linf:
-        potential_from_descriptor(config["nu"]).q_linf()
+        NuPrimitive.from_descriptor(config["nu"]).q_linf()
     basis = _basis(config)
-    T = float(config["T"])
     times = np.linspace(0.0, T, n_times)
     if forcing is not None:
-        forcing = _build_forcing(forcing, space, basis, T, n_times - 1)
+        if ftimes is None:
+            ftimes = _forcing_times(forcing, T, n_times - 1, grid, basis)
+        forcing = _build_forcing(forcing, space, basis, ftimes)
     problem = WaveProblem(basis, analyze(u0, basis), analyze(u1, basis), T,
                           forcing=forcing)
     sol = solve_forced(problem, times) if forcing is not None \
@@ -537,7 +559,7 @@ def cmd_veryweak(config: dict, out: str) -> None:
     if isinstance(ladder, dict):
         ladder = default_ladder(int(ladder["k_min"]), int(ladder["k_max"]))
     exp = VeryWeakExperiment(
-        nu=potential_from_descriptor(config["nu"]),
+        nu=NuPrimitive.from_descriptor(config["nu"]),
         u0=_data_net(config, "u0", grid), u1=_data_net(config, "u1", grid),
         ladder=ladder, grid=grid, n_max=int(config["n_max"]),
         T=float(config["T"]),
@@ -549,7 +571,7 @@ def cmd_veryweak(config: dict, out: str) -> None:
     elif mode == "uniqueness":
         if "order" not in config:
             raise ConfigError("uniqueness mode needs 'order'")
-        wp = (potential_from_descriptor(config["w_primitive"])
+        wp = (NuPrimitive.from_descriptor(config["w_primitive"])
               if "w_primitive" in config else None)
         w0 = _build_data(config["w0"], grid) if "w0" in config else None
         w1 = _build_data(config["w1"], grid) if "w1" in config else None

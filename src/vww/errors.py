@@ -23,16 +23,8 @@ class GridMismatch(VwwError):
     """Two objects that must share a grid do not."""
 
 
-class UnresolvedMollifier(VwwError):
-    """Grid too coarse to resolve the mollifier support."""
-
-
 class DegenerateNet(VwwError):
     """A regularized net contains a zero norm; no finite log-log fit exists."""
-
-
-class NonPositiveLambda(VwwError):
-    """Phase integration requested for lambda <= 0."""
 
 
 class StepFailure(VwwError):
@@ -65,10 +57,6 @@ class NonPositiveSpectrum(VwwError):
 
 class TimeGridTooCoarse(VwwError):
     """Forcing time grid cannot resolve the fastest retained mode."""
-
-
-class CFLViolation(VwwError):
-    """Explicit time step exceeds the stability limit."""
 
 
 class AtomEvaluation(VwwError):

@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, MissingNorm
-from .grid import GridFunction
 from .spectral import sobolev_norm, synthesize
 from .wave import ForcingTable, WaveProblem, WaveSolution, x_derivative
 
@@ -191,7 +189,7 @@ def verify(estimate_id: str, problem: WaveProblem, solution: WaveSolution,
     """Evaluate one inequality on a computed solution.
 
     ``k`` applies to est5 only.  ``inputs`` is an optional descriptor
-    echoed into the report (used for problem hashing in sweeps).
+    echoed into the report, whose ``problem_hash`` digests it.
     """
     try:
         family, groups = ESTIMATES[estimate_id]
@@ -215,50 +213,3 @@ def verify(estimate_id: str, problem: WaveProblem, solution: WaveSolution,
         inputs=inputs or {},
     )
 
-
-@dataclass(frozen=True)
-class SweepReport:
-    estimate_id: str
-    reports: tuple
-    max_ratio: float
-
-    def ratios_by(self, key: str) -> dict:
-        """Max ratio grouped by an input descriptor entry (e.g. epsilon)."""
-        groups: dict = {}
-        for r in self.reports:
-            if key in r.inputs:
-                v = r.inputs[key]
-                groups[v] = max(groups.get(v, 0.0), r.ratio)
-        return groups
-
-    def uniformity_slope(self, key: str = "epsilon") -> float:
-        """Fitted slope of log(max ratio) against log(key value)."""
-        groups = self.ratios_by(key)
-        if len(groups) < 3:
-            raise ConfigError(f"need >= 3 distinct {key!r} values for a fit")
-        xs = np.log(np.array(sorted(groups)))
-        ys = np.log(np.array([groups[v] for v in sorted(groups)]))
-        return float(np.polyfit(xs, ys, 1)[0])
-
-
-def constant_sweep(estimate_id: str, battery, k: float = 0.0) -> SweepReport:
-    """Run ``verify`` over (problem, solution, inputs) triples."""
-    battery = list(battery)
-    if not battery:
-        raise ConfigError("battery must be nonempty")
-    reports = tuple(
-        verify(estimate_id, prob, sol, k=k, inputs=inputs)
-        for prob, sol, inputs in battery
-    )
-    return SweepReport(estimate_id, reports,
-                       max(r.ratio for r in reports))
-
-
-def random_sine_data(grid, rng, n_modes: int = 8, decay: float = 2.0) -> GridFunction:
-    """Random smooth Dirichlet data: sine combination with decaying weights."""
-    amps = rng.standard_normal(n_modes) / np.arange(1, n_modes + 1) ** decay
-    x = grid.nodes
-    vals = np.zeros_like(x)
-    for j, a in enumerate(amps, start=1):
-        vals += a * np.sin(j * math.pi * x)
-    return GridFunction(grid, vals)

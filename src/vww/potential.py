@@ -8,8 +8,7 @@ with a compactly supported bump psi_eps(x) = psi(x/eps)/eps; the Dirac
 part mollifies exactly to sum_i alpha_i * psi_eps(x - x_i), the smooth
 density by quadrature over one window per point, bounded by the kinks of
 the extension at 0 and 1.
-``mollified_q`` evaluates q_eps at points; ``mollify_potential`` is its
-sampling on a grid, behind the rule that the bump spans 8 grid nodes.
+``mollified_q`` evaluates q_eps at points, such as a grid's nodes.
 
 :class:`NuPrimitive`, :class:`MollifiedNu` and :class:`PerturbedNu` share
 the :class:`Potential` protocol: vectorized ``nu_values`` and ``q_values``
@@ -38,8 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, MissingNorm, UnresolvedMollifier
-from .grid import Grid, GridFunction
+from .errors import ConfigError, MissingNorm
 
 SMOOTH_KINDS = ("zero", "const", "linear", "sine", "samples")
 
@@ -390,28 +388,6 @@ class NuPrimitive(Potential):
             raise ConfigError(f"bad potential descriptor: {exc}") from exc
 
 
-def evaluate_nu(nu: NuPrimitive, x: float) -> float:
-    """nu(x) on [0, 1] with the left-limit convention at jumps."""
-    if not 0.0 <= x <= 1.0:
-        raise ConfigError(f"x={x} outside [0, 1]")
-    return float(nu.nu_values(np.asarray([x]))[0])
-
-
-def extend_by_zero(f: GridFunction) -> Callable:
-    """Zero extension of a grid function to the whole line: inside (0, 1)
-    linear interpolation of the grid samples, zero outside."""
-
-    def extension(x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = (x > 0.0) & (x < 1.0)
-        out = np.zeros_like(x)
-        if np.any(inside):
-            out[inside] = np.interp(x[inside], f.grid.nodes, f.values)
-        return out
-
-    return extension
-
-
 # -- mollification ----------------------------------------------------------
 
 
@@ -473,17 +449,6 @@ def mollified_q(nu: NuPrimitive, eps: float, bump: BumpProfile, x) -> np.ndarray
     if nu.has_density:
         out += _window_conv(nu.q_values, x, eps, bump)
     return out
-
-
-def mollify_potential(nu: NuPrimitive, m: MollifierSpec, grid: Grid) -> GridFunction:
-    """q_eps sampled on the grid, which must put 8 nodes across the bump."""
-    eps = m.epsilon
-    if 2.0 * eps < 8.0 * grid.h * (1.0 - 1e-12):
-        raise UnresolvedMollifier(
-            f"grid h={grid.h:.3g} cannot resolve epsilon={eps:.3g} "
-            "(need >= 8 nodes across the support)"
-        )
-    return GridFunction(grid, mollified_q(nu, eps, m.bump, grid.nodes))
 
 
 class MollifiedNu(Potential):
@@ -686,19 +651,4 @@ class PerturbedNu(Potential):
             "w_primitive": self.w_nu.descriptor(),
             "coefficient": self.c,
         }
-
-
-def potential_from_descriptor(d: dict) -> Potential:
-    """The potential whose ``descriptor()`` is d, for every potential class."""
-    try:
-        if "mollified" in d:
-            return MollifiedNu(NuPrimitive.from_descriptor(d["mollified"]),
-                               MollifierSpec(d["profile"], d["epsilon"]))
-        if "perturbed" in d:
-            return PerturbedNu(potential_from_descriptor(d["perturbed"]),
-                               NuPrimitive.from_descriptor(d["w_primitive"]),
-                               d["coefficient"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad potential descriptor: {exc}") from exc
-    return NuPrimitive.from_descriptor(d)
 

@@ -42,11 +42,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (BracketFailure, GridMismatch, MeshTooLarge,
-                     NonFiniteResult, NonPositiveLambda, NonPositiveSpectrum,
+                     NonFiniteResult, NonPositiveSpectrum,
                      UnresolvedBasis, per_member)
 from .grid import Grid, freeze_arrays
 from .ode import integrate_rk45
-from .potential import Potential, potential_from_descriptor
+from .potential import Potential
 
 DEFAULT_TOL = 1e-11
 THETA_RESIDUAL_TOL = 1e-10
@@ -245,20 +245,6 @@ def _magnus_phase(mesh, lams: np.ndarray):
     return theta, (s * int_y2 + 0.5 * y * w) / lams
 
 
-@dataclass(frozen=True)
-class PruferPath:
-    """Phase/amplitude trajectory at a fixed trial eigenvalue."""
-
-    lam: float
-    grid: Grid
-    theta: np.ndarray = field(repr=False)
-    log_r: np.ndarray = field(repr=False)
-    eta: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        freeze_arrays(self, "theta", "log_r", "eta")
-
-
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
     """Eigenpairs of the modes ns on a shared grid, one read-only row each.
@@ -308,17 +294,6 @@ class EigenBasis:
         np.sin(out, out=out)
         out *= np.exp(self.log_r)
         return out
-
-
-def integrate_prufer(nu_like, lam: float, grid: Grid,
-                     tol: float = DEFAULT_TOL) -> PruferPath:
-    """Phase/amplitude path at one trial lambda, sampled on the grid."""
-    if lam <= 0.0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
-    _, sampled = _propagate([nu_like], np.array([[lam]]), tol, grid.nodes)
-    eta, log_r = sampled[:, 0, 0]
-    theta = math.sqrt(lam) * grid.nodes + eta
-    return PruferPath(lam, grid, theta, log_r, eta)
 
 
 # lambda > 0 is assumed throughout; brackets never probe below this floor,
@@ -443,14 +418,6 @@ def _solve_modes(potentials, ns, grid: Grid, tol: float) -> list[EigenBasis]:
         potentials, roots, eta, log_r)
 
 
-def shoot_eigenvalue(nu_like, n: int, grid: Grid,
-                     tol: float = DEFAULT_TOL) -> EigenBasis:
-    """Mode n alone, as a one-row EigenBasis, with |theta(1, lambda_n) - pi n|
-    <= max(0.5 THETA_RESIDUAL_TOL, 5 tol) (5e-11 at the default tol); a
-    non-finite row has a NaN Gram defect and is refused."""
-    return _checked(_solve_modes([nu_like], [n], grid, tol)[0], tol)
-
-
 def _checked(basis: EigenBasis, tol: float) -> EigenBasis:
     """basis with its Gram defect, once its lambdas increase and its
     samples are orthogonal to within GRAM_DEFECT_TOL."""
@@ -556,17 +523,3 @@ def basis_to_cache(basis: EigenBasis, include_eigenfunctions: bool = False) -> d
         cache["log_r"] = basis.log_r.tolist()
     return cache
 
-
-def basis_from_cache(cache: dict):
-    """Rebuild an EigenBasis if eigenfunctions were cached, else metadata."""
-    if not cache.get("includes_eigenfunctions"):
-        return dict(cache)
-    nu = potential_from_descriptor(cache["nu"]) if cache.get("nu") else None
-    return EigenBasis(
-        ns=np.arange(1, len(cache["lambdas"]) + 1), lambdas=cache["lambdas"],
-        phi_matrix=cache["phi"], phi_prime_matrix=cache["phi_prime"],
-        eta=cache["eta"], log_r=cache["log_r"],
-        tilde_norms=cache["tilde_norms"],
-        theta_residuals=cache["theta_residuals"], nu=nu,
-        grid=Grid(int(cache["grid_n"])),
-        gram_max_offdiag=float(cache["gram_max_offdiag"]))

@@ -12,9 +12,7 @@ forcing time grid: scipy's equal-interval ``cumulative_simpson`` formula,
 reproduced bit for bit in numpy, so that this module imports no scipy
 (in vww only the ``samples`` potential spline does).  ``x_derivative``
 forms d_x u from the stored phi_n' and d_xx u from the eigenrelation
-d_xx phi_n = (q - lambda_n) phi_n, for ``spatial_derivatives`` and the
-estimates alike.  A leapfrog finite-difference scheme on a bounded
-(mollified) potential serves as an independent cross-check.
+d_xx phi_n = (q - lambda_n) phi_n, for the estimates.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AtomEvaluation, CFLViolation, ConfigError, GridMismatch,
+from .errors import (AtomEvaluation, ConfigError, GridMismatch,
                      TimeGridTooCoarse)
 from .grid import Grid, GridFunction, freeze_arrays
 from .prufer import EigenBasis
@@ -259,90 +257,6 @@ def x_derivative(sol: WaveSolution, nu_like, order: int,
                 f"d_xx undefined at the atom x={loc} lying on a grid node")
     return (nu_like.q_values(nodes)[None, :] * sol.values[j]
             - (basis.lambdas[:, None] * modal).T @ basis.phi_matrix)
-
-
-def spatial_derivatives(sol: WaveSolution, nu_like, t: float):
-    """(d_x u, d_xx u) at a stored time, as grid functions."""
-    j = sol.time_index(t)
-    return tuple(GridFunction(sol.basis.grid, x_derivative(
-        sol, nu_like, order, slice(j, j + 1))[0]) for order in (1, 2))
-
-
-@dataclass(frozen=True)
-class FDSolution:
-    """Leapfrog solution snapshots at requested times."""
-
-    grid: Grid
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    dt_values: np.ndarray = field(repr=False)
-
-    def u_at(self, t: float) -> GridFunction:
-        j = int(np.argmin(np.abs(self.times - t)))
-        return GridFunction(self.grid, self.values[j])
-
-
-def fd_oracle(q_eps: GridFunction, u0: GridFunction, u1: GridFunction,
-              forcing, T: float, dt: float, times) -> FDSolution:
-    """Second-order leapfrog for u_tt = u_xx - q_eps u + f, Dirichlet walls.
-
-    ``forcing`` is None or a callable t -> node values.  The first step
-    is the Taylor half-step consistent with the velocity data and the
-    equation.  Requested times are snapped to the nearest step.
-    """
-    grid = q_eps.grid
-    h = grid.h
-    if dt > h * (1.0 + 1e-12):
-        raise CFLViolation(f"dt={dt:.3g} exceeds h={h:.3g}")
-    for f in (u0, u1):
-        if f.grid.n != grid.n:
-            raise GridMismatch("data grid differs from potential grid")
-    times = np.asarray(times, dtype=float)
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ConfigError(f"dt={dt} does not divide T={T}")
-    want = np.rint(times / dt).astype(int)
-    if np.any(want < 0) or np.any(want > n_steps):
-        raise ConfigError("requested times outside [0, T]")
-    q = q_eps.values
-    lap = np.zeros(grid.n + 1)
-
-    def accel(u, t):
-        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-        lap[0] = lap[-1] = 0.0
-        a = lap - q * u
-        if forcing is not None:
-            a = a + forcing(t)
-        a[0] = a[-1] = 0.0
-        return a
-
-    out_vals = np.empty((times.size, grid.n + 1))
-    out_dt = np.empty((times.size, grid.n + 1))
-    snapped = want * dt
-
-    def record(j_step, vals, dvals):
-        for k in np.nonzero(want == j_step)[0]:
-            out_vals[k] = vals
-            out_dt[k] = dvals
-
-    u_prev = u0.values.copy()
-    u_prev[0] = u_prev[-1] = 0.0
-    record(0, u_prev, u1.values)
-    if n_steps >= 1:
-        u_curr = u_prev + dt * u1.values + 0.5 * dt**2 * accel(u_prev, 0.0)
-        u_curr[0] = u_curr[-1] = 0.0
-        u_prev2 = None
-        for j in range(1, n_steps):
-            u_next = 2.0 * u_curr - u_prev + dt**2 * accel(u_curr, j * dt)
-            u_next[0] = u_next[-1] = 0.0
-            record(j, u_curr, (u_next - u_prev) / (2.0 * dt))
-            u_prev2, u_prev, u_curr = u_prev, u_curr, u_next
-        if u_prev2 is None:
-            dv = (u_curr - u_prev) / dt
-        else:
-            dv = (3.0 * u_curr - 4.0 * u_prev + u_prev2) / (2.0 * dt)
-        record(n_steps, u_curr, dv)
-    return FDSolution(grid, snapped, out_vals, out_dt)
 
 
 def default_time_grid(basis: EigenBasis, T: float) -> np.ndarray:

@@ -85,7 +85,7 @@ def catalog_bases_40(free_basis_40, step_basis_40, const5_basis_40, grid2048):
 @pytest.fixture(scope="session")
 def delta_sweep_battery(grid2048):
     """Mollified-delta problems over alpha x epsilon with fixed data."""
-    from vww.estimates import random_sine_data
+    from oracles import random_sine_data
     from vww.potential import MollifiedNu, MollifierSpec
     from vww.spectral import analyze
     from vww.wave import WaveProblem, solve_homogeneous

@@ -15,12 +15,13 @@ from vww.potential import NuPrimitive
 from vww.prufer import asymptotic_residuals
 from vww.spectral import analyze
 from vww.wave import (WaveProblem, analyze_forcing, default_time_grid,
-                      fd_oracle, solve_forced, solve_homogeneous)
-from vww.estimates import CORE_ESTIMATE_IDS, constant_sweep, random_sine_data
+                      solve_forced, solve_homogeneous)
+from vww.estimates import CORE_ESTIMATE_IDS
 from vww.veryweak import (DataNet, VeryWeakExperiment, default_ladder,
                           run_consistency, run_existence, run_uniqueness)
 
 from conftest import parabola, sine_data
+from oracles import constant_sweep, fd_oracle, random_sine_data
 
 
 def report(num: int, name: str, ok: bool, detail: str):

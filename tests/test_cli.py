@@ -104,7 +104,7 @@ class TestEigs:
             "cache_eigenfunctions": True})
         out = tmp_path / "out"
         assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 0
-        from vww.prufer import basis_from_cache
+        from oracles import basis_from_cache
         cache = json.loads((out / "basis_cache.json").read_text())
         cache.pop("meta")
         basis = basis_from_cache(cache)
@@ -721,6 +721,29 @@ class TestNonFiniteOutput:
             "energy/0 is not finite"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("time", [
+        {"kind": "poly", "params": [1e300, 1e300, 1e300]},
+        {"kind": "cos", "params": [1e308, 1e300]},
+        {"kind": "const", "params": [1e308]},
+    ], ids=["poly", "cos", "const"])
+    @pytest.mark.parametrize("space", [
+        {"kind": "parabola", "params": [1e300]},
+        {"kind": "sine_combo", "params": [[1e308, 1]]},
+    ], ids=["parabola", "sine_combo"])
+    def test_overflowing_forcing_is_named(self, tmp_path, capsys, time,
+                                          space):
+        # g(t) w(x) overflows: named as the forcing, in one stderr line,
+        # before numpy warns of it
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, grid_n=16, n_max=4, T=100.0,
+            forcing={"space": space, "time": time}))
+        out = tmp_path / "o"
+        assert run_cli("forced", "--config", cfg, "--out", str(out)) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("vww: numerical failure: NonFiniteResult: "
+                               "forcing g(t) w(x) is not finite: max |g| = ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt, args, message", [
         (_json_text, ({"a": {"b": [1.0, math.inf]}},),
          "field a/b/1 is not finite"),
@@ -770,6 +793,24 @@ class TestTimeGridCeiling:
                 f"table entries exceed the ceiling of {MAX_TABLE_ENTRIES}"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_forcing_time_steps_refused_before_any_basis(
+            self, tmp_path, capsys, monkeypatch):
+        # a given time_steps sizes the forcing table with no basis
+        import vww.cli
+        built = []
+        monkeypatch.setattr(vww.cli, "build_basis",
+                            lambda *args, **kw: built.append(args))
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, grid_n=16, forcing={
+                "space": {"kind": "parabola"}, "time": {"kind": "const"},
+                "time_steps": 10**9}))
+        out = tmp_path / "o"
+        assert run_cli("forced", "--config", cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "vww: config error: 1000000001 times x 17 nodes = 17000000017 "
+            f"table entries exceed the ceiling of {MAX_TABLE_ENTRIES}"]
+        assert not out.exists() and built == []
 
     def test_benchmark_tables_fit(self):
         # the largest (times, nodes) table of the tests and the benchmark

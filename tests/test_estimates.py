@@ -10,10 +10,10 @@ from vww.grid import GridFunction
 from vww.spectral import analyze
 from vww.wave import WaveProblem, analyze_forcing, default_time_grid, \
     solve_forced, solve_homogeneous
-from vww.estimates import (ALL_ESTIMATE_IDS, constant_sweep, norms_used,
-                           random_sine_data, verify)
+from vww.estimates import ALL_ESTIMATE_IDS, norms_used, verify
 
 from conftest import parabola, sine_data
+from oracles import constant_sweep, random_sine_data
 
 
 def _solve(basis, u0, u1, T=1.0, times=None, forcing=None):

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vww.errors import ConfigError, DegenerateNet, MissingNorm, UnresolvedMollifier
+from vww.errors import ConfigError, DegenerateNet, MissingNorm
 from vww.grid import Grid, GridFunction
 from vww.potential import (MollifiedNu, MollifierSpec, NuPrimitive,
-                           PerturbedNu, _window_conv, evaluate_nu,
-                           extend_by_zero, get_profile, mollified_q,
-                           mollify_potential)
+                           PerturbedNu, _window_conv, get_profile,
+                           mollified_q)
 from vww.prufer import build_basis
 from vww.veryweak import check_negligibility, default_ladder, fit_moderateness
 
@@ -21,23 +20,25 @@ from conftest import modules_in_fresh_python
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
 
 
+def sampled_q(nu, profile: str, eps: float, grid: Grid) -> GridFunction:
+    """q_eps on the grid's nodes."""
+    return GridFunction(grid, mollified_q(nu, eps, get_profile(profile),
+                                          grid.nodes))
+
+
 class TestEvaluateNu:
     def test_left_of_jump(self):
-        assert evaluate_nu(STEP, 0.25) == 0.0
+        assert float(STEP.nu_values(0.25)) == 0.0
 
     def test_right_of_jump(self):
-        assert evaluate_nu(STEP, 0.75) == 1.0
+        assert float(STEP.nu_values(0.75)) == 1.0
 
     def test_at_jump_takes_left_limit(self):
-        assert evaluate_nu(STEP, 0.5) == 0.0
+        assert float(STEP.nu_values(0.5)) == 0.0
 
     def test_linear_plus_jump(self):
         nu = NuPrimitive("linear", (2.0,), jumps=((0.3, 3.0),))
-        assert evaluate_nu(nu, 0.5) == pytest.approx(4.0, abs=1e-15)
-
-    def test_domain_checked(self):
-        with pytest.raises(ConfigError):
-            evaluate_nu(STEP, 1.5)
+        assert float(nu.nu_values(0.5)) == pytest.approx(4.0, abs=1e-15)
 
 
 class TestValidation:
@@ -59,24 +60,6 @@ class TestValidation:
         assert again == nu
 
 
-class TestZeroExtension:
-    def test_outside_support(self):
-        g = Grid(64)
-        ext = extend_by_zero(GridFunction(g, np.ones(65)))
-        assert float(ext(1.5)) == 0.0
-        assert float(ext(-0.2)) == 0.0
-
-    def test_inside(self):
-        g = Grid(64)
-        ext = extend_by_zero(GridFunction(g, np.ones(65)))
-        assert float(ext(0.5)) == 1.0
-
-    def test_sine_outside(self):
-        g = Grid(64)
-        ext = extend_by_zero(GridFunction(g, np.sin(math.pi * g.nodes)))
-        assert float(ext(-0.2)) == 0.0
-
-
 class TestMollify:
     def test_profile_unit_mass(self):
         for name in ("bump", "bump2", "bump_skew"):
@@ -86,14 +69,14 @@ class TestMollify:
         g = Grid(2048)
         peak = get_profile("bump").peak
         for eps in default_ladder(2, 9):
-            q = mollify_potential(STEP, MollifierSpec("bump", eps), g)
+            q = sampled_q(STEP, "bump", eps, g)
             assert float(q.values.max()) * eps == pytest.approx(peak,
                                                                 abs=1e-12)
 
     def test_zero_potential_stays_zero(self):
         g = Grid(256)
         for nu in (NuPrimitive(), NuPrimitive("const", (7.0,))):
-            q = mollify_potential(nu, MollifierSpec("bump", 0.1), g)
+            q = sampled_q(nu, "bump", 0.1, g)
             assert np.all(q.values == 0.0)
 
     def test_constant_density_interior_exact(self):
@@ -102,7 +85,7 @@ class TestMollify:
         g = Grid(2048)
         nu = NuPrimitive("linear", (5.0,))
         eps = 0.01
-        q = mollify_potential(nu, MollifierSpec("bump", eps), g)
+        q = sampled_q(nu, "bump", eps, g)
         mask = (g.nodes >= 2 * eps) & (g.nodes <= 1.0 - 2 * eps)
         assert np.max(np.abs(q.values[mask] - 5.0)) <= 1e-10
         u = np.linspace(-1.0, 1.0, 20001)
@@ -111,20 +94,15 @@ class TestMollify:
         i = g.n // 2
         assert q.values[i] == pytest.approx(ref, abs=1e-8)
 
-    def test_unresolved_mollifier(self):
-        g = Grid(64)
-        with pytest.raises(UnresolvedMollifier):
-            mollify_potential(STEP, MollifierSpec("bump", 0.01), g)
-
     def test_mass_conservation_for_atoms(self):
         g = Grid(2048)
         nu = NuPrimitive(jumps=((0.4, 1.0), (0.7, 2.5)))
-        q = mollify_potential(nu, MollifierSpec("bump", 2.0**-4), g)
+        q = sampled_q(nu, "bump", 2.0**-4, g)
         assert g.integrate(q.values) == pytest.approx(3.5, abs=1e-8)
 
     def test_even_symmetry_about_atom(self):
         g = Grid(2048)
-        q = mollify_potential(STEP, MollifierSpec("bump", 2.0**-5), g)
+        q = sampled_q(STEP, "bump", 2.0**-5, g)
         assert np.max(np.abs(q.values - q.values[::-1])) <= 1e-12
 
     def test_mollified_nu_matches_direct_convolution(self):
@@ -288,8 +266,7 @@ class TestPerturbed:
     def test_spatial_derivatives_reject_atom_on_node(self, free_basis_small):
         from vww.errors import AtomEvaluation
         from vww.spectral import analyze
-        from vww.wave import (WaveProblem, solve_homogeneous,
-                              spatial_derivatives)
+        from vww.wave import WaveProblem, solve_homogeneous, x_derivative
         g = free_basis_small.grid
         u0 = GridFunction(g, np.sin(math.pi * g.nodes))
         problem = WaveProblem(free_basis_small, analyze(u0, free_basis_small),
@@ -297,7 +274,7 @@ class TestPerturbed:
                               1.0)
         sol = solve_homogeneous(problem, [0.0])
         with pytest.raises(AtomEvaluation):
-            spatial_derivatives(sol, PerturbedNu(STEP, self.W, 0.1), 0.0)
+            x_derivative(sol, PerturbedNu(STEP, self.W, 0.1), 2)
 
 
 class TestOdePanels:
@@ -394,7 +371,7 @@ class TestFits:
         g = Grid(2048)
         lad = default_ladder(2, 9)
         norms = tuple(
-            mollify_potential(STEP, MollifierSpec("bump", e), g).norm_linf()
+            sampled_q(STEP, "bump", e, g).norm_linf()
             for e in lad)
         fit = fit_moderateness(lad, norms)
         assert abs(fit.slope - 1.0) <= 0.05
@@ -425,8 +402,8 @@ class TestFits:
         lad = default_ladder(2, 9)
         diffs = []
         for eps in lad:
-            qa = mollify_potential(nu, MollifierSpec("bump", eps), g)
-            qb = mollify_potential(nu, MollifierSpec("bump2", eps), g)
+            qa = sampled_q(nu, "bump", eps, g)
+            qb = sampled_q(nu, "bump2", eps, g)
             diffs.append((qa - qb).norm_l2())
         rep = check_negligibility(lad, diffs, 1)
         assert rep.passed

@@ -10,15 +10,15 @@ from scipy.optimize import brentq
 
 import vww.prufer
 from conftest import catalog_potentials
+from oracles import basis_from_cache, rk45_path
 from vww.errors import (BracketFailure, GridMismatch, NonFiniteResult,
-                        NonPositiveLambda, NonPositiveSpectrum, StepFailure,
-                        UnresolvedBasis)
+                        NonPositiveSpectrum, StepFailure, UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, _magnus_mesh, _magnus_phase,
-                        _newton_roots, _phase_map, asymptotic_residuals,
-                        basis_from_cache, basis_to_cache, build_bases,
-                        build_basis, integrate_prufer, shoot_eigenvalue)
+                        _newton_roots, _phase_map, _roots,
+                        asymptotic_residuals, basis_to_cache, build_bases,
+                        build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -119,67 +119,61 @@ def cell_loop_phase(mesh, lams):
 
 
 class TestIntegratePrufer:
+    """The phase at one trial lambda: theta(1) from the Magnus map, and
+    the sampled RK45 path of the same system."""
+
     def test_free_phase_pi(self, grid512):
-        p = integrate_prufer(FREE, math.pi**2, grid512)
-        assert p.theta[-1] == pytest.approx(math.pi, abs=1e-11)
-        assert np.max(np.abs(p.log_r)) == 0.0
-        assert p.theta[0] == 0.0 and p.log_r[0] == 0.0
+        theta, _ = _phase_map(FREE, grid512)(np.array([math.pi**2]))
+        assert theta[0] == pytest.approx(math.pi, abs=1e-11)
 
     def test_free_phase_two_pi(self, grid512):
-        p = integrate_prufer(FREE, 4.0 * math.pi**2, grid512)
-        assert p.theta[-1] == pytest.approx(2.0 * math.pi, abs=1e-11)
+        theta, _ = _phase_map(FREE, grid512)(np.array([4.0 * math.pi**2]))
+        assert theta[0] == pytest.approx(2.0 * math.pi, abs=1e-11)
 
     def test_step_against_rk4_richardson(self, grid512):
         lam = math.pi**2
-        p = integrate_prufer(STEP, lam, grid512)
+        theta, _ = rk45_path(STEP, lam, grid512)
+        magnus, _ = _phase_map(STEP, grid512)(np.array([lam]))
         coarse = prufer_rk4_oracle(STEP, lam, 4000)
         fine = prufer_rk4_oracle(STEP, lam, 8000)
         assert abs(coarse - fine) <= 1e-9  # oracle self-consistent
-        assert abs(p.theta[-1] - fine) <= 1e-9
-
-    def test_eta_is_theta_minus_drift(self, grid512):
-        lam = 30.0
-        p = integrate_prufer(STEP, lam, grid512)
-        assert np.allclose(p.eta,
-                           p.theta - math.sqrt(lam) * grid512.nodes,
-                           atol=1e-12)
-
-    def test_positive_lambda_required(self, grid512):
-        with pytest.raises(NonPositiveLambda):
-            integrate_prufer(FREE, -1.0, grid512)
+        assert abs(theta[-1] - fine) <= 1e-9
+        assert abs(magnus[0] - fine) <= 1e-9
 
     def test_phase_monotone_for_large_lambda(self, grid512):
         # guaranteed once sqrt(lambda) dominates the nu terms
         lam = 1.0 + 2.0 * STEP.norm_linf() ** 2 + 2.0
-        p = integrate_prufer(STEP, lam, grid512)
-        assert np.all(np.diff(p.theta) > 0.0)
+        theta, _ = rk45_path(STEP, lam, grid512)
+        assert np.all(np.diff(theta) > 0.0)
 
 
 class TestShootEigenvalue:
+    """Single modes, read off build_basis's rows."""
+
     def test_free_mode_three(self, grid512):
-        mode = shoot_eigenvalue(FREE, 3, grid512)
-        assert list(mode.ns) == [3] and len(mode) == 1
-        assert mode.lambdas[0] == pytest.approx(9.0 * math.pi**2, rel=1e-8)
+        basis = build_basis(FREE, 3, grid512)
+        assert list(basis.ns) == [1, 2, 3]
+        assert basis.lambdas[2] == pytest.approx(9.0 * math.pi**2, rel=1e-8)
 
     def test_constant_nu_leaves_operator_free(self, grid512):
-        mode = shoot_eigenvalue(NuPrimitive("const", (2.0,)), 1, grid512)
-        assert mode.lambdas[0] == pytest.approx(math.pi**2, rel=1e-8)
+        basis = build_basis(NuPrimitive("const", (2.0,)), 1, grid512)
+        assert basis.lambdas[0] == pytest.approx(math.pi**2, rel=1e-8)
 
     def test_delta_inert_even_mode(self, grid512):
-        mode = shoot_eigenvalue(STEP, 2, grid512)
-        assert mode.lambdas[0] == pytest.approx(4.0 * math.pi**2, abs=1e-8)
+        basis = build_basis(STEP, 2, grid512)
+        assert basis.lambdas[1] == pytest.approx(4.0 * math.pi**2, abs=1e-8)
 
     def test_delta_ground_state_vs_transcendental(self, grid2048):
-        mode = shoot_eigenvalue(STEP, 1, grid2048)
-        assert mode.lambdas[0] == pytest.approx(delta_lambda1_oracle(1.0),
-                                                abs=1e-7)
+        basis = build_basis(STEP, 1, grid2048)
+        assert basis.lambdas[0] == pytest.approx(delta_lambda1_oracle(1.0),
+                                                 abs=1e-7)
 
     def test_theta_residual_tolerance(self, grid512):
-        mode = shoot_eigenvalue(STEP, 1, grid512)
-        assert abs(mode.theta_residuals[0]) <= 1e-10
+        basis = build_basis(STEP, 1, grid512)
+        assert abs(basis.theta_residuals[0]) <= 1e-10
 
     def test_eigenfunction_normalized_and_pinned(self, grid512):
-        phi = shoot_eigenvalue(STEP, 1, grid512).phi_matrix[0]
+        phi = build_basis(STEP, 1, grid512).phi_matrix[0]
         assert grid512.norm_l2(phi) == pytest.approx(1.0, abs=1e-9)
         assert phi[0] == 0.0 and phi[-1] == 0.0
 
@@ -187,7 +181,7 @@ class TestShootEigenvalue:
         monkeypatch.setattr(vww.prufer, "NEWTON_PASSES", 1)
         with pytest.raises(BracketFailure,
                            match="phase residual .* above tolerance for mode n=1"):
-            shoot_eigenvalue(STEP, 1, grid512)
+            build_basis(STEP, 1, grid512)
 
     def test_nan_phase_never_converges(self):
         # a NaN residual is no smaller than the tolerance, so Newton
@@ -200,7 +194,7 @@ class TestShootEigenvalue:
         # alpha < -4 pushes the ground state below the positivity floor
         deep = NuPrimitive(jumps=((0.5, -6.0),))
         with pytest.raises(BracketFailure) as err:
-            shoot_eigenvalue(deep, 1, grid512)
+            build_basis(deep, 1, grid512)
         assert err.value.n == 1
         assert err.value.bracket[0] > 0.0
 
@@ -297,9 +291,6 @@ class TestBuildBasis:
         with pytest.raises(UnresolvedBasis,
                            match=r"Gram defect nan is not <= 0\.01"):
             build_basis(NuPrimitive("const", (1e6,)), 5, Grid(256), tol=1e6)
-        with pytest.raises(UnresolvedBasis, match="Gram defect nan"):
-            shoot_eigenvalue(NuPrimitive("const", (1e6,)), 1, Grid(256),
-                             tol=1e6)
 
     @pytest.mark.parametrize("name", ["step", "sine"])
     def test_eigenfunctions_match_tight_tolerance_build(
@@ -377,8 +368,8 @@ class TestRootPasses:
         lams = catalog_bases_40[name].lambdas[[0, 19, 39]]
         theta_end, _ = _phase_map(nu, Grid(2048))(lams)
         for lam, got in zip(lams, theta_end):
-            path = integrate_prufer(nu, float(lam), Grid(2048))
-            assert abs(got - path.theta[-1]) <= 1e-10
+            theta, _ = rk45_path(nu, float(lam), Grid(2048))
+            assert abs(got - theta[-1]) <= 1e-10
 
     @pytest.mark.parametrize("nu, hyperbolic", [
         (NuPrimitive("sine", (1.0, 1.0)), 0),
@@ -414,14 +405,16 @@ class TestRootPasses:
         # the bump's panels span 4 grid intervals; unrefined Magnus cells
         # leave theta(1) off by 5.8e-9 to 1.3e-8 at these roots
         nu = MollifiedNu(STEP, MollifierSpec("bump", 2.0**-9))
-        lam = float(shoot_eigenvalue(nu, n, Grid(2048)).lambdas[0])
-        path = integrate_prufer(nu, lam, Grid(2048), tol=1e-12)
-        assert abs(path.theta[-1] - math.pi * n) <= 1e-10
+        lam = float(build_basis(nu, n, Grid(2048)).lambdas[n - 1])
+        theta, _ = rk45_path(nu, lam, Grid(2048), tol=1e-12)
+        assert abs(theta[-1] - math.pi * n) <= 1e-10
 
     @pytest.mark.parametrize("n", [8, 40])
     def test_cells_turn_less_than_pi(self, n):
-        # 6.3 rad (n = 8) and 31 rad (n = 40) per grid interval of Grid(4)
-        lam = shoot_eigenvalue(FREE, n, Grid(4)).lambdas[0]
+        # 6.3 rad (n = 8) and 31 rad (n = 40) per grid interval of Grid(4);
+        # n modes do not resolve on 4 intervals, so mode n is solved alone,
+        # to build_basis's residual target at the default tol
+        (lam,), _, _ = _roots(FREE, np.array([float(n)]), Grid(4), 5e-11)
         assert lam == pytest.approx((n * math.pi) ** 2, rel=1e-10)
 
     def test_pass_count_per_build(self, monkeypatch):

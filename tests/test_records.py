@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from vww.grid import GridFunction
-from vww.prufer import integrate_prufer
-from vww.potential import NuPrimitive
 from vww.spectral import SpectralCoeffs, analyze
 from vww.wave import (ForcingTable, WaveProblem, analyze_forcing,
                       solve_homogeneous)
@@ -39,8 +37,6 @@ RECORDS = {
     "EigenBasis": (lambda b: b, ("ns", "lambdas", "phi_matrix",
                                  "phi_prime_matrix", "eta", "log_r",
                                  "tilde_norms", "theta_residuals")),
-    "PruferPath": (lambda b: integrate_prufer(NuPrimitive(), 10.0, b.grid),
-                   ("theta", "log_r", "eta")),
 }
 
 
