@@ -38,9 +38,8 @@ from .grid import Grid, GridFunction
 from .potential import PROFILES, SMOOTH_KINDS, NuPrimitive
 from .prufer import DEFAULT_TOL, basis_csv_rows, basis_to_cache, build_basis
 from .spectral import analyze
-from .wave import (ForcingTable, WaveProblem, analyze_forcing,
-                   check_time_grid, default_time_grid, solve_forced,
-                   solve_homogeneous)
+from .wave import (WaveProblem, analyze_forcing, check_time_grid,
+                   forcing_time_grid, solve_forced, solve_homogeneous)
 from .estimates import (ALL_ESTIMATE_IDS, CORE_ESTIMATE_IDS, norms_used,
                         verify)
 from .veryweak import (DataNet, VeryWeakExperiment, default_ladder,
@@ -213,7 +212,9 @@ def validate_config(command: str, config: dict) -> None:
 # -- descriptor builders -----------------------------------------------------
 
 
-def _build_data(desc: dict, grid: Grid) -> GridFunction:
+def _build_data(desc: dict, grid: Grid, name: str) -> GridFunction:
+    """The data at the grid's nodes.  sine_combo terms that overflow
+    together raise NonFiniteResult naming the config field ``name``."""
     kind = desc["kind"]
     params = desc.get("params", [])
     x = grid.nodes
@@ -224,9 +225,13 @@ def _build_data(desc: dict, grid: Grid) -> GridFunction:
         return GridFunction(grid, amp * x * (1.0 - x))
     if kind == "sine_combo":
         vals = np.zeros_like(x)
-        for pair in params:
-            amp, m = float(pair[0]), float(pair[1])
-            vals += amp * np.sin(m * math.pi * x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for pair in params:
+                amp, m = float(pair[0]), float(pair[1])
+                vals += amp * np.sin(m * math.pi * x)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteResult(f"data {name} is not finite: its "
+                                  "sine_combo terms overflow together")
         return GridFunction(grid, vals)
     if len(params) != grid.n + 1:  # samples
         raise ConfigError(
@@ -246,38 +251,6 @@ def _time_profile(desc: dict):
         return lambda t: amp * trig(om * t)
     coeffs = params or [1.0]  # poly
     return lambda t: sum(c * t**j for j, c in enumerate(coeffs))
-
-
-def _forcing_times(desc: dict, T: float, out_steps: int, grid: Grid,
-                   basis=None):
-    """The forcing's uniform time grid, of which the out_steps + 1 output
-    times are nodes, checked against the table ceiling.  A given
-    ``time_steps`` sets it alone; the default step follows lambda_max, so
-    without a basis there is none yet: None."""
-    if "time_steps" in desc:
-        factor = max(1, math.ceil(int(desc["time_steps"]) / out_steps))
-    elif basis is None:
-        return None
-    else:
-        dt_target = default_time_grid(basis, T)[1]
-        factor = max(1, math.ceil((T / out_steps) / dt_target))
-    check_time_grid(out_steps * factor + 1, grid)
-    return np.linspace(0.0, T, out_steps * factor + 1)
-
-
-def _build_forcing(desc: dict, space: GridFunction, basis,
-                   times: np.ndarray) -> ForcingTable:
-    """Separable forcing g(t) * w(x) at the times, projected on the
-    basis.  Its largest entry is max |g| max |w|, so where that product
-    is not finite, NonFiniteResult names the forcing before any table."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _time_profile(desc["time"])(times)
-        g_max, w_max = np.max(np.abs(g)), np.max(np.abs(space.values))
-        if not np.isfinite(g_max * w_max):
-            raise NonFiniteResult(
-                f"forcing g(t) w(x) is not finite: max |g| = {g_max:.6g}, "
-                f"max |w| = {w_max:.6g}")
-    return analyze_forcing(g[:, None] * space.values[None, :], basis, times)
 
 
 # -- output helpers ----------------------------------------------------------
@@ -406,21 +379,23 @@ def _solve_common(config: dict, needs_q_linf: bool = False):
     n_times = int(config.get("n_times", 201))
     check_time_grid(n_times, grid)
     T = float(config["T"])
-    u0 = _build_data(config["u0"], grid)
-    u1 = _build_data(config["u1"], grid)
+    u0 = _build_data(config["u0"], grid, "u0")
+    u1 = _build_data(config["u1"], grid, "u1")
     forcing = config.get("forcing")
-    space = ftimes = None
     if forcing is not None:
-        space = _build_data(forcing["space"], grid)
-        ftimes = _forcing_times(forcing, T, n_times - 1, grid)
+        space = _build_data(forcing["space"], grid, "forcing/space")
+        ftimes = forcing_time_grid(T, n_times - 1, grid,
+                                   forcing.get("time_steps"))
     if needs_q_linf:
         NuPrimitive.from_descriptor(config["nu"]).q_linf()
     basis = _basis(config)
     times = np.linspace(0.0, T, n_times)
     if forcing is not None:
         if ftimes is None:
-            ftimes = _forcing_times(forcing, T, n_times - 1, grid, basis)
-        forcing = _build_forcing(forcing, space, basis, ftimes)
+            ftimes = forcing_time_grid(T, n_times - 1, grid, basis=basis)
+        with np.errstate(over="ignore", invalid="ignore"):  # named below
+            g = _time_profile(forcing["time"])(ftimes)
+        forcing = analyze_forcing(g, space, basis, ftimes)
     problem = WaveProblem(basis, analyze(u0, basis), analyze(u1, basis), T,
                           forcing=forcing)
     sol = solve_forced(problem, times) if forcing is not None \
@@ -550,7 +525,7 @@ def _data_net(config: dict, name: str, grid: Grid) -> DataNet:
     exponent, so DataNet holds the default."""
     key = f"{name}_scale_exponent"
     scale = {"scale_exponent": float(config[key])} if key in config else {}
-    return DataNet(_build_data(config[name], grid), **scale)
+    return DataNet(_build_data(config[name], grid, name), **scale)
 
 
 def cmd_veryweak(config: dict, out: str) -> None:
@@ -573,8 +548,8 @@ def cmd_veryweak(config: dict, out: str) -> None:
             raise ConfigError("uniqueness mode needs 'order'")
         wp = (NuPrimitive.from_descriptor(config["w_primitive"])
               if "w_primitive" in config else None)
-        w0 = _build_data(config["w0"], grid) if "w0" in config else None
-        w1 = _build_data(config["w1"], grid) if "w1" in config else None
+        w0 = _build_data(config["w0"], grid, "w0") if "w0" in config else None
+        w1 = _build_data(config["w1"], grid, "w1") if "w1" in config else None
         rep = run_uniqueness(exp, int(config["order"]), w_primitive=wp,
                              w0=w0, w1=w1)
     else:

@@ -44,7 +44,7 @@ class BracketFailure(VwwError):
 
 
 class MeshTooLarge(VwwError):
-    """A Magnus mesh would exceed its cell ceiling."""
+    """A Magnus mesh or a mollifier table would exceed its ceiling."""
 
 
 class UnresolvedBasis(VwwError):

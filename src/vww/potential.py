@@ -37,13 +37,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, MissingNorm
+from .errors import ConfigError, MeshTooLarge, MissingNorm
 
 SMOOTH_KINDS = ("zero", "const", "linear", "sine", "samples")
 
 _PRIMITIVE_PANELS = 16384
 _LINF_SAMPLES_PER_PANEL = 4096
 _CONV_CHUNK = 128  # points per _window_conv block: 128 x 256 nodes, 256 KiB
+# most points of a MollifiedNu smooth table, at two 256-node quadratures
+# and about 120 bytes held per point: 2^20 take tens of seconds and
+# 120 MB, 255 times the largest table of the tests and the benchmark
+# (4,097 points); a sine needs 2,048 points per unit of frequency
+_MAX_TABLE_POINTS = 2**20
 
 
 @lru_cache(maxsize=8)
@@ -489,16 +494,20 @@ class MollifiedNu(Potential):
         if self.base.smooth_kind == "sine":
             m_freq = max(1.0, abs(self.base.smooth_params[1]))
         if eps >= 0.2:
-            segs = [(0.0, 1.0, max(4096, int(2048 * m_freq)))]
+            segs = [(0.0, 1.0, max(4096, 2048 * m_freq))]
         else:
             segs = [
                 (0.0, 2.0 * eps, 512),
-                (2.0 * eps, 1.0 - 2.0 * eps, max(2048, int(1024 * m_freq))),
+                (2.0 * eps, 1.0 - 2.0 * eps, max(2048, 1024 * m_freq)),
                 (1.0 - 2.0 * eps, 1.0, 512),
             ]
+        points = sum(k + 1 for *_, k in segs)  # may be inf: no int() yet
+        if points > _MAX_TABLE_POINTS:
+            raise MeshTooLarge(f"a mollifier table of {points:.4g} points "
+                               f"exceeds the ceiling of {_MAX_TABLE_POINTS}")
         self._segs = []
         for a, b, k in segs:
-            t = np.linspace(a, b, k + 1)
+            t = np.linspace(a, b, int(k) + 1)
             d = _window_conv(self.base.q_values, t, eps, self._bump)
             self._segs.append((a, b, t, self._smooth_conv(t), d))
         # the same tables as floats, for the scalar ODE callable

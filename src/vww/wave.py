@@ -10,7 +10,9 @@ evolution being the case f = 0: with w = sqrt(lambda_n), each mode is
 with the Duhamel integrals accumulated by cumulative Simpson on the
 forcing time grid: scipy's equal-interval ``cumulative_simpson`` formula,
 reproduced bit for bit in numpy, so that this module imports no scipy
-(in vww only the ``samples`` potential spline does).  ``x_derivative``
+(in vww only the ``samples`` potential spline does).  A forcing is
+g(t) w(x): ``analyze_forcing`` projects it as g(t) <w, phi_n>, on the
+time grid of ``forcing_time_grid``.  ``x_derivative``
 forms d_x u from the stored phi_n' and d_xx u from the eigenrelation
 d_xx phi_n = (q - lambda_n) phi_n, for the estimates.
 """
@@ -23,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AtomEvaluation, ConfigError, GridMismatch,
-                     TimeGridTooCoarse)
+                     NonFiniteResult, TimeGridTooCoarse)
 from .grid import Grid, GridFunction, freeze_arrays
 from .prufer import EigenBasis
-from .spectral import SpectralCoeffs, lambda_power
+from .spectral import SpectralCoeffs, analyze, lambda_power
 
 # most entries of one (times, nodes) table: at 2^24 a float64 table is
 # 128 MiB, a solve holds a few (u, u_t, a forcing table) and its
@@ -223,22 +225,19 @@ def solve_forced(problem: WaveProblem, times) -> WaveSolution:
     return _evolve(problem, f.times, idx)
 
 
-def analyze_forcing(f_values: np.ndarray, basis: EigenBasis,
+def analyze_forcing(g, w: GridFunction, basis: EigenBasis,
                     times) -> ForcingTable:
-    """Project time-sampled forcing f(t_j, x) onto the basis.
-
-    f_values has shape (nt, nodes).
-    """
-    times = np.asarray(times, dtype=float)
-    f_values = np.asarray(f_values, dtype=float)
-    if f_values.shape != (times.size, basis.grid.n + 1):
-        raise GridMismatch(
-            f"forcing values shape {f_values.shape} does not match "
-            f"(nt={times.size}, nodes={basis.grid.n + 1})")
-    # the weights fold into the (N, nodes) basis side, so no weighted
-    # copy of the (nt, nodes) samples is made
-    weighted_phi = basis.phi_matrix * basis.grid.simpson_weights
-    return ForcingTable(times, weighted_phi @ f_values.T)
+    """Project f(t, x) = g(t) w(x), g sampled at the times, onto the
+    basis as f_n(t_j) = g(t_j) <w, phi_n>: no (times, nodes) table is
+    formed.  NonFiniteResult names the forcing where its largest value,
+    max |g| max |w|, is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_max, w_max = np.max(np.abs(g)), np.max(np.abs(w.values))
+        if not np.isfinite(g_max * w_max):
+            raise NonFiniteResult(
+                f"forcing g(t) w(x) is not finite: max |g| = {g_max:.6g}, "
+                f"max |w| = {w_max:.6g}")
+    return ForcingTable(times, np.outer(analyze(w, basis).coeffs, g))
 
 
 def x_derivative(sol: WaveSolution, nu_like, order: int,
@@ -259,9 +258,22 @@ def x_derivative(sol: WaveSolution, nu_like, order: int,
             - (basis.lambdas[:, None] * modal).T @ basis.phi_matrix)
 
 
-def default_time_grid(basis: EigenBasis, T: float) -> np.ndarray:
-    """Uniform forcing grid with dt = min(T/200, 0.25/sqrt(lambda_max))."""
-    w_max = float(np.sqrt(np.max(basis.lambdas)))
-    dt_raw = min(T / 200.0, 0.25 / w_max)
-    nt = int(math.ceil(T / dt_raw))
-    return np.linspace(0.0, T, nt + 1)
+def forcing_time_grid(T: float, out_steps: int, grid: Grid,
+                      time_steps: int | None = None,
+                      basis: EigenBasis | None = None) -> np.ndarray | None:
+    """The uniform forcing time grid on [0, T]: out_steps * factor + 1
+    times, the out_steps + 1 output times among them, checked against
+    MAX_TABLE_ENTRIES.  A given ``time_steps`` sets factor =
+    ceil(time_steps / out_steps) with no basis; otherwise the step is at
+    most min(T/200, 0.25/sqrt(lambda_max)), read from the basis, and
+    without one the grid is None."""
+    if time_steps is not None:
+        factor = max(1, math.ceil(int(time_steps) / out_steps))
+    elif basis is None:
+        return None
+    else:
+        w_max = float(np.sqrt(np.max(basis.lambdas)))
+        nt = math.ceil(T / min(T / 200.0, 0.25 / w_max))
+        factor = max(1, math.ceil((T / out_steps) / (T / nt)))
+    check_time_grid(out_steps * factor + 1, grid)
+    return np.linspace(0.0, T, out_steps * factor + 1)

@@ -14,7 +14,7 @@ from vww.grid import Grid, GridFunction
 from vww.potential import NuPrimitive
 from vww.prufer import asymptotic_residuals
 from vww.spectral import analyze
-from vww.wave import (WaveProblem, analyze_forcing, default_time_grid,
+from vww.wave import (WaveProblem, analyze_forcing, forcing_time_grid,
                       solve_forced, solve_homogeneous)
 from vww.estimates import CORE_ESTIMATE_IDS
 from vww.veryweak import (DataNet, VeryWeakExperiment, default_ladder,
@@ -127,10 +127,9 @@ def test_criterion_08_spectral_fd_equivalence(const5_basis_40):
 def test_criterion_09_forced_closed_form(free_basis_40):
     g = free_basis_40.grid
     z = GridFunction.zeros(g)
-    tg = default_time_grid(free_basis_40, 1.0)
+    tg = forcing_time_grid(1.0, 1, g, basis=free_basis_40)
     s1 = sine_data(g, [(1.0, 1)])
-    ftab = analyze_forcing(np.tile(s1.values, (tg.size, 1)),
-                           free_basis_40, tg)
+    ftab = analyze_forcing(np.ones(tg.size), s1, free_basis_40, tg)
     prob = WaveProblem(free_basis_40, analyze(z, free_basis_40),
                        analyze(z, free_basis_40), 1.0, forcing=ftab)
     out = np.append(tg[:: max(1, tg.size // 50)], tg[-1])
@@ -158,13 +157,12 @@ def test_criterion_10_estimate_suite(const5_basis_40, catalog_bases_40,
         T = 1.0
         forcing = None
         if i % 2 == 0:
-            tg = default_time_grid(basis, T)
+            tg = forcing_time_grid(T, 1, g, basis=basis)
             w = random_sine_data(g, rng, n_modes=4)
-            forcing = analyze_forcing(
-                np.cos(1.7 * tg)[:, None] * w.values[None, :], basis, tg)
+            forcing = analyze_forcing(np.cos(1.7 * tg), w, basis, tg)
         prob = WaveProblem(basis, analyze(u0, basis), analyze(u1, basis), T,
                            forcing=forcing)
-        sol = (solve_forced(prob, default_time_grid(basis, T)[::25])
+        sol = (solve_forced(prob, tg[::25])
                if forcing is not None
                else solve_homogeneous(prob, np.linspace(0.0, T, 21)))
         battery.append((prob, sol, {"index": i}))

@@ -585,6 +585,20 @@ class TestNumericalFailure:
                        str(tmp_path / "o")) == 3
         assert re.search(error, capsys.readouterr().err)
 
+    def test_mollifier_table_above_ceiling_exits_3(self, tmp_path, capsys):
+        # sine (1, 1e6) at eps = 1/4 asks for a 2,048,000,001-point table:
+        # refused from the count, naming the rung, before any allocation
+        cfg = write_config(tmp_path, "c.json", dict(
+            VW_BASE, mode="existence",
+            nu={"smooth": {"kind": "sine", "params": [1.0, 1e6]}}))
+        out = tmp_path / "o"
+        assert run_cli("veryweak", "--config", cfg, "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "vww: numerical failure: MeshTooLarge: rung eps=0.25: a "
+            "mollifier table of 2.048e+09 points exceeds the ceiling of "
+            "1048576"]
+        assert not out.exists()
+
     def test_overflowing_eigenfunctions_exit_3(self, tmp_path, capsys):
         # at ode_tol 1e6, r overflows; the basis is refused by its Gram
         # defect, NaN, and no numpy warning is printed on the way
@@ -669,6 +683,8 @@ class TestFailedCommandOutDir:
 
 SOLVE_BASE = {"nu": FREE_NU, "grid_n": 64, "n_max": 2, "T": 1.0,
               "u0": {"kind": "zero"}, "u1": {"kind": "zero"}}
+# finite terms whose sum overflows at x = 1/2
+OVERFLOWING_SINES = {"kind": "sine_combo", "params": [[1e308, 1], [1e308, 1]]}
 
 
 def _strict_json(path):
@@ -743,6 +759,34 @@ class TestNonFiniteOutput:
         assert line.startswith("vww: numerical failure: NonFiniteResult: "
                                "forcing g(t) w(x) is not finite: max |g| = ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, payload, name", [
+        ("solve", dict(SOLVE_BASE, u0=OVERFLOWING_SINES), "u0"),
+        ("forced", dict(SOLVE_BASE, forcing={
+            "space": OVERFLOWING_SINES, "time": {"kind": "const"}}),
+         "forcing/space"),
+        ("veryweak", dict(VW_BASE, mode="uniqueness", order=1,
+                          w1=OVERFLOWING_SINES), "w1"),
+    ], ids=["u0", "forcing_space", "veryweak_w1"])
+    def test_overflowing_data_is_named_before_any_basis(
+            self, tmp_path, capsys, monkeypatch, command, payload, name):
+        # two finite terms whose sum overflows: named as the config field,
+        # in one stderr line, before any basis or numpy warning
+        import vww.cli
+        import vww.veryweak
+        built = []
+        for module, fn in ((vww.cli, "build_basis"),
+                           (vww.veryweak, "build_basis"),
+                           (vww.veryweak, "build_bases")):
+            monkeypatch.setattr(module, fn,
+                                lambda *args, **kw: built.append(args))
+        cfg = write_config(tmp_path, "c.json", dict(payload, grid_n=16))
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"vww: numerical failure: NonFiniteResult: data {name} is not "
+            "finite: its sine_combo terms overflow together"]
+        assert not out.exists() and built == []
 
     @pytest.mark.parametrize("fmt, args, message", [
         (_json_text, ({"a": {"b": [1.0, math.inf]}},),

@@ -8,7 +8,7 @@ import pytest
 from vww.errors import ConfigError, MissingNorm
 from vww.grid import GridFunction
 from vww.spectral import analyze
-from vww.wave import WaveProblem, analyze_forcing, default_time_grid, \
+from vww.wave import WaveProblem, analyze_forcing, forcing_time_grid, \
     solve_forced, solve_homogeneous
 from vww.estimates import ALL_ESTIMATE_IDS, norms_used, verify
 
@@ -48,10 +48,9 @@ class TestVerify:
         # rhs = 2 T^2 ||f||_C^2 = 1; both recomputed here independently
         g = free_basis_40.grid
         z = GridFunction.zeros(g)
-        tg = default_time_grid(free_basis_40, 1.0)
+        tg = forcing_time_grid(1.0, 1, g, basis=free_basis_40)
         s1 = sine_data(g, [(1.0, 1)])
-        ftab = analyze_forcing(np.tile(s1.values, (tg.size, 1)),
-                               free_basis_40, tg)
+        ftab = analyze_forcing(np.ones(tg.size), s1, free_basis_40, tg)
         out_times = np.append(tg[:: max(1, tg.size // 40)], tg[-1])
         prob, sol = _solve(free_basis_40, z, z, forcing=ftab,
                            times=out_times)
@@ -64,10 +63,9 @@ class TestVerify:
 
     def test_all_core_ids_finite_on_bounded_problem(self, const5_basis_40):
         g = const5_basis_40.grid
-        tg = default_time_grid(const5_basis_40, 1.0)
-        ftab = analyze_forcing(
-            np.cos(tg)[:, None] * sine_data(g, [(0.5, 2)]).values[None, :],
-            const5_basis_40, tg)
+        tg = forcing_time_grid(1.0, 1, g, basis=const5_basis_40)
+        ftab = analyze_forcing(np.cos(tg), sine_data(g, [(0.5, 2)]),
+                               const5_basis_40, tg)
         prob, sol = _solve(const5_basis_40, parabola(g),
                            sine_data(g, [(0.3, 1)]), forcing=ftab,
                            times=tg[:: max(1, tg.size // 40)])
@@ -78,12 +76,13 @@ class TestVerify:
     def test_quadratic_homogeneity(self, const5_basis_40):
         g = const5_basis_40.grid
         u0, u1 = parabola(g), sine_data(g, [(0.4, 2)])
-        tg = default_time_grid(const5_basis_40, 1.0)
-        fvals = np.sin(tg)[:, None] * sine_data(g, [(1.0, 3)]).values[None, :]
+        tg = forcing_time_grid(1.0, 1, g, basis=const5_basis_40)
+        w = sine_data(g, [(1.0, 3)])
         for c in (3.0, 0.125):
             reports = {}
             for scale in (1.0, c):
-                ftab = analyze_forcing(scale * fvals, const5_basis_40, tg)
+                ftab = analyze_forcing(scale * np.sin(tg), w,
+                                       const5_basis_40, tg)
                 prob, sol = _solve(const5_basis_40, scale * u0, scale * u1,
                                    forcing=ftab,
                                    times=tg[:: max(1, tg.size // 20)])
@@ -139,8 +138,7 @@ class TestVerify:
         rhs = {}
         for nt in (401, 801):
             tg = np.linspace(0.0, 1.0, nt)
-            fvals = np.cos(3.0 * tg)[:, None] * w.values[None, :]
-            ftab = analyze_forcing(fvals, free_basis_small, tg)
+            ftab = analyze_forcing(np.cos(3.0 * tg), w, free_basis_small, tg)
             prob, sol = _solve(free_basis_small, z, z, forcing=ftab,
                                times=tg[:: (nt - 1) // 8])
             rhs[nt] = verify("esnh4", prob, sol).rhs

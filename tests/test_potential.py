@@ -2,16 +2,17 @@
 ``vww.veryweak`` over mollified nets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vww.errors import ConfigError, DegenerateNet, MissingNorm
+from vww.errors import ConfigError, DegenerateNet, MeshTooLarge, MissingNorm
 from vww.grid import Grid, GridFunction
-from vww.potential import (MollifiedNu, MollifierSpec, NuPrimitive,
-                           PerturbedNu, _window_conv, get_profile,
-                           mollified_q)
+from vww.potential import (_MAX_TABLE_POINTS, MollifiedNu, MollifierSpec,
+                           NuPrimitive, PerturbedNu, _window_conv,
+                           get_profile, mollified_q)
 from vww.prufer import build_basis
 from vww.veryweak import check_negligibility, default_ladder, fit_moderateness
 
@@ -216,6 +217,27 @@ class TestWindowConvWork:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize("freq, eps, points", [
+        (1e6, 0.25, "2.048e+09"), (1e6, 0.125, "1.024e+09"),
+        (1e308, 0.25, "inf")], ids=["wide_eps", "narrow_eps", "inf"])
+    def test_table_above_ceiling_refused_unbuilt(self, freq, eps, points):
+        import time
+        import tracemalloc
+        nu = NuPrimitive("sine", (1.0, freq))
+        spec = MollifierSpec("bump", eps)
+        spec.bump.primitive(0.0)  # the Psi table is built once per process
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(MeshTooLarge, match=(
+                    f"^a mollifier table of {re.escape(points)} points "
+                    f"exceeds the ceiling of {_MAX_TABLE_POINTS}$")):
+                MollifiedNu(nu, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and time.perf_counter() - start < 1.0
 
 
 class TestNorms:

@@ -21,8 +21,8 @@ def _problem(basis):
 
 def _forcing(basis):
     times = np.linspace(0.0, 1.0, 5)
-    f_values = np.outer(np.cos(times), np.sin(math.pi * basis.grid.nodes))
-    return analyze_forcing(f_values, basis, times)
+    w = GridFunction(basis.grid, np.sin(math.pi * basis.grid.nodes))
+    return analyze_forcing(np.cos(times), w, basis, times)
 
 
 # record name -> (builder from a basis, its array fields)

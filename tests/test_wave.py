@@ -9,9 +9,9 @@ from vww.errors import ConfigError, GridMismatch, TimeGridTooCoarse
 from vww.grid import Grid, GridFunction
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive
 from vww.spectral import analyze
-from vww.wave import (ForcingTable, WaveProblem, _cumulative_simpson,
-                      analyze_forcing, default_time_grid, solve_forced,
-                      solve_homogeneous, x_derivative)
+from vww.wave import (MAX_TABLE_ENTRIES, ForcingTable, WaveProblem,
+                      _cumulative_simpson, analyze_forcing, forcing_time_grid,
+                      solve_forced, solve_homogeneous, x_derivative)
 
 from conftest import parabola, sine_data
 from oracles import fd_oracle
@@ -108,11 +108,10 @@ class TestForced:
     def test_constant_forcing_closed_form(self, free_basis_40):
         g = free_basis_40.grid
         z = GridFunction.zeros(g)
-        tg = default_time_grid(free_basis_40, 1.0)
+        tg = forcing_time_grid(1.0, 1, g, basis=free_basis_40)
         s1 = sine_data(g, [(1.0, 1)])
-        fvals = np.tile(s1.values, (tg.size, 1))
-        prob = _prob(free_basis_40, z, z, T=1.0,
-                     forcing=analyze_forcing(fvals, free_basis_40, tg))
+        prob = _prob(free_basis_40, z, z, T=1.0, forcing=analyze_forcing(
+            np.ones(tg.size), s1, free_basis_40, tg))
         out = tg[:: max(1, tg.size // 20)]
         sol = solve_forced(prob, out)
         worst = max(
@@ -125,7 +124,8 @@ class TestForced:
         u0 = parabola(g)
         u1 = sine_data(g, [(0.5, 2)])
         tg = np.linspace(0.0, 1.0, 257)
-        ftab = analyze_forcing(np.zeros((257, g.n + 1)), free_basis_40, tg)
+        ftab = analyze_forcing(np.zeros(257), GridFunction.zeros(g),
+                               free_basis_40, tg)
         hom = solve_homogeneous(_prob(free_basis_40, u0, u1), tg[::16])
         forced = solve_forced(_prob(free_basis_40, u0, u1, forcing=ftab),
                               tg[::16])
@@ -137,9 +137,8 @@ class TestForced:
         T = 2.0
         tg = np.linspace(0.0, T, 1601)
         s1 = sine_data(g, [(1.0, 1)])
-        fvals = np.cos(math.pi * tg)[:, None] * s1.values[None, :]
-        prob = _prob(free_basis_small, z, z, T=T,
-                     forcing=analyze_forcing(fvals, free_basis_small, tg))
+        prob = _prob(free_basis_small, z, z, T=T, forcing=analyze_forcing(
+            np.cos(math.pi * tg), s1, free_basis_small, tg))
         out = tg[::80]
         sol = solve_forced(prob, out)
         worst = max(
@@ -155,8 +154,7 @@ class TestForced:
         T = 1.0
         tg = np.linspace(0.0, T, 801)
         s1 = sine_data(g, [(1.0, 1)])
-        fvals = np.cos(2.0 * tg)[:, None] * s1.values[None, :]
-        ftab = analyze_forcing(fvals, free_basis_small, tg)
+        ftab = analyze_forcing(np.cos(2.0 * tg), s1, free_basis_small, tg)
         sol = solve_forced(_prob(free_basis_small, z, z, T=T, forcing=ftab),
                            tg)
         dt = tg[1] - tg[0]
@@ -175,7 +173,8 @@ class TestForced:
     def test_time_grid_too_coarse(self, free_basis_40):
         g = free_basis_40.grid
         tg = np.linspace(0.0, 1.0, 11)
-        ftab = analyze_forcing(np.zeros((11, g.n + 1)), free_basis_40, tg)
+        ftab = analyze_forcing(np.zeros(11), GridFunction.zeros(g),
+                               free_basis_40, tg)
         z = GridFunction.zeros(g)
         with pytest.raises(TimeGridTooCoarse):
             solve_forced(_prob(free_basis_40, z, z, forcing=ftab), [0.5])
@@ -225,8 +224,8 @@ class TestAnalyzeForcing:
         tg = np.linspace(0.0, 1.0, 65)
         gt = 1.0 + 0.5 * tg**2
         phi3 = free_basis_small.phi_matrix[2]
-        ftab = analyze_forcing(gt[:, None] * phi3[None, :],
-                               free_basis_small, tg)
+        ftab = analyze_forcing(gt, GridFunction(g, phi3), free_basis_small,
+                               tg)
         assert np.max(np.abs(ftab.table[2] - gt)) <= 1e-9
         others = np.delete(np.arange(10), 2)
         assert np.max(np.abs(ftab.table[others])) <= 1e-9
@@ -234,22 +233,91 @@ class TestAnalyzeForcing:
     def test_zero(self, free_basis_small):
         g = free_basis_small.grid
         tg = np.linspace(0.0, 1.0, 65)
-        ftab = analyze_forcing(np.zeros((65, g.n + 1)), free_basis_small, tg)
+        ftab = analyze_forcing(np.zeros(65), GridFunction.zeros(g),
+                               free_basis_small, tg)
         assert np.all(ftab.table == 0.0)
 
     def test_separable_linearity(self, free_basis_small):
         g = free_basis_small.grid
         tg = np.linspace(0.0, 1.0, 33)
         xv = GridFunction(g, g.nodes.copy())
-        ftab = analyze_forcing(tg[:, None] * g.nodes[None, :],
-                               free_basis_small, tg)
+        ftab = analyze_forcing(tg, xv, free_basis_small, tg)
         cx = analyze(xv, free_basis_small).coeffs
         assert np.max(np.abs(ftab.table - np.outer(cx, tg))) <= 1e-10
 
     def test_shape_mismatch(self, free_basis_small):
+        # w off the basis grid; g off the times fails as the table's shape
+        tg = np.linspace(0.0, 1.0, 5)
         with pytest.raises(GridMismatch):
-            analyze_forcing(np.zeros((5, 7)), free_basis_small,
-                            np.linspace(0.0, 1.0, 5))
+            analyze_forcing(np.zeros(5), GridFunction.zeros(Grid(6)),
+                            free_basis_small, tg)
+        with pytest.raises(ConfigError, match="shape does not match"):
+            analyze_forcing(np.zeros(7), GridFunction.zeros(Grid(512)),
+                            free_basis_small, tg)
+
+    @staticmethod
+    def _seed0_forced(basis):
+        # the sizes of the benchmark's seed-0 `forced` op: a delta, grid
+        # 2048, N = 40, 200 output steps and so 601 forcing times
+        g = basis.grid
+        tg = forcing_time_grid(1.0, 200, g, basis=basis)
+        assert tg.size == 601
+        return np.cos(3.0 * tg), sine_data(g, [(1.3, 1), (0.65, 3)]), tg
+
+    def test_matches_projection_of_the_product_table(self, step_basis_40):
+        gt, w, tg = self._seed0_forced(step_basis_40)
+        weights = step_basis_40.grid.simpson_weights
+        table = np.outer(gt, w.values)  # f(t_j, x_i), (times, nodes)
+        want = np.array([step_basis_40.phi_matrix @ (weights * f)
+                         for f in table]).T
+        got = analyze_forcing(gt, w, step_basis_40, tg).table
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_forms_no_times_by_nodes_table(self, step_basis_40):
+        import tracemalloc
+        gt, w, tg = self._seed0_forced(step_basis_40)
+        one_table = tg.size * w.values.size * 8
+        assert one_table > 9 * 2**20
+        tracemalloc.start()
+        try:
+            analyze_forcing(gt, w, step_basis_40, tg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+class TestForcingTimeGrid:
+    @staticmethod
+    def _factor(tg, T, out_steps):
+        """The forcing steps per output step, every output time a node."""
+        factor, rest = divmod(tg.size - 1, out_steps)
+        out = np.linspace(0.0, T, out_steps + 1)
+        assert rest == 0 and np.max(np.abs(tg[::factor] - out)) <= 1e-12 * T
+        return factor
+
+    @pytest.mark.parametrize("T, out_steps", [(1.0, 200), (0.37, 7),
+                                              (10.0, 1000), (1.0, 1)])
+    def test_default_step(self, free_basis_40, T, out_steps):
+        tg = forcing_time_grid(T, out_steps, free_basis_40.grid,
+                               basis=free_basis_40)
+        self._factor(tg, T, out_steps)
+        w_max = math.sqrt(np.max(free_basis_40.lambdas))
+        assert tg[1] - tg[0] <= min(T / 200.0, 0.25 / w_max) * (1 + 1e-15)
+
+    @pytest.mark.parametrize("time_steps, out_steps, factor",
+                             [(8, 200, 1), (600, 200, 3), (601, 200, 4),
+                              (1000, 7, 143)])
+    def test_given_time_steps_set_the_factor(self, time_steps, out_steps,
+                                             factor):
+        tg = forcing_time_grid(2.0, out_steps, Grid(16), time_steps)
+        assert self._factor(tg, 2.0, out_steps) == factor
+
+    def test_oversize_time_steps_refused_without_a_basis(self):
+        grid = Grid(16)
+        with pytest.raises(ConfigError, match=f"{MAX_TABLE_ENTRIES}$"):
+            forcing_time_grid(1.0, 200, grid, 10**9)
+        assert forcing_time_grid(1.0, 200, grid) is None
 
 
 class TestSpatialDerivatives:
