@@ -48,7 +48,8 @@ class MeshTooLarge(VwwError):
 
 
 class UnresolvedBasis(VwwError):
-    """Grid too coarse for the requested modes: their samples are not orthogonal."""
+    """Grid too coarse for the requested modes: their samples are not
+    orthogonal, or a mode's Simpson and trapezoid norms disagree."""
 
 
 class NonPositiveSpectrum(VwwError):

@@ -65,21 +65,11 @@ class Grid:
     def simpson_weights(self) -> np.ndarray:
         return _grid_arrays(self.n)[2]
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.simpson_weights @ values)
-
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(self.simpson_weights @ (u * v))
 
     def norm_l2(self, values: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(values, values), 0.0)))
-
-    def restrict_indices(self, coarse: "Grid") -> np.ndarray:
-        """Node indices picking out ``coarse`` nodes; grids must nest."""
-        if self.n % coarse.n != 0:
-            raise GridMismatch(f"grid {coarse.n} does not divide grid {self.n}")
-        step = self.n // coarse.n
-        return np.arange(0, self.n + 1, step)
 
 
 @dataclass(frozen=True)
@@ -140,7 +130,3 @@ class GridFunction:
         d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
         d2[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
         return GridFunction(self.grid, d2)
-
-    def restrict(self, coarse: Grid) -> "GridFunction":
-        idx = self.grid.restrict_indices(coarse)
-        return GridFunction(coarse, self.values[idx])

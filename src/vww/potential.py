@@ -124,12 +124,6 @@ class BumpProfile:
         self._build()
         return self._norm * self._raw(u)
 
-    @property
-    def peak(self) -> float:
-        """psi(0)."""
-        self._build()
-        return float(self._norm * math.exp(-self.sharpness))
-
     def primitive(self, u) -> np.ndarray:
         """Psi(u) = int_{-1}^u psi, clamped to 0 / 1 outside the support."""
         self._build()
@@ -149,11 +143,6 @@ class BumpProfile:
                 self._table_v[idx], self._table_d[idx],
                 self._table_v[idx + 1], self._table_d[idx + 1])
         return out
-
-    def mass(self) -> float:
-        """Quadrature check of int psi (should be 1 by construction)."""
-        nodes, weights = _composite_rule(64, 64)
-        return float(self.density(nodes) @ weights)
 
 
 PROFILES: dict[str, BumpProfile] = {

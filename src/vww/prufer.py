@@ -30,13 +30,17 @@ and R passes cost about the steps of one; Newton and the checks stay
 per potential.  Eigenfunctions are r sin(theta), normalized in
 L^2 by the grid's Simpson rule, and formed for all modes at once: an
 EigenBasis is read-only arrays with one row per mode.  A basis whose
-samples are not orthogonal to within GRAM_DEFECT_TOL is refused as
-unresolved.
+samples are not orthogonal to within GRAM_DEFECT_TOL, or holds a mode
+whose Simpson and trapezoid norms differ by over QUADRATURE_GAP_TOL (1/3
+at two nodes per wavelength), is refused as unresolved.  basis_csv_rows
+reports each mode's distance from the free asymptote,
+||phi_tilde_n - sin(sqrt(lambda_n) x)||.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +70,12 @@ _MIN_PANEL_CELLS = 32
 # largest off-diagonal Gram entry accepted from build_basis; resolved bases
 # sit orders of magnitude below it, aliased ones near 0.3
 GRAM_DEFECT_TOL = 1e-2
+# largest relative gap between an eigenfunction's Simpson and trapezoid
+# norms^2: 1/3 for a mode at two nodes per wavelength, whose Simpson norm
+# is aliased, at most 2e-14 for a sine one mode lower
+QUADRATURE_GAP_TOL = 1e-2
+# largest Magnus exponent |omega| of a hyperbolic cell whose cosh is finite
+_MAX_OMEGA = math.acosh(sys.float_info.max)
 
 
 def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
@@ -213,6 +223,12 @@ def _magnus_phase(mesh, lams: np.ndarray):
         neg = det < 0.0
         if np.any(neg):
             # hyperbolic cells, where nu changes by over 2 sqrt(3) / h
+            i = np.unravel_index(np.argmax(np.where(neg, om, 0.0)), om.shape)
+            if om[i] > _MAX_OMEGA:
+                raise NonFiniteResult(
+                    f"nu varies too fast for a Magnus cell of width h = "
+                    f"{h[i[0], i[1], 0]:.3g}: its growth exp(omega), omega = "
+                    f"{om[i]:.3g}, overflows a float")
             cos[neg], sinc[neg] = np.cosh(om[neg]), np.sinh(om[neg]) / om[neg]
         e11, e22 = cos + sinc * a, cos - sinc * a
         e12, e21 = sinc * s * p, -sinc * (s * m + u / s)
@@ -419,8 +435,9 @@ def _solve_modes(potentials, ns, grid: Grid, tol: float) -> list[EigenBasis]:
 
 
 def _checked(basis: EigenBasis, tol: float) -> EigenBasis:
-    """basis with its Gram defect, once its lambdas increase and its
-    samples are orthogonal to within GRAM_DEFECT_TOL."""
+    """basis with its Gram defect, once its lambdas increase, its samples
+    are orthogonal to within GRAM_DEFECT_TOL and each mode's Simpson and
+    trapezoid norms agree to within QUADRATURE_GAP_TOL."""
     lams = basis.lambdas
     if np.any(np.diff(lams) <= 0.0):
         k = int(np.nonzero(np.diff(lams) <= 0.0)[0][0])
@@ -435,6 +452,15 @@ def _checked(basis: EigenBasis, tol: float) -> EigenBasis:
             f"n_max={len(basis)} modes are not resolved on a grid of {grid.n} "
             f"intervals at tol={tol:g}: Gram defect {defect:.3g} is not <= "
             f"{GRAM_DEFECT_TOL:g}")
+    sq = phi * phi
+    trap = grid.h * (np.sum(sq, axis=1) - 0.5 * (sq[:, 0] + sq[:, -1]))
+    gaps = np.abs(np.diag(gram) - trap) / trap
+    k = int(np.argmax(gaps))
+    if gaps[k] > QUADRATURE_GAP_TOL:
+        raise UnresolvedBasis(
+            f"mode n={int(basis.ns[k])} is not resolved on a grid of {grid.n} "
+            f"intervals: its Simpson and trapezoid norms^2 differ by "
+            f"{gaps[k]:.3g} relative, above {QUADRATURE_GAP_TOL:g}")
     return replace(basis, gram_max_offdiag=defect)
 
 
@@ -457,52 +483,18 @@ def build_basis(nu_like, n_max: int, grid: Grid,
     return build_bases([nu_like], n_max, grid, tol)[0]
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Residuals of the large-n eigenfunction and amplitude asymptotics."""
-
-    ns: np.ndarray
-    psi_norms: np.ndarray
-    rho_norms: np.ndarray
-    partial_sums: np.ndarray
-    eigenvalue_rel_dev: np.ndarray
-
-    @property
-    def asymptote_constants(self) -> np.ndarray:
-        """n * |lambda_n / (pi n)^2 - 1| per mode."""
-        return self.ns * self.eigenvalue_rel_dev
-
-
-def asymptotic_residuals(basis: EigenBasis) -> AsymptoticReport:
-    """psi_n = phi_tilde_n - sin(sqrt(lambda_n) x) and rho_n = r_n - 1.
-
-    Reports L^2 norms per mode, running sums of ||psi_n||^2 and relative
-    eigenvalue deviations from (pi n)^2.
-    """
-    grid = basis.grid
-    lam = basis.lambdas
-    psi = basis.phi_tilde
-    psi -= np.sin(np.sqrt(lam)[:, None] * grid.nodes)
-    psi_norms = np.array([grid.norm_l2(v) for v in psi])
-    ns = basis.ns.astype(float)
-    return AsymptoticReport(
-        ns=ns,
-        psi_norms=psi_norms,
-        rho_norms=np.array([grid.norm_l2(v) for v in np.exp(basis.log_r) - 1.0]),
-        partial_sums=np.cumsum(psi_norms**2),
-        eigenvalue_rel_dev=np.abs(lam / (math.pi * ns) ** 2 - 1.0),
-    )
-
-
 # -- serialization -----------------------------------------------------------
 
 
 def basis_csv_rows(basis: EigenBasis) -> list[tuple]:
-    """(n, lambda_n, theta_residual, tilde_norm, psi_norm) per mode."""
-    rep = asymptotic_residuals(basis)
+    """(n, lambda_n, theta_residual, tilde_norm, psi_norm) per mode, with
+    psi_norm the L^2 norm of phi_tilde_n - sin(sqrt(lambda_n) x)."""
+    grid = basis.grid
+    psi = basis.phi_tilde
+    psi -= np.sin(np.sqrt(basis.lambdas)[:, None] * grid.nodes)
     return list(zip(basis.ns.tolist(), basis.lambdas.tolist(),
                     basis.theta_residuals.tolist(), basis.tilde_norms.tolist(),
-                    rep.psi_norms.tolist()))
+                    [grid.norm_l2(v) for v in psi]))
 
 
 def basis_to_cache(basis: EigenBasis, include_eigenfunctions: bool = False) -> dict:

@@ -88,16 +88,13 @@ def _check_order(order: int) -> None:
 class NegligibilityReport(NamedTuple):
     passed: bool
     slope: float
-    max_dev: float
-    order: int
 
 
 def check_negligibility(ladder, norms, order: int) -> NegligibilityReport:
     """Fit log(norm) against log(eps); pass when slope >= order - 0.2."""
     _check_order(order)
-    fit = _fit(ladder, norms)
-    return NegligibilityReport(fit.slope >= order - VERDICT_MARGIN,
-                               fit.slope, fit.max_dev, order)
+    slope = _fit(ladder, norms).slope
+    return NegligibilityReport(slope >= order - VERDICT_MARGIN, slope)
 
 
 @dataclass(frozen=True)

@@ -126,18 +126,6 @@ class WaveSolution:
     def __post_init__(self):
         freeze_arrays(self, "times", "modal", "modal_dt", "values", "dt_values")
 
-    def time_index(self, t: float) -> int:
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[j] - t) > 1e-9 * max(1.0, abs(t)):
-            raise GridMismatch(f"t={t} not among stored times")
-        return j
-
-    def u_at(self, t: float) -> GridFunction:
-        return GridFunction(self.basis.grid, self.values[self.time_index(t)])
-
-    def dt_at(self, t: float) -> GridFunction:
-        return GridFunction(self.basis.grid, self.dt_values[self.time_index(t)])
-
     def l2_series(self) -> np.ndarray:
         """||u(t)||_{L^2} per stored t (coefficient l^2, Parseval)."""
         return _column_l2(self.modal)
@@ -240,13 +228,12 @@ def analyze_forcing(g, w: GridFunction, basis: EigenBasis,
     return ForcingTable(times, np.outer(analyze(w, basis).coeffs, g))
 
 
-def x_derivative(sol: WaveSolution, nu_like, order: int,
-                 j=slice(None)) -> np.ndarray:
-    """d_x u (order 1) or d_xx u (order 2) at the stored times j, one row
+def x_derivative(sol: WaveSolution, nu_like, order: int) -> np.ndarray:
+    """d_x u (order 1) or d_xx u (order 2) at the stored times, one row
     of node values per time.  d_xx is undefined at a Dirac atom, so an
     atom on a grid node raises ``AtomEvaluation``."""
     basis = sol.basis
-    modal = sol.modal[:, j]
+    modal = sol.modal
     if order == 1:
         return modal.T @ basis.phi_prime_matrix
     nodes = basis.grid.nodes
@@ -254,7 +241,7 @@ def x_derivative(sol: WaveSolution, nu_like, order: int,
         if np.min(np.abs(nodes - loc)) < 1e-12:
             raise AtomEvaluation(
                 f"d_xx undefined at the atom x={loc} lying on a grid node")
-    return (nu_like.q_values(nodes)[None, :] * sol.values[j]
+    return (nu_like.q_values(nodes)[None, :] * sol.values
             - (basis.lambdas[:, None] * modal).T @ basis.phi_matrix)
 
 
@@ -263,17 +250,17 @@ def forcing_time_grid(T: float, out_steps: int, grid: Grid,
                       basis: EigenBasis | None = None) -> np.ndarray | None:
     """The uniform forcing time grid on [0, T]: out_steps * factor + 1
     times, the out_steps + 1 output times among them, checked against
-    MAX_TABLE_ENTRIES.  A given ``time_steps`` sets factor =
-    ceil(time_steps / out_steps) with no basis; otherwise the step is at
-    most min(T/200, 0.25/sqrt(lambda_max)), read from the basis, and
+    MAX_TABLE_ENTRIES.  factor = ceil(nt / out_steps) in integers, for a
+    given nt = ``time_steps`` with no basis; otherwise nt makes the step
+    at most min(T/200, 0.25/sqrt(lambda_max)), read from the basis, and
     without one the grid is None."""
     if time_steps is not None:
-        factor = max(1, math.ceil(int(time_steps) / out_steps))
+        nt = int(time_steps)
     elif basis is None:
         return None
     else:
         w_max = float(np.sqrt(np.max(basis.lambdas)))
         nt = math.ceil(T / min(T / 200.0, 0.25 / w_max))
-        factor = max(1, math.ceil((T / out_steps) / (T / nt)))
+    factor = max(1, -(-nt // out_steps))
     check_time_grid(out_steps * factor + 1, grid)
     return np.linspace(0.0, T, out_steps * factor + 1)

@@ -1,10 +1,13 @@
 """Independent oracles and helpers that the tests check vww against.
 
 None of this is part of the pipeline that ``vww`` runs: a leapfrog
-finite-difference solver, the constant sweep of an estimate over a
-battery of problems, random smooth data, the RK45 phase path at one
-trial lambda, and the reader of an eigenfunction cache.  Tests import it
-as ``from oracles import ...``, as they import ``conftest``.
+finite-difference solver with the restriction of grid functions to a
+coarser grid it is compared on, the solution at one stored time, the
+large-n eigenvalue and eigenfunction asymptotics of a basis, the mass
+of a mollifier profile, the constant sweep of an estimate over a battery
+of problems, random smooth data, the RK45 phase path at one trial
+lambda, and the reader of an eigenfunction cache.  Tests import it as
+``from oracles import ...``, as they import ``conftest``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,40 @@ import numpy as np
 from vww.errors import ConfigError, GridMismatch
 from vww.estimates import verify
 from vww.grid import Grid, GridFunction
-from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
+from vww.potential import (BumpProfile, MollifiedNu, MollifierSpec,
+                           NuPrimitive, PerturbedNu, _composite_rule)
 from vww.prufer import DEFAULT_TOL, EigenBasis, _propagate
+from vww.wave import WaveSolution
+
+
+# -- grid functions at a coarser grid and at a stored time -------------------
+
+
+def restrict_indices(fine: Grid, coarse: Grid) -> np.ndarray:
+    """Node indices of ``fine`` picking out ``coarse`` nodes; grids must nest."""
+    if fine.n % coarse.n != 0:
+        raise GridMismatch(f"grid {coarse.n} does not divide grid {fine.n}")
+    step = fine.n // coarse.n
+    return np.arange(0, fine.n + 1, step)
+
+
+def restrict(f: GridFunction, coarse: Grid) -> GridFunction:
+    return GridFunction(coarse, f.values[restrict_indices(f.grid, coarse)])
+
+
+def time_index(sol: WaveSolution, t: float) -> int:
+    j = int(np.argmin(np.abs(sol.times - t)))
+    if abs(sol.times[j] - t) > 1e-9 * max(1.0, abs(t)):
+        raise GridMismatch(f"t={t} not among stored times")
+    return j
+
+
+def u_at(sol: WaveSolution, t: float) -> GridFunction:
+    return GridFunction(sol.basis.grid, sol.values[time_index(sol, t)])
+
+
+def dt_at(sol: WaveSolution, t: float) -> GridFunction:
+    return GridFunction(sol.basis.grid, sol.dt_values[time_index(sol, t)])
 
 
 # -- the leapfrog oracle -----------------------------------------------------
@@ -100,6 +135,52 @@ def fd_oracle(q_eps: GridFunction, u0: GridFunction, u1: GridFunction,
             dv = (3.0 * u_curr - 4.0 * u_prev + u_prev2) / (2.0 * dt)
         record(n_steps, u_curr, dv)
     return FDSolution(grid, snapped, out_vals, out_dt)
+
+
+# -- the asymptotics of a basis and the mass of a profile --------------------
+
+
+@dataclass(frozen=True)
+class AsymptoticReport:
+    """Residuals of the large-n eigenfunction and amplitude asymptotics."""
+
+    ns: np.ndarray
+    psi_norms: np.ndarray
+    rho_norms: np.ndarray
+    partial_sums: np.ndarray
+    eigenvalue_rel_dev: np.ndarray
+
+    @property
+    def asymptote_constants(self) -> np.ndarray:
+        """n * |lambda_n / (pi n)^2 - 1| per mode."""
+        return self.ns * self.eigenvalue_rel_dev
+
+
+def asymptotic_residuals(basis: EigenBasis) -> AsymptoticReport:
+    """psi_n = phi_tilde_n - sin(sqrt(lambda_n) x) and rho_n = r_n - 1.
+
+    Reports L^2 norms per mode, running sums of ||psi_n||^2 and relative
+    eigenvalue deviations from (pi n)^2.
+    """
+    grid = basis.grid
+    lam = basis.lambdas
+    psi = basis.phi_tilde
+    psi -= np.sin(np.sqrt(lam)[:, None] * grid.nodes)
+    psi_norms = np.array([grid.norm_l2(v) for v in psi])
+    ns = basis.ns.astype(float)
+    return AsymptoticReport(
+        ns=ns,
+        psi_norms=psi_norms,
+        rho_norms=np.array([grid.norm_l2(v) for v in np.exp(basis.log_r) - 1.0]),
+        partial_sums=np.cumsum(psi_norms**2),
+        eigenvalue_rel_dev=np.abs(lam / (math.pi * ns) ** 2 - 1.0),
+    )
+
+
+def bump_mass(profile: BumpProfile) -> float:
+    """int psi by a composite Gauss rule, 64 panels of 64 nodes."""
+    nodes, weights = _composite_rule(64, 64)
+    return float(profile.density(nodes) @ weights)
 
 
 # -- the constant sweep ------------------------------------------------------

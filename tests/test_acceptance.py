@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 
 from vww.grid import Grid, GridFunction
 from vww.potential import NuPrimitive
-from vww.prufer import asymptotic_residuals
 from vww.spectral import analyze
 from vww.wave import (WaveProblem, analyze_forcing, forcing_time_grid,
                       solve_forced, solve_homogeneous)
@@ -21,7 +20,8 @@ from vww.veryweak import (DataNet, VeryWeakExperiment, default_ladder,
                           run_consistency, run_existence, run_uniqueness)
 
 from conftest import parabola, sine_data
-from oracles import constant_sweep, fd_oracle, random_sine_data
+from oracles import (asymptotic_residuals, constant_sweep, fd_oracle,
+                     random_sine_data, restrict, u_at)
 
 
 def report(num: int, name: str, ok: bool, detail: str):
@@ -114,9 +114,9 @@ def test_criterion_08_spectral_fd_equivalence(const5_basis_40):
     for n in (400, 800):
         fdg = Grid(n)
         q5 = GridFunction(fdg, np.full(fdg.n + 1, 5.0))
-        fd = fd_oracle(q5, u0.restrict(fdg), u1.restrict(fdg), None, 1.0,
+        fd = fd_oracle(q5, restrict(u0, fdg), restrict(u1, fdg), None, 1.0,
                        dt=1.0 / (2 * n), times=[1.0])
-        errs[n] = (sol.u_at(1.0).restrict(fdg) - fd.u_at(1.0)).norm_l2()
+        errs[n] = (restrict(u_at(sol, 1.0), fdg) - fd.u_at(1.0)).norm_l2()
     ratio = errs[400] / errs[800]
     ok = errs[400] <= 1e-4 and ratio >= 3.0
     report(8, "spectral vs finite differences (q=5)", ok,
@@ -135,7 +135,7 @@ def test_criterion_09_forced_closed_form(free_basis_40):
     out = np.append(tg[:: max(1, tg.size // 50)], tg[-1])
     sol = solve_forced(prob, out)
     worst = max(
-        (sol.u_at(t) - ((1.0 - math.cos(math.pi * t)) / math.pi**2) * s1
+        (u_at(sol, t) - ((1.0 - math.cos(math.pi * t)) / math.pi**2) * s1
          ).norm_l2() for t in out)
     report(9, "forced single-mode closed form", worst <= 1e-6,
            f"max_t L2 deviation = {worst:.3e} (tol 1e-6)")

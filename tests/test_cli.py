@@ -576,14 +576,38 @@ class TestNumericalFailure:
         ({"smooth": {"kind": "const", "params": [1e200]}},
          r"NonFiniteResult: a Magnus mesh term is not finite for max \|nu\| "
          r"= 1e\+200"),
+        # cosh of a hyperbolic cell overflows: named before numpy warns,
+        # not as the NaN phase residual it made
+        ({"smooth": {"kind": "sine", "params": [-1e6, 3]}},
+         r"NonFiniteResult: nu varies too fast for a Magnus cell of width "
+         r"h = 0\.0156: its growth exp\(omega\), omega = 1\.01e\+06, "
+         r"overflows a float"),
     ], ids=["overflowing_newton_start", "mesh_above_ceiling",
-            "overflowing_nu_square"])
+            "overflowing_nu_square", "overflowing_hyperbolic_cell"])
     def test_eigs_exits_3(self, tmp_path, capsys, nu, error):
         cfg = write_config(tmp_path, "c.json",
                            {"nu": nu, "grid_n": 64, "n_max": 2})
-        assert run_cli("eigs", "--config", cfg, "--out",
-                       str(tmp_path / "o")) == 3
-        assert re.search(error, capsys.readouterr().err)
+        out = tmp_path / "o"
+        assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.search(error, line)
+        assert not out.exists()
+
+    def test_mode_at_two_nodes_per_wavelength_exits_3(self, tmp_path,
+                                                      capsys):
+        # est1 read lhs_max 0.6667 here for ||u0||^2 = 0.5: the Simpson
+        # norm^2 of sin^2 at two nodes per wavelength is 2/3
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": FREE_NU, "grid_n": 16, "n_max": 8, "T": 1.0, "n_times": 5,
+            "u0": {"kind": "sine_combo", "params": [[1, 8]]},
+            "u1": {"kind": "zero"}, "estimate_ids": ["est1"]})
+        out = tmp_path / "o"
+        assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "vww: numerical failure: UnresolvedBasis: mode n=8 is not "
+            "resolved on a grid of 16 intervals: its Simpson and trapezoid "
+            "norms^2 differ by 0.333 relative, above 0.01"]
+        assert not out.exists()
 
     def test_mollifier_table_above_ceiling_exits_3(self, tmp_path, capsys):
         # sine (1, 1e6) at eps = 1/4 asks for a 2,048,000,001-point table:

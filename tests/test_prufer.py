@@ -10,15 +10,14 @@ from scipy.optimize import brentq
 
 import vww.prufer
 from conftest import catalog_potentials
-from oracles import basis_from_cache, rk45_path
+from oracles import asymptotic_residuals, basis_from_cache, rk45_path
 from vww.errors import (BracketFailure, GridMismatch, NonFiniteResult,
                         NonPositiveSpectrum, StepFailure, UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, _magnus_mesh, _magnus_phase,
-                        _newton_roots, _phase_map, _roots,
-                        asymptotic_residuals, basis_to_cache, build_bases,
-                        build_basis)
+                        _newton_roots, _phase_map, _roots, basis_to_cache,
+                        build_bases, build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -304,6 +303,23 @@ class TestBuildBasis:
     def test_coarse_but_resolved_basis_builds(self):
         basis = build_basis(STEP, 12, Grid(32))
         assert basis.gram_max_offdiag <= 0.1 * GRAM_DEFECT_TOL  # 1.5e-4
+
+    @pytest.mark.parametrize("name", ["zero", "step", "mixed", "sine"])
+    def test_mode_at_two_nodes_per_wavelength_raises(self, name):
+        # sampled at two nodes per wavelength, sin^2 gets a Simpson norm^2
+        # of 2/3 and a trapezoid one of 1/2: a gap of 1/3, where the Gram
+        # defect stays under its tolerance
+        with pytest.raises(UnresolvedBasis, match=r"mode n=32 is not resolved"
+                           r" on a grid of 64 intervals: .* differ by 0\.333"):
+            build_basis(catalog_potentials()[name], 32, Grid(64))
+
+    @pytest.mark.parametrize("grid_n", [64, 256])
+    @pytest.mark.parametrize("name", ["zero", "step", "mixed", "sine"])
+    def test_one_mode_below_two_nodes_per_wavelength_builds(self, name,
+                                                            grid_n):
+        basis = build_basis(catalog_potentials()[name], grid_n // 2 - 1,
+                            Grid(grid_n))
+        assert len(basis) == grid_n // 2 - 1
 
 
 # the benchmark's seed-0 ladders: bump, eps = 2^-2 .. 2^-5, grid 1024, N 12,

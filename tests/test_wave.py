@@ -14,7 +14,7 @@ from vww.wave import (MAX_TABLE_ENTRIES, ForcingTable, WaveProblem,
                       solve_forced, solve_homogeneous, x_derivative)
 
 from conftest import parabola, sine_data
-from oracles import fd_oracle
+from oracles import dt_at, fd_oracle, restrict, u_at
 
 
 def _prob(basis, u0, u1, T=1.0, forcing=None):
@@ -29,8 +29,8 @@ class TestHomogeneous:
         sol = solve_homogeneous(_prob(free_basis_40, s1,
                                       GridFunction.zeros(g)),
                                 np.linspace(0.0, 1.0, 21))
-        assert (sol.u_at(1.0) + s1).norm_l2() <= 1e-8
-        assert (sol.u_at(0.0) - s1).norm_l2() <= 1e-10
+        assert (u_at(sol, 1.0) + s1).norm_l2() <= 1e-8
+        assert (u_at(sol, 0.0) - s1).norm_l2() <= 1e-10
 
     def test_velocity_mode(self, free_basis_40):
         g = free_basis_40.grid
@@ -38,7 +38,7 @@ class TestHomogeneous:
         sol = solve_homogeneous(_prob(free_basis_40, GridFunction.zeros(g),
                                       s2), [0.4])
         want = math.sin(2.0 * math.pi * 0.4) / (2.0 * math.pi)
-        assert (sol.u_at(0.4) - want * s2).norm_l2() <= 1e-9
+        assert (u_at(sol, 0.4) - want * s2).norm_l2() <= 1e-9
 
     def test_boundary_always_zero(self, step_basis_40):
         g = step_basis_40.grid
@@ -71,9 +71,9 @@ class TestHomogeneous:
         T = 0.7
         fwd = solve_homogeneous(_prob(step_basis_40, u0, u1, T=T), [T])
         back = solve_homogeneous(
-            _prob(step_basis_40, fwd.u_at(T), -1.0 * fwd.dt_at(T), T=T), [T])
-        assert (back.u_at(T) - u0).norm_l2() <= 2.0 * r0 + 1e-9
-        assert (back.dt_at(T) + u1).norm_l2() <= 2.0 * r1 + 1e-9
+            _prob(step_basis_40, u_at(fwd, T), -1.0 * dt_at(fwd, T), T=T), [T])
+        assert (u_at(back, T) - u0).norm_l2() <= 2.0 * r0 + 1e-9
+        assert (dt_at(back, T) + u1).norm_l2() <= 2.0 * r1 + 1e-9
 
     def test_delta_potential_against_fd_on_mollified(self, step_basis_40):
         # independent check: spectral solve with the exact atom vs leapfrog
@@ -89,7 +89,7 @@ class TestHomogeneous:
         qgf = GridFunction(fdg, q.q_values(fdg.nodes))
         fd = fd_oracle(qgf, parabola(fdg), GridFunction.zeros(fdg), None,
                        1.0, dt=1.0 / 8192.0, times=[1.0])
-        diff = fd.u_at(1.0).restrict(g) - sol.u_at(1.0)
+        diff = restrict(fd.u_at(1.0), g) - u_at(sol, 1.0)
         assert diff.norm_l2() <= 2e-3
 
 
@@ -115,7 +115,7 @@ class TestForced:
         out = tg[:: max(1, tg.size // 20)]
         sol = solve_forced(prob, out)
         worst = max(
-            (sol.u_at(t) - ((1.0 - math.cos(math.pi * t)) / math.pi**2) * s1
+            (u_at(sol, t) - ((1.0 - math.cos(math.pi * t)) / math.pi**2) * s1
              ).norm_l2() for t in out)
         assert worst <= 1e-6
 
@@ -142,7 +142,7 @@ class TestForced:
         out = tg[::80]
         sol = solve_forced(prob, out)
         worst = max(
-            (sol.u_at(t) - (t * math.sin(math.pi * t) / (2.0 * math.pi)) * s1
+            (u_at(sol, t) - (t * math.sin(math.pi * t) / (2.0 * math.pi)) * s1
              ).norm_l2() for t in out)
         assert worst <= 1e-5
 
@@ -305,6 +305,14 @@ class TestForcingTimeGrid:
         w_max = math.sqrt(np.max(free_basis_40.lambdas))
         assert tg[1] - tg[0] <= min(T / 200.0, 0.25 / w_max) * (1 + 1e-15)
 
+    def test_default_factor_is_an_integer_ceiling(self, free_basis_40):
+        # sqrt(lambda_40) ~ 40 pi asks for nt = 503 steps on [0, 1], all of
+        # them in one output step: 504 times, where the float ratio
+        # (T / 1) / (T / 503) = 503.00000000000006 rounded up to 505
+        tg = forcing_time_grid(1.0, 1, free_basis_40.grid,
+                               basis=free_basis_40)
+        assert tg.size == 504
+
     @pytest.mark.parametrize("time_steps, out_steps, factor",
                              [(8, 200, 1), (600, 200, 3), (601, 200, 4),
                               (1000, 7, 143)])
@@ -382,9 +390,9 @@ class TestFDOracle:
         sol = solve_homogeneous(_prob(const5_basis_40, u0, u1), [1.0])
         fdg = Grid(400)
         q5 = GridFunction(fdg, np.full(fdg.n + 1, 5.0))
-        fd = fd_oracle(q5, u0.restrict(fdg), u1.restrict(fdg), None, 1.0,
+        fd = fd_oracle(q5, restrict(u0, fdg), restrict(u1, fdg), None, 1.0,
                        dt=1.0 / 800.0, times=[1.0])
-        assert (sol.u_at(1.0).restrict(fdg) - fd.u_at(1.0)).norm_l2() <= 1e-4
+        assert (restrict(u_at(sol, 1.0), fdg) - fd.u_at(1.0)).norm_l2() <= 1e-4
 
     def test_oracle_error_shrinks_under_refinement(self, const5_basis_40):
         g = const5_basis_40.grid
@@ -395,9 +403,9 @@ class TestFDOracle:
         for n in (400, 800):
             fdg = Grid(n)
             q5 = GridFunction(fdg, np.full(fdg.n + 1, 5.0))
-            fd = fd_oracle(q5, u0.restrict(fdg), u1.restrict(fdg), None,
+            fd = fd_oracle(q5, restrict(u0, fdg), restrict(u1, fdg), None,
                            1.0, dt=1.0 / (2 * n), times=[1.0])
-            errs.append((sol.u_at(1.0).restrict(fdg)
+            errs.append((restrict(u_at(sol, 1.0), fdg)
                          - fd.u_at(1.0)).norm_l2())
         assert errs[0] / errs[1] >= 3.0
 
