@@ -105,9 +105,6 @@ class GridFunction:
         return GridFunction(self.grid, self.values - other.values)
 
     def __mul__(self, c) -> "GridFunction":
-        if isinstance(c, GridFunction):
-            self._check(c)
-            return GridFunction(self.grid, self.values * c.values)
         return GridFunction(self.grid, self.values * float(c))
 
     __rmul__ = __mul__

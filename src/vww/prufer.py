@@ -15,7 +15,8 @@ Magnus-4 step per cell (trace 0 and det lambda make exp(Omega) a cosine
 and a sine; exact for piecewise-constant nu), vectorized over all trial
 lambdas, on a fixed mesh refined inside the narrow panels of nu, and
 scanned in blocks of about sqrt(cells) cells, so that a pass costs about
-4 sqrt(cells) vectorized steps rather than one per cell.  Newton
+4 sqrt(cells) vectorized steps rather than one per cell; a cell or
+block whose growth overflows a float raises NonFiniteResult.  Newton
 steps take d theta(1)/d lambda from the Pruefer identity and stay inside
 a sign bracket.  At the roots one adaptive Runge-Kutta pass, split at
 every jump of nu and carried in the corrected phase eta = theta -
@@ -29,10 +30,11 @@ their panels at tol / R, so that each member is held to tol / sqrt(R)
 and R passes cost about the steps of one; Newton and the checks stay
 per potential.  Eigenfunctions are r sin(theta), normalized in
 L^2 by the grid's Simpson rule, and formed for all modes at once: an
-EigenBasis is read-only arrays with one row per mode.  A basis whose
-samples are not orthogonal to within GRAM_DEFECT_TOL, or holds a mode
-whose Simpson and trapezoid norms differ by over QUADRATURE_GAP_TOL (1/3
-at two nodes per wavelength), is refused as unresolved.  basis_csv_rows
+EigenBasis is read-only arrays with one row per mode n = 1..N, made
+once its rows pass the checks.  Lambdas that do not increase are a
+BracketFailure; samples not orthogonal to within GRAM_DEFECT_TOL, or a
+mode whose Simpson and trapezoid norms differ by over QUADRATURE_GAP_TOL
+(1/3 at two nodes per wavelength), are unresolved.  basis_csv_rows
 reports each mode's distance from the free asymptote,
 ||phi_tilde_n - sin(sqrt(lambda_n) x)||.
 """
@@ -41,12 +43,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BracketFailure, GridMismatch, MeshTooLarge,
-                     NonFiniteResult, NonPositiveSpectrum,
+from .errors import (BracketFailure, ConfigError, GridMismatch,
+                     MeshTooLarge, NonFiniteResult, NonPositiveSpectrum,
                      UnresolvedBasis, per_member)
 from .grid import Grid, freeze_arrays
 from .ode import integrate_rk45
@@ -123,8 +125,8 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
     (tol / sqrt(R) gives a member whose nu alone varies on a panel just
     its own pass's control there, and its phi then erred up to 1.12
     times as much.)  With R = 1 this is the one-potential pass, step for
-    step.  Returns the final state, of shape (2, R, M), and the states
-    recorded at sample_nodes, of shape (2, R, M, len(nodes)).
+    step.  Returns the states recorded at sample_nodes, of shape
+    (2, R, M, len(nodes)).
     """
     sqrt_lam = np.sqrt(lams.ravel())
     y = np.zeros((2, lams.size))
@@ -145,8 +147,7 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
         if count:
             out[:, :, pos:pos + count] = np.moveaxis(sampled, 0, -1)
             pos += count
-    return y.reshape((2,) + lams.shape), out.reshape(
-        (2,) + lams.shape + (len(sample_nodes),))
+    return out.reshape((2,) + lams.shape + (len(sample_nodes),))
 
 
 def _magnus_mesh(nu_like, cells_per_unit: float):
@@ -188,6 +189,7 @@ def _magnus_mesh(nu_like, cells_per_unit: float):
     return tuple(c[:, None] for c in terms)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _magnus_phase(mesh, lams: np.ndarray):
     """theta(1) and d theta(1) / d lambda for each lambda, by Magnus-4.
 
@@ -203,7 +205,8 @@ def _magnus_phase(mesh, lams: np.ndarray):
     stepped cell by cell over all blocks at once; in between, the block
     start states are chained and rescaled to r = 1, recording each block's
     growth g_b^2.  int y^2 is folded per block as (int + S_b) / g_b^2, so
-    no product of growths can overflow.
+    no product of growths can overflow.  A hyperbolic cell or a block
+    whose growth overflows raises NonFiniteResult before its NaN spreads.
     """
     s = np.sqrt(lams)
     y, w = np.zeros_like(s), np.ones_like(s)
@@ -247,6 +250,13 @@ def _magnus_phase(mesh, lams: np.ndarray):
             g2[b] = y * y + w * w
             r = np.sqrt(g2[b])
             y, w = y / r, w / r
+        finite = np.all(np.isfinite(g2), axis=1)
+        if not np.all(finite):
+            hb = h[:, np.argmin(finite), 0]
+            raise NonFiniteResult(
+                f"nu varies too fast for a block of {np.count_nonzero(hb)} "
+                f"Magnus cells of width h = {hb.max():.3g}: their growth "
+                "overflows a float")
         for j in range(size):
             ys[j + 1] = e11[j] * ys[j] + e12[j] * ws[j]
             ws[j + 1] = e21[j] * ys[j] + e22[j] * ws[j]
@@ -263,7 +273,7 @@ def _magnus_phase(mesh, lams: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """Eigenpairs of the modes ns on a shared grid, one read-only row each.
+    """Eigenpairs of modes n = 1..N on a shared grid, one read-only row each.
 
     phi_matrix and phi_prime_matrix are the normalized eigenfunctions and
     their derivatives at the nodes, shape (N, nodes); eta and log_r the
@@ -272,7 +282,6 @@ class EigenBasis:
     as the frequencies sqrt(lambda_n) and negative Sobolev orders need.
     """
 
-    ns: np.ndarray
     lambdas: np.ndarray
     phi_matrix: np.ndarray = field(repr=False)
     phi_prime_matrix: np.ndarray = field(repr=False)
@@ -286,13 +295,12 @@ class EigenBasis:
     gram_max_offdiag: float = math.nan
 
     def __post_init__(self):
-        freeze_arrays(self, "ns", dtype=int)
         freeze_arrays(self, "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
                       "log_r", "tilde_norms", "theta_residuals")
         rows = {a.shape for a in (self.phi_matrix, self.phi_prime_matrix,
                                   self.eta, self.log_r)}
-        if rows != {(len(self.ns), self.grid.n + 1)}:
-            raise GridMismatch(f"{len(self.ns)} modes on {self.grid.n + 1} "
+        if rows != {(len(self), self.grid.n + 1)}:
+            raise GridMismatch(f"{len(self)} modes on {self.grid.n + 1} "
                                f"nodes, but rows of shapes {sorted(rows)}")
         if np.any(self.lambdas <= 0.0):
             raise NonPositiveSpectrum(
@@ -390,12 +398,19 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
             nu_nodes)
 
 
-def _eigenbasis(nu_like, ns: np.ndarray, grid: Grid, root, froot, nu_nodes,
+def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, nu_nodes,
                 eta, log_r) -> EigenBasis:
-    """The basis of the roots from their sampled (eta, log r) rows."""
+    """The basis of the roots from their sampled (eta, log r) rows, once
+    its lambdas increase, its samples are orthogonal to GRAM_DEFECT_TOL
+    and each mode's Simpson and trapezoid norms agree to QUADRATURE_GAP_TOL."""
+    steps = np.diff(root)
+    if np.any(steps <= 0.0):
+        k = int(np.nonzero(steps <= 0.0)[0][0])
+        raise BracketFailure(k + 2, float(root[k]), float(root[k + 1]),
+                             "eigenvalues failed to come out increasing")
     # (modes, nodes) tables, formed in place so that few are alive at once.
     # An r past a float's range makes inf and NaN rows, whose Gram defect
-    # _checked refuses
+    # is refused
     with np.errstate(over="ignore", invalid="ignore"):
         sqrt_lam = np.sqrt(root)[:, None]
         theta = sqrt_lam * grid.nodes + eta
@@ -411,45 +426,12 @@ def _eigenbasis(nu_like, ns: np.ndarray, grid: Grid, root, froot, nu_nodes,
         dphi /= tilde_norms[:, None]
         phi /= tilde_norms[:, None]
     phi[:, [0, -1]] = 0.0
-    return EigenBasis(ns.astype(int), root, phi, dphi, eta, log_r,
-                      tilde_norms, froot, nu_like, grid)
-
-
-def _solve_modes(potentials, ns, grid: Grid, tol: float) -> list[EigenBasis]:
-    """The modes ns of each potential: Newton per potential, then one
-    sampled pass for all.  A VwwError of one potential carries its index
-    as ``member``; one of the joint pass carries none."""
-    ns = np.asarray(sorted(set(int(n) for n in ns)), dtype=float)
-    if np.any(ns < 1):
-        raise BracketFailure(int(ns.min()), 0.0, 0.0,
-                             "mode index must be >= 1")
-    # the residual target sets no tighter than the sampled pass's tolerance
-    ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
-    roots = per_member(lambda nu_like: _roots(nu_like, ns, grid, ftol),
-                       potentials)
-    _, (eta, log_r) = _propagate(potentials, np.array([r[0] for r in roots]),
-                                 tol, grid.nodes)
-    return per_member(
-        lambda nu_like, r, *path: _eigenbasis(nu_like, ns, grid, *r, *path),
-        potentials, roots, eta, log_r)
-
-
-def _checked(basis: EigenBasis, tol: float) -> EigenBasis:
-    """basis with its Gram defect, once its lambdas increase, its samples
-    are orthogonal to within GRAM_DEFECT_TOL and each mode's Simpson and
-    trapezoid norms agree to within QUADRATURE_GAP_TOL."""
-    lams = basis.lambdas
-    if np.any(np.diff(lams) <= 0.0):
-        k = int(np.nonzero(np.diff(lams) <= 0.0)[0][0])
-        raise BracketFailure(int(basis.ns[k + 1]), float(lams[k]), float(lams[k + 1]),
-                             "eigenvalues failed to come out increasing")
-    phi, grid = basis.phi_matrix, basis.grid
     gram = (phi * grid.simpson_weights) @ phi.T
     off = gram - np.diag(np.diag(gram))
     defect = float(np.max(np.abs(off)))
     if not defect <= GRAM_DEFECT_TOL:  # NaN included
         raise UnresolvedBasis(
-            f"n_max={len(basis)} modes are not resolved on a grid of {grid.n} "
+            f"n_max={len(root)} modes are not resolved on a grid of {grid.n} "
             f"intervals at tol={tol:g}: Gram defect {defect:.3g} is not <= "
             f"{GRAM_DEFECT_TOL:g}")
     sq = phi * phi
@@ -458,23 +440,33 @@ def _checked(basis: EigenBasis, tol: float) -> EigenBasis:
     k = int(np.argmax(gaps))
     if gaps[k] > QUADRATURE_GAP_TOL:
         raise UnresolvedBasis(
-            f"mode n={int(basis.ns[k])} is not resolved on a grid of {grid.n} "
+            f"mode n={k + 1} is not resolved on a grid of {grid.n} "
             f"intervals: its Simpson and trapezoid norms^2 differ by "
             f"{gaps[k]:.3g} relative, above {QUADRATURE_GAP_TOL:g}")
-    return replace(basis, gram_max_offdiag=defect)
+    return EigenBasis(root, phi, dphi, eta, log_r, tilde_norms, froot,
+                      nu_like, grid, defect)
 
 
 def build_bases(potentials, n_max: int, grid: Grid,
                 tol: float = DEFAULT_TOL) -> list[EigenBasis]:
-    """build_basis for each potential, with one sampled pass for all of
-    them (see _propagate): the lambdas are build_basis's bit for bit, the
-    eigenfunctions come from a pass at tol / len(potentials).  A VwwError
-    of one potential's Newton solve or checks carries its index as
-    ``member``; one of the joint pass (StepFailure) carries none."""
+    """build_basis for each potential: Newton per potential, then one
+    sampled pass for all of them (see _propagate).  The lambdas are
+    build_basis's bit for bit, the eigenfunctions come from a pass at
+    tol / len(potentials).  A VwwError of one potential's Newton solve or
+    checks carries its index as ``member``; one of the joint pass
+    (StepFailure) carries none."""
     if n_max < 1:
-        raise BracketFailure(n_max, 0.0, 0.0, "n_max must be >= 1")
-    bases = _solve_modes(potentials, range(1, n_max + 1), grid, tol)
-    return per_member(lambda basis: _checked(basis, tol), bases)
+        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    ns = np.arange(1.0, n_max + 1)
+    # the residual target sets no tighter than the sampled pass's tolerance
+    ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
+    roots = per_member(lambda nu_like: _roots(nu_like, ns, grid, ftol),
+                       potentials)
+    eta, log_r = _propagate(potentials, np.array([r[0] for r in roots]),
+                            tol, grid.nodes)
+    return per_member(
+        lambda nu_like, r, *path: _eigenbasis(nu_like, grid, tol, *r, *path),
+        potentials, roots, eta, log_r)
 
 
 def build_basis(nu_like, n_max: int, grid: Grid,
@@ -492,7 +484,7 @@ def basis_csv_rows(basis: EigenBasis) -> list[tuple]:
     grid = basis.grid
     psi = basis.phi_tilde
     psi -= np.sin(np.sqrt(basis.lambdas)[:, None] * grid.nodes)
-    return list(zip(basis.ns.tolist(), basis.lambdas.tolist(),
+    return list(zip(range(1, len(basis) + 1), basis.lambdas.tolist(),
                     basis.theta_residuals.tolist(), basis.tilde_norms.tolist(),
                     [grid.norm_l2(v) for v in psi]))
 

@@ -30,10 +30,6 @@ class SpectralCoeffs:
             raise GridMismatch(f"expected {len(self.basis)} coefficients, "
                                f"got {self.coeffs.shape}")
 
-    @property
-    def n_max(self) -> int:
-        return len(self.basis)
-
 
 def analyze(f: GridFunction, basis: EigenBasis) -> SpectralCoeffs:
     """c_n = <f, phi_n> by the grid's Simpson rule."""

@@ -167,7 +167,7 @@ def asymptotic_residuals(basis: EigenBasis) -> AsymptoticReport:
     psi = basis.phi_tilde
     psi -= np.sin(np.sqrt(lam)[:, None] * grid.nodes)
     psi_norms = np.array([grid.norm_l2(v) for v in psi])
-    ns = basis.ns.astype(float)
+    ns = np.arange(1.0, len(basis) + 1)
     return AsymptoticReport(
         ns=ns,
         psi_norms=psi_norms,
@@ -241,7 +241,7 @@ def rk45_path(nu_like, lam: float, grid: Grid,
               tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(theta, log r) at the grid's nodes for one trial lambda, from the
     adaptive Runge-Kutta pass that samples every eigenbasis."""
-    _, sampled = _propagate([nu_like], np.array([[lam]]), tol, grid.nodes)
+    sampled = _propagate([nu_like], np.array([[lam]]), tol, grid.nodes)
     eta, log_r = sampled[:, 0, 0]
     return math.sqrt(lam) * grid.nodes + eta, log_r
 
@@ -268,7 +268,7 @@ def basis_from_cache(cache: dict) -> EigenBasis:
     """The EigenBasis of a cache written with its eigenfunctions."""
     nu = potential_from_descriptor(cache["nu"]) if cache.get("nu") else None
     return EigenBasis(
-        ns=np.arange(1, len(cache["lambdas"]) + 1), lambdas=cache["lambdas"],
+        lambdas=cache["lambdas"],
         phi_matrix=cache["phi"], phi_prime_matrix=cache["phi_prime"],
         eta=cache["eta"], log_r=cache["log_r"],
         tilde_norms=cache["tilde_norms"],

@@ -567,26 +567,34 @@ class TestFileMode:
 class TestNumericalFailure:
     """Finite but extreme potentials end in a named failure, exit 3."""
 
-    @pytest.mark.parametrize("nu, error", [
+    @pytest.mark.parametrize("nu, grid_n, error", [
         ({"smooth": {"kind": "const", "params": [1e308]},
-          "jumps": [[0.5, 1e308]]},
+          "jumps": [[0.5, 1e308]]}, 64,
          r"BracketFailure: trial lambda \S+ for mode n=1 is not finite"),
-        ({"smooth": {"kind": "linear", "params": [1e100]}},
+        ({"smooth": {"kind": "linear", "params": [1e100]}}, 64,
          r"MeshTooLarge: a Magnus mesh of \S+ cells exceeds the ceiling"),
-        ({"smooth": {"kind": "const", "params": [1e200]}},
+        ({"smooth": {"kind": "const", "params": [1e200]}}, 64,
          r"NonFiniteResult: a Magnus mesh term is not finite for max \|nu\| "
          r"= 1e\+200"),
-        # cosh of a hyperbolic cell overflows: named before numpy warns,
-        # not as the NaN phase residual it made
-        ({"smooth": {"kind": "sine", "params": [-1e6, 3]}},
+        # the growth of a hyperbolic cell, or of a block of cells each
+        # below that limit, overflows: named before numpy warns, not as
+        # the NaN phase residual it made
+        ({"smooth": {"kind": "sine", "params": [-1e6, 3]}}, 64,
          r"NonFiniteResult: nu varies too fast for a Magnus cell of width "
          r"h = 0\.0156: its growth exp\(omega\), omega = 1\.01e\+06, "
          r"overflows a float"),
+        ({"smooth": {"kind": "sine", "params": [1e80, 1]}}, 8,
+         r"NonFiniteResult: nu varies too fast for a Magnus cell of width "
+         r"h = 0\.0312: its growth exp\(omega\), omega = inf, overflows"),
+        ({"smooth": {"kind": "sine", "params": [-1e4, 3]}}, 64,
+         r"NonFiniteResult: nu varies too fast for a block of 8 Magnus "
+         r"cells of width h = 0\.0156: their growth overflows a float"),
     ], ids=["overflowing_newton_start", "mesh_above_ceiling",
-            "overflowing_nu_square", "overflowing_hyperbolic_cell"])
-    def test_eigs_exits_3(self, tmp_path, capsys, nu, error):
+            "overflowing_nu_square", "overflowing_hyperbolic_cell",
+            "infinite_cell_omega", "overflowing_block"])
+    def test_eigs_exits_3(self, tmp_path, capsys, nu, grid_n, error):
         cfg = write_config(tmp_path, "c.json",
-                           {"nu": nu, "grid_n": 64, "n_max": 2})
+                           {"nu": nu, "grid_n": grid_n, "n_max": 2})
         out = tmp_path / "o"
         assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 3
         (line,) = capsys.readouterr().err.splitlines()

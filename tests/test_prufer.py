@@ -11,13 +11,14 @@ from scipy.optimize import brentq
 import vww.prufer
 from conftest import catalog_potentials
 from oracles import asymptotic_residuals, basis_from_cache, rk45_path
-from vww.errors import (BracketFailure, GridMismatch, NonFiniteResult,
-                        NonPositiveSpectrum, StepFailure, UnresolvedBasis)
+from vww.errors import (BracketFailure, ConfigError, GridMismatch,
+                        NonFiniteResult, NonPositiveSpectrum, StepFailure,
+                        UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
-from vww.prufer import (GRAM_DEFECT_TOL, _magnus_mesh, _magnus_phase,
-                        _newton_roots, _phase_map, _roots, basis_to_cache,
-                        build_bases, build_basis)
+from vww.prufer import (GRAM_DEFECT_TOL, EigenBasis, _magnus_mesh,
+                        _magnus_phase, _newton_roots, _phase_map, _roots,
+                        basis_to_cache, build_bases, build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -151,7 +152,7 @@ class TestShootEigenvalue:
 
     def test_free_mode_three(self, grid512):
         basis = build_basis(FREE, 3, grid512)
-        assert list(basis.ns) == [1, 2, 3]
+        assert len(basis) == 3
         assert basis.lambdas[2] == pytest.approx(9.0 * math.pi**2, rel=1e-8)
 
     def test_constant_nu_leaves_operator_free(self, grid512):
@@ -240,7 +241,7 @@ class TestBuildBasis:
 
     def test_oscillation_count(self, step_basis_40):
         basis = step_basis_40
-        for n, phi in zip(basis.ns[:12], basis.phi_matrix[:12]):
+        for n, phi in enumerate(basis.phi_matrix[:12], start=1):
             v = phi[1:-1]
             s = np.sign(v[np.abs(v) > 1e-12])
             changes = int(np.sum(s[:-1] != s[1:]))
@@ -357,7 +358,7 @@ class TestBuildBases:
         q = MollifiedNu(STEP, MollifierSpec("bump", 0.125))
         (one,), solo = (build_bases([q], 12, Grid(1024), tol=1e-8),
                         build_basis(q, 12, Grid(1024), tol=1e-8))
-        for name in ("ns", "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
+        for name in ("lambdas", "phi_matrix", "phi_prime_matrix", "eta",
                      "log_r", "tilde_norms", "theta_residuals"):
             assert np.array_equal(getattr(one, name), getattr(solo, name))
         assert one.gram_max_offdiag == solo.gram_max_offdiag
@@ -375,6 +376,36 @@ class TestBuildBases:
         with pytest.raises(StepFailure) as exc:
             build_bases([FREE, STEP], 2, Grid(64))
         assert exc.value.member is None
+
+    def test_each_basis_is_constructed_once(self, monkeypatch):
+        made = []
+        post_init = EigenBasis.__post_init__
+
+        def counted(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(EigenBasis, "__post_init__", counted)
+        bases = build_bases([FREE, STEP, NuPrimitive("linear", (2.0,))], 3,
+                            Grid(64))
+        assert len(made) == 3 and all(m is b for m, b in zip(made, bases))
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_below_one_is_a_config_error(self, n_max):
+        with pytest.raises(ConfigError, match=f">= 1, got {n_max}"):
+            build_bases([FREE], n_max, Grid(64))
+
+    def test_non_increasing_lambdas_refused(self, monkeypatch):
+        def swapped(*args):
+            lams, *rest = _roots(*args)
+            return (lams[[0, 2, 1]], *rest)
+
+        monkeypatch.setattr(vww.prufer, "_roots", swapped)
+        with pytest.raises(BracketFailure, match="increasing") as exc:
+            build_bases([FREE, STEP], 3, Grid(64))
+        assert exc.value.n == 3 and exc.value.member == 0
+        assert exc.value.bracket == pytest.approx((9 * math.pi**2,
+                                                   4 * math.pi**2))
 
 
 class TestRootPasses:
@@ -529,7 +560,7 @@ class TestCache:
         basis = build_basis(STEP, 4, Grid(256))
         again = basis_from_cache(json.loads(json.dumps(
             basis_to_cache(basis, include_eigenfunctions=True))))
-        for name in ("ns", "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
+        for name in ("lambdas", "phi_matrix", "phi_prime_matrix", "eta",
                      "log_r", "tilde_norms", "theta_residuals"):
             want, got = getattr(basis, name), getattr(again, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name

@@ -34,9 +34,9 @@ RECORDS = {
     "ForcingTable": (_forcing, ("times", "table")),
     "WaveSolution": (lambda b: solve_homogeneous(_problem(b), [0.0, 0.5]),
                      ("times", "modal", "modal_dt", "values", "dt_values")),
-    "EigenBasis": (lambda b: b, ("ns", "lambdas", "phi_matrix",
-                                 "phi_prime_matrix", "eta", "log_r",
-                                 "tilde_norms", "theta_residuals")),
+    "EigenBasis": (lambda b: b, ("lambdas", "phi_matrix", "phi_prime_matrix",
+                                 "eta", "log_r", "tilde_norms",
+                                 "theta_residuals")),
 }
 
 
