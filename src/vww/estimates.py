@@ -185,18 +185,25 @@ def _lhs_series(family: str, sol: WaveSolution, nu, k: float) -> np.ndarray:
 
 
 def verify(estimate_id: str, problem: WaveProblem, solution: WaveSolution,
-           k: float = 0.0, inputs: dict | None = None) -> EstimateReport:
+           k: float = 0.0, inputs: dict | None = None,
+           lhs: dict | None = None) -> EstimateReport:
     """Evaluate one inequality on a computed solution.
 
     ``k`` applies to est5 only.  ``inputs`` is an optional descriptor
-    echoed into the report, whose ``problem_hash`` digests it.
+    echoed into the report, whose ``problem_hash`` digests it.  ``lhs``,
+    a dict shared by the calls on one problem and solution, keeps each
+    left-side series, so that a family's series is formed once.
     """
     try:
         family, groups = ESTIMATES[estimate_id]
     except KeyError:
         raise ConfigError(f"unknown estimate id {estimate_id!r}") from None
     rhs = _right_side(groups, _Norms(problem, k))
-    series = _lhs_series(family, solution, problem.basis.nu, k)
+    lhs = {} if lhs is None else lhs
+    key = (family, k)
+    if key not in lhs:
+        lhs[key] = _lhs_series(family, solution, problem.basis.nu, k)
+    series = lhs[key]
     j = int(np.argmax(series))
     lhs_max = float(series[j])
     if rhs <= 0.0:

@@ -3,11 +3,17 @@
 The stepper is shape-agnostic: the state may be any ndarray, so a batch
 of independent trajectories sharing the same independent variable (e.g.
 phase equations at many trial eigenvalues) integrates in lockstep with a
-single scaled error norm across the batch.  Sample points do not shorten
-the steps: the state at a sample inside an accepted step comes from the
-pair's free 4th-order continuous extension (Shampine 1986), which reuses
-the step's seven stages, so samples are as accurate as the tolerance
-asks; a sample at a step's end, x1 included, takes that step's state.
+single scaled error norm across the batch.
+Sample points do not shorten the steps: the state at a sample inside an
+accepted step comes from the pair's free 4th-order continuous extension
+(Shampine 1986), which reuses the step's seven stages, so samples are as
+accurate as the tolerance asks; a sample at a step's end, x1 included,
+takes that step's state.
+
+A step works in one preallocated buffer of rows (y, k_1, ..., k_7): each
+stage's state, the error estimate and the dense-output polynomial is one
+product of a scaled block of tableau rows with it, so a step makes under
+thirty numpy calls besides its six calls of rhs.
 
 Callers integrate piecewise-smooth right-hand sides panel by panel; this
 module assumes rhs is smooth on [x0, x1].
@@ -16,28 +22,27 @@ module assumes rhs is smooth on [x0, x1].
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from .errors import StepFailure
 
-# Dormand-Prince 5(4) tableau, 5th-order propagation, FSAL: _B is A's last row
-# less b_7 = 0 (stage 7 is unset on the first step).  Rows are arrays, each
-# applied to the stacked stages as one product.
+# Dormand-Prince 5(4) tableau, 5th-order propagation: _A holds the rows of
+# stages 2..7, the last being b (FSAL, b_7 = 0); _E the error weights
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = tuple(map(np.array, (
-    (),
+_A = (
     (1.0 / 5.0,),
     (3.0 / 40.0, 9.0 / 40.0),
     (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
     (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
      -5103.0 / 18656.0),
-)))
-_B = np.array((35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
-               -2187.0 / 6784.0, 11.0 / 84.0))
-_E = np.array((71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0))
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+     11.0 / 84.0),
+)
+_E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+      -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 # Dormand-Prince continuous extension of order 4 (Shampine, Math. Comp. 46,
 # 1986; scipy's RK45.P): y(x + t h) = y + h (K^T _P) (t, t^2, t^3, t^4) over
@@ -58,6 +63,18 @@ _P = np.array((
      69997945.0 / 29380423.0),
 ))
 
+# A step as products with the rows (y, k_1, ..., k_7) of one buffer.  Scaled
+# by h, with 1 in column 0, row i < 6 of _W gives the state of stage i + 2
+# (row 5: y_new), and rows 6..10 give y and h K^T _P, the coefficients of
+# the dense-output polynomial.  Row 11, scaled by h / tol, gives the error
+# estimate over tol
+_W = np.zeros((12, 8))
+for _i, _row in enumerate(_A):
+    _W[_i, 1:2 + _i] = _row
+_W[7:11, 1:] = _P.T
+_W[11, 1:] = _E
+_POW = np.arange(5.0)
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -65,10 +82,6 @@ _MAX_FACTOR = 5.0
 
 def _rms(v: np.ndarray) -> float:
     return math.sqrt(float(np.vdot(v, v)) / v.size)
-
-
-def _error_norm(err, y0, y1, tol):
-    return _rms(err / (tol + tol * np.maximum(np.abs(y0), np.abs(y1))))
 
 
 def _initial_step(rhs, x0, y0, f0, span, tol):
@@ -114,50 +127,71 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     span = x1 - x0
     if span <= 0.0:
         raise StepFailure(f"empty span [{x0}, {x1}]")
-    y = np.asarray(y0, dtype=float).copy()
-    k = np.empty((7,) + y.shape)  # the seven stages, stacked
-    kf = k.reshape(7, -1)  # (7, n) view for the tableau products
-    f0 = rhs(x0, y)
-    h = first_step if first_step else _initial_step(rhs, x0, y, f0, span, tol)
-    h = min(h, span)
+    shape = np.shape(y0)
+    size = math.prod(shape)
+    buf = np.empty((8, size))  # rows y, k_1, ..., k_7
+    buf[0] = np.ravel(y0)
+    k = [row.reshape(shape) for row in buf]  # row views for rhs
+    stage, y_new, err, abs_y, abs_new = np.empty((5, size))
+    stage_y, new_y = stage.reshape(shape), y_new.reshape(shape)
+    np.abs(buf[0], out=abs_y)
+    w_tol = _W.copy()
+    w_tol[11] /= tol
+    w = np.empty_like(w_tol)
+    rows = [w[i, :i + 2] for i in range(6)]
+    heads = [buf[:i + 2] for i in range(6)]
+    f0 = rhs(x0, k[0])
+    h = min(first_step or _initial_step(rhs, x0, k[0], f0, span, tol), span)
+    k[1][...] = f0
     sampled = None
     next_sample = 0
     if samples is not None:
         samples = np.asarray(samples, dtype=float)
-        sampled = np.empty((len(samples),) + y.shape)
+        at_nodes = samples.tolist()
+        sampled = np.empty((len(samples),) + shape)
         flat = sampled.reshape(len(samples), -1)
+        poly = np.empty((5, size))  # y, then h K^T _P
     x = x0
-    k[0] = f0
     n_steps = 0
     h_min = max(span, 1.0) * 1e-15
-    while x < x1 - 1e-15 * max(1.0, abs(x1)):
+    x_end = x1 - 1e-15 * max(1.0, abs(x1))
+    while x < x_end:
         if n_steps >= max_steps:
             raise StepFailure(f"exceeded {max_steps} steps at x={x:.6g}")
-        last = x + h >= x1 - 1e-15 * max(1.0, abs(x1))
+        last = x + h >= x_end
         if last:
             h = x1 - x
+        np.multiply(w_tol, h, out=w)
+        w[:7, 0] = 1.0
         for i in range(1, 6):
-            yi = y + h * (_A[i] @ kf[:i]).reshape(y.shape)
-            k[i] = rhs(x + _C[i] * h, yi)
-        y_new = y + h * (_B @ kf[:6]).reshape(y.shape)
-        k[6] = rhs(x + h, y_new)
-        err = h * (_E @ kf).reshape(y.shape)
-        enorm = _error_norm(err, y, y_new, tol)
+            np.dot(rows[i - 1], heads[i - 1], out=stage)
+            k[i + 1][...] = rhs(x + _C[i] * h, stage_y)
+        np.dot(rows[5], heads[5], out=y_new)
+        k[7][...] = rhs(x + h, new_y)
+        # RMS of err / (tol + tol max(|y|, |y_new|))
+        np.dot(w[11, 1:], buf[1:], out=err)
+        np.abs(y_new, out=abs_new)
+        scale = np.maximum(abs_y, abs_new, out=stage)
+        scale += 1.0
+        err /= scale
+        enorm = _rms(err)
         n_steps += 1
         if enorm <= 1.0:
             x_new = x1 if last else x + h
             if sampled is not None:
-                end = len(samples) if last else int(
-                    np.searchsorted(samples, x_new, side="right"))
+                end = len(at_nodes) if last else bisect_right(
+                    at_nodes, x_new, next_sample)
                 if end > next_sample:
-                    s = samples[next_sample:end]
-                    t = ((s - x) / h)[:, None] ** np.arange(1, 5)
-                    flat[next_sample:end] = y.reshape(-1) + t @ (h * (_P.T @ kf))
-                    flat[next_sample:end][s >= x_new] = y_new.reshape(-1)
+                    t = ((samples[next_sample:end] - x) / h)[:, None] ** _POW
+                    np.dot(w[6:11], buf, out=poly)
+                    np.dot(t, poly, out=flat[next_sample:end])
+                    at_end = bisect_left(at_nodes, x_new, next_sample, end)
+                    flat[at_end:end] = y_new
                     next_sample = end
             x = x_new
-            y = y_new
-            k[0] = k[6]  # FSAL
+            buf[0] = y_new
+            buf[1] = buf[7]  # FSAL
+            abs_y, abs_new = abs_new, abs_y
             factor = _MAX_FACTOR if enorm == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm ** -0.2))
             h = h * factor
@@ -167,4 +201,4 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
                 raise StepFailure(
                     f"step underflow at x={x:.6g} (h={h:.3g}, err={enorm:.3g})"
                 )
-    return y, sampled, n_steps, h
+    return k[0].copy(), sampled, n_steps, h

@@ -17,20 +17,22 @@ each panel, called with one float and computing in plain float
 arithmetic (over tables built once, for :class:`MollifiedNu`), since it
 runs at every Runge-Kutta stage; their interior edges
 ``breakpoints``; ``jumps``, the (location, height) Dirac atoms still
-present in q, empty when q is bounded and ``q_linf`` exists; and
-``descriptor``.  The base class states ``q_linf`` and the norms of nu,
-``norm_l2`` and ``norm_linf``, once for all three: per-panel rules read
-through ``nu_values``, ``breakpoints`` and ``jumps``.
+present in q, empty when q is bounded and ``q_linf`` exists;
+``has_density``, False when q is atoms alone, i.e. nu is constant on each
+panel; and ``descriptor``.  The base class states ``q_linf`` and the
+norms of nu, ``norm_l2`` and ``norm_linf``, once for all three: per-panel
+rules read through ``nu_values``, ``breakpoints`` and ``jumps``.
 
 The ``samples`` smooth kind is the only user of scipy in vww: its quintic
 spline (``scipy.interpolate.InterpolatedUnivariateSpline``) is imported
-when first built, so importing vww loads no scipy module.
+when first built, so importing vww loads no scipy module.  Its
+``ode_panels`` evaluate the spline's quintic pieces in plain floats.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -185,6 +187,17 @@ def _samples_spline(values: tuple):
     return InterpolatedUnivariateSpline(x, vals, k=5)
 
 
+@lru_cache(maxsize=64)
+def _samples_pieces(values: tuple):
+    """The samples spline as plain floats: its knots, the midpoint of each
+    knot interval and the Taylor coefficients of its quintic piece there."""
+    spl = _samples_spline(values)
+    knots = spl.get_knots()
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    coefs = np.array([spl(mids, nu=j) / math.factorial(j) for j in range(6)])
+    return knots.tolist(), mids.tolist(), [tuple(c) for c in coefs.T.tolist()]
+
+
 class Potential:
     """Base of the potential protocol (see the module docstring).
 
@@ -199,6 +212,7 @@ class Potential:
     jumps: tuple
     breakpoints: tuple
     mollified_atoms: tuple = ()
+    has_density: bool = True
 
     def q_linf(self) -> float:
         if self.jumps:
@@ -358,8 +372,17 @@ class NuPrimitive(Potential):
         if k == "sine":
             a, w, phase = self._sine()
             return lambda x: a * math.sin(w * x + phase) + shift
-        spl = _samples_spline(self.smooth_params)
-        return lambda x: float(spl(x)) + shift
+        knots, mids, coefs = _samples_pieces(self.smooth_params)
+        top = len(mids)
+
+        def samples_nu(x: float) -> float:
+            i = bisect_right(knots, x, 1, top) - 1
+            d = x - mids[i]
+            c0, c1, c2, c3, c4, c5 = coefs[i]
+            value = c0 + d * (c1 + d * (c2 + d * (c3 + d * (c4 + d * c5))))
+            return value + shift
+
+        return samples_nu
 
     # -- reporting ---------------------------------------------------------
 
@@ -630,6 +653,10 @@ class PerturbedNu(Potential):
     @property
     def breakpoints(self) -> tuple:
         return self.base.breakpoints
+
+    @property
+    def has_density(self) -> bool:
+        return self.base.has_density or self.w_nu.has_density
 
     def ode_panels(self):
         w_fn = self.w_nu._panel_callable(0.0)

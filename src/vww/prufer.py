@@ -81,18 +81,29 @@ _MAX_OMEGA = math.acosh(sys.float_info.max)
 
 
 def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
-    inv_s = 1.0 / sqrt_lam
+    """(eta, log r)' in the double-angle form of the docstring's equations:
+    eta' = nu sin 2theta + a (1 - cos 2theta), (log r)' = -(nu cos 2theta
+    + a sin 2theta), a = nu^2 / (2 sqrt(lambda)).  nu_fn(x) is a float, or
+    an array of one nu per lambda.  Each call returns a new array."""
+    half_inv_s = 0.5 / sqrt_lam
 
     def rhs(x: float, y: np.ndarray) -> np.ndarray:
-        w = nu_fn(x)
-        theta = sqrt_lam * x + y[0]
-        st = np.sin(theta)
-        ct = np.cos(theta)
-        s2 = 2.0 * st * ct
-        st2 = st * st
+        nu = nu_fn(x)
+        a = (nu * nu) * half_inv_s
+        two_theta = sqrt_lam * x
+        two_theta += y[0]
+        two_theta += two_theta
+        s2 = np.sin(two_theta)
+        c2 = np.cos(two_theta, out=two_theta)
         out = np.empty_like(y)
-        out[0] = w * (w * inv_s * st2 + s2)
-        out[1] = -w * (0.5 * w * inv_s * s2 + (1.0 - 2.0 * st2))
+        d_eta, d_log_r = out[0], out[1]
+        np.multiply(s2, nu, out=d_eta)
+        np.multiply(c2, -nu, out=d_log_r)
+        c2 -= 1.0
+        c2 *= a
+        d_eta -= c2
+        s2 *= a
+        d_log_r -= s2
         return out
 
     return rhs
@@ -327,14 +338,27 @@ LAMBDA_FLOOR = 1e-2
 
 def _phase_map(nu_like, grid: Grid):
     """lambdas -> (theta(1), d theta(1) / d lambda), one Magnus pass each,
-    on cells no wider than the grid's nor than 1/sqrt(max lambda)."""
+    on cells no wider than the grid's nor than 1/sqrt(max lambda).  A
+    Magnus cell is exact where nu is constant, so for a nu constant on
+    each panel only h (sqrt(max lambda) + max |nu|) <= 1 bounds the cells,
+    whatever the grid."""
     meshes = {}
 
+    def cells_per_unit(top: float) -> int:
+        if nu_like.has_density:
+            return max(1, math.ceil(top / grid.n)) * grid.n
+        nu_max = nu_like.norm_linf()
+        if not math.isfinite(nu_max * nu_max):
+            raise NonFiniteResult("a Magnus mesh term is not finite for "
+                                  f"max |nu| = {nu_max:.6g}")
+        # past _MAX_CELLS, the mesh that MeshTooLarge names
+        return math.ceil(min(top + nu_max, _MAX_CELLS + 1.0))
+
     def phase(lams: np.ndarray):
-        k = max(1, math.ceil(math.sqrt(float(np.max(lams))) / grid.n))
-        if k not in meshes:
-            meshes[k] = _magnus_mesh(nu_like, k * grid.n)
-        return _magnus_phase(meshes[k], lams)
+        c = cells_per_unit(math.sqrt(float(np.max(lams))))
+        if c not in meshes:
+            meshes[c] = _magnus_mesh(nu_like, c)
+        return _magnus_phase(meshes[c], lams)
 
     return phase
 

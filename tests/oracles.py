@@ -5,8 +5,9 @@ finite-difference solver with the restriction of grid functions to a
 coarser grid it is compared on, the solution at one stored time, the
 large-n eigenvalue and eigenfunction asymptotics of a basis, the mass
 of a mollifier profile, the constant sweep of an estimate over a battery
-of problems, random smooth data, the RK45 phase path at one trial
-lambda, and the reader of an eigenfunction cache.  Tests import it as
+of problems, random smooth data, the phase equations' right-hand side
+at one point, the RK45 phase path at one trial lambda, and the reader of
+an eigenfunction cache.  Tests import it as
 ``from oracles import ...``, as they import ``conftest``.
 """
 
@@ -235,6 +236,18 @@ def random_sine_data(grid, rng, n_modes: int = 8, decay: float = 2.0) -> GridFun
 
 
 # -- the RK45 phase path -----------------------------------------------------
+
+
+def phase_rhs(nu: float, lam: float, x: float, eta: float) -> tuple:
+    """(eta', (log r)') at one point, term by term as the prufer module's
+    docstring states them: theta = sqrt(lambda) x + eta and
+    eta' = theta' - sqrt(lambda)."""
+    s = math.sqrt(lam)
+    theta = s * x + eta
+    d_eta = nu * nu * math.sin(theta) ** 2 / s + nu * math.sin(2.0 * theta)
+    d_log_r = -(nu * nu * math.sin(2.0 * theta) / (2.0 * s)
+                + nu * math.cos(2.0 * theta))
+    return d_eta, d_log_r
 
 
 def rk45_path(nu_like, lam: float, grid: Grid,

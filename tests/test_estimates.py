@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import vww.estimates
 from vww.errors import ConfigError, MissingNorm
 from vww.grid import GridFunction
 from vww.spectral import analyze
@@ -143,6 +144,28 @@ class TestVerify:
                                times=tg[:: (nt - 1) // 8])
             rhs[nt] = verify("esnh4", prob, sol).rhs
         assert rhs[801] <= 1.05 * rhs[401]
+
+    def test_each_left_side_series_formed_once(self, const5_basis_40,
+                                               monkeypatch):
+        # 17 ids read the u_x family 4 times and u_xx 4 times: a shared
+        # lhs dict forms each once, with the same reports as without it
+        grid = const5_basis_40.grid
+        problem, sol = _solve(const5_basis_40, parabola(grid),
+                              sine_data(grid, [(1.0, 2)]))
+        plain = [verify(i, problem, sol).to_dict() for i in ALL_ESTIMATE_IDS]
+        calls = []
+        original = vww.estimates.x_derivative
+
+        def counted(sol, nu_like, order):
+            calls.append(order)
+            return original(sol, nu_like, order)
+
+        monkeypatch.setattr(vww.estimates, "x_derivative", counted)
+        lhs = {}
+        shared = [verify(i, problem, sol, lhs=lhs).to_dict()
+                  for i in ALL_ESTIMATE_IDS]
+        assert sorted(calls) == [1, 2]
+        assert shared == plain
 
     def test_unknown_id_rejected(self, free_basis_small):
         g = free_basis_small.grid

@@ -100,6 +100,27 @@ def test_sampled_pass_calls_rhs_with_python_floats():
     assert seen == {float}
 
 
+@pytest.mark.parametrize("rhs, y0, samples, steps, rhs_calls", [
+    (lambda x, y: -y, [1.0], None, 37, 224),
+    (lambda x, y: np.array([y[1], -49.0 * y[0]]), [1.0, 0.0],
+     np.linspace(0.0, 1.0, 1001)[1:], 296, 1778),
+], ids=["decay", "oscillator_sampled"])
+def test_step_and_rhs_counts_pinned(rhs, y0, samples, steps, rhs_calls):
+    # the arithmetic of a step may be reordered, but not the steps taken:
+    # these are the counts of the stepper that formed each stage as
+    # y + h (a_i . K); rejected steps count, and 6 rhs calls per step plus
+    # f0 and the initial step's probe
+    calls = []
+
+    def counted(x, y):
+        calls.append(x)
+        return rhs(x, y)
+
+    _, _, n_steps, _ = integrate_rk45(counted, 0.0, 1.0, np.array(y0),
+                                      samples=samples)
+    assert (n_steps, len(calls)) == (steps, rhs_calls)
+
+
 def test_max_steps_guard():
     rhs = lambda x, y: np.array([1.0 / (1.0 - x + 1e-16)])
     with pytest.raises(StepFailure):

@@ -363,6 +363,14 @@ class TestSamplesKind:
         assert np.max(err[inner]) <= 1e-7
         assert np.max(err) <= 2e-6
 
+    def test_ode_panels_match_spline(self):
+        # the panels' plain-float quintic pieces against the spline itself
+        x = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
+        want = self.NU.nu_values(x)
+        got = np.array([next(f for a, b, f in self.NU.ode_panels()
+                             if a <= v <= b)(float(v)) for v in x])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_basis_passes_gram_check(self):
         basis = build_basis(self.NU, 12, Grid(512), tol=1e-10)
         assert len(basis) == 12

@@ -10,15 +10,16 @@ from scipy.optimize import brentq
 
 import vww.prufer
 from conftest import catalog_potentials
-from oracles import asymptotic_residuals, basis_from_cache, rk45_path
+from oracles import (asymptotic_residuals, basis_from_cache, phase_rhs,
+                     rk45_path)
 from vww.errors import (BracketFailure, ConfigError, GridMismatch,
                         NonFiniteResult, NonPositiveSpectrum, StepFailure,
                         UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, EigenBasis, _magnus_mesh,
-                        _magnus_phase, _newton_roots, _phase_map, _roots,
-                        basis_to_cache, build_bases, build_basis)
+                        _magnus_phase, _make_rhs, _newton_roots, _phase_map,
+                        _roots, basis_to_cache, build_bases, build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -145,6 +146,40 @@ class TestIntegratePrufer:
         lam = 1.0 + 2.0 * STEP.norm_linf() ** 2 + 2.0
         theta, _ = rk45_path(STEP, lam, grid512)
         assert np.all(np.diff(theta) > 0.0)
+
+
+class TestPhaseRhs:
+    """The sampled pass's right-hand side against the docstring's terms."""
+
+    @pytest.mark.parametrize("rungs", [0, 1, 3])
+    def test_matches_docstring_formulas(self, rungs):
+        # rungs = 0: nu is a float; else one nu per rung, repeated for its
+        # modes, as the joint pass over an eps-ladder forms it
+        rng = np.random.default_rng(rungs)
+        modes = 7
+        lams = rng.uniform(1.0, 1e4, max(rungs, 1) * modes)
+        rhs_nu = [float(v) for v in rng.uniform(-3.0, 3.0, max(rungs, 1))]
+        nu_fn = (lambda x: rhs_nu[0]) if rungs == 0 else (
+            lambda x: np.repeat(rhs_nu, modes))
+        rhs = _make_rhs(nu_fn, np.sqrt(lams))
+        for x in rng.uniform(0.0, 1.0, 5):
+            y = np.stack([rng.uniform(-3.0, 3.0, lams.size),
+                          rng.normal(size=lams.size)])
+            got = rhs(float(x), y)
+            for j, lam in enumerate(lams):
+                want = phase_rhs(rhs_nu[j // modes], lam, x, y[0, j])
+                assert got[:, j] == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+    def test_successive_results_are_both_held(self):
+        # the stepper's initial step and a tracing wrapper keep f0 and f1
+        rhs = _make_rhs(lambda x: 0.7, np.sqrt([1.0, 50.0, 900.0]))
+        y = np.array([[0.1, -0.4, 2.0], [0.0, 0.3, -1.0]])
+        first = rhs(0.25, y)
+        kept = first.copy()
+        second = rhs(0.75, y + 1.0)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, y)
+        assert first.tobytes() == kept.tobytes()
 
 
 class TestShootEigenvalue:
@@ -435,13 +470,23 @@ class TestRootPasses:
 
     @pytest.mark.parametrize("lam", [1.0, 100.0, 1e4])
     def test_newton_derivative_free(self, lam):
-        _, dtheta = _phase_map(FREE, Grid(2048))(np.array([lam]))
+        # on 2,048 cells, the mesh of a nu with a smooth part on Grid(2048)
+        _, dtheta = _magnus_phase(_magnus_mesh(FREE, 2048), np.array([lam]))
         assert dtheta[0] == pytest.approx(0.5 / math.sqrt(lam), rel=1e-5)
+
+    @pytest.mark.parametrize("lam", [1.0, 100.0, 1e4])
+    def test_newton_derivative_on_turning_mesh(self, lam):
+        # a piecewise-constant nu's Newton mesh holds about sqrt(lambda)
+        # cells, whose trapezoid int y^2 is coarser: Newton still converges
+        _, dtheta = _phase_map(FREE, Grid(2048))(np.array([lam]))
+        assert dtheta[0] == pytest.approx(0.5 / math.sqrt(lam), rel=2e-3)
 
     @pytest.mark.parametrize("name", ["step", "sine"])
     @pytest.mark.parametrize("lam", [5.0, 500.0, 1e4])
     def test_newton_derivative_central_difference(self, name, lam):
-        phase = _phase_map(catalog_potentials()[name], Grid(2048))
+        nu = catalog_potentials()[name]
+        mesh = _magnus_mesh(nu, 2048)  # Grid(2048)'s, as for the sine
+        phase = lambda lams: _magnus_phase(mesh, lams)
         d = 1e-5 * lam
         theta, dtheta = phase(np.array([lam - d, lam, lam + d]))
         assert (theta[2] - theta[0]) / (2.0 * d) == pytest.approx(
@@ -486,6 +531,43 @@ class TestRootPasses:
         assert 1 <= len(magnus) <= 6
         assert magnus[0] == 40
 
+
+    def test_piecewise_constant_mesh_ignores_grid(self, monkeypatch):
+        # a Magnus cell is exact where nu is constant: Newton's meshes on a
+        # delta follow sqrt(max lambda) + max |nu| alone, so grids 256 and
+        # 2048 give the same meshes, of fewer cells than either grid
+        nu = NuPrimitive("const", (-0.5,), jumps=((0.5, 1.25),))
+        original = vww.prufer._magnus_mesh
+        meshes, lams = {}, {}
+        for n in (256, 2048):
+            cells = meshes[n] = []
+
+            def recorded(nu_like, cells_per_unit):
+                cells.append(cells_per_unit)
+                return original(nu_like, cells_per_unit)
+
+            monkeypatch.setattr(vww.prufer, "_magnus_mesh", recorded)
+            lams[n], _, _ = _roots(nu, np.arange(1.0, 21.0), Grid(n), 5e-11)
+        assert meshes[256] == meshes[2048]
+        assert meshes[256][0] >= math.sqrt(lams[256][-1]) + 0.75
+        assert max(meshes[256]) < 128
+        # only the first-order start, a grid quadrature, differs
+        assert np.max(np.abs(lams[256] / lams[2048] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("nu, constant", [
+        (STEP, True),
+        (NuPrimitive("const", (2.0,)), True),
+        (NuPrimitive("linear", (2.0,)), False),
+        (MollifiedNu(STEP, MollifierSpec("bump", 0.25)), False),
+        (PerturbedNu(STEP, NuPrimitive("const", (1.0,)), 0.5), True),
+        (PerturbedNu(STEP, NuPrimitive("sine", (1.0, 1.0)), 0.5), False),
+    ], ids=["step", "const", "linear", "mollified", "perturbed_const",
+            "perturbed_sine"])
+    def test_has_density_states_constancy(self, nu, constant):
+        assert nu.has_density is not constant
+        values = nu.nu_values(np.linspace(0.0, 1.0, 257))
+        assert constant == (np.count_nonzero(np.diff(values)) <= len(
+            nu.breakpoints))
 
     def test_newton_start_first_order_in_nu(self, monkeypatch):
         # the start (pi n)^2 - 2 pi n int nu sin(2 pi n x) lands mode 1 of
