@@ -13,30 +13,32 @@ system (y, w)' = B (y, w), w = (y' - nu y)/sqrt(lambda), with
 B = [[nu, s], [-(s + nu^2/s), -nu]], s = sqrt(lambda): a closed-form
 Magnus-4 step per cell (trace 0 and det lambda make exp(Omega) a cosine
 and a sine; exact for piecewise-constant nu), vectorized over all trial
-lambdas, on a fixed mesh refined inside the narrow panels of nu, and
-scanned in blocks of about sqrt(cells) cells, so that a pass costs about
-4 sqrt(cells) vectorized steps rather than one per cell; a cell or
-block whose growth overflows a float raises NonFiniteResult.  Newton
-steps take d theta(1)/d lambda from the Pruefer identity and stay inside
-a sign bracket.  At the roots one adaptive Runge-Kutta pass, split at
-every jump of nu and carried in the corrected phase eta = theta -
-sqrt(lambda) x (which removes the dominant linear drift from the error
-control), records (eta, log r) on the grid; the nodes are read off each
-step's continuous extension, valid because no step crosses a jump, and
-so are as accurate as the tolerance asks; one tol serves as its relative
-and absolute tolerance.  build_bases carries the roots of R potentials
-(the rungs of an eps-ladder) through one such pass, over the union of
-their panels at tol / R, so that each member is held to tol / sqrt(R)
-and R passes cost about the steps of one; Newton and the checks stay
-per potential.  Eigenfunctions are r sin(theta), normalized in
-L^2 by the grid's Simpson rule, and formed for all modes at once: an
-EigenBasis is read-only arrays with one row per mode n = 1..N, made
-once its rows pass the checks.  Lambdas that do not increase are a
-BracketFailure; samples not orthogonal to within GRAM_DEFECT_TOL, or a
-mode whose Simpson and trapezoid norms differ by over QUADRATURE_GAP_TOL
-(1/3 at two nodes per wavelength), are unresolved.  basis_csv_rows
-reports each mode's distance from the free asymptote,
-||phi_tilde_n - sin(sqrt(lambda_n) x)||.
+lambdas, and scanned in blocks of about sqrt(cells) cells, so that a pass
+costs about 4 sqrt(cells) vectorized steps rather than one per cell; a
+cell or block whose growth overflows a float raises NonFiniteResult.
+Newton steps take d theta(1)/d lambda from the Pruefer identity and stay
+inside a sign bracket, all on one mesh per solve, which sqrt(lambda) and
+max |nu| size, never the grid; for a nu with density a Richardson
+estimate of theta(1)'s error at the roots, from one pass at half the
+cells, accepts that mesh or refines it.  At the roots one adaptive
+Runge-Kutta pass, split at every jump of nu and carried in the corrected
+phase eta = theta - sqrt(lambda) x (which removes the dominant linear
+drift from the error control), records (eta, log r) on the grid; the
+nodes are read off each step's continuous extension, valid because no
+step crosses a jump, and so are as accurate as the tolerance asks; one
+tol serves as its relative and absolute tolerance.  build_bases carries
+the roots of R potentials (the rungs of an eps-ladder) through one such
+pass, over the union of their panels at tol / R, so that each member is
+held to tol / sqrt(R) and R passes cost about the steps of one; Newton
+and the checks stay per potential.  Eigenfunctions are r sin(theta),
+normalized in L^2 by the grid's Simpson rule, and formed for all modes
+at once: an EigenBasis is read-only arrays with one row per mode
+n = 1..N, made once its rows pass the checks.  Lambdas that do not
+increase are a BracketFailure; samples not orthogonal to within
+GRAM_DEFECT_TOL, or a mode whose Simpson and trapezoid norms differ by
+over QUADRATURE_GAP_TOL (1/3 at two nodes per wavelength), are
+unresolved.  basis_csv_rows reports each mode's distance from the free
+asymptote, ||phi_tilde_n - sin(sqrt(lambda_n) x)||.
 """
 
 from __future__ import annotations
@@ -61,13 +63,15 @@ NEWTON_PASSES = 40
 # Magnus cells x lambdas per chunk, which bounds the (cells, lambdas)
 # temporaries: 256 cells at 40 lambdas, a whole 2,048-cell mesh at one
 _CHUNK_ELEMENTS = 10240
-# most cells a Magnus mesh may hold.  Cells follow sqrt(lambda), so this
-# admits every grid up to 4M intervals and modes up to n ~ 1.3e6 on any
-# grid, while the mesh's seven per-cell arrays stay near 235 MB; a larger
-# mesh comes only from a trial lambda beyond any resolvable mode
+# most cells a Magnus mesh may hold.  Cells follow sqrt(lambda) + max |nu|
+# (twice that where nu has density), so this admits modes up to n ~ 1.3e6
+# (6.7e5) before any refinement, while the mesh's seven per-cell arrays
+# stay near 235 MB; a larger mesh comes from a trial lambda beyond any
+# resolvable mode, a max |nu| above about 2e6, or an error estimate that
+# no smaller mesh meets
 _MAX_CELLS = 2**22
-# fewest Magnus cells per smooth panel of nu: resolves the fast panels of
-# a MollifiedNu at small eps, which span only a few grid intervals
+# fewest Magnus cells per smooth panel of nu: resolves the narrow panels
+# of a MollifiedNu at small eps, across which nu changes by a whole atom
 _MIN_PANEL_CELLS = 32
 # largest off-diagonal Gram entry accepted from build_basis; resolved bases
 # sit orders of magnitude below it, aliased ones near 0.3
@@ -161,19 +165,10 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
     return out.reshape((2,) + lams.shape + (len(sample_nodes),))
 
 
-def _magnus_mesh(nu_like, cells_per_unit: float):
-    """Per-cell terms of the Magnus-4 exponent, each of shape (cells, 1).
-
-    Each smooth panel of nu is cut into equal cells, at least
-    _MIN_PANEL_CELLS and none wider than 1 / cells_per_unit.  With nu_1,
-    nu_2 at the two Gauss points of a cell of width h and s = sqrt(lambda),
-    Omega = h/2 (B_1 + B_2) + sqrt(3)/12 h^2 [B_2, B_1] for
-    B = [[nu, s], [-(s + nu^2/s), -nu]] is [[a, s p], [-(s m + u/s), -a]]
-    with p, m = h +- k, k = sqrt(3)/6 h^2 (nu_2 - nu_1); its determinant,
-    p m (lambda + (nu_2 - nu_1)^2 / 4), is negative only where |k| > h.
-    A mesh of over _MAX_CELLS cells raises MeshTooLarge before any is made;
-    a nu whose square overflows raises NonFiniteResult before any pass.
-    """
+def _mesh_panels(nu_like, cells_per_unit: float) -> list:
+    """(a, b, cells) for each smooth panel of nu: equal cells, at least
+    _MIN_PANEL_CELLS and none wider than 1 / cells_per_unit.  A mesh of over
+    _MAX_CELLS cells raises MeshTooLarge before any is made."""
     edges = [0.0, *nu_like.breakpoints, 1.0]
     panels = [(a, b, max(_MIN_PANEL_CELLS, math.ceil((b - a) * cells_per_unit
                                                      - 1e-9)))
@@ -182,6 +177,24 @@ def _magnus_mesh(nu_like, cells_per_unit: float):
     if total > _MAX_CELLS:
         raise MeshTooLarge(f"a Magnus mesh of {total:.3g} cells exceeds the "
                            f"ceiling of {_MAX_CELLS} cells")
+    return panels
+
+
+def _magnus_mesh(nu_like, cells_per_unit: float):
+    """The Magnus mesh of _mesh_panels(nu_like, cells_per_unit)."""
+    return _panel_mesh(nu_like, _mesh_panels(nu_like, cells_per_unit))
+
+
+def _panel_mesh(nu_like, panels):
+    """Per-cell terms of the Magnus-4 exponent, each of shape (cells, 1).
+
+    With nu_1, nu_2 at the two Gauss points of a cell of width h and s =
+    sqrt(lambda), Omega = h/2 (B_1 + B_2) + sqrt(3)/12 h^2 [B_2, B_1] for
+    B = [[nu, s], [-(s + nu^2/s), -nu]] is [[a, s p], [-(s m + u/s), -a]]
+    with p, m = h +- k, k = sqrt(3)/6 h^2 (nu_2 - nu_1); its determinant,
+    p m (lambda + (nu_2 - nu_1)^2 / 4), is negative only where |k| > h.
+    A nu whose square overflows raises NonFiniteResult before any pass.
+    """
     cuts = [np.linspace(a, b, 1 + n) for a, b, n in panels]
     h = np.concatenate([np.diff(c) for c in cuts])
     mid = np.concatenate([c[:-1] for c in cuts]) + 0.5 * h
@@ -304,6 +317,9 @@ class EigenBasis:
     grid: Grid
     # largest off-diagonal Gram entry, measured by build_basis
     gram_max_offdiag: float = math.nan
+    # largest estimated error of theta(1, lambda_n) on Newton's mesh, by
+    # build_basis; 0 for a nu without density, where Magnus-4 is exact
+    theta_error_estimate: float = math.nan
 
     def __post_init__(self):
         freeze_arrays(self, "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
@@ -336,31 +352,55 @@ class EigenBasis:
 LAMBDA_FLOOR = 1e-2
 
 
-def _phase_map(nu_like, grid: Grid):
+class _Refined(Exception):
+    """Newton's mesh was refined under a trial lambda; Newton restarts."""
+
+
+class _PhaseMap:
     """lambdas -> (theta(1), d theta(1) / d lambda), one Magnus pass each,
-    on cells no wider than the grid's nor than 1/sqrt(max lambda).  A
-    Magnus cell is exact where nu is constant, so for a nu constant on
-    each panel only h (sqrt(max lambda) + max |nu|) <= 1 bounds the cells,
-    whatever the grid."""
-    meshes = {}
+    on the one mesh of a Newton solve, which the grid does not size.
 
-    def cells_per_unit(top: float) -> int:
-        if nu_like.has_density:
-            return max(1, math.ceil(top / grid.n)) * grid.n
-        nu_max = nu_like.norm_linf()
-        if not math.isfinite(nu_max * nu_max):
-            raise NonFiniteResult("a Magnus mesh term is not finite for "
-                                  f"max |nu| = {nu_max:.6g}")
-        # past _MAX_CELLS, the mesh that MeshTooLarge names
-        return math.ceil(min(top + nu_max, _MAX_CELLS + 1.0))
+    The first call's lambdas set the mesh by the turning rule,
+    sqrt(max lambda) + max |nu| cells per unit, at which a cell turns by
+    about 1 rad: exact for a nu constant on each panel.  A nu with density
+    gets the power of two at or above twice that, at least 64, which
+    error_estimate then checks.  A later lambda that would turn a cell by
+    pi or more (omega^2 = p m (lambda + d2) >= pi^2), which the per-cell
+    atan2 cannot count, refines the mesh and raises _Refined.
+    """
 
-    def phase(lams: np.ndarray):
-        c = cells_per_unit(math.sqrt(float(np.max(lams))))
-        if c not in meshes:
-            meshes[c] = _magnus_mesh(nu_like, c)
-        return _magnus_phase(meshes[c], lams)
+    def __init__(self, nu_like):
+        self.nu_like, self.cells, self.mesh = nu_like, 0, None
 
-    return phase
+    def remesh(self, cells: int):
+        self.cells, self.mesh = cells, _magnus_mesh(self.nu_like, cells)
+
+    def __call__(self, lams: np.ndarray):
+        top = float(np.max(lams))
+        if self.mesh is None or np.max(
+                self.mesh[5] * (top + self.mesh[6])) >= math.pi**2:
+            nu_max = self.nu_like.norm_linf()
+            if not math.isfinite(nu_max * nu_max):
+                raise NonFiniteResult("a Magnus mesh term is not finite for "
+                                      f"max |nu| = {nu_max:.6g}")
+            # past _MAX_CELLS, the mesh that MeshTooLarge names
+            c = min(math.sqrt(top) + nu_max, _MAX_CELLS + 1.0)
+            c = (max(64, 2 ** math.ceil(math.log2(2.0 * c)))
+                 if self.nu_like.has_density else math.ceil(c))
+            refined = self.mesh is not None
+            self.remesh(max(2 * self.cells, c))
+            if refined:
+                raise _Refined
+        return _magnus_phase(self.mesh, lams)
+
+    def error_estimate(self, lams: np.ndarray, theta: np.ndarray) -> float:
+        """max |theta - theta_{c/2}| / 15 over lams, with theta = theta(1)
+        on this mesh and theta_{c/2} on its panels at half the cells: the
+        Richardson estimate of this mesh's error for a fourth-order step."""
+        panels = [(a, b, n // 2)
+                  for a, b, n in _mesh_panels(self.nu_like, self.cells)]
+        coarse, _ = _magnus_phase(_panel_mesh(self.nu_like, panels), lams)
+        return float(np.max(np.abs(theta - coarse))) / 15.0
 
 
 def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
@@ -408,7 +448,13 @@ def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
 
 
 def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
-    """(lambda_n, theta(1, lambda_n) - pi n, nu at the nodes) by Newton."""
+    """(lambda_n, theta(1, lambda_n) - pi n, theta(1)'s error estimate, nu
+    at the nodes) by Newton on one _PhaseMap mesh.  For a nu with density,
+    an estimate above max(THETA_RESIDUAL_TOL, ftol) multiplies the cells
+    by 2^ceil(log2((estimate / bound)^(1/4))), the fourth-order step's
+    factor to meet it, and Newton goes on from the roots; past _MAX_CELLS
+    MeshTooLarge names the estimate.  Magnus-4 is exact for a nu without
+    density, whose estimate is 0."""
     # start at first order in nu, (pi n)^2 + int q 2 sin^2(pi n x) = (pi n)^2
     # - 2 pi n int nu sin(2 pi n x); per mode, as a (modes, nodes) table adds
     # RSS.  A nu that overflows here makes a start that _newton_roots names
@@ -416,14 +462,30 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
         # nu enters phi' with its left limit at jump locations
         nu_nodes = nu_like.nu_values(grid.nodes)
         wnu = grid.simpson_weights * nu_nodes
-        start = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * np.array(
+        lam = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * np.array(
             [wnu @ np.sin(2.0 * math.pi * n * grid.nodes) for n in ns])
-    return (*_newton_roots(_phase_map(nu_like, grid), ns, start, ftol),
-            nu_nodes)
+    phase = _PhaseMap(nu_like)
+    bound = max(THETA_RESIDUAL_TOL, ftol)
+    while True:
+        try:
+            root, res = _newton_roots(phase, ns, lam, ftol)
+        except _Refined:
+            continue
+        est = (phase.error_estimate(root, res + math.pi * ns)
+               if nu_like.has_density else 0.0)
+        if est <= bound:
+            return root, res, est, nu_nodes
+        lam = root
+        try:
+            phase.remesh(phase.cells * 2 ** math.ceil(
+                math.log2((est / bound) ** 0.25)))
+        except MeshTooLarge as err:
+            raise MeshTooLarge(f"theta(1) error estimate {est:.3g} is above "
+                               f"{bound:.3g}, and {err}") from None
 
 
-def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, nu_nodes,
-                eta, log_r) -> EigenBasis:
+def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
+                nu_nodes, eta, log_r) -> EigenBasis:
     """The basis of the roots from their sampled (eta, log r) rows, once
     its lambdas increase, its samples are orthogonal to GRAM_DEFECT_TOL
     and each mode's Simpson and trapezoid norms agree to QUADRATURE_GAP_TOL."""
@@ -468,7 +530,7 @@ def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, nu_nodes,
             f"intervals: its Simpson and trapezoid norms^2 differ by "
             f"{gaps[k]:.3g} relative, above {QUADRATURE_GAP_TOL:g}")
     return EigenBasis(root, phi, dphi, eta, log_r, tilde_norms, froot,
-                      nu_like, grid, defect)
+                      nu_like, grid, defect, est)
 
 
 def build_bases(potentials, n_max: int, grid: Grid,
@@ -522,6 +584,7 @@ def basis_to_cache(basis: EigenBasis, include_eigenfunctions: bool = False) -> d
         "theta_residuals": basis.theta_residuals.tolist(),
         "tilde_norms": basis.tilde_norms.tolist(),
         "gram_max_offdiag": basis.gram_max_offdiag,
+        "theta_error_estimate": basis.theta_error_estimate,
         "includes_eigenfunctions": bool(include_eigenfunctions),
     }
     if include_eigenfunctions:

@@ -6,9 +6,9 @@ coarser grid it is compared on, the solution at one stored time, the
 large-n eigenvalue and eigenfunction asymptotics of a basis, the mass
 of a mollifier profile, the constant sweep of an estimate over a battery
 of problems, random smooth data, the phase equations' right-hand side
-at one point, the RK45 phase path at one trial lambda, and the reader of
-an eigenfunction cache.  Tests import it as
-``from oracles import ...``, as they import ``conftest``.
+at one point, the RK45 phase path at one trial lambda, theta(1) from
+scipy's DOP853, and the reader of an eigenfunction cache.  Tests import
+it as ``from oracles import ...``, as they import ``conftest``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from vww.errors import ConfigError, GridMismatch
 from vww.estimates import verify
@@ -259,6 +260,24 @@ def rk45_path(nu_like, lam: float, grid: Grid,
     return math.sqrt(lam) * grid.nodes + eta, log_r
 
 
+def dop853_theta(nu_like, lam: float) -> float:
+    """theta(1, lambda) from scipy's DOP853 (rtol = atol = 1e-12) on the
+    phase equation theta' = sqrt(lambda) + nu^2 sin^2(theta) / sqrt(lambda)
+    + nu sin(2 theta), panel by panel over nu's ode_panels: neither the
+    Magnus map nor the package's RK45 stepper."""
+    s = math.sqrt(lam)
+    theta = 0.0
+    for a, b, nu_fn in nu_like.ode_panels():
+        def rhs(x, th, nu_fn=nu_fn):
+            v = nu_fn(x)
+            return [s + v * v * math.sin(th[0]) ** 2 / s
+                    + v * math.sin(2.0 * th[0])]
+
+        theta = solve_ivp(rhs, (a, b), [theta], method="DOP853", rtol=1e-12,
+                          atol=1e-12).y[0, -1]
+    return float(theta)
+
+
 # -- the eigenfunction cache -------------------------------------------------
 
 
@@ -287,4 +306,5 @@ def basis_from_cache(cache: dict) -> EigenBasis:
         tilde_norms=cache["tilde_norms"],
         theta_residuals=cache["theta_residuals"], nu=nu,
         grid=Grid(int(cache["grid_n"])),
-        gram_max_offdiag=float(cache["gram_max_offdiag"]))
+        gram_max_offdiag=float(cache["gram_max_offdiag"]),
+        theta_error_estimate=float(cache["theta_error_estimate"]))

@@ -51,6 +51,21 @@ class TestEigs:
         assert np.max(np.abs(np.array(lams) / np.array(want) - 1.0)) <= 1e-8
         cache = json.loads((out / "basis_cache.json").read_text())
         assert cache["grid_n"] == 512 and len(cache["lambdas"]) == 5
+        assert cache["theta_error_estimate"] == 0.0  # Magnus-4 is exact
+
+    def test_fast_nu_lambda_and_estimate_cached(self, tmp_path):
+        # 50 periods of nu on 64 intervals: lambda_1 read 9.369808 when
+        # Newton ran on the grid's mesh; DOP853 on the phase equation
+        # gives 9.3694065
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": {"smooth": {"kind": "sine", "params": [1.0, 50.0]}},
+            "grid_n": 64, "n_max": 2})
+        out = tmp_path / "out"
+        assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 0
+        row = (out / "eigenvalues.csv").read_text().splitlines()[1]
+        assert abs(float(row.split(",")[1]) - 9.3694065) <= 1e-6
+        cache = json.loads((out / "basis_cache.json").read_text())
+        assert 0.0 < cache["theta_error_estimate"] <= 1e-10
 
     def test_constant_potential_shift(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -576,19 +591,18 @@ class TestNumericalFailure:
         ({"smooth": {"kind": "const", "params": [1e200]}}, 64,
          r"NonFiniteResult: a Magnus mesh term is not finite for max \|nu\| "
          r"= 1e\+200"),
-        # the growth of a hyperbolic cell, or of a block of cells each
-        # below that limit, overflows: named before numpy warns, not as
-        # the NaN phase residual it made
+        # Newton's mesh follows max |nu|, so the cells on which these
+        # overflowed (tests/test_prufer.py::TestMagnusOverflow) are not
+        # Newton's: |nu| = 1e6 and 1e4 put lambda_1 far below the floor,
+        # and 1e80 asks for a mesh past the ceiling
         ({"smooth": {"kind": "sine", "params": [-1e6, 3]}}, 64,
-         r"NonFiniteResult: nu varies too fast for a Magnus cell of width "
-         r"h = 0\.0156: its growth exp\(omega\), omega = 1\.01e\+06, "
-         r"overflows a float"),
+         r"BracketFailure: no sign change for mode n=1 in bracket "
+         r"\[0\.01, 0\.01\]"),
         ({"smooth": {"kind": "sine", "params": [1e80, 1]}}, 8,
-         r"NonFiniteResult: nu varies too fast for a Magnus cell of width "
-         r"h = 0\.0312: its growth exp\(omega\), omega = inf, overflows"),
+         r"MeshTooLarge: a Magnus mesh of \S+ cells exceeds the ceiling"),
         ({"smooth": {"kind": "sine", "params": [-1e4, 3]}}, 64,
-         r"NonFiniteResult: nu varies too fast for a block of 8 Magnus "
-         r"cells of width h = 0\.0156: their growth overflows a float"),
+         r"BracketFailure: no sign change for mode n=1 in bracket "
+         r"\[0\.01, 0\.01\]"),
     ], ids=["overflowing_newton_start", "mesh_above_ceiling",
             "overflowing_nu_square", "overflowing_hyperbolic_cell",
             "infinite_cell_omega", "overflowing_block"])

@@ -1,5 +1,6 @@
 """Phase integration and eigenpair computation against independent oracles."""
 
+import itertools
 import json
 import math
 
@@ -10,16 +11,17 @@ from scipy.optimize import brentq
 
 import vww.prufer
 from conftest import catalog_potentials
-from oracles import (asymptotic_residuals, basis_from_cache, phase_rhs,
-                     rk45_path)
+from oracles import (asymptotic_residuals, basis_from_cache, dop853_theta,
+                     phase_rhs, rk45_path)
 from vww.errors import (BracketFailure, ConfigError, GridMismatch,
-                        NonFiniteResult, NonPositiveSpectrum, StepFailure,
-                        UnresolvedBasis)
+                        MeshTooLarge, NonFiniteResult, NonPositiveSpectrum,
+                        StepFailure, UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, EigenBasis, _magnus_mesh,
-                        _magnus_phase, _make_rhs, _newton_roots, _phase_map,
-                        _roots, basis_to_cache, build_bases, build_basis)
+                        _magnus_phase, _make_rhs, _mesh_panels, _newton_roots,
+                        _PhaseMap, _roots, basis_to_cache, build_bases,
+                        build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -124,17 +126,17 @@ class TestIntegratePrufer:
     the sampled RK45 path of the same system."""
 
     def test_free_phase_pi(self, grid512):
-        theta, _ = _phase_map(FREE, grid512)(np.array([math.pi**2]))
+        theta, _ = _PhaseMap(FREE)(np.array([math.pi**2]))
         assert theta[0] == pytest.approx(math.pi, abs=1e-11)
 
     def test_free_phase_two_pi(self, grid512):
-        theta, _ = _phase_map(FREE, grid512)(np.array([4.0 * math.pi**2]))
+        theta, _ = _PhaseMap(FREE)(np.array([4.0 * math.pi**2]))
         assert theta[0] == pytest.approx(2.0 * math.pi, abs=1e-11)
 
     def test_step_against_rk4_richardson(self, grid512):
         lam = math.pi**2
         theta, _ = rk45_path(STEP, lam, grid512)
-        magnus, _ = _phase_map(STEP, grid512)(np.array([lam]))
+        magnus, _ = _PhaseMap(STEP)(np.array([lam]))
         coarse = prufer_rk4_oracle(STEP, lam, 4000)
         fine = prufer_rk4_oracle(STEP, lam, 8000)
         assert abs(coarse - fine) <= 1e-9  # oracle self-consistent
@@ -397,6 +399,7 @@ class TestBuildBases:
                      "log_r", "tilde_norms", "theta_residuals"):
             assert np.array_equal(getattr(one, name), getattr(solo, name))
         assert one.gram_max_offdiag == solo.gram_max_offdiag
+        assert one.theta_error_estimate == solo.theta_error_estimate
 
     def test_member_failure_carries_its_index(self):
         with pytest.raises(NonFiniteResult) as exc:
@@ -447,11 +450,10 @@ class TestRootPasses:
     @pytest.mark.parametrize("name", ["step", "mixed", "sine"])
     def test_magnus_theta_matches_sampled_pass(self, name, catalog_bases_40):
         nu = catalog_potentials()[name]
-        lams = catalog_bases_40[name].lambdas[[0, 19, 39]]
-        theta_end, _ = _phase_map(nu, Grid(2048))(lams)
-        for lam, got in zip(lams, theta_end):
-            theta, _ = rk45_path(nu, float(lam), Grid(2048))
-            assert abs(got - theta[-1]) <= 1e-10
+        for k in (0, 19, 39):
+            lam = float(catalog_bases_40[name].lambdas[k])
+            theta, _ = rk45_path(nu, lam, Grid(2048))
+            assert abs(theta[-1] - math.pi * (k + 1)) <= 1e-10
 
     @pytest.mark.parametrize("nu, hyperbolic", [
         (NuPrimitive("sine", (1.0, 1.0)), 0),
@@ -478,7 +480,7 @@ class TestRootPasses:
     def test_newton_derivative_on_turning_mesh(self, lam):
         # a piecewise-constant nu's Newton mesh holds about sqrt(lambda)
         # cells, whose trapezoid int y^2 is coarser: Newton still converges
-        _, dtheta = _phase_map(FREE, Grid(2048))(np.array([lam]))
+        _, dtheta = _PhaseMap(FREE)(np.array([lam]))
         assert dtheta[0] == pytest.approx(0.5 / math.sqrt(lam), rel=2e-3)
 
     @pytest.mark.parametrize("name", ["step", "sine"])
@@ -506,7 +508,7 @@ class TestRootPasses:
         # 6.3 rad (n = 8) and 31 rad (n = 40) per grid interval of Grid(4);
         # n modes do not resolve on 4 intervals, so mode n is solved alone,
         # to build_basis's residual target at the default tol
-        (lam,), _, _ = _roots(FREE, np.array([float(n)]), Grid(4), 5e-11)
+        (lam,), _, _, _ = _roots(FREE, np.array([float(n)]), Grid(4), 5e-11)
         assert lam == pytest.approx((n * math.pi) ** 2, rel=1e-10)
 
     def test_pass_count_per_build(self, monkeypatch):
@@ -547,7 +549,7 @@ class TestRootPasses:
                 return original(nu_like, cells_per_unit)
 
             monkeypatch.setattr(vww.prufer, "_magnus_mesh", recorded)
-            lams[n], _, _ = _roots(nu, np.arange(1.0, 21.0), Grid(n), 5e-11)
+            lams[n], _, _, _ = _roots(nu, np.arange(1.0, 21.0), Grid(n), 5e-11)
         assert meshes[256] == meshes[2048]
         assert meshes[256][0] >= math.sqrt(lams[256][-1]) + 0.75
         assert max(meshes[256]) < 128
@@ -571,18 +573,155 @@ class TestRootPasses:
 
     def test_newton_start_first_order_in_nu(self, monkeypatch):
         # the start (pi n)^2 - 2 pi n int nu sin(2 pi n x) lands mode 1 of
-        # sine (1, 1) close enough that 4 Magnus passes do (6 from
-        # (pi n)^2 + total mass)
+        # sine (1, 1) close enough that 4 Magnus passes on the start mesh
+        # do (6 from (pi n)^2 + total mass); the estimate and the refined
+        # mesh come after them
         passes = []
         original = vww.prufer._magnus_phase
 
         def counted(mesh, lams):
-            passes.append(len(lams))
+            passes.append(mesh[0].shape[0])
             return original(mesh, lams)
 
         monkeypatch.setattr(vww.prufer, "_magnus_phase", counted)
         build_basis(NuPrimitive("sine", (1.0, 1.0)), 40, Grid(2048))
-        assert len(passes) <= 4
+        assert passes.count(passes[0]) <= 4
+
+
+class TestNewtonMesh:
+    """Newton's one mesh per solve, and the Richardson estimate of
+    theta(1) that accepts or refines it."""
+
+    FAST_SINE = NuPrimitive("sine", (1.0, 50.0))
+
+    @pytest.mark.parametrize("grid_n", [8, 64])
+    def test_fast_nu_matches_dop853(self, grid_n):
+        # 50 periods of nu: on the grid's mesh, lambda_1 read 9.367549
+        # (grid 8) and 9.369808 (grid 64), with theta-residuals below 1e-11
+        basis = build_basis(self.FAST_SINE, 2, Grid(grid_n))
+        assert 0.0 < basis.theta_error_estimate <= 1e-10
+        for n, lam in enumerate(basis.lambdas, start=1):
+            # theta(1) increases with lambda, so the oracle's root lies
+            # within 1e-9 relative exactly where its sign changes
+            below, above = (dop853_theta(self.FAST_SINE, lam * (1.0 + d))
+                            - math.pi * n for d in (-1e-9, 1e-9))
+            assert below < 0.0 < above
+
+    @pytest.mark.parametrize("nu, grid_n, n_max", [
+        (NuPrimitive("sine", (1.0, 1.0)), 16, 8),
+        (NuPrimitive("sine", (1.0, 1.0)), 32, 16),
+        (NuPrimitive("linear", (5.0,)), 16, 8),
+        (NuPrimitive("linear", (2.0,), jumps=((0.3, 3.0),)), 32, 16),
+        (NuPrimitive("linear", (2.0,), jumps=((0.3, 3.0),)), 128, 64),
+    ], ids=["sine_16", "sine_32", "linear5_16", "mixed_32", "mixed_128"])
+    def test_coarse_grid_lambdas_match_fine_mesh(self, nu, grid_n, n_max):
+        # on the grid's mesh these erred by 1.6e-6 to 5.1e-11 relative
+        ns = np.arange(1.0, n_max + 1)
+        lams, _, est, _ = _roots(nu, ns, Grid(grid_n), 5e-11)
+        assert est <= 1e-10
+        fine = _magnus_mesh(nu, 16384)
+        want, _ = _newton_roots(lambda x: _magnus_phase(fine, x), ns, lams,
+                                1e-12)
+        assert np.max(np.abs(lams / want - 1.0)) <= 1e-9
+
+    def test_estimate_past_ceiling_is_named(self, monkeypatch):
+        # 64 cells estimate 4.6e-5; 1e-10 asks for 32 times as many
+        monkeypatch.setattr(vww.prufer, "_MAX_CELLS", 1024)
+        with pytest.raises(MeshTooLarge, match=(
+                r"^theta\(1\) error estimate (\S+) is above 1e-10, and a "
+                r"Magnus mesh of 2\.05e\+03 cells exceeds the ceiling of "
+                r"1024 cells$")) as exc:
+            build_basis(self.FAST_SINE, 2, Grid(64))
+        est = float(str(exc.value).split()[3])
+        assert 1e-5 < est < 1e-4
+
+    @pytest.mark.parametrize("name, meshes, work", [
+        ("step", [127], 9088),
+        ("mixed", [512], 67183),
+        ("sine", [256, 1024], 131072),
+    ])
+    def test_one_mesh_per_solve(self, monkeypatch, name, meshes, work):
+        # the perfbench eigs potentials at N=40, grid 2048.  Sum of cells
+        # x lambdas over the Magnus passes: 8,304 / 221,292 / 188,416 on
+        # the meshes of the grid (mixed, sine) or of each pass's batch (step)
+        passes, made = [], []
+        original_phase = vww.prufer._magnus_phase
+        original_remesh = _PhaseMap.remesh
+
+        def counted(mesh, lams):
+            passes.append((mesh[0].shape[0], len(lams)))
+            return original_phase(mesh, lams)
+
+        def remesh(self, cells):
+            made.append(cells)
+            original_remesh(self, cells)
+
+        monkeypatch.setattr(vww.prufer, "_magnus_phase", counted)
+        monkeypatch.setattr(_PhaseMap, "remesh", remesh)
+        nu = catalog_potentials()[name]
+        _roots(nu, np.arange(1.0, 41.0), Grid(2048), 5e-11)
+        assert made == meshes
+        assert sum(c * n for c, n in passes) == work
+        # per mesh, Newton's passes on it; then, for a nu with density,
+        # one pass over the 40 roots on its panels at half the cells
+        runs = [(c, [n for _, n in g])
+                for c, g in itertools.groupby(passes, key=lambda p: p[0])]
+        assert len(runs) == 2 * len(made) if nu.has_density else len(made)
+        for k, c in enumerate(made):
+            panels = _mesh_panels(nu, c)
+            if nu.has_density:
+                assert runs[2 * k + 1] == (sum(n // 2 for *_, n in panels),
+                                           [40])
+            cells, lams = runs[2 * k if nu.has_density else k]
+            assert cells == sum(n for *_, n in panels) and lams[0] == 40
+
+    def test_estimate_recorded(self, catalog_bases_40):
+        # 0 where Magnus-4 is exact; the accepted mesh's estimate otherwise
+        assert catalog_bases_40["step"].theta_error_estimate == 0.0
+        for name in ("linear5", "sine"):
+            assert 0.0 < catalog_bases_40[name].theta_error_estimate <= 1e-10
+
+    def test_trial_lambda_turning_past_pi_refines(self, monkeypatch):
+        # mode 1's start mesh is the panel floor, 32 cells, each turned by
+        # 4.4 rad at lambda = 2e4.  Newton restarts on the finer mesh, with
+        # fresh brackets, and converges there
+        made = []
+        original_remesh = _PhaseMap.remesh
+
+        def remesh(self, cells):
+            made.append(cells)
+            original_remesh(self, cells)
+
+        monkeypatch.setattr(_PhaseMap, "remesh", remesh)
+        phase = _PhaseMap(FREE)
+        phase(np.array([math.pi**2]))
+        with pytest.raises(vww.prufer._Refined):
+            phase(np.array([2e4]))
+        assert made == [4, 142]
+        lams, _ = _newton_roots(phase, np.array([1.0]), np.array([2e4]),
+                                5e-11)
+        assert lams[0] == pytest.approx(math.pi**2, rel=1e-10)
+
+
+class TestMagnusOverflow:
+    """The Magnus pass's NonFiniteResult refusals, on the grid meshes on
+    which `vww eigs` reached them before Newton's mesh followed nu."""
+
+    @pytest.mark.parametrize("params, cells, error", [
+        ((-1e6, 3.0), 64,
+         r"^nu varies too fast for a Magnus cell of width h = 0\.0156: its "
+         r"growth exp\(omega\), omega = 1\.01e\+06, overflows a float$"),
+        ((1e80, 1.0), 8,
+         r"^nu varies too fast for a Magnus cell of width h = 0\.0312: its "
+         r"growth exp\(omega\), omega = inf, overflows a float$"),
+        ((-1e4, 3.0), 64,
+         r"^nu varies too fast for a block of 8 Magnus cells of width h = "
+         r"0\.0156: their growth overflows a float$"),
+    ], ids=["hyperbolic_cell", "infinite_omega", "block"])
+    def test_overflow_is_named(self, params, cells, error):
+        mesh = _magnus_mesh(NuPrimitive("sine", params), cells)
+        with pytest.raises(NonFiniteResult, match=error):
+            _magnus_phase(mesh, np.array([math.pi**2, 4.0 * math.pi**2]))
 
 
 class TestBlockedScan:
@@ -648,6 +787,7 @@ class TestCache:
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
         assert again.gram_max_offdiag == basis.gram_max_offdiag
+        assert again.theta_error_estimate == basis.theta_error_estimate
         assert again.grid == basis.grid and len(again) == 4
 
     def test_rows_must_match_grid(self):
