@@ -7,7 +7,8 @@ the jump locations.  Regularization convolves the zero-extension of q
 with a compactly supported bump psi_eps(x) = psi(x/eps)/eps; the Dirac
 part mollifies exactly to sum_i alpha_i * psi_eps(x - x_i), the smooth
 density by quadrature over one window per point, bounded by the kinks of
-the extension at 0 and 1.
+the extension at 0 and 1.  :class:`MollifiedNu` tabulates the smooth part
+of nu_eps and its slope q_eps together, in one such quadrature pass.
 ``mollified_q`` evaluates q_eps at points, such as a grid's nodes.
 
 :class:`NuPrimitive`, :class:`MollifiedNu` and :class:`PerturbedNu` share
@@ -91,12 +92,13 @@ class BumpProfile:
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
         inside = np.abs(u) < 1.0
-        ui = u[inside]
-        out[inside] = np.exp(-self.sharpness / (1.0 - ui * ui)) \
-            * (1.0 + self.tilt * ui)
-        return out
+        if not inside.all():  # Gauss nodes lie inside: no gather or scatter
+            out = np.zeros_like(u)
+            out[inside] = self._raw(u[inside])
+            return out
+        out = np.exp(-self.sharpness / (1.0 - u * u))
+        return out * (1.0 + self.tilt * u) if self.tilt else out  # factor 1.0
 
     def _build(self):
         if self._built:
@@ -420,7 +422,8 @@ def _composite_rule(panels: int, order: int):
     return nodes, weights
 
 
-def _window_conv(f: Callable, x, eps: float, bump: BumpProfile) -> np.ndarray:
+def _window_conv(f: Callable, x, eps: float, bump: BumpProfile,
+                 *more: Callable) -> np.ndarray:
     """int f(x - eps*u) * psi(u) du over the u in [-1, 1] with x - eps*u in [0, 1].
 
     For each x those u form one window [lo, hi], whose ends are the kinks
@@ -429,8 +432,10 @@ def _window_conv(f: Callable, x, eps: float, bump: BumpProfile) -> np.ndarray:
     holds the quadrature error of the flat-ended bump near 1e-15.  Full
     windows, all of [-1, 1], share the weights w_k psi(u_k); the others
     (x within eps of 0 or 1) evaluate psi at their mapped nodes.  Chunks
-    of ``_CONV_CHUNK`` points are one call of f on a 2-D (points, nodes)
-    array, which f must accept, and one product with the weights.
+    of ``_CONV_CHUNK`` points form x - eps*u and psi(u) once, then make one
+    call of f and of each of ``more`` on that 2-D (points, nodes) array,
+    which it must accept, and one product with the weights.  With ``more``
+    it returns the stacked convolutions, each bit for bit its own pass's.
     """
     shape = np.shape(x)
     x = np.ravel(np.asarray(x, dtype=float))
@@ -440,16 +445,18 @@ def _window_conv(f: Callable, x, eps: float, bump: BumpProfile) -> np.ndarray:
     inner = (lo == -1.0) & (hi == 1.0)
     full, part = np.flatnonzero(inner), np.flatnonzero(~inner)
     wfull = uw * bump.density(un)
-    out = np.empty_like(x)
+    out = np.empty((1 + len(more), x.size))
     for s in range(0, full.size, _CONV_CHUNK):
         i = full[s:s + _CONV_CHUNK]
-        out[i] = f(x[i, None] - eps * un) @ wfull
+        y = x[i, None] - eps * un
+        out[:, i] = [g(y) @ wfull for g in (f, *more)]
     for s in range(0, part.size, _CONV_CHUNK):
         i = part[s:s + _CONV_CHUNK]
         half = (hi[i] - lo[i]) / 2.0
         u = ((hi[i] + lo[i]) / 2.0)[:, None] + half[:, None] * un
-        out[i] = half * ((f(x[i, None] - eps * u) * bump.density(u)) @ uw)
-    return out.reshape(shape)
+        y, psi = x[i, None] - eps * u, bump.density(u)
+        out[:, i] = [half * ((g(y) * psi) @ uw) for g in (f, *more)]
+    return out.reshape((-1, *shape)) if more else out[0].reshape(shape)
 
 
 def mollified_q(nu: NuPrimitive, eps: float, bump: BumpProfile, x) -> np.ndarray:
@@ -501,6 +508,8 @@ class MollifiedNu(Potential):
                 + float(G(1.0)) * bump.primitive((x - 1.0) / eps))
 
     def _build_smooth_table(self):
+        """Values v, as ``_smooth_conv`` forms them, and slopes d = q_eps of
+        the smooth part on one to three segments, from one pass each."""
         eps = self._eps
         m_freq = 1.0
         if self.base.smooth_kind == "sine":
@@ -517,11 +526,13 @@ class MollifiedNu(Potential):
         if points > _MAX_TABLE_POINTS:
             raise MeshTooLarge(f"a mollifier table of {points:.4g} points "
                                f"exceeds the ceiling of {_MAX_TABLE_POINTS}")
+        G, bump = self.base.density_integral, self._bump
         self._segs = []
         for a, b, k in segs:
             t = np.linspace(a, b, int(k) + 1)
-            d = _window_conv(self.base.q_values, t, eps, self._bump)
-            self._segs.append((a, b, t, self._smooth_conv(t), d))
+            v, d = _window_conv(G, t, eps, bump, self.base.q_values)
+            v += float(G(1.0)) * bump.primitive((t - 1.0) / eps)
+            self._segs.append((a, b, t, v, d))
         # the same tables as floats, for the scalar ODE callable
         self._seg_floats = [
             (a, float(t[1] - t[0]), len(t) - 2, t.tolist(), v.tolist(), d.tolist())

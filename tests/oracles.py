@@ -4,7 +4,8 @@ None of this is part of the pipeline that ``vww`` runs: a leapfrog
 finite-difference solver with the restriction of grid functions to a
 coarser grid it is compared on, the solution at one stored time, the
 large-n eigenvalue and eigenfunction asymptotics of a basis, the mass
-of a mollifier profile, the constant sweep of an estimate over a battery
+of a mollifier profile, a mollified potential's tables formed with one
+quadrature pass each, the constant sweep of an estimate over a battery
 of problems, random smooth data, the phase equations' right-hand side
 at one point, the RK45 phase path at one trial lambda, theta(1) from
 scipy's DOP853, and the reader of an eigenfunction cache.  Tests import
@@ -23,7 +24,8 @@ from vww.errors import ConfigError, GridMismatch
 from vww.estimates import verify
 from vww.grid import Grid, GridFunction
 from vww.potential import (BumpProfile, MollifiedNu, MollifierSpec,
-                           NuPrimitive, PerturbedNu, _composite_rule)
+                           NuPrimitive, PerturbedNu, _composite_rule,
+                           _window_conv)
 from vww.prufer import DEFAULT_TOL, EigenBasis, _propagate
 from vww.wave import WaveSolution
 
@@ -183,6 +185,15 @@ def bump_mass(profile: BumpProfile) -> float:
     """int psi by a composite Gauss rule, 64 panels of 64 nodes."""
     nodes, weights = _composite_rule(64, 64)
     return float(profile.density(nodes) @ weights)
+
+
+def two_pass_tables(mn: MollifiedNu) -> list:
+    """(v, d) on each table segment of ``mn``, each from a quadrature pass
+    of its own: v from ``_smooth_conv`` and d, the slopes q_eps, from
+    ``_window_conv`` of the base's density."""
+    return [(mn._smooth_conv(t),
+             _window_conv(mn.base.q_values, t, mn.spec.epsilon, mn.spec.bump))
+            for _, _, t, _, _ in mn._segs]
 
 
 # -- the constant sweep ------------------------------------------------------

@@ -10,14 +10,15 @@ from scipy.integrate import quad
 
 from vww.errors import ConfigError, DegenerateNet, MeshTooLarge, MissingNorm
 from vww.grid import Grid, GridFunction
-from vww.potential import (_MAX_TABLE_POINTS, MollifiedNu, MollifierSpec,
-                           NuPrimitive, PerturbedNu, _window_conv,
-                           get_profile, mollified_q)
+from vww.potential import (_CONV_CHUNK, _MAX_TABLE_POINTS, BumpProfile,
+                           MollifiedNu, MollifierSpec, NuPrimitive,
+                           PerturbedNu, _window_conv, get_profile,
+                           mollified_q)
 from vww.prufer import build_basis
 from vww.veryweak import check_negligibility, default_ladder, fit_moderateness
 
 from conftest import modules_in_fresh_python
-from oracles import bump_mass
+from oracles import bump_mass, two_pass_tables
 
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
 
@@ -218,6 +219,45 @@ class TestWindowConvWork:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+    TABLE_NUS = {
+        "linear5": NuPrimitive("linear", (5.0,)),
+        "sine": NuPrimitive("sine", (0.7, 2.0, 0.3)),
+        "samples": NuPrimitive("samples", tuple(
+            math.sin(2.0 * math.pi * k / 16) for k in range(17)))}
+
+    @pytest.mark.parametrize("eps", [2.0**-2, 2.0**-5])
+    @pytest.mark.parametrize("profile", ["bump", "bump_skew"])
+    @pytest.mark.parametrize("nu", list(TABLE_NUS))
+    def test_one_pass_tables_are_the_two_pass_tables(self, nu, profile, eps):
+        # v and d from one shared pass per segment, bit for bit
+        mn = MollifiedNu(self.TABLE_NUS[nu], MollifierSpec(profile, eps))
+        want = two_pass_tables(mn)
+        assert len(want) == len(mn._segs) == (1 if eps >= 0.2 else 3)
+        for (_, _, _, v, d), (v2, d2) in zip(mn._segs, want):
+            assert v.tobytes() == v2.tobytes() and d.tobytes() == d2.tobytes()
+
+    @pytest.mark.parametrize("eps", [2.0**-2, 2.0**-5])
+    def test_table_work_per_chunk(self, monkeypatch, eps):
+        # per segment: psi once for the full-window weights and once per
+        # partial-window chunk, g and G once per chunk, and G once for G(1)
+        calls = {"density": 0, "q_values": 0, "density_integral": 0}
+        for cls, name in ((BumpProfile, "density"), (NuPrimitive, "q_values"),
+                          (NuPrimitive, "density_integral")):
+            def counted(self, u, _real=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _real(self, u)
+            monkeypatch.setattr(cls, name, counted)
+        mn = MollifiedNu(NuPrimitive("linear", (5.0,)),
+                         MollifierSpec("bump", eps))
+        full = part = 0
+        for _, _, t, _, _ in mn._segs:
+            inner = int(np.count_nonzero((t >= eps) & (t <= 1.0 - eps)))
+            full += -(-inner // _CONV_CHUNK)
+            part += -(-(t.size - inner) // _CONV_CHUNK)
+        assert calls == {"density": part + len(mn._segs),
+                         "q_values": full + part,
+                         "density_integral": full + part + len(mn._segs)}
 
     @pytest.mark.parametrize("freq, eps, points", [
         (1e6, 0.25, "2.048e+09"), (1e6, 0.125, "1.024e+09"),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -147,19 +148,21 @@ class TestExperiment:
 
 
 class TestFailingRung:
-    @pytest.mark.parametrize("run", [
-        run_existence, run_consistency,
-        lambda e: run_uniqueness(e, order=2)],
-        ids=["existence", "consistency", "uniqueness"])
-    def test_error_names_its_rung(self, run, monkeypatch):
-        # the third rung's basis fails; the error keeps its class and
+    @pytest.mark.parametrize("run, eps", [
+        (run_existence, 2.0**-4), (run_consistency, 2.0**-4),
+        (lambda e: run_uniqueness(e, order=2), 2.0**-4),
+        (run_consistency, 0.0)],
+        ids=["existence", "consistency", "uniqueness", "consistency_limit"])
+    def test_error_names_its_rung(self, run, eps, monkeypatch):
+        # the basis at the third rung, or consistency's unmollified limit
+        # (eps 0, no mollifier), fails; the error keeps its class and
         # message and names that rung
         import vww.veryweak
         real = vww.veryweak.build_bases
 
         def fail(potential):
             spec = getattr(potential, "spec", None)
-            if spec is not None and spec.epsilon == 2.0**-4:
+            if (0.0 if spec is None else spec.epsilon) == eps:
                 raise UnresolvedBasis("Gram defect 0.3")
 
         def build(potentials, *args, **kw):
@@ -170,15 +173,19 @@ class TestFailingRung:
         monkeypatch.setattr(vww.veryweak, "build_bases", build)
         e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
                        ladder=default_ladder(2, 5), n_max=4)
-        with pytest.raises(UnresolvedBasis,
-                           match=r"^rung eps=0\.0625: Gram defect 0\.3$"):
+        with pytest.raises(UnresolvedBasis, match=(
+                rf"^rung eps={re.escape(f'{eps:g}')}: Gram defect 0\.3$")):
             run(e)
 
-    @pytest.mark.parametrize("run", [
-        run_existence, lambda e: run_uniqueness(e, order=2)],
-        ids=["existence", "uniqueness"])
-    def test_joint_pass_failure_names_every_rung(self, run, monkeypatch):
-        # the rungs share one sampled pass, so its failure is every rung's
+    @pytest.mark.parametrize("run, rungs", [
+        (run_existence, "0.25, 0.125, 0.0625, 0.03125"),
+        (run_consistency, "0, 0.25, 0.125, 0.0625, 0.03125"),
+        (lambda e: run_uniqueness(e, order=2), "0.25, 0.125, 0.0625, 0.03125"),
+    ], ids=["existence", "consistency", "uniqueness"])
+    def test_joint_pass_failure_names_every_rung(self, run, rungs,
+                                                 monkeypatch):
+        # the rungs, and consistency's limit, share one sampled pass, so
+        # its failure is every rung's
         import vww.prufer
 
         def underflow(*args, **kwargs):
@@ -187,9 +194,8 @@ class TestFailingRung:
         monkeypatch.setattr(vww.prufer, "integrate_rk45", underflow)
         e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
                        ladder=default_ladder(2, 5), n_max=4)
-        with pytest.raises(StepFailure, match=r"^rungs eps=0\.25, 0\.125, "
-                                              r"0\.0625, 0\.03125: step "
-                                              r"underflow$"):
+        with pytest.raises(StepFailure, match=(
+                rf"^rungs eps={re.escape(rungs)}: step underflow$")):
             run(e)
 
 
@@ -321,6 +327,56 @@ class TestConsistency:
         rep = run_consistency(experiment(
             NuPrimitive("linear", (5.0,)), grid1024))
         assert rep.time_grid_sensitivity <= 0.05
+
+
+class TestConsistencyLimit:
+    """The unmollified limit, built with the rungs in one build_bases
+    call, against build_basis on the same potential."""
+
+    @pytest.fixture(scope="class")
+    def limit_builds(self):
+        """(calls, limit, solo, tight): the build calls of one
+        run_consistency on the ladder benchmark's sizes, the limit basis
+        it built, and build_basis of its nu at its tol and at 1e-12."""
+        import vww.prufer
+        import vww.veryweak
+        calls, built = [], []
+
+        def bases(*args, **kw):
+            calls.append("build_bases")
+            built.append(vww.prufer.build_bases(*args, **kw))
+            return built[-1]
+
+        def basis(*args, **kw):
+            calls.append("build_basis")
+            return vww.prufer.build_basis(*args, **kw)
+
+        nu, grid = NuPrimitive("linear", (5.0,)), Grid(1024)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vww.veryweak, "build_bases", bases)
+            mp.setattr(vww.veryweak, "build_basis", basis)
+            run_consistency(experiment(nu, grid, ladder=default_ladder(2, 5),
+                                       ode_tol=1e-8))
+        return (calls, built[0][0],
+                vww.prufer.build_basis(nu, 12, grid, tol=1e-8),
+                vww.prufer.build_basis(nu, 12, grid, tol=1e-12))
+
+    def test_one_build_bases_call_and_no_build_basis(self, limit_builds):
+        calls, limit, *_ = limit_builds
+        assert calls == ["build_bases"]
+        assert limit.nu == NuPrimitive("linear", (5.0,))
+
+    def test_lambdas_are_the_solo_build(self, limit_builds):
+        _, limit, solo, _ = limit_builds
+        assert np.array_equal(limit.lambdas, solo.lambdas)
+        assert np.array_equal(limit.theta_residuals, solo.theta_residuals)
+
+    def test_eigenfunctions_as_accurate_as_solo_build(self, limit_builds):
+        # the joint pass holds the limit to tol / sqrt(5)
+        _, limit, solo, tight = limit_builds
+        err_limit = np.max(np.abs(limit.phi_matrix - tight.phi_matrix))
+        err_solo = np.max(np.abs(solo.phi_matrix - tight.phi_matrix))
+        assert err_limit <= 1.1 * err_solo
 
 
 class TestVerdictsFollowNorms:
