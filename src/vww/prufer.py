@@ -38,7 +38,8 @@ increase are a BracketFailure; samples not orthogonal to within
 GRAM_DEFECT_TOL, or a mode whose Simpson and trapezoid norms differ by
 over QUADRATURE_GAP_TOL (1/3 at two nodes per wavelength), are
 unresolved.  basis_csv_rows reports each mode's distance from the free
-asymptote, ||phi_tilde_n - sin(sqrt(lambda_n) x)||.
+asymptote, ||phi_tilde_n - sin(sqrt(lambda_n) x)||, with phi_tilde =
+||phi_tilde|| phi, which keeps (eta, log r) a local of the build.
 """
 
 from __future__ import annotations
@@ -300,20 +301,19 @@ class EigenBasis:
     """Eigenpairs of modes n = 1..N on a shared grid, one read-only row each.
 
     phi_matrix and phi_prime_matrix are the normalized eigenfunctions and
-    their derivatives at the nodes, shape (N, nodes); eta and log_r the
-    phase path they come from; tilde_norms the L^2 norms of r sin(theta);
-    theta_residuals theta(1, lambda_n) - pi n.  Every lambda_n is positive,
-    as the frequencies sqrt(lambda_n) and negative Sobolev orders need.
+    their derivatives at the nodes, shape (N, nodes); tilde_norms the L^2
+    norms of r sin(theta), so that tilde_norms[:, None] * phi_matrix is
+    r sin(theta) at the interior nodes; theta_residuals theta(1, lambda_n)
+    - pi n.  Every lambda_n is positive, as the frequencies sqrt(lambda_n)
+    and negative Sobolev orders need.
     """
 
     lambdas: np.ndarray
     phi_matrix: np.ndarray = field(repr=False)
     phi_prime_matrix: np.ndarray = field(repr=False)
-    eta: np.ndarray = field(repr=False)
-    log_r: np.ndarray = field(repr=False)
     tilde_norms: np.ndarray
     theta_residuals: np.ndarray
-    nu: Potential | None
+    nu: Potential
     grid: Grid
     # largest off-diagonal Gram entry, measured by build_basis
     gram_max_offdiag: float = math.nan
@@ -322,10 +322,9 @@ class EigenBasis:
     theta_error_estimate: float = math.nan
 
     def __post_init__(self):
-        freeze_arrays(self, "lambdas", "phi_matrix", "phi_prime_matrix", "eta",
-                      "log_r", "tilde_norms", "theta_residuals")
-        rows = {a.shape for a in (self.phi_matrix, self.phi_prime_matrix,
-                                  self.eta, self.log_r)}
+        freeze_arrays(self, "lambdas", "phi_matrix", "phi_prime_matrix",
+                      "tilde_norms", "theta_residuals")
+        rows = {self.phi_matrix.shape, self.phi_prime_matrix.shape}
         if rows != {(len(self), self.grid.n + 1)}:
             raise GridMismatch(f"{len(self)} modes on {self.grid.n + 1} "
                                f"nodes, but rows of shapes {sorted(rows)}")
@@ -335,16 +334,6 @@ class EigenBasis:
 
     def __len__(self) -> int:
         return len(self.lambdas)
-
-    @property
-    def phi_tilde(self) -> np.ndarray:
-        """Unnormalized eigenfunctions r sin(theta), theta = sqrt(lambda) x + eta."""
-        # in place: one (modes, nodes) table besides exp(log_r)
-        out = np.sqrt(self.lambdas)[:, None] * self.grid.nodes
-        out += self.eta
-        np.sin(out, out=out)
-        out *= np.exp(self.log_r)
-        return out
 
 
 # lambda > 0 is assumed throughout; brackets never probe below this floor,
@@ -529,8 +518,8 @@ def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
             f"mode n={k + 1} is not resolved on a grid of {grid.n} "
             f"intervals: its Simpson and trapezoid norms^2 differ by "
             f"{gaps[k]:.3g} relative, above {QUADRATURE_GAP_TOL:g}")
-    return EigenBasis(root, phi, dphi, eta, log_r, tilde_norms, froot,
-                      nu_like, grid, defect, est)
+    return EigenBasis(root, phi, dphi, tilde_norms, froot, nu_like, grid,
+                      defect, est)
 
 
 def build_bases(potentials, n_max: int, grid: Grid,
@@ -568,7 +557,7 @@ def basis_csv_rows(basis: EigenBasis) -> list[tuple]:
     """(n, lambda_n, theta_residual, tilde_norm, psi_norm) per mode, with
     psi_norm the L^2 norm of phi_tilde_n - sin(sqrt(lambda_n) x)."""
     grid = basis.grid
-    psi = basis.phi_tilde
+    psi = basis.tilde_norms[:, None] * basis.phi_matrix
     psi -= np.sin(np.sqrt(basis.lambdas)[:, None] * grid.nodes)
     return list(zip(range(1, len(basis) + 1), basis.lambdas.tolist(),
                     basis.theta_residuals.tolist(), basis.tilde_norms.tolist(),
@@ -576,10 +565,9 @@ def basis_csv_rows(basis: EigenBasis) -> list[tuple]:
 
 
 def basis_to_cache(basis: EigenBasis, include_eigenfunctions: bool = False) -> dict:
-    nu = basis.nu
     cache = {
         "grid_n": basis.grid.n,
-        "nu": nu.descriptor() if nu is not None else None,
+        "nu": basis.nu.descriptor(),
         "lambdas": basis.lambdas.tolist(),
         "theta_residuals": basis.theta_residuals.tolist(),
         "tilde_norms": basis.tilde_norms.tolist(),
@@ -590,7 +578,5 @@ def basis_to_cache(basis: EigenBasis, include_eigenfunctions: bool = False) -> d
     if include_eigenfunctions:
         cache["phi"] = basis.phi_matrix.tolist()
         cache["phi_prime"] = basis.phi_prime_matrix.tolist()
-        cache["eta"] = basis.eta.tolist()
-        cache["log_r"] = basis.log_r.tolist()
     return cache
 

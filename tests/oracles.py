@@ -7,9 +7,10 @@ large-n eigenvalue and eigenfunction asymptotics of a basis, the mass
 of a mollifier profile, a mollified potential's tables formed with one
 quadrature pass each, the constant sweep of an estimate over a battery
 of problems, random smooth data, the phase equations' right-hand side
-at one point, the RK45 phase path at one trial lambda, theta(1) from
-scipy's DOP853, and the reader of an eigenfunction cache.  Tests import
-it as ``from oracles import ...``, as they import ``conftest``.
+at one point, the RK45 phase path at one trial lambda, a basis's psi
+norms from its own phase path, theta(1) from scipy's DOP853, and the
+reader of an eigenfunction cache with the array fields it keeps.  Tests
+import it as ``from oracles import ...``, as they import ``conftest``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from vww.potential import (BumpProfile, MollifiedNu, MollifierSpec,
                            _window_conv)
 from vww.prufer import DEFAULT_TOL, EigenBasis, _propagate
 from vww.wave import WaveSolution
+
+# the array fields of an EigenBasis, all read-only and all kept by a cache
+# written with its eigenfunctions
+EIGENBASIS_ARRAYS = ("lambdas", "phi_matrix", "phi_prime_matrix",
+                     "tilde_norms", "theta_residuals")
 
 
 # -- grid functions at a coarser grid and at a stored time -------------------
@@ -163,19 +169,25 @@ class AsymptoticReport:
 def asymptotic_residuals(basis: EigenBasis) -> AsymptoticReport:
     """psi_n = phi_tilde_n - sin(sqrt(lambda_n) x) and rho_n = r_n - 1.
 
-    Reports L^2 norms per mode, running sums of ||psi_n||^2 and relative
-    eigenvalue deviations from (pi n)^2.
+    phi_tilde = ||phi_tilde|| phi and r = ||phi_tilde|| hypot(phi, (phi'
+    - nu phi) / sqrt(lambda)), as phi' = (sqrt(lambda) r cos(theta) + nu
+    phi_tilde) / ||phi_tilde||.  Reports L^2 norms per mode, running sums
+    of ||psi_n||^2 and relative eigenvalue deviations from (pi n)^2.
     """
     grid = basis.grid
     lam = basis.lambdas
-    psi = basis.phi_tilde
-    psi -= np.sin(np.sqrt(lam)[:, None] * grid.nodes)
+    norms = basis.tilde_norms[:, None]
+    phi = basis.phi_matrix
+    psi = norms * phi - np.sin(np.sqrt(lam)[:, None] * grid.nodes)
     psi_norms = np.array([grid.norm_l2(v) for v in psi])
+    cos_part = ((basis.phi_prime_matrix - basis.nu.nu_values(grid.nodes) * phi)
+                / np.sqrt(lam)[:, None])
+    rho = norms * np.hypot(phi, cos_part) - 1.0
     ns = np.arange(1.0, len(basis) + 1)
     return AsymptoticReport(
         ns=ns,
         psi_norms=psi_norms,
-        rho_norms=np.array([grid.norm_l2(v) for v in np.exp(basis.log_r) - 1.0]),
+        rho_norms=np.array([grid.norm_l2(v) for v in rho]),
         partial_sums=np.cumsum(psi_norms**2),
         eigenvalue_rel_dev=np.abs(lam / (math.pi * ns) ** 2 - 1.0),
     )
@@ -262,6 +274,18 @@ def phase_rhs(nu: float, lam: float, x: float, eta: float) -> tuple:
     return d_eta, d_log_r
 
 
+def psi_norms_from_path(basis: EigenBasis) -> np.ndarray:
+    """||phi_tilde_n - sin(sqrt(lambda_n) x)|| per mode, with phi_tilde =
+    exp(log r) sin(sqrt(lambda) x + eta) from the basis's own RK45 pass at
+    DEFAULT_TOL: one member, so the build's pass step for step."""
+    grid = basis.grid
+    eta, log_r = _propagate([basis.nu], basis.lambdas[None], DEFAULT_TOL,
+                            grid.nodes)[:, 0]
+    free = np.sqrt(basis.lambdas)[:, None] * grid.nodes
+    psi = np.exp(log_r) * np.sin(free + eta) - np.sin(free)
+    return np.array([grid.norm_l2(v) for v in psi])
+
+
 def rk45_path(nu_like, lam: float, grid: Grid,
               tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(theta, log r) at the grid's nodes for one trial lambda, from the
@@ -309,13 +333,12 @@ def potential_from_descriptor(d: dict):
 
 def basis_from_cache(cache: dict) -> EigenBasis:
     """The EigenBasis of a cache written with its eigenfunctions."""
-    nu = potential_from_descriptor(cache["nu"]) if cache.get("nu") else None
     return EigenBasis(
         lambdas=cache["lambdas"],
         phi_matrix=cache["phi"], phi_prime_matrix=cache["phi_prime"],
-        eta=cache["eta"], log_r=cache["log_r"],
         tilde_norms=cache["tilde_norms"],
-        theta_residuals=cache["theta_residuals"], nu=nu,
+        theta_residuals=cache["theta_residuals"],
+        nu=potential_from_descriptor(cache["nu"]),
         grid=Grid(int(cache["grid_n"])),
         gram_max_offdiag=float(cache["gram_max_offdiag"]),
         theta_error_estimate=float(cache["theta_error_estimate"]))

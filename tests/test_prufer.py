@@ -11,8 +11,9 @@ from scipy.optimize import brentq
 
 import vww.prufer
 from conftest import catalog_potentials
-from oracles import (asymptotic_residuals, basis_from_cache, dop853_theta,
-                     phase_rhs, rk45_path)
+from oracles import (EIGENBASIS_ARRAYS, asymptotic_residuals,
+                     basis_from_cache, dop853_theta, phase_rhs,
+                     psi_norms_from_path, rk45_path)
 from vww.errors import (BracketFailure, ConfigError, GridMismatch,
                         MeshTooLarge, NonFiniteResult, NonPositiveSpectrum,
                         StepFailure, UnresolvedBasis)
@@ -20,8 +21,8 @@ from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, EigenBasis, _magnus_mesh,
                         _magnus_phase, _make_rhs, _mesh_panels, _newton_roots,
-                        _PhaseMap, _roots, basis_to_cache, build_bases,
-                        build_basis)
+                        _PhaseMap, _roots, basis_csv_rows, basis_to_cache,
+                        build_bases, build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -395,8 +396,7 @@ class TestBuildBases:
         q = MollifiedNu(STEP, MollifierSpec("bump", 0.125))
         (one,), solo = (build_bases([q], 12, Grid(1024), tol=1e-8),
                         build_basis(q, 12, Grid(1024), tol=1e-8))
-        for name in ("lambdas", "phi_matrix", "phi_prime_matrix", "eta",
-                     "log_r", "tilde_norms", "theta_residuals"):
+        for name in EIGENBASIS_ARRAYS:
             assert np.array_equal(getattr(one, name), getattr(solo, name))
         assert one.gram_max_offdiag == solo.gram_max_offdiag
         assert one.theta_error_estimate == solo.theta_error_estimate
@@ -781,14 +781,20 @@ class TestCache:
         basis = build_basis(STEP, 4, Grid(256))
         again = basis_from_cache(json.loads(json.dumps(
             basis_to_cache(basis, include_eigenfunctions=True))))
-        for name in ("lambdas", "phi_matrix", "phi_prime_matrix", "eta",
-                     "log_r", "tilde_norms", "theta_residuals"):
+        for name in EIGENBASIS_ARRAYS:
             want, got = getattr(basis, name), getattr(again, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
         assert again.gram_max_offdiag == basis.gram_max_offdiag
         assert again.theta_error_estimate == basis.theta_error_estimate
         assert again.grid == basis.grid and len(again) == 4
+
+    def test_eigenfunction_cache_keys(self):
+        cache = basis_to_cache(build_basis(STEP, 2, Grid(64)), True)
+        assert set(cache) == {
+            "grid_n", "nu", "lambdas", "theta_residuals", "tilde_norms",
+            "gram_max_offdiag", "theta_error_estimate",
+            "includes_eigenfunctions", "phi", "phi_prime"}
 
     def test_rows_must_match_grid(self):
         cache = basis_to_cache(build_basis(STEP, 2, Grid(64)), True)
@@ -809,6 +815,16 @@ class TestCache:
 
 
 class TestAsymptoticResiduals:
+    def test_csv_psi_norms_match_phase_path(self, catalog_bases_40):
+        # phi_tilde = ||phi_tilde|| phi against exp(log r) sin(theta) from
+        # the build's own pass; on a delta the even modes' psi norms are
+        # round-off, which moves by about 1e-14
+        for name, basis in catalog_bases_40.items():
+            got = np.array([row[4] for row in basis_csv_rows(basis)])
+            want = psi_norms_from_path(basis)
+            assert np.all(np.abs(got - want)
+                          <= np.maximum(1e-10 * want, 1e-13)), name
+
     def test_free_residuals_vanish(self, free_basis_small):
         rep = asymptotic_residuals(free_basis_small)
         assert np.max(rep.psi_norms) <= 1e-10

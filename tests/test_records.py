@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import EIGENBASIS_ARRAYS
 from vww.grid import GridFunction
 from vww.spectral import SpectralCoeffs, analyze
 from vww.wave import (ForcingTable, WaveProblem, analyze_forcing,
@@ -34,9 +35,7 @@ RECORDS = {
     "ForcingTable": (_forcing, ("times", "table")),
     "WaveSolution": (lambda b: solve_homogeneous(_problem(b), [0.0, 0.5]),
                      ("times", "modal", "modal_dt", "values", "dt_values")),
-    "EigenBasis": (lambda b: b, ("lambdas", "phi_matrix", "phi_prime_matrix",
-                                 "eta", "log_r", "tilde_norms",
-                                 "theta_residuals")),
+    "EigenBasis": (lambda b: b, EIGENBASIS_ARRAYS),
 }
 
 
