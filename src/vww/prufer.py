@@ -26,17 +26,20 @@ phase eta = theta - sqrt(lambda) x (which removes the dominant linear
 drift from the error control), records (eta, log r) on the grid; the
 nodes are read off each step's continuous extension, valid because no
 step crosses a jump, and so are as accurate as the tolerance asks; one
-tol serves as its relative and absolute tolerance.  build_bases carries
-the roots of R potentials (the rungs of an eps-ladder) through one such
-pass, over the union of their panels at tol / R, so that each member is
-held to tol / sqrt(R) and R passes cost about the steps of one; Newton
-and the checks stay per potential.  Eigenfunctions are r sin(theta),
-normalized in L^2 by the grid's Simpson rule, and formed for all modes
-at once: an EigenBasis is read-only arrays with one row per mode
-n = 1..N, made once its rows pass the checks.  Lambdas that do not
-increase are a BracketFailure; samples not orthogonal to within
-GRAM_DEFECT_TOL, or a mode whose Simpson and trapezoid norms differ by
-over QUADRATURE_GAP_TOL (1/3 at two nodes per wavelength), are
+tol serves as its relative and absolute tolerance.  As only q = nu'
+enters the operator, each panel integrates nu less its mean there, so a
+panel where nu is constant has a zero right-hand side (_propagate).
+build_bases carries the roots of R potentials (the rungs of an
+eps-ladder) through one such pass, over the union of their panels at
+tol / R, so that each member is held to tol / sqrt(R) and R passes cost
+about the steps of one; Newton and the checks stay per potential.
+Eigenfunctions are r sin(theta), normalized in L^2 by the grid's Simpson
+rule, and formed for all modes at once: an EigenBasis is read-only
+arrays with one row per mode n = 1..N, made once its rows pass the
+checks.  Lambdas that do not increase are a BracketFailure; samples not
+orthogonal to within GRAM_DEFECT_TOL, a mode whose norm of r sin(theta)
+is not finite and positive, or one whose Simpson and trapezoid norms
+differ by over QUADRATURE_GAP_TOL (1/3 at two nodes per wavelength), are
 unresolved.  basis_csv_rows reports each mode's distance from the free
 asymptote, ||phi_tilde_n - sin(sqrt(lambda_n) x)||, with phi_tilde =
 ||phi_tilde|| phi, which keeps (eta, log r) a local of the build.
@@ -88,8 +91,8 @@ _MAX_OMEGA = math.acosh(sys.float_info.max)
 def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
     """(eta, log r)' in the double-angle form of the docstring's equations:
     eta' = nu sin 2theta + a (1 - cos 2theta), (log r)' = -(nu cos 2theta
-    + a sin 2theta), a = nu^2 / (2 sqrt(lambda)).  nu_fn(x) is a float, or
-    an array of one nu per lambda.  Each call returns a new array."""
+    + a sin 2theta), a = nu^2 / (2 sqrt(lambda)), nu = nu_fn(x) the panel's
+    nu - c (_propagate), a float or one per lambda.  Returns a new array."""
     half_inv_s = 0.5 / sqrt_lam
 
     def rhs(x: float, y: np.ndarray) -> np.ndarray:
@@ -115,18 +118,33 @@ def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
 
 
 def _joint_panels(potentials, modes: int):
-    """(a, b, nu) over the union of the potentials' ode_panels: nu(x) is
-    a float for one potential, else each potential's nu repeated for its
-    modes."""
+    """(a, b, nu - c, c) over the union of the potentials' ode_panels, c
+    holding each potential's mean of nu over the panel: nu - c is a float
+    for one potential, else each potential's value repeated for its modes."""
     panels = [nu_like.ode_panels() for nu_like in potentials]
     edges = sorted({x for p in panels for a, b, _ in p for x in (a, b)})
     for a, b in zip(edges, edges[1:]):
         if b - a <= 1e-15:
             continue
-        mid = 0.5 * (a + b)
+        mid, h = 0.5 * (a + b), 0.5 * math.sqrt(0.6) * (b - a)
         fns = [next(f for pa, pb, f in p if pa < mid < pb) for p in panels]
-        yield a, b, fns[0] if len(fns) == 1 else (
-            lambda x, fns=fns: np.array([f(x) for f in fns]).repeat(modes))
+        # 3-point Gauss-Legendre, exactly nu where nu is constant
+        cs = [f(mid) + (5.0 / 18.0) * (f(mid - h) + f(mid + h) - 2.0 * f(mid))
+              for f in fns]
+        nu_c = (lambda x, f=fns[0], c=cs[0]: f(x) - c) if len(fns) == 1 else (
+            lambda x, fc=tuple(zip(fns, cs)):
+            np.array([f(x) - c for f, c in fc]).repeat(modes))
+        yield a, b, nu_c, cs
+
+
+def _shear(y: np.ndarray, theta0: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(eta, log r) after w <- w + k y, theta = theta0 + eta: y = r sin(theta)
+    and the sign of sin(theta) are kept, so each zero of y is kept."""
+    eta, log_r = y
+    s, c = np.sin(theta0 + eta), np.cos(theta0 + eta)
+    ks = k * s
+    return np.array((eta + np.arctan2(-ks * s, 1.0 + ks * c),
+                     log_r + 0.5 * np.log1p(ks * (c + c + ks))))
 
 
 def _propagate(potentials, lams: np.ndarray, tol: float,
@@ -141,19 +159,29 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
     (tol / sqrt(R) gives a member whose nu alone varies on a panel just
     its own pass's control there, and its phi then erred up to 1.12
     times as much.)  With R = 1 this is the one-potential pass, step for
-    step.  Returns the states recorded at sample_nodes, of shape
-    (2, R, M, len(nodes)).
+    step.
+
+    Only q = nu' enters the operator, so each panel integrates nu - c, c
+    a potential's mean of nu there, after the exact shear w <- w + (c -
+    c_before) y / sqrt(lambda).  Returns the states at sample_nodes, shape
+    (2, R, M, nodes), and each node's c, shape (R, nodes), the gauge of
+    w = (y' - (nu - c) y) / sqrt(lambda).
     """
     sqrt_lam = np.sqrt(lams.ravel())
     y = np.zeros((2, lams.size))
     out = np.empty((2, lams.size, len(sample_nodes)))
+    # phi_tilde(0) = 0, so that node's c is immaterial
+    gauge = np.zeros((len(potentials), len(sample_nodes)))
     pos = 0
     if sample_nodes[0] == 0.0:
         out[:, :, 0] = y
         pos = 1
     h_hint = None
+    c = np.zeros(len(potentials))
     tol = tol / len(potentials)
-    for a, b, nu_fn in _joint_panels(potentials, lams.shape[1]):
+    for a, b, nu_fn, cs in _joint_panels(potentials, lams.shape[1]):
+        y = _shear(y, sqrt_lam * a, (cs - c).repeat(lams.shape[1]) / sqrt_lam)
+        c = np.array(cs)
         hi = np.searchsorted(sample_nodes, b, side="right")
         in_panel = sample_nodes[pos:hi]
         count = len(in_panel)
@@ -162,8 +190,9 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
             samples=in_panel if count else None, first_step=h_hint)
         if count:
             out[:, :, pos:pos + count] = np.moveaxis(sampled, 0, -1)
+            gauge[:, pos:pos + count] = c[:, None]
             pos += count
-    return out.reshape((2,) + lams.shape + (len(sample_nodes),))
+    return out.reshape((2,) + lams.shape + (len(sample_nodes),)), gauge
 
 
 def _mesh_panels(nu_like, cells_per_unit: float) -> list:
@@ -474,10 +503,11 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
 
 
 def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
-                nu_nodes, eta, log_r) -> EigenBasis:
-    """The basis of the roots from their sampled (eta, log r) rows, once
-    its lambdas increase, its samples are orthogonal to GRAM_DEFECT_TOL
-    and each mode's Simpson and trapezoid norms agree to QUADRATURE_GAP_TOL."""
+                nu_nodes, eta, log_r, gauge) -> EigenBasis:
+    """The basis of the roots from their (eta, log r) rows in each node's
+    gauge (_propagate), once its lambdas increase, its samples are
+    orthogonal to GRAM_DEFECT_TOL, each mode's norm is finite and positive
+    and its Simpson and trapezoid norms agree to QUADRATURE_GAP_TOL."""
     steps = np.diff(root)
     if np.any(steps <= 0.0):
         k = int(np.nonzero(steps <= 0.0)[0][0])
@@ -486,7 +516,7 @@ def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
     # (modes, nodes) tables, formed in place so that few are alive at once.
     # An r past a float's range makes inf and NaN rows, whose Gram defect
     # is refused
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sqrt_lam = np.sqrt(root)[:, None]
         theta = sqrt_lam * grid.nodes + eta
         dphi = np.exp(log_r)
@@ -494,10 +524,10 @@ def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
         phi *= dphi  # phi_tilde = r sin(theta), normalized below
         # per row, as grid.norm_l2 sums; a table product sums otherwise
         tilde_norms = np.array([grid.norm_l2(v) for v in phi])
-        # phi' = (sqrt(lambda) r cos(theta) + nu phi_tilde) / ||phi_tilde||
+        # phi' ||phi_tilde|| = sqrt(lambda) r cos(theta) + (nu - c) phi_tilde
         dphi *= sqrt_lam
         dphi *= np.cos(theta, out=theta)
-        dphi += np.multiply(nu_nodes, phi, out=theta)
+        dphi += np.multiply(nu_nodes - gauge, phi, out=theta)
         dphi /= tilde_norms[:, None]
         phi /= tilde_norms[:, None]
     phi[:, [0, -1]] = 0.0
@@ -509,11 +539,18 @@ def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
             f"n_max={len(root)} modes are not resolved on a grid of {grid.n} "
             f"intervals at tol={tol:g}: Gram defect {defect:.3g} is not <= "
             f"{GRAM_DEFECT_TOL:g}")
+    # an r that overflows at x = 1 alone leaves a zero row of phi
+    k = int(np.argmin(np.isfinite(tilde_norms) & (tilde_norms > 0.0)))
+    if not 0.0 < tilde_norms[k] < math.inf:
+        raise UnresolvedBasis(
+            f"mode n={k + 1} is not resolved at tol={tol:g}: its eigenfunction"
+            f" norm {tilde_norms[k]:.3g} is not finite and positive")
     sq = phi * phi
     trap = grid.h * (np.sum(sq, axis=1) - 0.5 * (sq[:, 0] + sq[:, -1]))
-    gaps = np.abs(np.diag(gram) - trap) / trap
-    k = int(np.argmax(gaps))
-    if gaps[k] > QUADRATURE_GAP_TOL:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.abs(np.diag(gram) - trap) / trap
+    k = int(np.argmax(gaps))  # the first NaN, if any
+    if not gaps[k] <= QUADRATURE_GAP_TOL:
         raise UnresolvedBasis(
             f"mode n={k + 1} is not resolved on a grid of {grid.n} "
             f"intervals: its Simpson and trapezoid norms^2 differ by "
@@ -537,11 +574,11 @@ def build_bases(potentials, n_max: int, grid: Grid,
     ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
     roots = per_member(lambda nu_like: _roots(nu_like, ns, grid, ftol),
                        potentials)
-    eta, log_r = _propagate(potentials, np.array([r[0] for r in roots]),
-                            tol, grid.nodes)
+    (eta, log_r), gauge = _propagate(
+        potentials, np.array([r[0] for r in roots]), tol, grid.nodes)
     return per_member(
         lambda nu_like, r, *path: _eigenbasis(nu_like, grid, tol, *r, *path),
-        potentials, roots, eta, log_r)
+        potentials, roots, eta, log_r, gauge)
 
 
 def build_basis(nu_like, n_max: int, grid: Grid,

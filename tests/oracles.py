@@ -27,7 +27,7 @@ from vww.grid import Grid, GridFunction
 from vww.potential import (BumpProfile, MollifiedNu, MollifierSpec,
                            NuPrimitive, PerturbedNu, _composite_rule,
                            _window_conv)
-from vww.prufer import DEFAULT_TOL, EigenBasis, _propagate
+from vww.prufer import DEFAULT_TOL, EigenBasis, _propagate, _shear
 from vww.wave import WaveSolution
 
 # the array fields of an EigenBasis, all read-only and all kept by a cache
@@ -279,8 +279,10 @@ def psi_norms_from_path(basis: EigenBasis) -> np.ndarray:
     exp(log r) sin(sqrt(lambda) x + eta) from the basis's own RK45 pass at
     DEFAULT_TOL: one member, so the build's pass step for step."""
     grid = basis.grid
-    eta, log_r = _propagate([basis.nu], basis.lambdas[None], DEFAULT_TOL,
-                            grid.nodes)[:, 0]
+    # y = r sin(theta) is the same in every gauge
+    path, _ = _propagate([basis.nu], basis.lambdas[None], DEFAULT_TOL,
+                         grid.nodes)
+    eta, log_r = path[:, 0]
     free = np.sqrt(basis.lambdas)[:, None] * grid.nodes
     psi = np.exp(log_r) * np.sin(free + eta) - np.sin(free)
     return np.array([grid.norm_l2(v) for v in psi])
@@ -289,10 +291,13 @@ def psi_norms_from_path(basis: EigenBasis) -> np.ndarray:
 def rk45_path(nu_like, lam: float, grid: Grid,
               tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(theta, log r) at the grid's nodes for one trial lambda, from the
-    adaptive Runge-Kutta pass that samples every eigenbasis."""
-    sampled = _propagate([nu_like], np.array([[lam]]), tol, grid.nodes)
-    eta, log_r = sampled[:, 0, 0]
-    return math.sqrt(lam) * grid.nodes + eta, log_r
+    adaptive Runge-Kutta pass that samples every eigenbasis, sheared from
+    each node's gauge c back to nu's own (c = 0)."""
+    path, gauge = _propagate([nu_like], np.array([[lam]]), tol, grid.nodes)
+    s = math.sqrt(lam)
+    free = s * grid.nodes
+    eta, log_r = _shear(path[:, 0, 0], free, -gauge[0] / s)
+    return free + eta, log_r
 
 
 def dop853_theta(nu_like, lam: float) -> float:

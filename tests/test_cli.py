@@ -649,7 +649,7 @@ class TestNumericalFailure:
         # at ode_tol 1e6, r overflows; the basis is refused by its Gram
         # defect, NaN, and no numpy warning is printed on the way
         cfg = write_config(tmp_path, "c.json", {
-            "nu": {"smooth": {"kind": "const", "params": [1e6]}},
+            "nu": {"smooth": {"kind": "sine", "params": [1e3, 1]}},
             "grid_n": 256, "n_max": 5, "ode_tol": 1e6})
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -661,6 +661,25 @@ class TestNumericalFailure:
         assert re.search(r"UnresolvedBasis: .*Gram defect nan is not <= 0\.01",
                          err[0])
         assert not (tmp_path / "o").exists()
+
+    def test_infinite_eigenfunction_norm_solve_exits_3(self, tmp_path,
+                                                       capsys):
+        # mode 3's r overflows at x = 1 alone: a zero row of phi passes the
+        # Gram check, and solve once wrote its solution from it
+        cfg = write_config(tmp_path, "c.json", dict(
+            SOLVE_BASE, nu={"smooth": {"kind": "linear", "params": [1000]}},
+            grid_n=256, n_max=5, ode_tol=1e6,
+            u0={"kind": "sine_combo", "params": [[1, 1]]}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli("solve", "--config", cfg, "--out", str(out)) == 3
+        assert not [w for w in seen if w.category is RuntimeWarning]
+        assert capsys.readouterr().err.splitlines() == [
+            "vww: numerical failure: UnresolvedBasis: mode n=3 is not "
+            "resolved at tol=1e+06: its eigenfunction norm inf is not finite "
+            "and positive"]
+        assert not out.exists()
 
     def test_estimate_weight_overflow_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", dict(
@@ -851,9 +870,9 @@ class TestNonFiniteOutput:
 
     def test_uniqueness_ratio_null_where_bound_is_zero(self, tmp_path):
         # a constant w leaves q, so the bound, unchanged: 0, while the
-        # solver's difference is a few 1e-13
+        # solver's difference is a few 1e-16
         cfg = write_config(tmp_path, "c.json", dict(
-            VW_BASE, mode="uniqueness", nu=FREE_NU, grid_n=256, n_max=4,
+            VW_BASE, mode="uniqueness", nu=LIN5_NU, grid_n=256, n_max=4,
             order=1, w_primitive={"smooth": {"kind": "const",
                                               "params": [1.0]}}))
         out = tmp_path / "o"

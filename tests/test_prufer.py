@@ -21,8 +21,8 @@ from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (GRAM_DEFECT_TOL, EigenBasis, _magnus_mesh,
                         _magnus_phase, _make_rhs, _mesh_panels, _newton_roots,
-                        _PhaseMap, _roots, basis_csv_rows, basis_to_cache,
-                        build_bases, build_basis)
+                        _PhaseMap, _roots, _shear, basis_csv_rows,
+                        basis_to_cache, build_bases, build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -185,6 +185,74 @@ class TestPhaseRhs:
         assert first.tobytes() == kept.tobytes()
 
 
+class TestPanelGauge:
+    """The sampled pass in each panel's gauge nu - c, c the panel's mean."""
+
+    def test_shear_round_trip(self):
+        # |k| = |c - c_before| / sqrt(lambda) <= 1; the trip's error grows
+        # with k^2 ulps of theta (3e-14 at |k| = 5)
+        rng = np.random.default_rng(5)
+        y = np.stack([rng.uniform(-3.0, 3.0, 200),
+                      rng.uniform(-1.0, 1.0, 200)])
+        theta0 = rng.uniform(-50.0, 50.0, 200)
+        k = rng.uniform(-1.0, 1.0, 200)
+        sheared = _shear(y, theta0, k)
+        back = _shear(sheared, theta0, -k)
+        assert np.max(np.abs(back - y)) <= 1e-14
+
+        def r_sin(v):
+            return np.exp(v[1]) * np.sin(theta0 + v[0])
+
+        # to the rounding of theta ~ 50, 7e-15
+        assert np.max(np.abs(r_sin(sheared) - r_sin(y))) <= 2e-14
+        assert np.array_equal(np.sign(np.sin(theta0 + sheared[0])),
+                              np.sign(np.sin(theta0 + y[0])))
+
+    @pytest.mark.parametrize("name", ["step", "mixed"])
+    def test_constant_shift_of_nu_leaves_basis(self, name, grid2048):
+        # q = nu' is the same for nu + 100.  Before the gauge, phi differed
+        # by 4.5e-10 and phi' by 5.9e-10 sqrt(lambda)
+        nu = catalog_potentials()[name]
+        base, shifted = (build_basis(v, 40, grid2048) for v in (
+            nu, PerturbedNu(nu, NuPrimitive("const", (1.0,)), 100.0)))
+        # Newton's residual target bounds the lambdas, 1.9e-11 on mixed
+        assert np.allclose(shifted.lambdas, base.lambdas, rtol=1e-10, atol=0)
+        assert np.max(np.abs(shifted.phi_matrix - base.phi_matrix)) <= 2e-10
+        scale = np.sqrt(base.lambdas)[:, None]
+        assert np.max(np.abs(shifted.phi_prime_matrix
+                             - base.phi_prime_matrix) / scale) <= 2e-10
+
+    # (nu, sampled steps, steps when the pass integrated nu itself) at N 40,
+    # grid 2048
+    STEPS = {
+        "delta": (STEP, 13, 578),
+        "mixed": (NuPrimitive("linear", (2.0,), ((0.3, 3.0),)), 850, 1313),
+        "sine-1-1": (NuPrimitive("sine", (1.0, 1.0)), 1015, 1015),
+        "sine-1-1.25": (NuPrimitive("sine", (1.0, 1.25)), 1014, 1019),
+        "sine-3-0.75": (NuPrimitive("sine", (3.0, 0.75)), 1228, 1256),
+        "sine-1-50": (NuPrimitive("sine", (1.0, 50.0)), 2029, 2029),
+        "linear-5": (NuPrimitive("linear", (5.0,)), 1137, 1300),
+        "const-1": (NuPrimitive("const", (1.0,)), 10, 1131),
+        "sine-2-1-atom": (NuPrimitive("sine", (2.0, 1.0), ((0.25, 2.0),)),
+                               1103, 1134),
+    }
+
+    @pytest.mark.parametrize("name", list(STEPS))
+    def test_sampled_steps_pinned(self, name, grid2048, monkeypatch):
+        nu, now, _ = self.STEPS[name]
+        steps = []
+        original = vww.prufer.integrate_rk45
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            steps.append(result[2])
+            return result
+
+        monkeypatch.setattr(vww.prufer, "integrate_rk45", counted)
+        build_basis(nu, 40, grid2048)
+        assert sum(steps) <= now
+
+
 class TestShootEigenvalue:
     """Single modes, read off build_basis's rows."""
 
@@ -328,16 +396,31 @@ class TestBuildBasis:
         # without a numpy warning (the suite makes RuntimeWarning an error)
         with pytest.raises(UnresolvedBasis,
                            match=r"Gram defect nan is not <= 0\.01"):
-            build_basis(NuPrimitive("const", (1e6,)), 5, Grid(256), tol=1e6)
+            build_basis(NuPrimitive("sine", (1e3, 1.0)), 5, Grid(256),
+                        tol=1e6)
 
-    @pytest.mark.parametrize("name", ["step", "sine"])
+    def test_infinite_eigenfunction_norm_raises(self):
+        # at ode_tol 1e6, r of mode 3 overflows at x = 1 alone: an inf norm
+        # and a zero row of phi, which the Gram check passes; refused
+        # without a numpy warning
+        with pytest.raises(UnresolvedBasis,
+                           match=r"^mode n=3 is not resolved at tol=1e\+06: "
+                                 r"its eigenfunction norm inf is not finite "
+                                 r"and positive$"):
+            build_basis(NuPrimitive("linear", (1000.0,)), 5, Grid(256),
+                        tol=1e6)
+
+    @pytest.mark.parametrize("name, bound", [("step", 1e-11),
+                                             ("sine", 1e-9)],
+                             ids=["step", "sine"])
     def test_eigenfunctions_match_tight_tolerance_build(
-            self, name, catalog_bases_40, grid2048):
-        # 2.5e-10 (step) and 2.7e-10 (sine) when this was written
+            self, name, bound, catalog_bases_40, grid2048):
+        # 0 (step: each panel's nu is its gauge, so the pass is exact) and
+        # 2.7e-10 (sine) when this was written
         tight = build_basis(catalog_potentials()[name], 40, grid2048,
                             tol=1e-13)
         diff = catalog_bases_40[name].phi_matrix - tight.phi_matrix
-        assert np.max(np.abs(diff)) <= 1e-9
+        assert np.max(np.abs(diff)) <= bound
 
     def test_coarse_but_resolved_basis_builds(self):
         basis = build_basis(STEP, 12, Grid(32))

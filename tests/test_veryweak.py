@@ -253,6 +253,15 @@ class TestUniqueness:
         assert rep.passed and rep.slope is None
         assert all(v == 0.0 for v in rep.diff_norms)
 
+    def test_constant_potential_perturbation_changes_nothing(self, grid1024):
+        # nu + c leaves q = nu' and, in each panel's gauge, the sampled pass:
+        # the solutions agree bit for bit (they differed by 3.8e-14 to
+        # 1.2e-15, fitted a slope of 0.99, when the pass integrated nu)
+        rep = run_uniqueness(experiment(NuPrimitive(), grid1024), 1,
+                             w_primitive=NuPrimitive("const", (1.0,)))
+        assert rep.diff_norms == (0.0,) * 6
+        assert rep.passed and rep.slope is None
+
     def test_potential_perturbation_order_three(self, grid1024):
         w = NuPrimitive("sine", (1.0 / (2.0 * math.pi), 1.0, -math.pi / 2.0))
         rep = run_uniqueness(experiment(NuPrimitive(), grid1024), 3,
