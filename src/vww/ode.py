@@ -16,7 +16,8 @@ product of a scaled block of tableau rows with it, so a step makes under
 thirty numpy calls besides its six calls of rhs.
 
 Callers integrate piecewise-smooth right-hand sides panel by panel; this
-module assumes rhs is smooth on [x0, x1].
+module assumes rhs is smooth on [x0, x1].  A hook at each step boundary
+may rewrite the state into an equivalent form for one rhs call, no step cut.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
                    tol: float = 1e-11,
                    samples: np.ndarray | None = None,
                    first_step: float | None = None,
-                   max_steps: int = 2_000_000):
+                   max_steps: int = 2_000_000, hook=None):
     """Integrate y' = rhs(x, y) from x0 to x1 (x1 > x0).
 
     Parameters
@@ -117,11 +118,16 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
         included) takes the step's own end state.
     first_step : float, optional
         Step hint, e.g. the final accepted step of a previous panel.
+    hook : callable, optional
+        hook(x, y, h), h the next step's size, called before the first step
+        and after every accepted step short of x1.  It may change y in
+        place and then returns True, and rhs is evaluated again at (x, y).
 
     Returns
     -------
     (y_final, sampled, n_steps, last_h) with ``sampled`` an array of
-    shape (len(samples),) + y0.shape, or None.
+    shape (len(samples),) + y0.shape, or None, and last_h, a next panel's
+    hint, the larger of the final proposal and the step cut to land on x1.
     """
     x0, x1 = float(x0), float(x1)  # so x and the rhs argument stay floats
     span = x1 - x0
@@ -141,7 +147,8 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     rows = [w[i, :i + 2] for i in range(6)]
     heads = [buf[:i + 2] for i in range(6)]
     f0 = rhs(x0, k[0])
-    h = min(first_step or _initial_step(rhs, x0, k[0], f0, span, tol), span)
+    h = h_cut = min(first_step or _initial_step(rhs, x0, k[0], f0, span, tol),
+                    span)
     k[1][...] = f0
     sampled = None
     next_sample = 0
@@ -155,12 +162,17 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     n_steps = 0
     h_min = max(span, 1.0) * 1e-15
     x_end = x1 - 1e-15 * max(1.0, abs(x1))
+    at_boundary = hook is not None
     while x < x_end:
         if n_steps >= max_steps:
             raise StepFailure(f"exceeded {max_steps} steps at x={x:.6g}")
+        if at_boundary and hook(x, k[0], h):
+            k[1][...] = rhs(x, k[0])
+            np.abs(buf[0], out=abs_y)
+        at_boundary = False
         last = x + h >= x_end
         if last:
-            h = x1 - x
+            h_cut, h = h, x1 - x
         np.multiply(w_tol, h, out=w)
         w[:7, 0] = 1.0
         for i in range(1, 6):
@@ -195,10 +207,11 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
             factor = _MAX_FACTOR if enorm == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm ** -0.2))
             h = h * factor
+            at_boundary = hook is not None
         else:
             h = h * max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)
             if h < h_min:
                 raise StepFailure(
                     f"step underflow at x={x:.6g} (h={h:.3g}, err={enorm:.3g})"
                 )
-    return k[0].copy(), sampled, n_steps, h
+    return k[0].copy(), sampled, n_steps, max(h, h_cut)

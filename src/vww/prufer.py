@@ -27,8 +27,9 @@ drift from the error control), records (eta, log r) on the grid; the
 nodes are read off each step's continuous extension, valid because no
 step crosses a jump, and so are as accurate as the tolerance asks; one
 tol serves as its relative and absolute tolerance.  As only q = nu'
-enters the operator, each panel integrates nu less its mean there, so a
-panel where nu is constant has a zero right-hand side (_propagate).
+enters the operator, the pass integrates nu less a gauge, nu's mean over
+each stretch of 16 steps, so where nu is constant the right-hand side is
+zero (_propagate).
 build_bases carries the roots of R potentials (the rungs of an
 eps-ladder) through one such pass, over the union of their panels at
 tol / R, so that each member is held to tol / sqrt(R) and R passes cost
@@ -47,6 +48,7 @@ asymptote, ||phi_tilde_n - sin(sqrt(lambda_n) x)||, with phi_tilde =
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -84,6 +86,10 @@ GRAM_DEFECT_TOL = 1e-2
 # norms^2: 1/3 for a mode at two nodes per wavelength, whose Simpson norm
 # is aliased, at most 2e-14 for a sine one mode lower
 QUADRATURE_GAP_TOL = 1e-2
+# accepted steps between re-centrings of the sampled pass's gauge: every
+# 1 / 8 / 16 / 32 made 4,070 / 3,581 / 3,587 / 3,689 rhs calls and 581 /
+# 584 / 591 / 611 steps on mixed, each re-centring a shear besides
+_GAUGE_STEPS = 16
 # largest Magnus exponent |omega| of a hyperbolic cell whose cosh is finite
 _MAX_OMEGA = math.acosh(sys.float_info.max)
 
@@ -117,24 +123,16 @@ def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
     return rhs
 
 
-def _joint_panels(potentials, modes: int):
-    """(a, b, nu - c, c) over the union of the potentials' ode_panels, c
-    holding each potential's mean of nu over the panel: nu - c is a float
-    for one potential, else each potential's value repeated for its modes."""
+def _joint_panels(potentials):
+    """(a, b, fns) over the union of the potentials' ode_panels, fns holding
+    each potential's callable of nu on the panel."""
     panels = [nu_like.ode_panels() for nu_like in potentials]
     edges = sorted({x for p in panels for a, b, _ in p for x in (a, b)})
     for a, b in zip(edges, edges[1:]):
-        if b - a <= 1e-15:
-            continue
-        mid, h = 0.5 * (a + b), 0.5 * math.sqrt(0.6) * (b - a)
-        fns = [next(f for pa, pb, f in p if pa < mid < pb) for p in panels]
-        # 3-point Gauss-Legendre, exactly nu where nu is constant
-        cs = [f(mid) + (5.0 / 18.0) * (f(mid - h) + f(mid + h) - 2.0 * f(mid))
-              for f in fns]
-        nu_c = (lambda x, f=fns[0], c=cs[0]: f(x) - c) if len(fns) == 1 else (
-            lambda x, fc=tuple(zip(fns, cs)):
-            np.array([f(x) - c for f, c in fc]).repeat(modes))
-        yield a, b, nu_c, cs
+        mid = 0.5 * (a + b)
+        if b - a > 1e-15:
+            yield a, b, [next(f for pa, pb, f in p if pa < mid < pb)
+                         for p in panels]
 
 
 def _shear(y: np.ndarray, theta0: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -161,12 +159,16 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
     times as much.)  With R = 1 this is the one-potential pass, step for
     step.
 
-    Only q = nu' enters the operator, so each panel integrates nu - c, c
-    a potential's mean of nu there, after the exact shear w <- w + (c -
-    c_before) y / sqrt(lambda).  Returns the states at sample_nodes, shape
-    (2, R, M, nodes), and each node's c, shape (R, nodes), the gauge of
-    w = (y' - (nu - c) y) / sqrt(lambda).
+    Only q = nu' enters the operator, so the pass integrates nu - c: at a
+    panel's start and every _GAUGE_STEPS accepted steps after, the
+    integrator's hook sets each potential's c to nu's 3-point
+    Gauss-Legendre mean over [x, min(b, x + _GAUGE_STEPS h)], after the
+    exact shear w <- w + (c - c_before) y / sqrt(lambda).  Where nu is
+    constant c stays bit for bit: no shear, no rhs call, a zero rhs.
+    Returns the states at sample_nodes, shape (2, R, M, nodes), and each
+    node's c, shape (R, nodes): the c of the stretch whose step sampled it.
     """
+    modes = lams.shape[1]
     sqrt_lam = np.sqrt(lams.ravel())
     y = np.zeros((2, lams.size))
     out = np.empty((2, lams.size, len(sample_nodes)))
@@ -177,21 +179,40 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
         out[:, :, 0] = y
         pos = 1
     h_hint = None
-    c = np.zeros(len(potentials))
+    c = [0.0] * len(potentials)
     tol = tol / len(potentials)
-    for a, b, nu_fn, cs in _joint_panels(potentials, lams.shape[1]):
-        y = _shear(y, sqrt_lam * a, (cs - c).repeat(lams.shape[1]) / sqrt_lam)
-        c = np.array(cs)
+    for a, b, fns in _joint_panels(potentials):
+        starts, cs, calls = [], [], itertools.count()
+
+        def recentre(x, state, h):
+            if next(calls) % _GAUGE_STEPS:
+                return False
+            mid = 0.5 * (x + min(b, x + _GAUGE_STEPS * h))
+            d = math.sqrt(0.6) * (mid - x)
+            # 3-point Gauss-Legendre, exactly nu where nu is constant
+            new = [f(mid) + (5.0 / 18.0) * (f(mid - d) + f(mid + d)
+                                            - 2.0 * f(mid)) for f in fns]
+            starts.append(x)
+            cs.append(new)
+            if new == c:
+                return False
+            state[...] = _shear(state, sqrt_lam * x, np.subtract(
+                new, c).repeat(modes) / sqrt_lam)
+            c[:] = new
+            return True
+
+        nu_c = (lambda x, f=fns[0]: f(x) - c[0]) if len(fns) == 1 else (
+            lambda x: np.repeat([f(x) - cf for f, cf in zip(fns, c)], modes))
         hi = np.searchsorted(sample_nodes, b, side="right")
         in_panel = sample_nodes[pos:hi]
-        count = len(in_panel)
         y, sampled, _, h_hint = integrate_rk45(
-            _make_rhs(nu_fn, sqrt_lam), a, b, y, tol,
-            samples=in_panel if count else None, first_step=h_hint)
-        if count:
-            out[:, :, pos:pos + count] = np.moveaxis(sampled, 0, -1)
-            gauge[:, pos:pos + count] = c[:, None]
-            pos += count
+            _make_rhs(nu_c, sqrt_lam), a, b, y, tol, samples=in_panel,
+            first_step=h_hint, hook=recentre)
+        out[:, :, pos:hi] = np.moveaxis(sampled, 0, -1)
+        # a node at a stretch's end belongs to the stretch before
+        stretch = np.searchsorted(starts, in_panel, side="left") - 1
+        gauge[:, pos:hi] = np.array(cs).T[:, stretch]
+        pos = hi
     return out.reshape((2,) + lams.shape + (len(sample_nodes),)), gauge
 
 

@@ -34,6 +34,9 @@ from .spectral import analyze, sobolev_norm
 from .wave import WaveProblem, check_time_grid, solve_homogeneous
 
 VERDICT_MARGIN = 0.2  # moderate: slope <= order + it; negligible: >= order - it
+# a uniqueness difference up to this times its base solution's norm is
+# round-off, and counts as zero for the verdict
+ROUNDOFF_DIFF = 64.0 * np.finfo(float).eps
 
 
 def default_ladder(k_min: int = 2, k_max: int = 9) -> tuple:
@@ -289,6 +292,7 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
         diff = sol.values - sol_p.values
         w_q = grid.simpson_weights
         diff_sup = float(np.sqrt(np.max(diff**2 @ w_q)))
+        floor = ROUNDOFF_DIFF * float(np.sqrt(np.max(sol.values**2 @ w_q)))
         # cross-check: the difference solves the base problem forced by
         # (q_pert - q_eps) * u_pert with the perturbation data
         f_sup_sq = float(np.max(((w_density[None, :] * sol_p.values) ** 2
@@ -303,8 +307,8 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
             raise NonFiniteResult(f"the uniqueness bound is {rhs} for "
                                   f"T={e.T:g}")
         if rhs == 0.0:
-            return diff_sup, 0.0 if diff_sup == 0.0 else None
-        return diff_sup, diff_sup**2 / rhs
+            return diff_sup, 0.0 if diff_sup == 0.0 else None, floor
+        return diff_sup, diff_sup**2 / rhs, floor
 
     base = _mollified(e)
     if w_primitive is None:
@@ -315,9 +319,10 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
                 for b, eps in zip(base, e.ladder)]
         built = _bases(e, base + pert, e.ladder * 2)
         bases, perturbed = built[:len(base)], built[len(base):]
-    diffs, ratios = zip(*_per_rung(e, one, bases, perturbed))
-    rep = _try_fit(check_negligibility, e.ladder, diffs, order)
-    # an identically zero difference net is negligible at every order
+    diffs, ratios, floors = zip(*_per_rung(e, one, bases, perturbed))
+    rep = _try_fit(check_negligibility, e.ladder,
+                   [d if d > f else 0.0 for d, f in zip(diffs, floors)], order)
+    # a difference net with a zero rung is negligible at every order
     slope, passed = (None, True) if rep is None else (rep.slope, rep.passed)
     unbounded = [f"{eps:g}" for eps, r in zip(e.ladder, ratios) if r is None]
     reason = (f"the bound is 0 where the difference is not, at eps="

@@ -664,11 +664,11 @@ class TestNumericalFailure:
 
     def test_infinite_eigenfunction_norm_solve_exits_3(self, tmp_path,
                                                        capsys):
-        # mode 3's r overflows at x = 1 alone: a zero row of phi passes the
+        # mode 3's r^2 overflows the norm: a zero row of phi passes the
         # Gram check, and solve once wrote its solution from it
         cfg = write_config(tmp_path, "c.json", dict(
-            SOLVE_BASE, nu={"smooth": {"kind": "linear", "params": [1000]}},
-            grid_n=256, n_max=5, ode_tol=1e6,
+            SOLVE_BASE, nu={"smooth": {"kind": "linear", "params": [500]}},
+            grid_n=256, n_max=3, ode_tol=1e6,
             u0={"kind": "sine_combo", "params": [[1, 1]]}))
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as seen:
@@ -883,6 +883,21 @@ class TestNonFiniteOutput:
         assert rep["esnh1_reason"] == (
             "the bound is 0 where the difference is not, at "
             "eps=0.25, 0.125, 0.0625, 0.03125")
+
+    def test_uniqueness_roundoff_difference_is_negligible(self, tmp_path):
+        # q unchanged, so the difference net is round-off (1e-16 to 5e-16,
+        # once fitted to a slope of 0.64 and failed); its raw values are
+        # still reported
+        cfg = write_config(tmp_path, "c.json", dict(
+            VW_BASE, mode="uniqueness", nu=LIN5_NU, grid_n=256, n_max=4,
+            T=1.0, n_times=5, order=1,
+            w_primitive={"smooth": {"kind": "const", "params": [1.0]}}))
+        out = tmp_path / "o"
+        assert run_cli("veryweak", "--config", cfg, "--out", str(out)) == 0
+        rep = _strict_json(out / "report.json")["report"]
+        assert all(0.0 < d < 1e-15 for d in rep["diff_norms"])
+        assert rep["slope"] is None
+        assert rep["passed"] is True
 
 
 class TestTimeGridCeiling:

@@ -225,16 +225,16 @@ class TestPanelGauge:
     # (nu, sampled steps, steps when the pass integrated nu itself) at N 40,
     # grid 2048
     STEPS = {
-        "delta": (STEP, 13, 578),
-        "mixed": (NuPrimitive("linear", (2.0,), ((0.3, 3.0),)), 850, 1313),
-        "sine-1-1": (NuPrimitive("sine", (1.0, 1.0)), 1015, 1015),
-        "sine-1-1.25": (NuPrimitive("sine", (1.0, 1.25)), 1014, 1019),
-        "sine-3-0.75": (NuPrimitive("sine", (3.0, 0.75)), 1228, 1256),
-        "sine-1-50": (NuPrimitive("sine", (1.0, 50.0)), 2029, 2029),
-        "linear-5": (NuPrimitive("linear", (5.0,)), 1137, 1300),
-        "const-1": (NuPrimitive("const", (1.0,)), 10, 1131),
+        "delta": (STEP, 11, 578),
+        "mixed": (NuPrimitive("linear", (2.0,), ((0.3, 3.0),)), 591, 1313),
+        "sine-1-1": (NuPrimitive("sine", (1.0, 1.0)), 661, 1015),
+        "sine-1-1.25": (NuPrimitive("sine", (1.0, 1.25)), 692, 1019),
+        "sine-3-0.75": (NuPrimitive("sine", (3.0, 0.75)), 771, 1256),
+        "sine-1-50": (NuPrimitive("sine", (1.0, 50.0)), 2023, 2029),
+        "linear-5": (NuPrimitive("linear", (5.0,)), 707, 1300),
+        "const-1": (NuPrimitive("const", (1.0,)), 7, 1131),
         "sine-2-1-atom": (NuPrimitive("sine", (2.0, 1.0), ((0.25, 2.0),)),
-                               1103, 1134),
+                               756, 1134),
     }
 
     @pytest.mark.parametrize("name", list(STEPS))
@@ -400,14 +400,14 @@ class TestBuildBasis:
                         tol=1e6)
 
     def test_infinite_eigenfunction_norm_raises(self):
-        # at ode_tol 1e6, r of mode 3 overflows at x = 1 alone: an inf norm
-        # and a zero row of phi, which the Gram check passes; refused
-        # without a numpy warning
+        # at ode_tol 1e6, r of mode 3 peaks near e^436: finite, but its
+        # square overflows the norm, so the norm is inf and the row of phi
+        # zero, which the Gram check passes; refused without a numpy warning
         with pytest.raises(UnresolvedBasis,
                            match=r"^mode n=3 is not resolved at tol=1e\+06: "
                                  r"its eigenfunction norm inf is not finite "
                                  r"and positive$"):
-            build_basis(NuPrimitive("linear", (1000.0,)), 5, Grid(256),
+            build_basis(NuPrimitive("linear", (500.0,)), 3, Grid(256),
                         tol=1e6)
 
     @pytest.mark.parametrize("name, bound", [("step", 1e-11),
@@ -415,12 +415,16 @@ class TestBuildBasis:
                              ids=["step", "sine"])
     def test_eigenfunctions_match_tight_tolerance_build(
             self, name, bound, catalog_bases_40, grid2048):
-        # 0 (step: each panel's nu is its gauge, so the pass is exact) and
-        # 2.7e-10 (sine) when this was written
+        # phi 0 (step: each panel's nu is its gauge, so the pass is exact)
+        # and 3.1e-10 (sine), phi' / sqrt(lambda) 0 and 2.8e-10, when this
+        # was written
         tight = build_basis(catalog_potentials()[name], 40, grid2048,
                             tol=1e-13)
-        diff = catalog_bases_40[name].phi_matrix - tight.phi_matrix
+        basis = catalog_bases_40[name]
+        diff = basis.phi_matrix - tight.phi_matrix
         assert np.max(np.abs(diff)) <= bound
+        diff = basis.phi_prime_matrix - tight.phi_prime_matrix
+        assert np.max(np.abs(diff) / np.sqrt(basis.lambdas)[:, None]) <= bound
 
     def test_coarse_but_resolved_basis_builds(self):
         basis = build_basis(STEP, 12, Grid(32))
