@@ -22,13 +22,16 @@ max |nu| size, never the grid; for a nu with density a Richardson
 estimate of theta(1)'s error at the roots, from one pass at half the
 cells, accepts that mesh or refines it.  At the roots one adaptive
 Runge-Kutta pass, split at every jump of nu and carried in the corrected
-phase eta = theta - sqrt(lambda) x (which removes the dominant linear
-drift from the error control), records (eta, log r) on the grid; the
-nodes are read off each step's continuous extension, valid because no
-step crosses a jump, and so are as accurate as the tolerance asks; one
-tol serves as its relative and absolute tolerance.  As only q = nu'
-enters the operator, the pass integrates nu less a gauge, nu's mean over
-each stretch of 16 steps, so where nu is constant the right-hand side is
+phase eta = theta - s x (which removes the dominant linear drift from
+the error control), records (eta, log r) on the grid; the nodes are read
+off each step's continuous extension, valid because no step crosses a
+jump, and so are as accurate as the tolerance asks; one tol serves as
+its relative and absolute tolerance.  As only q = nu' enters the
+operator, the pass integrates nu less a gauge line c(x) = m + p (x -
+mid), fitted to nu over each stretch of 16 steps, whose slope p, a
+constant reference potential, it folds into the eigenvalue: the
+equations above hold for nu - c with s = sqrt(lambda - p) in place of
+sqrt(lambda), and where nu is constant or linear the right-hand side is
 zero (_propagate).
 build_bases carries the roots of R potentials (the rungs of an
 eps-ladder) through one such pass, over the union of their panels at
@@ -90,21 +93,25 @@ QUADRATURE_GAP_TOL = 1e-2
 # 1 / 8 / 16 / 32 made 4,070 / 3,581 / 3,587 / 3,689 rhs calls and 581 /
 # 584 / 591 / 611 steps on mixed, each re-centring a shear besides
 _GAUGE_STEPS = 16
+# largest slope p of the sampled pass's gauge line, as a fraction of its
+# potential's smallest lambda, so that s = sqrt(lambda - p) stays real
+_SLOPE_CAP = 0.5
 # largest Magnus exponent |omega| of a hyperbolic cell whose cosh is finite
 _MAX_OMEGA = math.acosh(sys.float_info.max)
 
 
-def _make_rhs(nu_fn, sqrt_lam: np.ndarray):
+def _make_rhs(nu_fn, s: np.ndarray, half_inv_s: np.ndarray):
     """(eta, log r)' in the double-angle form of the docstring's equations:
     eta' = nu sin 2theta + a (1 - cos 2theta), (log r)' = -(nu cos 2theta
-    + a sin 2theta), a = nu^2 / (2 sqrt(lambda)), nu = nu_fn(x) the panel's
-    nu - c (_propagate), a float or one per lambda.  Returns a new array."""
-    half_inv_s = 0.5 / sqrt_lam
+    + a sin 2theta), theta = s x + eta, a = nu^2 half_inv_s, nu = nu_fn(x)
+    the stretch's nu - c (_propagate), a float or one per lambda.  s and
+    half_inv_s = 1 / (2 s) are read at each call, so that a caller may
+    rewrite them in place.  Returns a new array."""
 
     def rhs(x: float, y: np.ndarray) -> np.ndarray:
         nu = nu_fn(x)
         a = (nu * nu) * half_inv_s
-        two_theta = sqrt_lam * x
+        two_theta = s * x
         two_theta += y[0]
         two_theta += two_theta
         s2 = np.sin(two_theta)
@@ -135,14 +142,28 @@ def _joint_panels(potentials):
                          for p in panels]
 
 
-def _shear(y: np.ndarray, theta0: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """(eta, log r) after w <- w + k y, theta = theta0 + eta: y = r sin(theta)
-    and the sign of sin(theta) are kept, so each zero of y is kept."""
+def _shear(y: np.ndarray, theta0: np.ndarray, k: np.ndarray,
+           k1) -> np.ndarray:
+    """(eta, log r) after w <- k1 w + k y, k1 > 0, theta = theta0 + eta:
+    y = r sin(theta) and the sign of sin(theta) are kept, so each zero of y
+    is kept.  With e = (k1 - 1) cos(theta) + k sin(theta), theta moves by
+    atan2(-e sin(theta), 1 + e cos(theta)) and log r by log1p(e (2
+    cos(theta) + e)) / 2."""
     eta, log_r = y
     s, c = np.sin(theta0 + eta), np.cos(theta0 + eta)
-    ks = k * s
-    return np.array((eta + np.arctan2(-ks * s, 1.0 + ks * c),
-                     log_r + 0.5 * np.log1p(ks * (c + c + ks))))
+    e = (k1 - 1.0) * c + k * s
+    return np.array((eta + np.arctan2(-e * s, 1.0 + e * c),
+                     log_r + 0.5 * np.log1p(e * (c + c + e))))
+
+
+def _gauge_line(f, mid: float, d: float, cap: float) -> tuple:
+    """(m, p, mid), the line m + p (x - mid) of the sampled pass's gauge:
+    m f's 3-point Gauss-Legendre mean about mid, d its outer nodes' offset,
+    and p the slope through them, at most cap.  Both are exact on a line,
+    so that a constant f makes p = 0 and m = f bit for bit."""
+    lo, at, hi = f(mid - d), f(mid), f(mid + d)
+    return (at + (5.0 / 18.0) * (lo + hi - 2.0 * at),
+            min((hi - lo) / (d + d), cap), mid)
 
 
 def _propagate(potentials, lams: np.ndarray, tol: float,
@@ -159,61 +180,90 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
     times as much.)  With R = 1 this is the one-potential pass, step for
     step.
 
-    Only q = nu' enters the operator, so the pass integrates nu - c: at a
+    Only q = nu' enters the operator, so the pass integrates nu - c for a
+    gauge line c(x) = m + p (x - mid), and its slope p, a constant
+    reference potential on the stretch (Ixaru 1984; Ledoux, Van Daele &
+    Vanden Berghe, ACM TOMS 31, 2005), moves to the eigenvalue: -y'' +
+    (nu - c)' y = (lambda - p) y, stepped with s = sqrt(lambda - p) for
+    sqrt(lambda), w = (y' - (nu - c) y) / s and theta = s x + eta.  At a
     panel's start and every _GAUGE_STEPS accepted steps after, the
-    integrator's hook sets each potential's c to nu's 3-point
-    Gauss-Legendre mean over [x, min(b, x + _GAUGE_STEPS h)], after the
-    exact shear w <- w + (c - c_before) y / sqrt(lambda).  Where nu is
-    constant c stays bit for bit: no shear, no rhs call, a zero rhs.
-    Returns the states at sample_nodes, shape (2, R, M, nodes), and each
-    node's c, shape (R, nodes): the c of the stretch whose step sampled it.
+    integrator's hook fits each potential's line to nu over [x, min(b, x +
+    _GAUGE_STEPS h)] (_gauge_line), p at most _SLOPE_CAP times the
+    potential's smallest lambda so that s stays real, and takes the exact
+    map w <- (s_before / s) w + (c - c_before)(x) y / s.  Where the line's
+    value and slope at x stay bit for bit, as on a constant nu, nothing
+    moves: no shear, no rhs call; where nu is constant or linear the rhs
+    is zero.  Returns the states at sample_nodes, shape (2, R, M, nodes),
+    and each node's c and p, shape (2, R, nodes): those of the stretch
+    whose step sampled it.
     """
     modes = lams.shape[1]
-    sqrt_lam = np.sqrt(lams.ravel())
-    y = np.zeros((2, lams.size))
-    out = np.empty((2, lams.size, len(sample_nodes)))
-    # phi_tilde(0) = 0, so that node's c is immaterial
-    gauge = np.zeros((len(potentials), len(sample_nodes)))
+    lam = lams.ravel()
+    s = np.sqrt(lam)
+    half_inv_s = 0.5 / s
+    caps = (_SLOPE_CAP * lams.min(axis=1)).tolist()
+    y = np.zeros((2, lam.size))
+    out = np.empty((2, lam.size, len(sample_nodes)))
+    # phi_tilde(0) = 0, so that node's c is immaterial; s there is sqrt(lambda)
+    node_gauge = np.zeros((2, len(potentials), len(sample_nodes)))
     pos = 0
     if sample_nodes[0] == 0.0:
         out[:, :, 0] = y
         pos = 1
     h_hint = None
-    c = [0.0] * len(potentials)
+    gauge = [(0.0, 0.0, 0.0)] * len(potentials)
     tol = tol / len(potentials)
     for a, b, fns in _joint_panels(potentials):
-        starts, cs, calls = [], [], itertools.count()
+        starts, fitted, calls = [], [], itertools.count()
 
         def recentre(x, state, h):
             if next(calls) % _GAUGE_STEPS:
                 return False
             mid = 0.5 * (x + min(b, x + _GAUGE_STEPS * h))
             d = math.sqrt(0.6) * (mid - x)
-            # 3-point Gauss-Legendre, exactly nu where nu is constant
-            new = [f(mid) + (5.0 / 18.0) * (f(mid - d) + f(mid + d)
-                                            - 2.0 * f(mid)) for f in fns]
+            new = [_gauge_line(f, mid, d, cap) for f, cap in zip(fns, caps)]
+            # each line's value and slope at x
+            old_at, new_at = ([(m + p * (x - xm), p) for m, p, xm in g]
+                              for g in (gauge, new))
             starts.append(x)
-            cs.append(new)
-            if new == c:
+            if new_at == old_at:
+                fitted.append(list(gauge))  # the same line
                 return False
-            state[...] = _shear(state, sqrt_lam * x, np.subtract(
-                new, c).repeat(modes) / sqrt_lam)
-            c[:] = new
+            fitted.append(new)
+            (c_old, p_old), (c_new, p_new) = (
+                np.repeat(v, modes, axis=0).T for v in (old_at, new_at))
+            s_old = s.copy()
+            np.sqrt(lam - p_new, out=s)
+            state[...] = _shear(state, s_old * x, (c_new - c_old) / s,
+                                s_old / s)
+            # eta = theta - s x follows s, s_old - s = (p - p_old) / (s_old + s)
+            state[0] += (p_new - p_old) / (s_old + s) * x
+            np.divide(0.5, s, out=half_inv_s)
+            gauge[:] = new
             return True
 
-        nu_c = (lambda x, f=fns[0]: f(x) - c[0]) if len(fns) == 1 else (
-            lambda x: np.repeat([f(x) - cf for f, cf in zip(fns, c)], modes))
+        if len(fns) == 1:
+            def nu_c(x, f=fns[0]):
+                m, p, xm = gauge[0]
+                return f(x) - m - p * (x - xm)
+        else:
+            def nu_c(x):
+                return np.repeat([f(x) - m - p * (x - xm)
+                                  for f, (m, p, xm) in zip(fns, gauge)], modes)
+
         hi = np.searchsorted(sample_nodes, b, side="right")
         in_panel = sample_nodes[pos:hi]
         y, sampled, _, h_hint = integrate_rk45(
-            _make_rhs(nu_c, sqrt_lam), a, b, y, tol, samples=in_panel,
+            _make_rhs(nu_c, s, half_inv_s), a, b, y, tol, samples=in_panel,
             first_step=h_hint, hook=recentre)
         out[:, :, pos:hi] = np.moveaxis(sampled, 0, -1)
         # a node at a stretch's end belongs to the stretch before
-        stretch = np.searchsorted(starts, in_panel, side="left") - 1
-        gauge[:, pos:hi] = np.array(cs).T[:, stretch]
+        m, p, xm = np.array(fitted)[np.searchsorted(
+            starts, in_panel, side="left") - 1].T
+        node_gauge[0, :, pos:hi] = m + p * (in_panel - xm)
+        node_gauge[1, :, pos:hi] = p
         pos = hi
-    return out.reshape((2,) + lams.shape + (len(sample_nodes),)), gauge
+    return out.reshape((2,) + lams.shape + (len(sample_nodes),)), node_gauge
 
 
 def _mesh_panels(nu_like, cells_per_unit: float) -> list:
@@ -524,29 +574,34 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
 
 
 def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
-                nu_nodes, eta, log_r, gauge) -> EigenBasis:
+                nu_nodes, eta, log_r, gauge, slope) -> EigenBasis:
     """The basis of the roots from their (eta, log r) rows in each node's
-    gauge (_propagate), once its lambdas increase, its samples are
-    orthogonal to GRAM_DEFECT_TOL, each mode's norm is finite and positive
-    and its Simpson and trapezoid norms agree to QUADRATURE_GAP_TOL."""
+    gauge c and slope p (_propagate), which it overwrites, once its
+    lambdas increase, its samples are orthogonal to GRAM_DEFECT_TOL, each
+    mode's norm is finite and positive and its Simpson and trapezoid norms
+    agree to QUADRATURE_GAP_TOL."""
     steps = np.diff(root)
     if np.any(steps <= 0.0):
         k = int(np.nonzero(steps <= 0.0)[0][0])
         raise BracketFailure(k + 2, float(root[k]), float(root[k + 1]),
                              "eigenvalues failed to come out increasing")
-    # (modes, nodes) tables, formed in place so that few are alive at once.
-    # An r past a float's range makes inf and NaN rows, whose Gram defect
-    # is refused
+    # (modes, nodes) tables, formed in place so that few are alive at once:
+    # theta and r overwrite the pass's rows eta and log r.  An r past a
+    # float's range makes inf and NaN rows, whose Gram defect is refused
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sqrt_lam = np.sqrt(root)[:, None]
-        theta = sqrt_lam * grid.nodes + eta
-        dphi = np.exp(log_r)
-        phi = np.sin(theta)
-        phi *= dphi  # phi_tilde = r sin(theta), normalized below
+        s = np.subtract.outer(root, slope)
+        np.sqrt(s, out=s)  # sqrt(lambda - p)
+        phi = s * grid.nodes
+        theta = eta
+        theta += phi
+        r = np.exp(log_r, out=log_r)
+        np.sin(theta, out=phi)
+        phi *= r  # phi_tilde = r sin(theta), normalized below
         # per row, as grid.norm_l2 sums; a table product sums otherwise
         tilde_norms = np.array([grid.norm_l2(v) for v in phi])
-        # phi' ||phi_tilde|| = sqrt(lambda) r cos(theta) + (nu - c) phi_tilde
-        dphi *= sqrt_lam
+        # phi' ||phi_tilde|| = s r cos(theta) + (nu - c) phi_tilde
+        dphi = r * s
+        del s
         dphi *= np.cos(theta, out=theta)
         dphi += np.multiply(nu_nodes - gauge, phi, out=theta)
         dphi /= tilde_norms[:, None]
@@ -595,11 +650,11 @@ def build_bases(potentials, n_max: int, grid: Grid,
     ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
     roots = per_member(lambda nu_like: _roots(nu_like, ns, grid, ftol),
                        potentials)
-    (eta, log_r), gauge = _propagate(
+    (eta, log_r), (gauge, slope) = _propagate(
         potentials, np.array([r[0] for r in roots]), tol, grid.nodes)
     return per_member(
         lambda nu_like, r, *path: _eigenbasis(nu_like, grid, tol, *r, *path),
-        potentials, roots, eta, log_r, gauge)
+        potentials, roots, eta, log_r, gauge, slope)
 
 
 def build_basis(nu_like, n_max: int, grid: Grid,

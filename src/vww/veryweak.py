@@ -10,7 +10,8 @@ the (ladder, norms) pairs decide the verdicts, with one margin of 0.2:
 * existence: the solution net and its time derivative stay moderate
   (fitted growth exponent at most the declared order plus 0.2);
 * uniqueness: an injected order-M perturbation of potential and data
-  leaves a difference net decaying at least like eps^(M - 0.2);
+  leaves a difference net decaying at least like eps^(M - 0.2), fitted
+  on the rungs above round-off, or decaying to round-off;
 * consistency (bounded potentials): the mollified solutions approach
   the unmollified one, strictly decreasing along the ladder.
 """
@@ -35,7 +36,7 @@ from .wave import WaveProblem, check_time_grid, solve_homogeneous
 
 VERDICT_MARGIN = 0.2  # moderate: slope <= order + it; negligible: >= order - it
 # a uniqueness difference up to this times its base solution's norm is
-# round-off, and counts as zero for the verdict
+# round-off: the floor of its rung in check_negligibility's verdict
 ROUNDOFF_DIFF = 64.0 * np.finfo(float).eps
 
 
@@ -73,7 +74,11 @@ def _fit(ladder, norms, x=np.log) -> ExponentFit:
     norms = np.asarray(norms, dtype=float)
     if np.any(norms <= 0.0):
         raise DegenerateNet("net contains zero norms; nothing to fit")
-    ys = np.log(norms)
+    return _line(xs, np.log(norms))
+
+
+def _line(xs: np.ndarray, ys: np.ndarray) -> ExponentFit:
+    """Least-squares line of ys against xs, two points or more."""
     slope, intercept = np.polyfit(xs, ys, 1)
     return ExponentFit(float(slope),
                        float(np.max(np.abs(ys - (slope * xs + intercept)))))
@@ -92,14 +97,35 @@ def _check_order(order: int) -> None:
 
 class NegligibilityReport(NamedTuple):
     passed: bool
-    slope: float
+    slope: float | None
+    # why no slope was fitted; None where one was
+    reason: str | None = None
 
 
-def check_negligibility(ladder, norms, order: int) -> NegligibilityReport:
-    """Fit log(norm) against log(eps); pass when slope >= order - 0.2."""
+def check_negligibility(ladder, norms, order: int,
+                        floors=None) -> NegligibilityReport:
+    """The verdict on the rungs whose norm is above its round-off floor,
+    floors[i] for rung i, 0 by default.  Two or more such rungs are fitted,
+    log(norm) against log(eps), and pass when slope >= order - 0.2.  With
+    fewer, a net that decays to round-off, each rung above the floor
+    coarser than every rung at it, passes with no slope; any other fails,
+    and the report names why."""
     _check_order(order)
-    slope = _fit(ladder, norms).slope
-    return NegligibilityReport(slope >= order - VERDICT_MARGIN, slope)
+    lad = np.asarray(_ladder(ladder, norms))
+    norms = np.asarray(norms, dtype=float)
+    floors = np.zeros(len(lad)) if floors is None else np.asarray(floors)
+    above = ~(norms <= floors)  # a NaN norm is above its floor
+    if np.count_nonzero(above) >= 2:
+        slope = _line(np.log(lad[above]), np.log(norms[above])).slope
+        return NegligibilityReport(slope >= order - VERDICT_MARGIN, slope)
+    first = int(np.argmin(above))  # the coarsest rung at round-off
+    if np.any(above[first:]):
+        finer = first + int(np.argmax(above[first:]))
+        return NegligibilityReport(
+            False, None, f"the net is at round-off at eps={lad[first]:g} but "
+                         f"not at the finer eps={lad[finer]:g}")
+    return NegligibilityReport(
+        True, None, f"the net is at round-off from eps={lad[first]:g} on")
 
 
 @dataclass(frozen=True)
@@ -261,6 +287,8 @@ class UniquenessReport(_Report):
     # None where the bound is 0 but the difference is not, with the reason
     esnh1_ratios: tuple
     esnh1_reason: str | None = None
+    # why slope is None: the net is at round-off, or only partly
+    verdict_reason: str | None = None
 
 
 def run_uniqueness(e: VeryWeakExperiment, order: int,
@@ -320,16 +348,14 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
         built = _bases(e, base + pert, e.ladder * 2)
         bases, perturbed = built[:len(base)], built[len(base):]
     diffs, ratios, floors = zip(*_per_rung(e, one, bases, perturbed))
-    rep = _try_fit(check_negligibility, e.ladder,
-                   [d if d > f else 0.0 for d, f in zip(diffs, floors)], order)
-    # a difference net with a zero rung is negligible at every order
-    slope, passed = (None, True) if rep is None else (rep.slope, rep.passed)
+    rep = check_negligibility(e.ladder, diffs, order, floors)
     unbounded = [f"{eps:g}" for eps, r in zip(e.ladder, ratios) if r is None]
     reason = (f"the bound is 0 where the difference is not, at eps="
               f"{', '.join(unbounded)}" if unbounded else None)
     return UniquenessReport(ladder=e.ladder, diff_norms=diffs, order=order,
-                            slope=slope, passed=passed, esnh1_ratios=ratios,
-                            esnh1_reason=reason)
+                            slope=rep.slope, passed=rep.passed,
+                            esnh1_ratios=ratios, esnh1_reason=reason,
+                            verdict_reason=rep.reason)
 
 
 @dataclass(frozen=True)

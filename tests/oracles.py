@@ -274,30 +274,39 @@ def phase_rhs(nu: float, lam: float, x: float, eta: float) -> tuple:
     return d_eta, d_log_r
 
 
+def _free_gauge(path: np.ndarray, gauge: np.ndarray, slope: np.ndarray,
+                lams, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, log r) of a recorded pass, mapped from each node's gauge line,
+    its value c and slope p with s = sqrt(lambda - p), back to nu's own
+    gauge, c = 0 and s = sqrt(lambda): w <- (s w - c y) / sqrt(lambda)."""
+    root, s = np.sqrt(lams), np.sqrt(lams - slope)
+    theta0 = s * nodes
+    eta, log_r = _shear(path, theta0, -gauge / root, s / root)
+    return theta0 + eta, log_r
+
+
 def psi_norms_from_path(basis: EigenBasis) -> np.ndarray:
     """||phi_tilde_n - sin(sqrt(lambda_n) x)|| per mode, with phi_tilde =
-    exp(log r) sin(sqrt(lambda) x + eta) from the basis's own RK45 pass at
-    DEFAULT_TOL: one member, so the build's pass step for step."""
+    exp(log r) sin(theta) from the basis's own RK45 pass at DEFAULT_TOL:
+    one member, so the build's pass step for step."""
     grid = basis.grid
-    # y = r sin(theta) is the same in every gauge
-    path, _ = _propagate([basis.nu], basis.lambdas[None], DEFAULT_TOL,
-                         grid.nodes)
-    eta, log_r = path[:, 0]
-    free = np.sqrt(basis.lambdas)[:, None] * grid.nodes
-    psi = np.exp(log_r) * np.sin(free + eta) - np.sin(free)
+    lams = basis.lambdas[:, None]
+    path, (gauge, slope) = _propagate([basis.nu], lams.T, DEFAULT_TOL,
+                                      grid.nodes)
+    theta, log_r = _free_gauge(path[:, 0], gauge[0], slope[0], lams,
+                               grid.nodes)
+    psi = np.exp(log_r) * np.sin(theta) - np.sin(np.sqrt(lams) * grid.nodes)
     return np.array([grid.norm_l2(v) for v in psi])
 
 
 def rk45_path(nu_like, lam: float, grid: Grid,
               tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(theta, log r) at the grid's nodes for one trial lambda, from the
-    adaptive Runge-Kutta pass that samples every eigenbasis, sheared from
-    each node's gauge c back to nu's own (c = 0)."""
-    path, gauge = _propagate([nu_like], np.array([[lam]]), tol, grid.nodes)
-    s = math.sqrt(lam)
-    free = s * grid.nodes
-    eta, log_r = _shear(path[:, 0, 0], free, -gauge[0] / s)
-    return free + eta, log_r
+    adaptive Runge-Kutta pass that samples every eigenbasis, mapped from
+    each node's gauge line back to nu's own."""
+    path, (gauge, slope) = _propagate([nu_like], np.array([[lam]]), tol,
+                                      grid.nodes)
+    return _free_gauge(path[:, 0, 0], gauge[0], slope[0], lam, grid.nodes)
 
 
 def dop853_theta(nu_like, lam: float) -> float:

@@ -898,6 +898,8 @@ class TestNonFiniteOutput:
         assert all(0.0 < d < 1e-15 for d in rep["diff_norms"])
         assert rep["slope"] is None
         assert rep["passed"] is True
+        assert rep["verdict_reason"] == (
+            "the net is at round-off from eps=0.25 on")
 
 
 class TestTimeGridCeiling:

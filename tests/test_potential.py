@@ -463,6 +463,25 @@ class TestFits:
         assert rep.passed and rep.slope == pytest.approx(3.0, abs=1e-12)
         assert not check_negligibility(lad, norms, 5).passed
 
+    def test_negligibility_on_rungs_above_roundoff(self):
+        lad = (0.25, 0.125, 0.0625, 0.03125)
+        # three rungs that do not decay and one at round-off: fitted on the
+        # three, slope 0, failed (once passed with no slope)
+        rep = check_negligibility(lad, [1e-3, 1e-3, 1e-3, 0.0], 1)
+        assert not rep.passed and rep.slope == pytest.approx(0.0, abs=1e-12)
+        assert rep.reason is None
+        # two rungs above their floors: the line through them
+        rep = check_negligibility(lad, [1e-3, 1e-6, 1e-17, 1e-18], 1,
+                                  floors=[1e-16] * 4)
+        assert rep.passed and rep.slope == pytest.approx(math.log2(1e3))
+        # a net that decays to round-off passes with no slope
+        assert check_negligibility(lad, [1e-3, 0.0, 0.0, 0.0], 1) == (
+            True, None, "the net is at round-off from eps=0.125 on")
+        # round-off at a coarse rung but not at a finer one fails
+        assert check_negligibility(lad, [0.0, 0.0, 1e-3, 0.0], 1) == (
+            False, None, "the net is at round-off at eps=0.25 but not at "
+                         "the finer eps=0.0625")
+
     def test_two_profile_difference_negligible_at_order_one(self):
         # both profiles converge to the smooth potential at first order
         # (q = sin(2 pi x) vanishes at the walls, so the zero extension

@@ -19,10 +19,11 @@ from vww.errors import (BracketFailure, ConfigError, GridMismatch,
                         StepFailure, UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
-from vww.prufer import (GRAM_DEFECT_TOL, EigenBasis, _magnus_mesh,
-                        _magnus_phase, _make_rhs, _mesh_panels, _newton_roots,
-                        _PhaseMap, _roots, _shear, basis_csv_rows,
-                        basis_to_cache, build_bases, build_basis)
+from vww.prufer import (_SLOPE_CAP, DEFAULT_TOL, GRAM_DEFECT_TOL, EigenBasis,
+                        _magnus_mesh, _magnus_phase, _make_rhs, _mesh_panels,
+                        _newton_roots, _PhaseMap, _propagate, _roots, _shear,
+                        basis_csv_rows, basis_to_cache, build_bases,
+                        build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -157,25 +158,35 @@ class TestPhaseRhs:
     @pytest.mark.parametrize("rungs", [0, 1, 3])
     def test_matches_docstring_formulas(self, rungs):
         # rungs = 0: nu is a float; else one nu per rung, repeated for its
-        # modes, as the joint pass over an eps-ladder forms it
+        # modes, as the joint pass over an eps-ladder forms it.  s =
+        # sqrt(lambda - p) for a gauge slope p is the docstring's
+        # sqrt(lambda) at the eigenvalue lambda - p
         rng = np.random.default_rng(rungs)
         modes = 7
         lams = rng.uniform(1.0, 1e4, max(rungs, 1) * modes)
         rhs_nu = [float(v) for v in rng.uniform(-3.0, 3.0, max(rungs, 1))]
         nu_fn = (lambda x: rhs_nu[0]) if rungs == 0 else (
             lambda x: np.repeat(rhs_nu, modes))
-        rhs = _make_rhs(nu_fn, np.sqrt(lams))
-        for x in rng.uniform(0.0, 1.0, 5):
-            y = np.stack([rng.uniform(-3.0, 3.0, lams.size),
-                          rng.normal(size=lams.size)])
-            got = rhs(float(x), y)
-            for j, lam in enumerate(lams):
-                want = phase_rhs(rhs_nu[j // modes], lam, x, y[0, j])
-                assert got[:, j] == pytest.approx(want, rel=1e-14, abs=1e-14)
+        s = np.sqrt(lams)
+        half_inv_s = 0.5 / s
+        rhs = _make_rhs(nu_fn, s, half_inv_s)
+        for p in (0.0, -40.0, 0.5):
+            # rewritten in place, as the sampled pass's gauge line does
+            np.sqrt(lams - p * lams.min(), out=s)
+            np.divide(0.5, s, out=half_inv_s)
+            for x in rng.uniform(0.0, 1.0, 5):
+                y = np.stack([rng.uniform(-3.0, 3.0, lams.size),
+                              rng.normal(size=lams.size)])
+                got = rhs(float(x), y)
+                for j, sj in enumerate(s):
+                    want = phase_rhs(rhs_nu[j // modes], sj * sj, x, y[0, j])
+                    assert got[:, j] == pytest.approx(want, rel=1e-14,
+                                                      abs=1e-14)
 
     def test_successive_results_are_both_held(self):
         # the stepper's initial step and a tracing wrapper keep f0 and f1
-        rhs = _make_rhs(lambda x: 0.7, np.sqrt([1.0, 50.0, 900.0]))
+        s = np.sqrt([1.0, 50.0, 900.0])
+        rhs = _make_rhs(lambda x: 0.7, s, 0.5 / s)
         y = np.array([[0.1, -0.4, 2.0], [0.0, 0.3, -1.0]])
         first = rhs(0.25, y)
         kept = first.copy()
@@ -186,27 +197,31 @@ class TestPhaseRhs:
 
 
 class TestPanelGauge:
-    """The sampled pass in each panel's gauge nu - c, c the panel's mean."""
+    """The sampled pass in the gauge nu - c, c a line fitted to nu over
+    each stretch of steps, its slope folded into the eigenvalue."""
 
     def test_shear_round_trip(self):
-        # |k| = |c - c_before| / sqrt(lambda) <= 1; the trip's error grows
-        # with k^2 ulps of theta (3e-14 at |k| = 5)
+        # |k| = |c - c_before| / s <= 1, and k1 = s_before / s, 1 where the
+        # gauge's slope stays, else near 1 under the slope cap; the trip's
+        # error grows with k^2 ulps of theta (3e-14 at |k| = 5).  w <- k1 w
+        # + k y is undone by k1' = 1 / k1, k' = -k / k1
         rng = np.random.default_rng(5)
         y = np.stack([rng.uniform(-3.0, 3.0, 200),
                       rng.uniform(-1.0, 1.0, 200)])
         theta0 = rng.uniform(-50.0, 50.0, 200)
         k = rng.uniform(-1.0, 1.0, 200)
-        sheared = _shear(y, theta0, k)
-        back = _shear(sheared, theta0, -k)
-        assert np.max(np.abs(back - y)) <= 1e-14
 
         def r_sin(v):
             return np.exp(v[1]) * np.sin(theta0 + v[0])
 
-        # to the rounding of theta ~ 50, 7e-15
-        assert np.max(np.abs(r_sin(sheared) - r_sin(y))) <= 2e-14
-        assert np.array_equal(np.sign(np.sin(theta0 + sheared[0])),
-                              np.sign(np.sin(theta0 + y[0])))
+        for k1 in (1.0, rng.uniform(0.7, 1.4, 200)):
+            sheared = _shear(y, theta0, k, k1)
+            back = _shear(sheared, theta0, -k / k1, 1.0 / k1)
+            assert np.max(np.abs(back - y)) <= 1e-14
+            # to the rounding of theta ~ 50, 7e-15
+            assert np.max(np.abs(r_sin(sheared) - r_sin(y))) <= 2e-14
+            assert np.array_equal(np.sign(np.sin(theta0 + sheared[0])),
+                                  np.sign(np.sin(theta0 + y[0])))
 
     @pytest.mark.parametrize("name", ["step", "mixed"])
     def test_constant_shift_of_nu_leaves_basis(self, name, grid2048):
@@ -222,24 +237,24 @@ class TestPanelGauge:
         assert np.max(np.abs(shifted.phi_prime_matrix
                              - base.phi_prime_matrix) / scale) <= 2e-10
 
-    # (nu, sampled steps, steps when the pass integrated nu itself) at N 40,
-    # grid 2048
+    # (nu, sampled steps, steps with a constant gauge per stretch, steps
+    # when the pass integrated nu itself) at N 40, grid 2048
     STEPS = {
-        "delta": (STEP, 11, 578),
-        "mixed": (NuPrimitive("linear", (2.0,), ((0.3, 3.0),)), 591, 1313),
-        "sine-1-1": (NuPrimitive("sine", (1.0, 1.0)), 661, 1015),
-        "sine-1-1.25": (NuPrimitive("sine", (1.0, 1.25)), 692, 1019),
-        "sine-3-0.75": (NuPrimitive("sine", (3.0, 0.75)), 771, 1256),
-        "sine-1-50": (NuPrimitive("sine", (1.0, 50.0)), 2023, 2029),
-        "linear-5": (NuPrimitive("linear", (5.0,)), 707, 1300),
-        "const-1": (NuPrimitive("const", (1.0,)), 7, 1131),
+        "delta": (STEP, 11, 11, 578),
+        "mixed": (NuPrimitive("linear", (2.0,), ((0.3, 3.0),)), 7, 591, 1313),
+        "sine-1-1": (NuPrimitive("sine", (1.0, 1.0)), 462, 661, 1015),
+        "sine-1-1.25": (NuPrimitive("sine", (1.0, 1.25)), 514, 692, 1019),
+        "sine-3-0.75": (NuPrimitive("sine", (3.0, 0.75)), 540, 771, 1256),
+        "sine-1-50": (NuPrimitive("sine", (1.0, 50.0)), 1974, 2023, 2029),
+        "linear-5": (NuPrimitive("linear", (5.0,)), 7, 707, 1300),
+        "const-1": (NuPrimitive("const", (1.0,)), 7, 7, 1131),
         "sine-2-1-atom": (NuPrimitive("sine", (2.0, 1.0), ((0.25, 2.0),)),
-                               756, 1134),
+                          576, 756, 1134),
     }
 
     @pytest.mark.parametrize("name", list(STEPS))
     def test_sampled_steps_pinned(self, name, grid2048, monkeypatch):
-        nu, now, _ = self.STEPS[name]
+        nu, now, _, _ = self.STEPS[name]
         steps = []
         original = vww.prufer.integrate_rk45
 
@@ -251,6 +266,42 @@ class TestPanelGauge:
         monkeypatch.setattr(vww.prufer, "integrate_rk45", counted)
         build_basis(nu, 40, grid2048)
         assert sum(steps) <= now
+
+    def test_linear_nu_gives_closed_form(self, grid2048):
+        # q = 5: the gauge line is nu, the pass steps a zero rhs at s =
+        # sqrt(lambda_n - 5), and sin(s x) is exact at each computed
+        # lambda_n (6.7e-16 in phi).  Newton's residual puts s up to
+        # 4.9e-11 from n pi, so phi_n is up to 6.9e-11 from sqrt(2)
+        # sin(n pi x) and phi'_n / (n pi) 6.3e-11 from sqrt(2) cos(n pi x);
+        # with a constant gauge per stretch both were 2.5e-10 from either
+        basis = build_basis(NuPrimitive("linear", (5.0,)), 40, grid2048)
+        x = grid2048.nodes
+        n_pi = math.pi * np.arange(1.0, 41.0)[:, None]
+        s = np.sqrt(basis.lambdas - 5.0)[:, None]
+        norms = np.array([grid2048.norm_l2(v) for v in np.sin(s * x)])
+        inner = slice(1, -1)  # phi is pinned to 0 at the walls
+        phi = np.sin(s * x) / norms[:, None]
+        assert np.max(np.abs(basis.phi_matrix - phi)[:, inner]) <= 1e-11
+        dphi = s * np.cos(s * x) / norms[:, None]
+        assert np.max(np.abs(basis.phi_prime_matrix - dphi) / n_pi) <= 1e-11
+        assert np.max(np.abs(basis.phi_matrix
+                             - math.sqrt(2.0) * np.sin(n_pi * x))) <= 1e-10
+        assert np.max(np.abs(basis.phi_prime_matrix / n_pi
+                             - math.sqrt(2.0) * np.cos(n_pi * x))) <= 1e-10
+
+    def test_capped_slope_matches_tight_tolerance_build(self, grid2048):
+        # q = 1000 is above lambda_1 / 2, so every stretch's slope stops at
+        # the cap and nu - c keeps a slope of 495; phi 5.1e-10 and phi' /
+        # sqrt(lambda) 4.3e-10 from the tight build, when this was written
+        nu = NuPrimitive("linear", (1000.0,))
+        basis = build_basis(nu, 40, grid2048)
+        _, (_, slope) = _propagate([nu], basis.lambdas[None], DEFAULT_TOL,
+                                   grid2048.nodes)
+        assert np.all(slope[0, 1:] == _SLOPE_CAP * basis.lambdas[0])
+        tight = build_basis(nu, 40, grid2048, tol=1e-13)
+        assert np.max(np.abs(basis.phi_matrix - tight.phi_matrix)) <= 1e-9
+        diff = basis.phi_prime_matrix - tight.phi_prime_matrix
+        assert np.max(np.abs(diff) / np.sqrt(basis.lambdas)[:, None]) <= 1e-9
 
 
 class TestShootEigenvalue:
