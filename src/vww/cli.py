@@ -36,7 +36,8 @@ from . import __version__
 from .errors import ConfigError, NonFiniteResult, VwwError
 from .grid import Grid, GridFunction
 from .potential import PROFILES, SMOOTH_KINDS, NuPrimitive
-from .prufer import DEFAULT_TOL, basis_csv_rows, basis_to_cache, build_basis
+from .prufer import (DEFAULT_TOL, MIN_TOL, basis_csv_rows, basis_to_cache,
+                     build_basis)
 from .spectral import analyze
 from .wave import (WaveProblem, analyze_forcing, check_time_grid,
                    forcing_time_grid, solve_forced, solve_homogeneous)
@@ -92,7 +93,7 @@ _COMMON = {
     # one-sided 4-node stencil
     "grid_n": {"type": "integer", "minimum": 4},
     "n_max": {"type": "integer", "minimum": 1},
-    "ode_tol": _POSITIVE,
+    "ode_tol": {"type": "number", "minimum": MIN_TOL},
 }
 _PROBLEM = {
     "T": _POSITIVE,

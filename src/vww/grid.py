@@ -29,12 +29,12 @@ def _grid_arrays(n: int):
     return nodes, h, w
 
 
-def freeze_arrays(record, *names: str, copy: bool = False, dtype=float) -> None:
-    """Set the named fields of a frozen dataclass to read-only arrays:
+def freeze_arrays(record, *names: str, copy: bool = False) -> None:
+    """Set the named fields of a frozen dataclass to read-only float arrays:
     C-ordered copies with ``copy``, else views, so that a record never
     changes the ``writeable`` flag of the caller's arrays."""
     for name in names:
-        arr = np.asarray(getattr(record, name), dtype=dtype)
+        arr = np.asarray(getattr(record, name), dtype=float)
         arr = arr.copy() if copy else arr.view()  # ndarray.copy is C-ordered
         arr.flags.writeable = False
         object.__setattr__(record, name, arr)

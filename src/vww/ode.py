@@ -1,9 +1,9 @@
 """Adaptive embedded Runge-Kutta 4(5) integration (Dormand-Prince pair).
 
 The stepper is shape-agnostic: the state may be any ndarray, so a batch
-of independent trajectories sharing the same independent variable (e.g.
-phase equations at many trial eigenvalues) integrates in lockstep with a
-single scaled error norm across the batch.
+of independent trajectories sharing the same independent variable (the
+phase equations of every eigenvalue of a basis) integrates in lockstep
+with a single scaled error norm across the batch.
 Sample points do not shorten the steps: the state at a sample inside an
 accepted step comes from the pair's free 4th-order continuous extension
 (Shampine 1986), which reuses the step's seven stages, so samples are as
@@ -77,6 +77,7 @@ _W[11, 1:] = _E
 _POW = np.arange(5.0)
 
 _SAFETY = 0.9
+_MAX_STEPS = 2_000_000  # accepted and rejected, per integration
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
@@ -100,22 +101,20 @@ def _initial_step(rhs, x0, y0, f0, span, tol):
     return min(100.0 * h0, h1, span)
 
 
-def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
-                   tol: float = 1e-11,
-                   samples: np.ndarray | None = None,
-                   first_step: float | None = None,
-                   max_steps: int = 2_000_000, hook=None):
+def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray, tol: float,
+                   samples: np.ndarray, first_step: float | None = None,
+                   hook=None):
     """Integrate y' = rhs(x, y) from x0 to x1 (x1 > x0).
 
     Parameters
     ----------
     tol : float
         Relative and absolute tolerance of the scaled error norm.
-    samples : ndarray, optional
-        Sorted points in (x0, x1] at which to record the state.  Steps do
-        not stop on them: a sample inside an accepted step is read off the
-        step's 4th-order continuous extension, one at its end (x1
-        included) takes the step's own end state.
+    samples : ndarray
+        Sorted points in (x0, x1], possibly none, at which to record the
+        state.  Steps do not stop on them: a sample inside an accepted
+        step is read off the step's 4th-order continuous extension, one at
+        its end (x1 included) takes the step's own end state.
     first_step : float, optional
         Step hint, e.g. the final accepted step of a previous panel.
     hook : callable, optional
@@ -126,7 +125,7 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     Returns
     -------
     (y_final, sampled, n_steps, last_h) with ``sampled`` an array of
-    shape (len(samples),) + y0.shape, or None, and last_h, a next panel's
+    shape (len(samples),) + y0.shape, and last_h, a next panel's
     hint, the larger of the final proposal and the step cut to land on x1.
     """
     x0, x1 = float(x0), float(x1)  # so x and the rhs argument stay floats
@@ -150,22 +149,20 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
     h = h_cut = min(first_step or _initial_step(rhs, x0, k[0], f0, span, tol),
                     span)
     k[1][...] = f0
-    sampled = None
+    samples = np.asarray(samples, dtype=float)
+    at_nodes = samples.tolist()
+    sampled = np.empty((len(samples),) + shape)
+    flat = sampled.reshape(len(samples), size)
+    poly = np.empty((5, size))  # y, then h K^T _P
     next_sample = 0
-    if samples is not None:
-        samples = np.asarray(samples, dtype=float)
-        at_nodes = samples.tolist()
-        sampled = np.empty((len(samples),) + shape)
-        flat = sampled.reshape(len(samples), -1)
-        poly = np.empty((5, size))  # y, then h K^T _P
     x = x0
     n_steps = 0
     h_min = max(span, 1.0) * 1e-15
     x_end = x1 - 1e-15 * max(1.0, abs(x1))
     at_boundary = hook is not None
     while x < x_end:
-        if n_steps >= max_steps:
-            raise StepFailure(f"exceeded {max_steps} steps at x={x:.6g}")
+        if n_steps >= _MAX_STEPS:
+            raise StepFailure(f"exceeded {_MAX_STEPS} steps at x={x:.6g}")
         if at_boundary and hook(x, k[0], h):
             k[1][...] = rhs(x, k[0])
             np.abs(buf[0], out=abs_y)
@@ -190,16 +187,15 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray,
         n_steps += 1
         if enorm <= 1.0:
             x_new = x1 if last else x + h
-            if sampled is not None:
-                end = len(at_nodes) if last else bisect_right(
-                    at_nodes, x_new, next_sample)
-                if end > next_sample:
-                    t = ((samples[next_sample:end] - x) / h)[:, None] ** _POW
-                    np.dot(w[6:11], buf, out=poly)
-                    np.dot(t, poly, out=flat[next_sample:end])
-                    at_end = bisect_left(at_nodes, x_new, next_sample, end)
-                    flat[at_end:end] = y_new
-                    next_sample = end
+            end = len(at_nodes) if last else bisect_right(
+                at_nodes, x_new, next_sample)
+            if end > next_sample:
+                t = ((samples[next_sample:end] - x) / h)[:, None] ** _POW
+                np.dot(w[6:11], buf, out=poly)
+                np.dot(t, poly, out=flat[next_sample:end])
+                at_end = bisect_left(at_nodes, x_new, next_sample, end)
+                flat[at_end:end] = y_new
+                next_sample = end
             x = x_new
             buf[0] = y_new
             buf[1] = buf[7]  # FSAL

@@ -73,6 +73,34 @@ def _cubic_hermite(s, h, f0, d0, f1, d1):
     )
 
 
+class _HermiteTable:
+    """Cubic Hermite interpolant over uniform knots t, with values v and
+    slopes d there: read vectorized by calling it, and by ``at`` on one
+    float in plain float arithmetic (over list copies of the table) for
+    the ODE callables.  A point takes the cell whose index its offset from
+    t[0] truncates to, clamped to the table, the same cell in both reads.
+    """
+
+    def __init__(self, t: np.ndarray, v: np.ndarray, d: np.ndarray):
+        self.t, self.v, self.d = t, v, d
+        self.h = h = t[1] - t[0]
+        t0, hf, top = float(t[0]), float(h), len(t) - 2
+        tl, vl, dl = t.tolist(), v.tolist(), d.tolist()
+
+        def at(x: float) -> float:
+            i = min(max(int((x - t0) / hf), 0), top)
+            return _cubic_hermite((x - tl[i]) / hf, hf, vl[i], dl[i],
+                                  vl[i + 1], dl[i + 1])
+
+        self.at = at
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        t, v, d, h = self.t, self.v, self.d, self.h
+        i = np.clip(((x - t[0]) / h).astype(int), 0, len(t) - 2)
+        return _cubic_hermite((x - t[i]) / h, h, v[i], d[i], v[i + 1],
+                              d[i + 1])
+
+
 class BumpProfile:
     """Smooth bump psi(u) = C * exp(-s / (1 - u^2)) * (1 + t*u) on (-1, 1).
 
@@ -88,7 +116,7 @@ class BumpProfile:
         self.name = name
         self.sharpness = float(sharpness)
         self.tilt = float(tilt)
-        self._built = False
+        self._table = None
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -100,37 +128,32 @@ class BumpProfile:
         out = np.exp(-self.sharpness / (1.0 - u * u))
         return out * (1.0 + self.tilt * u) if self.tilt else out  # factor 1.0
 
-    def _build(self):
-        if self._built:
-            return
-        n = _PRIMITIVE_PANELS
-        edges = np.linspace(-1.0, 1.0, n + 1)
-        gx, gw = _gauss_rule(16)
-        half = (edges[1] - edges[0]) / 2.0
-        mids = (edges[:-1] + edges[1:]) / 2.0
-        pts = mids[:, None] + half * gx[None, :]
-        panel = (self._raw(pts) @ gw) * half
-        cum = np.concatenate([[0.0], np.cumsum(panel)])
-        total = cum[-1]
-        self._norm = 1.0 / total
-        self._table_x = edges
-        self._table_v = cum / total
-        self._table_v[-1] = 1.0
-        self._table_d = self._norm * self._raw(edges)
-        self._table_h = edges[1] - edges[0]
-        # the same table as floats, for MollifiedNu's scalar ODE callable
-        self._floats = (float(self._table_h), edges.tolist(),
-                        self._table_v.tolist(), self._table_d.tolist())
-        self._built = True
+    def _psi_table(self) -> _HermiteTable:
+        """Psi's table, with the normalization C, built on first use."""
+        if self._table is None:
+            edges = np.linspace(-1.0, 1.0, _PRIMITIVE_PANELS + 1)
+            gx, gw = _gauss_rule(16)
+            half = (edges[1] - edges[0]) / 2.0
+            mids = (edges[:-1] + edges[1:]) / 2.0
+            pts = mids[:, None] + half * gx[None, :]
+            panel = (self._raw(pts) @ gw) * half
+            cum = np.concatenate([[0.0], np.cumsum(panel)])
+            total = cum[-1]
+            self._norm = 1.0 / total
+            values = cum / total
+            values[-1] = 1.0
+            self._table = _HermiteTable(edges, values,
+                                        self._norm * self._raw(edges))
+        return self._table
 
     def density(self, u) -> np.ndarray:
         """psi(u), vanishing outside (-1, 1)."""
-        self._build()
+        self._psi_table()
         return self._norm * self._raw(u)
 
     def primitive(self, u) -> np.ndarray:
         """Psi(u) = int_{-1}^u psi, clamped to 0 / 1 outside the support."""
-        self._build()
+        table = self._psi_table()
         u = np.atleast_1d(np.asarray(u, dtype=float))
         out = np.empty_like(u)
         below = u <= -1.0
@@ -139,13 +162,7 @@ class BumpProfile:
         out[above] = 1.0
         mid = ~(below | above)
         if np.any(mid):
-            um = u[mid]
-            h = self._table_h
-            idx = np.clip(((um + 1.0) / h).astype(int), 0, _PRIMITIVE_PANELS - 1)
-            out[mid] = _cubic_hermite(
-                (um - self._table_x[idx]) / h, h,
-                self._table_v[idx], self._table_d[idx],
-                self._table_v[idx + 1], self._table_d[idx + 1])
+            out[mid] = table(u[mid])
         return out
 
 
@@ -490,8 +507,9 @@ class MollifiedNu(Potential):
         self.spec = spec
         self._eps = spec.epsilon
         self._bump = spec.bump
-        self._has_smooth = nu.has_density
-        if self._has_smooth:
+        # the smooth part's tables and their right ends
+        self._tables, self._ends = [], []
+        if nu.has_density:
             self._build_smooth_table()
 
     # smooth-part tabulation ------------------------------------------------
@@ -527,36 +545,25 @@ class MollifiedNu(Potential):
             raise MeshTooLarge(f"a mollifier table of {points:.4g} points "
                                f"exceeds the ceiling of {_MAX_TABLE_POINTS}")
         G, bump = self.base.density_integral, self._bump
-        self._segs = []
         for a, b, k in segs:
             t = np.linspace(a, b, int(k) + 1)
             v, d = _window_conv(G, t, eps, bump, self.base.q_values)
             v += float(G(1.0)) * bump.primitive((t - 1.0) / eps)
-            self._segs.append((a, b, t, v, d))
-        # the same tables as floats, for the scalar ODE callable
-        self._seg_floats = [
-            (a, float(t[1] - t[0]), len(t) - 2, t.tolist(), v.tolist(), d.tolist())
-            for a, _, t, v, d in self._segs
-        ]
+            self._tables.append(_HermiteTable(t, v, d))
+            self._ends.append(b)
 
     def _smooth_interp(self, x):
+        """The smooth part: by the table of the first segment whose right
+        end is >= x, by ``_smooth_conv`` outside [0, 1]."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(x)
         outside = (x < 0.0) | (x > 1.0)
         if np.any(outside):
             out[outside] = self._smooth_conv(x[outside])
-        for a, b, t, v, d in self._segs:
-            if a == 0.0:
-                sel = (x >= a) & (x <= b)
-            else:
-                sel = (x > a) & (x <= b)
-            if not np.any(sel):
-                continue
-            xi = x[sel]
-            h = t[1] - t[0]
-            idx = np.clip(((xi - a) / h).astype(int), 0, len(t) - 2)
-            out[sel] = _cubic_hermite((xi - t[idx]) / h, h, v[idx], d[idx],
-                                      v[idx + 1], d[idx + 1])
+        seg = np.where(outside, -1, np.searchsorted(self._ends, x))
+        for k, table in enumerate(self._tables):
+            sel = seg == k
+            out[sel] = table(x[sel])
         return out
 
     # potential protocol ------------------------------------------------------
@@ -566,7 +573,7 @@ class MollifiedNu(Potential):
         out = np.zeros_like(x)
         for loc, height in self.base.jumps:
             out += height * self._bump.primitive((x - loc) / self._eps)
-        if self._has_smooth:
+        if self._tables:
             out += self._smooth_interp(x)
         return out
 
@@ -584,9 +591,7 @@ class MollifiedNu(Potential):
         pts = set()
         for loc, _ in self.base.jumps:
             pts.update((loc - eps, loc, loc + eps))
-        if self._has_smooth:
-            for a, b, *_ in self._segs:
-                pts.update((a, b))
+        pts.update(self._ends)
         return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
 
     def ode_panels(self):
@@ -594,12 +599,9 @@ class MollifiedNu(Potential):
         ``nu_values`` up to the summation order over atoms."""
         atoms = self.base.jumps
         eps = self._eps
-        self._bump._build()
-        uh, ux, uv, ud = self._bump._floats
-        utop = _PRIMITIVE_PANELS - 1
-        segs = self._seg_floats if self._has_smooth else ()
-        ends = [b for _, b, *_ in self._segs] if self._has_smooth else ()
-        last = len(segs) - 1
+        psi = self._bump._psi_table().at
+        ends, smooth = self._ends, [table.at for table in self._tables]
+        last = len(smooth) - 1
 
         def nu_scalar(x: float) -> float:
             acc = 0.0
@@ -609,16 +611,10 @@ class MollifiedNu(Potential):
                 if u >= 1.0:
                     acc += height
                 elif u > -1.0:
-                    i = min(max(int((u + 1.0) / uh), 0), utop)
-                    acc += height * _cubic_hermite(
-                        (u - ux[i]) / uh, uh, uv[i], ud[i], uv[i + 1], ud[i + 1])
-            if segs:
-                # the first segment whose right end is >= x, so only the
-                # first one is closed on the left
-                a, h, top, t, v, d = segs[min(bisect_left(ends, x), last)]
-                i = min(max(int((x - a) / h), 0), top)
-                acc += _cubic_hermite((x - t[i]) / h, h, v[i], d[i],
-                                      v[i + 1], d[i + 1])
+                    acc += height * psi(u)
+            if smooth:
+                # the segment of _smooth_interp
+                acc += smooth[min(bisect_left(ends, x), last)](x)
             return acc
 
         return [(a, b, nu_scalar) for a, b in self._panels()]

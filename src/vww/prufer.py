@@ -32,21 +32,22 @@ mid), fitted to nu over each stretch of 16 steps, whose slope p, a
 constant reference potential, it folds into the eigenvalue: the
 equations above hold for nu - c with s = sqrt(lambda - p) in place of
 sqrt(lambda), and where nu is constant or linear the right-hand side is
-zero (_propagate).
+zero.  The gauge stays inside the pass (_propagate), which hands over
+phi_tilde = r sin(theta) and phi_tilde' at the nodes.
 build_bases carries the roots of R potentials (the rungs of an
 eps-ladder) through one such pass, over the union of their panels at
 tol / R, so that each member is held to tol / sqrt(R) and R passes cost
 about the steps of one; Newton and the checks stay per potential.
-Eigenfunctions are r sin(theta), normalized in L^2 by the grid's Simpson
-rule, and formed for all modes at once: an EigenBasis is read-only
-arrays with one row per mode n = 1..N, made once its rows pass the
-checks.  Lambdas that do not increase are a BracketFailure; samples not
-orthogonal to within GRAM_DEFECT_TOL, a mode whose norm of r sin(theta)
-is not finite and positive, or one whose Simpson and trapezoid norms
-differ by over QUADRATURE_GAP_TOL (1/3 at two nodes per wavelength), are
-unresolved.  basis_csv_rows reports each mode's distance from the free
-asymptote, ||phi_tilde_n - sin(sqrt(lambda_n) x)||, with phi_tilde =
-||phi_tilde|| phi, which keeps (eta, log r) a local of the build.
+Eigenfunctions are phi_tilde normalized in L^2 by the grid's Simpson
+rule, for all modes at once: an EigenBasis is read-only arrays with one
+row per mode n = 1..N, made once its rows pass the checks.  Lambdas that
+do not increase are a BracketFailure; samples not orthogonal to within
+GRAM_DEFECT_TOL, a mode whose norm of phi_tilde is not finite and
+positive, or one whose Simpson and trapezoid norms differ by over
+QUADRATURE_GAP_TOL (1/3 at two nodes per wavelength), are unresolved.
+basis_csv_rows reports each mode's distance from the free asymptote,
+||phi_tilde_n - sin(sqrt(lambda_n) x)||, with phi_tilde = ||phi_tilde||
+phi, which keeps phi_tilde a local of the build.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ from .ode import integrate_rk45
 from .potential import Potential
 
 DEFAULT_TOL = 1e-11
+# smallest tol of a build, a few ulps: the sampled pass's steps shrink as
+# tol^(1/5), to millions of them at 1e-30 and below x's ulp at 1e-200
+MIN_TOL = 1e-15
 THETA_RESIDUAL_TOL = 1e-10
 # safeguarded Newton passes before a mode counts as unconverged
 NEWTON_PASSES = 40
@@ -167,8 +171,8 @@ def _gauge_line(f, mid: float, d: float, cap: float) -> tuple:
 
 
 def _propagate(potentials, lams: np.ndarray, tol: float,
-               sample_nodes: np.ndarray):
-    """Integrate (eta, log r) over [0, 1] for R potentials at once.
+               sample_nodes: np.ndarray, nu_nodes: np.ndarray) -> np.ndarray:
+    """phi_tilde and phi_tilde' at sample_nodes for R potentials at once.
 
     lams has shape (R, M), row i holding lambdas for potentials[i].  The
     batch is one RK45 state of R M lambdas, stepped over the union of the
@@ -193,9 +197,10 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
     map w <- (s_before / s) w + (c - c_before)(x) y / s.  Where the line's
     value and slope at x stay bit for bit, as on a constant nu, nothing
     moves: no shear, no rhs call; where nu is constant or linear the rhs
-    is zero.  Returns the states at sample_nodes, shape (2, R, M, nodes),
-    and each node's c and p, shape (2, R, nodes): those of the stretch
-    whose step sampled it.
+    is zero.  Returns, shape (2, R, M, nodes), phi_tilde = r sin(theta)
+    and phi_tilde' = s r cos(theta) + (nu - c) phi_tilde at each node, in
+    the c and s of the stretch whose step sampled it, with nu from
+    nu_nodes (R, nodes): neither depends on the gauge.
     """
     modes = lams.shape[1]
     lam = lams.ravel()
@@ -263,7 +268,22 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
         node_gauge[0, :, pos:hi] = m + p * (in_panel - xm)
         node_gauge[1, :, pos:hi] = p
         pos = hi
-    return out.reshape((2,) + lams.shape + (len(sample_nodes),)), node_gauge
+    # in place: eta becomes theta, then phi_tilde; log r becomes r, then
+    # phi_tilde'.  An r past a float's range makes inf and NaN rows, refused
+    phi, dphi = out = out.reshape((2,) + lams.shape + (len(sample_nodes),))
+    gauge, slope = node_gauge[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sqrt(lams[:, :, None] - slope)
+        cos = s * sample_nodes
+        phi += cos  # theta
+        np.exp(dphi, out=dphi)  # r
+        np.cos(phi, out=cos)
+        np.sin(phi, out=phi)
+        phi *= dphi
+        dphi *= s
+        dphi *= cos
+        dphi += np.multiply(nu_nodes[:, None] - gauge, phi, out=s)
+    return out
 
 
 def _mesh_panels(nu_like, cells_per_unit: float) -> list:
@@ -574,36 +594,20 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
 
 
 def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
-                nu_nodes, eta, log_r, gauge, slope) -> EigenBasis:
-    """The basis of the roots from their (eta, log r) rows in each node's
-    gauge c and slope p (_propagate), which it overwrites, once its
-    lambdas increase, its samples are orthogonal to GRAM_DEFECT_TOL, each
-    mode's norm is finite and positive and its Simpson and trapezoid norms
-    agree to QUADRATURE_GAP_TOL."""
+                phi, dphi) -> EigenBasis:
+    """The basis of the roots from their phi_tilde and phi_tilde' rows
+    (_propagate), which it normalizes in place, once its lambdas increase,
+    its samples are orthogonal to GRAM_DEFECT_TOL, each mode's norm is
+    finite and positive and its Simpson and trapezoid norms agree to
+    QUADRATURE_GAP_TOL."""
     steps = np.diff(root)
     if np.any(steps <= 0.0):
         k = int(np.nonzero(steps <= 0.0)[0][0])
         raise BracketFailure(k + 2, float(root[k]), float(root[k + 1]),
                              "eigenvalues failed to come out increasing")
-    # (modes, nodes) tables, formed in place so that few are alive at once:
-    # theta and r overwrite the pass's rows eta and log r.  An r past a
-    # float's range makes inf and NaN rows, whose Gram defect is refused
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = np.subtract.outer(root, slope)
-        np.sqrt(s, out=s)  # sqrt(lambda - p)
-        phi = s * grid.nodes
-        theta = eta
-        theta += phi
-        r = np.exp(log_r, out=log_r)
-        np.sin(theta, out=phi)
-        phi *= r  # phi_tilde = r sin(theta), normalized below
         # per row, as grid.norm_l2 sums; a table product sums otherwise
         tilde_norms = np.array([grid.norm_l2(v) for v in phi])
-        # phi' ||phi_tilde|| = s r cos(theta) + (nu - c) phi_tilde
-        dphi = r * s
-        del s
-        dphi *= np.cos(theta, out=theta)
-        dphi += np.multiply(nu_nodes - gauge, phi, out=theta)
         dphi /= tilde_norms[:, None]
         phi /= tilde_norms[:, None]
     phi[:, [0, -1]] = 0.0
@@ -645,16 +649,17 @@ def build_bases(potentials, n_max: int, grid: Grid,
     (StepFailure) carries none."""
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    if not tol >= MIN_TOL:
+        raise ConfigError(f"tol must be >= {MIN_TOL:g}, got {tol:g}")
     ns = np.arange(1.0, n_max + 1)
     # the residual target sets no tighter than the sampled pass's tolerance
     ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
     roots = per_member(lambda nu_like: _roots(nu_like, ns, grid, ftol),
                        potentials)
-    (eta, log_r), (gauge, slope) = _propagate(
-        potentials, np.array([r[0] for r in roots]), tol, grid.nodes)
-    return per_member(
-        lambda nu_like, r, *path: _eigenbasis(nu_like, grid, tol, *r, *path),
-        potentials, roots, eta, log_r, gauge, slope)
+    phi, dphi = _propagate(potentials, np.array([r[0] for r in roots]), tol,
+                           grid.nodes, np.array([r[3] for r in roots]))
+    return per_member(lambda nu_like, r, *rows: _eigenbasis(
+        nu_like, grid, tol, *r[:3], *rows), potentials, roots, phi, dphi)
 
 
 def build_basis(nu_like, n_max: int, grid: Grid,

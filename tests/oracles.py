@@ -8,7 +8,7 @@ of a mollifier profile, a mollified potential's tables formed with one
 quadrature pass each, the constant sweep of an estimate over a battery
 of problems, random smooth data, the phase equations' right-hand side
 at one point, the RK45 phase path at one trial lambda, a basis's psi
-norms from its own phase path, theta(1) from scipy's DOP853, and the
+norms from its own RK45 pass, theta(1) from scipy's DOP853, and the
 reader of an eigenfunction cache with the array fields it keeps.  Tests
 import it as ``from oracles import ...``, as they import ``conftest``.
 """
@@ -27,7 +27,7 @@ from vww.grid import Grid, GridFunction
 from vww.potential import (BumpProfile, MollifiedNu, MollifierSpec,
                            NuPrimitive, PerturbedNu, _composite_rule,
                            _window_conv)
-from vww.prufer import DEFAULT_TOL, EigenBasis, _propagate, _shear
+from vww.prufer import DEFAULT_TOL, EigenBasis, _propagate
 from vww.wave import WaveSolution
 
 # the array fields of an EigenBasis, all read-only and all kept by a cache
@@ -203,9 +203,9 @@ def two_pass_tables(mn: MollifiedNu) -> list:
     """(v, d) on each table segment of ``mn``, each from a quadrature pass
     of its own: v from ``_smooth_conv`` and d, the slopes q_eps, from
     ``_window_conv`` of the base's density."""
-    return [(mn._smooth_conv(t),
-             _window_conv(mn.base.q_values, t, mn.spec.epsilon, mn.spec.bump))
-            for _, _, t, _, _ in mn._segs]
+    return [(mn._smooth_conv(table.t), _window_conv(
+        mn.base.q_values, table.t, mn.spec.epsilon, mn.spec.bump))
+            for table in mn._tables]
 
 
 # -- the constant sweep ------------------------------------------------------
@@ -274,39 +274,31 @@ def phase_rhs(nu: float, lam: float, x: float, eta: float) -> tuple:
     return d_eta, d_log_r
 
 
-def _free_gauge(path: np.ndarray, gauge: np.ndarray, slope: np.ndarray,
-                lams, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, log r) of a recorded pass, mapped from each node's gauge line,
-    its value c and slope p with s = sqrt(lambda - p), back to nu's own
-    gauge, c = 0 and s = sqrt(lambda): w <- (s w - c y) / sqrt(lambda)."""
-    root, s = np.sqrt(lams), np.sqrt(lams - slope)
-    theta0 = s * nodes
-    eta, log_r = _shear(path, theta0, -gauge / root, s / root)
-    return theta0 + eta, log_r
-
-
 def psi_norms_from_path(basis: EigenBasis) -> np.ndarray:
-    """||phi_tilde_n - sin(sqrt(lambda_n) x)|| per mode, with phi_tilde =
-    exp(log r) sin(theta) from the basis's own RK45 pass at DEFAULT_TOL:
-    one member, so the build's pass step for step."""
+    """||phi_tilde_n - sin(sqrt(lambda_n) x)|| per mode, with phi_tilde
+    from the basis's own RK45 pass at DEFAULT_TOL: one member, so the
+    build's pass step for step."""
     grid = basis.grid
     lams = basis.lambdas[:, None]
-    path, (gauge, slope) = _propagate([basis.nu], lams.T, DEFAULT_TOL,
-                                      grid.nodes)
-    theta, log_r = _free_gauge(path[:, 0], gauge[0], slope[0], lams,
-                               grid.nodes)
-    psi = np.exp(log_r) * np.sin(theta) - np.sin(np.sqrt(lams) * grid.nodes)
+    phi, _ = _propagate([basis.nu], lams.T, DEFAULT_TOL, grid.nodes,
+                        basis.nu.nu_values(grid.nodes)[None])
+    psi = phi[0] - np.sin(np.sqrt(lams) * grid.nodes)
     return np.array([grid.norm_l2(v) for v in psi])
 
 
 def rk45_path(nu_like, lam: float, grid: Grid,
               tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(theta, log r) at the grid's nodes for one trial lambda, from the
-    adaptive Runge-Kutta pass that samples every eigenbasis, mapped from
-    each node's gauge line back to nu's own."""
-    path, (gauge, slope) = _propagate([nu_like], np.array([[lam]]), tol,
-                                      grid.nodes)
-    return _free_gauge(path[:, 0, 0], gauge[0], slope[0], lam, grid.nodes)
+    phi_tilde and phi_tilde' of the adaptive Runge-Kutta pass that samples
+    every eigenbasis: (phi_tilde, (phi_tilde' - nu phi_tilde) /
+    sqrt(lambda)) = r (sin(theta), cos(theta)), theta unwrapped along the
+    nodes."""
+    nu = nu_like.nu_values(grid.nodes)
+    phi, dphi = _propagate([nu_like], np.array([[lam]]), tol, grid.nodes,
+                           nu[None])[:, 0, 0]
+    cos_part = (dphi - nu * phi) / math.sqrt(lam)
+    return (np.unwrap(np.arctan2(phi, cos_part)),
+            np.log(np.hypot(phi, cos_part)))
 
 
 def dop853_theta(nu_like, lam: float) -> float:

@@ -77,6 +77,21 @@ class TestEigs:
         want = [(n * math.pi) ** 2 + 5.0 for n in range(1, 6)]
         assert np.max(np.abs(np.array(lams) - np.array(want))) <= 1e-7
 
+    def test_panel_without_grid_node(self, tmp_path):
+        # the panel (0.3, 0.31] between the atoms holds no node of grid
+        # 16; its RK45 integration ended in a traceback.  lambda_1 reads
+        # 12.119485018950517 at grid 1024
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": {"smooth": {"kind": "zero"},
+                   "jumps": [[0.3, 1.0], [0.31, 1.0]]},
+            "grid_n": 16, "n_max": 2})
+        out = tmp_path / "out"
+        assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 0
+        rows = (out / "eigenvalues.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert abs(float(rows[0].split(",")[1])
+                   - 12.119485018950517) <= 1e-11
+
     def test_malformed_json_exits_2_no_output(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -439,6 +454,22 @@ class TestVeryweakCommand:
                        "--out", str(out_u)) == 0
         rep = json.loads((out_u / "report.json").read_text())["report"]
         assert rep["passed"] and rep["slope"] >= 1.8
+
+    def test_existence_ladder_finer_than_grid(self, tmp_path):
+        # the default range's finest rung, eps = 2^-9, has a panel (1/2,
+        # 1/2 + 2^-9] with no node of grid 256
+        cfg = dict(VW_BASE, mode="existence",
+                   nu={"smooth": {"kind": "zero"}, "jumps": [[0.5, 1.0]]},
+                   grid_n=256, T=1.0, u0={"kind": "sine_combo",
+                                          "params": [[1, 1]]},
+                   ladder={"k_min": 2, "k_max": 9})
+        out = tmp_path / "o"
+        assert run_cli("veryweak", "--config",
+                       write_config(tmp_path, "e.json", cfg),
+                       "--out", str(out)) == 0
+        rep = json.loads((out / "report.json").read_text())["report"]
+        assert rep["moderate"] and len(rep["ladder"]) == 8
+        assert abs(rep["q_exponent"]["slope"] - 1.0) <= 0.05
 
     def test_short_ladder_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -1008,6 +1039,20 @@ class TestConfigLoader:
         text = json.dumps(payload).replace('"@"', token)
         validate_config(command, json.loads(text))  # the schema lets it by
         self._refused(tmp_path, command, text.encode())
+
+    @pytest.mark.parametrize("tol", [1e-200, 1e-30])
+    def test_ode_tol_below_floor_exits_2(self, tmp_path, capsys, tol):
+        # at 1e-200 the sampled pass divided by a zero-width stretch, at
+        # 1e-30 it ran past 20 s
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": {"smooth": {"kind": "sine", "params": [1, 1]}},
+            "grid_n": 256, "n_max": 8, "ode_tol": tol})
+        out = tmp_path / "o"
+        assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"vww: config error: config invalid at ode_tol: {tol!r} is less "
+            "than 1e-15"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, payload", [
         ("solve", dict(SOLVE_BASE, u0={"kind": "parabola", "params": ["x"]})),

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import vww.ode
 from vww.errors import StepFailure
 from vww.ode import integrate_rk45
+
+TOL = 1e-11
+NO_SAMPLES = np.empty(0)
 
 
 def rk4_fixed(rhs, x0, x1, y0, n_steps):
@@ -26,7 +30,9 @@ def rk4_fixed(rhs, x0, x1, y0, n_steps):
 
 def test_exponential_decay():
     rhs = lambda x, y: -y
-    y, _, _, _ = integrate_rk45(rhs, 0.0, 1.0, np.array([1.0]))
+    y, sampled, _, _ = integrate_rk45(rhs, 0.0, 1.0, np.array([1.0]), TOL,
+                                      NO_SAMPLES)
+    assert sampled.shape == (0, 1)
     assert y[0] == pytest.approx(math.exp(-1.0), abs=1e-11)
 
 
@@ -35,7 +41,7 @@ def test_oscillator_vs_rk4_richardson():
     w = 7.0
     rhs = lambda x, y: np.array([y[1], -w * w * y[0]])
     y0 = np.array([1.0, 0.0])
-    adaptive, _, _, _ = integrate_rk45(rhs, 0.0, 1.0, y0, tol=1e-12)
+    adaptive, _, _, _ = integrate_rk45(rhs, 0.0, 1.0, y0, 1e-12, NO_SAMPLES)
     coarse = rk4_fixed(rhs, 0.0, 1.0, y0, 2000)
     fine = rk4_fixed(rhs, 0.0, 1.0, y0, 4000)
     assert np.max(np.abs(coarse - fine)) / 15.0 <= 1e-9
@@ -48,7 +54,7 @@ def test_batched_states_match_individual_runs():
     rhs = lambda x, y: np.vstack([y[1], -ws * ws * y[0]])
     y0 = np.zeros((2, 3))
     y0[0] = 1.0
-    batched, _, _, _ = integrate_rk45(rhs, 0.0, 1.0, y0, tol=1e-12)
+    batched, _, _, _ = integrate_rk45(rhs, 0.0, 1.0, y0, 1e-12, NO_SAMPLES)
     for j, w in enumerate(ws):
         single = rk4_fixed(
             lambda x, y: np.array([y[1], -w * w * y[0]]),
@@ -59,7 +65,7 @@ def test_batched_states_match_individual_runs():
 def test_samples_recorded_exactly_at_nodes():
     rhs = lambda x, y: np.array([2.0 * x])
     nodes = np.linspace(0.0, 1.0, 11)[1:]
-    y, sampled, _, _ = integrate_rk45(rhs, 0.0, 1.0, np.array([0.0]),
+    y, sampled, _, _ = integrate_rk45(rhs, 0.0, 1.0, np.array([0.0]), TOL,
                                       samples=nodes)
     assert np.allclose(sampled[:, 0], nodes**2, atol=1e-12)
     assert y[0] == pytest.approx(1.0, abs=1e-12)
@@ -72,8 +78,7 @@ def test_dense_output_samples_between_steps():
     rhs = lambda x, y: np.array([y[1], -w * w * y[0]])
     nodes = np.linspace(0.0, 1.0, 1001)[1:]
     _, sampled, n_steps, _ = integrate_rk45(
-        rhs, 0.0, 1.0, np.array([1.0, 0.0]), tol=1e-11,
-        samples=nodes)
+        rhs, 0.0, 1.0, np.array([1.0, 0.0]), TOL, samples=nodes)
     exact = np.stack([np.cos(w * nodes), -w * np.sin(w * nodes)], axis=1)
     assert np.max(np.abs(sampled - exact)) <= 1e-9
     assert n_steps < len(nodes) // 2
@@ -82,7 +87,7 @@ def test_dense_output_samples_between_steps():
 def test_sample_at_end_is_final_state():
     rhs = lambda x, y: np.vstack([y[1], -9.0 * y[0]])
     y0 = np.array([[1.0, 0.0], [0.0, 3.0]])
-    y, sampled, _, _ = integrate_rk45(rhs, 0.0, 0.7, y0,
+    y, sampled, _, _ = integrate_rk45(rhs, 0.0, 0.7, y0, TOL,
                                       samples=np.array([0.1, 0.35, 0.7]))
     assert sampled[-1].tobytes() == y.tobytes()
 
@@ -96,12 +101,12 @@ def test_sampled_pass_calls_rhs_with_python_floats():
         return np.array([math.cos(x)])
 
     nodes = np.linspace(0.0, 1.0, 17)[1:]
-    integrate_rk45(rhs, 0.0, 1.0, np.array([0.0]), samples=nodes)
+    integrate_rk45(rhs, 0.0, 1.0, np.array([0.0]), TOL, samples=nodes)
     assert seen == {float}
 
 
 @pytest.mark.parametrize("rhs, y0, samples, steps, rhs_calls", [
-    (lambda x, y: -y, [1.0], None, 37, 224),
+    (lambda x, y: -y, [1.0], NO_SAMPLES, 37, 224),
     (lambda x, y: np.array([y[1], -49.0 * y[0]]), [1.0, 0.0],
      np.linspace(0.0, 1.0, 1001)[1:], 296, 1778),
 ], ids=["decay", "oscillator_sampled"])
@@ -116,7 +121,7 @@ def test_step_and_rhs_counts_pinned(rhs, y0, samples, steps, rhs_calls):
         calls.append(x)
         return rhs(x, y)
 
-    _, _, n_steps, _ = integrate_rk45(counted, 0.0, 1.0, np.array(y0),
+    _, _, n_steps, _ = integrate_rk45(counted, 0.0, 1.0, np.array(y0), TOL,
                                       samples=samples)
     assert (n_steps, len(calls)) == (steps, rhs_calls)
 
@@ -133,7 +138,7 @@ def _run_with_hook(hook, rhs=_oscillator_rhs):
         return rhs(x, y)
 
     nodes = np.linspace(0.0, 1.0, 101)[1:]
-    result = integrate_rk45(counted, 0.0, 1.0, np.array([1.0, 0.0]),
+    result = integrate_rk45(counted, 0.0, 1.0, np.array([1.0, 0.0]), TOL,
                             samples=nodes, hook=hook)
     return result, len(calls), nodes
 
@@ -202,7 +207,8 @@ def test_hook_change_costs_one_rhs_call():
     assert calls == 6 * steps + 2 + len(swap.switches)
 
 
-def test_max_steps_guard():
+def test_max_steps_guard(monkeypatch):
+    monkeypatch.setattr(vww.ode, "_MAX_STEPS", 10)
     rhs = lambda x, y: np.array([1.0 / (1.0 - x + 1e-16)])
-    with pytest.raises(StepFailure):
-        integrate_rk45(rhs, 0.0, 1.0, np.array([0.0]), max_steps=10)
+    with pytest.raises(StepFailure, match="exceeded 10 steps"):
+        integrate_rk45(rhs, 0.0, 1.0, np.array([0.0]), TOL, NO_SAMPLES)

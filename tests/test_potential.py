@@ -233,9 +233,10 @@ class TestWindowConvWork:
         # v and d from one shared pass per segment, bit for bit
         mn = MollifiedNu(self.TABLE_NUS[nu], MollifierSpec(profile, eps))
         want = two_pass_tables(mn)
-        assert len(want) == len(mn._segs) == (1 if eps >= 0.2 else 3)
-        for (_, _, _, v, d), (v2, d2) in zip(mn._segs, want):
-            assert v.tobytes() == v2.tobytes() and d.tobytes() == d2.tobytes()
+        assert len(want) == len(mn._tables) == (1 if eps >= 0.2 else 3)
+        for table, (v2, d2) in zip(mn._tables, want):
+            assert table.v.tobytes() == v2.tobytes()
+            assert table.d.tobytes() == d2.tobytes()
 
     @pytest.mark.parametrize("eps", [2.0**-2, 2.0**-5])
     def test_table_work_per_chunk(self, monkeypatch, eps):
@@ -251,13 +252,13 @@ class TestWindowConvWork:
         mn = MollifiedNu(NuPrimitive("linear", (5.0,)),
                          MollifierSpec("bump", eps))
         full = part = 0
-        for _, _, t, _, _ in mn._segs:
+        for t in (table.t for table in mn._tables):
             inner = int(np.count_nonzero((t >= eps) & (t <= 1.0 - eps)))
             full += -(-inner // _CONV_CHUNK)
             part += -(-(t.size - inner) // _CONV_CHUNK)
-        assert calls == {"density": part + len(mn._segs),
+        assert calls == {"density": part + len(mn._tables),
                          "q_values": full + part,
-                         "density_integral": full + part + len(mn._segs)}
+                         "density_integral": full + part + len(mn._tables)}
 
     @pytest.mark.parametrize("freq, eps, points", [
         (1e6, 0.25, "2.048e+09"), (1e6, 0.125, "1.024e+09"),

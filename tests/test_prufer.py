@@ -19,9 +19,9 @@ from vww.errors import (BracketFailure, ConfigError, GridMismatch,
                         StepFailure, UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
-from vww.prufer import (_SLOPE_CAP, DEFAULT_TOL, GRAM_DEFECT_TOL, EigenBasis,
+from vww.prufer import (_SLOPE_CAP, GRAM_DEFECT_TOL, MIN_TOL, EigenBasis,
                         _magnus_mesh, _magnus_phase, _make_rhs, _mesh_panels,
-                        _newton_roots, _PhaseMap, _propagate, _roots, _shear,
+                        _newton_roots, _PhaseMap, _roots, _shear,
                         basis_csv_rows, basis_to_cache, build_bases,
                         build_basis)
 
@@ -289,15 +289,23 @@ class TestPanelGauge:
         assert np.max(np.abs(basis.phi_prime_matrix / n_pi
                              - math.sqrt(2.0) * np.cos(n_pi * x))) <= 1e-10
 
-    def test_capped_slope_matches_tight_tolerance_build(self, grid2048):
+    def test_capped_slope_matches_tight_tolerance_build(self, grid2048,
+                                                        monkeypatch):
         # q = 1000 is above lambda_1 / 2, so every stretch's slope stops at
         # the cap and nu - c keeps a slope of 495; phi 5.1e-10 and phi' /
         # sqrt(lambda) 4.3e-10 from the tight build, when this was written
         nu = NuPrimitive("linear", (1000.0,))
+        slopes = []
+        original = vww.prufer._gauge_line
+
+        def recorded(*args):
+            line = original(*args)
+            slopes.append(line[1])
+            return line
+
+        monkeypatch.setattr(vww.prufer, "_gauge_line", recorded)
         basis = build_basis(nu, 40, grid2048)
-        _, (_, slope) = _propagate([nu], basis.lambdas[None], DEFAULT_TOL,
-                                   grid2048.nodes)
-        assert np.all(slope[0, 1:] == _SLOPE_CAP * basis.lambdas[0])
+        assert slopes and set(slopes) == {_SLOPE_CAP * basis.lambdas[0]}
         tight = build_basis(nu, 40, grid2048, tol=1e-13)
         assert np.max(np.abs(basis.phi_matrix - tight.phi_matrix)) <= 1e-9
         diff = basis.phi_prime_matrix - tight.phi_prime_matrix
@@ -570,6 +578,20 @@ class TestBuildBases:
     def test_n_max_below_one_is_a_config_error(self, n_max):
         with pytest.raises(ConfigError, match=f">= 1, got {n_max}"):
             build_bases([FREE], n_max, Grid(64))
+
+    @pytest.mark.parametrize("tol", [1e-200, 1e-30, 0.0, math.nan])
+    def test_tol_below_floor_is_a_config_error(self, tol):
+        # at 1e-200 a stretch of the sampled pass had zero width and its
+        # gauge line divided by it; at 1e-30 the pass ran past 20 s
+        with pytest.raises(ConfigError, match=f"tol must be >= 1e-15, got "
+                                              f"{tol:g}"):
+            build_basis(NuPrimitive("sine", (1.0, 1.0)), 8, Grid(256),
+                        tol=tol)
+
+    def test_tol_at_floor_builds(self):
+        basis = build_basis(NuPrimitive("sine", (1.0, 1.0)), 8, Grid(256),
+                            tol=MIN_TOL)
+        assert basis.gram_max_offdiag <= 1e-10
 
     def test_non_increasing_lambdas_refused(self, monkeypatch):
         def swapped(*args):
