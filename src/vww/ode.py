@@ -16,8 +16,7 @@ product of a scaled block of tableau rows with it, so a step makes under
 thirty numpy calls besides its six calls of rhs.
 
 Callers integrate piecewise-smooth right-hand sides panel by panel; this
-module assumes rhs is smooth on [x0, x1].  A hook at each step boundary
-may rewrite the state into an equivalent form for one rhs call, no step cut.
+module assumes rhs is smooth on [x0, x1].
 """
 
 from __future__ import annotations
@@ -94,16 +93,15 @@ def _initial_step(rhs, x0, y0, f0, span, tol):
     y1 = y0 + h0 * f0
     f1 = rhs(x0 + h0, y1)
     d2 = _rms((f1 - f0) / scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
+    if max(d1, d2) <= 1e-15:  # no slope to size a step by: 100 h0
+        h1 = span
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, span)
 
 
 def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray, tol: float,
-                   samples: np.ndarray, first_step: float | None = None,
-                   hook=None):
+                   samples: np.ndarray, first_step: float | None = None):
     """Integrate y' = rhs(x, y) from x0 to x1 (x1 > x0).
 
     Parameters
@@ -117,10 +115,6 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray, tol: float,
         its end (x1 included) takes the step's own end state.
     first_step : float, optional
         Step hint, e.g. the final accepted step of a previous panel.
-    hook : callable, optional
-        hook(x, y, h), h the next step's size, called before the first step
-        and after every accepted step short of x1.  It may change y in
-        place and then returns True, and rhs is evaluated again at (x, y).
 
     Returns
     -------
@@ -159,14 +153,9 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray, tol: float,
     n_steps = 0
     h_min = max(span, 1.0) * 1e-15
     x_end = x1 - 1e-15 * max(1.0, abs(x1))
-    at_boundary = hook is not None
     while x < x_end:
         if n_steps >= _MAX_STEPS:
             raise StepFailure(f"exceeded {_MAX_STEPS} steps at x={x:.6g}")
-        if at_boundary and hook(x, k[0], h):
-            k[1][...] = rhs(x, k[0])
-            np.abs(buf[0], out=abs_y)
-        at_boundary = False
         last = x + h >= x_end
         if last:
             h_cut, h = h, x1 - x
@@ -203,7 +192,6 @@ def integrate_rk45(rhs, x0: float, x1: float, y0: np.ndarray, tol: float,
             factor = _MAX_FACTOR if enorm == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm ** -0.2))
             h = h * factor
-            at_boundary = hook is not None
         else:
             h = h * max(_MIN_FACTOR, _SAFETY * enorm ** -0.2)
             if h < h_min:

@@ -20,7 +20,8 @@ runs at every Runge-Kutta stage; their interior edges
 ``breakpoints``; ``jumps``, the (location, height) Dirac atoms still
 present in q, empty when q is bounded and ``q_linf`` exists;
 ``has_density``, False when q is atoms alone, i.e. nu is constant on each
-panel; and ``descriptor``.  The base class states ``q_linf`` and the
+panel; ``piecewise_linear``, True when nu is linear on each panel; and
+``descriptor``.  The base class states ``q_linf`` and the
 norms of nu, ``norm_l2`` and ``norm_linf``, once for all three: per-panel
 rules read through ``nu_values``, ``breakpoints`` and ``jumps``.
 
@@ -155,12 +156,10 @@ class BumpProfile:
         """Psi(u) = int_{-1}^u psi, clamped to 0 / 1 outside the support."""
         table = self._psi_table()
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u)
-        below = u <= -1.0
-        above = u >= 1.0
-        out[below] = 0.0
-        out[above] = 1.0
-        mid = ~(below | above)
+        out = np.full_like(u, np.nan)  # a NaN u stays NaN
+        out[u <= -1.0] = 0.0
+        out[u >= 1.0] = 1.0
+        mid = (u > -1.0) & (u < 1.0)
         if np.any(mid):
             out[mid] = table(u[mid])
         return out
@@ -232,6 +231,7 @@ class Potential:
     breakpoints: tuple
     mollified_atoms: tuple = ()
     has_density: bool = True
+    piecewise_linear: bool = False
 
     def q_linf(self) -> float:
         if self.jumps:
@@ -331,6 +331,10 @@ class NuPrimitive(Potential):
     @property
     def has_density(self) -> bool:
         return self.smooth_kind not in ("zero", "const")
+
+    @property
+    def piecewise_linear(self) -> bool:
+        return self.smooth_kind in ("zero", "const", "linear")
 
     def q_values(self, x) -> np.ndarray:
         """Smooth density g = (smooth part)' of q; the atoms are ``jumps``."""
@@ -556,7 +560,7 @@ class MollifiedNu(Potential):
         """The smooth part: by the table of the first segment whose right
         end is >= x, by ``_smooth_conv`` outside [0, 1]."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
+        out = np.full_like(x, np.nan)  # a NaN point takes no segment
         outside = (x < 0.0) | (x > 1.0)
         if np.any(outside):
             out[outside] = self._smooth_conv(x[outside])
@@ -580,6 +584,11 @@ class MollifiedNu(Potential):
     @property
     def jumps(self) -> tuple:
         return ()
+
+    @property
+    def piecewise_linear(self) -> bool:
+        # nu_eps is 0 where the base has neither atoms nor density
+        return not (self.base.jumps or self.base.has_density)
 
     @property
     def mollified_atoms(self) -> tuple:
@@ -664,6 +673,10 @@ class PerturbedNu(Potential):
     @property
     def has_density(self) -> bool:
         return self.base.has_density or self.w_nu.has_density
+
+    @property
+    def piecewise_linear(self) -> bool:
+        return self.base.piecewise_linear and self.w_nu.piecewise_linear
 
     def ode_panels(self):
         w_fn = self.w_nu._panel_callable(0.0)

@@ -20,24 +20,22 @@ Newton steps take d theta(1)/d lambda from the Pruefer identity and stay
 inside a sign bracket, all on one mesh per solve, which sqrt(lambda) and
 max |nu| size, never the grid; for a nu with density a Richardson
 estimate of theta(1)'s error at the roots, from one pass at half the
-cells, accepts that mesh or refines it.  At the roots one adaptive
-Runge-Kutta pass, split at every jump of nu and carried in the corrected
-phase eta = theta - s x (which removes the dominant linear drift from
-the error control), records (eta, log r) on the grid; the nodes are read
-off each step's continuous extension, valid because no step crosses a
-jump, and so are as accurate as the tolerance asks; one tol serves as
-its relative and absolute tolerance.  As only q = nu' enters the
-operator, the pass integrates nu less a gauge line c(x) = m + p (x -
-mid), fitted to nu over each stretch of 16 steps, whose slope p, a
-constant reference potential, it folds into the eigenvalue: the
-equations above hold for nu - c with s = sqrt(lambda - p) in place of
-sqrt(lambda), and where nu is constant or linear the right-hand side is
-zero.  The gauge stays inside the pass (_propagate), which hands over
-phi_tilde = r sin(theta) and phi_tilde' at the nodes.
-build_bases carries the roots of R potentials (the rungs of an
-eps-ladder) through one such pass, over the union of their panels at
-tol / R, so that each member is held to tol / sqrt(R) and R passes cost
-about the steps of one; Newton and the checks stay per potential.
+cells, accepts that mesh or refines it.  At the roots one more pass
+samples phi_tilde = r sin(theta) and phi_tilde' at the grid's nodes.
+Where nu is linear between its breakpoints it is an adaptive Runge-Kutta
+pass (_propagate), split at every jump of nu and carried in the
+corrected phase eta = theta - s x, which reads the nodes off each step's
+continuous extension.  As only q = nu' enters the operator, it
+integrates nu less a gauge line c(x) = m + p (x - mid), fitted to nu on
+each panel, whose slope p, a constant reference potential, it folds
+into the eigenvalue: the equations above hold for nu - c with s =
+sqrt(lambda - p) in place of sqrt(lambda), and the right-hand side is
+zero unless p meets its cap.  Any other nu takes one recorded Magnus
+pass (_recorded_pass): the blocked scan of the Newton passes over the
+nodes and Newton's mesh, refined by the estimate where tol asks,
+reading out (y, w) at the nodes, so that its cost does not follow the
+oscillation of nu or of the modes.  Each potential of build_bases gets
+its own Newton solve, pass and checks.
 Eigenfunctions are phi_tilde normalized in L^2 by the grid's Simpson
 rule, for all modes at once: an EigenBasis is read-only arrays with one
 row per mode n = 1..N, made once its rows pass the checks.  Lambdas that
@@ -52,7 +50,6 @@ phi, which keeps phi_tilde a local of the build.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -67,7 +64,7 @@ from .ode import integrate_rk45
 from .potential import Potential
 
 DEFAULT_TOL = 1e-11
-# smallest tol of a build, a few ulps: the sampled pass's steps shrink as
+# smallest tol of a build, a few ulps: the RK45 pass's steps shrink as
 # tol^(1/5), to millions of them at 1e-30 and below x's ulp at 1e-200
 MIN_TOL = 1e-15
 THETA_RESIDUAL_TOL = 1e-10
@@ -93,11 +90,7 @@ GRAM_DEFECT_TOL = 1e-2
 # norms^2: 1/3 for a mode at two nodes per wavelength, whose Simpson norm
 # is aliased, at most 2e-14 for a sine one mode lower
 QUADRATURE_GAP_TOL = 1e-2
-# accepted steps between re-centrings of the sampled pass's gauge: every
-# 1 / 8 / 16 / 32 made 4,070 / 3,581 / 3,587 / 3,689 rhs calls and 581 /
-# 584 / 591 / 611 steps on mixed, each re-centring a shear besides
-_GAUGE_STEPS = 16
-# largest slope p of the sampled pass's gauge line, as a fraction of its
+# largest slope p of the RK45 pass's gauge line, as a fraction of its
 # potential's smallest lambda, so that s = sqrt(lambda - p) stays real
 _SLOPE_CAP = 0.5
 # largest Magnus exponent |omega| of a hyperbolic cell whose cosh is finite
@@ -108,7 +101,7 @@ def _make_rhs(nu_fn, s: np.ndarray, half_inv_s: np.ndarray):
     """(eta, log r)' in the double-angle form of the docstring's equations:
     eta' = nu sin 2theta + a (1 - cos 2theta), (log r)' = -(nu cos 2theta
     + a sin 2theta), theta = s x + eta, a = nu^2 half_inv_s, nu = nu_fn(x)
-    the stretch's nu - c (_propagate), a float or one per lambda.  s and
+    the panel's nu - c (_propagate), a float or one per lambda.  s and
     half_inv_s = 1 / (2 s) are read at each call, so that a caller may
     rewrite them in place.  Returns a new array."""
 
@@ -134,18 +127,6 @@ def _make_rhs(nu_fn, s: np.ndarray, half_inv_s: np.ndarray):
     return rhs
 
 
-def _joint_panels(potentials):
-    """(a, b, fns) over the union of the potentials' ode_panels, fns holding
-    each potential's callable of nu on the panel."""
-    panels = [nu_like.ode_panels() for nu_like in potentials]
-    edges = sorted({x for p in panels for a, b, _ in p for x in (a, b)})
-    for a, b in zip(edges, edges[1:]):
-        mid = 0.5 * (a + b)
-        if b - a > 1e-15:
-            yield a, b, [next(f for pa, pb, f in p if pa < mid < pb)
-                         for p in panels]
-
-
 def _shear(y: np.ndarray, theta0: np.ndarray, k: np.ndarray,
            k1) -> np.ndarray:
     """(eta, log r) after w <- k1 w + k y, k1 > 0, theta = theta0 + eta:
@@ -161,119 +142,82 @@ def _shear(y: np.ndarray, theta0: np.ndarray, k: np.ndarray,
 
 
 def _gauge_line(f, mid: float, d: float, cap: float) -> tuple:
-    """(m, p, mid), the line m + p (x - mid) of the sampled pass's gauge:
+    """(m, p), the line m + p (x - mid) of the RK45 pass's gauge:
     m f's 3-point Gauss-Legendre mean about mid, d its outer nodes' offset,
     and p the slope through them, at most cap.  Both are exact on a line,
     so that a constant f makes p = 0 and m = f bit for bit."""
     lo, at, hi = f(mid - d), f(mid), f(mid + d)
     return (at + (5.0 / 18.0) * (lo + hi - 2.0 * at),
-            min((hi - lo) / (d + d), cap), mid)
+            min((hi - lo) / (d + d), cap))
 
 
-def _propagate(potentials, lams: np.ndarray, tol: float,
+def _propagate(nu_like, lams: np.ndarray, tol: float,
                sample_nodes: np.ndarray, nu_nodes: np.ndarray) -> np.ndarray:
-    """phi_tilde and phi_tilde' at sample_nodes for R potentials at once.
-
-    lams has shape (R, M), row i holding lambdas for potentials[i].  The
-    batch is one RK45 state of R M lambdas, stepped over the union of the
-    potentials' panels at tol / R.  The error norm is an RMS over the
-    batch, and a member's own RMS is at most sqrt(R) times it, so each
-    member is held to tol / sqrt(R), tighter than its own pass at tol.
-    (tol / sqrt(R) gives a member whose nu alone varies on a panel just
-    its own pass's control there, and its phi then erred up to 1.12
-    times as much.)  With R = 1 this is the one-potential pass, step for
-    step.
+    """phi_tilde and phi_tilde' at sample_nodes for the lambdas lams, by
+    RK45 over each panel of nu_like.ode_panels().
 
     Only q = nu' enters the operator, so the pass integrates nu - c for a
     gauge line c(x) = m + p (x - mid), and its slope p, a constant
-    reference potential on the stretch (Ixaru 1984; Ledoux, Van Daele &
+    reference potential on the panel (Ixaru 1984; Ledoux, Van Daele &
     Vanden Berghe, ACM TOMS 31, 2005), moves to the eigenvalue: -y'' +
     (nu - c)' y = (lambda - p) y, stepped with s = sqrt(lambda - p) for
-    sqrt(lambda), w = (y' - (nu - c) y) / s and theta = s x + eta.  At a
-    panel's start and every _GAUGE_STEPS accepted steps after, the
-    integrator's hook fits each potential's line to nu over [x, min(b, x +
-    _GAUGE_STEPS h)] (_gauge_line), p at most _SLOPE_CAP times the
-    potential's smallest lambda so that s stays real, and takes the exact
-    map w <- (s_before / s) w + (c - c_before)(x) y / s.  Where the line's
-    value and slope at x stay bit for bit, as on a constant nu, nothing
-    moves: no shear, no rhs call; where nu is constant or linear the rhs
-    is zero.  Returns, shape (2, R, M, nodes), phi_tilde = r sin(theta)
-    and phi_tilde' = s r cos(theta) + (nu - c) phi_tilde at each node, in
-    the c and s of the stretch whose step sampled it, with nu from
-    nu_nodes (R, nodes): neither depends on the gauge.
+    sqrt(lambda), w = (y' - (nu - c) y) / s and theta = s x + eta.  At each
+    panel's start the line is fitted to nu over the panel (_gauge_line),
+    p at most _SLOPE_CAP times the smallest lambda so that s stays real,
+    and the state takes the exact map w <- (s_before / s) w + (c -
+    c_before)(x) y / s; where the line's value and slope at x stay bit for
+    bit nothing moves.  Where nu is linear between its breakpoints, below
+    the cap, the line is nu and the rhs is zero.  Returns, shape (2, M,
+    nodes), phi_tilde = r sin(theta) and phi_tilde' = s r cos(theta) + (nu
+    - c) phi_tilde at each node, in the c and s of the panel whose step
+    sampled it, with nu from nu_nodes: neither depends on the gauge.
     """
-    modes = lams.shape[1]
-    lam = lams.ravel()
-    s = np.sqrt(lam)
+    s = np.sqrt(lams)
     half_inv_s = 0.5 / s
-    caps = (_SLOPE_CAP * lams.min(axis=1)).tolist()
-    y = np.zeros((2, lam.size))
-    out = np.empty((2, lam.size, len(sample_nodes)))
+    cap = _SLOPE_CAP * float(lams.min())
+    y = np.zeros((2, lams.size))
+    out = np.empty((2, lams.size, len(sample_nodes)))
     # phi_tilde(0) = 0, so that node's c is immaterial; s there is sqrt(lambda)
-    node_gauge = np.zeros((2, len(potentials), len(sample_nodes)))
+    node_gauge = np.zeros((2, len(sample_nodes)))
     pos = 0
     if sample_nodes[0] == 0.0:
         out[:, :, 0] = y
         pos = 1
     h_hint = None
-    gauge = [(0.0, 0.0, 0.0)] * len(potentials)
-    tol = tol / len(potentials)
-    for a, b, fns in _joint_panels(potentials):
-        starts, fitted, calls = [], [], itertools.count()
-
-        def recentre(x, state, h):
-            if next(calls) % _GAUGE_STEPS:
-                return False
-            mid = 0.5 * (x + min(b, x + _GAUGE_STEPS * h))
-            d = math.sqrt(0.6) * (mid - x)
-            new = [_gauge_line(f, mid, d, cap) for f, cap in zip(fns, caps)]
-            # each line's value and slope at x
-            old_at, new_at = ([(m + p * (x - xm), p) for m, p, xm in g]
-                              for g in (gauge, new))
-            starts.append(x)
-            if new_at == old_at:
-                fitted.append(list(gauge))  # the same line
-                return False
-            fitted.append(new)
-            (c_old, p_old), (c_new, p_new) = (
-                np.repeat(v, modes, axis=0).T for v in (old_at, new_at))
+    m, p, mid = 0.0, 0.0, 0.0
+    for a, b, f in nu_like.ode_panels():
+        if b - a <= 1e-15:
+            continue
+        old_at = (m + p * (a - mid), p)  # the line's value and slope at a
+        mid = 0.5 * (a + b)
+        m, p = _gauge_line(f, mid, math.sqrt(0.6) * (mid - a), cap)
+        new_at = (m + p * (a - mid), p)
+        if new_at != old_at:
             s_old = s.copy()
-            np.sqrt(lam - p_new, out=s)
-            state[...] = _shear(state, s_old * x, (c_new - c_old) / s,
-                                s_old / s)
+            np.sqrt(lams - p, out=s)
+            y = _shear(y, s_old * a, (new_at[0] - old_at[0]) / s, s_old / s)
             # eta = theta - s x follows s, s_old - s = (p - p_old) / (s_old + s)
-            state[0] += (p_new - p_old) / (s_old + s) * x
+            y[0] += (p - old_at[1]) / (s_old + s) * a
             np.divide(0.5, s, out=half_inv_s)
-            gauge[:] = new
-            return True
 
-        if len(fns) == 1:
-            def nu_c(x, f=fns[0]):
-                m, p, xm = gauge[0]
-                return f(x) - m - p * (x - xm)
-        else:
-            def nu_c(x):
-                return np.repeat([f(x) - m - p * (x - xm)
-                                  for f, (m, p, xm) in zip(fns, gauge)], modes)
+        def nu_c(x, f=f, m=m, p=p, mid=mid):
+            return f(x) - m - p * (x - mid)
 
         hi = np.searchsorted(sample_nodes, b, side="right")
         in_panel = sample_nodes[pos:hi]
         y, sampled, _, h_hint = integrate_rk45(
             _make_rhs(nu_c, s, half_inv_s), a, b, y, tol, samples=in_panel,
-            first_step=h_hint, hook=recentre)
+            first_step=h_hint)
         out[:, :, pos:hi] = np.moveaxis(sampled, 0, -1)
-        # a node at a stretch's end belongs to the stretch before
-        m, p, xm = np.array(fitted)[np.searchsorted(
-            starts, in_panel, side="left") - 1].T
-        node_gauge[0, :, pos:hi] = m + p * (in_panel - xm)
-        node_gauge[1, :, pos:hi] = p
+        node_gauge[0, pos:hi] = m + p * (in_panel - mid)
+        node_gauge[1, pos:hi] = p
         pos = hi
     # in place: eta becomes theta, then phi_tilde; log r becomes r, then
     # phi_tilde'.  An r past a float's range makes inf and NaN rows, refused
-    phi, dphi = out = out.reshape((2,) + lams.shape + (len(sample_nodes),))
-    gauge, slope = node_gauge[:, :, None]
+    phi, dphi = out
+    gauge, slope = node_gauge
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.sqrt(lams[:, :, None] - slope)
+        s = np.sqrt(lams[:, None] - slope)
         cos = s * sample_nodes
         phi += cos  # theta
         np.exp(dphi, out=dphi)  # r
@@ -282,7 +226,7 @@ def _propagate(potentials, lams: np.ndarray, tol: float,
         phi *= dphi
         dphi *= s
         dphi *= cos
-        dphi += np.multiply(nu_nodes[:, None] - gauge, phi, out=s)
+        dphi += np.multiply(nu_nodes - gauge, phi, out=s)
     return out
 
 
@@ -307,7 +251,15 @@ def _magnus_mesh(nu_like, cells_per_unit: float):
 
 
 def _panel_mesh(nu_like, panels):
-    """Per-cell terms of the Magnus-4 exponent, each of shape (cells, 1).
+    """_cell_mesh of the equal cells of each (a, b, cells) panel."""
+    cuts = [np.linspace(a, b, 1 + n) for a, b, n in panels]
+    return _cell_mesh(nu_like, np.concatenate([np.diff(c) for c in cuts]),
+                      np.concatenate([c[:-1] for c in cuts]))
+
+
+def _cell_mesh(nu_like, h: np.ndarray, left: np.ndarray):
+    """Per-cell terms of the Magnus-4 exponent over the cells [left, left +
+    h], each of shape (cells, 1).
 
     With nu_1, nu_2 at the two Gauss points of a cell of width h and s =
     sqrt(lambda), Omega = h/2 (B_1 + B_2) + sqrt(3)/12 h^2 [B_2, B_1] for
@@ -316,9 +268,7 @@ def _panel_mesh(nu_like, panels):
     p m (lambda + (nu_2 - nu_1)^2 / 4), is negative only where |k| > h.
     A nu whose square overflows raises NonFiniteResult before any pass.
     """
-    cuts = [np.linspace(a, b, 1 + n) for a, b, n in panels]
-    h = np.concatenate([np.diff(c) for c in cuts])
-    mid = np.concatenate([c[:-1] for c in cuts]) + 0.5 * h
+    mid = left + 0.5 * h
     nu1, nu2 = (nu_like.nu_values(mid + t * h / math.sqrt(12.0)) for t in (-1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         dn = nu2 - nu1
@@ -335,8 +285,10 @@ def _panel_mesh(nu_like, panels):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _magnus_phase(mesh, lams: np.ndarray):
-    """theta(1) and d theta(1) / d lambda for each lambda, by Magnus-4.
+def _magnus_phase(mesh, lams: np.ndarray, record=None):
+    """theta(1) and d theta(1) / d lambda for each lambda, by Magnus-4;
+    with record, a boolean mask over the mesh's cells + 1 edges, also the
+    states (y, w) at the marked edges, shape (2, lambdas, marked).
 
     The state is (y, w) = r (sin theta, cos theta); theta(1) sums the
     per-cell atan2 increments, so no cell may turn by pi or more.  The
@@ -352,10 +304,14 @@ def _magnus_phase(mesh, lams: np.ndarray):
     growth g_b^2.  int y^2 is folded per block as (int + S_b) / g_b^2, so
     no product of growths can overflow.  A hyperbolic cell or a block
     whose growth overflows raises NonFiniteResult before its NaN spreads.
+    A recorded state is the scan's, times exp of its block's running log
+    growth, the sum of log g_b over the blocks before it: (y, w) from y(0)
+    = 0, w(0) = 1, and inf or NaN where r passes a float's range.
     """
     s = np.sqrt(lams)
     y, w = np.zeros_like(s), np.ones_like(s)
     theta, int_y2 = np.zeros_like(s), np.zeros_like(s)
+    log_r, kept = np.zeros_like(s), []
     chunk = max(1, _CHUNK_ELEMENTS // s.size)
     for c0 in range(0, mesh[0].shape[0], chunk):
         cells = min(chunk, mesh[0].shape[0] - c0)
@@ -413,7 +369,19 @@ def _magnus_phase(mesh, lams: np.ndarray):
         sq = ys * ys
         for b, s_b in enumerate(np.sum(0.5 * h * (sq[:-1] + sq[1:]), axis=0)):
             int_y2 = (int_y2 + s_b) / g2[b]
-    return theta, (s * int_y2 + 0.5 * y * w) / lams
+        if record is not None:
+            # log r at each block's start, then at the chunk's end
+            logs = np.cumsum(np.vstack([log_r, 0.5 * np.log(g2)]), axis=0)
+            blk, at = np.divmod(np.flatnonzero(record[c0:c0 + cells]), size)
+            kept.append(np.stack((ys[at, blk], ws[at, blk]))
+                        * np.exp(logs[blk]))
+            log_r = logs[-1]
+    phase = theta, (s * int_y2 + 0.5 * y * w) / lams
+    if record is None:
+        return phase
+    if record[-1]:
+        kept.append(np.stack((y, w))[:, None] * np.exp(log_r))
+    return (*phase, np.concatenate(kept, axis=1).swapaxes(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,12 +526,12 @@ def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
 
 def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
     """(lambda_n, theta(1, lambda_n) - pi n, theta(1)'s error estimate, nu
-    at the nodes) by Newton on one _PhaseMap mesh.  For a nu with density,
-    an estimate above max(THETA_RESIDUAL_TOL, ftol) multiplies the cells
-    by 2^ceil(log2((estimate / bound)^(1/4))), the fourth-order step's
-    factor to meet it, and Newton goes on from the roots; past _MAX_CELLS
-    MeshTooLarge names the estimate.  Magnus-4 is exact for a nu without
-    density, whose estimate is 0."""
+    at the nodes, the mesh's cells per unit) by Newton on one _PhaseMap
+    mesh.  For a nu with density, an estimate above max(THETA_RESIDUAL_TOL,
+    ftol) multiplies the cells by 2^ceil(log2((estimate / bound)^(1/4))),
+    the fourth-order step's factor to meet it, and Newton goes on from the
+    roots; past _MAX_CELLS MeshTooLarge names the estimate.  Magnus-4 is
+    exact for a nu without density, whose estimate is 0."""
     # start at first order in nu, (pi n)^2 + int q 2 sin^2(pi n x) = (pi n)^2
     # - 2 pi n int nu sin(2 pi n x); per mode, as a (modes, nodes) table adds
     # RSS.  A nu that overflows here makes a start that _newton_roots names
@@ -583,7 +551,7 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
         est = (phase.error_estimate(root, res + math.pi * ns)
                if nu_like.has_density else 0.0)
         if est <= bound:
-            return root, res, est, nu_nodes
+            return root, res, est, nu_nodes, phase.cells
         lam = root
         try:
             phase.remesh(phase.cells * 2 ** math.ceil(
@@ -591,6 +559,34 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
         except MeshTooLarge as err:
             raise MeshTooLarge(f"theta(1) error estimate {est:.3g} is above "
                                f"{bound:.3g}, and {err}") from None
+
+
+def _recorded_pass(nu_like, lams: np.ndarray, cells: int, est: float,
+                   tol: float, nodes: np.ndarray, nu_nodes: np.ndarray):
+    """phi_tilde and phi_tilde' at the nodes, shape (2, M, nodes), from one
+    recorded Magnus-4 pass (_magnus_phase) over the nodes and the edges of
+    Newton's mesh of `cells` per unit, nu's breakpoints among them, so that
+    no cell is wider than Newton's: phi_tilde = y and phi_tilde' =
+    sqrt(lambda) w + nu y, with nu from nu_nodes, its left limits.  Where
+    theta(1)'s error estimate est on Newton's mesh is above tol, that mesh
+    takes the fourth-order step's factor 2^ceil(log2((est / tol)^(1/4)))
+    of cells, unless it would pass _MAX_CELLS."""
+    panels = _mesh_panels(nu_like, cells)
+    if est > tol:
+        try:
+            panels = _mesh_panels(nu_like, cells * 2 ** math.ceil(
+                math.log2((est / tol) ** 0.25)))
+        except MeshTooLarge:
+            pass
+    edges = np.union1d(nodes, np.concatenate(
+        [np.linspace(a, b, 1 + n) for a, b, n in panels]))
+    _, _, out = _magnus_phase(_cell_mesh(nu_like, np.diff(edges), edges[:-1]),
+                              lams, np.isin(edges, nodes))
+    phi, dphi = out
+    with np.errstate(over="ignore", invalid="ignore"):
+        dphi *= np.sqrt(lams)[:, None]
+        dphi += nu_nodes * phi
+    return out
 
 
 def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
@@ -641,25 +637,29 @@ def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
 
 def build_bases(potentials, n_max: int, grid: Grid,
                 tol: float = DEFAULT_TOL) -> list[EigenBasis]:
-    """build_basis for each potential: Newton per potential, then one
-    sampled pass for all of them (see _propagate).  The lambdas are
-    build_basis's bit for bit, the eigenfunctions come from a pass at
-    tol / len(potentials).  A VwwError of one potential's Newton solve or
-    checks carries its index as ``member``; one of the joint pass
-    (StepFailure) carries none."""
+    """build_basis for each potential: Newton on theta(1), then phi_tilde
+    and phi_tilde' at the nodes, from the RK45 pass at tol (_propagate)
+    where nu is linear between its breakpoints, which makes its rhs zero
+    below the slope cap, else from one recorded Magnus pass over Newton's
+    mesh (_recorded_pass).  A VwwError carries the index of its potential
+    as ``member``; one of the arguments carries none."""
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
     if not tol >= MIN_TOL:
         raise ConfigError(f"tol must be >= {MIN_TOL:g}, got {tol:g}")
     ns = np.arange(1.0, n_max + 1)
-    # the residual target sets no tighter than the sampled pass's tolerance
+    # the residual target sets no tighter than the RK45 pass's tolerance
     ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
-    roots = per_member(lambda nu_like: _roots(nu_like, ns, grid, ftol),
-                       potentials)
-    phi, dphi = _propagate(potentials, np.array([r[0] for r in roots]), tol,
-                           grid.nodes, np.array([r[3] for r in roots]))
-    return per_member(lambda nu_like, r, *rows: _eigenbasis(
-        nu_like, grid, tol, *r[:3], *rows), potentials, roots, phi, dphi)
+
+    def build(nu_like):
+        root, res, est, nu_nodes, cells = _roots(nu_like, ns, grid, ftol)
+        rows = (_propagate(nu_like, root, tol, grid.nodes, nu_nodes)
+                if nu_like.piecewise_linear else
+                _recorded_pass(nu_like, root, cells, est, tol, grid.nodes,
+                               nu_nodes))
+        return _eigenbasis(nu_like, grid, tol, root, res, est, *rows)
+
+    return per_member(build, potentials)
 
 
 def build_basis(nu_like, n_max: int, grid: Grid,

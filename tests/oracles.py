@@ -2,13 +2,15 @@
 
 None of this is part of the pipeline that ``vww`` runs: a leapfrog
 finite-difference solver with the restriction of grid functions to a
-coarser grid it is compared on, the solution at one stored time, the
+coarser grid it is compared on, the solution at one stored time, a
+Gaussian pulse crossing a delta in closed form, the
 large-n eigenvalue and eigenfunction asymptotics of a basis, the mass
 of a mollifier profile, a mollified potential's tables formed with one
 quadrature pass each, the constant sweep of an estimate over a battery
 of problems, random smooth data, the phase equations' right-hand side
 at one point, the RK45 phase path at one trial lambda, a basis's psi
-norms from its own RK45 pass, theta(1) from scipy's DOP853, and the
+norms from the rows its build handed over, its normalized eigenfunctions
+from an RK45 pass over its lambdas, theta(1) from scipy's DOP853, and the
 reader of an eigenfunction cache with the array fields it keeps.  Tests
 import it as ``from oracles import ...``, as they import ``conftest``.
 """
@@ -259,6 +261,42 @@ def random_sine_data(grid, rng, n_modes: int = 8, decay: float = 2.0) -> GridFun
     return GridFunction(grid, vals)
 
 
+# -- a pulse crossing a delta ------------------------------------------------
+
+
+def pulse(z, c: float = 0.25, w: float = 0.03):
+    """(F(z), F'(z)) of the Gaussian F(z) = exp(-((z + c) / w)^2)."""
+    f = np.exp(-((np.asarray(z, dtype=float) + c) / w) ** 2)
+    return f, -2.0 * (z + c) / (w * w) * f
+
+
+def pulse_through_delta(alpha: float, t: float, x, a: float = 0.5,
+                        c: float = 0.25, w: float = 0.03) -> np.ndarray:
+    """u(t, x) of u_tt - u_xx + alpha delta(x - a) u = 0 on the line for
+    the incoming wave F(t - x) of ``pulse``: T(t - x) right of a, and F(t -
+    x) + (T - F)(t + x - 2a) left of it.  The jump u_x(a+) - u_x(a-) =
+    alpha u(a) makes T' + b T = F', b = alpha / 2, so T = F - b int_0^inf
+    e^(-b s) F(. - s) ds, whose integral is (sqrt(pi) w / 2) e^(b^2 w^2 / 4
+    - b (z + c)) erfc(b w / 2 - (z + c) / w).  Valid on (0, 1) while both
+    waves are negligible at the walls."""
+    from scipy.special import erfc
+
+    b = 0.5 * alpha
+
+    def transmitted(z):
+        zc = z + c
+        tail = (0.5 * math.sqrt(math.pi) * w * np.exp(b * b * w * w / 4.0
+                                                      - b * zc)
+                * erfc(0.5 * b * w - zc / w))
+        return pulse(z, c, w)[0] - b * tail
+
+    x = np.asarray(x, dtype=float)
+    back = t + x - 2.0 * a
+    return np.where(x > a, transmitted(t - x),
+                    pulse(t - x, c, w)[0] + transmitted(back)
+                    - pulse(back, c, w)[0])
+
+
 # -- the RK45 phase path -----------------------------------------------------
 
 
@@ -274,16 +312,27 @@ def phase_rhs(nu: float, lam: float, x: float, eta: float) -> tuple:
     return d_eta, d_log_r
 
 
-def psi_norms_from_path(basis: EigenBasis) -> np.ndarray:
-    """||phi_tilde_n - sin(sqrt(lambda_n) x)|| per mode, with phi_tilde
-    from the basis's own RK45 pass at DEFAULT_TOL: one member, so the
-    build's pass step for step."""
+def psi_norms_from_path(basis: EigenBasis,
+                        phi_tilde: np.ndarray) -> np.ndarray:
+    """||phi_tilde_n - sin(sqrt(lambda_n) x)|| per mode, with phi_tilde the
+    rows that the basis's build handed to its checks, before normalizing."""
     grid = basis.grid
-    lams = basis.lambdas[:, None]
-    phi, _ = _propagate([basis.nu], lams.T, DEFAULT_TOL, grid.nodes,
-                        basis.nu.nu_values(grid.nodes)[None])
-    psi = phi[0] - np.sin(np.sqrt(lams) * grid.nodes)
+    psi = phi_tilde - np.sin(np.sqrt(basis.lambdas)[:, None] * grid.nodes)
     return np.array([grid.norm_l2(v) for v in psi])
+
+
+def rk45_eigenfunctions(basis: EigenBasis, tol: float = 1e-13) -> tuple:
+    """(phi, phi', tilde norms) of the basis's lambdas from an RK45 pass at
+    tol, normalized and pinned at the walls as build_basis does: on the
+    same lambdas, a reference for the eigenfunctions of any pass."""
+    grid = basis.grid
+    phi, dphi = _propagate(basis.nu, basis.lambdas, tol, grid.nodes,
+                           basis.nu.nu_values(grid.nodes))
+    norms = np.array([grid.norm_l2(v) for v in phi])
+    phi /= norms[:, None]
+    dphi /= norms[:, None]
+    phi[:, [0, -1]] = 0.0
+    return phi, dphi, norms
 
 
 def rk45_path(nu_like, lam: float, grid: Grid,
@@ -294,8 +343,8 @@ def rk45_path(nu_like, lam: float, grid: Grid,
     sqrt(lambda)) = r (sin(theta), cos(theta)), theta unwrapped along the
     nodes."""
     nu = nu_like.nu_values(grid.nodes)
-    phi, dphi = _propagate([nu_like], np.array([[lam]]), tol, grid.nodes,
-                           nu[None])[:, 0, 0]
+    phi, dphi = _propagate(nu_like, np.array([lam]), tol, grid.nodes,
+                           nu)[:, 0]
     cos_part = (dphi - nu * phi) / math.sqrt(lam)
     return (np.unwrap(np.arctan2(phi, cos_part)),
             np.log(np.hypot(phi, cos_part)))

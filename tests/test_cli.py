@@ -677,10 +677,11 @@ class TestNumericalFailure:
         assert not out.exists()
 
     def test_overflowing_eigenfunctions_exit_3(self, tmp_path, capsys):
-        # at ode_tol 1e6, r overflows; the basis is refused by its Gram
-        # defect, NaN, and no numpy warning is printed on the way
+        # at ode_tol 1e6, r overflows in the RK45 pass, whose rhs a slope
+        # above lambda_1 / 2 leaves nonzero; the basis is refused by its
+        # Gram defect, NaN, and no numpy warning is printed on the way
         cfg = write_config(tmp_path, "c.json", {
-            "nu": {"smooth": {"kind": "sine", "params": [1e3, 1]}},
+            "nu": {"smooth": {"kind": "linear", "params": [2000]}},
             "grid_n": 256, "n_max": 5, "ode_tol": 1e6})
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -698,7 +699,7 @@ class TestNumericalFailure:
         # mode 3's r^2 overflows the norm: a zero row of phi passes the
         # Gram check, and solve once wrote its solution from it
         cfg = write_config(tmp_path, "c.json", dict(
-            SOLVE_BASE, nu={"smooth": {"kind": "linear", "params": [500]}},
+            SOLVE_BASE, nu={"smooth": {"kind": "linear", "params": [950]}},
             grid_n=256, n_max=3, ode_tol=1e6,
             u0={"kind": "sine_combo", "params": [[1, 1]]}))
         out = tmp_path / "o"

@@ -126,87 +126,6 @@ def test_step_and_rhs_counts_pinned(rhs, y0, samples, steps, rhs_calls):
     assert (n_steps, len(calls)) == (steps, rhs_calls)
 
 
-def _oscillator_rhs(x, y):
-    return np.array([y[1], -49.0 * y[0]])
-
-
-def _run_with_hook(hook, rhs=_oscillator_rhs):
-    calls = []
-
-    def counted(x, y):
-        calls.append(x)
-        return rhs(x, y)
-
-    nodes = np.linspace(0.0, 1.0, 101)[1:]
-    result = integrate_rk45(counted, 0.0, 1.0, np.array([1.0, 0.0]), TOL,
-                            samples=nodes, hook=hook)
-    return result, len(calls), nodes
-
-
-def test_hook_without_change_is_bitwise_no_hook():
-    seen = []
-
-    def idle(x, y, h):
-        seen.append((x, h))
-        return False
-
-    (y, sampled, steps, last_h), calls, _ = _run_with_hook(None)
-    (y2, sampled2, steps2, last_h2), calls2, _ = _run_with_hook(idle)
-    assert y2.tobytes() == y.tobytes()
-    assert sampled2.tobytes() == sampled.tobytes()
-    assert (steps2, last_h2, calls2) == (steps, last_h, calls)
-    # at x0 and after every accepted step short of x1
-    assert seen[0][0] == 0.0 and len(seen) <= steps
-    assert all(x < 1.0 and h > 0.0 for x, h in seen)
-
-
-class _Swap:
-    """Keeps the oscillator in one of two forms, (y, y') or (y, y' / 7) on
-    alternate stretches of 5 steps, swapped in place at a step boundary;
-    records each switch's x and the form it sets."""
-
-    def __init__(self):
-        self.calls, self.scaled, self.switches = 0, False, []
-
-    def rhs(self, x, y):
-        w = 7.0 if self.scaled else 1.0
-        return np.array([w * y[1], -49.0 / w * y[0]])
-
-    def __call__(self, x, y, h):
-        self.calls += 1
-        if self.calls % 5 != 1:
-            return False
-        self.scaled = not self.scaled
-        y[1] *= 1.0 / 7.0 if self.scaled else 7.0
-        self.switches.append((x, self.scaled))
-        return True
-
-
-def test_hook_switching_forms_keeps_samples_exact():
-    swap = _Swap()
-    (y, sampled, _, _), _, nodes = _run_with_hook(swap, swap.rhs)
-    assert len(swap.switches) > 2
-    # a node at a switch belongs to the stretch before it
-    starts = [x for x, _ in swap.switches]
-    form = [scaled for _, scaled in swap.switches]
-    scaled = [form[np.searchsorted(starts, x, side="left") - 1]
-              for x in nodes]
-    back = sampled.copy()
-    back[scaled, 1] *= 7.0
-    exact = np.stack([np.cos(7.0 * nodes), -7.0 * np.sin(7.0 * nodes)],
-                     axis=1)
-    assert np.max(np.abs(back - exact)) <= 1e-9
-
-
-def test_hook_change_costs_one_rhs_call():
-    # without a hook: 6 per step, f0 and the initial step's probe
-    (_, _, steps, _), calls, _ = _run_with_hook(None)
-    assert calls == 6 * steps + 2
-    swap = _Swap()
-    (_, _, steps, _), calls, _ = _run_with_hook(swap, swap.rhs)
-    assert calls == 6 * steps + 2 + len(swap.switches)
-
-
 def test_max_steps_guard(monkeypatch):
     monkeypatch.setattr(vww.ode, "_MAX_STEPS", 10)
     rhs = lambda x, y: np.array([1.0 / (1.0 - x + 1e-16)])

@@ -137,6 +137,19 @@ class TestMollify:
         fd = (mn.nu_values(xs + h) - mn.nu_values(xs - h)) / (2.0 * h)
         assert np.max(np.abs(fd - mn.q_values(xs))) <= 1e-6
 
+    @pytest.mark.parametrize("jumps", [(), ((0.5, 1.0),)],
+                             ids=["table", "table_atom"])
+    @pytest.mark.parametrize("eps", [0.25, 2.0**-5])
+    def test_mollified_nu_at_nan_is_nan(self, eps, jumps):
+        # a NaN point takes no table segment, nor a branch of Psi; it read
+        # whatever the buffer held (0.0 here), while q_values gave NaN
+        mn = MollifiedNu(NuPrimitive("linear", (5.0,), jumps=jumps),
+                         MollifierSpec("bump", eps))
+        xs = np.array([0.5, 0.25, 0.0, 1.0, 0.03, 0.97])
+        got = mn.nu_values(np.insert(xs, 1, np.nan))
+        assert np.isnan(got[1]) and np.isnan(mn.q_values([np.nan]))[0]
+        assert np.delete(got, 1).tobytes() == mn.nu_values(xs).tobytes()
+
 
 class TestWindowConvOracle:
     """q_eps and the smoothed primitive against adaptive quadrature
@@ -326,6 +339,32 @@ class TestPerturbed:
         pert = PerturbedNu(STEP, self.W, 0.1)
         assert pert.jumps == STEP.jumps
         assert pert.breakpoints == STEP.breakpoints
+
+    @pytest.mark.parametrize("nu, linear", [
+        (NuPrimitive(), True),
+        (NuPrimitive("const", (2.0,), jumps=((0.3, 1.0),)), True),
+        (NuPrimitive("linear", (5.0,), jumps=((0.5, -1.0),)), True),
+        (NuPrimitive("sine", (1.0, 1.0)), False),
+        (NuPrimitive("samples", tuple(np.linspace(0.0, 1.0, 9))), False),
+        (MollifiedNu(STEP, MollifierSpec("bump", 0.25)), False),
+        (MollifiedNu(NuPrimitive("linear", (5.0,)),
+                     MollifierSpec("bump", 0.25)), False),
+        # nu_eps is 0: neither atoms nor density to mollify
+        (MollifiedNu(NuPrimitive("const", (3.0,)),
+                     MollifierSpec("bump", 0.25)), True),
+        (PerturbedNu(STEP, NuPrimitive("linear", (2.0,)), 0.5), True),
+        (PerturbedNu(STEP, W, 0.5), False),
+        (PerturbedNu(MollifiedNu(STEP, MollifierSpec("bump", 0.25)),
+                     NuPrimitive("const", (1.0,)), 0.5), False),
+    ], ids=["zero", "const_atom", "linear_atom", "sine", "samples",
+            "mollified_delta", "mollified_linear", "mollified_const",
+            "perturbed_linear", "perturbed_sine", "perturbed_mollified"])
+    def test_piecewise_linear_states_linearity(self, nu, linear):
+        assert nu.piecewise_linear is linear
+        # q = nu' is one constant off the atoms exactly where nu is linear
+        # between its breakpoints
+        q = nu.q_values(np.linspace(0.0, 1.0, 257))
+        assert linear == bool(np.all(q == q[0]))
 
     def test_spatial_derivatives_reject_atom_on_node(self, free_basis_small):
         from vww.errors import AtomEvaluation

@@ -177,25 +177,40 @@ class TestFailingRung:
                 rf"^rung eps={re.escape(f'{eps:g}')}: Gram defect 0\.3$")):
             run(e)
 
-    @pytest.mark.parametrize("run, rungs", [
-        (run_existence, "0.25, 0.125, 0.0625, 0.03125"),
-        (run_consistency, "0, 0.25, 0.125, 0.0625, 0.03125"),
-        (lambda e: run_uniqueness(e, order=2), "0.25, 0.125, 0.0625, 0.03125"),
+    @pytest.mark.parametrize("run, rung", [
+        (run_existence, "0.25"), (run_consistency, "0"),
+        (lambda e: run_uniqueness(e, order=2), "0.25"),
     ], ids=["existence", "consistency", "uniqueness"])
-    def test_joint_pass_failure_names_every_rung(self, run, rungs,
+    def test_sampled_pass_failure_names_its_rung(self, run, rung,
                                                  monkeypatch):
-        # the rungs, and consistency's limit, share one sampled pass, so
-        # its failure is every rung's
+        # each member's sampled pass is its own: consistency's limit takes
+        # the RK45 pass, each mollified rung the recorded Magnus pass, and
+        # a failure of either names the first member's rung alone
         import vww.prufer
 
         def underflow(*args, **kwargs):
             raise StepFailure("step underflow")
 
         monkeypatch.setattr(vww.prufer, "integrate_rk45", underflow)
+        monkeypatch.setattr(vww.prufer, "_recorded_pass", underflow)
         e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
                        ladder=default_ladder(2, 5), n_max=4)
         with pytest.raises(StepFailure, match=(
-                rf"^rungs eps={re.escape(rungs)}: step underflow$")):
+                rf"^rung eps={re.escape(rung)}: step underflow$")):
+            run(e)
+
+    @pytest.mark.parametrize("run, rungs", [
+        (run_existence, "0.25, 0.125, 0.0625, 0.03125"),
+        (run_consistency, "0, 0.25, 0.125, 0.0625, 0.03125"),
+    ], ids=["existence", "consistency"])
+    def test_build_failure_names_every_rung(self, run, rungs):
+        # a tol below the floor is refused before any member is built, so
+        # the failure is every rung's
+        e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
+                       ladder=default_ladder(2, 5), n_max=4, ode_tol=1e-16)
+        with pytest.raises(ConfigError, match=(
+                rf"^rungs eps={re.escape(rungs)}: tol must be >= 1e-15, "
+                rf"got 1e-16$")):
             run(e)
 
 
@@ -344,9 +359,9 @@ class TestConsistencyLimit:
 
     @pytest.fixture(scope="class")
     def limit_builds(self):
-        """(calls, limit, solo, tight): the build calls of one
-        run_consistency on the ladder benchmark's sizes, the limit basis
-        it built, and build_basis of its nu at its tol and at 1e-12."""
+        """(calls, limit, solo): the build calls of one run_consistency on
+        the ladder benchmark's sizes, the limit basis it built, and
+        build_basis of its nu at its tol."""
         import vww.prufer
         import vww.veryweak
         calls, built = [], []
@@ -366,9 +381,8 @@ class TestConsistencyLimit:
             mp.setattr(vww.veryweak, "build_basis", basis)
             run_consistency(experiment(nu, grid, ladder=default_ladder(2, 5),
                                        ode_tol=1e-8))
-        return (calls, built[0][0],
-                vww.prufer.build_basis(nu, 12, grid, tol=1e-8),
-                vww.prufer.build_basis(nu, 12, grid, tol=1e-12))
+        return calls, built[0][0], vww.prufer.build_basis(nu, 12, grid,
+                                                          tol=1e-8)
 
     def test_one_build_bases_call_and_no_build_basis(self, limit_builds):
         calls, limit, *_ = limit_builds
@@ -376,16 +390,16 @@ class TestConsistencyLimit:
         assert limit.nu == NuPrimitive("linear", (5.0,))
 
     def test_lambdas_are_the_solo_build(self, limit_builds):
-        _, limit, solo, _ = limit_builds
+        _, limit, solo = limit_builds
         assert np.array_equal(limit.lambdas, solo.lambdas)
         assert np.array_equal(limit.theta_residuals, solo.theta_residuals)
 
     def test_eigenfunctions_as_accurate_as_solo_build(self, limit_builds):
-        # the joint pass holds the limit to tol / sqrt(5)
-        _, limit, solo, tight = limit_builds
-        err_limit = np.max(np.abs(limit.phi_matrix - tight.phi_matrix))
-        err_solo = np.max(np.abs(solo.phi_matrix - tight.phi_matrix))
-        assert err_limit <= 1.1 * err_solo
+        # the limit's sampled pass is its own, the solo build's bit for bit
+        _, limit, solo = limit_builds
+        assert np.array_equal(limit.phi_matrix, solo.phi_matrix)
+        assert np.array_equal(limit.phi_prime_matrix, solo.phi_prime_matrix)
+        assert np.array_equal(limit.tilde_norms, solo.tilde_norms)
 
 
 class TestVerdictsFollowNorms:

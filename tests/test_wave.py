@@ -1,5 +1,6 @@
 """Wave evolution: closed forms, conservation laws and the FD oracle."""
 
+import json
 import math
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 from vww.errors import ConfigError, GridMismatch, TimeGridTooCoarse
 from vww.grid import Grid, GridFunction
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive
+from vww.prufer import build_basis
 from vww.spectral import analyze
 from vww.wave import (MAX_TABLE_ENTRIES, ForcingTable, WaveProblem,
                       _cumulative_simpson, analyze_forcing, forcing_time_grid,
                       solve_forced, solve_homogeneous, x_derivative)
 
 from conftest import parabola, sine_data
-from oracles import dt_at, fd_oracle, restrict, u_at
+from oracles import (dt_at, fd_oracle, pulse, pulse_through_delta, restrict,
+                     u_at)
 
 
 def _prob(basis, u0, u1, T=1.0, forcing=None):
@@ -91,6 +94,54 @@ class TestHomogeneous:
                        1.0, dt=1.0 / 8192.0, times=[1.0])
         diff = restrict(fd.u_at(1.0), g) - u_at(sol, 1.0)
         assert diff.norm_l2() <= 2e-3
+
+
+class TestPulseThroughDelta:
+    """A Gaussian pulse from the left meets q = alpha delta(x - 1/2): the
+    spectral evolution against the transmitted and reflected waves in
+    closed form (oracles.pulse_through_delta)."""
+
+    GRID = Grid(2048)
+
+    @staticmethod
+    def data(grid):
+        f, df = pulse(-grid.nodes)  # u = F(t - x): u0 = F(-x), u1 = F'(-x)
+        return GridFunction(grid, f), GridFunction(grid, df)
+
+    @pytest.mark.parametrize("alpha", [1.0, 5.0, 50.0])
+    def test_matches_closed_form(self, alpha):
+        # max errors 1.1e-11 / 5.6e-11 / 4.3e-10 at t = 0.25, the peak on
+        # the atom, and 5.6e-12 / 2.8e-11 / 2.1e-10 at t = 0.45, where the
+        # reflected peak is -0.026 / -0.117 / -0.613; without the atom
+        # 2.6e-2 (alpha 1)
+        g = self.GRID
+        basis = build_basis(NuPrimitive(jumps=((0.5, alpha),)), 200, g)
+        times = [0.25, 0.45]
+        sol = solve_homogeneous(_prob(basis, *self.data(g), T=0.45), times)
+        for t in times:
+            want = pulse_through_delta(alpha, t, g.nodes)
+            assert np.max(np.abs(u_at(sol, t).values - want)) <= 1e-9
+
+    def test_solve_writes_closed_form(self, tmp_path):
+        # through `vww solve` with samples data: the CSV's digits too
+        from vww.cli import main
+
+        g, alpha = self.GRID, 5.0
+        u0, u1 = self.data(g)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "nu": {"smooth": {"kind": "zero"}, "jumps": [[0.5, alpha]]},
+            "grid_n": g.n, "n_max": 200, "T": 0.45, "n_times": 2,
+            "u0": {"kind": "samples", "params": u0.values.tolist()},
+            "u1": {"kind": "samples", "params": u1.values.tolist()}}))
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 0
+        rows = np.loadtxt(tmp_path / "o" / "solution.csv", delimiter=",",
+                          skiprows=1)
+        last = rows[rows[:, 0] == 0.45]
+        assert np.array_equal(last[:, 1], g.nodes)
+        want = pulse_through_delta(alpha, 0.45, g.nodes)
+        assert np.max(np.abs(last[:, 2] - want)) <= 1e-9
 
 
 class TestSynthesisOrder:
