@@ -11,17 +11,20 @@ jump discontinuities of the right-hand side.  Eigenvalues are the
 solutions of theta(1, lambda) = pi n.  They are found on the linear
 system (y, w)' = B (y, w), w = (y' - nu y)/sqrt(lambda), with
 B = [[nu, s], [-(s + nu^2/s), -nu]], s = sqrt(lambda): a closed-form
-Magnus-4 step per cell (trace 0 and det lambda make exp(Omega) a cosine
-and a sine; exact for piecewise-constant nu), vectorized over all trial
-lambdas, and scanned in blocks of about sqrt(cells) cells, so that a pass
-costs about 4 sqrt(cells) vectorized steps rather than one per cell; a
-cell or block whose growth overflows a float raises NonFiniteResult.
-Newton steps take d theta(1)/d lambda from the Pruefer identity and stay
-inside a sign bracket, all on one mesh per solve, which sqrt(lambda) and
-max |nu| size, never the grid; for a nu with density a Richardson
-estimate of theta(1)'s error at the roots, from one pass at half the
-cells, accepts that mesh or refines it.  At the roots one more pass
-samples phi_tilde = r sin(theta) and phi_tilde' at the grid's nodes.
+Magnus-4 step per cell (trace 0 makes exp(Omega) a cosine and a sine),
+vectorized over all trial lambdas, and scanned in blocks of about
+sqrt(cells) cells, so that a pass costs about 4 sqrt(cells) vectorized
+steps rather than one per cell; a cell or block whose growth overflows a
+float raises NonFiniteResult.  Each cell steps nu less its line through
+nu's limits at the cell's edges, the line's slope folded into lambda,
+with a zero-width shear cell at each atom and at x = 1 (_cell_mesh), so
+that a nu linear between its breakpoints is exact and no rounding floor
+follows |nu|.  Newton steps take d theta(1)/d lambda from the Pruefer
+identity and stay inside a sign bracket, all on one mesh per solve, which
+sqrt(lambda) and max |nu| size, never the grid; for any other nu a
+Richardson estimate of theta(1)'s error at the roots, from one pass at
+half the cells, accepts that mesh or refines it.  At the roots one more
+pass samples phi_tilde = r sin(theta) and phi_tilde' at the grid's nodes.
 Where nu is linear between its breakpoints it is an adaptive Runge-Kutta
 pass (_propagate), split at every jump of nu and carried in the
 corrected phase eta = theta - s x, which reads the nodes off each step's
@@ -74,7 +77,7 @@ NEWTON_PASSES = 40
 # temporaries: 256 cells at 40 lambdas, a whole 2,048-cell mesh at one
 _CHUNK_ELEMENTS = 10240
 # most cells a Magnus mesh may hold.  Cells follow sqrt(lambda) + max |nu|
-# (twice that where nu has density), so this admits modes up to n ~ 1.3e6
+# (twice that where nu is curved), so this admits modes up to n ~ 1.3e6
 # (6.7e5) before any refinement, while the mesh's seven per-cell arrays
 # stay near 235 MB; a larger mesh comes from a trial lambda beyond any
 # resolvable mode, a max |nu| above about 2e6, or an error estimate that
@@ -252,36 +255,60 @@ def _magnus_mesh(nu_like, cells_per_unit: float):
 
 def _panel_mesh(nu_like, panels):
     """_cell_mesh of the equal cells of each (a, b, cells) panel."""
-    cuts = [np.linspace(a, b, 1 + n) for a, b, n in panels]
-    return _cell_mesh(nu_like, np.concatenate([np.diff(c) for c in cuts]),
-                      np.concatenate([c[:-1] for c in cuts]))
+    cuts = [np.linspace(a, b, 1 + n)[:-1] for a, b, n in panels]
+    return _cell_mesh(nu_like, np.concatenate([*cuts, [1.0]]))
 
 
-def _cell_mesh(nu_like, h: np.ndarray, left: np.ndarray):
-    """Per-cell terms of the Magnus-4 exponent over the cells [left, left +
-    h], each of shape (cells, 1).
+def _cell_mesh(nu_like, edges: np.ndarray):
+    """Per-cell terms of the Magnus-4 exponent over the cells between the
+    increasing edges, from 0 to 1, in the gauge of nu's interpolant c, each
+    of shape (cells, 1).
 
-    With nu_1, nu_2 at the two Gauss points of a cell of width h and s =
-    sqrt(lambda), Omega = h/2 (B_1 + B_2) + sqrt(3)/12 h^2 [B_2, B_1] for
-    B = [[nu, s], [-(s + nu^2/s), -nu]] is [[a, s p], [-(s m + u/s), -a]]
-    with p, m = h +- k, k = sqrt(3)/6 h^2 (nu_2 - nu_1); its determinant,
-    p m (lambda + (nu_2 - nu_1)^2 / 4), is negative only where |k| > h.
-    A nu whose square overflows raises NonFiniteResult before any pass.
+    On each cell c is the line through nu's right limit at its start and
+    its left limit at its end, of slope sigma.  As only q = nu' enters the
+    operator, the cell solves -y'' + (nu - c)' y = (lambda - sigma) y for
+    (y, w), w = (y' - (nu - c) y) / s, s = sqrt(lambda).  With nu_1, nu_2
+    the values of nu - c at the two Gauss points of a cell of width h,
+    Omega = h/2 (B_1 + B_2) + sqrt(3)/12 h^2 [B_2, B_1] for B = [[nu, s],
+    [-(s + (nu^2 - sigma)/s), -nu]] is [[a, s p], [-(s m + u/s), -a]] with
+    p, m = h +- k, k = sqrt(3)/6 h^2 (nu_2 - nu_1); its determinant, p m
+    (lambda + d2), d2 = (nu_2 - nu_1)^2 / 4 - sigma, is negative only where
+    |k| > h or sigma > lambda + (nu_2 - nu_1)^2 / 4.  c jumps by alpha at
+    an atom of height alpha, and a zero-width cell with u = -alpha after it
+    makes the exact shear w <- w + alpha y / s; one more after the last
+    cell, u = c(1-), shears back to w = (y' - nu y) / s.  Shears keep y and
+    its zeros, so theta(1) keeps its meaning.  Where nu is linear between
+    its breakpoints, nu - c is 0 and each cell exact.  A nu whose terms
+    overflow raises NonFiniteResult before any pass.
     """
+    h, left = np.diff(edges), edges[:-1]
     mid = left + 0.5 * h
+    ends = nu_like.nu_values(edges)  # left limits
+    jump = np.zeros_like(edges)
+    for loc, height in nu_like.jumps:
+        jump[edges == loc] += height
+    c0, c1 = ends[:-1] + jump[:-1], ends[1:]
     nu1, nu2 = (nu_like.nu_values(mid + t * h / math.sqrt(12.0)) for t in (-1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
+        # c at the Gauss points is cm -+ dc
+        cm, dc = 0.5 * (c0 + c1), (c1 - c0) / math.sqrt(12.0)
+        nu1, nu2 = nu1 - (cm - dc), nu2 - (cm + dc)
+        sigma = (c1 - c0) / h
         dn = nu2 - nu1
         k = (math.sqrt(3.0) / 6.0) * h * h * dn
         p, m = h + k, h - k
         a = 0.5 * p * (nu1 + nu2)
-        u = 0.5 * h * (nu1 * nu1 + nu2 * nu2) + k * nu1 * nu2
-        terms = (h, a, p, m, u, p * m, 0.25 * dn * dn)
+        u = 0.5 * h * (nu1 * nu1 + nu2 * nu2) + k * nu1 * nu2 - m * sigma
+        terms = (h, a, p, m, u, p * m, 0.25 * dn * dn - sigma)
     if not all(np.all(np.isfinite(c)) for c in terms):
         raise NonFiniteResult(
             "a Magnus mesh term is not finite for max |nu| = "
-            f"{max(np.max(np.abs(nu1)), np.max(np.abs(nu2))):.6g}")
-    return tuple(c[:, None] for c in terms)
+            f"{np.max(np.abs(ends)):.6g}")
+    # the zero-width shear cells, after each atom and after the last cell
+    at = np.append(np.flatnonzero(jump[1:-1]) + 1, h.size)
+    shear = np.append(-jump[at[:-1]], ends[-1])
+    return tuple(np.insert(c, at, shear if c is u else 0.0)[:, None]
+                 for c in terms)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -406,7 +433,8 @@ class EigenBasis:
     # largest off-diagonal Gram entry, measured by build_basis
     gram_max_offdiag: float = math.nan
     # largest estimated error of theta(1, lambda_n) on Newton's mesh, by
-    # build_basis; 0 for a nu without density, where Magnus-4 is exact
+    # build_basis; 0 for a nu linear between its breakpoints, where the
+    # gauged Magnus-4 cells are exact
     theta_error_estimate: float = math.nan
 
     def __post_init__(self):
@@ -439,9 +467,9 @@ class _PhaseMap:
 
     The first call's lambdas set the mesh by the turning rule,
     sqrt(max lambda) + max |nu| cells per unit, at which a cell turns by
-    about 1 rad: exact for a nu constant on each panel.  A nu with density
-    gets the power of two at or above twice that, at least 64, which
-    error_estimate then checks.  A later lambda that would turn a cell by
+    about 1 rad: exact for a nu linear between its breakpoints, in the
+    gauge of _cell_mesh.  Any other nu gets the power of two at or above
+    twice that, at least 64, which error_estimate then checks.  A later lambda that would turn a cell by
     pi or more (omega^2 = p m (lambda + d2) >= pi^2), which the per-cell
     atan2 cannot count, refines the mesh and raises _Refined.
     """
@@ -463,7 +491,7 @@ class _PhaseMap:
             # past _MAX_CELLS, the mesh that MeshTooLarge names
             c = min(math.sqrt(top) + nu_max, _MAX_CELLS + 1.0)
             c = (max(64, 2 ** math.ceil(math.log2(2.0 * c)))
-                 if self.nu_like.has_density else math.ceil(c))
+                 if not self.nu_like.piecewise_linear else math.ceil(c))
             refined = self.mesh is not None
             self.remesh(max(2 * self.cells, c))
             if refined:
@@ -527,11 +555,12 @@ def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
 def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
     """(lambda_n, theta(1, lambda_n) - pi n, theta(1)'s error estimate, nu
     at the nodes, the mesh's cells per unit) by Newton on one _PhaseMap
-    mesh.  For a nu with density, an estimate above max(THETA_RESIDUAL_TOL,
-    ftol) multiplies the cells by 2^ceil(log2((estimate / bound)^(1/4))),
-    the fourth-order step's factor to meet it, and Newton goes on from the
-    roots; past _MAX_CELLS MeshTooLarge names the estimate.  Magnus-4 is
-    exact for a nu without density, whose estimate is 0."""
+    mesh.  For a nu not linear between its breakpoints, an estimate above
+    max(THETA_RESIDUAL_TOL, ftol) multiplies the cells by 2^ceil(log2((
+    estimate / bound)^(1/4))), the fourth-order step's factor to meet it,
+    and Newton goes on from the roots; past _MAX_CELLS MeshTooLarge names
+    the estimate.  The gauged cells are exact for a nu linear between its
+    breakpoints, whose estimate is 0."""
     # start at first order in nu, (pi n)^2 + int q 2 sin^2(pi n x) = (pi n)^2
     # - 2 pi n int nu sin(2 pi n x); per mode, as a (modes, nodes) table adds
     # RSS.  A nu that overflows here makes a start that _newton_roots names
@@ -549,7 +578,7 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
         except _Refined:
             continue
         est = (phase.error_estimate(root, res + math.pi * ns)
-               if nu_like.has_density else 0.0)
+               if not nu_like.piecewise_linear else 0.0)
         if est <= bound:
             return root, res, est, nu_nodes, phase.cells
         lam = root
@@ -562,15 +591,16 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
 
 
 def _recorded_pass(nu_like, lams: np.ndarray, cells: int, est: float,
-                   tol: float, nodes: np.ndarray, nu_nodes: np.ndarray):
+                   tol: float, nodes: np.ndarray):
     """phi_tilde and phi_tilde' at the nodes, shape (2, M, nodes), from one
     recorded Magnus-4 pass (_magnus_phase) over the nodes and the edges of
     Newton's mesh of `cells` per unit, nu's breakpoints among them, so that
-    no cell is wider than Newton's: phi_tilde = y and phi_tilde' =
-    sqrt(lambda) w + nu y, with nu from nu_nodes, its left limits.  Where
-    theta(1)'s error estimate est on Newton's mesh is above tol, that mesh
-    takes the fourth-order step's factor 2^ceil(log2((est / tol)^(1/4)))
-    of cells, unless it would pass _MAX_CELLS."""
+    no cell is wider than Newton's, in its gauge (_cell_mesh).  Each node
+    is read before any shear cell there, at nu's left limit, where nu - c
+    is 0: phi_tilde = y and phi_tilde' = sqrt(lambda) w.  Where theta(1)'s
+    error estimate est on Newton's mesh is above tol, that mesh takes the
+    fourth-order step's factor 2^ceil(log2((est / tol)^(1/4))) of cells,
+    unless it would pass _MAX_CELLS."""
     panels = _mesh_panels(nu_like, cells)
     if est > tol:
         try:
@@ -580,12 +610,13 @@ def _recorded_pass(nu_like, lams: np.ndarray, cells: int, est: float,
             pass
     edges = np.union1d(nodes, np.concatenate(
         [np.linspace(a, b, 1 + n) for a, b, n in panels]))
-    _, _, out = _magnus_phase(_cell_mesh(nu_like, np.diff(edges), edges[:-1]),
-                              lams, np.isin(edges, nodes))
-    phi, dphi = out
-    with np.errstate(over="ignore", invalid="ignore"):
-        dphi *= np.sqrt(lams)[:, None]
-        dphi += nu_nodes * phi
+    mesh = _cell_mesh(nu_like, edges)
+    # each edge's state before the shear cell that may follow it
+    record = np.zeros(mesh[0].shape[0] + 1, dtype=bool)
+    record[np.append(0, np.flatnonzero(mesh[0]) + 1)] = np.isin(edges, nodes)
+    _, _, out = _magnus_phase(mesh, lams, record)
+    with np.errstate(over="ignore"):
+        out[1] *= np.sqrt(lams)[:, None]
     return out
 
 
@@ -655,8 +686,7 @@ def build_bases(potentials, n_max: int, grid: Grid,
         root, res, est, nu_nodes, cells = _roots(nu_like, ns, grid, ftol)
         rows = (_propagate(nu_like, root, tol, grid.nodes, nu_nodes)
                 if nu_like.piecewise_linear else
-                _recorded_pass(nu_like, root, cells, est, tol, grid.nodes,
-                               nu_nodes))
+                _recorded_pass(nu_like, root, cells, est, tol, grid.nodes))
         return _eigenbasis(nu_like, grid, tol, root, res, est, *rows)
 
     return per_member(build, potentials)

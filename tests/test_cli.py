@@ -900,34 +900,49 @@ class TestNonFiniteOutput:
         with pytest.raises(NonFiniteResult, match=f"^{re.escape(message)}$"):
             fmt(*args)
 
-    def test_uniqueness_ratio_null_where_bound_is_zero(self, tmp_path):
-        # a constant w leaves q, so the bound, unchanged: 0, while the
-        # solver's difference is a few 1e-16
+    @staticmethod
+    def _constant_w_report(tmp_path, w, **extra):
+        """The uniqueness report of linear 5 perturbed by a constant w,
+        which leaves q, so the bound, unchanged."""
         cfg = write_config(tmp_path, "c.json", dict(
             VW_BASE, mode="uniqueness", nu=LIN5_NU, grid_n=256, n_max=4,
             order=1, w_primitive={"smooth": {"kind": "const",
-                                              "params": [1.0]}}))
+                                              "params": [w]}}, **extra))
         out = tmp_path / "o"
         assert run_cli("veryweak", "--config", cfg, "--out", str(out)) == 0
-        rep = _strict_json(out / "report.json")["report"]
-        assert all(d > 0.0 for d in rep["diff_norms"])
-        assert rep["esnh1_ratios"] == [None] * 4
+        return _strict_json(out / "report.json")["report"]
+
+    def test_uniqueness_ratio_null_where_bound_is_zero(self, tmp_path):
+        # the bound is 0, while the solver's difference is 0 or a few
+        # 1e-16: w = 0.1 leaves all four rungs above 0 (1.9e-16 to 3.4e-17)
+        rep = self._constant_w_report(tmp_path, 0.1)
+        diffs = rep["diff_norms"]
+        assert all(0.0 <= d < 1e-15 for d in diffs)
+        assert rep["esnh1_ratios"] == [None if d > 0.0 else 0.0 for d in diffs]
+        unbounded = [eps for eps, d in zip(
+            ("0.25", "0.125", "0.0625", "0.03125"), diffs) if d > 0.0]
+        assert unbounded  # the branch of a bound 0 under a difference
+        assert rep["esnh1_reason"] == (
+            "the bound is 0 where the difference is not, at eps="
+            + ", ".join(unbounded))
+
+    def test_uniqueness_zero_difference_reads_ratio_zero(self, tmp_path):
+        # at w = 1 the finest rung's difference is exactly 0, as is its
+        # bound: the ratio reads 0, not NaN, and the reason skips that rung
+        rep = self._constant_w_report(tmp_path, 1.0)
+        assert rep["diff_norms"][3] == 0.0
+        assert rep["esnh1_ratios"] == [None, None, None, 0.0]
         assert rep["esnh1_reason"] == (
             "the bound is 0 where the difference is not, at "
-            "eps=0.25, 0.125, 0.0625, 0.03125")
+            "eps=0.25, 0.125, 0.0625")
 
     def test_uniqueness_roundoff_difference_is_negligible(self, tmp_path):
-        # q unchanged, so the difference net is round-off (1e-16 to 5e-16,
+        # q unchanged, so the difference net is round-off (0 to 3e-16,
         # once fitted to a slope of 0.64 and failed); its raw values are
         # still reported
-        cfg = write_config(tmp_path, "c.json", dict(
-            VW_BASE, mode="uniqueness", nu=LIN5_NU, grid_n=256, n_max=4,
-            T=1.0, n_times=5, order=1,
-            w_primitive={"smooth": {"kind": "const", "params": [1.0]}}))
-        out = tmp_path / "o"
-        assert run_cli("veryweak", "--config", cfg, "--out", str(out)) == 0
-        rep = _strict_json(out / "report.json")["report"]
-        assert all(0.0 < d < 1e-15 for d in rep["diff_norms"])
+        rep = self._constant_w_report(tmp_path, 1.0, T=1.0, n_times=5)
+        assert all(0.0 <= d < 1e-15 for d in rep["diff_norms"])
+        assert any(d > 0.0 for d in rep["diff_norms"])
         assert rep["slope"] is None
         assert rep["passed"] is True
         assert rep["verdict_reason"] == (
