@@ -21,10 +21,10 @@ with a zero-width shear cell at each atom and at x = 1 (_cell_mesh), so
 that a nu linear between its breakpoints is exact and no rounding floor
 follows |nu|.  Newton steps take d theta(1)/d lambda from the Pruefer
 identity and stay inside a sign bracket, all on one mesh per solve, which
-sqrt(lambda) and max |nu| size, never the grid; for any other nu a
-Richardson estimate of theta(1)'s error at the roots, from one pass at
-half the cells, accepts that mesh or refines it.  At the roots one more
-pass samples phi_tilde = r sin(theta) and phi_tilde' at the grid's nodes.
+sqrt(lambda) sizes (plus max |nu| where nu is curved), never the grid;
+for a curved nu a Richardson estimate of theta(1)'s error at the roots,
+from one pass at half the cells, accepts that mesh or refines it.  At the
+roots one more pass samples phi_tilde and phi_tilde' at the grid's nodes.
 Where nu is linear between its breakpoints it is an adaptive Runge-Kutta
 pass (_propagate), split at every jump of nu and carried in the
 corrected phase eta = theta - s x, which reads the nodes off each step's
@@ -35,10 +35,10 @@ into the eigenvalue: the equations above hold for nu - c with s =
 sqrt(lambda - p) in place of sqrt(lambda), and the right-hand side is
 zero unless p meets its cap.  Any other nu takes one recorded Magnus
 pass (_recorded_pass): the blocked scan of the Newton passes over the
-nodes and Newton's mesh, refined by the estimate where tol asks,
-reading out (y, w) at the nodes, so that its cost does not follow the
-oscillation of nu or of the modes.  Each potential of build_bases gets
-its own Newton solve, pass and checks.
+nodes and Newton's mesh, refined by the estimate where tol asks, reading
+out (y, w) at the nodes, so that its cost does not follow the oscillation
+of nu or of the modes.  Each potential of build_bases gets its own Newton
+solve, pass and checks.  Sine-cosine tables take one tangent (_sin_cos).
 Eigenfunctions are phi_tilde normalized in L^2 by the grid's Simpson
 rule, for all modes at once: an EigenBasis is read-only arrays with one
 row per mode n = 1..N, made once its rows pass the checks.  Lambdas that
@@ -76,12 +76,12 @@ NEWTON_PASSES = 40
 # Magnus cells x lambdas per chunk, which bounds the (cells, lambdas)
 # temporaries: 256 cells at 40 lambdas, a whole 2,048-cell mesh at one
 _CHUNK_ELEMENTS = 10240
-# most cells a Magnus mesh may hold.  Cells follow sqrt(lambda) + max |nu|
-# (twice that where nu is curved), so this admits modes up to n ~ 1.3e6
-# (6.7e5) before any refinement, while the mesh's seven per-cell arrays
-# stay near 235 MB; a larger mesh comes from a trial lambda beyond any
-# resolvable mode, a max |nu| above about 2e6, or an error estimate that
-# no smaller mesh meets
+# most cells a Magnus mesh may hold.  Cells follow sqrt(lambda) (twice
+# sqrt(lambda) + max |nu| where nu is curved), so this admits modes up to n
+# ~ 1.3e6 (6.7e5) before any refinement, while the mesh's seven per-cell
+# arrays stay near 235 MB; a larger mesh comes from a trial lambda beyond
+# any resolvable mode, a steep nu, or an error estimate that no smaller
+# mesh meets
 _MAX_CELLS = 2**22
 # fewest Magnus cells per smooth panel of nu: resolves the narrow panels
 # of a MollifiedNu at small eps, across which nu changes by a whole atom
@@ -144,6 +144,16 @@ def _shear(y: np.ndarray, theta0: np.ndarray, k: np.ndarray,
                      log_r + 0.5 * np.log1p(e * (c + c + e))))
 
 
+def _sin_cos(x: np.ndarray, cos: np.ndarray) -> None:
+    """sin x into x and cos x into cos, in place, from t = tan(x / 2): with
+    d = 1 + t^2, sin x = 2 t / d and cos x = 2 / d - 1, within a few ulps of
+    1.  numpy's float64 tan is SIMD, its sin and cos several times slower."""
+    np.tan(np.multiply(x, 0.5, out=x), out=x)  # t
+    np.add(np.multiply(x, x, out=cos), 1.0, out=cos)  # d
+    np.divide(np.add(x, x, out=x), cos, out=x)
+    np.subtract(np.divide(2.0, cos, out=cos), 1.0, out=cos)
+
+
 def _gauge_line(f, mid: float, d: float, cap: float) -> tuple:
     """(m, p), the line m + p (x - mid) of the RK45 pass's gauge:
     m f's 3-point Gauss-Legendre mean about mid, d its outer nodes' offset,
@@ -173,8 +183,8 @@ def _propagate(nu_like, lams: np.ndarray, tol: float,
     the cap, the line is nu and the rhs is zero.  Returns, shape (2, M,
     nodes), phi_tilde = r sin(theta) and phi_tilde' = s r cos(theta) + (nu
     - c) phi_tilde at each node, in the c and s of the panel whose step
-    sampled it, with nu from nu_nodes: neither depends on the gauge.
-    """
+    sampled it, nu from nu_nodes and theta's sine and cosine from one
+    tangent (_sin_cos): neither depends on the gauge."""
     s = np.sqrt(lams)
     half_inv_s = 0.5 / s
     cap = _SLOPE_CAP * float(lams.min())
@@ -224,8 +234,7 @@ def _propagate(nu_like, lams: np.ndarray, tol: float,
         cos = s * sample_nodes
         phi += cos  # theta
         np.exp(dphi, out=dphi)  # r
-        np.cos(phi, out=cos)
-        np.sin(phi, out=phi)
+        _sin_cos(phi, cos)
         phi *= dphi
         dphi *= s
         dphi *= cos
@@ -314,7 +323,7 @@ def _cell_mesh(nu_like, edges: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")
 def _magnus_phase(mesh, lams: np.ndarray, record=None):
     """theta(1) and d theta(1) / d lambda for each lambda, by Magnus-4;
-    with record, a boolean mask over the mesh's cells + 1 edges, also the
+    with record, a boolean mask over the mesh's cells + 1 edges, only the
     states (y, w) at the marked edges, shape (2, lambdas, marked).
 
     The state is (y, w) = r (sin theta, cos theta); theta(1) sums the
@@ -350,7 +359,10 @@ def _magnus_phase(mesh, lams: np.ndarray, record=None):
             blocks, size, 1).swapaxes(0, 1).copy() for c in mesh)
         det = pm * (lams + d2)
         om = np.sqrt(np.abs(det))
-        cos, sinc = np.cos(om), np.sinc(om / np.pi)
+        sin, cos = om.copy(), np.empty_like(om)
+        _sin_cos(sin, cos)
+        # sin(om) / om, 1 at om = 0, a padding or shear cell's
+        sinc = np.divide(sin, om, out=np.ones_like(om), where=om != 0.0)
         neg = det < 0.0
         if np.any(neg):
             # hyperbolic cells, where nu changes by over 2 sqrt(3) / h
@@ -388,6 +400,14 @@ def _magnus_phase(mesh, lams: np.ndarray, record=None):
         for j in range(size):
             ys[j + 1] = e11[j] * ys[j] + e12[j] * ws[j]
             ws[j + 1] = e21[j] * ys[j] + e22[j] * ws[j]
+        if record is not None:
+            # log r at each block's start, then at the chunk's end
+            logs = np.cumsum(np.vstack([log_r, 0.5 * np.log(g2)]), axis=0)
+            blk, at = np.divmod(np.flatnonzero(record[c0:c0 + cells]), size)
+            kept.append(np.stack((ys[at, blk], ws[at, blk]))
+                        * np.exp(logs[blk]))
+            log_r = logs[-1]
+            continue
         # summed per block, then over blocks: a sum over both axes at once
         # would add the cells one by one and lose 1e-12 at 40 lambdas
         theta += np.sum(np.sum(np.arctan2(ws[:-1] * ys[1:] - ys[:-1] * ws[1:],
@@ -396,19 +416,11 @@ def _magnus_phase(mesh, lams: np.ndarray, record=None):
         sq = ys * ys
         for b, s_b in enumerate(np.sum(0.5 * h * (sq[:-1] + sq[1:]), axis=0)):
             int_y2 = (int_y2 + s_b) / g2[b]
-        if record is not None:
-            # log r at each block's start, then at the chunk's end
-            logs = np.cumsum(np.vstack([log_r, 0.5 * np.log(g2)]), axis=0)
-            blk, at = np.divmod(np.flatnonzero(record[c0:c0 + cells]), size)
-            kept.append(np.stack((ys[at, blk], ws[at, blk]))
-                        * np.exp(logs[blk]))
-            log_r = logs[-1]
-    phase = theta, (s * int_y2 + 0.5 * y * w) / lams
     if record is None:
-        return phase
+        return theta, (s * int_y2 + 0.5 * y * w) / lams
     if record[-1]:
         kept.append(np.stack((y, w))[:, None] * np.exp(log_r))
-    return (*phase, np.concatenate(kept, axis=1).swapaxes(1, 2))
+    return np.concatenate(kept, axis=1).swapaxes(1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,13 +477,15 @@ class _PhaseMap:
     """lambdas -> (theta(1), d theta(1) / d lambda), one Magnus pass each,
     on the one mesh of a Newton solve, which the grid does not size.
 
-    The first call's lambdas set the mesh by the turning rule,
-    sqrt(max lambda) + max |nu| cells per unit, at which a cell turns by
-    about 1 rad: exact for a nu linear between its breakpoints, in the
-    gauge of _cell_mesh.  Any other nu gets the power of two at or above
-    twice that, at least 64, which error_estimate then checks.  A later lambda that would turn a cell by
-    pi or more (omega^2 = p m (lambda + d2) >= pi^2), which the per-cell
-    atan2 cannot count, refines the mesh and raises _Refined.
+    The first call's lambdas set the mesh by the turning rule, at which a
+    cell turns by about 1 rad.  A nu linear between its breakpoints, whose
+    gauged cells (_cell_mesh) are exact and turn by h sqrt(lambda - sigma),
+    sigma their slope, gets sqrt(max lambda - min(0, min sigma)) cells per
+    unit; any other nu the power of two at or above twice sqrt(max lambda)
+    + max |nu|, at least 64, which error_estimate then checks.  A later
+    lambda that would turn a cell by pi or more (omega^2 = p m (lambda +
+    d2) >= pi^2), which the per-cell atan2 cannot count, refines the mesh
+    and raises _Refined.
     """
 
     def __init__(self, nu_like):
@@ -488,6 +502,10 @@ class _PhaseMap:
             if not math.isfinite(nu_max * nu_max):
                 raise NonFiniteResult("a Magnus mesh term is not finite for "
                                       f"max |nu| = {nu_max:.6g}")
+            if self.nu_like.piecewise_linear:  # d2 = -slope, one cell a panel
+                top += max(0.0, float(_cell_mesh(self.nu_like, np.array(
+                    [0.0, *self.nu_like.breakpoints, 1.0]))[6].max()))
+                nu_max = 0.0
             # past _MAX_CELLS, the mesh that MeshTooLarge names
             c = min(math.sqrt(top) + nu_max, _MAX_CELLS + 1.0)
             c = (max(64, 2 ** math.ceil(math.log2(2.0 * c)))
@@ -552,24 +570,34 @@ def _newton_roots(phase, ns: np.ndarray, start: np.ndarray, ftol: float):
                          f"mode n={int(ns[j])}")
 
 
+def _sine_sums(w: np.ndarray, x: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """w @ sin(n y), y = 2 pi x, per whole n >= 1 of ns, a row at a time (a
+    table adds RSS): sin((n + 1) y) = 2 cos y sin(n y) - sin((n - 1) y)."""
+    # libm's sin y and cos y, whose rounding the recurrence amplifies
+    sin, cos = np.sin(2.0 * math.pi * x), np.cos(2.0 * math.pi * x)
+    prev, sums = np.zeros_like(x), np.empty(int(ns.max()))
+    for n in range(sums.size):
+        sums[n], prev, sin = w @ sin, sin, 2.0 * cos * sin - prev
+    return sums[ns.astype(int) - 1]
+
+
 def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
     """(lambda_n, theta(1, lambda_n) - pi n, theta(1)'s error estimate, nu
     at the nodes, the mesh's cells per unit) by Newton on one _PhaseMap
-    mesh.  For a nu not linear between its breakpoints, an estimate above
-    max(THETA_RESIDUAL_TOL, ftol) multiplies the cells by 2^ceil(log2((
-    estimate / bound)^(1/4))), the fourth-order step's factor to meet it,
-    and Newton goes on from the roots; past _MAX_CELLS MeshTooLarge names
-    the estimate.  The gauged cells are exact for a nu linear between its
-    breakpoints, whose estimate is 0."""
+    mesh, from a first-order start (_sine_sums).  For a nu not linear
+    between its breakpoints, an estimate above max(THETA_RESIDUAL_TOL,
+    ftol) multiplies the cells by 2^ceil(log2((estimate / bound)^(1/4))),
+    the fourth-order step's factor to meet it, and Newton goes on from the
+    roots; past _MAX_CELLS MeshTooLarge names the estimate.  The gauged
+    cells are exact for a nu linear between its breakpoints (estimate 0)."""
     # start at first order in nu, (pi n)^2 + int q 2 sin^2(pi n x) = (pi n)^2
-    # - 2 pi n int nu sin(2 pi n x); per mode, as a (modes, nodes) table adds
-    # RSS.  A nu that overflows here makes a start that _newton_roots names
+    # - 2 pi n int nu sin(2 pi n x).  A nu that overflows here makes a start
+    # that _newton_roots names
     with np.errstate(over="ignore", invalid="ignore"):
         # nu enters phi' with its left limit at jump locations
         nu_nodes = nu_like.nu_values(grid.nodes)
-        wnu = grid.simpson_weights * nu_nodes
-        lam = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * np.array(
-            [wnu @ np.sin(2.0 * math.pi * n * grid.nodes) for n in ns])
+        lam = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * _sine_sums(
+            grid.simpson_weights * nu_nodes, grid.nodes, ns)
     phase = _PhaseMap(nu_like)
     bound = max(THETA_RESIDUAL_TOL, ftol)
     while True:
@@ -614,7 +642,7 @@ def _recorded_pass(nu_like, lams: np.ndarray, cells: int, est: float,
     # each edge's state before the shear cell that may follow it
     record = np.zeros(mesh[0].shape[0] + 1, dtype=bool)
     record[np.append(0, np.flatnonzero(mesh[0]) + 1)] = np.isin(edges, nodes)
-    _, _, out = _magnus_phase(mesh, lams, record)
+    out = _magnus_phase(mesh, lams, record)
     with np.errstate(over="ignore"):
         out[1] *= np.sqrt(lams)[:, None]
     return out
@@ -706,7 +734,9 @@ def basis_csv_rows(basis: EigenBasis) -> list[tuple]:
     psi_norm the L^2 norm of phi_tilde_n - sin(sqrt(lambda_n) x)."""
     grid = basis.grid
     psi = basis.tilde_norms[:, None] * basis.phi_matrix
-    psi -= np.sin(np.sqrt(basis.lambdas)[:, None] * grid.nodes)
+    sin = np.sqrt(basis.lambdas)[:, None] * grid.nodes
+    _sin_cos(sin, np.empty_like(sin))
+    psi -= sin
     return list(zip(range(1, len(basis) + 1), basis.lambdas.tolist(),
                     basis.theta_residuals.tolist(), basis.tilde_norms.tolist(),
                     [grid.norm_l2(v) for v in psi]))

@@ -10,7 +10,8 @@ quadrature pass each, the constant sweep of an estimate over a battery
 of problems, random smooth data, the phase equations' right-hand side
 at one point, the RK45 phase path at one trial lambda, a basis's psi
 norms from the rows its build handed over, its normalized eigenfunctions
-from an RK45 pass over its lambdas, theta(1) from scipy's DOP853, and the
+from an RK45 pass over its lambdas, theta(1) from scipy's DOP853, the
+states of a recorded Magnus pass that also sums its phase, and the
 reader of an eigenfunction cache with the array fields it keeps.  Tests
 import it as ``from oracles import ...``, as they import ``conftest``.
 """
@@ -29,7 +30,8 @@ from vww.grid import Grid, GridFunction
 from vww.potential import (BumpProfile, MollifiedNu, MollifierSpec,
                            NuPrimitive, PerturbedNu, _composite_rule,
                            _window_conv)
-from vww.prufer import DEFAULT_TOL, EigenBasis, _propagate
+from vww.prufer import (_CHUNK_ELEMENTS, DEFAULT_TOL, EigenBasis,
+                        _propagate, _sin_cos)
 from vww.wave import WaveSolution
 
 # the array fields of an EigenBasis, all read-only and all kept by a cache
@@ -366,6 +368,71 @@ def dop853_theta(nu_like, lam: float) -> float:
         theta = solve_ivp(rhs, (a, b), [theta], method="DOP853", rtol=1e-12,
                           atol=1e-12).y[0, -1]
     return float(theta)
+
+
+# -- the recorded Magnus pass with its phase sums ---------------------------
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def recorded_states_with_sums(mesh, lams: np.ndarray,
+                              record: np.ndarray) -> np.ndarray:
+    """The states (y, w) at the marked edges, shape (2, lambdas, marked),
+    of _magnus_phase's blocked scan as it was when a recording pass also
+    summed theta(1) and int y^2 chunk by chunk, then dropped them.  The
+    cells' cos omega and sin omega / omega are the program's own, so that
+    the states compare bit for bit; the overflow refusals are left out."""
+    s = np.sqrt(lams)
+    y, w = np.zeros_like(s), np.ones_like(s)
+    theta, int_y2 = np.zeros_like(s), np.zeros_like(s)
+    log_r, kept = np.zeros_like(s), []
+    chunk = max(1, _CHUNK_ELEMENTS // s.size)
+    for c0 in range(0, mesh[0].shape[0], chunk):
+        cells = min(chunk, mesh[0].shape[0] - c0)
+        size = math.isqrt(cells - 1) + 1
+        blocks = -(-cells // size)
+        pad = np.zeros((blocks * size - cells, 1))
+        h, a, p, m, u, pm, d2 = (np.concatenate([c[c0:c0 + cells], pad]).reshape(
+            blocks, size, 1).swapaxes(0, 1).copy() for c in mesh)
+        det = pm * (lams + d2)
+        om = np.sqrt(np.abs(det))
+        sin, cos = om.copy(), np.empty_like(om)
+        _sin_cos(sin, cos)
+        sinc = np.divide(sin, om, out=np.ones_like(om), where=om != 0.0)
+        neg = det < 0.0
+        cos[neg], sinc[neg] = np.cosh(om[neg]), np.sinh(om[neg]) / om[neg]
+        e11, e22 = cos + sinc * a, cos - sinc * a
+        e12, e21 = sinc * s * p, -sinc * (s * m + u / s)
+        t11, t12, t21, t22 = e11[0], e12[0], e21[0], e22[0]
+        for j in range(1, size):
+            t11, t12, t21, t22 = (e11[j] * t11 + e12[j] * t21,
+                                  e11[j] * t12 + e12[j] * t22,
+                                  e21[j] * t11 + e22[j] * t21,
+                                  e21[j] * t12 + e22[j] * t22)
+        ys = np.empty((size + 1, blocks, s.size))
+        ws = np.empty_like(ys)
+        g2 = np.empty((blocks, s.size))
+        for b in range(blocks):
+            ys[0, b], ws[0, b] = y, w
+            y, w = t11[b] * y + t12[b] * w, t21[b] * y + t22[b] * w
+            g2[b] = y * y + w * w
+            r = np.sqrt(g2[b])
+            y, w = y / r, w / r
+        for j in range(size):
+            ys[j + 1] = e11[j] * ys[j] + e12[j] * ws[j]
+            ws[j + 1] = e21[j] * ys[j] + e22[j] * ws[j]
+        theta += np.sum(np.sum(np.arctan2(ws[:-1] * ys[1:] - ys[:-1] * ws[1:],
+                                          ws[:-1] * ws[1:] + ys[:-1] * ys[1:]),
+                               axis=0), axis=0)
+        sq = ys * ys
+        for b, s_b in enumerate(np.sum(0.5 * h * (sq[:-1] + sq[1:]), axis=0)):
+            int_y2 = (int_y2 + s_b) / g2[b]
+        logs = np.cumsum(np.vstack([log_r, 0.5 * np.log(g2)]), axis=0)
+        blk, at = np.divmod(np.flatnonzero(record[c0:c0 + cells]), size)
+        kept.append(np.stack((ys[at, blk], ws[at, blk])) * np.exp(logs[blk]))
+        log_r = logs[-1]
+    if record[-1]:
+        kept.append(np.stack((y, w))[:, None] * np.exp(log_r))
+    return np.concatenate(kept, axis=1).swapaxes(1, 2)
 
 
 # -- the eigenfunction cache -------------------------------------------------

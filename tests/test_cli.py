@@ -681,7 +681,7 @@ class TestNumericalFailure:
         # above lambda_1 / 2 leaves nonzero; the basis is refused by its
         # Gram defect, NaN, and no numpy warning is printed on the way
         cfg = write_config(tmp_path, "c.json", {
-            "nu": {"smooth": {"kind": "linear", "params": [2000]}},
+            "nu": {"smooth": {"kind": "linear", "params": [2500]}},
             "grid_n": 256, "n_max": 5, "ode_tol": 1e6})
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -699,7 +699,7 @@ class TestNumericalFailure:
         # mode 3's r^2 overflows the norm: a zero row of phi passes the
         # Gram check, and solve once wrote its solution from it
         cfg = write_config(tmp_path, "c.json", dict(
-            SOLVE_BASE, nu={"smooth": {"kind": "linear", "params": [950]}},
+            SOLVE_BASE, nu={"smooth": {"kind": "linear", "params": [1000]}},
             grid_n=256, n_max=3, ode_tol=1e6,
             u0={"kind": "sine_combo", "params": [[1, 1]]}))
         out = tmp_path / "o"
@@ -927,9 +927,10 @@ class TestNonFiniteOutput:
             + ", ".join(unbounded))
 
     def test_uniqueness_zero_difference_reads_ratio_zero(self, tmp_path):
-        # at w = 1 the finest rung's difference is exactly 0, as is its
+        # at w = 1/32 the finest rung's difference is exactly 0, as is its
         # bound: the ratio reads 0, not NaN, and the reason skips that rung
-        rep = self._constant_w_report(tmp_path, 1.0)
+        # (w = 1 gave 0 there until the lambdas' last bits moved)
+        rep = self._constant_w_report(tmp_path, 0.03125)
         assert rep["diff_norms"][3] == 0.0
         assert rep["esnh1_ratios"] == [None, None, None, 0.0]
         assert rep["esnh1_reason"] == (

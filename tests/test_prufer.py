@@ -13,7 +13,8 @@ import vww.prufer
 from conftest import catalog_potentials
 from oracles import (EIGENBASIS_ARRAYS, asymptotic_residuals,
                      basis_from_cache, dop853_theta, phase_rhs,
-                     psi_norms_from_path, rk45_eigenfunctions, rk45_path)
+                     psi_norms_from_path, recorded_states_with_sums,
+                     rk45_eigenfunctions, rk45_path)
 from vww.errors import (BracketFailure, ConfigError, GridMismatch,
                         MeshTooLarge, NonFiniteResult, NonPositiveSpectrum,
                         StepFailure, UnresolvedBasis)
@@ -21,9 +22,9 @@ from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (_SLOPE_CAP, GRAM_DEFECT_TOL, MIN_TOL, EigenBasis,
                         _magnus_mesh, _magnus_phase, _make_rhs, _mesh_panels,
-                        _newton_roots, _PhaseMap, _roots, _shear,
-                        basis_csv_rows, basis_to_cache, build_bases,
-                        build_basis)
+                        _newton_roots, _PhaseMap, _roots, _shear, _sin_cos,
+                        _sine_sums, basis_csv_rows, basis_to_cache,
+                        build_bases, build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -474,21 +475,24 @@ class TestBuildBasis:
 
     def test_overflowing_eigenfunctions_raise(self):
         # r overflows at ode_tol 1e6: NaN rows, a NaN Gram defect, refused
-        # without a numpy warning (the suite makes RuntimeWarning an error)
+        # without a numpy warning (the suite makes RuntimeWarning an error).
+        # Which mode overflows how follows the last bits of each lambda:
+        # linear 2000 once gave this, and now an inf norm of mode 5
         with pytest.raises(UnresolvedBasis,
                            match=r"Gram defect nan is not <= 0\.01"):
-            build_basis(NuPrimitive("linear", (2000.0,)), 5, Grid(256),
+            build_basis(NuPrimitive("linear", (2500.0,)), 5, Grid(256),
                         tol=1e6)
 
     def test_infinite_eigenfunction_norm_raises(self):
         # at ode_tol 1e6, r of mode 3 is finite, but its square overflows
         # the norm, so the norm is inf and the row of phi zero, which the
-        # Gram check passes; refused without a numpy warning
+        # Gram check passes; refused without a numpy warning.  linear 950
+        # gave this until the lambdas' last bits moved (now a Gram defect)
         with pytest.raises(UnresolvedBasis,
                            match=r"^mode n=3 is not resolved at tol=1e\+06: "
                                  r"its eigenfunction norm inf is not finite "
                                  r"and positive$"):
-            build_basis(NuPrimitive("linear", (950.0,)), 3, Grid(256),
+            build_basis(NuPrimitive("linear", (1000.0,)), 3, Grid(256),
                         tol=1e6)
 
     @pytest.mark.parametrize("name, bound", [("step", 1e-11),
@@ -759,8 +763,8 @@ class TestRootPasses:
 
     def test_piecewise_constant_mesh_ignores_grid(self, monkeypatch):
         # a Magnus cell is exact where nu is constant: Newton's meshes on a
-        # delta follow sqrt(max lambda) + max |nu| alone, so grids 256 and
-        # 2048 give the same meshes, of fewer cells than either grid
+        # delta follow sqrt(max lambda) alone, so grids 256 and 2048 give
+        # the same meshes, of fewer cells than either grid
         nu = NuPrimitive("const", (-0.5,), jumps=((0.5, 1.25),))
         original = vww.prufer._magnus_mesh
         meshes, lams = {}, {}
@@ -774,7 +778,7 @@ class TestRootPasses:
             monkeypatch.setattr(vww.prufer, "_magnus_mesh", recorded)
             lams[n], *_ = _roots(nu, np.arange(1.0, 21.0), Grid(n), 5e-11)
         assert meshes[256] == meshes[2048]
-        assert meshes[256][0] >= math.sqrt(lams[256][-1]) + 0.75
+        assert meshes[256][0] >= math.sqrt(lams[256][-1])
         assert max(meshes[256]) < 128
         # only the first-order start, a grid quadrature, differs
         assert np.max(np.abs(lams[256] / lams[2048] - 1.0)) <= 1e-12
@@ -861,8 +865,8 @@ class TestNewtonMesh:
         assert 1e-5 < est < 1e-4
 
     @pytest.mark.parametrize("name, meshes, work", [
-        ("step", [127], 9230),
-        ("mixed", [131], 15812),
+        ("step", [126], 9088),
+        ("mixed", [126], 15351),
         ("sine", [256, 512], 60117),
     ])
     def test_one_mesh_per_solve(self, monkeypatch, name, meshes, work):
@@ -870,7 +874,9 @@ class TestNewtonMesh:
         # x lambdas over the Magnus passes: 8,304 / 221,292 / 188,416 on
         # the meshes of the grid (mixed, sine) or of each pass's batch
         # (step); 9,088 / 67,183 / 131,072 on meshes [127] / [512] / [256,
-        # 1,024] before the cells took nu's interpolant as their gauge
+        # 1,024] before the cells took nu's interpolant as their gauge;
+        # 9,230 / 15,812 on [127] / [131] while sqrt(lambda) + max |nu|,
+        # not sqrt(lambda), sized a nu linear between its breakpoints
         passes, made = [], []
         original_phase = vww.prufer._magnus_phase
         original_remesh = _PhaseMap.remesh
@@ -1065,6 +1071,87 @@ class TestBlockedScan:
         got = _magnus_phase(mesh, lams)
         for g, want in zip(got, cell_loop_phase(mesh, lams)):
             assert g[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+
+
+class TestOneTangent:
+    """The half-angle sines and cosines, the Newton start's recurrence and
+    the recording pass without phase sums, against their direct forms."""
+
+    def test_half_angle_matches_libm(self):
+        # 0, the doubles either side of each odd multiple of pi below 300,
+        # where t = tan(x / 2) reaches 1e16, and a sweep over [-300, 300]:
+        # 2.2e-16 (sin) and 3.3e-16 (cos) when this was written
+        odd = math.pi * np.arange(1.0, 96.0, 2.0)
+        x = np.concatenate([[0.0], odd, np.nextafter(odd, 0.0),
+                            np.nextafter(odd, np.inf),
+                            np.linspace(-300.0, 300.0, 20001)])
+        sin, cos = x.copy(), np.empty_like(x)
+        _sin_cos(sin, cos)
+        assert sin[0] == 0.0 and cos[0] == 1.0
+        assert np.max(np.abs(sin - np.sin(x))) <= 4.5e-16
+        assert np.max(np.abs(cos - np.cos(x))) <= 4.5e-16
+
+    def test_cells_at_zero_omega(self):
+        # a free cell of width 1/2 (omega = s / 2), then a zero-width shear
+        # cell with u = -alpha and the block's padding, both at omega = 0,
+        # where sin(omega) / omega is 1: (y, w) = (sin, cos)(s / 2), then w
+        # += alpha y / s, and nothing more
+        lams, alpha = np.array([1.0, 30.0, 400.0]), 0.7
+        s = np.sqrt(lams)
+        h = np.array([[0.5], [0.0], [0.0], [0.0], [0.0]])
+        zero = np.zeros_like(h)
+        u = np.array([[0.0], [-alpha], [0.0], [0.0], [0.0]])
+        mesh = (h, zero, h, h, u, h * h, zero)
+        record = np.ones(6, dtype=bool)
+        got = _magnus_phase(mesh, lams, record)
+        y, w = np.sin(0.5 * s), np.cos(0.5 * s)
+        want = np.stack([np.stack([0.0 * s, *[y] * 5], axis=1),
+                         np.stack([0.0 * s + 1.0, w, *[w + alpha * y / s] * 4],
+                                  axis=1)])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        assert np.array_equal(got, recorded_states_with_sums(mesh, lams,
+                                                             record))
+
+    @pytest.mark.parametrize("name", ["step", "mixed", "linear5", "sine"])
+    def test_sine_sums_match_direct_sums(self, name):
+        # the Newton start's int nu sin(2 pi n x) for n up to 511, by the
+        # three-term recurrence, against one sin table per mode: 6.8e-14
+        # (mixed) on sums of up to 0.94 when this was written
+        grid, ns = Grid(1024), np.arange(1.0, 512.0)
+        nu = catalog_potentials()[name]
+        w = grid.simpson_weights * nu.nu_values(grid.nodes)
+        want = np.array([w @ np.sin(2.0 * math.pi * n * grid.nodes)
+                         for n in ns])
+        got = _sine_sums(w, grid.nodes, ns)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        # a mode alone, as _roots may ask, reads its own row
+        assert np.array_equal(_sine_sums(w, grid.nodes, np.array([40.0, 7.0])),
+                              got[[39, 6]])
+
+    @pytest.mark.parametrize("nu, n_max, grid_n", [
+        (NuPrimitive("sine", (1.0, 1.0)), 40, 2048),
+        (SINE_ATOM, 12, 1024),
+        (MollifiedNu(STEP, MollifierSpec("bump", 2.0**-8)), 8, 64),
+    ], ids=["sine", "sine_atom", "narrow_bump"])
+    def test_recording_pass_matches_summing_pass(self, monkeypatch, nu,
+                                                 n_max, grid_n):
+        # the recording pass no longer sums theta(1) and int y^2; its
+        # states are those of the pass that summed and dropped them, bit
+        # for bit
+        calls = []
+        original = vww.prufer._magnus_phase
+
+        def spied(mesh, lams, *record):
+            got = original(mesh, lams, *record)
+            if record:  # _recorded_pass scales the w row in place
+                calls.append((mesh, lams, record[0], got.copy()))
+            return got
+
+        monkeypatch.setattr(vww.prufer, "_magnus_phase", spied)
+        build_basis(nu, n_max, Grid(grid_n))
+        (mesh, lams, record, got), = calls
+        assert np.array_equal(got, recorded_states_with_sums(mesh, lams,
+                                                             record))
 
 
 class TestCache:
