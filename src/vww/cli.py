@@ -496,9 +496,9 @@ def cmd_estimates(config: dict, out: str) -> None:
         config, needs_q_linf=any("q_linf" in norms_used(i) for i in ids))
     k = float(config.get("k", 0.0))
     inputs = {"config": config}
-    lhs = {}
-    reports = [verify(i, problem, sol, k=k, inputs=inputs, lhs=lhs)
-               for i in ids]
+    lhs, norms = {}, {}
+    reports = [verify(i, problem, sol, k=k, inputs=inputs, lhs=lhs,
+                      norms=norms) for i in ids]
     _write_files(out, {
         "estimates.json": (_json_text, {
             "meta": _meta(config),

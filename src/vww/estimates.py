@@ -15,9 +15,10 @@ as an ordered sum of groups.  A group either adds its terms one by one
 is a squared norm named in ``_NORMS`` or a nested group.  Sums run left
 to right.  A forced variant is its homogeneous base with the Duhamel
 term 2 T^2 sup_t ||f||^2 added to every group (esnh4 adds the C^1 one to
-its last group).  Norms are computed on first use, once per ``verify``,
-so ``MissingNorm`` from ``q_linf`` arises only for ids that use it;
-``norms_used`` names them, so a caller can refuse an id before any solve.
+its last group).  Norms are computed on first use, once per ``verify``
+or per ``norms`` its calls share, so ``MissingNorm`` from ``q_linf``
+arises only for ids that use it; ``norms_used`` names them, so a caller
+can refuse an id before any solve.
 
 Up-to-constant inequalities are operationalized as finite reported
 ratios that stay uniform over declared sweep families; nothing sharper
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,7 +48,8 @@ class EstimateReport:
     inputs: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # dataclasses.asdict's dict, less its deep copy of inputs
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def problem_hash(self) -> str:
@@ -186,19 +188,23 @@ def _lhs_series(family: str, sol: WaveSolution, nu, k: float) -> np.ndarray:
 
 def verify(estimate_id: str, problem: WaveProblem, solution: WaveSolution,
            k: float = 0.0, inputs: dict | None = None,
-           lhs: dict | None = None) -> EstimateReport:
+           lhs: dict | None = None,
+           norms: dict | None = None) -> EstimateReport:
     """Evaluate one inequality on a computed solution.
 
     ``k`` applies to est5 only.  ``inputs`` is an optional descriptor
     echoed into the report, whose ``problem_hash`` digests it.  ``lhs``,
     a dict shared by the calls on one problem and solution, keeps each
-    left-side series, so that a family's series is formed once.
+    left-side series, so that a family's series is formed once;
+    ``norms``, shared likewise, keeps each squared norm of the right side,
+    per order k.
     """
     try:
         family, groups = ESTIMATES[estimate_id]
     except KeyError:
         raise ConfigError(f"unknown estimate id {estimate_id!r}") from None
-    rhs = _right_side(groups, _Norms(problem, k))
+    norms = {} if norms is None else norms
+    rhs = _right_side(groups, norms.setdefault(k, _Norms(problem, k)))
     lhs = {} if lhs is None else lhs
     key = (family, k)
     if key not in lhs:

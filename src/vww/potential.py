@@ -47,11 +47,11 @@ SMOOTH_KINDS = ("zero", "const", "linear", "sine", "samples")
 
 _PRIMITIVE_PANELS = 16384
 _LINF_SAMPLES_PER_PANEL = 4096
-_CONV_CHUNK = 128  # points per _window_conv block: 128 x 256 nodes, 256 KiB
-# most points of a MollifiedNu smooth table, at two 256-node quadratures
-# and about 120 bytes held per point: 2^20 take tens of seconds and
-# 120 MB, 255 times the largest table of the tests and the benchmark
-# (4,097 points); a sine needs 2,048 points per unit of frequency
+_CONV_BLOCK = 2**15  # points x nodes of a _window_conv block: 256 KiB
+# most points of a MollifiedNu smooth table, at two window quadratures of
+# 96 to 256 nodes (more for a fast sine), about 120 bytes held per point:
+# 2^20 take tens of seconds and 120 MB, 255 times the largest table of the
+# tests and the benchmark (4,097 points); a sine needs 2,048 per unit of m
 _MAX_TABLE_POINTS = 2**20
 
 
@@ -443,36 +443,52 @@ def _composite_rule(panels: int, order: int):
     return nodes, weights
 
 
+def _window_rule(nu: NuPrimitive, eps: float):
+    """Nodes and weights on [-1, 1] of the Gauss rule ``_window_conv`` maps
+    onto each window of nu's smooth part at eps: one of 96 nodes where that
+    part is slow across a window, a line, a sine of at most 16 periods or
+    samples over at most half a knot interval (within a few 1e-15 of a fine
+    composite rule, as 8 panels of 32 nodes are; 4e-8 off at 25 periods).
+    Else 8 panels of 32 nodes, a sine one per 8 periods past 64 (8 panels
+    were 6e-3 off at 150 periods, sine (1, 300) at eps = 1/4)."""
+    p = nu.smooth_params
+    periods = 2.0 * eps * abs(p[1]) if nu.smooth_kind == "sine" else 0.0
+    knots = len(p) - 1 if nu.smooth_kind == "samples" else 0
+    if periods > 16.0 or 4.0 * eps * knots > 1.0:
+        return _composite_rule(max(8, math.ceil(periods / 8.0)), 32)
+    return _gauss_rule(96)
+
+
 def _window_conv(f: Callable, x, eps: float, bump: BumpProfile,
-                 *more: Callable) -> np.ndarray:
+                 *more: Callable, rule) -> np.ndarray:
     """int f(x - eps*u) * psi(u) du over the u in [-1, 1] with x - eps*u in [0, 1].
 
     For each x those u form one window [lo, hi], whose ends are the kinks
-    of the zero extension of f, so the integrand is smooth on it.  The
-    composite Gauss rule (8 panels of 32 nodes) mapped onto each window
-    holds the quadrature error of the flat-ended bump near 1e-15.  Full
-    windows, all of [-1, 1], share the weights w_k psi(u_k); the others
-    (x within eps of 0 or 1) evaluate psi at their mapped nodes.  Chunks
-    of ``_CONV_CHUNK`` points form x - eps*u and psi(u) once, then make one
-    call of f and of each of ``more`` on that 2-D (points, nodes) array,
-    which it must accept, and one product with the weights.  With ``more``
-    it returns the stacked convolutions, each bit for bit its own pass's.
+    of the zero extension of f, so the integrand is smooth on it, and takes
+    the rule's nodes (``_window_rule``).  Full windows, all of [-1, 1],
+    share the weights w_k psi(u_k); the others (x within eps of 0 or 1)
+    evaluate psi at their mapped nodes.  Chunks of ``_CONV_BLOCK`` // nodes
+    points form x - eps*u and psi(u) once, then make one call of f and of
+    each of ``more`` on that 2-D (points, nodes) array, which it must
+    accept, and one product with the weights.  With ``more`` it returns the
+    stacked convolutions, each bit for bit its own pass's.
     """
     shape = np.shape(x)
     x = np.ravel(np.asarray(x, dtype=float))
     lo = np.clip((x - 1.0) / eps, -1.0, 1.0)
     hi = np.clip(x / eps, -1.0, 1.0)
-    un, uw = _composite_rule(8, 32)
+    un, uw = rule
+    chunk = max(1, _CONV_BLOCK // un.size)
     inner = (lo == -1.0) & (hi == 1.0)
     full, part = np.flatnonzero(inner), np.flatnonzero(~inner)
     wfull = uw * bump.density(un)
     out = np.empty((1 + len(more), x.size))
-    for s in range(0, full.size, _CONV_CHUNK):
-        i = full[s:s + _CONV_CHUNK]
+    for s in range(0, full.size, chunk):
+        i = full[s:s + chunk]
         y = x[i, None] - eps * un
         out[:, i] = [g(y) @ wfull for g in (f, *more)]
-    for s in range(0, part.size, _CONV_CHUNK):
-        i = part[s:s + _CONV_CHUNK]
+    for s in range(0, part.size, chunk):
+        i = part[s:s + chunk]
         half = (hi[i] - lo[i]) / 2.0
         u = ((hi[i] + lo[i]) / 2.0)[:, None] + half[:, None] * un
         y, psi = x[i, None] - eps * u, bump.density(u)
@@ -492,7 +508,8 @@ def mollified_q(nu: NuPrimitive, eps: float, bump: BumpProfile, x) -> np.ndarray
     for loc, height in nu.jumps:
         out += height * bump.density((x - loc) / eps) / eps
     if nu.has_density:
-        out += _window_conv(nu.q_values, x, eps, bump)
+        out += _window_conv(nu.q_values, x, eps, bump,
+                            rule=_window_rule(nu, eps))
     return out
 
 
@@ -501,9 +518,9 @@ class MollifiedNu(Potential):
 
     nu_eps is the convolution of the primitive of the zero-extended
     potential with the bump: atoms contribute exact antiderivative terms
-    ``height * Psi((x - loc)/eps)``, the smooth density a slowly varying
-    convolution that is tabulated once per (nu, eps) pair and evaluated by
-    cubic Hermite interpolation (exact slopes from the mollified density).
+    ``height * Psi((x - loc)/eps)``, the smooth density a convolution
+    tabulated once per (nu, eps) pair by ``_window_rule``'s quadrature and
+    read by cubic Hermite interpolation (exact slopes from q_eps).
     """
 
     def __init__(self, nu: NuPrimitive, spec: MollifierSpec):
@@ -526,7 +543,7 @@ class MollifiedNu(Potential):
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         G, eps, bump = self.base.density_integral, self._eps, self._bump
-        return (_window_conv(G, x, eps, bump)
+        return (_window_conv(G, x, eps, bump, rule=self._rule)
                 + float(G(1.0)) * bump.primitive((x - 1.0) / eps))
 
     def _build_smooth_table(self):
@@ -549,9 +566,10 @@ class MollifiedNu(Potential):
             raise MeshTooLarge(f"a mollifier table of {points:.4g} points "
                                f"exceeds the ceiling of {_MAX_TABLE_POINTS}")
         G, bump = self.base.density_integral, self._bump
+        rule = self._rule = _window_rule(self.base, eps)
         for a, b, k in segs:
             t = np.linspace(a, b, int(k) + 1)
-            v, d = _window_conv(G, t, eps, bump, self.base.q_values)
+            v, d = _window_conv(G, t, eps, bump, self.base.q_values, rule=rule)
             v += float(G(1.0)) * bump.primitive((t - 1.0) / eps)
             self._tables.append(_HermiteTable(t, v, d))
             self._ends.append(b)

@@ -21,8 +21,8 @@ with a zero-width shear cell at each atom and at x = 1 (_cell_mesh), so
 that a nu linear between its breakpoints is exact and no rounding floor
 follows |nu|.  Newton steps take d theta(1)/d lambda from the Pruefer
 identity and stay inside a sign bracket, all on one mesh per solve, which
-sqrt(lambda) sizes (plus max |nu| where nu is curved), never the grid;
-for a curved nu a Richardson estimate of theta(1)'s error at the roots,
+sqrt(lambda) sizes (plus the nodes' max |nu| if nu is curved), not the
+grid; for a curved nu a Richardson estimate of theta(1)'s error at the roots,
 from one pass at half the cells, accepts that mesh or refines it.  At the
 roots one more pass samples phi_tilde and phi_tilde' at the grid's nodes.
 Where nu is linear between its breakpoints it is an adaptive Runge-Kutta
@@ -482,14 +482,16 @@ class _PhaseMap:
     gauged cells (_cell_mesh) are exact and turn by h sqrt(lambda - sigma),
     sigma their slope, gets sqrt(max lambda - min(0, min sigma)) cells per
     unit; any other nu the power of two at or above twice sqrt(max lambda)
-    + max |nu|, at least 64, which error_estimate then checks.  A later
-    lambda that would turn a cell by pi or more (omega^2 = p m (lambda +
-    d2) >= pi^2), which the per-cell atan2 cannot count, refines the mesh
-    and raises _Refined.
+    + nu_max, at least 64, which error_estimate then checks; nu_max, max
+    |nu| over both limits of nu at the grid's nodes (_roots), must have a
+    finite square.  A later lambda that would turn a cell by pi or more
+    (omega^2 = p m (lambda + d2) >= pi^2), which the per-cell atan2 cannot
+    count, refines the mesh and raises _Refined.
     """
 
-    def __init__(self, nu_like):
-        self.nu_like, self.cells, self.mesh = nu_like, 0, None
+    def __init__(self, nu_like, nu_max: float):
+        self.nu_like, self.nu_max = nu_like, nu_max
+        self.cells, self.mesh = 0, None
 
     def remesh(self, cells: int):
         self.cells, self.mesh = cells, _magnus_mesh(self.nu_like, cells)
@@ -498,7 +500,7 @@ class _PhaseMap:
         top = float(np.max(lams))
         if self.mesh is None or np.max(
                 self.mesh[5] * (top + self.mesh[6])) >= math.pi**2:
-            nu_max = self.nu_like.norm_linf()
+            nu_max = self.nu_max
             if not math.isfinite(nu_max * nu_max):
                 raise NonFiniteResult("a Magnus mesh term is not finite for "
                                       f"max |nu| = {nu_max:.6g}")
@@ -598,7 +600,11 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
         nu_nodes = nu_like.nu_values(grid.nodes)
         lam = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * _sine_sums(
             grid.simpson_weights * nu_nodes, grid.nodes, ns)
-    phase = _PhaseMap(nu_like)
+        # the turning rule's max |nu|, the right limit too at an atom on a node
+        nu_max = float(np.max(np.abs(np.concatenate([nu_nodes, *(
+            nu_nodes[grid.nodes == loc] + height
+            for loc, height in nu_like.jumps)]))))
+    phase = _PhaseMap(nu_like, nu_max)
     bound = max(THETA_RESIDUAL_TOL, ftol)
     while True:
         try:

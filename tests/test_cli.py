@@ -362,6 +362,32 @@ class TestEstimatesCommand:
         assert len(reports) == 13
         assert all(np.isfinite(r["ratio"]) for r in reports)
 
+    def test_each_norm_formed_once_per_run(self, tmp_path, monkeypatch):
+        # the 17 ids share one set of squared norms: ||nu||_inf, ||q||_inf
+        # and the second differences of u0 and u1 once each, where each id
+        # once formed its own; q_linf once more, the check before any build
+        import vww.estimates
+        from vww.potential import Potential
+        calls = []
+        for owner, name in ((Potential, "norm_linf"), (Potential, "q_linf"),
+                            (vww.estimates, "_second_derivative_sq")):
+            def call(*args, _name=name, _original=getattr(owner, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(owner, name, call)
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": LIN5_NU, "grid_n": 64, "n_max": 4, "T": 1.0,
+            "n_times": 9, "u0": {"kind": "parabola"},
+            "u1": {"kind": "sine_combo", "params": [[0.5, 2]]},
+            "forcing": {"space": {"kind": "sine_combo", "params": [[1, 3]]},
+                        "time": {"kind": "cos", "params": [1.0, 2.0]}},
+            "estimate_ids": "all"})
+        out = tmp_path / "o"
+        assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 0
+        assert len(_strict_json(out / "estimates.json")["reports"]) == 17
+        assert sorted(calls) == ["_second_derivative_sq"] * 2 + [
+            "norm_linf"] + ["q_linf"] * 2
+
     def test_q_linf_on_atoms_exits_3_before_any_basis(
             self, tmp_path, capsys, monkeypatch):
         # est4, ec2, ec3, ec4 and esnh4 of "core" read ||q||_inf, which a
@@ -638,10 +664,15 @@ class TestNumericalFailure:
             "overflowing_nu_square", "overflowing_hyperbolic_cell",
             "infinite_cell_omega", "overflowing_block"])
     def test_eigs_exits_3(self, tmp_path, capsys, nu, grid_n, error):
+        # one stderr line and no numpy warning on the way, also where
+        # Newton's max |nu| (2e308 at the atom) overflows
         cfg = write_config(tmp_path, "c.json",
                            {"nu": nu, "grid_n": grid_n, "n_max": 2})
         out = tmp_path / "o"
-        assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 3
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 3
+        assert not [w for w in seen if w.category is RuntimeWarning]
         (line,) = capsys.readouterr().err.splitlines()
         assert re.search(error, line)
         assert not out.exists()
@@ -906,8 +937,8 @@ class TestNonFiniteOutput:
         which leaves q, so the bound, unchanged."""
         cfg = write_config(tmp_path, "c.json", dict(
             VW_BASE, mode="uniqueness", nu=LIN5_NU, grid_n=256, n_max=4,
-            order=1, w_primitive={"smooth": {"kind": "const",
-                                              "params": [w]}}, **extra))
+            w_primitive={"smooth": {"kind": "const", "params": [w]}},
+            **{"order": 1, **extra}))
         out = tmp_path / "o"
         assert run_cli("veryweak", "--config", cfg, "--out", str(out)) == 0
         return _strict_json(out / "report.json")["report"]
@@ -927,15 +958,21 @@ class TestNonFiniteOutput:
             + ", ".join(unbounded))
 
     def test_uniqueness_zero_difference_reads_ratio_zero(self, tmp_path):
-        # at w = 1/32 the finest rung's difference is exactly 0, as is its
-        # bound: the ratio reads 0, not NaN, and the reason skips that rung
-        # (w = 1 gave 0 there until the lambdas' last bits moved)
-        rep = self._constant_w_report(tmp_path, 0.03125)
-        assert rep["diff_norms"][3] == 0.0
-        assert rep["esnh1_ratios"] == [None, None, None, 0.0]
+        # at order 240, eps^order underflows to 0.0 on the finest rung
+        # alone (2^-1200; 2^-960 on the next), whose perturbed potential is
+        # then its base bit for bit: its difference is exactly 0, as is its
+        # bound, so the ratio reads 0, not NaN, and the reason skips that
+        # rung.  The coarser rungs read 0 or round-off, as above
+        rep = self._constant_w_report(tmp_path, 1.0, order=240)
+        diffs = rep["diff_norms"]
+        assert diffs[3] == 0.0
+        assert all(0.0 <= d < 1e-15 for d in diffs)
+        assert rep["esnh1_ratios"] == [None if d > 0.0 else 0.0 for d in diffs]
+        unbounded = [eps for eps, d in zip(
+            ("0.25", "0.125", "0.0625"), diffs) if d > 0.0]
         assert rep["esnh1_reason"] == (
-            "the bound is 0 where the difference is not, at "
-            "eps=0.25, 0.125, 0.0625")
+            "the bound is 0 where the difference is not, at eps="
+            + ", ".join(unbounded) if unbounded else None)
 
     def test_uniqueness_roundoff_difference_is_negligible(self, tmp_path):
         # q unchanged, so the difference net is round-off (0 to 3e-16,

@@ -1,6 +1,7 @@
 """Estimate verification: closed-form ratios, homogeneity, uniformity."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -116,18 +117,22 @@ class TestVerify:
                                         rel=1e-12)
 
     def test_missing_norm_for_atomic_potential(self, step_basis_40):
-        # exactly the ids whose catalog entry reads ||q||_inf fail on an atom
+        # exactly the ids whose catalog entry reads ||q||_inf fail on an
+        # atom, each on its own norms and with norms shared by the ids
         g = step_basis_40.grid
         prob, sol = _solve(step_basis_40, parabola(g), GridFunction.zeros(g))
         uses = [i for i in ALL_ESTIMATE_IDS if "q_linf" in norms_used(i)]
         assert uses == ["est4", "ec2", "ec3", "ec4", "esnh4", "ecnh2",
                         "ecnh3", "ecnh4"]
+        shared = {}
         for eid in ALL_ESTIMATE_IDS:
-            if eid in uses:
-                with pytest.raises(MissingNorm):
-                    verify(eid, prob, sol)
-            else:
-                assert math.isfinite(verify(eid, prob, sol).ratio)
+            for norms in (None, shared):
+                if eid in uses:
+                    with pytest.raises(MissingNorm):
+                        verify(eid, prob, sol, norms=norms)
+                else:
+                    assert math.isfinite(verify(eid, prob, sol,
+                                                norms=norms).ratio)
 
     def test_c1_forcing_norm_stable_under_time_refinement(self,
                                                           free_basis_small):
@@ -166,6 +171,25 @@ class TestVerify:
                   for i in ALL_ESTIMATE_IDS]
         assert sorted(calls) == [1, 2]
         assert shared == plain
+
+    def test_shared_norms_give_the_same_reports(self, const5_basis_40):
+        # a norms dict shared by the 17 ids forms each squared norm once;
+        # to_dict writes the fields as dataclasses.asdict does, inputs
+        # included, but shares inputs rather than copying them
+        grid = const5_basis_40.grid
+        problem, sol = _solve(const5_basis_40, parabola(grid),
+                              sine_data(grid, [(1.0, 2)]))
+        inputs = {"config": {"nested": [1.0, {"k": 2}]}}
+        plain = [verify(i, problem, sol, k=1.0, inputs=inputs)
+                 for i in ALL_ESTIMATE_IDS]
+        norms = {}
+        shared = [verify(i, problem, sol, k=1.0, inputs=inputs, norms=norms)
+                  for i in ALL_ESTIMATE_IDS]
+        assert [r.to_dict() for r in shared] == [asdict(r) for r in plain]
+        assert shared[0].to_dict()["inputs"] is inputs
+        assert list(norms) == [1.0]
+        assert set(norms[1.0]) == set().union(*map(norms_used,
+                                                   ALL_ESTIMATE_IDS))
 
     def test_unknown_id_rejected(self, free_basis_small):
         g = free_basis_small.grid

@@ -10,10 +10,10 @@ from scipy.integrate import quad
 
 from vww.errors import ConfigError, DegenerateNet, MeshTooLarge, MissingNorm
 from vww.grid import Grid, GridFunction
-from vww.potential import (_CONV_CHUNK, _MAX_TABLE_POINTS, BumpProfile,
+from vww.potential import (_CONV_BLOCK, _MAX_TABLE_POINTS, BumpProfile,
                            MollifiedNu, MollifierSpec, NuPrimitive,
-                           PerturbedNu, _window_conv, get_profile,
-                           mollified_q)
+                           PerturbedNu, _composite_rule, _window_conv,
+                           _window_rule, get_profile, mollified_q)
 from vww.prufer import build_basis
 from vww.veryweak import check_negligibility, default_ladder, fit_moderateness
 
@@ -216,7 +216,8 @@ class TestWindowConvWork:
         def f(y):
             shapes.append(y.shape)
             return np.cos(y)
-        _window_conv(f, np.linspace(0.0, 1.0, 4097), 0.25, get_profile("bump"))
+        _window_conv(f, np.linspace(0.0, 1.0, 4097), 0.25, get_profile("bump"),
+                     rule=_composite_rule(8, 32))
         assert len(shapes) < 64
         assert all(len(s) == 2 for s in shapes)
 
@@ -265,10 +266,11 @@ class TestWindowConvWork:
         mn = MollifiedNu(NuPrimitive("linear", (5.0,)),
                          MollifierSpec("bump", eps))
         full = part = 0
+        chunk = _CONV_BLOCK // mn._rule[0].size
         for t in (table.t for table in mn._tables):
             inner = int(np.count_nonzero((t >= eps) & (t <= 1.0 - eps)))
-            full += -(-inner // _CONV_CHUNK)
-            part += -(-(t.size - inner) // _CONV_CHUNK)
+            full += -(-inner // chunk)
+            part += -(-(t.size - inner) // chunk)
         assert calls == {"density": part + len(mn._tables),
                          "q_values": full + part,
                          "density_integral": full + part + len(mn._tables)}
@@ -293,6 +295,59 @@ class TestWindowConvWork:
         finally:
             tracemalloc.stop()
         assert peak < 2**20 and time.perf_counter() - start < 1.0
+
+
+class TestWindowRule:
+    """_window_rule's rule against a fine composite reference: 256 panels
+    of 32 nodes, at least 16 nodes per period of the fastest sine here."""
+
+    NUS = {"linear5": NuPrimitive("linear", (5.0,)),
+           "const3": NuPrimitive("const", (3.0,)),
+           "samples17": NuPrimitive("samples", tuple(
+               math.sin(2.0 * math.pi * k / 16) for k in range(17))),
+           **{f"sine{m}": NuPrimitive("sine", (1.0, m, 0.3))
+              for m in (1, 7, 30, 100, 300, 1000)}}
+
+    @staticmethod
+    def errors(nu, eps, bump, rule):
+        """max |v - v_ref| / max(1, |nu_eps|) and max |d - d_ref| /
+        max(1, sup |q|) over full windows and partial ones at both ends,
+        v and d the convolutions of G and of q = G'."""
+        xs = np.concatenate([np.linspace(0.0, 1.0, 17),
+                             [0.3 * eps, 0.9 * eps, 1.0 - 0.5 * eps]])
+        ref, got = (_window_conv(nu.density_integral, xs, eps, bump,
+                                 nu.q_values, rule=r)
+                    for r in (_composite_rule(256, 32), rule))
+        q_sup = np.max(np.abs(nu.q_values(np.linspace(0.0, 1.0, 4097))))
+        scale = np.maximum(1.0, [np.max(np.abs(ref[0])), q_sup])
+        return np.max(np.abs(got - ref), axis=1) / scale
+
+    @pytest.mark.parametrize("profile", ["bump", "bump2", "bump_skew"])
+    @pytest.mark.parametrize("nu", list(NUS))
+    def test_rule_against_fine_reference(self, nu, profile):
+        # within twice the 8 x 32 rule's error, or 2e-14, where that rule
+        # holds 1e-13 (the error of a sine of m >= 300 has a floor near
+        # 1e-14 from the rounding of its argument 2 pi m y, whatever the
+        # rule); within 1e-13 where it does not, a fast sine, of which
+        # sine (1, 300) at eps = 1/4 is off by 6e-3 on 8 x 32 nodes
+        nu, bump = self.NUS[nu], get_profile(profile)
+        for eps in (0.25, 0.125, 2.0**-5, 2.0**-8):
+            old = self.errors(nu, eps, bump, _composite_rule(8, 32))
+            new = self.errors(nu, eps, bump, _window_rule(nu, eps))
+            bound = np.where(old <= 1e-13, np.maximum(2.0 * old, 2e-14),
+                             1e-13)
+            assert np.all(new <= bound), (eps, old, new)
+
+    @pytest.mark.parametrize("nu, eps, nodes", [
+        ("linear5", 0.25, 96), ("samples17", 2.0**-6, 96),
+        ("samples17", 2.0**-5, 256), ("sine30", 0.25, 96),
+        ("sine100", 2.0**-5, 96), ("sine100", 0.125, 256),
+        ("sine300", 0.25, 19 * 32), ("sine1000", 0.25, 63 * 32)])
+    def test_node_count(self, nu, eps, nodes):
+        # one 96-node rule while the window spans at most 16 periods of a
+        # sine or half a knot interval of samples; else 8 panels of 32
+        # nodes, a sine one per 8 periods past 64
+        assert _window_rule(self.NUS[nu], eps)[0].size == nodes
 
 
 class TestNorms:

@@ -146,17 +146,17 @@ class TestIntegratePrufer:
     the sampled RK45 path of the same system."""
 
     def test_free_phase_pi(self, grid512):
-        theta, _ = _PhaseMap(FREE)(np.array([math.pi**2]))
+        theta, _ = _PhaseMap(FREE, 0.0)(np.array([math.pi**2]))
         assert theta[0] == pytest.approx(math.pi, abs=1e-11)
 
     def test_free_phase_two_pi(self, grid512):
-        theta, _ = _PhaseMap(FREE)(np.array([4.0 * math.pi**2]))
+        theta, _ = _PhaseMap(FREE, 0.0)(np.array([4.0 * math.pi**2]))
         assert theta[0] == pytest.approx(2.0 * math.pi, abs=1e-11)
 
     def test_step_against_rk4_richardson(self, grid512):
         lam = math.pi**2
         theta, _ = rk45_path(STEP, lam, grid512)
-        magnus, _ = _PhaseMap(STEP)(np.array([lam]))
+        magnus, _ = _PhaseMap(STEP, 1.0)(np.array([lam]))
         coarse = prufer_rk4_oracle(STEP, lam, 4000)
         fine = prufer_rk4_oracle(STEP, lam, 8000)
         assert abs(coarse - fine) <= 1e-9  # oracle self-consistent
@@ -696,7 +696,7 @@ class TestRootPasses:
     def test_newton_derivative_on_turning_mesh(self, lam):
         # a piecewise-constant nu's Newton mesh holds about sqrt(lambda)
         # cells, whose trapezoid int y^2 is coarser: Newton still converges
-        _, dtheta = _PhaseMap(FREE)(np.array([lam]))
+        _, dtheta = _PhaseMap(FREE, 0.0)(np.array([lam]))
         assert dtheta[0] == pytest.approx(0.5 / math.sqrt(lam), rel=2e-3)
 
     @pytest.mark.parametrize("name", ["step", "sine"])
@@ -932,7 +932,7 @@ class TestNewtonMesh:
             original_remesh(self, cells)
 
         monkeypatch.setattr(_PhaseMap, "remesh", remesh)
-        phase = _PhaseMap(FREE)
+        phase = _PhaseMap(FREE, 0.0)
         phase(np.array([math.pi**2]))
         with pytest.raises(vww.prufer._Refined):
             phase(np.array([2e4]))
@@ -940,6 +940,86 @@ class TestNewtonMesh:
         lams, _ = _newton_roots(phase, np.array([1.0]), np.array([2e4]),
                                 5e-11)
         assert lams[0] == pytest.approx(math.pi**2, rel=1e-10)
+
+    # _PhaseMap's remesh sequences at N = 8, each the same on every grid
+    # listed, as recorded while the turning rule's max |nu| came from
+    # Potential.norm_linf (4,096 samples a panel): now it comes from nu at
+    # the grid's nodes, with the right limit at an atom on a node.  sine
+    # (10, 0.5) and the atom of 39 are the cases where max |nu| sizes the
+    # first mesh; at grid 64 the atom's right limit, 39 where the nodes'
+    # left limits reach 38.90, alone makes it 256 (2 (sqrt(lambda_8) +
+    # max |nu|) is 128.1 against 127.9)
+    MESH_SAMPLES = (0, 0.38, 0.71, 0.92, 1, 0.92, 0.71, 0.38, 0, -0.38,
+                    -0.71, -0.92, -1, -0.92, -0.71, -0.38, 0)
+    MESH_NUS = {
+        **{f"sine{m}": (NuPrimitive("sine", (1.0, m)), (64, 256, 2048),
+                        [[64, 512], [64, 1024], [64, 2048], [64, 4096]][k])
+           for k, m in enumerate((1, 3, 10, 50))},
+        "sine_atom": (NuPrimitive("sine", (1.0, 3.0), ((0.5, 1.0),)),
+                      (256,), [64, 1024]),
+        "samples_atom": (NuPrimitive("samples", MESH_SAMPLES, ((0.3, 1.0),)),
+                         (256,), [64, 512, 1024]),
+        "sine_10_half": (NuPrimitive("sine", (10.0, 0.5)), (64, 256),
+                         [128, 512]),
+        "edge_atom": (NuPrimitive("sine", (2.0, 0.5, math.pi / 2),
+                                  ((0.5, 39.0),)), (64, 256), [256, 512]),
+    }
+    # per eps = 2^-2 .. 2^-9, on grids 64 and 1024
+    MOLLIFIED_MESHES = {
+        "linear5": (NuPrimitive("linear", (5.0,)), [
+            [64, 512], [64, 256, 512], [64, 256, 1024],
+            [64, 128, 256, 512, 1024], [64], [64], [64], [64]]),
+        "delta": (STEP, [
+            [64, 256, 512], [64, 256, 1024], [64, 128, 256, 512, 1024],
+            [64, 128, 256, 512, 1024, 2048], [64], [64], [64], [64]]),
+        "sine_atom": (NuPrimitive("sine", (1.0, 3.0), ((0.5, 1.0),)), [
+            [64, 256, 512], [64, 512, 1024], [64, 1024], [64, 1024, 2048],
+            [64, 1024], [64, 1024], [64, 1024], [64, 1024]]),
+    }
+
+    @staticmethod
+    def remeshes(monkeypatch, nu, grid_n):
+        made = []
+        original = _PhaseMap.remesh
+
+        def remesh(self, cells):
+            made.append(cells)
+            original(self, cells)
+
+        monkeypatch.setattr(_PhaseMap, "remesh", remesh)
+        _roots(nu, np.arange(1.0, 9.0), Grid(grid_n), 5e-11)
+        return made
+
+    @pytest.mark.parametrize("name", list(MESH_NUS))
+    def test_same_meshes_as_sampled_max(self, monkeypatch, name):
+        nu, grids, meshes = self.MESH_NUS[name]
+        for grid_n in grids:
+            assert self.remeshes(monkeypatch, nu, grid_n) == meshes, grid_n
+
+    @pytest.mark.parametrize("name", list(MOLLIFIED_MESHES))
+    def test_same_meshes_as_sampled_max_mollified(self, monkeypatch, name):
+        base, meshes = self.MOLLIFIED_MESHES[name]
+        for k, want in zip(range(2, 10), meshes):
+            nu = MollifiedNu(base, MollifierSpec("bump", 2.0**-k))
+            for grid_n in (64, 1024):
+                assert self.remeshes(monkeypatch, nu, grid_n) == want, (
+                    k, grid_n)
+
+    def test_build_reads_no_norm_linf(self, monkeypatch):
+        # Newton's first mesh takes max |nu| from nu at the grid's nodes:
+        # a ladder's rungs, a perturbed one and a nu with an atom build
+        # without Potential.norm_linf
+        def refuse(self):
+            raise AssertionError("norm_linf called in a build")
+
+        monkeypatch.setattr(vww.prufer.Potential, "norm_linf", refuse)
+        rungs = [MollifiedNu(base, MollifierSpec("bump", 2.0**-k))
+                 for base in (NuPrimitive("linear", (5.0,)), STEP)
+                 for k in range(2, 6)]
+        w = NuPrimitive("sine", (1.0, 2.0))
+        bases = build_bases([*rungs, PerturbedNu(rungs[0], w, 0.1),
+                             SINE_ATOM], 8, Grid(256))
+        assert len(bases) == 10
 
 
 def ungauged_mesh(nu, cells):
