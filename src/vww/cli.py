@@ -388,7 +388,7 @@ def _solve_common(config: dict, needs_q_linf: bool = False):
         ftimes = forcing_time_grid(T, n_times - 1, grid,
                                    forcing.get("time_steps"))
     if needs_q_linf:
-        NuPrimitive.from_descriptor(config["nu"]).q_linf()
+        NuPrimitive.from_descriptor(config["nu"]).check_q_linf()
     basis = _basis(config)
     times = np.linspace(0.0, T, n_times)
     if forcing is not None:

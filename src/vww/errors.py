@@ -44,7 +44,7 @@ class BracketFailure(VwwError):
 
 
 class MeshTooLarge(VwwError):
-    """A Magnus mesh or a mollifier table would exceed its ceiling."""
+    """A Magnus mesh or a mollifier window rule would exceed its ceiling."""
 
 
 class UnresolvedBasis(VwwError):

@@ -7,34 +7,31 @@ the jump locations.  Regularization convolves the zero-extension of q
 with a compactly supported bump psi_eps(x) = psi(x/eps)/eps; the Dirac
 part mollifies exactly to sum_i alpha_i * psi_eps(x - x_i), the smooth
 density by quadrature over one window per point, bounded by the kinks of
-the extension at 0 and 1.  :class:`MollifiedNu` tabulates the smooth part
-of nu_eps and its slope q_eps together, in one such quadrature pass.
-``mollified_q`` evaluates q_eps at points, such as a grid's nodes.
+the extension at 0 and 1.  :class:`MollifiedNu` reads nu_eps so at the
+points it is asked for, and ``mollified_q`` evaluates q_eps at points,
+such as a grid's nodes.
 
 :class:`NuPrimitive`, :class:`MollifiedNu` and :class:`PerturbedNu` share
 the :class:`Potential` protocol: vectorized ``nu_values`` and ``q_values``
 (the bounded part of q); ``ode_panels``, (a, b, nu) with nu smooth on
-each panel, called with one float and computing in plain float
-arithmetic (over tables built once, for :class:`MollifiedNu`), since it
-runs at every Runge-Kutta stage; their interior edges
+each panel, called with one float by the RK45 pass, which runs only
+where nu is linear between its breakpoints; their interior edges
 ``breakpoints``; ``jumps``, the (location, height) Dirac atoms still
 present in q, empty when q is bounded and ``q_linf`` exists;
 ``has_density``, False when q is atoms alone, i.e. nu is constant on each
 panel; ``piecewise_linear``, True when nu is linear on each panel; and
-``descriptor``.  The base class states ``q_linf`` and the
-norms of nu, ``norm_l2`` and ``norm_linf``, once for all three: per-panel
-rules read through ``nu_values``, ``breakpoints`` and ``jumps``.
+``descriptor``.  The base class states ``check_q_linf``, ``q_linf`` and
+the norms of nu, ``norm_l2`` and ``norm_linf``, once for all three:
+per-panel rules read through ``nu_values``, ``breakpoints`` and ``jumps``.
 
 The ``samples`` smooth kind is the only user of scipy in vww: its quintic
 spline (``scipy.interpolate.InterpolatedUnivariateSpline``) is imported
-when first built, so importing vww loads no scipy module.  Its
-``ode_panels`` evaluate the spline's quintic pieces in plain floats.
+when first built, so importing vww loads no scipy module.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -48,11 +45,11 @@ SMOOTH_KINDS = ("zero", "const", "linear", "sine", "samples")
 _PRIMITIVE_PANELS = 16384
 _LINF_SAMPLES_PER_PANEL = 4096
 _CONV_BLOCK = 2**15  # points x nodes of a _window_conv block: 256 KiB
-# most points of a MollifiedNu smooth table, at two window quadratures of
-# 96 to 256 nodes (more for a fast sine), about 120 bytes held per point:
-# 2^20 take tens of seconds and 120 MB, 255 times the largest table of the
-# tests and the benchmark (4,097 points); a sine needs 2,048 per unit of m
-_MAX_TABLE_POINTS = 2**20
+# most panels of 32 nodes in a window rule, one per 8 periods of a fast
+# sine: windows of up to 1,024 periods, which admit a sine of frequency 511
+# at eps = 1 and of 1022 below eps = 0.2; sine (1, 1e6) at eps = 1/4 would
+# take 2e6 nodes per point
+_MAX_RULE_PANELS = 128
 
 
 @lru_cache(maxsize=8)
@@ -61,45 +58,24 @@ def _gauss_rule(order: int):
     return x, w
 
 
-def _cubic_hermite(s, h, f0, d0, f1, d1):
-    """Cubic Hermite interpolant at s in [0, 1] of a panel of width h with
-    values f0, f1 and slopes d0, d1 at its ends."""
-    s2 = s * s
-    s3 = s2 * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * f0
-        + (s3 - 2 * s2 + s) * h * d0
-        + (-2 * s3 + 3 * s2) * f1
-        + (s3 - s2) * h * d1
-    )
-
-
 class _HermiteTable:
     """Cubic Hermite interpolant over uniform knots t, with values v and
-    slopes d there: read vectorized by calling it, and by ``at`` on one
-    float in plain float arithmetic (over list copies of the table) for
-    the ODE callables.  A point takes the cell whose index its offset from
-    t[0] truncates to, clamped to the table, the same cell in both reads.
+    slopes d there, read vectorized by calling it.  A point takes the cell
+    whose index its offset from t[0] truncates to, clamped to the table.
     """
 
     def __init__(self, t: np.ndarray, v: np.ndarray, d: np.ndarray):
         self.t, self.v, self.d = t, v, d
-        self.h = h = t[1] - t[0]
-        t0, hf, top = float(t[0]), float(h), len(t) - 2
-        tl, vl, dl = t.tolist(), v.tolist(), d.tolist()
-
-        def at(x: float) -> float:
-            i = min(max(int((x - t0) / hf), 0), top)
-            return _cubic_hermite((x - tl[i]) / hf, hf, vl[i], dl[i],
-                                  vl[i + 1], dl[i + 1])
-
-        self.at = at
+        self.h = t[1] - t[0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         t, v, d, h = self.t, self.v, self.d, self.h
         i = np.clip(((x - t[0]) / h).astype(int), 0, len(t) - 2)
-        return _cubic_hermite((x - t[i]) / h, h, v[i], d[i], v[i + 1],
-                              d[i + 1])
+        s = (x - t[i]) / h
+        s2 = s * s
+        s3 = s2 * s
+        return ((2 * s3 - 3 * s2 + 1) * v[i] + (s3 - 2 * s2 + s) * h * d[i]
+                + (-2 * s3 + 3 * s2) * v[i + 1] + (s3 - s2) * h * d[i + 1])
 
 
 class BumpProfile:
@@ -205,17 +181,6 @@ def _samples_spline(values: tuple):
     return InterpolatedUnivariateSpline(x, vals, k=5)
 
 
-@lru_cache(maxsize=64)
-def _samples_pieces(values: tuple):
-    """The samples spline as plain floats: its knots, the midpoint of each
-    knot interval and the Taylor coefficients of its quintic piece there."""
-    spl = _samples_spline(values)
-    knots = spl.get_knots()
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    coefs = np.array([spl(mids, nu=j) / math.factorial(j) for j in range(6)])
-    return knots.tolist(), mids.tolist(), [tuple(c) for c in coefs.T.tolist()]
-
-
 class Potential:
     """Base of the potential protocol (see the module docstring).
 
@@ -233,9 +198,13 @@ class Potential:
     has_density: bool = True
     piecewise_linear: bool = False
 
-    def q_linf(self) -> float:
+    def check_q_linf(self) -> None:
+        """Raise ``MissingNorm`` where q has Dirac atoms: no ||q||_inf."""
         if self.jumps:
             raise MissingNorm("potential has Dirac atoms; no L-infinity norm")
+
+    def q_linf(self) -> float:
+        self.check_q_linf()
         xs = np.concatenate([np.linspace(0.0, 1.0, 8193), self.mollified_atoms])
         return float(np.max(np.abs(self.q_values(xs))))
 
@@ -395,17 +364,8 @@ class NuPrimitive(Potential):
         if k == "sine":
             a, w, phase = self._sine()
             return lambda x: a * math.sin(w * x + phase) + shift
-        knots, mids, coefs = _samples_pieces(self.smooth_params)
-        top = len(mids)
-
-        def samples_nu(x: float) -> float:
-            i = bisect_right(knots, x, 1, top) - 1
-            d = x - mids[i]
-            c0, c1, c2, c3, c4, c5 = coefs[i]
-            value = c0 + d * (c1 + d * (c2 + d * (c3 + d * (c4 + d * c5))))
-            return value + shift
-
-        return samples_nu
+        spline = _samples_spline(self.smooth_params)
+        return lambda x: float(spline(x)) + shift
 
     # -- reporting ---------------------------------------------------------
 
@@ -450,17 +410,23 @@ def _window_rule(nu: NuPrimitive, eps: float):
     samples over at most half a knot interval (within a few 1e-15 of a fine
     composite rule, as 8 panels of 32 nodes are; 4e-8 off at 25 periods).
     Else 8 panels of 32 nodes, a sine one per 8 periods past 64 (8 panels
-    were 6e-3 off at 150 periods, sine (1, 300) at eps = 1/4)."""
+    were 6e-3 off at 150 periods, sine (1, 300) at eps = 1/4); more than
+    ``_MAX_RULE_PANELS`` are refused before any node exists."""
     p = nu.smooth_params
     periods = 2.0 * eps * abs(p[1]) if nu.smooth_kind == "sine" else 0.0
     knots = len(p) - 1 if nu.smooth_kind == "samples" else 0
+    if periods > 8.0 * _MAX_RULE_PANELS:  # inf too
+        raise MeshTooLarge(
+            f"a mollifier window of {periods:.4g} periods of nu exceeds the "
+            f"ceiling of {8 * _MAX_RULE_PANELS} periods ({_MAX_RULE_PANELS} "
+            f"panels of 32 nodes)")
     if periods > 16.0 or 4.0 * eps * knots > 1.0:
         return _composite_rule(max(8, math.ceil(periods / 8.0)), 32)
     return _gauss_rule(96)
 
 
 def _window_conv(f: Callable, x, eps: float, bump: BumpProfile,
-                 *more: Callable, rule) -> np.ndarray:
+                 rule) -> np.ndarray:
     """int f(x - eps*u) * psi(u) du over the u in [-1, 1] with x - eps*u in [0, 1].
 
     For each x those u form one window [lo, hi], whose ends are the kinks
@@ -468,10 +434,9 @@ def _window_conv(f: Callable, x, eps: float, bump: BumpProfile,
     the rule's nodes (``_window_rule``).  Full windows, all of [-1, 1],
     share the weights w_k psi(u_k); the others (x within eps of 0 or 1)
     evaluate psi at their mapped nodes.  Chunks of ``_CONV_BLOCK`` // nodes
-    points form x - eps*u and psi(u) once, then make one call of f and of
-    each of ``more`` on that 2-D (points, nodes) array, which it must
-    accept, and one product with the weights.  With ``more`` it returns the
-    stacked convolutions, each bit for bit its own pass's.
+    points form x - eps*u and psi(u) once, then make one call of f on that
+    2-D (points, nodes) array, which it must accept, and one product with
+    the weights.
     """
     shape = np.shape(x)
     x = np.ravel(np.asarray(x, dtype=float))
@@ -482,18 +447,16 @@ def _window_conv(f: Callable, x, eps: float, bump: BumpProfile,
     inner = (lo == -1.0) & (hi == 1.0)
     full, part = np.flatnonzero(inner), np.flatnonzero(~inner)
     wfull = uw * bump.density(un)
-    out = np.empty((1 + len(more), x.size))
+    out = np.empty(x.size)
     for s in range(0, full.size, chunk):
         i = full[s:s + chunk]
-        y = x[i, None] - eps * un
-        out[:, i] = [g(y) @ wfull for g in (f, *more)]
+        out[i] = f(x[i, None] - eps * un) @ wfull
     for s in range(0, part.size, chunk):
         i = part[s:s + chunk]
         half = (hi[i] - lo[i]) / 2.0
         u = ((hi[i] + lo[i]) / 2.0)[:, None] + half[:, None] * un
-        y, psi = x[i, None] - eps * u, bump.density(u)
-        out[:, i] = [half * ((g(y) * psi) @ uw) for g in (f, *more)]
-    return out.reshape((-1, *shape)) if more else out[0].reshape(shape)
+        out[i] = half * ((f(x[i, None] - eps * u) * bump.density(u)) @ uw)
+    return out.reshape(shape)
 
 
 def mollified_q(nu: NuPrimitive, eps: float, bump: BumpProfile, x) -> np.ndarray:
@@ -518,9 +481,9 @@ class MollifiedNu(Potential):
 
     nu_eps is the convolution of the primitive of the zero-extended
     potential with the bump: atoms contribute exact antiderivative terms
-    ``height * Psi((x - loc)/eps)``, the smooth density a convolution
-    tabulated once per (nu, eps) pair by ``_window_rule``'s quadrature and
-    read by cubic Hermite interpolation (exact slopes from q_eps).
+    ``height * Psi((x - loc)/eps)``, the smooth density ``_smooth_conv``,
+    read by quadrature at the points asked for, with the rule that
+    ``_window_rule`` fixes for the rung when it is made.
     """
 
     def __init__(self, nu: NuPrimitive, spec: MollifierSpec):
@@ -528,12 +491,7 @@ class MollifiedNu(Potential):
         self.spec = spec
         self._eps = spec.epsilon
         self._bump = spec.bump
-        # the smooth part's tables and their right ends
-        self._tables, self._ends = [], []
-        if nu.has_density:
-            self._build_smooth_table()
-
-    # smooth-part tabulation ------------------------------------------------
+        self._rule = _window_rule(nu, spec.epsilon)
 
     def _smooth_conv(self, x):
         """The clamped primitive G(clip(y, 0, 1)) convolved with psi_eps.
@@ -541,52 +499,9 @@ class MollifiedNu(Potential):
         G(0) = 0, and G is the constant G(1) for y >= 1, i.e. on the part
         u <= (x-1)/eps of the window, which contributes G(1)*Psi((x-1)/eps).
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         G, eps, bump = self.base.density_integral, self._eps, self._bump
         return (_window_conv(G, x, eps, bump, rule=self._rule)
                 + float(G(1.0)) * bump.primitive((x - 1.0) / eps))
-
-    def _build_smooth_table(self):
-        """Values v, as ``_smooth_conv`` forms them, and slopes d = q_eps of
-        the smooth part on one to three segments, from one pass each."""
-        eps = self._eps
-        m_freq = 1.0
-        if self.base.smooth_kind == "sine":
-            m_freq = max(1.0, abs(self.base.smooth_params[1]))
-        if eps >= 0.2:
-            segs = [(0.0, 1.0, max(4096, 2048 * m_freq))]
-        else:
-            segs = [
-                (0.0, 2.0 * eps, 512),
-                (2.0 * eps, 1.0 - 2.0 * eps, max(2048, 1024 * m_freq)),
-                (1.0 - 2.0 * eps, 1.0, 512),
-            ]
-        points = sum(k + 1 for *_, k in segs)  # may be inf: no int() yet
-        if points > _MAX_TABLE_POINTS:
-            raise MeshTooLarge(f"a mollifier table of {points:.4g} points "
-                               f"exceeds the ceiling of {_MAX_TABLE_POINTS}")
-        G, bump = self.base.density_integral, self._bump
-        rule = self._rule = _window_rule(self.base, eps)
-        for a, b, k in segs:
-            t = np.linspace(a, b, int(k) + 1)
-            v, d = _window_conv(G, t, eps, bump, self.base.q_values, rule=rule)
-            v += float(G(1.0)) * bump.primitive((t - 1.0) / eps)
-            self._tables.append(_HermiteTable(t, v, d))
-            self._ends.append(b)
-
-    def _smooth_interp(self, x):
-        """The smooth part: by the table of the first segment whose right
-        end is >= x, by ``_smooth_conv`` outside [0, 1]."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.full_like(x, np.nan)  # a NaN point takes no segment
-        outside = (x < 0.0) | (x > 1.0)
-        if np.any(outside):
-            out[outside] = self._smooth_conv(x[outside])
-        seg = np.where(outside, -1, np.searchsorted(self._ends, x))
-        for k, table in enumerate(self._tables):
-            sel = seg == k
-            out[sel] = table(x[sel])
-        return out
 
     # potential protocol ------------------------------------------------------
 
@@ -595,8 +510,8 @@ class MollifiedNu(Potential):
         out = np.zeros_like(x)
         for loc, height in self.base.jumps:
             out += height * self._bump.primitive((x - loc) / self._eps)
-        if self._tables:
-            out += self._smooth_interp(x)
+        if self.base.has_density:
+            out += self._smooth_conv(x)
         return out
 
     @property
@@ -614,35 +529,23 @@ class MollifiedNu(Potential):
 
     @property
     def breakpoints(self) -> tuple:
+        """Each atom's centre and bump edges, loc and loc +- eps; with a
+        density and eps < 0.2, also 2 eps and 1 - 2 eps, an eps past the
+        walls' boundary layers of q_eps, [0, eps] and [1 - eps, 1], so that
+        Newton's mesh gives each layer panels of its own."""
         eps = self._eps
         pts = set()
         for loc, _ in self.base.jumps:
             pts.update((loc - eps, loc, loc + eps))
-        pts.update(self._ends)
+        if self.base.has_density and eps < 0.2:
+            pts.update((2.0 * eps, 1.0 - 2.0 * eps))
         return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
 
     def ode_panels(self):
-        """Panels (a, b, nu), nu in float arithmetic over the tables; it is
-        ``nu_values`` up to the summation order over atoms."""
-        atoms = self.base.jumps
-        eps = self._eps
-        psi = self._bump._psi_table().at
-        ends, smooth = self._ends, [table.at for table in self._tables]
-        last = len(smooth) - 1
-
+        """Panels (a, b, nu), nu a scalar read of ``nu_values``: the RK45
+        pass reaches a MollifiedNu only where nu_eps is 0."""
         def nu_scalar(x: float) -> float:
-            acc = 0.0
-            for loc, height in atoms:
-                # Psi(u) is 0 for u <= -1 and 1 for u >= 1
-                u = (x - loc) / eps
-                if u >= 1.0:
-                    acc += height
-                elif u > -1.0:
-                    acc += height * psi(u)
-            if smooth:
-                # the segment of _smooth_interp
-                acc += smooth[min(bisect_left(ends, x), last)](x)
-            return acc
+            return float(self.nu_values(x)[0])
 
         return [(a, b, nu_scalar) for a, b in self._panels()]
 

@@ -28,8 +28,7 @@ from vww.errors import ConfigError, GridMismatch
 from vww.estimates import verify
 from vww.grid import Grid, GridFunction
 from vww.potential import (BumpProfile, MollifiedNu, MollifierSpec,
-                           NuPrimitive, PerturbedNu, _composite_rule,
-                           _window_conv, _window_rule)
+                           NuPrimitive, PerturbedNu, _composite_rule)
 from vww.prufer import (_CHUNK_ELEMENTS, DEFAULT_TOL, EigenBasis,
                         _propagate, _sin_cos)
 from vww.wave import WaveSolution
@@ -201,16 +200,6 @@ def bump_mass(profile: BumpProfile) -> float:
     """int psi by a composite Gauss rule, 64 panels of 64 nodes."""
     nodes, weights = _composite_rule(64, 64)
     return float(profile.density(nodes) @ weights)
-
-
-def two_pass_tables(mn: MollifiedNu) -> list:
-    """(v, d) on each table segment of ``mn``, each from a quadrature pass
-    of its own: v from ``_smooth_conv`` and d, the slopes q_eps, from
-    ``_window_conv`` of the base's density."""
-    eps = mn.spec.epsilon
-    return [(mn._smooth_conv(table.t), _window_conv(
-        mn.base.q_values, table.t, eps, mn.spec.bump,
-        rule=_window_rule(mn.base, eps))) for table in mn._tables]
 
 
 # -- the constant sweep ------------------------------------------------------

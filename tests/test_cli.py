@@ -365,11 +365,13 @@ class TestEstimatesCommand:
     def test_each_norm_formed_once_per_run(self, tmp_path, monkeypatch):
         # the 17 ids share one set of squared norms: ||nu||_inf, ||q||_inf
         # and the second differences of u0 and u1 once each, where each id
-        # once formed its own; q_linf once more, the check before any build
+        # once formed its own; the check before any build reads the atoms
+        # alone, and q_linf checks them again
         import vww.estimates
         from vww.potential import Potential
         calls = []
         for owner, name in ((Potential, "norm_linf"), (Potential, "q_linf"),
+                            (Potential, "check_q_linf"),
                             (vww.estimates, "_second_derivative_sq")):
             def call(*args, _name=name, _original=getattr(owner, name)):
                 calls.append(_name)
@@ -386,7 +388,7 @@ class TestEstimatesCommand:
         assert run_cli("estimates", "--config", cfg, "--out", str(out)) == 0
         assert len(_strict_json(out / "estimates.json")["reports"]) == 17
         assert sorted(calls) == ["_second_derivative_sq"] * 2 + [
-            "norm_linf"] + ["q_linf"] * 2
+            "check_q_linf"] * 2 + ["norm_linf", "q_linf"]
 
     def test_q_linf_on_atoms_exits_3_before_any_basis(
             self, tmp_path, capsys, monkeypatch):
@@ -694,8 +696,9 @@ class TestNumericalFailure:
         assert not out.exists()
 
     def test_mollifier_table_above_ceiling_exits_3(self, tmp_path, capsys):
-        # sine (1, 1e6) at eps = 1/4 asks for a 2,048,000,001-point table:
-        # refused from the count, naming the rung, before any allocation
+        # sine (1, 1e6) at eps = 1/4 spans 5e5 periods a window, a rule of
+        # 62,500 panels: refused from the count, naming the rung, before
+        # any node exists
         cfg = write_config(tmp_path, "c.json", dict(
             VW_BASE, mode="existence",
             nu={"smooth": {"kind": "sine", "params": [1.0, 1e6]}}))
@@ -703,8 +706,8 @@ class TestNumericalFailure:
         assert run_cli("veryweak", "--config", cfg, "--out", str(out)) == 3
         assert capsys.readouterr().err.splitlines() == [
             "vww: numerical failure: MeshTooLarge: rung eps=0.25: a "
-            "mollifier table of 2.048e+09 points exceeds the ceiling of "
-            "1048576"]
+            "mollifier window of 5e+05 periods of nu exceeds the ceiling of "
+            "1024 periods (128 panels of 32 nodes)"]
         assert not out.exists()
 
     def test_overflowing_eigenfunctions_exit_3(self, tmp_path, capsys):

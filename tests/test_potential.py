@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from vww.errors import ConfigError, DegenerateNet, MeshTooLarge, MissingNorm
 from vww.grid import Grid, GridFunction
-from vww.potential import (_CONV_BLOCK, _MAX_TABLE_POINTS, BumpProfile,
+from vww.potential import (_CONV_BLOCK, BumpProfile,
                            MollifiedNu, MollifierSpec, NuPrimitive,
                            PerturbedNu, _composite_rule, _window_conv,
                            _window_rule, get_profile, mollified_q)
@@ -18,7 +18,7 @@ from vww.prufer import build_basis
 from vww.veryweak import check_negligibility, default_ladder, fit_moderateness
 
 from conftest import modules_in_fresh_python
-from oracles import bump_mass, two_pass_tables
+from oracles import bump_mass
 
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
 
@@ -109,11 +109,18 @@ class TestMollify:
         assert np.max(np.abs(q.values - q.values[::-1])) <= 1e-12
 
     def test_mollified_nu_matches_direct_convolution(self):
-        nu = NuPrimitive("sine", (0.7, 2.0), jumps=((0.3, 1.5),))
-        mn = MollifiedNu(nu, MollifierSpec("bump", 2.0**-6))
-        xs = np.linspace(0.0, 1.0, 301)
-        direct = mn._smooth_conv(xs)
-        assert np.max(np.abs(direct - mn._smooth_interp(xs))) <= 1e-11
+        # oracle: adaptive quadrature of nu_eps(x) = int nu(clip(x - eps*u,
+        # 0, 1)) psi(u) du, split at the walls' kinks and the atom's jump;
+        # 2.25 periods leave G(1) = nu(1) - nu(0) nonzero
+        nu = NuPrimitive("sine", (0.7, 2.25), jumps=((0.3, 1.5),))
+        eps = 2.0**-6
+        mn = MollifiedNu(nu, MollifierSpec("bump", eps))
+        xs = np.linspace(-eps, 1.0 + eps, 301)
+        psi = TestWindowConvOracle.psi(get_profile("bump"))
+        want = [TestWindowConvOracle.window_quad(
+            lambda y: nu.density_integral(y) + 1.5 * (y > 0.3), psi, x, eps,
+            True, jumps=(0.3,)) for x in xs]
+        assert np.max(np.abs(mn.nu_values(xs) - want)) <= 1e-14 * 2.2
 
     @pytest.mark.parametrize("eps", [1.0, 0.25, 1.0 / 32])
     @pytest.mark.parametrize("profile", ["bump", "bump2", "bump_skew"])
@@ -141,8 +148,8 @@ class TestMollify:
                              ids=["table", "table_atom"])
     @pytest.mark.parametrize("eps", [0.25, 2.0**-5])
     def test_mollified_nu_at_nan_is_nan(self, eps, jumps):
-        # a NaN point takes no table segment, nor a branch of Psi; it read
-        # whatever the buffer held (0.0 here), while q_values gave NaN
+        # a NaN point takes no branch of Psi, nor a weight of psi; it once
+        # read whatever a buffer held (0.0 here), while q_values gave NaN
         mn = MollifiedNu(NuPrimitive("linear", (5.0,), jumps=jumps),
                          MollifierSpec("bump", eps))
         xs = np.array([0.5, 0.25, 0.0, 1.0, 0.03, 0.97])
@@ -173,16 +180,18 @@ class TestWindowConvOracle:
         return lambda u: raw(u) / norm if abs(u) < 1.0 else 0.0
 
     @staticmethod
-    def window_quad(h, psi, x, eps, clamp):
+    def window_quad(h, psi, x, eps, clamp, jumps=()):
         """int h(y(u)) psi(u) du over [-1, 1] with y = x - eps*u, split at
-        the kinks y = 0 and y = 1; outside [0, 1] h is 0 or, with clamp,
-        held at h(0) and h(1)."""
+        the kinks y = 0 and y = 1 and at the jumps of h; outside [0, 1] h
+        is 0 or, with clamp, held at h(0) and h(1)."""
         def integrand(u):
             y = x - eps * u
             if not clamp and not 0.0 <= y <= 1.0:
                 return 0.0
             return float(h(min(max(y, 0.0), 1.0))) * psi(u)
-        kinks = [u for u in (x / eps, (x - 1.0) / eps) if -1.0 < u < 1.0]
+        kinks = [u for u in (x / eps, (x - 1.0) / eps,
+                             *((x - loc) / eps for loc in jumps))
+                 if -1.0 < u < 1.0]
         return quad(integrand, -1.0, 1.0, points=kinks or None,
                     epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
@@ -205,7 +214,7 @@ class TestWindowConvOracle:
         psi = self.psi(get_profile(profile))
         want = [self.window_quad(self.NU.density_integral, psi, x, eps, True)
                 for x in xs]
-        got = MollifiedNu(self.NU, MollifierSpec(profile, eps))._smooth_conv(xs)
+        got = MollifiedNu(self.NU, MollifierSpec(profile, eps)).nu_values(xs)
         assert np.max(np.abs(got - want)) <= 1e-13 * 2.0 * 0.7
 
 
@@ -222,40 +231,25 @@ class TestWindowConvWork:
         assert all(len(s) == 2 for s in shapes)
 
     def test_table_build_peak_memory(self):
+        # one nu_values call on 4,097 points
         import tracemalloc
-        nu = NuPrimitive("linear", (5.0,))
-        spec = MollifierSpec("bump", 0.25)
-        spec.bump.primitive(0.0)  # the Psi table is built once per process
+        mn = MollifiedNu(NuPrimitive("linear", (5.0,)),
+                         MollifierSpec("bump", 0.25))
+        mn.spec.bump.primitive(0.0)  # the Psi table is built once per process
+        xs = np.linspace(0.0, 1.0, 4097)
         tracemalloc.start()
         try:
-            MollifiedNu(nu, spec)
+            mn.nu_values(xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
-    TABLE_NUS = {
-        "linear5": NuPrimitive("linear", (5.0,)),
-        "sine": NuPrimitive("sine", (0.7, 2.0, 0.3)),
-        "samples": NuPrimitive("samples", tuple(
-            math.sin(2.0 * math.pi * k / 16) for k in range(17)))}
-
-    @pytest.mark.parametrize("eps", [2.0**-2, 2.0**-5])
-    @pytest.mark.parametrize("profile", ["bump", "bump_skew"])
-    @pytest.mark.parametrize("nu", list(TABLE_NUS))
-    def test_one_pass_tables_are_the_two_pass_tables(self, nu, profile, eps):
-        # v and d from one shared pass per segment, bit for bit
-        mn = MollifiedNu(self.TABLE_NUS[nu], MollifierSpec(profile, eps))
-        want = two_pass_tables(mn)
-        assert len(want) == len(mn._tables) == (1 if eps >= 0.2 else 3)
-        for table, (v2, d2) in zip(mn._tables, want):
-            assert table.v.tobytes() == v2.tobytes()
-            assert table.d.tobytes() == d2.tobytes()
-
     @pytest.mark.parametrize("eps", [2.0**-2, 2.0**-5])
     def test_table_work_per_chunk(self, monkeypatch, eps):
-        # per segment: psi once for the full-window weights and once per
-        # partial-window chunk, g and G once per chunk, and G once for G(1)
+        # one nu_values call on 4,097 points: psi once for the full-window
+        # weights and once per partial-window chunk, G once per chunk and
+        # once for G(1), and g not at all
         calls = {"density": 0, "q_values": 0, "density_integral": 0}
         for cls, name in ((BumpProfile, "density"), (NuPrimitive, "q_values"),
                           (NuPrimitive, "density_integral")):
@@ -265,20 +259,22 @@ class TestWindowConvWork:
             monkeypatch.setattr(cls, name, counted)
         mn = MollifiedNu(NuPrimitive("linear", (5.0,)),
                          MollifierSpec("bump", eps))
-        full = part = 0
+        t = np.linspace(0.0, 1.0, 4097)
+        mn.nu_values(t)
         chunk = _CONV_BLOCK // mn._rule[0].size
-        for t in (table.t for table in mn._tables):
-            inner = int(np.count_nonzero((t >= eps) & (t <= 1.0 - eps)))
-            full += -(-inner // chunk)
-            part += -(-(t.size - inner) // chunk)
-        assert calls == {"density": part + len(mn._tables),
-                         "q_values": full + part,
-                         "density_integral": full + part + len(mn._tables)}
+        inner = int(np.count_nonzero((t >= eps) & (t <= 1.0 - eps)))
+        full = -(-inner // chunk)
+        part = -(-(t.size - inner) // chunk)
+        assert calls == {"density": part + 1, "q_values": 0,
+                         "density_integral": full + part + 1}
 
-    @pytest.mark.parametrize("freq, eps, points", [
-        (1e6, 0.25, "2.048e+09"), (1e6, 0.125, "1.024e+09"),
-        (1e308, 0.25, "inf")], ids=["wide_eps", "narrow_eps", "inf"])
-    def test_table_above_ceiling_refused_unbuilt(self, freq, eps, points):
+    @pytest.mark.parametrize("freq, eps, periods", [
+        (1e6, 0.25, "5e+05"), (1e6, 0.125, "2.5e+05"),
+        (1e308, 1.0, "inf"), (512.5, 1.0, "1025")],
+        ids=["wide_eps", "narrow_eps", "inf", "one_period_over"])
+    def test_table_above_ceiling_refused_unbuilt(self, freq, eps, periods):
+        # the window rule's ceiling, 8 periods of a sine per panel of 32
+        # nodes, is checked before any node exists
         import time
         import tracemalloc
         nu = NuPrimitive("sine", (1.0, freq))
@@ -287,14 +283,29 @@ class TestWindowConvWork:
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            with pytest.raises(MeshTooLarge, match=(
-                    f"^a mollifier table of {re.escape(points)} points "
-                    f"exceeds the ceiling of {_MAX_TABLE_POINTS}$")):
+            with pytest.raises(MeshTooLarge, match="^" + re.escape(
+                    f"a mollifier window of {periods} periods of nu exceeds "
+                    f"the ceiling of 1024 periods (128 panels of 32 nodes)")
+                    + "$"):
                 MollifiedNu(nu, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20 and time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("freq, eps, panels", [
+        (511, 1.0, 128), (511, 0.2, 26), (1022, 0.19921875, 51),
+        (1022, 0.125, 32)])
+    def test_rule_admits_what_the_table_ceiling_admitted(self, freq, eps,
+                                                         panels):
+        # a smooth table of at most 2^20 points held a sine of frequency
+        # 511 at eps >= 0.2 and 1022 below; at those the rule stays within
+        # its ceiling
+        nu = NuPrimitive("sine", (1.0, freq))
+        assert _window_rule(nu, eps)[0].size == 32 * panels
+        xs = np.array([0.0, 0.5, 1.0])
+        got = MollifiedNu(nu, MollifierSpec("bump", eps)).nu_values(xs)
+        assert np.all(np.abs(got) <= 1.0)
 
 
 class TestWindowRule:
@@ -315,8 +326,8 @@ class TestWindowRule:
         v and d the convolutions of G and of q = G'."""
         xs = np.concatenate([np.linspace(0.0, 1.0, 17),
                              [0.3 * eps, 0.9 * eps, 1.0 - 0.5 * eps]])
-        ref, got = (_window_conv(nu.density_integral, xs, eps, bump,
-                                 nu.q_values, rule=r)
+        ref, got = (np.array([_window_conv(f, xs, eps, bump, rule=r)
+                              for f in (nu.density_integral, nu.q_values)])
                     for r in (_composite_rule(256, 32), rule))
         q_sup = np.max(np.abs(nu.q_values(np.linspace(0.0, 1.0, 4097))))
         scale = np.maximum(1.0, [np.max(np.abs(ref[0])), q_sup])
@@ -450,23 +461,25 @@ class TestOdePanels:
     FRACTIONS = np.concatenate([[1e-9, 0.5, 1.0 - 1e-9],
                                 np.random.default_rng(3).random(61)])
 
-    def _assert_agree(self, pot, base):
+    def _assert_agree(self, pot, bound=None):
+        """Bit for bit, or within bound(nu_values) where one is given."""
         for a, b, nu in pot.ode_panels():
             xs = a + (b - a) * self.FRACTIONS
             xs = xs[(xs > a) & (xs < b)]
             scalar = np.array([nu(x) for x in xs.tolist()])
             vector = pot.nu_values(xs)
-            if len(base.jumps) <= 1:
+            if bound is None:
                 assert scalar.tobytes() == vector.tobytes(), (a, b)
             else:
-                # the scalar path sums the atoms in another order
-                assert np.max(np.abs(scalar - vector)) <= 1e-15, (a, b)
+                assert np.all(np.abs(scalar - vector) <= bound(vector)), (a, b)
 
     @pytest.mark.parametrize("name", list(BASES))
     def test_primitive(self, name):
         base = self.BASES[name]
-        self._assert_agree(base, base)
-        self._assert_agree(PerturbedNu(base, self.W, 0.7), base)
+        # the scalar path sums several atoms in another order
+        bound = None if len(base.jumps) <= 1 else (lambda v: 1e-15)
+        self._assert_agree(base, bound)
+        self._assert_agree(PerturbedNu(base, self.W, 0.7), bound)
 
     @pytest.mark.parametrize("eps", [0.25, 1.0 / 32])
     @pytest.mark.parametrize("profile", ["bump", "bump2", "bump_skew"])
@@ -474,8 +487,12 @@ class TestOdePanels:
     def test_mollified(self, name, profile, eps):
         base = self.BASES[name]
         mollified = MollifiedNu(base, MollifierSpec(profile, eps))
-        self._assert_agree(mollified, base)
-        self._assert_agree(PerturbedNu(mollified, self.W, 0.7), base)
+        # a one-point read sums a window of the density's quadrature in
+        # another order than a read of many points; the atoms, in the same
+        bound = None if not base.has_density else (
+            lambda v: 1e-15 * np.maximum(1.0, np.abs(v)))
+        self._assert_agree(mollified, bound)
+        self._assert_agree(PerturbedNu(mollified, self.W, 0.7), bound)
 
 
 class TestSamplesKind:
@@ -499,7 +516,8 @@ class TestSamplesKind:
         assert np.max(err) <= 2e-6
 
     def test_ode_panels_match_spline(self):
-        # the panels' plain-float quintic pieces against the spline itself
+        # the panels' scalar reads of the spline, plus each panel's jump
+        # offset, against nu_values
         x = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
         want = self.NU.nu_values(x)
         got = np.array([next(f for a, b, f in self.NU.ode_panels()

@@ -444,21 +444,6 @@ class TestBuildBasis:
         lam_b = build_basis(STEP, 3, Grid(1024)).lambdas
         assert np.max(np.abs(lam_a - lam_b)) <= 1e-10
 
-
-    def test_multi_atom_mollified_matches_vectorized_nu(self, monkeypatch):
-        # the ODE callable sums the atoms in another order than nu_values
-        base = NuPrimitive(jumps=((0.25, 1.0), (0.5, -0.7), (0.8, 2.0)))
-        nu = MollifiedNu(base, MollifierSpec("bump", 2.0**-4))
-        basis = build_basis(nu, 8, Grid(512))
-        ref = MollifiedNu(base, MollifierSpec("bump", 2.0**-4))
-        monkeypatch.setattr(ref, "ode_panels", lambda: [
-            (a, b, lambda x: float(ref.nu_values(x)[0]))
-            for a, b, _ in nu.ode_panels()])
-        want = build_basis(ref, 8, Grid(512)).lambdas
-        assert np.max(np.abs(basis.lambdas / want - 1.0)) <= 1e-9
-        assert np.max(np.abs(basis.theta_residuals)) <= 1e-10
-
-
     def test_aliased_basis_raises(self):
         # mode 40 aliases mode 24 on 64 intervals: Gram defect 0.333
         with pytest.raises(UnresolvedBasis, match=r"n_max=40 .* 64 .*0\.333"):
