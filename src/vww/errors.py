@@ -68,10 +68,6 @@ class MissingNorm(VwwError):
     """An estimate needs a norm the given problem cannot furnish."""
 
 
-class NotBoundedPotential(VwwError):
-    """Operation requires a bounded potential but atoms are present."""
-
-
 class NonFiniteResult(VwwError):
     """A finite input would make a result overflow, underflow to nothing,
     or reach an output file as a non-finite number."""

@@ -7,22 +7,24 @@ the jump locations.  Regularization convolves the zero-extension of q
 with a compactly supported bump psi_eps(x) = psi(x/eps)/eps; the Dirac
 part mollifies exactly to sum_i alpha_i * psi_eps(x - x_i), the smooth
 density by quadrature over one window per point, bounded by the kinks of
-the extension at 0 and 1.  :class:`MollifiedNu` reads nu_eps so at the
-points it is asked for, and ``mollified_q`` evaluates q_eps at points,
-such as a grid's nodes.
+the extension at 0 and 1.  :class:`MollifiedNu` reads nu_eps and q_eps
+so, by one window rule per rung, at the points it is asked for, such as a
+grid's nodes.
 
 :class:`NuPrimitive`, :class:`MollifiedNu` and :class:`PerturbedNu` share
 the :class:`Potential` protocol: vectorized ``nu_values`` and ``q_values``
 (the bounded part of q); ``ode_panels``, (a, b, nu) with nu smooth on
-each panel, called with one float by the RK45 pass, which runs only
-where nu is linear between its breakpoints; their interior edges
-``breakpoints``; ``jumps``, the (location, height) Dirac atoms still
-present in q, empty when q is bounded and ``q_linf`` exists;
-``has_density``, False when q is atoms alone, i.e. nu is constant on each
-panel; ``piecewise_linear``, True when nu is linear on each panel; and
-``descriptor``.  The base class states ``check_q_linf``, ``q_linf`` and
-the norms of nu, ``norm_l2`` and ``norm_linf``, once for all three:
-per-panel rules read through ``nu_values``, ``breakpoints`` and ``jumps``.
+each panel, a one-point read of the vectorized nu that takes the right
+limit at a and the left limit at b, called with one float by the RK45
+pass, which runs only where nu is linear between its breakpoints; their
+interior edges ``breakpoints``, which hold each mollified atom's centre;
+``jumps``, the (location, height) Dirac atoms still present in q, empty
+when q is bounded and ``q_linf`` exists; ``has_density``, False when q
+is atoms alone, i.e. nu is constant on each panel; ``piecewise_linear``,
+True when nu is linear on each panel; and ``descriptor``.  The base class
+states ``check_q_linf``, ``q_linf`` and the norms of nu, ``norm_l2`` and
+``norm_linf``, once for all three: per-panel rules read through
+``nu_values``, ``breakpoints`` and ``jumps``.
 
 The ``samples`` smooth kind is the only user of scipy in vww: its quintic
 spline (``scipy.interpolate.InterpolatedUnivariateSpline``) is imported
@@ -187,14 +189,13 @@ class Potential:
     The norms of nu are per-panel rules over [0, *breakpoints, 1], read
     through ``nu_values``: Gauss-Legendre for ``norm_l2``, uniform samples
     for ``norm_linf``, which takes the right limit at each panel start by
-    adding the heights of the ``jumps`` located there.  ``mollified_atoms``
-    are the centres of atoms smoothed into narrow bumps, which ``q_linf``
-    probes besides the grid.
+    adding the heights of the ``jumps`` located there.  ``q_linf`` probes
+    the ``breakpoints`` besides a uniform grid: a mollified atom's centre,
+    the peak of a narrow bump, is one of them.
     """
 
     jumps: tuple
     breakpoints: tuple
-    mollified_atoms: tuple = ()
     has_density: bool = True
     piecewise_linear: bool = False
 
@@ -205,7 +206,7 @@ class Potential:
 
     def q_linf(self) -> float:
         self.check_q_linf()
-        xs = np.concatenate([np.linspace(0.0, 1.0, 8193), self.mollified_atoms])
+        xs = np.concatenate([np.linspace(0.0, 1.0, 8193), self.breakpoints])
         return float(np.max(np.abs(self.q_values(xs))))
 
     def _panels(self):
@@ -335,37 +336,17 @@ class NuPrimitive(Potential):
     def breakpoints(self) -> tuple:
         return tuple(loc for loc, _ in self.jumps)
 
-    def _panel_offsets(self) -> list[tuple[float, float, float]]:
-        """(a, b, jump offset) for each smooth panel of [0, 1]."""
+    def ode_panels(self) -> list[tuple[float, float, Callable[[float], float]]]:
+        """Panels (a, b, nu) covering [0, 1] on which nu is smooth: the
+        smooth part at one point plus the heights of the jumps at or left
+        of a, so nu takes the right limit at a."""
         heights = dict(self.jumps)
         panels, offset = [], 0.0
         for a, b in self._panels():
             offset += heights.get(a, 0.0)
-            panels.append((a, b, offset))
+            panels.append((a, b, lambda x, shift=offset:
+                           float(self.smooth_values(x)) + shift))
         return panels
-
-    def ode_panels(self) -> list[tuple[float, float, Callable[[float], float]]]:
-        """Panels (a, b, nu) covering [0, 1] on which nu is smooth."""
-        return [
-            (a, b, self._panel_callable(shift))
-            for a, b, shift in self._panel_offsets()
-        ]
-
-    def _panel_callable(self, shift: float) -> Callable[[float], float]:
-        k = self.smooth_kind
-        if k == "zero":
-            return lambda x: shift
-        if k == "const":
-            c = self.smooth_params[0] + shift
-            return lambda x: c
-        if k == "linear":
-            c = self.smooth_params[0]
-            return lambda x: c * x + shift
-        if k == "sine":
-            a, w, phase = self._sine()
-            return lambda x: a * math.sin(w * x + phase) + shift
-        spline = _samples_spline(self.smooth_params)
-        return lambda x: float(spline(x)) + shift
 
     # -- reporting ---------------------------------------------------------
 
@@ -459,23 +440,6 @@ def _window_conv(f: Callable, x, eps: float, bump: BumpProfile,
     return out.reshape(shape)
 
 
-def mollified_q(nu: NuPrimitive, eps: float, bump: BumpProfile, x) -> np.ndarray:
-    """q_eps at points x.
-
-    Dirac atoms convolve exactly to scaled bumps; the zero-extended smooth
-    density is convolved with the bump by quadrature over one window per
-    point.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x)
-    for loc, height in nu.jumps:
-        out += height * bump.density((x - loc) / eps) / eps
-    if nu.has_density:
-        out += _window_conv(nu.q_values, x, eps, bump,
-                            rule=_window_rule(nu, eps))
-    return out
-
-
 class MollifiedNu(Potential):
     """Smooth primitive nu_eps of the regularized potential q_eps.
 
@@ -483,7 +447,8 @@ class MollifiedNu(Potential):
     potential with the bump: atoms contribute exact antiderivative terms
     ``height * Psi((x - loc)/eps)``, the smooth density ``_smooth_conv``,
     read by quadrature at the points asked for, with the rule that
-    ``_window_rule`` fixes for the rung when it is made.
+    ``_window_rule`` fixes for the rung when it is made; ``q_values``
+    reads q_eps by the same rule.
     """
 
     def __init__(self, nu: NuPrimitive, spec: MollifierSpec):
@@ -524,10 +489,6 @@ class MollifiedNu(Potential):
         return not (self.base.jumps or self.base.has_density)
 
     @property
-    def mollified_atoms(self) -> tuple:
-        return tuple(loc for loc, _ in self.base.jumps)
-
-    @property
     def breakpoints(self) -> tuple:
         """Each atom's centre and bump edges, loc and loc +- eps; with a
         density and eps < 0.2, also 2 eps and 1 - 2 eps, an eps past the
@@ -550,7 +511,18 @@ class MollifiedNu(Potential):
         return [(a, b, nu_scalar) for a, b in self._panels()]
 
     def q_values(self, x) -> np.ndarray:
-        return mollified_q(self.base, self._eps, self._bump, x)
+        """q_eps at points x: Dirac atoms convolve exactly to scaled bumps,
+        the zero-extended smooth density by quadrature over one window per
+        point, with the rung's rule."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        eps, bump = self._eps, self._bump
+        out = np.zeros_like(x)
+        for loc, height in self.base.jumps:
+            out += height * bump.density((x - loc) / eps) / eps
+        if self.base.has_density:
+            out += _window_conv(self.base.q_values, x, eps, bump,
+                                rule=self._rule)
+        return out
 
     def descriptor(self) -> dict:
         return {
@@ -584,10 +556,6 @@ class PerturbedNu(Potential):
         return self.base.jumps
 
     @property
-    def mollified_atoms(self) -> tuple:
-        return self.base.mollified_atoms
-
-    @property
     def breakpoints(self) -> tuple:
         return self.base.breakpoints
 
@@ -600,13 +568,10 @@ class PerturbedNu(Potential):
         return self.base.piecewise_linear and self.w_nu.piecewise_linear
 
     def ode_panels(self):
-        w_fn = self.w_nu._panel_callable(0.0)
-        c = self.c
-
-        def wrap(f):
-            return lambda x: f(x) + c * w_fn(x)
-
-        return [(a, b, wrap(f)) for a, b, f in self.base.ode_panels()]
+        """The base's panels, each nu plus c times a one-point read of w_nu."""
+        w, c = self.w_nu.smooth_values, self.c
+        return [(a, b, lambda x, f=f: f(x) + c * float(w(x)))
+                for a, b, f in self.base.ode_panels()]
 
     def q_values(self, x) -> np.ndarray:
         return self.base.q_values(x) + self.c * self.w_nu.q_values(x)

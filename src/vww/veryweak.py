@@ -12,8 +12,9 @@ the (ladder, norms) pairs decide the verdicts, with one margin of 0.2:
 * uniqueness: an injected order-M perturbation of potential and data
   leaves a difference net decaying at least like eps^(M - 0.2), fitted
   on the rungs above round-off, or decaying to round-off;
-* consistency (bounded potentials): the mollified solutions approach
-  the unmollified one, strictly decreasing along the ladder.
+* consistency: the mollified solutions approach the unmollified one,
+  strictly decreasing along the ladder; on a nu with atoms that one
+  takes each atom as a jump condition.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateNet, NonFiniteResult,
-                     NotBoundedPotential, VwwError, per_member)
+from .errors import (ConfigError, DegenerateNet, NonFiniteResult, VwwError,
+                     per_member)
 from .grid import Grid, GridFunction
 from .potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 # unused here: bound only for perfbench's tracer and for
@@ -373,12 +374,10 @@ class ConsistencyReport(_Report):
 
 def run_consistency(e: VeryWeakExperiment,
                     tolerance: float = 1e-3) -> ConsistencyReport:
-    """Compare mollified solves against the unmollified bounded problem,
-    whose basis is member 0, named eps=0 in errors, of the rungs' one
-    ``build_bases`` call: its lambdas are ``build_basis``'s bit for bit."""
-    if e.nu.jumps:
-        raise NotBoundedPotential(
-            "consistency needs a bounded potential (no Dirac atoms)")
+    """Compare mollified solves against the unmollified problem, whose
+    basis is member 0, named eps=0 in errors, of the rungs' one
+    ``build_bases`` call: its lambdas are ``build_basis``'s bit for bit.
+    On a nu with atoms that basis takes each atom as a jump condition."""
     u0 = e.u0.realize(1.0)
     u1 = e.u1.realize(1.0)
     limit, *bases = _bases(e, [e.nu, *_mollified(e)], (0.0, *e.ladder))

@@ -13,7 +13,7 @@ from vww.grid import Grid, GridFunction
 from vww.potential import (_CONV_BLOCK, BumpProfile,
                            MollifiedNu, MollifierSpec, NuPrimitive,
                            PerturbedNu, _composite_rule, _window_conv,
-                           _window_rule, get_profile, mollified_q)
+                           _window_rule, get_profile)
 from vww.prufer import build_basis
 from vww.veryweak import check_negligibility, default_ladder, fit_moderateness
 
@@ -25,8 +25,8 @@ STEP = NuPrimitive(jumps=((0.5, 1.0),))
 
 def sampled_q(nu, profile: str, eps: float, grid: Grid) -> GridFunction:
     """q_eps on the grid's nodes."""
-    return GridFunction(grid, mollified_q(nu, eps, get_profile(profile),
-                                          grid.nodes))
+    return GridFunction(grid, MollifiedNu(nu, MollifierSpec(profile, eps))
+                        .q_values(grid.nodes))
 
 
 class TestEvaluateNu:
@@ -133,7 +133,8 @@ class TestMollify:
         lo = np.clip((xs - 1.0) / eps, -1.0, 1.0)
         hi = np.clip(xs / eps, -1.0, 1.0)
         exact = c * (bump.primitive(hi) - bump.primitive(lo))
-        got = mollified_q(NuPrimitive("linear", (c,)), eps, bump, xs)
+        got = MollifiedNu(NuPrimitive("linear", (c,)),
+                          MollifierSpec(profile, eps)).q_values(xs)
         assert np.max(np.abs(got - exact)) <= 5e-13 * abs(c)
 
     def test_mollified_nu_derivative_is_q(self):
@@ -203,7 +204,7 @@ class TestWindowConvOracle:
         want = [self.window_quad(self.NU.q_values, psi, x, eps, False)
                 for x in xs]
         scale = 0.7 * 4.0 * math.pi  # max |g| of a sin(2 pi m x + phase)
-        got = mollified_q(self.NU, eps, bump, xs)
+        got = MollifiedNu(self.NU, MollifierSpec(profile, eps)).q_values(xs)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("eps", [0.25, 1.0 / 32])
@@ -397,9 +398,16 @@ class TestPerturbed:
             PerturbedNu(inner, self.W, 0.1).q_linf()
 
     def test_q_linf_probes_mollified_atom_centre(self):
-        # the bump peak at 1/2 is a probe point besides the uniform grid
-        base = MollifiedNu(STEP, MollifierSpec("bump", 1.0 / 16))
-        assert PerturbedNu(base, self.W, 0.1).q_linf() == 12.628782907187729
+        # the bump's peak psi(0)/eps at 0.3 lies between two nodes of
+        # q_linf's uniform grid, which read 423.962 at most; the atom's
+        # centre is a breakpoint, which q_linf probes too
+        eps = 2.0**-9
+        base = MollifiedNu(NuPrimitive(jumps=((0.3, 1.0),)),
+                           MollifierSpec("bump", eps))
+        peak = float(get_profile("bump").density(0.0)) / eps
+        assert base.q_linf() == peak == pytest.approx(424.227246012982)
+        pert = PerturbedNu(base, self.W, 0.1)
+        assert pert.q_linf() == abs(float(pert.q_values(0.3)[0]))
 
     def test_protocol_passes_through_base(self):
         pert = PerturbedNu(STEP, self.W, 0.1)
@@ -447,8 +455,8 @@ class TestPerturbed:
 
 
 class TestOdePanels:
-    """Each ``ode_panels`` callable against ``nu_values`` inside its panel
-    (``nu_values`` takes the left limit at a jump, so edges are left out)."""
+    """Each ``ode_panels`` callable against ``nu_values`` inside its panel,
+    and at its edges against the one-sided limits of nu."""
 
     BASES = {
         "delta": STEP,
@@ -473,6 +481,21 @@ class TestOdePanels:
             else:
                 assert np.all(np.abs(scalar - vector) <= bound(vector)), (a, b)
 
+    def _assert_edges(self, pot, bound=None):
+        """The right limit of nu at a panel's start, where the RK45 pass
+        takes its first stage, and the left limit at its end, its last:
+        ``nu_values`` takes the left limit, plus the heights of the jumps
+        at a.  Bit for bit, or within bound where one is given."""
+        heights = dict(pot.jumps)
+        for a, b, nu in pot.ode_panels():
+            got = np.array([nu(a), nu(b)])
+            want = np.array([float(pot.nu_values(a)) + heights.get(a, 0.0),
+                             float(pot.nu_values(b))])
+            if bound is None:
+                assert got.tobytes() == want.tobytes(), (a, b, got, want)
+            else:
+                assert np.all(np.abs(got - want) <= bound), (a, b, got, want)
+
     @pytest.mark.parametrize("name", list(BASES))
     def test_primitive(self, name):
         base = self.BASES[name]
@@ -480,6 +503,14 @@ class TestOdePanels:
         bound = None if len(base.jumps) <= 1 else (lambda v: 1e-15)
         self._assert_agree(base, bound)
         self._assert_agree(PerturbedNu(base, self.W, 0.7), bound)
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_primitive_edges(self, name):
+        base = self.BASES[name]
+        # the scalar path sums several atoms in another order
+        bound = None if len(base.jumps) <= 1 else 1e-15
+        self._assert_edges(base, bound)
+        self._assert_edges(PerturbedNu(base, self.W, 0.7), bound)
 
     @pytest.mark.parametrize("eps", [0.25, 1.0 / 32])
     @pytest.mark.parametrize("profile", ["bump", "bump2", "bump_skew"])

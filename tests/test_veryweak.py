@@ -8,8 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vww.errors import (ConfigError, NonFiniteResult,
-                        NotBoundedPotential, StepFailure,
+from vww.errors import (ConfigError, NonFiniteResult, StepFailure,
                         UnresolvedBasis, per_member)
 from vww.grid import Grid, GridFunction
 from vww.potential import NuPrimitive
@@ -342,10 +341,24 @@ class TestConsistency:
                               tolerance=1e-8)
         assert max(rep.discrepancies) <= 1e-8
 
-    def test_atoms_rejected(self, grid1024):
-        with pytest.raises(NotBoundedPotential):
-            run_consistency(experiment(
-                NuPrimitive(jumps=((0.5, 1.0),)), grid1024))
+    @pytest.mark.parametrize("jumps, first, last", [
+        (((0.5, 1.0),), 1.36e-2, 1.76e-4),
+        (((0.3, 1.0), (0.7, -0.5)), 2.75e-2, 1.66e-4),
+    ], ids=["delta", "two_atoms"])
+    def test_atoms_converge_to_jump_conditions(self, grid1024, jumps, first,
+                                               last):
+        # the limit takes each atom as a jump condition, the rungs mollify
+        # it; a kink of phi_n^2 under a symmetric bump makes the
+        # discrepancy O(eps), so it about halves per rung at the fine end
+        x = grid1024.nodes
+        u0 = DataNet(GridFunction(grid1024, 4.0 * x * (1.0 - x)))
+        rep = run_consistency(experiment(NuPrimitive(jumps=jumps), grid1024,
+                                         u0=u0, ode_tol=1e-8))
+        disc = rep.discrepancies
+        assert rep.strictly_decreasing and rep.passed
+        assert disc[0] == pytest.approx(first, rel=0.01)
+        assert disc[-1] == pytest.approx(last, rel=0.01)
+        assert 1.6 <= disc[-2] / disc[-1] <= 2.4
 
     def test_time_grid_sensitivity_small(self, grid1024):
         rep = run_consistency(experiment(
