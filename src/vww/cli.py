@@ -36,8 +36,8 @@ from . import __version__
 from .errors import ConfigError, NonFiniteResult, VwwError
 from .grid import Grid, GridFunction
 from .potential import PROFILES, SMOOTH_KINDS, NuPrimitive
-from .prufer import (DEFAULT_TOL, MIN_TOL, basis_csv_rows, basis_to_cache,
-                     build_basis)
+from .prufer import (DEFAULT_TOL, MAX_TOL, MIN_TOL, basis_csv_rows,
+                     basis_to_cache, build_basis)
 from .spectral import analyze
 from .wave import (WaveProblem, analyze_forcing, check_time_grid,
                    forcing_time_grid, solve_forced, solve_homogeneous)
@@ -93,7 +93,7 @@ _COMMON = {
     # one-sided 4-node stencil
     "grid_n": {"type": "integer", "minimum": 4},
     "n_max": {"type": "integer", "minimum": 1},
-    "ode_tol": {"type": "number", "minimum": MIN_TOL},
+    "ode_tol": {"type": "number", "minimum": MIN_TOL, "maximum": MAX_TOL},
 }
 _PROBLEM = {
     "T": _POSITIVE,
@@ -154,8 +154,8 @@ def _schema_errors(schema: dict, value, path: tuple):
     Only the Draft 2020-12 keywords of ``_SCHEMAS`` are read, with their
     standard meaning: a keyword about objects, arrays or numbers passes a
     value of another type, and an ``if`` holds where its property is
-    absent.  Bounds fail as ``value < minimum`` and ``value <=
-    exclusiveMinimum``, so NaN passes them; the loader refuses it.
+    absent.  Bounds fail as ``value < minimum``, ``value > maximum`` and
+    ``value <= exclusiveMinimum``: NaN passes them, and the loader refuses it.
     """
     if "type" in schema and not _is_type(value, schema["type"]):
         yield path, f"{value!r} is not of type {schema['type']!r}"
@@ -165,9 +165,12 @@ def _schema_errors(schema: dict, value, path: tuple):
     if "const" in schema and value != schema["const"]:
         yield path, f"{schema['const']!r} was expected"
     if _is_type(value, "number"):
-        low, above = schema.get("minimum"), schema.get("exclusiveMinimum")
+        low, high, above = map(schema.get, ("minimum", "maximum",
+                                            "exclusiveMinimum"))
         if low is not None and value < low:
             yield path, f"{value!r} is less than {low!r}"
+        if high is not None and value > high:
+            yield path, f"{value!r} is greater than {high!r}"
         if above is not None and value <= above:
             yield path, f"{value!r} is not greater than {above!r}"
     if isinstance(value, list):

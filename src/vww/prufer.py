@@ -25,20 +25,16 @@ sqrt(lambda) sizes (plus the nodes' max |nu| if nu is curved), not the
 grid; for a curved nu a Richardson estimate of theta(1)'s error at the roots,
 from one pass at half the cells, accepts that mesh or refines it.  At the
 roots one more pass samples phi_tilde and phi_tilde' at the grid's nodes.
-Where nu is linear between its breakpoints it is an adaptive Runge-Kutta
-pass (_propagate), split at every jump of nu and carried in the
-corrected phase eta = theta - s x, which reads the nodes off each step's
-continuous extension.  As only q = nu' enters the operator, it
-integrates nu less a gauge line c(x) = m + p (x - mid), fitted to nu on
-each panel, whose slope p, a constant reference potential, it folds
-into the eigenvalue: the equations above hold for nu - c with s =
-sqrt(lambda - p) in place of sqrt(lambda), and the right-hand side is
-zero unless p meets its cap.  Any other nu takes one recorded Magnus
-pass (_recorded_pass): the blocked scan of the Newton passes over the
-nodes and Newton's mesh, refined by the estimate where tol asks, reading
-out (y, w) at the nodes, so that its cost does not follow the oscillation
-of nu or of the modes.  Each potential of build_bases gets its own Newton
-solve, pass and checks.  Sine-cosine tables take one tangent (_sin_cos).
+Where nu is linear between its breakpoints with slopes p below lambda_1,
+that is an adaptive Runge-Kutta pass (_propagate): as only q = nu' enters
+the operator, it steps nu less its line on each panel, zero, with s =
+sqrt(lambda - p) for sqrt(lambda), so each phi_tilde is a sine there.
+Any other nu takes one recorded Magnus pass (_recorded_pass): the
+blocked scan of the Newton passes over the nodes and Newton's mesh,
+refined by the estimate where tol asks, reading out (y, w) at the nodes,
+so that its cost does not follow the oscillation of nu or of the modes.
+Each potential of build_bases gets its own Newton solve, pass and
+checks.  Sine-cosine tables take one tangent (_sin_cos).
 Eigenfunctions are phi_tilde normalized in L^2 by the grid's Simpson
 rule, for all modes at once: an EigenBasis is read-only arrays with one
 row per mode n = 1..N, made once its rows pass the checks.  Lambdas that
@@ -67,9 +63,9 @@ from .ode import integrate_rk45
 from .potential import Potential
 
 DEFAULT_TOL = 1e-11
-# smallest tol of a build, a few ulps: the RK45 pass's steps shrink as
-# tol^(1/5), to millions of them at 1e-30 and below x's ulp at 1e-200
-MIN_TOL = 1e-15
+# a build's tol: RK45 steps shrink as tol^(1/5), to millions at 1e-30; at
+# 1e-2 lambda is up to 1.8 % off, yet the Gram check passes the basis
+MIN_TOL, MAX_TOL = 1e-15, 1e-6
 THETA_RESIDUAL_TOL = 1e-10
 # safeguarded Newton passes before a mode counts as unconverged
 NEWTON_PASSES = 40
@@ -93,9 +89,6 @@ GRAM_DEFECT_TOL = 1e-2
 # norms^2: 1/3 for a mode at two nodes per wavelength, whose Simpson norm
 # is aliased, at most 2e-14 for a sine one mode lower
 QUADRATURE_GAP_TOL = 1e-2
-# largest slope p of the RK45 pass's gauge line, as a fraction of its
-# potential's smallest lambda, so that s = sqrt(lambda - p) stays real
-_SLOPE_CAP = 0.5
 # largest Magnus exponent |omega| of a hyperbolic cell whose cosh is finite
 _MAX_OMEGA = math.acosh(sys.float_info.max)
 
@@ -154,14 +147,11 @@ def _sin_cos(x: np.ndarray, cos: np.ndarray) -> None:
     np.subtract(np.divide(2.0, cos, out=cos), 1.0, out=cos)
 
 
-def _gauge_line(f, mid: float, d: float, cap: float) -> tuple:
-    """(m, p), the line m + p (x - mid) of the RK45 pass's gauge:
-    m f's 3-point Gauss-Legendre mean about mid, d its outer nodes' offset,
-    and p the slope through them, at most cap.  Both are exact on a line,
-    so that a constant f makes p = 0 and m = f bit for bit."""
+def _gauge_line(f, mid: float, d: float) -> tuple:
+    """(m, p), the RK45 gauge's line m + p (x - mid), f bit for bit on a
+    constant: f's 3-point Gauss mean and slope about mid, nodes mid +- d."""
     lo, at, hi = f(mid - d), f(mid), f(mid + d)
-    return (at + (5.0 / 18.0) * (lo + hi - 2.0 * at),
-            min((hi - lo) / (d + d), cap))
+    return at + (5.0 / 18.0) * (lo + hi - 2.0 * at), (hi - lo) / (d + d)
 
 
 def _propagate(nu_like, lams: np.ndarray, tol: float,
@@ -169,25 +159,21 @@ def _propagate(nu_like, lams: np.ndarray, tol: float,
     """phi_tilde and phi_tilde' at sample_nodes for the lambdas lams, by
     RK45 over each panel of nu_like.ode_panels().
 
-    Only q = nu' enters the operator, so the pass integrates nu - c for a
-    gauge line c(x) = m + p (x - mid), and its slope p, a constant
-    reference potential on the panel (Ixaru 1984; Ledoux, Van Daele &
-    Vanden Berghe, ACM TOMS 31, 2005), moves to the eigenvalue: -y'' +
-    (nu - c)' y = (lambda - p) y, stepped with s = sqrt(lambda - p) for
-    sqrt(lambda), w = (y' - (nu - c) y) / s and theta = s x + eta.  At each
-    panel's start the line is fitted to nu over the panel (_gauge_line),
-    p at most _SLOPE_CAP times the smallest lambda so that s stays real,
-    and the state takes the exact map w <- (s_before / s) w + (c -
-    c_before)(x) y / s; where the line's value and slope at x stay bit for
-    bit nothing moves.  Where nu is linear between its breakpoints, below
-    the cap, the line is nu and the rhs is zero.  Returns, shape (2, M,
-    nodes), phi_tilde = r sin(theta) and phi_tilde' = s r cos(theta) + (nu
-    - c) phi_tilde at each node, in the c and s of the panel whose step
-    sampled it, nu from nu_nodes and theta's sine and cosine from one
-    tangent (_sin_cos): neither depends on the gauge."""
+    Only q = nu' enters the operator, so the pass integrates nu - c, zero
+    to rounding, for nu's line c(x) = m + p (x - mid) on the panel
+    (_gauge_line), and its slope p, a constant reference potential below
+    lams.min() (Ixaru 1984; Ledoux, Van Daele & Vanden Berghe, ACM TOMS 31,
+    2005), moves to the eigenvalue: -y'' + (nu - c)' y = (lambda - p) y,
+    stepped with s = sqrt(lambda - p) for sqrt(lambda), w = (y' - (nu - c)
+    y) / s and theta = s x + eta.  Where c's value or slope moves at a
+    panel's start, w <- (s_before / s) w + (c - c_before) y / s maps the
+    state exactly.  Returns, shape (2, M, nodes), phi_tilde = r sin(theta)
+    and phi_tilde' = s r cos(theta) + (nu - c) phi_tilde at each node, in
+    the c and s of the panel whose step sampled it, nu from nu_nodes and
+    theta's sine and cosine from one tangent (_sin_cos): neither depends
+    on the gauge."""
     s = np.sqrt(lams)
     half_inv_s = 0.5 / s
-    cap = _SLOPE_CAP * float(lams.min())
     y = np.zeros((2, lams.size))
     out = np.empty((2, lams.size, len(sample_nodes)))
     # phi_tilde(0) = 0, so that node's c is immaterial; s there is sqrt(lambda)
@@ -203,7 +189,7 @@ def _propagate(nu_like, lams: np.ndarray, tol: float,
             continue
         old_at = (m + p * (a - mid), p)  # the line's value and slope at a
         mid = 0.5 * (a + b)
-        m, p = _gauge_line(f, mid, math.sqrt(0.6) * (mid - a), cap)
+        m, p = _gauge_line(f, mid, math.sqrt(0.6) * (mid - a))
         new_at = (m + p * (a - mid), p)
         if new_at != old_at:
             s_old = s.copy()
@@ -318,6 +304,16 @@ def _cell_mesh(nu_like, edges: np.ndarray):
     shear = np.append(-jump[at[:-1]], ends[-1])
     return tuple(np.insert(c, at, shear if c is u else 0.0)[:, None]
                  for c in terms)
+
+
+def _panel_slopes(nu_like) -> np.ndarray:
+    """_cell_mesh's slope sigma of each panel between nu's breakpoints, from
+    nu's right limit at its start to its left limit at its end."""
+    edges = np.array([0.0, *nu_like.breakpoints, 1.0])
+    ends, jump = nu_like.nu_values(edges), np.zeros_like(edges)
+    for loc, height in nu_like.jumps:
+        jump[edges == loc] += height
+    return (ends[1:] - (ends[:-1] + jump[:-1])) / np.diff(edges)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -504,9 +500,8 @@ class _PhaseMap:
             if not math.isfinite(nu_max * nu_max):
                 raise NonFiniteResult("a Magnus mesh term is not finite for "
                                       f"max |nu| = {nu_max:.6g}")
-            if self.nu_like.piecewise_linear:  # d2 = -slope, one cell a panel
-                top += max(0.0, float(_cell_mesh(self.nu_like, np.array(
-                    [0.0, *self.nu_like.breakpoints, 1.0]))[6].max()))
+            if self.nu_like.piecewise_linear:
+                top -= min(0.0, float(_panel_slopes(self.nu_like).min()))
                 nu_max = 0.0
             # past _MAX_CELLS, the mesh that MeshTooLarge names
             c = min(math.sqrt(top) + nu_max, _MAX_CELLS + 1.0)
@@ -703,15 +698,16 @@ def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
 def build_bases(potentials, n_max: int, grid: Grid,
                 tol: float = DEFAULT_TOL) -> list[EigenBasis]:
     """build_basis for each potential: Newton on theta(1), then phi_tilde
-    and phi_tilde' at the nodes, from the RK45 pass at tol (_propagate)
-    where nu is linear between its breakpoints, which makes its rhs zero
-    below the slope cap, else from one recorded Magnus pass over Newton's
+    and phi_tilde' at the nodes, from the RK45 pass at tol (_propagate),
+    whose rhs is zero, where nu is linear between its breakpoints with
+    slopes below lambda_1, else from one recorded Magnus pass over Newton's
     mesh (_recorded_pass).  A VwwError carries the index of its potential
     as ``member``; one of the arguments carries none."""
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    if not tol >= MIN_TOL:
-        raise ConfigError(f"tol must be >= {MIN_TOL:g}, got {tol:g}")
+    if not MIN_TOL <= tol <= MAX_TOL:
+        raise ConfigError(f"tol must be in [{MIN_TOL:g}, {MAX_TOL:g}], got "
+                          f"{tol:g}")
     ns = np.arange(1.0, n_max + 1)
     # the residual target sets no tighter than the RK45 pass's tolerance
     ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
@@ -719,7 +715,8 @@ def build_bases(potentials, n_max: int, grid: Grid,
     def build(nu_like):
         root, res, est, nu_nodes, cells = _roots(nu_like, ns, grid, ftol)
         rows = (_propagate(nu_like, root, tol, grid.nodes, nu_nodes)
-                if nu_like.piecewise_linear else
+                if nu_like.piecewise_linear
+                and _panel_slopes(nu_like).max() < root[0] else
                 _recorded_pass(nu_like, root, cells, est, tol, grid.nodes))
         return _eigenbasis(nu_like, grid, tol, root, res, est, *rows)
 

@@ -8,12 +8,13 @@ large-n eigenvalue and eigenfunction asymptotics of a basis, the mass
 of a mollifier profile, a mollified potential's tables formed with one
 quadrature pass each, the constant sweep of an estimate over a battery
 of problems, random smooth data, the phase equations' right-hand side
-at one point, the RK45 phase path at one trial lambda, a basis's psi
-norms from the rows its build handed over, its normalized eigenfunctions
-from an RK45 pass over its lambdas, theta(1) from scipy's DOP853, the
-states of a recorded Magnus pass that also sums its phase, and the
-reader of an eigenfunction cache with the array fields it keeps.  Tests
-import it as ``from oracles import ...``, as they import ``conftest``.
+at one point, a basis's psi norms from the rows its build handed over,
+the phase path of trial lambdas from scipy's DOP853 on that right-hand
+side, with a basis's normalized eigenfunctions, one lambda's path and
+its theta(1) read from it, the states of a recorded Magnus pass that
+also sums its phase, and the reader of an eigenfunction cache with the
+array fields it keeps.  Tests import it as ``from oracles import ...``,
+as they import ``conftest``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from vww.estimates import verify
 from vww.grid import Grid, GridFunction
 from vww.potential import (BumpProfile, MollifiedNu, MollifierSpec,
                            NuPrimitive, PerturbedNu, _composite_rule)
-from vww.prufer import (_CHUNK_ELEMENTS, DEFAULT_TOL, EigenBasis,
-                        _propagate, _sin_cos)
+from vww.prufer import _CHUNK_ELEMENTS, EigenBasis, _sin_cos
 from vww.wave import WaveSolution
 
 # the array fields of an EigenBasis, all read-only and all kept by a cache
@@ -289,18 +289,19 @@ def pulse_through_delta(alpha: float, t: float, x, a: float = 0.5,
                     - pulse(back, c, w)[0])
 
 
-# -- the RK45 phase path -----------------------------------------------------
+# -- the phase path by DOP853 -----------------------------------------------
 
 
-def phase_rhs(nu: float, lam: float, x: float, eta: float) -> tuple:
+def phase_rhs(nu: float, lam, x: float, eta) -> tuple:
     """(eta', (log r)') at one point, term by term as the prufer module's
     docstring states them: theta = sqrt(lambda) x + eta and
-    eta' = theta' - sqrt(lambda)."""
-    s = math.sqrt(lam)
+    eta' = theta' - sqrt(lambda).  lam and eta may be arrays, one entry
+    per trial lambda."""
+    s = np.sqrt(lam)
     theta = s * x + eta
-    d_eta = nu * nu * math.sin(theta) ** 2 / s + nu * math.sin(2.0 * theta)
-    d_log_r = -(nu * nu * math.sin(2.0 * theta) / (2.0 * s)
-                + nu * math.cos(2.0 * theta))
+    d_eta = nu * nu * np.sin(theta) ** 2 / s + nu * np.sin(2.0 * theta)
+    d_log_r = -(nu * nu * np.sin(2.0 * theta) / (2.0 * s)
+                + nu * np.cos(2.0 * theta))
     return d_eta, d_log_r
 
 
@@ -313,13 +314,42 @@ def psi_norms_from_path(basis: EigenBasis,
     return np.array([grid.norm_l2(v) for v in psi])
 
 
+def dop853_path(nu_like, lams: np.ndarray, nodes: np.ndarray,
+                tol: float) -> np.ndarray:
+    """(theta, log r) at the nodes for each trial lambda, shape (2,
+    lambdas, nodes), from scipy's DOP853 (rtol = atol = tol) on phase_rhs
+    in (eta, log r), all lambdas at once, panel by panel over nu's
+    ode_panels from theta = log r = 0 at x = 0, as y(0) = 0 and y'(0) =
+    sqrt(lambda): neither the Magnus map nor the package's RK45 pass."""
+    m = lams.size
+    state = np.zeros(2 * m)
+    out = np.zeros((2, m, nodes.size))
+    for a, b, nu_fn in nu_like.ode_panels():
+        def rhs(x, v, nu_fn=nu_fn):
+            return np.concatenate(phase_rhs(nu_fn(x), lams, x, v[:m]))
+
+        inside = (nodes > a) & (nodes <= b)
+        sol = solve_ivp(rhs, (a, b), state, method="DOP853", rtol=tol,
+                        atol=tol, t_eval=np.union1d(nodes[inside], [b]))
+        out[:, :, inside] = sol.y[:, :np.count_nonzero(inside)].reshape(
+            2, m, -1)
+        state = sol.y[:, -1]
+    out[0] += np.sqrt(lams)[:, None] * nodes  # eta -> theta
+    return out
+
+
 def rk45_eigenfunctions(basis: EigenBasis, tol: float = 1e-13) -> tuple:
-    """(phi, phi', tilde norms) of the basis's lambdas from an RK45 pass at
+    """(phi, phi', tilde norms) of the basis's lambdas from dop853_path at
     tol, normalized and pinned at the walls as build_basis does: on the
-    same lambdas, a reference for the eigenfunctions of any pass."""
+    same lambdas, a reference for the eigenfunctions of any pass.  phi' is
+    sqrt(lambda) r cos(theta) + nu phi, nu at its left limit as the basis
+    reads it."""
     grid = basis.grid
-    phi, dphi = _propagate(basis.nu, basis.lambdas, tol, grid.nodes,
-                           basis.nu.nu_values(grid.nodes))
+    theta, log_r = dop853_path(basis.nu, basis.lambdas, grid.nodes, tol)
+    r = np.exp(log_r)
+    phi = r * np.sin(theta)
+    dphi = (np.sqrt(basis.lambdas)[:, None] * r * np.cos(theta)
+            + basis.nu.nu_values(grid.nodes) * phi)
     norms = np.array([grid.norm_l2(v) for v in phi])
     phi /= norms[:, None]
     dphi /= norms[:, None]
@@ -328,36 +358,17 @@ def rk45_eigenfunctions(basis: EigenBasis, tol: float = 1e-13) -> tuple:
 
 
 def rk45_path(nu_like, lam: float, grid: Grid,
-              tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, log r) at the grid's nodes for one trial lambda, from the
-    phi_tilde and phi_tilde' of the adaptive Runge-Kutta pass that samples
-    every eigenbasis: (phi_tilde, (phi_tilde' - nu phi_tilde) /
-    sqrt(lambda)) = r (sin(theta), cos(theta)), theta unwrapped along the
-    nodes."""
-    nu = nu_like.nu_values(grid.nodes)
-    phi, dphi = _propagate(nu_like, np.array([lam]), tol, grid.nodes,
-                           nu)[:, 0]
-    cos_part = (dphi - nu * phi) / math.sqrt(lam)
-    return (np.unwrap(np.arctan2(phi, cos_part)),
-            np.log(np.hypot(phi, cos_part)))
+              tol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, log r) at the grid's nodes for one trial lambda, from
+    dop853_path at tol."""
+    return tuple(dop853_path(nu_like, np.array([lam]), grid.nodes,
+                             tol)[:, 0])
 
 
 def dop853_theta(nu_like, lam: float) -> float:
-    """theta(1, lambda) from scipy's DOP853 (rtol = atol = 1e-12) on the
-    phase equation theta' = sqrt(lambda) + nu^2 sin^2(theta) / sqrt(lambda)
-    + nu sin(2 theta), panel by panel over nu's ode_panels: neither the
-    Magnus map nor the package's RK45 stepper."""
-    s = math.sqrt(lam)
-    theta = 0.0
-    for a, b, nu_fn in nu_like.ode_panels():
-        def rhs(x, th, nu_fn=nu_fn):
-            v = nu_fn(x)
-            return [s + v * v * math.sin(th[0]) ** 2 / s
-                    + v * math.sin(2.0 * th[0])]
-
-        theta = solve_ivp(rhs, (a, b), [theta], method="DOP853", rtol=1e-12,
-                          atol=1e-12).y[0, -1]
-    return float(theta)
+    """theta(1, lambda) from dop853_path at tol 1e-12."""
+    return float(dop853_path(nu_like, np.array([lam]), np.array([1.0]),
+                             1e-12)[0, 0, 0])
 
 
 # -- the recorded Magnus pass with its phase sums ---------------------------

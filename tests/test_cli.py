@@ -710,13 +710,16 @@ class TestNumericalFailure:
             "1024 periods (128 panels of 32 nodes)"]
         assert not out.exists()
 
+    # q = sigma plus an atom alpha < 0 near x = 1 binds mode 1 at lambda_1
+    # ~ sigma - alpha^2 / 4, so that y grows as exp(|alpha| x / 2) up to
+    # the atom, by construction (tests/test_prufer.py takes the same two)
     def test_overflowing_eigenfunctions_exit_3(self, tmp_path, capsys):
-        # at ode_tol 1e6, r overflows in the RK45 pass, whose rhs a slope
-        # above lambda_1 / 2 leaves nonzero; the basis is refused by its
-        # Gram defect, NaN, and no numpy warning is printed on the way
+        # |alpha| x0 / 2 ~ 800: r passes a float's range, and the basis is
+        # refused by its Gram defect, NaN, with no numpy warning on the way
         cfg = write_config(tmp_path, "c.json", {
-            "nu": {"smooth": {"kind": "linear", "params": [2500]}},
-            "grid_n": 256, "n_max": 5, "ode_tol": 1e6})
+            "nu": {"smooth": {"kind": "linear", "params": [8e5]},
+                   "jumps": [[0.995, -1600]]},
+            "grid_n": 64, "n_max": 1})
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             assert run_cli("eigs", "--config", cfg, "--out",
@@ -730,20 +733,20 @@ class TestNumericalFailure:
 
     def test_infinite_eigenfunction_norm_solve_exits_3(self, tmp_path,
                                                        capsys):
-        # mode 3's r^2 overflows the norm: a zero row of phi passes the
-        # Gram check, and solve once wrote its solution from it
+        # |alpha| x0 / 2 ~ 400: r^2 overflows the norm, and a zero row of
+        # phi passes the Gram check; solve once wrote its solution from it
         cfg = write_config(tmp_path, "c.json", dict(
-            SOLVE_BASE, nu={"smooth": {"kind": "linear", "params": [1000]}},
-            grid_n=256, n_max=3, ode_tol=1e6,
-            u0={"kind": "sine_combo", "params": [[1, 1]]}))
+            SOLVE_BASE, nu={"smooth": {"kind": "linear", "params": [2e5]},
+                            "jumps": [[0.99, -808]]},
+            grid_n=64, n_max=1, u0={"kind": "sine_combo", "params": [[1, 1]]}))
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             assert run_cli("solve", "--config", cfg, "--out", str(out)) == 3
         assert not [w for w in seen if w.category is RuntimeWarning]
         assert capsys.readouterr().err.splitlines() == [
-            "vww: numerical failure: UnresolvedBasis: mode n=3 is not "
-            "resolved at tol=1e+06: its eigenfunction norm inf is not finite "
+            "vww: numerical failure: UnresolvedBasis: mode n=1 is not "
+            "resolved at tol=1e-11: its eigenfunction norm inf is not finite "
             "and positive"]
         assert not out.exists()
 
@@ -1111,6 +1114,20 @@ class TestConfigLoader:
             "than 1e-15"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", [1e-2, 1e6])
+    def test_ode_tol_above_ceiling_exits_2(self, tmp_path, capsys, tol):
+        # at 1e-2 lambda was 1.8 % off on sine (1, 1) while the Gram check
+        # passed the basis; at 1e6 the RK45 pass overflowed r
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": {"smooth": {"kind": "sine", "params": [1, 1]}},
+            "grid_n": 256, "n_max": 8, "ode_tol": tol})
+        out = tmp_path / "o"
+        assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"vww: config error: config invalid at ode_tol: {tol!r} is "
+            "greater than 1e-06"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, payload", [
         ("solve", dict(SOLVE_BASE, u0={"kind": "parabola", "params": ["x"]})),
         ("solve", dict(SOLVE_BASE, u0={"kind": "parabola",
@@ -1148,8 +1165,8 @@ class TestConfigLoader:
 # the Draft 2020-12 keywords that vww.cli._schema_errors reads
 WALKER_KEYWORDS = {"type", "enum", "const", "properties", "required",
                    "additionalProperties", "items", "minItems", "maxItems",
-                   "minimum", "exclusiveMinimum", "anyOf", "allOf", "if",
-                   "then"}
+                   "minimum", "maximum", "exclusiveMinimum", "anyOf", "allOf",
+                   "if", "then"}
 
 
 def _subschemas(schema: dict):

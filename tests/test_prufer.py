@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,11 +21,11 @@ from vww.errors import (BracketFailure, ConfigError, GridMismatch,
                         StepFailure, UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
-from vww.prufer import (_SLOPE_CAP, GRAM_DEFECT_TOL, MIN_TOL, EigenBasis,
-                        _magnus_mesh, _magnus_phase, _make_rhs, _mesh_panels,
-                        _newton_roots, _PhaseMap, _roots, _shear, _sin_cos,
-                        _sine_sums, basis_csv_rows, basis_to_cache,
-                        build_bases, build_basis)
+from vww.prufer import (DEFAULT_TOL, GRAM_DEFECT_TOL, MAX_TOL, MIN_TOL,
+                        EigenBasis, _eigenbasis, _magnus_mesh, _magnus_phase,
+                        _make_rhs, _mesh_panels, _newton_roots, _PhaseMap,
+                        _roots, _shear, _sin_cos, _sine_sums, basis_csv_rows,
+                        basis_to_cache, build_bases, build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -143,7 +144,7 @@ def cell_loop_phase(mesh, lams):
 
 class TestIntegratePrufer:
     """The phase at one trial lambda: theta(1) from the Magnus map, and
-    the sampled RK45 path of the same system."""
+    the DOP853 path of the same system."""
 
     def test_free_phase_pi(self, grid512):
         theta, _ = _PhaseMap(FREE, 0.0)(np.array([math.pi**2]))
@@ -220,7 +221,7 @@ class TestPanelGauge:
 
     def test_shear_round_trip(self):
         # |k| = |c - c_before| / s <= 1, and k1 = s_before / s, 1 where the
-        # gauge's slope stays, else near 1 under the slope cap; the trip's
+        # gauge's slope stays, else near 1 for slopes below lambda; the trip's
         # error grows with k^2 ulps of theta (3e-14 at |k| = 5).  w <- k1 w
         # + k y is undone by k1' = 1 / k1, k' = -k / k1
         rng = np.random.default_rng(5)
@@ -287,17 +288,32 @@ class TestPanelGauge:
         build_basis(nu, 40, grid2048)
         assert sum(steps) <= now
 
-    def test_linear_nu_gives_closed_form(self, grid2048):
-        # q = 5: the gauge line is nu, the pass steps a zero rhs at s =
-        # sqrt(lambda_n - 5), and sin(s x) is exact at each computed
-        # lambda_n (6.7e-16 in phi).  Newton's residual puts s up to
-        # 4.9e-11 from n pi, so phi_n is up to 6.9e-11 from sqrt(2)
-        # sin(n pi x) and phi'_n / (n pi) 6.3e-11 from sqrt(2) cos(n pi x);
-        # with a constant gauge per stretch both were 2.5e-10 from either
-        basis = build_basis(NuPrimitive("linear", (5.0,)), 40, grid2048)
+    @pytest.mark.parametrize("c", [5.0, 1000.0, 1e4],
+                             ids=["5", "1000", "1e4"])
+    def test_linear_nu_gives_closed_form(self, c, grid2048, monkeypatch):
+        # q = c: the gauge line is nu, the pass steps a zero rhs at s =
+        # sqrt(lambda_n - c), and sin(s x) is exact at each computed
+        # lambda_n: phi 8.9e-16 / 3.8e-14 / 9.4e-13 at c = 5 / 1000 / 1e4,
+        # in 1 / 7 / 2 RK45 steps.  With the gauge's slope capped at
+        # lambda_1 / 2, c = 1000 took 9,871 steps and 0.8 s to phi 5.5e-10,
+        # c = 1e4 7.8 s to 6.9e-9.  Newton's residual puts s up to 4.9e-11
+        # from n pi, so phi_n is up to 6.9e-11 from sqrt(2) sin(n pi x) and
+        # phi'_n / (n pi) 6.3e-11 from sqrt(2) cos(n pi x); with a constant
+        # gauge per stretch both were 2.5e-10 from either
+        steps = []
+        original = vww.prufer.integrate_rk45
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            steps.append(result[2])
+            return result
+
+        monkeypatch.setattr(vww.prufer, "integrate_rk45", counted)
+        basis = build_basis(NuPrimitive("linear", (c,)), 40, grid2048)
+        assert sum(steps) <= 8
         x = grid2048.nodes
         n_pi = math.pi * np.arange(1.0, 41.0)[:, None]
-        s = np.sqrt(basis.lambdas - 5.0)[:, None]
+        s = np.sqrt(basis.lambdas - c)[:, None]
         norms = np.array([grid2048.norm_l2(v) for v in np.sin(s * x)])
         inner = slice(1, -1)  # phi is pinned to 0 at the walls
         phi = np.sin(s * x) / norms[:, None]
@@ -308,29 +324,6 @@ class TestPanelGauge:
                              - math.sqrt(2.0) * np.sin(n_pi * x))) <= 1e-10
         assert np.max(np.abs(basis.phi_prime_matrix / n_pi
                              - math.sqrt(2.0) * np.cos(n_pi * x))) <= 1e-10
-
-    def test_capped_slope_matches_tight_tolerance_build(self, grid2048,
-                                                        monkeypatch):
-        # q = 1000 is above lambda_1 / 2, so the panel's slope stops at the
-        # cap and nu - c keeps a slope of 495; phi 5.5e-10 and phi' /
-        # sqrt(lambda) 8.4e-10 from the tight build (5.1e-10 and 4.3e-10
-        # when the line was refitted every 16 steps)
-        nu = NuPrimitive("linear", (1000.0,))
-        slopes = []
-        original = vww.prufer._gauge_line
-
-        def recorded(*args):
-            line = original(*args)
-            slopes.append(line[1])
-            return line
-
-        monkeypatch.setattr(vww.prufer, "_gauge_line", recorded)
-        basis = build_basis(nu, 40, grid2048)
-        assert slopes and set(slopes) == {_SLOPE_CAP * basis.lambdas[0]}
-        tight = build_basis(nu, 40, grid2048, tol=1e-13)
-        assert np.max(np.abs(basis.phi_matrix - tight.phi_matrix)) <= 1e-9
-        diff = basis.phi_prime_matrix - tight.phi_prime_matrix
-        assert np.max(np.abs(diff) / np.sqrt(basis.lambdas)[:, None]) <= 1e-9
 
 
 class TestShootEigenvalue:
@@ -450,35 +443,57 @@ class TestBuildBasis:
             build_basis(FREE, 40, Grid(64))
 
     def test_unresolved_message_names_tolerance(self):
-        # resolved at the default tolerances (Gram defect 2.1e-8); a slope
-        # above lambda_1 / 2 leaves the RK45 pass a rhs, which tol 1e-2
-        # spoils
-        nu = NuPrimitive("linear", (50.0,), jumps=((0.5, 1.0),))
+        # the aliased basis above, built at the largest tol
         with pytest.raises(UnresolvedBasis,
-                           match=r"256 intervals at tol=0\.01: Gram"):
-            build_basis(nu, 12, Grid(256), tol=1e-2)
+                           match=r"64 intervals at tol=1e-06: Gram"):
+            build_basis(FREE, 40, Grid(64), tol=MAX_TOL)
 
+    # q = sigma plus an atom alpha < 0 at x0 near 1 binds mode 1 at lambda_1
+    # ~ sigma - kappa^2, kappa ~ |alpha| / 2, so that y grows as exp(kappa
+    # x) from 0 to x0 and decays in the last kappa (1 - x0) ~ 4, which keeps
+    # Newton's theta(1) well conditioned.  The slope is above lambda_1, so
+    # the recorded pass's hyperbolic cells give the rows
     def test_overflowing_eigenfunctions_raise(self):
-        # r overflows at ode_tol 1e6: NaN rows, a NaN Gram defect, refused
-        # without a numpy warning (the suite makes RuntimeWarning an error).
-        # Which mode overflows how follows the last bits of each lambda:
-        # linear 2000 once gave this, and now an inf norm of mode 5
+        # kappa x0 ~ 800: r passes a float's range by x0, so the rows hold
+        # inf and NaN and the Gram defect is NaN, refused without a numpy
+        # warning (the suite makes RuntimeWarning an error)
         with pytest.raises(UnresolvedBasis,
                            match=r"Gram defect nan is not <= 0\.01"):
-            build_basis(NuPrimitive("linear", (2500.0,)), 5, Grid(256),
-                        tol=1e6)
+            build_basis(NuPrimitive("linear", (8e5,), ((0.995, -1600.0),)),
+                        1, Grid(64))
 
     def test_infinite_eigenfunction_norm_raises(self):
-        # at ode_tol 1e6, r of mode 3 is finite, but its square overflows
-        # the norm, so the norm is inf and the row of phi zero, which the
-        # Gram check passes; refused without a numpy warning.  linear 950
-        # gave this until the lambdas' last bits moved (now a Gram defect)
+        # kappa x0 ~ 400: r reaches 1.1e172, finite, but its square
+        # overflows the norm, so the norm is inf and the row of phi zero,
+        # which the Gram check passes; refused without a numpy warning
         with pytest.raises(UnresolvedBasis,
-                           match=r"^mode n=3 is not resolved at tol=1e\+06: "
+                           match=r"^mode n=1 is not resolved at tol=1e-11: "
                                  r"its eigenfunction norm inf is not finite "
                                  r"and positive$"):
-            build_basis(NuPrimitive("linear", (1000.0,)), 3, Grid(256),
-                        tol=1e6)
+            build_basis(NuPrimitive("linear", (2e5,), ((0.99, -808.0),)), 1,
+                        Grid(64))
+
+    @pytest.mark.parametrize("scale, message", [
+        (math.inf, r"^n_max=2 modes .* Gram defect nan is not <= 0\.01$"),
+        (1e200, r"^mode n=2 is not resolved at tol=1e-11: its eigenfunction "
+                r"norm inf is not finite and positive$")],
+        ids=["nan_row", "overflowing_norm"])
+    def test_eigenbasis_refuses_non_finite_rows(self, scale, message):
+        # rows of the pass as an r past a float's range leaves them (inf
+        # times sin, NaN where sin is 0), or an r whose square overflows
+        # the norm (a zero row of phi, which passes the Gram check); each
+        # is refused without a numpy warning
+        grid = Grid(64)
+        lams = (np.pi * np.array([1.0, 2.0])) ** 2
+        phi = np.sin(np.sqrt(lams)[:, None] * grid.nodes)
+        dphi = np.sqrt(lams)[:, None] * np.cos(np.sqrt(lams)[:, None]
+                                               * grid.nodes)
+        with np.errstate(invalid="ignore"):  # inf times sin 0
+            phi[1] *= scale
+            dphi[1] *= scale
+        with pytest.raises(UnresolvedBasis, match=message):
+            _eigenbasis(FREE, grid, DEFAULT_TOL, lams, np.zeros(2), 0.0, phi,
+                        dphi)
 
     @pytest.mark.parametrize("name, bound", [("step", 1e-11),
                                              ("sine", 1e-9),
@@ -486,11 +501,13 @@ class TestBuildBasis:
                              ids=["step", "sine", "sine_atom"])
     def test_eigenfunctions_match_tight_tolerance_build(
             self, name, bound, catalog_bases_40, grid2048):
-        # against RK45 at tol 1e-13 on the basis's lambdas.  phi 0 (step:
-        # each panel's nu is its gauge, so the RK45 pass is exact), 4.7e-11
-        # (sine, the recorded Magnus pass; the RK45 pass at the default tol
-        # gave 3.7e-10) and 4.7e-11 (sine_atom); phi' / sqrt(lambda) 0,
-        # 4.6e-11 and 4.6e-11; tilde norms 0, 3.1e-11 and 3.1e-11 relative
+        # against DOP853 at tol 1e-13 on the basis's lambdas.  phi 3.4e-13
+        # (step: each panel's nu is its gauge, so the RK45 pass is exact and
+        # this is the reference's own error, 1.1e-13 at tol 3e-14), 1.3e-12
+        # (sine, the recorded Magnus pass; 4.7e-11 against the package's
+        # RK45 pass at 1e-13) and 1.3e-12 (sine_atom); phi' / sqrt(lambda)
+        # 2.4e-13, 1.2e-12 and 1.2e-12; tilde norms 1.1e-14, 3.0e-14 and
+        # 3.3e-14 relative
         basis = (build_basis(SINE_ATOM, 40, grid2048) if name == "sine_atom"
                  else catalog_bases_40[name])
         phi, dphi, norms = rk45_eigenfunctions(basis)
@@ -502,8 +519,8 @@ class TestBuildBasis:
     def test_recorded_pass_takes_newtons_mesh(self):
         # the bump's panels, 2 eps = 2^-7 wide, hold no node of grid 64 and
         # one Magnus cell each on the grid's own mesh, where phi erred by
-        # 4.4e-6; on Newton's mesh by 1.8e-12 (phi' / sqrt(lambda) 1.9e-12,
-        # tilde norms 3.4e-14 relative)
+        # 4.4e-6; on Newton's mesh by 1.8e-12 against DOP853 at 1e-13 (phi'
+        # / sqrt(lambda) 1.8e-12, tilde norms 1.2e-13 relative)
         nu = MollifiedNu(STEP, MollifierSpec("bump", 2.0**-8))
         basis = build_basis(nu, 8, Grid(64))
         phi, dphi, norms = rk45_eigenfunctions(basis)
@@ -511,6 +528,26 @@ class TestBuildBasis:
         diff = basis.phi_prime_matrix - dphi
         assert np.max(np.abs(diff) / np.sqrt(basis.lambdas)[:, None]) <= 1e-9
         assert np.max(np.abs(basis.tilde_norms / norms - 1.0)) <= 1e-9
+
+    def test_slope_above_lambda_1_takes_recorded_pass(self, grid2048,
+                                                      monkeypatch):
+        # linear 20 plus an atom of -6 at 1/2: lambda_1 = 13.37 lies below
+        # the slope, where s = sqrt(lambda_1 - 20) is not real, so the
+        # recorded pass's hyperbolic cells give the rows and no RK45 step
+        # runs.  Against DOP853 at 1e-13: phi 1.4e-12, phi' / sqrt(lambda)
+        # 2.4e-12, tilde norms 3.2e-13 relative (2.9e-10, 2.9e-10 and
+        # 1.2e-11 when the RK45 pass took it with its slope capped)
+        steps = []
+        monkeypatch.setattr(vww.prufer, "integrate_rk45",
+                            lambda *args, **kwargs: steps.append(args))
+        basis = build_basis(NuPrimitive("linear", (20.0,), ((0.5, -6.0),)),
+                            40, grid2048)
+        assert not steps and basis.lambdas[0] == pytest.approx(13.366, 1e-4)
+        phi, dphi, norms = rk45_eigenfunctions(basis)
+        assert np.max(np.abs(basis.phi_matrix - phi)) <= 1e-11
+        diff = basis.phi_prime_matrix - dphi
+        assert np.max(np.abs(diff) / np.sqrt(basis.lambdas)[:, None]) <= 1e-11
+        assert np.max(np.abs(basis.tilde_norms / norms - 1.0)) <= 1e-11
 
     def test_coarse_but_resolved_basis_builds(self):
         basis = build_basis(STEP, 12, Grid(32))
@@ -623,10 +660,27 @@ class TestBuildBases:
     def test_tol_below_floor_is_a_config_error(self, tol):
         # at 1e-200 a stretch of the RK45 pass had zero width and its
         # gauge line divided by it; at 1e-30 the pass ran past 20 s
-        with pytest.raises(ConfigError, match=f"tol must be >= 1e-15, got "
-                                              f"{tol:g}"):
+        with pytest.raises(ConfigError, match=fr"tol must be in \[1e-15, "
+                                              fr"1e-06\], got {tol:g}"):
             build_basis(NuPrimitive("sine", (1.0, 1.0)), 8, Grid(256),
                         tol=tol)
+
+    @pytest.mark.parametrize("tol", [1.1e-6, 1e-2, 1e6, math.inf])
+    def test_tol_above_ceiling_is_a_config_error(self, tol):
+        # at 1e-2 lambda was 0.8 % (delta) and 1.8 % (sine (1, 1)) off the
+        # default build's at N 40, grid 2048, yet the Gram check (6.7e-3)
+        # passed the basis; at 1e6 the RK45 pass overflowed r
+        with pytest.raises(ConfigError, match=re.escape(
+                f"tol must be in [1e-15, 1e-06], got {tol:g}")):
+            build_basis(STEP, 8, Grid(256), tol=tol)
+
+    def test_tol_at_ceiling_builds(self, grid2048):
+        # lambda within 1.43e-7 (delta) and 1.27e-7 (sine (1, 1)) relative
+        # of the default build's at N 40, grid 2048
+        for nu in (STEP, NuPrimitive("sine", (1.0, 1.0))):
+            loose, tight = (build_basis(nu, 40, grid2048, tol=t).lambdas
+                            for t in (MAX_TOL, DEFAULT_TOL))
+            assert np.max(np.abs(loose / tight - 1.0)) <= 2e-7
 
     def test_tol_at_floor_builds(self):
         basis = build_basis(NuPrimitive("sine", (1.0, 1.0)), 8, Grid(256),
@@ -652,6 +706,8 @@ class TestRootPasses:
         nu = catalog_potentials()[name]
         for k in (0, 19, 39):
             lam = float(catalog_bases_40[name].lambdas[k])
+            # DOP853 at 1e-13: up to 3.6e-14 (step), 3.6e-12 (mixed) and
+            # 6.3e-12 (sine)
             theta, _ = rk45_path(nu, lam, Grid(2048))
             assert abs(theta[-1] - math.pi * (k + 1)) <= 1e-10
 
@@ -698,7 +754,8 @@ class TestRootPasses:
     @pytest.mark.parametrize("n", [1, 12, 24])
     def test_fast_panels_refined(self, n):
         # the bump's panels span 4 grid intervals; unrefined Magnus cells
-        # leave theta(1) off by 5.8e-9 to 1.3e-8 at these roots
+        # leave theta(1) off by 5.8e-9 to 1.3e-8 at these roots, refined
+        # ones by 1.6e-12, 3.3e-11 and 8.7e-13 (DOP853 at 1e-12)
         nu = MollifiedNu(STEP, MollifierSpec("bump", 2.0**-9))
         lam = float(build_basis(nu, n, Grid(2048)).lambdas[n - 1])
         theta, _ = rk45_path(nu, lam, Grid(2048), tol=1e-12)

@@ -208,8 +208,8 @@ class TestFailingRung:
         e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
                        ladder=default_ladder(2, 5), n_max=4, ode_tol=1e-16)
         with pytest.raises(ConfigError, match=(
-                rf"^rungs eps={re.escape(rungs)}: tol must be >= 1e-15, "
-                rf"got 1e-16$")):
+                rf"^rungs eps={re.escape(rungs)}: tol must be in "
+                rf"\[1e-15, 1e-06\], got 1e-16$")):
             run(e)
 
 
