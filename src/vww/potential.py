@@ -20,11 +20,13 @@ pass, which runs only where nu is linear between its breakpoints; their
 interior edges ``breakpoints``, which hold each mollified atom's centre;
 ``jumps``, the (location, height) Dirac atoms still present in q, empty
 when q is bounded and ``q_linf`` exists; ``has_density``, False when q
-is atoms alone, i.e. nu is constant on each panel; ``piecewise_linear``,
-True when nu is linear on each panel; and ``descriptor``.  The base class
-states ``check_q_linf``, ``q_linf`` and the norms of nu, ``norm_l2`` and
-``norm_linf``, once for all three: per-panel rules read through
-``nu_values``, ``breakpoints`` and ``jumps``.
+is atoms alone, i.e. nu is constant on each panel; ``linear_panels``, one
+flag per panel of [0, *breakpoints, 1], True where nu is linear on it, so
+that q is a constant there and each eigenfunction a sine; and
+``descriptor``.  The base class states ``piecewise_linear``, all of
+``linear_panels``, ``check_q_linf``, ``q_linf`` and the norms of nu,
+``norm_l2`` and ``norm_linf``, once for all three: per-panel rules read
+through ``nu_values``, ``breakpoints`` and ``jumps``.
 
 The ``samples`` smooth kind is the only user of scipy in vww: its quintic
 spline (``scipy.interpolate.InterpolatedUnivariateSpline``) is imported
@@ -197,7 +199,11 @@ class Potential:
     jumps: tuple
     breakpoints: tuple
     has_density: bool = True
-    piecewise_linear: bool = False
+    linear_panels: tuple
+
+    @property
+    def piecewise_linear(self) -> bool:
+        return all(self.linear_panels)
 
     def check_q_linf(self) -> None:
         """Raise ``MissingNorm`` where q has Dirac atoms: no ||q||_inf."""
@@ -303,8 +309,9 @@ class NuPrimitive(Potential):
         return self.smooth_kind not in ("zero", "const")
 
     @property
-    def piecewise_linear(self) -> bool:
-        return self.smooth_kind in ("zero", "const", "linear")
+    def linear_panels(self) -> tuple:
+        return ((self.smooth_kind in ("zero", "const", "linear"),)
+                * (len(self.jumps) + 1))
 
     def q_values(self, x) -> np.ndarray:
         """Smooth density g = (smooth part)' of q; the atoms are ``jumps``."""
@@ -484,9 +491,17 @@ class MollifiedNu(Potential):
         return ()
 
     @property
-    def piecewise_linear(self) -> bool:
-        # nu_eps is 0 where the base has neither atoms nor density
-        return not (self.base.jumps or self.base.has_density)
+    def linear_panels(self) -> tuple:
+        """Off every atom's window (loc - eps, loc + eps) nu_eps is constant
+        where the base has no density; where it has one, it must be constant
+        too and the panel in [eps, 1 - eps], past the walls' layers: a
+        tilted bump shifts the line only by a constant."""
+        eps, base = self._eps, self.base
+        return tuple(
+            all(b <= loc - eps or a >= loc + eps for loc, _ in base.jumps)
+            and (not base.has_density
+                 or (base.piecewise_linear and eps <= a and b <= 1.0 - eps))
+            for a, b in self._panels())
 
     @property
     def breakpoints(self) -> tuple:
@@ -564,8 +579,10 @@ class PerturbedNu(Potential):
         return self.base.has_density or self.w_nu.has_density
 
     @property
-    def piecewise_linear(self) -> bool:
-        return self.base.piecewise_linear and self.w_nu.piecewise_linear
+    def linear_panels(self) -> tuple:
+        """The base's, where w is linear."""
+        return tuple(linear and self.w_nu.piecewise_linear
+                     for linear in self.base.linear_panels)
 
     def ode_panels(self):
         """The base's panels, each nu plus c times a one-point read of w_nu."""

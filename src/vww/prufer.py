@@ -21,9 +21,10 @@ with a zero-width shear cell at each atom and at x = 1 (_cell_mesh), so
 that a nu linear between its breakpoints is exact and no rounding floor
 follows |nu|.  Newton steps take d theta(1)/d lambda from the Pruefer
 identity and stay inside a sign bracket, all on one mesh per solve, which
-sqrt(lambda) sizes (plus the nodes' max |nu| if nu is curved), not the
-grid; for a curved nu a Richardson estimate of theta(1)'s error at the roots,
-from one pass at half the cells, accepts that mesh or refines it.  At the
+sqrt(lambda) sizes (plus the nodes' max |nu| if nu is curved, and half
+that rate on the panels where such a nu is linear), not the grid; for a
+curved nu a Richardson estimate of theta(1)'s error at the roots, from
+one pass at half the cells, accepts that mesh or refines it.  At the
 roots one more pass samples phi_tilde and phi_tilde' at the grid's nodes.
 Where nu is linear between its breakpoints with slopes p below lambda_1,
 that is an adaptive Runge-Kutta pass (_propagate): as only q = nu' enters
@@ -32,7 +33,9 @@ sqrt(lambda - p) for sqrt(lambda), so each phi_tilde is a sine there.
 Any other nu takes one recorded Magnus pass (_recorded_pass): the
 blocked scan of the Newton passes over the nodes and Newton's mesh,
 refined by the estimate where tol asks, reading out (y, w) at the nodes,
-so that its cost does not follow the oscillation of nu or of the modes.
+so that its cost does not follow the oscillation of nu or of the modes;
+a panel where nu is linear with slope below lambda_1 is one cell of it,
+and its nodes take the closed form of a constant q from its start state.
 Each potential of build_bases gets its own Newton solve, pass and
 checks.  Sine-cosine tables take one tangent (_sin_cos).
 Eigenfunctions are phi_tilde normalized in L^2 by the grid's Simpson
@@ -79,8 +82,9 @@ _CHUNK_ELEMENTS = 10240
 # any resolvable mode, a steep nu, or an error estimate that no smaller
 # mesh meets
 _MAX_CELLS = 2**22
-# fewest Magnus cells per smooth panel of nu: resolves the narrow panels
-# of a MollifiedNu at small eps, across which nu changes by a whole atom
+# fewest Magnus cells per smooth panel of nu, bar a linear one of a curved
+# nu (_mesh_panels): resolves the narrow panels of a MollifiedNu at small
+# eps, across which nu changes by a whole atom
 _MIN_PANEL_CELLS = 32
 # largest off-diagonal Gram entry accepted from build_basis; resolved bases
 # sit orders of magnitude below it, aliased ones near 0.3
@@ -230,12 +234,17 @@ def _propagate(nu_like, lams: np.ndarray, tol: float,
 
 def _mesh_panels(nu_like, cells_per_unit: float) -> list:
     """(a, b, cells) for each smooth panel of nu: equal cells, at least
-    _MIN_PANEL_CELLS and none wider than 1 / cells_per_unit.  A mesh of over
-    _MAX_CELLS cells raises MeshTooLarge before any is made."""
-    edges = [0.0, *nu_like.breakpoints, 1.0]
-    panels = [(a, b, max(_MIN_PANEL_CELLS, math.ceil((b - a) * cells_per_unit
-                                                     - 1e-9)))
-              for a, b in zip(edges, edges[1:]) if b - a > 1e-15]
+    _MIN_PANEL_CELLS and none wider than 1 / cells_per_unit.  Where nu is
+    curved on some panels only, its linear ones take half the cells per
+    unit, at least one: their gauged cells are exact (_cell_mesh), and only
+    a turn of pi refines them (_PhaseMap).  A mesh of over _MAX_CELLS cells
+    raises MeshTooLarge before any is made."""
+    edges, half = [0.0, *nu_like.breakpoints, 1.0], not nu_like.piecewise_linear
+    panels = [(a, b, max(1, math.ceil((b - a) * cells_per_unit * 0.5 - 1e-9))
+               if half and linear else max(_MIN_PANEL_CELLS, math.ceil(
+                   (b - a) * cells_per_unit - 1e-9)))
+              for a, b, linear in zip(edges, edges[1:], nu_like.linear_panels)
+              if b - a > 1e-15]
     total = sum(n for _, _, n in panels)
     if total > _MAX_CELLS:
         raise MeshTooLarge(f"a Magnus mesh of {total:.3g} cells exceeds the "
@@ -478,9 +487,9 @@ class _PhaseMap:
     gauged cells (_cell_mesh) are exact and turn by h sqrt(lambda - sigma),
     sigma their slope, gets sqrt(max lambda - min(0, min sigma)) cells per
     unit; any other nu the power of two at or above twice sqrt(max lambda)
-    + nu_max, at least 64, which error_estimate then checks; nu_max, max
-    |nu| over both limits of nu at the grid's nodes (_roots), must have a
-    finite square.  A later lambda that would turn a cell by pi or more
+    + nu_max, at least 64 (half on its linear panels, _mesh_panels), which
+    error_estimate then checks; nu_max, max |nu| over both limits of nu at
+    the grid's nodes (_roots), must have a finite square.  A later lambda that would turn a cell by pi or more
     (omega^2 = p m (lambda + d2) >= pi^2), which the per-cell atan2 cannot
     count, refines the mesh and raises _Refined.
     """
@@ -517,7 +526,7 @@ class _PhaseMap:
         """max |theta - theta_{c/2}| / 15 over lams, with theta = theta(1)
         on this mesh and theta_{c/2} on its panels at half the cells: the
         Richardson estimate of this mesh's error for a fourth-order step."""
-        panels = [(a, b, n // 2)
+        panels = [(a, b, max(1, n // 2))
                   for a, b, n in _mesh_panels(self.nu_like, self.cells)]
         coarse, _ = _magnus_phase(_panel_mesh(self.nu_like, panels), lams)
         return float(np.max(np.abs(theta - coarse))) / 15.0
@@ -629,7 +638,14 @@ def _recorded_pass(nu_like, lams: np.ndarray, cells: int, est: float,
     is 0: phi_tilde = y and phi_tilde' = sqrt(lambda) w.  Where theta(1)'s
     error estimate est on Newton's mesh is above tol, that mesh takes the
     fourth-order step's factor 2^ceil(log2((est / tol)^(1/4))) of cells,
-    unless it would pass _MAX_CELLS."""
+    unless it would pass _MAX_CELLS.
+
+    A linear panel [a, b] of slope sigma below lambda_1 is one exact cell,
+    and its inner nodes are filled from the state (y0, w0) after any shear
+    at a, as q is the constant sigma there: y = y0 cos kt + (s w0 / k) sin
+    kt and phi_tilde' = y', with k = sqrt(lambda - sigma), s = sqrt(lambda)
+    and t = x - a.  Where no panel is such, the scan's own array is
+    returned."""
     panels = _mesh_panels(nu_like, cells)
     if est > tol:
         try:
@@ -637,15 +653,40 @@ def _recorded_pass(nu_like, lams: np.ndarray, cells: int, est: float,
                 math.log2((est / tol) ** 0.25)))
         except MeshTooLarge:
             pass
+    bounds = np.array([0.0, *nu_like.breakpoints, 1.0])
+    slopes = _panel_slopes(nu_like)
+    flat = np.array(nu_like.linear_panels) & (slopes < lams[0])
+
+    def panel_of(x):  # each point's panel, and whether it is inside a flat one
+        j = np.minimum(np.searchsorted(bounds, x, "right"), flat.size) - 1
+        return j, flat[j] & (x > bounds[j]) & (x < bounds[j + 1])
+
     edges = np.union1d(nodes, np.concatenate(
         [np.linspace(a, b, 1 + n) for a, b, n in panels]))
+    edges = edges[~panel_of(edges)[1]]
     mesh = _cell_mesh(nu_like, edges)
-    # each edge's state before the shear cell that may follow it
+    # each node's state before the shear cell that may follow it, and each
+    # flat panel's start state after it
     record = np.zeros(mesh[0].shape[0] + 1, dtype=bool)
-    record[np.append(0, np.flatnonzero(mesh[0]) + 1)] = np.isin(edges, nodes)
-    out = _magnus_phase(mesh, lams, record)
-    with np.errstate(over="ignore"):
-        out[1] *= np.sqrt(lams)[:, None]
+    at_node = np.append(0, np.flatnonzero(mesh[0]) + 1)[np.isin(edges, nodes)]
+    starts = np.flatnonzero(mesh[0])[np.isin(edges[:-1], bounds[:-1][flat])]
+    record[at_node] = record[starts] = True
+    kept = _magnus_phase(mesh, lams, record)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept[1] *= np.sqrt(lams)[:, None]
+        if not flat.any():
+            return kept
+        col = np.cumsum(record) - 1
+        j, inner = panel_of(nodes)
+        out = np.empty((2, lams.size, nodes.size))
+        out[:, :, ~inner] = kept[:, :, col[at_node]]
+        j = j[inner]
+        y0, dy0 = kept[:, :, col[starts]][:, :, np.cumsum(flat)[j] - 1]
+        k = np.sqrt(lams[:, None] - slopes[j])
+        sin, cos = k * (nodes[inner] - bounds[j]), np.empty_like(dy0)
+        _sin_cos(sin, cos)
+        out[0][:, inner] = y0 * cos + dy0 / k * sin
+        out[1][:, inner] = dy0 * cos - k * y0 * sin
     return out
 
 
@@ -701,7 +742,8 @@ def build_bases(potentials, n_max: int, grid: Grid,
     and phi_tilde' at the nodes, from the RK45 pass at tol (_propagate),
     whose rhs is zero, where nu is linear between its breakpoints with
     slopes below lambda_1, else from one recorded Magnus pass over Newton's
-    mesh (_recorded_pass).  A VwwError carries the index of its potential
+    mesh (_recorded_pass), in closed form on the panels where nu is linear
+    with such a slope.  A VwwError carries the index of its potential
     as ``member``; one of the arguments carries none."""
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")

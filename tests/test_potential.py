@@ -21,6 +21,11 @@ from conftest import modules_in_fresh_python
 from oracles import bump_mass
 
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
+LINEAR5 = NuPrimitive("linear", (5.0,))
+
+
+def rung(base, eps: float, profile: str = "bump") -> MollifiedNu:
+    return MollifiedNu(base, MollifierSpec(profile, eps))
 
 
 def sampled_q(nu, profile: str, eps: float, grid: Grid) -> GridFunction:
@@ -414,31 +419,58 @@ class TestPerturbed:
         assert pert.jumps == STEP.jumps
         assert pert.breakpoints == STEP.breakpoints
 
-    @pytest.mark.parametrize("nu, linear", [
-        (NuPrimitive(), True),
-        (NuPrimitive("const", (2.0,), jumps=((0.3, 1.0),)), True),
-        (NuPrimitive("linear", (5.0,), jumps=((0.5, -1.0),)), True),
-        (NuPrimitive("sine", (1.0, 1.0)), False),
-        (NuPrimitive("samples", tuple(np.linspace(0.0, 1.0, 9))), False),
-        (MollifiedNu(STEP, MollifierSpec("bump", 0.25)), False),
-        (MollifiedNu(NuPrimitive("linear", (5.0,)),
-                     MollifierSpec("bump", 0.25)), False),
+    @pytest.mark.parametrize("nu, flags", [
+        (NuPrimitive(), (True,)),
+        (NuPrimitive("const", (2.0,), jumps=((0.3, 1.0),)), (True, True)),
+        (NuPrimitive("linear", (5.0,), jumps=((0.5, -1.0),)), (True, True)),
+        (NuPrimitive("sine", (1.0, 1.0)), (False,)),
+        (NuPrimitive("samples", tuple(np.linspace(0.0, 1.0, 9))), (False,)),
+        # breakpoints eps from the atom, and 2 eps from a wall where the
+        # base has a density and eps < 0.2: only the panels off the atom's
+        # window, and for a density only those in [eps, 1 - eps], are linear
+        (rung(STEP, 0.25), (True, False, False, True)),
+        (rung(STEP, 2.0**-3), (True, False, False, True)),
+        (rung(STEP, 2.0**-5), (True, False, False, True)),
+        (rung(LINEAR5, 0.25), (False,)),
+        (rung(LINEAR5, 2.0**-3), (False, True, False)),
+        (rung(LINEAR5, 2.0**-5), (False, True, False)),
+        # a tilted bump shifts the line only by a constant
+        (rung(LINEAR5, 2.0**-3, "bump_skew"), (False, True, False)),
+        (rung(NuPrimitive("linear", (5.0,), ((0.5, 1.0),)), 2.0**-3),
+         (False, True, False, False, True, False)),
         # nu_eps is 0: neither atoms nor density to mollify
-        (MollifiedNu(NuPrimitive("const", (3.0,)),
-                     MollifierSpec("bump", 0.25)), True),
-        (PerturbedNu(STEP, NuPrimitive("linear", (2.0,)), 0.5), True),
-        (PerturbedNu(STEP, W, 0.5), False),
-        (PerturbedNu(MollifiedNu(STEP, MollifierSpec("bump", 0.25)),
-                     NuPrimitive("const", (1.0,)), 0.5), False),
+        (rung(NuPrimitive("const", (3.0,)), 0.25), (True,)),
+        (PerturbedNu(STEP, NuPrimitive("linear", (2.0,)), 0.5), (True, True)),
+        (PerturbedNu(STEP, W, 0.5), (False, False)),
+        (PerturbedNu(rung(STEP, 0.25), NuPrimitive("const", (1.0,)), 0.5),
+         (True, False, False, True)),
+        (PerturbedNu(rung(LINEAR5, 2.0**-3), NuPrimitive("const", (1.0,)),
+                     0.5), (False, True, False)),
+        (PerturbedNu(rung(LINEAR5, 2.0**-3), W, 0.5), (False, False, False)),
     ], ids=["zero", "const_atom", "linear_atom", "sine", "samples",
-            "mollified_delta", "mollified_linear", "mollified_const",
-            "perturbed_linear", "perturbed_sine", "perturbed_mollified"])
-    def test_piecewise_linear_states_linearity(self, nu, linear):
-        assert nu.piecewise_linear is linear
+            "mollified_delta", "mollified_delta_3", "mollified_delta_5",
+            "mollified_linear", "mollified_linear_3", "mollified_linear_5",
+            "mollified_linear_skew", "mollified_linear_atom",
+            "mollified_const", "perturbed_linear", "perturbed_sine",
+            "perturbed_mollified", "perturbed_const_w", "perturbed_sine_w"])
+    def test_piecewise_linear_states_linearity(self, nu, flags):
+        assert nu.linear_panels == flags
+        assert nu.piecewise_linear is all(flags)
         # q = nu' is one constant off the atoms exactly where nu is linear
         # between its breakpoints
         q = nu.q_values(np.linspace(0.0, 1.0, 257))
-        assert linear == bool(np.all(q == q[0]))
+        assert all(flags) == bool(np.all(q == q[0]))
+        # on each flagged panel q is one constant, to rounding; where nu is
+        # curved, some unflagged panel is not
+        edges = [0.0, *nu.breakpoints, 1.0]
+        curved = []
+        for a, b, linear in zip(edges, edges[1:], flags):
+            q = nu.q_values(np.linspace(a, b, 67)[1:-1])
+            if linear:
+                assert np.ptp(q) <= 1e-13 * max(1.0, np.max(np.abs(q))), (a, b)
+            else:
+                curved.append(bool(np.any(q != q[0])))
+        assert all(flags) or any(curved)
 
     def test_spatial_derivatives_reject_atom_on_node(self, free_basis_small):
         from vww.errors import AtomEvaluation

@@ -24,7 +24,8 @@ from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (DEFAULT_TOL, GRAM_DEFECT_TOL, MAX_TOL, MIN_TOL,
                         EigenBasis, _eigenbasis, _magnus_mesh, _magnus_phase,
                         _make_rhs, _mesh_panels, _newton_roots, _PhaseMap,
-                        _roots, _shear, _sin_cos, _sine_sums, basis_csv_rows,
+                        _recorded_pass, _roots, _shear, _sin_cos, _sine_sums,
+                        basis_csv_rows,
                         basis_to_cache, build_bases, build_basis)
 
 FREE = NuPrimitive()
@@ -638,6 +639,70 @@ class TestBuildBases:
             build_bases([FREE, STEP], 2, Grid(64), tol=0.0)
         assert exc.value.member is None
 
+
+class TestLinearPanelClosedForm:
+    """The recorded pass on a ladder's rungs, whose panels off the atoms'
+    windows and the walls' layers are linear: one cell each, their nodes
+    filled in closed form from the panel's start state."""
+
+    def test_rungs_match_dop853(self, ladder_builds):
+        # against DOP853 at 1e-13 on each tight rung's lambdas: phi up to
+        # 1.9e-12 (linear5, eps = 2^-5), phi' / sqrt(lambda) 1.7e-12, tilde
+        # norms 7.2e-13 relative
+        for basis in ladder_builds[2]:
+            phi, dphi, norms = rk45_eigenfunctions(basis)
+            assert np.max(np.abs(basis.phi_matrix - phi)) <= 1e-11
+            diff = basis.phi_prime_matrix - dphi
+            assert np.max(np.abs(diff) / np.sqrt(basis.lambdas)[:, None]
+                          ) <= 1e-11
+            assert np.max(np.abs(basis.tilde_norms / norms - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("base", list(LADDER_NUS))
+    def test_closed_form_matches_scan(self, monkeypatch, base):
+        # at the same lambdas, the pass that scans every node of the linear
+        # panels on Newton's full mesh: phi_tilde within 2.0e-13 and
+        # phi_tilde' / sqrt(lambda) within 2.7e-13 when this was written
+        grid, ns = Grid(1024), np.arange(1.0, 13.0)
+        rungs = [MollifiedNu(LADDER_NUS[base], MollifierSpec("bump", 2.0**-k))
+                 for k in range(2, 6)]
+        assert all(any(q.linear_panels) for q in rungs if q.breakpoints)
+        solves = [_roots(q, ns, grid, 5e-8) for q in rungs]
+        closed = [_recorded_pass(q, root, cells, est, 1e-8, grid.nodes)
+                  for q, (root, _, est, _, cells) in zip(rungs, solves)]
+        monkeypatch.setattr(MollifiedNu, "linear_panels", property(
+            lambda self: (False,) * (len(self.breakpoints) + 1)))
+        for q, (root, _, est, _, cells), got in zip(rungs, solves, closed):
+            want = _recorded_pass(q, root, cells, est, 1e-8, grid.nodes)
+            assert np.max(np.abs(got[0] - want[0])) <= 1e-12
+            assert np.max(np.abs(got[1] - want[1])
+                          / np.sqrt(root)[:, None]) <= 1e-12
+
+    def test_perturbed_by_constant_takes_its_base_path(self, monkeypatch):
+        # q is unchanged by a constant w, so the perturbed rung keeps its
+        # base's linear panels, Newton's meshes and recorded pass: its
+        # basis is the base's to round-off (lambda 3.6e-13 relative, where
+        # Newton's iterates part), which the CLI's uniqueness round-off
+        # tests read as a difference net
+        passes = []
+        original = vww.prufer._magnus_phase
+
+        def counted(mesh, lams, *record):
+            passes.append((mesh[0].shape[0], *(np.count_nonzero(r)
+                                               for r in record)))
+            return original(mesh, lams, *record)
+
+        monkeypatch.setattr(vww.prufer, "_magnus_phase", counted)
+        base = MollifiedNu(LADDER_NUS["linear5"], MollifierSpec("bump", 0.125))
+        pert = PerturbedNu(base, NuPrimitive("const", (1.0,)), 1.0)
+        assert pert.linear_panels == base.linear_panels == (False, True, False)
+        a = build_basis(base, 12, Grid(1024), tol=1e-8)
+        base_passes = passes[:]
+        passes.clear()
+        b = build_basis(pert, 12, Grid(1024), tol=1e-8)
+        assert passes == base_passes
+        assert np.max(np.abs(a.lambdas / b.lambdas - 1.0)) <= 1e-12
+        assert np.max(np.abs(a.phi_matrix - b.phi_matrix)) <= 1e-11
+
     def test_each_basis_is_constructed_once(self, monkeypatch):
         made = []
         post_init = EigenBasis.__post_init__
@@ -1046,6 +1111,26 @@ class TestNewtonMesh:
             for grid_n in (64, 1024):
                 assert self.remeshes(monkeypatch, nu, grid_n) == want, (
                     k, grid_n)
+
+    def test_half_mesh_keeps_every_panel(self, monkeypatch):
+        # atoms at 0.4 and 0.4725 at eps = 2^-5 leave a linear gap of 0.01
+        # between their windows: one cell of Newton's mesh at 128 cells per
+        # unit, whose half (0 cells) dropped the gap's start from the
+        # Richardson estimate's coarse mesh
+        nu = MollifiedNu(NuPrimitive(jumps=((0.4, 1.0), (0.4725, 1.0))),
+                         MollifierSpec("bump", 2.0**-5))
+        gap = (0.4 + 2.0**-5, 0.4725 - 2.0**-5, 1)
+        assert gap in _mesh_panels(nu, 128)
+        meshes = []
+        monkeypatch.setattr(vww.prufer, "_magnus_phase", lambda mesh, lams: (
+            meshes.append(mesh) or (lams, lams)))
+        phase = _PhaseMap(nu, 1.0)
+        phase.remesh(128)
+        phase.error_estimate(np.array([100.0]), np.array([100.0]))
+        (h, *_), = meshes
+        edges = np.cumsum(h)
+        for x in nu.breakpoints:
+            assert np.min(np.abs(edges - x)) <= 1e-12, x
 
     def test_build_reads_no_norm_linf(self, monkeypatch):
         # Newton's first mesh takes max |nu| from nu at the grid's nodes:
