@@ -639,6 +639,67 @@ class TestBuildBases:
             build_bases([FREE, STEP], 2, Grid(64), tol=0.0)
         assert exc.value.member is None
 
+    def test_each_basis_is_constructed_once(self, monkeypatch):
+        made = []
+        post_init = EigenBasis.__post_init__
+
+        def counted(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(EigenBasis, "__post_init__", counted)
+        bases = build_bases([FREE, STEP, NuPrimitive("linear", (2.0,))], 3,
+                            Grid(64))
+        assert len(made) == 3 and all(m is b for m, b in zip(made, bases))
+
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_below_one_is_a_config_error(self, n_max):
+        with pytest.raises(ConfigError, match=f">= 1, got {n_max}"):
+            build_bases([FREE], n_max, Grid(64))
+
+    @pytest.mark.parametrize("tol", [1e-200, 1e-30, 0.0, math.nan])
+    def test_tol_below_floor_is_a_config_error(self, tol):
+        # at 1e-200 a stretch of the RK45 pass had zero width and its
+        # gauge line divided by it; at 1e-30 the pass ran past 20 s
+        with pytest.raises(ConfigError, match=fr"tol must be in \[1e-15, "
+                                              fr"1e-06\], got {tol:g}"):
+            build_basis(NuPrimitive("sine", (1.0, 1.0)), 8, Grid(256),
+                        tol=tol)
+
+    @pytest.mark.parametrize("tol", [1.1e-6, 1e-2, 1e6, math.inf])
+    def test_tol_above_ceiling_is_a_config_error(self, tol):
+        # at 1e-2 lambda was 0.8 % (delta) and 1.8 % (sine (1, 1)) off the
+        # default build's at N 40, grid 2048, yet the Gram check (6.7e-3)
+        # passed the basis; at 1e6 the RK45 pass overflowed r
+        with pytest.raises(ConfigError, match=re.escape(
+                f"tol must be in [1e-15, 1e-06], got {tol:g}")):
+            build_basis(STEP, 8, Grid(256), tol=tol)
+
+    def test_tol_at_ceiling_builds(self, grid2048):
+        # lambda within 1.43e-7 (delta) and 1.27e-7 (sine (1, 1)) relative
+        # of the default build's at N 40, grid 2048
+        for nu in (STEP, NuPrimitive("sine", (1.0, 1.0))):
+            loose, tight = (build_basis(nu, 40, grid2048, tol=t).lambdas
+                            for t in (MAX_TOL, DEFAULT_TOL))
+            assert np.max(np.abs(loose / tight - 1.0)) <= 2e-7
+
+    def test_tol_at_floor_builds(self):
+        basis = build_basis(NuPrimitive("sine", (1.0, 1.0)), 8, Grid(256),
+                            tol=MIN_TOL)
+        assert basis.gram_max_offdiag <= 1e-10
+
+    def test_non_increasing_lambdas_refused(self, monkeypatch):
+        def swapped(*args):
+            lams, *rest = _roots(*args)
+            return (lams[[0, 2, 1]], *rest)
+
+        monkeypatch.setattr(vww.prufer, "_roots", swapped)
+        with pytest.raises(BracketFailure, match="increasing") as exc:
+            build_bases([FREE, STEP], 3, Grid(64))
+        assert exc.value.n == 3 and exc.value.member == 0
+        assert exc.value.bracket == pytest.approx((9 * math.pi**2,
+                                                   4 * math.pi**2))
+
 
 class TestLinearPanelClosedForm:
     """The recorded pass on a ladder's rungs, whose panels off the atoms'
@@ -702,67 +763,6 @@ class TestLinearPanelClosedForm:
         assert passes == base_passes
         assert np.max(np.abs(a.lambdas / b.lambdas - 1.0)) <= 1e-12
         assert np.max(np.abs(a.phi_matrix - b.phi_matrix)) <= 1e-11
-
-    def test_each_basis_is_constructed_once(self, monkeypatch):
-        made = []
-        post_init = EigenBasis.__post_init__
-
-        def counted(self):
-            made.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(EigenBasis, "__post_init__", counted)
-        bases = build_bases([FREE, STEP, NuPrimitive("linear", (2.0,))], 3,
-                            Grid(64))
-        assert len(made) == 3 and all(m is b for m, b in zip(made, bases))
-
-    @pytest.mark.parametrize("n_max", [0, -1])
-    def test_n_max_below_one_is_a_config_error(self, n_max):
-        with pytest.raises(ConfigError, match=f">= 1, got {n_max}"):
-            build_bases([FREE], n_max, Grid(64))
-
-    @pytest.mark.parametrize("tol", [1e-200, 1e-30, 0.0, math.nan])
-    def test_tol_below_floor_is_a_config_error(self, tol):
-        # at 1e-200 a stretch of the RK45 pass had zero width and its
-        # gauge line divided by it; at 1e-30 the pass ran past 20 s
-        with pytest.raises(ConfigError, match=fr"tol must be in \[1e-15, "
-                                              fr"1e-06\], got {tol:g}"):
-            build_basis(NuPrimitive("sine", (1.0, 1.0)), 8, Grid(256),
-                        tol=tol)
-
-    @pytest.mark.parametrize("tol", [1.1e-6, 1e-2, 1e6, math.inf])
-    def test_tol_above_ceiling_is_a_config_error(self, tol):
-        # at 1e-2 lambda was 0.8 % (delta) and 1.8 % (sine (1, 1)) off the
-        # default build's at N 40, grid 2048, yet the Gram check (6.7e-3)
-        # passed the basis; at 1e6 the RK45 pass overflowed r
-        with pytest.raises(ConfigError, match=re.escape(
-                f"tol must be in [1e-15, 1e-06], got {tol:g}")):
-            build_basis(STEP, 8, Grid(256), tol=tol)
-
-    def test_tol_at_ceiling_builds(self, grid2048):
-        # lambda within 1.43e-7 (delta) and 1.27e-7 (sine (1, 1)) relative
-        # of the default build's at N 40, grid 2048
-        for nu in (STEP, NuPrimitive("sine", (1.0, 1.0))):
-            loose, tight = (build_basis(nu, 40, grid2048, tol=t).lambdas
-                            for t in (MAX_TOL, DEFAULT_TOL))
-            assert np.max(np.abs(loose / tight - 1.0)) <= 2e-7
-
-    def test_tol_at_floor_builds(self):
-        basis = build_basis(NuPrimitive("sine", (1.0, 1.0)), 8, Grid(256),
-                            tol=MIN_TOL)
-        assert basis.gram_max_offdiag <= 1e-10
-
-    def test_non_increasing_lambdas_refused(self, monkeypatch):
-        def swapped(*args):
-            lams, *rest = _roots(*args)
-            return (lams[[0, 2, 1]], *rest)
-
-        monkeypatch.setattr(vww.prufer, "_roots", swapped)
-        with pytest.raises(BracketFailure, match="increasing") as exc:
-            build_bases([FREE, STEP], 3, Grid(64))
-        assert exc.value.n == 3 and exc.value.member == 0
-        assert exc.value.bracket == pytest.approx((9 * math.pi**2,
-                                                   4 * math.pi**2))
 
 
 class TestRootPasses:
