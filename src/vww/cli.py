@@ -308,23 +308,17 @@ def _finite_float(v: float, field: str) -> float:
     return v
 
 
-def _csv_text(header: tuple, rows) -> list:
-    lines = [",".join(header)]
+def _csv_text(header: tuple, rows, sep: str = ",", prefix: str = "") -> list:
+    lines = [prefix + sep.join(header)]
     for row in rows:
-        lines.append(",".join(
-            repr(_finite_float(v, h)) if isinstance(v, float) else str(v)
+        lines.append(sep.join(
+            repr(_finite_float(float(v), h)) if isinstance(v, float) else str(v)
             for h, v in zip(header, row)))
     return ["\n".join(lines) + "\n"]
 
 
 def _dat_text(columns: dict) -> list:
-    keys = list(columns)
-    rows = zip(*(columns[k] for k in keys))
-    lines = ["# " + " ".join(keys)]
-    for row in rows:
-        lines.append(" ".join(repr(_finite_float(float(v), k))
-                              for k, v in zip(keys, row)))
-    return ["\n".join(lines) + "\n"]
+    return _csv_text(tuple(columns), zip(*columns.values()), " ", "# ")
 
 
 def _write_files(out: str, files: dict) -> None:

@@ -12,21 +12,19 @@ so, by one window rule per rung, at the points it is asked for, such as a
 grid's nodes.
 
 :class:`NuPrimitive`, :class:`MollifiedNu` and :class:`PerturbedNu` share
-the :class:`Potential` protocol: vectorized ``nu_values`` and ``q_values``
-(the bounded part of q); ``ode_panels``, (a, b, nu) with nu smooth on
-each panel, a one-point read of the vectorized nu that takes the right
-limit at a and the left limit at b, called with one float by the RK45
-pass, which runs only where nu is linear between its breakpoints; their
-interior edges ``breakpoints``, which hold each mollified atom's centre;
-``jumps``, the (location, height) Dirac atoms still present in q, empty
-when q is bounded and ``q_linf`` exists; ``has_density``, False when q
-is atoms alone, i.e. nu is constant on each panel; ``linear_panels``, one
-flag per panel of [0, *breakpoints, 1], True where nu is linear on it, so
-that q is a constant there and each eigenfunction a sine; and
-``descriptor``.  The base class states ``piecewise_linear``, all of
-``linear_panels``, ``check_q_linf``, ``q_linf`` and the norms of nu,
-``norm_l2`` and ``norm_linf``, once for all three: per-panel rules read
-through ``nu_values``, ``breakpoints`` and ``jumps``.
+the :class:`Potential` protocol: vectorized ``nu_values``, the left limit
+at an atom, and ``q_values``, the bounded part of q; the interior panel
+edges ``breakpoints``, which hold each mollified atom's centre; ``jumps``,
+the (location, height) Dirac atoms still present in q, empty when q is
+bounded and ``q_linf`` exists; ``linear_panels``, one flag per panel of
+[0, *breakpoints, 1], True where nu is linear on it, so that q is a
+constant there and each eigenfunction a sine; and ``descriptor``.  The
+base class states the rest once for all three: ``heights``, the height of
+the atom at each point, so that ``nu_values + heights`` is nu's right
+limit; ``ode_panels``, (a, b, nu) per panel, nu a one-point read of
+``nu_values`` plus ``heights(a)`` at a, called with one float by the RK45
+pass, which runs only where nu is linear between its breakpoints;
+``piecewise_linear``, ``check_q_linf``, ``q_linf`` and the norms of nu.
 
 The ``samples`` smooth kind is the only user of scipy in vww: its quintic
 spline (``scipy.interpolate.InterpolatedUnivariateSpline``) is imported
@@ -190,15 +188,13 @@ class Potential:
 
     The norms of nu are per-panel rules over [0, *breakpoints, 1], read
     through ``nu_values``: Gauss-Legendre for ``norm_l2``, uniform samples
-    for ``norm_linf``, which takes the right limit at each panel start by
-    adding the heights of the ``jumps`` located there.  ``q_linf`` probes
-    the ``breakpoints`` besides a uniform grid: a mollified atom's centre,
-    the peak of a narrow bump, is one of them.
+    for ``norm_linf``, which takes the right limit at each panel start.
+    ``q_linf`` probes the ``breakpoints`` besides a uniform grid: a
+    mollified atom's centre, the peak of a narrow bump, is one of them.
     """
 
     jumps: tuple
     breakpoints: tuple
-    has_density: bool = True
     linear_panels: tuple
 
     @property
@@ -219,6 +215,27 @@ class Potential:
         edges = [0.0, *self.breakpoints, 1.0]
         return zip(edges[:-1], edges[1:])
 
+    def heights(self, x) -> np.ndarray:
+        """The height of the atom at each point x, 0 off the atoms:
+        ``nu_values(x) + heights(x)`` is nu's right limit."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for loc, height in self.jumps:
+            out = np.where(x == loc, height, out)
+        return out
+
+    def ode_panels(self) -> list[tuple[float, float, Callable[[float], float]]]:
+        """Panels (a, b, nu) covering [0, 1] on which nu is smooth, nu a
+        one-point read of ``nu_values`` plus ``heights(a)`` at a, so that
+        it takes the right limit at a and the left limit at b.  Each class
+        binds it by name, so that its own ``__dict__`` holds the method
+        that a tracer wraps and restores."""
+        def panel(a):
+            h = float(self.heights(a))
+            return lambda x: self.nu_values(x).item() + (h if x == a else 0.0)
+
+        return [(a, b, panel(a)) for a, b in self._panels()]
+
     def norm_l2(self) -> float:
         """L^2(0,1) norm of nu, by per-panel Gauss quadrature."""
         gx, gw = _gauss_rule(64)
@@ -230,11 +247,10 @@ class Potential:
         return math.sqrt(max(total, 0.0))
 
     def norm_linf(self) -> float:
-        heights = dict(self.jumps)
         sup = 0.0
         for a, b in self._panels():
             vals = self.nu_values(np.linspace(a, b, _LINF_SAMPLES_PER_PANEL))
-            vals[0] += heights.get(a, 0.0)  # nu_values takes the left limit
+            vals[0] += self.heights(a)  # nu_values takes the left limit
             sup = max(sup, float(np.max(np.abs(vals))))
         return sup
 
@@ -276,6 +292,8 @@ class NuPrimitive(Potential):
         if any(b <= a for a, b in zip(locs, locs[1:])):
             raise ConfigError("jump locations must be strictly increasing")
         object.__setattr__(self, "jumps", jumps)
+        if self.smooth_kind == "zero" and self.smooth_params:
+            raise ConfigError("zero takes no parameters")
         if self.smooth_kind in ("const", "linear") and len(self.smooth_params) != 1:
             raise ConfigError(f"{self.smooth_kind} takes one parameter")
         if self.smooth_kind == "sine" and len(self.smooth_params) not in (2, 3):
@@ -343,17 +361,7 @@ class NuPrimitive(Potential):
     def breakpoints(self) -> tuple:
         return tuple(loc for loc, _ in self.jumps)
 
-    def ode_panels(self) -> list[tuple[float, float, Callable[[float], float]]]:
-        """Panels (a, b, nu) covering [0, 1] on which nu is smooth: the
-        smooth part at one point plus the heights of the jumps at or left
-        of a, so nu takes the right limit at a."""
-        heights = dict(self.jumps)
-        panels, offset = [], 0.0
-        for a, b in self._panels():
-            offset += heights.get(a, 0.0)
-            panels.append((a, b, lambda x, shift=offset:
-                           float(self.smooth_values(x)) + shift))
-        return panels
+    ode_panels = Potential.ode_panels
 
     # -- reporting ---------------------------------------------------------
 
@@ -517,13 +525,7 @@ class MollifiedNu(Potential):
             pts.update((2.0 * eps, 1.0 - 2.0 * eps))
         return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
 
-    def ode_panels(self):
-        """Panels (a, b, nu), nu a scalar read of ``nu_values``: the RK45
-        pass reaches a MollifiedNu only where nu_eps is 0."""
-        def nu_scalar(x: float) -> float:
-            return float(self.nu_values(x)[0])
-
-        return [(a, b, nu_scalar) for a, b in self._panels()]
+    ode_panels = Potential.ode_panels
 
     def q_values(self, x) -> np.ndarray:
         """q_eps at points x: Dirac atoms convolve exactly to scaled bumps,
@@ -575,20 +577,12 @@ class PerturbedNu(Potential):
         return self.base.breakpoints
 
     @property
-    def has_density(self) -> bool:
-        return self.base.has_density or self.w_nu.has_density
-
-    @property
     def linear_panels(self) -> tuple:
         """The base's, where w is linear."""
         return tuple(linear and self.w_nu.piecewise_linear
                      for linear in self.base.linear_panels)
 
-    def ode_panels(self):
-        """The base's panels, each nu plus c times a one-point read of w_nu."""
-        w, c = self.w_nu.smooth_values, self.c
-        return [(a, b, lambda x, f=f: f(x) + c * float(w(x)))
-                for a, b, f in self.base.ode_panels()]
+    ode_panels = Potential.ode_panels
 
     def q_values(self, x) -> np.ndarray:
         return self.base.q_values(x) + self.c * self.w_nu.q_values(x)

@@ -287,10 +287,7 @@ def _cell_mesh(nu_like, edges: np.ndarray):
     """
     h, left = np.diff(edges), edges[:-1]
     mid = left + 0.5 * h
-    ends = nu_like.nu_values(edges)  # left limits
-    jump = np.zeros_like(edges)
-    for loc, height in nu_like.jumps:
-        jump[edges == loc] += height
+    ends, jump = nu_like.nu_values(edges), nu_like.heights(edges)
     c0, c1 = ends[:-1] + jump[:-1], ends[1:]
     nu1, nu2 = (nu_like.nu_values(mid + t * h / math.sqrt(12.0)) for t in (-1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -319,9 +316,7 @@ def _panel_slopes(nu_like) -> np.ndarray:
     """_cell_mesh's slope sigma of each panel between nu's breakpoints, from
     nu's right limit at its start to its left limit at its end."""
     edges = np.array([0.0, *nu_like.breakpoints, 1.0])
-    ends, jump = nu_like.nu_values(edges), np.zeros_like(edges)
-    for loc, height in nu_like.jumps:
-        jump[edges == loc] += height
+    ends, jump = nu_like.nu_values(edges), nu_like.heights(edges)
     return (ends[1:] - (ends[:-1] + jump[:-1])) / np.diff(edges)
 
 
@@ -605,9 +600,8 @@ def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
         lam = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * _sine_sums(
             grid.simpson_weights * nu_nodes, grid.nodes, ns)
         # the turning rule's max |nu|, the right limit too at an atom on a node
-        nu_max = float(np.max(np.abs(np.concatenate([nu_nodes, *(
-            nu_nodes[grid.nodes == loc] + height
-            for loc, height in nu_like.jumps)]))))
+        nu_max = float(np.max(np.abs(
+            [nu_nodes, nu_nodes + nu_like.heights(grid.nodes)])))
     phase = _PhaseMap(nu_like, nu_max)
     bound = max(THETA_RESIDUAL_TOL, ftol)
     while True:
@@ -693,10 +687,10 @@ def _recorded_pass(nu_like, lams: np.ndarray, cells: int, est: float,
 def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
                 phi, dphi) -> EigenBasis:
     """The basis of the roots from their phi_tilde and phi_tilde' rows
-    (_propagate), which it normalizes in place, once its lambdas increase,
-    its samples are orthogonal to GRAM_DEFECT_TOL, each mode's norm is
-    finite and positive and its Simpson and trapezoid norms agree to
-    QUADRATURE_GAP_TOL."""
+    (_propagate or _recorded_pass), which it normalizes in place, once its
+    lambdas increase, its samples are orthogonal to GRAM_DEFECT_TOL, each
+    mode's norm is finite and positive and its Simpson and trapezoid norms
+    agree to QUADRATURE_GAP_TOL."""
     steps = np.diff(root)
     if np.any(steps <= 0.0):
         k = int(np.nonzero(steps <= 0.0)[0][0])

@@ -798,8 +798,11 @@ class TestFailedCommandOutDir:
         ("solve", {"nu": FREE_NU, "grid_n": 256, "n_max": 5, "T": 1.0,
                    "u0": {"kind": "samples", "params": [0.0] * 10},
                    "u1": {"kind": "zero"}}),
+        # the params of a zero nu once went to basis_cache.json
+        ("eigs", {"nu": {"smooth": {"kind": "zero", "params": [3]}},
+                  "grid_n": 64, "n_max": 2}),
     ], ids=["jump_outside_interval", "uniqueness_without_order",
-            "samples_wrong_length"])
+            "samples_wrong_length", "zero_nu_with_params"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, command, payload):
         out = tmp_path / "o"
         assert run_cli(command, "--config",

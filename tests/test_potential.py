@@ -62,6 +62,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             NuPrimitive("cubic", (1.0,))
 
+    def test_zero_takes_no_parameters(self):
+        with pytest.raises(ConfigError, match="^zero takes no parameters$"):
+            NuPrimitive("zero", (3.0,))
+
     def test_descriptor_round_trip(self):
         nu = NuPrimitive("sine", (0.5, 2.0), jumps=((0.25, -1.0),))
         again = NuPrimitive.from_descriptor(nu.descriptor())
@@ -486,6 +490,35 @@ class TestPerturbed:
             x_derivative(sol, PerturbedNu(STEP, self.W, 0.1), 2)
 
 
+class TestHeights:
+    """``heights``: the height of the atom at each point, 0 elsewhere, so
+    that nu_values + heights is nu's right limit."""
+
+    THREE = NuPrimitive(jumps=((0.25, 1.0), (0.5, -0.7), (0.8, 2.0)))
+    AT = np.array([0.25, 0.5, 0.8, 0.6])
+
+    def test_atom_on_a_node(self):
+        nodes = np.linspace(0.0, 1.0, 5)
+        assert STEP.heights(nodes).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert (STEP.nu_values(nodes) + STEP.heights(nodes)).tolist() == [
+            0.0, 0.0, 1.0, 1.0, 1.0]
+
+    def test_point_on_no_atom(self):
+        got = STEP.heights(0.3)
+        assert got.shape == () and float(got) == 0.0
+
+    def test_three_atoms(self):
+        assert self.THREE.heights(self.AT).tolist() == [1.0, -0.7, 2.0, 0.0]
+
+    def test_mollified_has_none(self):
+        mollified = MollifiedNu(self.THREE, MollifierSpec("bump", 0.25))
+        assert mollified.heights(self.AT).tolist() == [0.0] * 4
+
+    def test_perturbed_has_its_bases(self):
+        perturbed = PerturbedNu(self.THREE, NuPrimitive("linear", (0.5,)), 0.7)
+        assert perturbed.heights(self.AT).tolist() == [1.0, -0.7, 2.0, 0.0]
+
+
 class TestOdePanels:
     """Each ``ode_panels`` callable against ``nu_values`` inside its panel,
     and at its edges against the one-sided limits of nu."""
@@ -513,36 +546,29 @@ class TestOdePanels:
             else:
                 assert np.all(np.abs(scalar - vector) <= bound(vector)), (a, b)
 
-    def _assert_edges(self, pot, bound=None):
+    def _assert_edges(self, pot):
         """The right limit of nu at a panel's start, where the RK45 pass
         takes its first stage, and the left limit at its end, its last:
         ``nu_values`` takes the left limit, plus the heights of the jumps
-        at a.  Bit for bit, or within bound where one is given."""
+        at a.  Bit for bit."""
         heights = dict(pot.jumps)
         for a, b, nu in pot.ode_panels():
             got = np.array([nu(a), nu(b)])
             want = np.array([float(pot.nu_values(a)) + heights.get(a, 0.0),
                              float(pot.nu_values(b))])
-            if bound is None:
-                assert got.tobytes() == want.tobytes(), (a, b, got, want)
-            else:
-                assert np.all(np.abs(got - want) <= bound), (a, b, got, want)
+            assert got.tobytes() == want.tobytes(), (a, b, got, want)
 
     @pytest.mark.parametrize("name", list(BASES))
     def test_primitive(self, name):
         base = self.BASES[name]
-        # the scalar path sums several atoms in another order
-        bound = None if len(base.jumps) <= 1 else (lambda v: 1e-15)
-        self._assert_agree(base, bound)
-        self._assert_agree(PerturbedNu(base, self.W, 0.7), bound)
+        self._assert_agree(base)
+        self._assert_agree(PerturbedNu(base, self.W, 0.7))
 
     @pytest.mark.parametrize("name", list(BASES))
     def test_primitive_edges(self, name):
         base = self.BASES[name]
-        # the scalar path sums several atoms in another order
-        bound = None if len(base.jumps) <= 1 else 1e-15
-        self._assert_edges(base, bound)
-        self._assert_edges(PerturbedNu(base, self.W, 0.7), bound)
+        self._assert_edges(base)
+        self._assert_edges(PerturbedNu(base, self.W, 0.7))
 
     @pytest.mark.parametrize("eps", [0.25, 1.0 / 32])
     @pytest.mark.parametrize("profile", ["bump", "bump2", "bump_skew"])

@@ -894,11 +894,7 @@ class TestRootPasses:
         (STEP, True),
         (NuPrimitive("const", (2.0,)), True),
         (NuPrimitive("linear", (2.0,)), False),
-        (MollifiedNu(STEP, MollifierSpec("bump", 0.25)), False),
-        (PerturbedNu(STEP, NuPrimitive("const", (1.0,)), 0.5), True),
-        (PerturbedNu(STEP, NuPrimitive("sine", (1.0, 1.0)), 0.5), False),
-    ], ids=["step", "const", "linear", "mollified", "perturbed_const",
-            "perturbed_sine"])
+    ], ids=["step", "const", "linear"])
     def test_has_density_states_constancy(self, nu, constant):
         assert nu.has_density is not constant
         values = nu.nu_values(np.linspace(0.0, 1.0, 257))
