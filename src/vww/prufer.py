@@ -17,15 +17,16 @@ sqrt(cells) cells, so that a pass costs about 4 sqrt(cells) vectorized
 steps rather than one per cell; a cell or block whose growth overflows a
 float raises NonFiniteResult.  Each cell steps nu less its line through
 nu's limits at the cell's edges, the line's slope folded into lambda,
-with a zero-width shear cell at each atom and at x = 1 (_cell_mesh), so
-that a nu linear between its breakpoints is exact and no rounding floor
-follows |nu|.  Newton steps take d theta(1)/d lambda from the Pruefer
-identity and stay inside a sign bracket, all on one mesh per solve, which
-sqrt(lambda) sizes (plus the nodes' max |nu| if nu is curved, and half
-that rate on the panels where such a nu is linear), not the grid; for a
-curved nu a Richardson estimate of theta(1)'s error at the roots, from
-one pass at half the cells, accepts that mesh or refines it.  At the
-roots one more pass samples phi_tilde and phi_tilde' at the grid's nodes.
+with a zero-width shear cell at each atom (_cell_mesh), so that a nu
+linear between its breakpoints is exact and nothing reads nu's level:
+theta(1) is the angle of (y, y'/sqrt(lambda)) at 1.  Newton steps take
+d theta(1)/d lambda from the Pruefer identity and stay inside a sign
+bracket, all on one mesh per solve, which sqrt(lambda) sizes (twice that
+if nu is curved, and half that rate on the panels where such a nu is
+linear), not the grid; for a curved nu a Richardson estimate of
+theta(1)'s error at the roots, from one pass at half the cells, accepts
+that mesh or refines it.  At the roots one more pass samples phi_tilde
+and phi_tilde' at the grid's nodes.
 Where nu is linear between its breakpoints with slopes p below lambda_1,
 that is an adaptive Runge-Kutta pass (_propagate): as only q = nu' enters
 the operator, it steps nu less its line on each panel, zero, with s =
@@ -76,11 +77,10 @@ NEWTON_PASSES = 40
 # temporaries: 256 cells at 40 lambdas, a whole 2,048-cell mesh at one
 _CHUNK_ELEMENTS = 10240
 # most cells a Magnus mesh may hold.  Cells follow sqrt(lambda) (twice
-# sqrt(lambda) + max |nu| where nu is curved), so this admits modes up to n
-# ~ 1.3e6 (6.7e5) before any refinement, while the mesh's seven per-cell
-# arrays stay near 235 MB; a larger mesh comes from a trial lambda beyond
-# any resolvable mode, a steep nu, or an error estimate that no smaller
-# mesh meets
+# that where nu is curved), so this admits modes up to n ~ 1.3e6 (6.7e5)
+# before any refinement, while the mesh's seven per-cell arrays stay near
+# 235 MB; a larger mesh comes from a trial lambda beyond any resolvable
+# mode, a steep nu, or an error estimate that no smaller mesh meets
 _MAX_CELLS = 2**22
 # fewest Magnus cells per smooth panel of nu, bar a linear one of a curved
 # nu (_mesh_panels): resolves the narrow panels of a MollifiedNu at small
@@ -279,11 +279,11 @@ def _cell_mesh(nu_like, edges: np.ndarray):
     (lambda + d2), d2 = (nu_2 - nu_1)^2 / 4 - sigma, is negative only where
     |k| > h or sigma > lambda + (nu_2 - nu_1)^2 / 4.  c jumps by alpha at
     an atom of height alpha, and a zero-width cell with u = -alpha after it
-    makes the exact shear w <- w + alpha y / s; one more after the last
-    cell, u = c(1-), shears back to w = (y' - nu y) / s.  Shears keep y and
-    its zeros, so theta(1) keeps its meaning.  Where nu is linear between
-    its breakpoints, nu - c is 0 and each cell exact.  A nu whose terms
-    overflow raises NonFiniteResult before any pass.
+    makes the exact shear w <- w + alpha y / s, which keeps y and its
+    zeros.  At x = 1, nu - c is 0 and w = y' / s: theta(1) is theta for nu
+    - nu(1-), of the same q, zeros of y and Pruefer identity.  Where nu is
+    linear between its breakpoints, nu - c is 0 and each cell exact.  A nu
+    whose terms overflow raises NonFiniteResult before any pass.
     """
     h, left = np.diff(edges), edges[:-1]
     mid = left + 0.5 * h
@@ -305,10 +305,9 @@ def _cell_mesh(nu_like, edges: np.ndarray):
         raise NonFiniteResult(
             "a Magnus mesh term is not finite for max |nu| = "
             f"{np.max(np.abs(ends)):.6g}")
-    # the zero-width shear cells, after each atom and after the last cell
-    at = np.append(np.flatnonzero(jump[1:-1]) + 1, h.size)
-    shear = np.append(-jump[at[:-1]], ends[-1])
-    return tuple(np.insert(c, at, shear if c is u else 0.0)[:, None]
+    # the zero-width shear cells, one after each atom
+    at = np.flatnonzero(jump[1:-1]) + 1
+    return tuple(np.insert(c, at, -jump[at] if c is u else 0.0)[:, None]
                  for c in terms)
 
 
@@ -431,8 +430,9 @@ class EigenBasis:
     their derivatives at the nodes, shape (N, nodes); tilde_norms the L^2
     norms of r sin(theta), so that tilde_norms[:, None] * phi_matrix is
     r sin(theta) at the interior nodes; theta_residuals theta(1, lambda_n)
-    - pi n.  Every lambda_n is positive, as the frequencies sqrt(lambda_n)
-    and negative Sobolev orders need.
+    - pi n, with theta(1) the angle of (y, y'/sqrt(lambda_n)) at 1.  Every
+    lambda_n is positive, as the frequencies sqrt(lambda_n) and negative
+    Sobolev orders need.
     """
 
     lambdas: np.ndarray
@@ -481,17 +481,16 @@ class _PhaseMap:
     cell turns by about 1 rad.  A nu linear between its breakpoints, whose
     gauged cells (_cell_mesh) are exact and turn by h sqrt(lambda - sigma),
     sigma their slope, gets sqrt(max lambda - min(0, min sigma)) cells per
-    unit; any other nu the power of two at or above twice sqrt(max lambda)
-    + nu_max, at least 64 (half on its linear panels, _mesh_panels), which
-    error_estimate then checks; nu_max, max |nu| over both limits of nu at
-    the grid's nodes (_roots), must have a finite square.  A later lambda that would turn a cell by pi or more
-    (omega^2 = p m (lambda + d2) >= pi^2), which the per-cell atan2 cannot
-    count, refines the mesh and raises _Refined.
+    unit; any other nu the power of two at or above twice sqrt(max lambda),
+    at least 64 (half on its linear panels, _mesh_panels), which
+    error_estimate then checks.  Neither reads nu's level.  A later lambda
+    that would turn a cell by pi or more (omega^2 = p m (lambda + d2) >=
+    pi^2, d2 from nu - c), which the per-cell atan2 cannot count, refines
+    the mesh and raises _Refined.
     """
 
-    def __init__(self, nu_like, nu_max: float):
-        self.nu_like, self.nu_max = nu_like, nu_max
-        self.cells, self.mesh = 0, None
+    def __init__(self, nu_like):
+        self.nu_like, self.cells, self.mesh = nu_like, 0, None
 
     def remesh(self, cells: int):
         self.cells, self.mesh = cells, _magnus_mesh(self.nu_like, cells)
@@ -500,17 +499,13 @@ class _PhaseMap:
         top = float(np.max(lams))
         if self.mesh is None or np.max(
                 self.mesh[5] * (top + self.mesh[6])) >= math.pi**2:
-            nu_max = self.nu_max
-            if not math.isfinite(nu_max * nu_max):
-                raise NonFiniteResult("a Magnus mesh term is not finite for "
-                                      f"max |nu| = {nu_max:.6g}")
-            if self.nu_like.piecewise_linear:
+            linear = self.nu_like.piecewise_linear
+            if linear:
                 top -= min(0.0, float(_panel_slopes(self.nu_like).min()))
-                nu_max = 0.0
             # past _MAX_CELLS, the mesh that MeshTooLarge names
-            c = min(math.sqrt(top) + nu_max, _MAX_CELLS + 1.0)
-            c = (max(64, 2 ** math.ceil(math.log2(2.0 * c)))
-                 if not self.nu_like.piecewise_linear else math.ceil(c))
+            c = min(math.sqrt(top), _MAX_CELLS + 1.0)
+            c = (math.ceil(c) if linear
+                 else max(64, 2 ** math.ceil(math.log2(2.0 * c))))
             refined = self.mesh is not None
             self.remesh(max(2 * self.cells, c))
             if refined:
@@ -585,24 +580,22 @@ def _sine_sums(w: np.ndarray, x: np.ndarray, ns: np.ndarray) -> np.ndarray:
 def _roots(nu_like, ns: np.ndarray, grid: Grid, ftol: float):
     """(lambda_n, theta(1, lambda_n) - pi n, theta(1)'s error estimate, nu
     at the nodes, the mesh's cells per unit) by Newton on one _PhaseMap
-    mesh, from a first-order start (_sine_sums).  For a nu not linear
-    between its breakpoints, an estimate above max(THETA_RESIDUAL_TOL,
-    ftol) multiplies the cells by 2^ceil(log2((estimate / bound)^(1/4))),
-    the fourth-order step's factor to meet it, and Newton goes on from the
-    roots; past _MAX_CELLS MeshTooLarge names the estimate.  The gauged
-    cells are exact for a nu linear between its breakpoints (estimate 0)."""
+    mesh, which sqrt(lambda) sizes and not nu's level, from a first-order
+    start (_sine_sums).  For a nu not linear between its breakpoints, an
+    estimate above max(THETA_RESIDUAL_TOL, ftol) multiplies the cells by
+    2^ceil(log2((estimate / bound)^(1/4))), the fourth-order step's factor
+    to meet it, and Newton goes on from the roots; past _MAX_CELLS
+    MeshTooLarge names the estimate.  The gauged cells are exact for a nu
+    linear between its breakpoints (estimate 0)."""
     # start at first order in nu, (pi n)^2 + int q 2 sin^2(pi n x) = (pi n)^2
-    # - 2 pi n int nu sin(2 pi n x).  A nu that overflows here makes a start
-    # that _newton_roots names
+    # - 2 pi n int (nu - nu(0)) sin(2 pi n x), free of nu's level.  A nu that
+    # overflows here makes a start that _newton_roots names
     with np.errstate(over="ignore", invalid="ignore"):
         # nu enters phi' with its left limit at jump locations
         nu_nodes = nu_like.nu_values(grid.nodes)
         lam = (math.pi * ns) ** 2 - 2.0 * math.pi * ns * _sine_sums(
-            grid.simpson_weights * nu_nodes, grid.nodes, ns)
-        # the turning rule's max |nu|, the right limit too at an atom on a node
-        nu_max = float(np.max(np.abs(
-            [nu_nodes, nu_nodes + nu_like.heights(grid.nodes)])))
-    phase = _PhaseMap(nu_like, nu_max)
+            grid.simpson_weights * (nu_nodes - nu_nodes[0]), grid.nodes, ns)
+    phase = _PhaseMap(nu_like)
     bound = max(THETA_RESIDUAL_TOL, ftol)
     while True:
         try:

@@ -156,11 +156,8 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     """scipy's cumulative_simpson(y, dx=dx, axis=-1, initial=0) by the same
     floating-point operations: interval j gets dx/3 (5 y_j/4 + 2 y_{j+1}
     - y_{j+2}/4) for even j, the mirror image over the reversed samples
-    for odd j and for the last one; under 3 samples, trapezoids."""
+    for odd j and for the last one.  y holds at least 3 samples."""
     parts = np.zeros(y.shape)
-    if y.shape[-1] < 3:
-        parts[..., 1:] = dx * (y[..., 1:] + y[..., :-1]) / 2.0
-        return np.cumsum(parts, axis=-1)
     d = dx / 3
     fwd, rev = (d * (5 * f[..., :-2] / 4 + 2 * f[..., 1:-1] - f[..., 2:] / 4)
                 for f in (y, y[..., ::-1]))

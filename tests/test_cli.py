@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -76,6 +77,24 @@ class TestEigs:
         lams = [float(r.split(",")[1]) for r in rows]
         want = [(n * math.pi) ** 2 + 5.0 for n in range(1, 6)]
         assert np.max(np.abs(np.array(lams) - np.array(want))) <= 1e-7
+
+    @pytest.mark.parametrize("c, n_max, grid_n", [
+        (1e15, 1, 256), (1e200, 2, 64)], ids=["1e15", "1e200"])
+    def test_level_of_nu_is_not_read(self, tmp_path, c, n_max, grid_n):
+        # q = 0 for a constant nu, so lambda_n = (n pi)^2.  Read at nu's
+        # level, 1e15 gave lambda_1 = 9.8522 and 1e200 a NonFiniteResult
+        cfg = write_config(tmp_path, "c.json", {
+            "nu": {"smooth": {"kind": "const", "params": [c]}},
+            "grid_n": grid_n, "n_max": n_max})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 0
+        assert not [w for w in seen if w.category is RuntimeWarning]
+        rows = (out / "eigenvalues.csv").read_text().strip().splitlines()[1:]
+        lams = np.array([float(r.split(",")[1]) for r in rows])
+        want = (np.arange(1, n_max + 1) * math.pi) ** 2
+        assert np.max(np.abs(lams / want - 1.0)) <= 1e-12
 
     def test_panel_without_grid_node(self, tmp_path):
         # the panel (0.3, 0.31] between the atoms holds no node of grid
@@ -647,16 +666,18 @@ class TestNumericalFailure:
          r"BracketFailure: trial lambda \S+ for mode n=1 is not finite"),
         ({"smooth": {"kind": "linear", "params": [1e100]}}, 64,
          r"MeshTooLarge: a Magnus mesh of \S+ cells exceeds the ceiling"),
-        ({"smooth": {"kind": "const", "params": [1e200]}}, 64,
+        # a const 1e200 was refused here while Newton's mesh read max |nu|
+        # (TestEigs.test_level_of_nu_is_not_read); the square of this nu
+        # less its line overflows in the cells' terms
+        ({"smooth": {"kind": "sine", "params": [1e200, 1]}}, 64,
          r"NonFiniteResult: a Magnus mesh term is not finite for max \|nu\| "
          r"= 1e\+200"),
-        # Newton's mesh follows max |nu|, so the cells on which these
-        # overflowed (tests/test_prufer.py::TestMagnusOverflow) are not
-        # Newton's: |nu| = 1e6 and 1e4 put lambda_1 far below the floor,
-        # and 1e80 asks for a mesh past the ceiling
+        # Newton's first mesh follows sqrt(lambda) alone, so |nu| = 1e6
+        # overflows on its 64 cells in milliseconds; 1e4 puts lambda_1 far
+        # below the floor, and 1e80 asks for a mesh past the ceiling
         ({"smooth": {"kind": "sine", "params": [-1e6, 3]}}, 64,
-         r"BracketFailure: no sign change for mode n=1 in bracket "
-         r"\[0\.01, 0\.01\]"),
+         r"NonFiniteResult: nu varies too fast for a block of 8 Magnus "
+         r"cells of width h = 0\.0156: their growth overflows a float"),
         ({"smooth": {"kind": "sine", "params": [1e80, 1]}}, 8,
          r"MeshTooLarge: a Magnus mesh of \S+ cells exceeds the ceiling"),
         ({"smooth": {"kind": "sine", "params": [-1e4, 3]}}, 64,
@@ -667,13 +688,17 @@ class TestNumericalFailure:
             "infinite_cell_omega", "overflowing_block"])
     def test_eigs_exits_3(self, tmp_path, capsys, nu, grid_n, error):
         # one stderr line and no numpy warning on the way, also where
-        # Newton's max |nu| (2e308 at the atom) overflows
+        # Newton's start (2e308 at the atom) overflows, within 0.5 s:
+        # sine (-1e6, 3) took 2.6 s on a 2^21-cell mesh while max |nu|
+        # sized Newton's first mesh
         cfg = write_config(tmp_path, "c.json",
                            {"nu": nu, "grid_n": grid_n, "n_max": 2})
         out = tmp_path / "o"
+        start = time.perf_counter()
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             assert run_cli("eigs", "--config", cfg, "--out", str(out)) == 3
+        assert time.perf_counter() - start < 0.5
         assert not [w for w in seen if w.category is RuntimeWarning]
         (line,) = capsys.readouterr().err.splitlines()
         assert re.search(error, line)

@@ -34,15 +34,21 @@ STEP = NuPrimitive(jumps=((0.5, 1.0),))
 SINE_ATOM = NuPrimitive("sine", (1.0, 1.0), jumps=((0.5, 1.0),))
 
 
-def delta_lambda1_oracle(alpha: float) -> float:
-    """Root of the matching condition tan(k/2) = -2k/alpha near pi.
+def delta_lambda_oracle(alpha: float, n: int = 1) -> float:
+    """lambda_n = k^2 for an atom of height alpha at 1/2: (n pi)^2 for even
+    n, whose y(1/2) = 0, else the root of tan(k/2) = -2k/alpha in (n pi,
+    (n + 1) pi).
 
     Independent derivation: y = sin(kx) left of the atom, A sin(k(1-x))
-    right of it; continuity forces A = 1, the derivative jump alpha*y(1/2)
-    forces -2k cos(k/2) = alpha sin(k/2).
+    right of it; for odd n, continuity forces A = 1, the derivative jump
+    alpha*y(1/2) forces -2k cos(k/2) = alpha sin(k/2).  That form has no
+    pole, so a root within 1e-11 of (n + 1) pi, as at alpha = 1e12, is
+    bracketed to the end.
     """
-    f = lambda k: math.tan(k / 2.0) + 2.0 * k / alpha
-    k = brentq(f, math.pi + 1e-9, 2.0 * math.pi - 1e-9, xtol=1e-13)
+    if n % 2 == 0:
+        return (n * math.pi) ** 2
+    f = lambda k: alpha * math.sin(k / 2.0) + 2.0 * k * math.cos(k / 2.0)
+    k = brentq(f, n * math.pi, (n + 1) * math.pi, xtol=1e-13)
     return k * k
 
 
@@ -81,8 +87,8 @@ def expm_chained_phase(nu, cells, lams):
     The exponent is built, not from the closed form of _cell_mesh, but
     from B = [[v, s], [-(s + (v^2 - sigma)/s), -v]] at the two Gauss
     points, with v = nu - c for the line c through nu at the cell's ends
-    and sigma its slope; a last step shears w by -c(1) y / s, back to nu's
-    own gauge.
+    and sigma its slope.  It ends in the last cell's gauge, where w = y' /
+    s at x = 1, as _cell_mesh does: no shear back to nu's own gauge.
     """
     lams = np.asarray(lams, dtype=float)
     s = np.sqrt(lams)[:, None, None]
@@ -101,10 +107,6 @@ def expm_chained_phase(nu, cells, lams):
         b1, b2 = B(v1, sig), B(v2, sig)
         steps.append((h, expm(0.5 * h * (b1 + b2) + math.sqrt(3.0) / 12.0
                               * h * h * (b2 @ b1 - b1 @ b2))))
-    shear = np.zeros((lams.size, 2, 2))
-    shear[:, 0, 0] = shear[:, 1, 1] = 1.0
-    shear[:, 1, 0] = -ends[-1] / s[:, 0, 0]
-    steps.append((0.0, shear))
     v = np.zeros((lams.size, 2))
     v[:, 1] = 1.0  # (y, w)
     theta, int_y2 = np.zeros(lams.size), np.zeros(lams.size)
@@ -148,22 +150,25 @@ class TestIntegratePrufer:
     the DOP853 path of the same system."""
 
     def test_free_phase_pi(self, grid512):
-        theta, _ = _PhaseMap(FREE, 0.0)(np.array([math.pi**2]))
+        theta, _ = _PhaseMap(FREE)(np.array([math.pi**2]))
         assert theta[0] == pytest.approx(math.pi, abs=1e-11)
 
     def test_free_phase_two_pi(self, grid512):
-        theta, _ = _PhaseMap(FREE, 0.0)(np.array([4.0 * math.pi**2]))
+        theta, _ = _PhaseMap(FREE)(np.array([4.0 * math.pi**2]))
         assert theta[0] == pytest.approx(2.0 * math.pi, abs=1e-11)
 
     def test_step_against_rk4_richardson(self, grid512):
+        # the Magnus theta(1) is the angle of (y, y' / sqrt(lambda)) at 1,
+        # theta for nu - nu(1-), the same q: STEP less 1
         lam = math.pi**2
+        level = NuPrimitive("const", (-1.0,), jumps=STEP.jumps)
         theta, _ = rk45_path(STEP, lam, grid512)
-        magnus, _ = _PhaseMap(STEP, 1.0)(np.array([lam]))
-        coarse = prufer_rk4_oracle(STEP, lam, 4000)
-        fine = prufer_rk4_oracle(STEP, lam, 8000)
-        assert abs(coarse - fine) <= 1e-9  # oracle self-consistent
-        assert abs(theta[-1] - fine) <= 1e-9
-        assert abs(magnus[0] - fine) <= 1e-9
+        magnus, _ = _PhaseMap(STEP)(np.array([lam]))
+        for nu, got in ((STEP, theta[-1]), (level, magnus[0])):
+            coarse = prufer_rk4_oracle(nu, lam, 4000)
+            fine = prufer_rk4_oracle(nu, lam, 8000)
+            assert abs(coarse - fine) <= 1e-9  # oracle self-consistent
+            assert abs(got - fine) <= 1e-9
 
     def test_phase_monotone_for_large_lambda(self, grid512):
         # guaranteed once sqrt(lambda) dominates the nu terms
@@ -243,19 +248,37 @@ class TestPanelGauge:
             assert np.array_equal(np.sign(np.sin(theta0 + sheared[0])),
                                   np.sign(np.sin(theta0 + y[0])))
 
+    # the constants C added to nu; mixed + 1e12 moves lambda by 2.4e-7, as
+    # the float nu keeps fewer of q's bits at that level
+    SHIFTS = {"step": (100.0, 1e6, 1e12), "mixed": (100.0, 1e6)}
+
     @pytest.mark.parametrize("name", ["step", "mixed"])
     def test_constant_shift_of_nu_leaves_basis(self, name, grid2048):
-        # q = nu' is the same for nu + 100.  Before the gauge, phi differed
-        # by 4.5e-10 and phi' by 5.9e-10 sqrt(lambda)
+        # q = nu' is the same for nu + C.  Before the gauge, phi differed
+        # by 4.5e-10 and phi' by 5.9e-10 sqrt(lambda) at C = 100
         nu = catalog_potentials()[name]
-        base, shifted = (build_basis(v, 40, grid2048) for v in (
-            nu, PerturbedNu(nu, NuPrimitive("const", (1.0,)), 100.0)))
-        # Newton's residual target bounds the lambdas, 1.9e-11 on mixed
-        assert np.allclose(shifted.lambdas, base.lambdas, rtol=1e-10, atol=0)
-        assert np.max(np.abs(shifted.phi_matrix - base.phi_matrix)) <= 2e-10
+        base = build_basis(nu, 40, grid2048)
         scale = np.sqrt(base.lambdas)[:, None]
-        assert np.max(np.abs(shifted.phi_prime_matrix
-                             - base.phi_prime_matrix) / scale) <= 2e-10
+        for c in self.SHIFTS[name]:
+            shifted = build_basis(PerturbedNu(
+                nu, NuPrimitive("const", (1.0,)), c), 40, grid2048)
+            if name == "step":
+                # nothing reads nu's level: 1.5e-12 / 4.0e-12 in lambda
+                # and BracketFailure at 1e12 while theta(1) and Newton's
+                # start did
+                for array in EIGENBASIS_ARRAYS:
+                    assert np.array_equal(getattr(shifted, array),
+                                          getattr(base, array)), (c, array)
+                continue
+            # 9.3e-12 / 1.1e-11 while theta(1) read nu's level, now 2.8e-13
+            # at 1e6 from the float nu's rounding there; phi moves by 7.4e-11
+            # at 1e6, as the RK45 pass's gauge line still reads nu's level
+            assert np.allclose(shifted.lambdas, base.lambdas, rtol=1e-12,
+                               atol=0), c
+            assert np.max(np.abs(shifted.phi_matrix
+                                 - base.phi_matrix)) <= 2e-10
+            assert np.max(np.abs(shifted.phi_prime_matrix
+                                 - base.phi_prime_matrix) / scale) <= 2e-10
 
     # (nu, RK45 steps, steps with a constant gauge per stretch, steps
     # when the pass integrated nu itself) at N 40, grid 2048.  A sine takes
@@ -345,7 +368,7 @@ class TestShootEigenvalue:
 
     def test_delta_ground_state_vs_transcendental(self, grid2048):
         basis = build_basis(STEP, 1, grid2048)
-        assert basis.lambdas[0] == pytest.approx(delta_lambda1_oracle(1.0),
+        assert basis.lambdas[0] == pytest.approx(delta_lambda_oracle(1.0),
                                                  abs=1e-7)
 
     def test_theta_residual_tolerance(self, grid512):
@@ -620,8 +643,8 @@ class TestBuildBases:
         assert one.theta_error_estimate == solo.theta_error_estimate
 
     def test_member_failure_carries_its_index(self):
-        with pytest.raises(NonFiniteResult) as exc:
-            build_bases([FREE, NuPrimitive("const", (1e200,))], 2, Grid(64))
+        with pytest.raises(MeshTooLarge) as exc:
+            build_bases([FREE, NuPrimitive("linear", (1e100,))], 2, Grid(64))
         assert exc.value.member == 1
 
     def test_sampled_pass_failure_carries_its_index(self, monkeypatch):
@@ -802,7 +825,7 @@ class TestRootPasses:
     def test_newton_derivative_on_turning_mesh(self, lam):
         # a piecewise-constant nu's Newton mesh holds about sqrt(lambda)
         # cells, whose trapezoid int y^2 is coarser: Newton still converges
-        _, dtheta = _PhaseMap(FREE, 0.0)(np.array([lam]))
+        _, dtheta = _PhaseMap(FREE)(np.array([lam]))
         assert dtheta[0] == pytest.approx(0.5 / math.sqrt(lam), rel=2e-3)
 
     @pytest.mark.parametrize("name", ["step", "sine"])
@@ -968,9 +991,9 @@ class TestNewtonMesh:
         assert 1e-5 < est < 1e-4
 
     @pytest.mark.parametrize("name, meshes, work", [
-        ("step", [126], 9088),
-        ("mixed", [126], 15351),
-        ("sine", [256, 512], 60117),
+        ("step", [126], 9017),
+        ("mixed", [126], 14720),
+        ("sine", [256, 512], 59904),
     ])
     def test_one_mesh_per_solve(self, monkeypatch, name, meshes, work):
         # the perfbench eigs potentials at N=40, grid 2048.  Sum of cells
@@ -979,7 +1002,10 @@ class TestNewtonMesh:
         # (step); 9,088 / 67,183 / 131,072 on meshes [127] / [512] / [256,
         # 1,024] before the cells took nu's interpolant as their gauge;
         # 9,230 / 15,812 on [127] / [131] while sqrt(lambda) + max |nu|,
-        # not sqrt(lambda), sized a nu linear between its breakpoints
+        # not sqrt(lambda), sized a nu linear between its breakpoints;
+        # 9,088 / 15,351 / 60,117 on the same meshes while each ended in a
+        # shear cell back to nu's gauge and Newton started from nu, not nu
+        # - nu(0) (mixed then took 5 passes, now 4)
         passes, made = [], []
         original_phase = vww.prufer._magnus_phase
         original_remesh = _PhaseMap.remesh
@@ -1001,9 +1027,9 @@ class TestNewtonMesh:
         # per mesh, Newton's passes on it; then, for a nu not linear
         # between its breakpoints, one pass over the 40 roots on its panels
         # at half the cells.  Each mesh holds a zero-width shear cell per
-        # atom and one at its end
+        # atom, none at its end
         curved = not nu.piecewise_linear
-        shears = len(nu.jumps) + 1
+        shears = len(nu.jumps)
         runs = [(c, [n for _, n in g])
                 for c, g in itertools.groupby(passes, key=lambda p: p[0])]
         assert len(runs) == (2 if curved else 1) * len(made)
@@ -1035,7 +1061,7 @@ class TestNewtonMesh:
             original_remesh(self, cells)
 
         monkeypatch.setattr(_PhaseMap, "remesh", remesh)
-        phase = _PhaseMap(FREE, 0.0)
+        phase = _PhaseMap(FREE)
         phase(np.array([math.pi**2]))
         with pytest.raises(vww.prufer._Refined):
             phase(np.array([2e4]))
@@ -1046,12 +1072,10 @@ class TestNewtonMesh:
 
     # _PhaseMap's remesh sequences at N = 8, each the same on every grid
     # listed, as recorded while the turning rule's max |nu| came from
-    # Potential.norm_linf (4,096 samples a panel): now it comes from nu at
-    # the grid's nodes, with the right limit at an atom on a node.  sine
-    # (10, 0.5) and the atom of 39 are the cases where max |nu| sizes the
-    # first mesh; at grid 64 the atom's right limit, 39 where the nodes'
-    # left limits reach 38.90, alone makes it 256 (2 (sqrt(lambda_8) +
-    # max |nu|) is 128.1 against 127.9)
+    # Potential.norm_linf (4,096 samples a panel), then from nu at the
+    # grid's nodes.  sine (10, 0.5) and the atom of 39 were the cases where
+    # max |nu| sized the first mesh, 128 and 256; sqrt(lambda) alone makes
+    # it 64, and the final meshes stay
     MESH_SAMPLES = (0, 0.38, 0.71, 0.92, 1, 0.92, 0.71, 0.38, 0, -0.38,
                     -0.71, -0.92, -1, -0.92, -0.71, -0.38, 0)
     MESH_NUS = {
@@ -1063,9 +1087,9 @@ class TestNewtonMesh:
         "samples_atom": (NuPrimitive("samples", MESH_SAMPLES, ((0.3, 1.0),)),
                          (256,), [64, 512, 1024]),
         "sine_10_half": (NuPrimitive("sine", (10.0, 0.5)), (64, 256),
-                         [128, 512]),
+                         [64, 512]),
         "edge_atom": (NuPrimitive("sine", (2.0, 0.5, math.pi / 2),
-                                  ((0.5, 39.0),)), (64, 256), [256, 512]),
+                                  ((0.5, 39.0),)), (64, 256), [64, 512]),
     }
     # per eps = 2^-2 .. 2^-9, on grids 64 and 1024
     MOLLIFIED_MESHES = {
@@ -1120,7 +1144,7 @@ class TestNewtonMesh:
         meshes = []
         monkeypatch.setattr(vww.prufer, "_magnus_phase", lambda mesh, lams: (
             meshes.append(mesh) or (lams, lams)))
-        phase = _PhaseMap(nu, 1.0)
+        phase = _PhaseMap(nu)
         phase.remesh(128)
         phase.error_estimate(np.array([100.0]), np.array([100.0]))
         (h, *_), = meshes
@@ -1129,8 +1153,8 @@ class TestNewtonMesh:
             assert np.min(np.abs(edges - x)) <= 1e-12, x
 
     def test_build_reads_no_norm_linf(self, monkeypatch):
-        # Newton's first mesh takes max |nu| from nu at the grid's nodes:
-        # a ladder's rungs, a perturbed one and a nu with an atom build
+        # Newton's first mesh follows sqrt(lambda) alone, no max |nu|: a
+        # ladder's rungs, a perturbed one and a nu with an atom build
         # without Potential.norm_linf
         def refuse(self):
             raise AssertionError("norm_linf called in a build")
@@ -1147,14 +1171,17 @@ class TestNewtonMesh:
 
 def ungauged_mesh(nu, cells):
     """The Magnus-4 terms of _cell_mesh's cells on nu's panels at `cells`
-    per unit, formed from nu itself at the Gauss points, with no gauge and
-    no shear cells: the map before the cells took nu's interpolant."""
+    per unit, formed from nu - nu(1-) at the Gauss points, with no gauge and
+    no shear cells: the map before the cells took nu's interpolant, at the
+    level of nu where theta(1) is read."""
     panels = _mesh_panels(nu, cells)
     h = np.concatenate([np.full(n, (b - a) / n) for a, b, n in panels])
     left = np.concatenate([np.linspace(a, b, n + 1)[:-1]
                            for a, b, n in panels])
     mid = left + 0.5 * h
-    nu1, nu2 = (nu.nu_values(mid + t * h / math.sqrt(12.0)) for t in (-1, 1))
+    level = nu.nu_values(1.0)
+    nu1, nu2 = (nu.nu_values(mid + t * h / math.sqrt(12.0)) - level
+                for t in (-1, 1))
     dn = nu2 - nu1
     k = (math.sqrt(3.0) / 6.0) * h * h * dn
     p, m = h + k, h - k
@@ -1167,25 +1194,41 @@ def ungauged_mesh(nu, cells):
 class TestInterpolantGauge:
     """Newton's Magnus cells in the gauge of nu's interpolant on their
     edges: exact where nu is linear between its breakpoints, with no
-    rounding floor in |nu|."""
+    rounding floor in |nu|, and read only through q = nu', never at nu's
+    level."""
 
-    @pytest.mark.parametrize("nu, shift, even_only", [
-        (NuPrimitive("const", (1e4,)), 0.0, False),
-        (NuPrimitive("const", (6000.0,)), 0.0, False),
-        (NuPrimitive(jumps=((0.5, 1e4),)), 0.0, True),
-        (NuPrimitive("linear", (2000.0,)), 2000.0, False),
-        (NuPrimitive("linear", (1e4,)), 1e4, False),
+    @pytest.mark.parametrize("nu, n_max, shift", [
+        (NuPrimitive("const", (1e4,)), 8, 0.0),
+        (NuPrimitive("const", (6000.0,)), 8, 0.0),
+        (NuPrimitive(jumps=((0.5, 1e4),)), 8, None),
+        (NuPrimitive("linear", (2000.0,)), 8, 2000.0),
+        (NuPrimitive("linear", (1e4,)), 8, 1e4),
+        *((NuPrimitive("const", (c,)), 8, 0.0) for c in (1e11, 1e15, 1e200)),
+        *((NuPrimitive(jumps=((0.5, alpha),)), n_max, None)
+          for alpha, n_max in ((1e8, 1), (1e8, 8), (1e9, 1), (1e9, 8),
+                               (1e12, 1))),
     ], ids=["const_1e4", "const_6000", "atom_1e4", "linear_2000",
-            "linear_1e4"])
-    def test_large_nu_builds(self, nu, shift, even_only):
-        # each ended in BracketFailure on the ungauged cells, whose entries
-        # near h nu^2 / sqrt(lambda) cancelled to a floor of about 2e-9 in
-        # theta(1); now within 1.3e-13 relative of the closed form
-        basis = build_basis(nu, 8, Grid(256))
-        n = np.arange(1, 9)[1::2] if even_only else np.arange(1, 9)
-        want = (n * math.pi) ** 2 + shift
-        got = basis.lambdas[n - 1]
-        assert np.max(np.abs(got / want - 1.0)) <= (1e-9 if shift else 1e-10)
+            "linear_1e4", "const_1e11", "const_1e15", "const_1e200",
+            "atom_1e8_n1", "atom_1e8_n8", "atom_1e9_n1", "atom_1e9_n8",
+            "atom_1e12_n1"])
+    def test_large_nu_builds(self, nu, n_max, shift):
+        # the first five ended in BracketFailure on the ungauged cells,
+        # whose entries near h nu^2 / sqrt(lambda) cancelled to a floor of
+        # about 2e-9 in theta(1); now within 4.7e-14 relative of the
+        # closed form (nu's slope plus (n pi)^2), and an atom of 1e4 within
+        # 1.2e-11 of the transcendental root (delta_lambda_oracle).  Read
+        # at nu's level (a shear back to nu at x = 1, and Newton's start
+        # from nu), const 1e11 was 2.2e-7 off, 1e15 and 1e200 were refused,
+        # atoms of 1e8 and 1e9 ended in BracketFailure (residual 2 pi) and
+        # one of 1e12 gave lambda_1 = 0.01; these read at most 3.9e-12
+        basis = build_basis(nu, n_max, Grid(256))
+        n = np.arange(1, n_max + 1)
+        if shift is None:
+            want = [delta_lambda_oracle(nu.jumps[0][1], k) for k in n]
+        else:
+            want = (n * math.pi) ** 2 + shift
+        assert np.max(np.abs(basis.lambdas / want - 1.0)) <= (
+            1e-10 if shift is None else 1e-12)
 
     @pytest.mark.parametrize("lam", [100.0, 1e4])
     def test_linear_with_atom_exact_on_turning_mesh(self, lam):
@@ -1228,7 +1271,7 @@ class TestMagnusOverflow:
          r"^nu varies too fast for a Magnus cell of width h = 0\.0312: its "
          r"growth exp\(omega\), omega = inf, overflows a float$"),
         ((-1e6, 3.0), 64,
-         r"^nu varies too fast for a block of 9 Magnus cells of width h = "
+         r"^nu varies too fast for a block of 8 Magnus cells of width h = "
          r"0\.0156: their growth overflows a float$"),
     ], ids=["hyperbolic_cell", "infinite_omega", "block"])
     def test_overflow_is_named(self, params, cells, error):

@@ -262,12 +262,6 @@ class TestCumulativeSimpson:
         want = cumulative_simpson(y, dx=0.01, axis=1, initial=0.0)
         assert np.array_equal(_cumulative_simpson(y, 0.01), want)
 
-    def test_two_nodes_trapezoid_like_scipy(self):
-        from scipy.integrate import cumulative_simpson
-        y = np.random.default_rng(2).standard_normal((5, 2))
-        want = cumulative_simpson(y, dx=0.3, axis=1, initial=0.0)
-        assert np.array_equal(_cumulative_simpson(y, 0.3), want)
-
 
 class TestAnalyzeForcing:
     def test_separable_single_mode(self, free_basis_small):
