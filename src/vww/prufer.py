@@ -35,8 +35,8 @@ Any other nu takes one recorded Magnus pass (_recorded_pass): the
 blocked scan of the Newton passes over the nodes and Newton's mesh,
 refined by the estimate where tol asks, reading out (y, w) at the nodes,
 so that its cost does not follow the oscillation of nu or of the modes;
-a panel where nu is linear with slope below lambda_1 is one cell of it,
-and its nodes take the closed form of a constant q from its start state.
+a panel where nu is linear with slope below lambda_1 is one cell, whose
+inner nodes, one slice, take a constant q's closed form from its start.
 Each potential of build_bases gets its own Newton solve, pass and
 checks.  Sine-cosine tables take one tangent (_sin_cos).
 Eigenfunctions are phi_tilde normalized in L^2 by the grid's Simpson
@@ -627,53 +627,52 @@ def _recorded_pass(nu_like, lams: np.ndarray, cells: int, est: float,
     fourth-order step's factor 2^ceil(log2((est / tol)^(1/4))) of cells,
     unless it would pass _MAX_CELLS.
 
-    A linear panel [a, b] of slope sigma below lambda_1 is one exact cell,
-    and its inner nodes are filled from the state (y0, w0) after any shear
-    at a, as q is the constant sigma there: y = y0 cos kt + (s w0 / k) sin
-    kt and phi_tilde' = y', with k = sqrt(lambda - sigma), s = sqrt(lambda)
-    and t = x - a.  Where no panel is such, the scan's own array is
-    returned."""
-    panels = _mesh_panels(nu_like, cells)
-    if est > tol:
-        try:
-            panels = _mesh_panels(nu_like, cells * 2 ** math.ceil(
-                math.log2((est / tol) ** 0.25)))
-        except MeshTooLarge:
-            pass
+    A flat panel [a, b], linear with slope sigma below lambda_1, is one
+    exact cell, its inner cuts and nodes out of the mesh; those nodes, one
+    slice, are filled in place from the state (y0, w0) after any shear at
+    a, as q is the constant sigma there: y = y0 cos kt + (s w0 / k) sin kt
+    and phi_tilde' = y', k = sqrt(lambda - sigma) once per lambda, s =
+    sqrt(lambda), t = x - a.  With no flat panel the scan's array is kept."""
+    refine = 2 ** math.ceil(math.log2((est / tol) ** 0.25)) if est > tol else 1
+    try:
+        panels = _mesh_panels(nu_like, cells * refine)
+    except MeshTooLarge:
+        panels = _mesh_panels(nu_like, cells)
     bounds = np.array([0.0, *nu_like.breakpoints, 1.0])
     slopes = _panel_slopes(nu_like)
-    flat = np.array(nu_like.linear_panels) & (slopes < lams[0])
-
-    def panel_of(x):  # each point's panel, and whether it is inside a flat one
-        j = np.minimum(np.searchsorted(bounds, x, "right"), flat.size) - 1
-        return j, flat[j] & (x > bounds[j]) & (x < bounds[j + 1])
-
+    flat = np.flatnonzero(np.array(nu_like.linear_panels) & (slopes < lams[0]))
+    left, right = bounds[flat], bounds[flat + 1]
     edges = np.union1d(nodes, np.concatenate(
         [np.linspace(a, b, 1 + n) for a, b, n in panels]))
-    edges = edges[~panel_of(edges)[1]]
+    keep = np.ones(edges.size, dtype=bool)
+    for i, j in zip(np.searchsorted(edges, left, "right"),
+                    np.searchsorted(edges, right)):
+        keep[i:j] = False
+    edges = edges[keep]
     mesh = _cell_mesh(nu_like, edges)
-    # each node's state before the shear cell that may follow it, and each
-    # flat panel's start state after it
-    record = np.zeros(mesh[0].shape[0] + 1, dtype=bool)
-    at_node = np.append(0, np.flatnonzero(mesh[0]) + 1)[np.isin(edges, nodes)]
-    starts = np.flatnonzero(mesh[0])[np.isin(edges[:-1], bounds[:-1][flat])]
-    record[at_node] = record[starts] = True
+    # each node's state before any shear cell; inner ones, their panel's start
+    real = np.flatnonzero(mesh[0])
+    at = np.append(0, real + 1)[np.searchsorted(edges, nodes, "right") - 1]
+    lo, hi = np.searchsorted(nodes, left, "right"), np.searchsorted(nodes, right)
+    for i, j, start in zip(lo, hi, real[np.searchsorted(edges, left)]):
+        at[i:j] = start
+    record = np.bincount(at, minlength=mesh[0].shape[0] + 1) > 0
     kept = _magnus_phase(mesh, lams, record)
     with np.errstate(over="ignore", invalid="ignore"):
         kept[1] *= np.sqrt(lams)[:, None]
-        if not flat.any():
+        if flat.size == 0:
             return kept
-        col = np.cumsum(record) - 1
-        j, inner = panel_of(nodes)
-        out = np.empty((2, lams.size, nodes.size))
-        out[:, :, ~inner] = kept[:, :, col[at_node]]
-        j = j[inner]
-        y0, dy0 = kept[:, :, col[starts]][:, :, np.cumsum(flat)[j] - 1]
-        k = np.sqrt(lams[:, None] - slopes[j])
-        sin, cos = k * (nodes[inner] - bounds[j]), np.empty_like(dy0)
-        _sin_cos(sin, cos)
-        out[0][:, inner] = y0 * cos + dy0 / k * sin
-        out[1][:, inner] = dy0 * cos - k * y0 * sin
+        out = np.take(kept, (np.cumsum(record) - 1)[at], axis=2)  # C order
+        for i, j, sigma, a in zip(lo, hi, slopes[flat], left):
+            k = np.sqrt(lams - sigma)[:, None]
+            y, dy = out[:, :, i:j]  # each column the start state (y0, y0')
+            w, v = dy[:, :1] / k, k * y[:, :1]
+            sin = k * (nodes[i:j] - a)
+            cos = np.empty_like(sin)
+            _sin_cos(sin, cos)
+            out[:, :, i:j] *= cos
+            y += np.multiply(w, sin, out=cos)
+            dy -= np.multiply(v, sin, out=sin)
     return out
 
 

@@ -23,8 +23,9 @@ from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (DEFAULT_TOL, GRAM_DEFECT_TOL, MAX_TOL, MIN_TOL,
                         EigenBasis, _eigenbasis, _magnus_mesh, _magnus_phase,
-                        _make_rhs, _mesh_panels, _newton_roots, _PhaseMap,
-                        _recorded_pass, _roots, _shear, _sin_cos, _sine_sums,
+                        _make_rhs, _mesh_panels, _newton_roots, _panel_slopes,
+                        _PhaseMap, _propagate, _recorded_pass, _roots, _shear,
+                        _sin_cos, _sine_sums,
                         basis_csv_rows,
                         basis_to_cache, build_bases, build_basis)
 
@@ -788,6 +789,45 @@ class TestLinearPanelClosedForm:
         assert np.max(np.abs(a.phi_matrix - b.phi_matrix)) <= 1e-11
 
 
+ATOMS3 = ((0.25, 1.0), (0.5, -0.7), (0.8, 2.0))
+
+
+class TestRecordedPassOnRK45Class:
+    """The recorded pass on the potentials that take the RK45 pass, nu
+    linear between its breakpoints with slopes below lambda_1, where every
+    panel is flat and filled in closed form."""
+
+    @pytest.mark.parametrize("nu, grid_n, n_max", [
+        (STEP, 2048, 40),
+        (catalog_potentials()["mixed"], 2048, 40),
+        (catalog_potentials()["linear5"], 2048, 40),
+        (NuPrimitive("linear", (1000.0,)), 2048, 40),
+        (NuPrimitive(jumps=ATOMS3), 2048, 40),
+        (NuPrimitive("const", (1.0,), jumps=ATOMS3), 2048, 40),
+        (NuPrimitive(jumps=((0.3, 1.0), (0.31, 1.0))), 16, 2),
+    ], ids=["delta", "mixed", "linear5", "linear1000", "atoms3",
+            "const_atoms3", "empty_panel"])
+    def test_rows_match_rk45_pass(self, nu, grid_n, n_max):
+        # at the roots of one Newton solve, phi_tilde and phi_tilde' /
+        # sqrt(lambda) within 2.9e-14 of each row's sup |phi_tilde| (mixed)
+        # when this was written, and within 9.5e-16 on grid 16, whose panel
+        # (0.3, 0.31) holds no node.  Panel bounds fall on nodes (1/4, 1/2)
+        # and off them (0.3, 0.8)
+        grid = Grid(grid_n)
+        root, _, est, nu_nodes, cells = _roots(
+            nu, np.arange(1.0, n_max + 1), grid, 5e-11)
+        assert nu.piecewise_linear and _panel_slopes(nu).max() < root[0]
+        got = _recorded_pass(nu, root, cells, est, DEFAULT_TOL, grid.nodes)
+        want = _propagate(nu, root, DEFAULT_TOL, grid.nodes, nu_nodes)
+        # laid out as the RK45 pass's rows: the sums that read them later
+        # round by their memory order
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        bound = 1e-13 * np.max(np.abs(want[0]), axis=1, keepdims=True)
+        assert np.all(np.abs(got[0] - want[0]) <= bound)
+        assert np.all(np.abs(got[1] - want[1]) / np.sqrt(root)[:, None]
+                      <= bound)
+
+
 class TestRootPasses:
     @pytest.mark.parametrize("name", ["step", "mixed", "sine"])
     def test_magnus_theta_matches_sampled_pass(self, name, catalog_bases_40):
@@ -989,6 +1029,24 @@ class TestNewtonMesh:
             build_basis(self.FAST_SINE, 2, Grid(64))
         est = float(str(exc.value).split()[3])
         assert 1e-5 < est < 1e-4
+
+    def test_recorded_pass_keeps_newtons_mesh_past_ceiling(self,
+                                                            monkeypatch):
+        # sine (1, 3) on grid 256: Newton's mesh of 1,024 cells estimates
+        # theta(1)'s error at 3.8e-11, above tol 1e-11, so the recorded
+        # pass refines it to 2,048 cells; under a ceiling of 1,024 cells it
+        # keeps Newton's mesh, as with no estimate at all
+        nu, grid = NuPrimitive("sine", (1.0, 3.0)), Grid(256)
+        root, _, est, _, cells = _roots(nu, np.arange(1.0, 9.0), grid, 5e-11)
+        assert cells == 1024 and 1e-11 < est < 1e-10
+        newton = _recorded_pass(nu, root, cells, 0.0, 1e-11, grid.nodes)
+        refined = _recorded_pass(nu, root, cells, est, 1e-11, grid.nodes)
+        assert not np.array_equal(refined, newton)
+        monkeypatch.setattr(vww.prufer, "_MAX_CELLS", 1024)
+        with pytest.raises(MeshTooLarge):
+            _mesh_panels(nu, 2 * cells)
+        got = _recorded_pass(nu, root, cells, est, 1e-11, grid.nodes)
+        assert np.array_equal(got, newton)
 
     @pytest.mark.parametrize("name, meshes, work", [
         ("step", [126], 9017),
