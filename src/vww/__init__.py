@@ -9,7 +9,7 @@ from .errors import VwwError
 from .grid import Grid, GridFunction
 from .potential import (BumpProfile, MollifiedNu, MollifierSpec, NuPrimitive,
                         PerturbedNu)
-from .prufer import EigenBasis, build_bases, build_basis
+from .prufer import EigenBasis, build_basis
 from .spectral import SpectralCoeffs, analyze, parseval_defect, sobolev_norm, synthesize
 from .wave import (ForcingTable, WaveProblem, WaveSolution, analyze_forcing,
                    solve_forced, solve_homogeneous)

@@ -2,6 +2,8 @@
 
 ``VwwError`` is the common base; ``ConfigError`` marks bad user input
 (CLI exit code 2) while the numerical subclasses map to exit code 3.
+A failure at a rung of an eps-ladder keeps its class; its message is
+prefixed with the rung's eps.
 """
 
 from __future__ import annotations
@@ -9,10 +11,6 @@ from __future__ import annotations
 
 class VwwError(Exception):
     """Base class for all package-specific failures."""
-
-    # index of the batch member the failure belongs to, set by per_member;
-    # None for a failure of the batch as a whole
-    member: int | None = None
 
 
 class ConfigError(VwwError):
@@ -72,15 +70,3 @@ class NonFiniteResult(VwwError):
     """A finite input would make a result overflow, underflow to nothing,
     or reach an output file as a non-finite number."""
 
-
-def per_member(fn, *columns) -> list:
-    """[fn(*row) for row in zip(*columns)]; a VwwError that fn raises
-    carries the index of its row as ``member``."""
-    out = []
-    for i, row in enumerate(zip(*columns)):
-        try:
-            out.append(fn(*row))
-        except VwwError as exc:
-            exc.member = i
-            raise
-    return out

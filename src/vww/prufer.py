@@ -37,8 +37,7 @@ refined by the estimate where tol asks, reading out (y, w) at the nodes,
 so that its cost does not follow the oscillation of nu or of the modes;
 a panel where nu is linear with slope below lambda_1 is one cell, whose
 inner nodes, one slice, take a constant q's closed form from its start.
-Each potential of build_bases gets its own Newton solve, pass and
-checks.  Sine-cosine tables take one tangent (_sin_cos).
+Sine-cosine tables take one tangent (_sin_cos).
 Eigenfunctions are phi_tilde normalized in L^2 by the grid's Simpson
 rule, for all modes at once: an EigenBasis is read-only arrays with one
 row per mode n = 1..N, made once its rows pass the checks.  Lambdas that
@@ -61,7 +60,7 @@ import numpy as np
 
 from .errors import (BracketFailure, ConfigError, GridMismatch,
                      MeshTooLarge, NonFiniteResult, NonPositiveSpectrum,
-                     UnresolvedBasis, per_member)
+                     UnresolvedBasis)
 from .grid import Grid, freeze_arrays
 from .ode import integrate_rk45
 from .potential import Potential
@@ -722,39 +721,28 @@ def _eigenbasis(nu_like, grid: Grid, tol: float, root, froot, est,
                       defect, est)
 
 
-def build_bases(potentials, n_max: int, grid: Grid,
-                tol: float = DEFAULT_TOL) -> list[EigenBasis]:
-    """build_basis for each potential: Newton on theta(1), then phi_tilde
-    and phi_tilde' at the nodes, from the RK45 pass at tol (_propagate),
-    whose rhs is zero, where nu is linear between its breakpoints with
-    slopes below lambda_1, else from one recorded Magnus pass over Newton's
-    mesh (_recorded_pass), in closed form on the panels where nu is linear
-    with such a slope.  A VwwError carries the index of its potential
-    as ``member``; one of the arguments carries none."""
+def build_basis(nu_like, n_max: int, grid: Grid,
+                tol: float = DEFAULT_TOL) -> EigenBasis:
+    """Eigenpairs for n = 1..n_max: Newton on theta(1), then phi_tilde and
+    phi_tilde' at the nodes, from the RK45 pass at tol (_propagate), whose
+    rhs is zero, where nu is linear between its breakpoints with slopes
+    below lambda_1, else from one recorded Magnus pass over Newton's mesh
+    (_recorded_pass), in closed form on the panels where nu is linear with
+    such a slope."""
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
     if not MIN_TOL <= tol <= MAX_TOL:
         raise ConfigError(f"tol must be in [{MIN_TOL:g}, {MAX_TOL:g}], got "
                           f"{tol:g}")
-    ns = np.arange(1.0, n_max + 1)
     # the residual target sets no tighter than the RK45 pass's tolerance
     ftol = max(0.5 * THETA_RESIDUAL_TOL, 5.0 * tol)
-
-    def build(nu_like):
-        root, res, est, nu_nodes, cells = _roots(nu_like, ns, grid, ftol)
-        rows = (_propagate(nu_like, root, tol, grid.nodes, nu_nodes)
-                if nu_like.piecewise_linear
-                and _panel_slopes(nu_like).max() < root[0] else
-                _recorded_pass(nu_like, root, cells, est, tol, grid.nodes))
-        return _eigenbasis(nu_like, grid, tol, root, res, est, *rows)
-
-    return per_member(build, potentials)
-
-
-def build_basis(nu_like, n_max: int, grid: Grid,
-                tol: float = DEFAULT_TOL) -> EigenBasis:
-    """Eigenpairs for n = 1..n_max with orthogonality bookkeeping."""
-    return build_bases([nu_like], n_max, grid, tol)[0]
+    root, res, est, nu_nodes, cells = _roots(
+        nu_like, np.arange(1.0, n_max + 1), grid, ftol)
+    rows = (_propagate(nu_like, root, tol, grid.nodes, nu_nodes)
+            if nu_like.piecewise_linear
+            and _panel_slopes(nu_like).max() < root[0] else
+            _recorded_pass(nu_like, root, cells, est, tol, grid.nodes))
+    return _eigenbasis(nu_like, grid, tol, root, res, est, *rows)
 
 
 # -- serialization -----------------------------------------------------------

@@ -25,13 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateNet, NonFiniteResult, VwwError,
-                     per_member)
+from .errors import ConfigError, DegenerateNet, NonFiniteResult, VwwError
 from .grid import Grid, GridFunction
 from .potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
-# unused here: bound only for perfbench's tracer and for
-# test_overflowing_data_is_named_before_any_basis, which patch it
-from .prufer import build_bases, build_basis
+from .prufer import build_basis
 from .spectral import analyze, sobolev_norm
 from .wave import WaveProblem, check_time_grid, solve_homogeneous
 
@@ -199,36 +196,25 @@ def _try_fit(fit, *args):
         return None
 
 
-def _on_rungs(rungs, fn, *args):
-    """fn(*args), whose batch member i is at rung rungs[i]; a VwwError it
-    raises names the eps of its member's rung, or every eps when it
-    belongs to the whole batch, and keeps its class."""
-    try:
-        return fn(*args)
-    except VwwError as exc:
-        tied = rungs if exc.member is None else rungs[exc.member:exc.member + 1]
-        eps = list(dict.fromkeys(tied))
-        exc.args = (f"rung{'s' if len(eps) > 1 else ''} eps="
-                    f"{', '.join(f'{x:g}' for x in eps)}: {exc}",)
-        raise
+def _per_rung(rungs, one, *columns) -> list:
+    """one(eps, *row) for each rung eps and row of columns; a VwwError it
+    raises names the rung's eps and keeps its class."""
+    out = []
+    for eps, *row in zip(rungs, *columns):
+        try:
+            out.append(one(eps, *row))
+        except VwwError as exc:
+            exc.args = (f"rung eps={eps:g}: {exc}",)
+            raise
+    return out
 
 
-def _per_rung(e: VeryWeakExperiment, one, *columns) -> list:
-    """one(eps, *row) for each rung and row of columns, naming the rung
-    of any VwwError it raises."""
-    return _on_rungs(e.ladder, per_member, one, e.ladder, *columns)
+def _basis(e: VeryWeakExperiment, nu_like):
+    return build_basis(nu_like, e.n_max, e.grid, e.ode_tol)
 
 
-def _bases(e: VeryWeakExperiment, potentials, rungs) -> list:
-    """The potentials' bases from one build_bases call, potentials[i]
-    being at rung rungs[i]."""
-    return _on_rungs(rungs, build_bases, potentials, e.n_max, e.grid,
-                     e.ode_tol)
-
-
-def _mollified(e: VeryWeakExperiment) -> list:
-    return _per_rung(
-        e, lambda eps: MollifiedNu(e.nu, MollifierSpec(e.mollifier, eps)))
+def _mollify(e: VeryWeakExperiment, eps: float) -> MollifiedNu:
+    return MollifiedNu(e.nu, MollifierSpec(e.mollifier, eps))
 
 
 class _Report:
@@ -258,15 +244,15 @@ class NetReport(_Report):
 def run_existence(e: VeryWeakExperiment, declared_order: int = 0) -> NetReport:
     """Measure sup-in-t solution norms across the ladder and fit exponents."""
 
-    def one(eps: float, q_eps: MollifiedNu, basis):
-        sol = _solve_for(e, basis, e.u0.realize(eps), e.u1.realize(eps))
+    def one(eps: float):
+        q_eps = _mollify(e, eps)
+        sol = _solve_for(e, _basis(e, q_eps), e.u0.realize(eps),
+                         e.u1.realize(eps))
         return (float(np.max(sol.l2_series())),
                 float(np.max(sol.dt_l2_series())),
                 q_eps.q_linf())
 
-    q = _mollified(e)
-    u_norms, dtu_norms, q_norms = zip(*_per_rung(
-        e, one, q, _bases(e, q, e.ladder)))
+    u_norms, dtu_norms, q_norms = zip(*_per_rung(e.ladder, one))
     u_fit, dtu_fit, q_fit = (_try_fit(fit_moderateness, e.ladder, norms)
                              for norms in (u_norms, dtu_norms, q_norms))
     bound = declared_order + VERDICT_MARGIN
@@ -312,8 +298,12 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
     w_density = (w_primitive.q_values(grid.nodes)
                  if w_primitive is not None else np.zeros(grid.n + 1))
 
-    def one(eps: float, basis, basis_p):
+    def one(eps: float):
         c = eps**order
+        q_eps = _mollify(e, eps)
+        basis = _basis(e, q_eps)
+        basis_p = (basis if w_primitive is None else
+                   _basis(e, PerturbedNu(q_eps, w_primitive, c)))
         u0 = e.u0.realize(eps)
         u1 = e.u1.realize(eps)
         sol = _solve_for(e, basis, u0, u1)
@@ -339,16 +329,7 @@ def run_uniqueness(e: VeryWeakExperiment, order: int,
             return diff_sup, 0.0 if diff_sup == 0.0 else None, floor
         return diff_sup, diff_sup**2 / rhs, floor
 
-    base = _mollified(e)
-    if w_primitive is None:
-        bases = _bases(e, base, e.ladder)
-        perturbed = bases
-    else:
-        pert = [PerturbedNu(b, w_primitive, eps**order)
-                for b, eps in zip(base, e.ladder)]
-        built = _bases(e, base + pert, e.ladder * 2)
-        bases, perturbed = built[:len(base)], built[len(base):]
-    diffs, ratios, floors = zip(*_per_rung(e, one, bases, perturbed))
+    diffs, ratios, floors = zip(*_per_rung(e.ladder, one))
     rep = check_negligibility(e.ladder, diffs, order, floors)
     unbounded = [f"{eps:g}" for eps, r in zip(e.ladder, ratios) if r is None]
     reason = (f"the bound is 0 where the difference is not, at eps="
@@ -375,12 +356,13 @@ class ConsistencyReport(_Report):
 def run_consistency(e: VeryWeakExperiment,
                     tolerance: float = 1e-3) -> ConsistencyReport:
     """Compare mollified solves against the unmollified problem, whose
-    basis is member 0, named eps=0 in errors, of the rungs' one
-    ``build_bases`` call: its lambdas are ``build_basis``'s bit for bit.
-    On a nu with atoms that basis takes each atom as a jump condition."""
+    basis, named eps=0 in errors, is built before the rungs' and all of
+    them before any solve.  On a nu with atoms that basis takes each atom
+    as a jump condition."""
     u0 = e.u0.realize(1.0)
     u1 = e.u1.realize(1.0)
-    limit, *bases = _bases(e, [e.nu, *_mollified(e)], (0.0, *e.ladder))
+    limit, *bases = _per_rung((0.0, *e.ladder), lambda eps: _basis(
+        e, _mollify(e, eps) if eps else e.nu))
     classical = _solve_for(e, limit, u0, u1)
     w_q = e.grid.simpson_weights
 
@@ -389,7 +371,7 @@ def run_consistency(e: VeryWeakExperiment,
         series = np.sqrt((classical.values - sol.values) ** 2 @ w_q)
         return float(np.max(series)), float(np.max(series[::2]))
 
-    rows = _per_rung(e, one, bases)
+    rows = _per_rung(e.ladder, one, bases)
     disc = tuple(r[0] for r in rows)
     coarse_sup = rows[-1][1]
     sens = abs(disc[-1] - coarse_sup) / disc[-1] if disc[-1] > 0.0 else 0.0

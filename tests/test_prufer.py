@@ -18,16 +18,15 @@ from oracles import (EIGENBASIS_ARRAYS, asymptotic_residuals,
                      rk45_eigenfunctions, rk45_path)
 from vww.errors import (BracketFailure, ConfigError, GridMismatch,
                         MeshTooLarge, NonFiniteResult, NonPositiveSpectrum,
-                        StepFailure, UnresolvedBasis)
+                        UnresolvedBasis)
 from vww.grid import Grid
 from vww.potential import MollifiedNu, MollifierSpec, NuPrimitive, PerturbedNu
 from vww.prufer import (DEFAULT_TOL, GRAM_DEFECT_TOL, MAX_TOL, MIN_TOL,
                         EigenBasis, _eigenbasis, _magnus_mesh, _magnus_phase,
                         _make_rhs, _mesh_panels, _newton_roots, _panel_slopes,
                         _PhaseMap, _propagate, _recorded_pass, _roots, _shear,
-                        _sin_cos, _sine_sums,
-                        basis_csv_rows,
-                        basis_to_cache, build_bases, build_basis)
+                        _sin_cos, _sine_sums, basis_csv_rows,
+                        basis_to_cache, build_basis)
 
 FREE = NuPrimitive()
 STEP = NuPrimitive(jumps=((0.5, 1.0),))
@@ -603,65 +602,24 @@ LADDER_NUS = {"linear5": NuPrimitive("linear", (5.0,)), "delta": STEP}
 
 @pytest.fixture(scope="module", params=list(LADDER_NUS))
 def ladder_builds(request):
-    """(batch, solo, tight): the rungs from one build_bases call, from
-    build_basis each, and from build_basis each at tol 1e-12."""
+    """(loose, tight): build_basis of each rung at tol 1e-8 and 1e-12."""
     rungs = [MollifiedNu(LADDER_NUS[request.param],
                          MollifierSpec("bump", 2.0**-k)) for k in range(2, 6)]
     grid = Grid(1024)
-    return (build_bases(rungs, 12, grid, tol=1e-8),
-            [build_basis(q, 12, grid, tol=1e-8) for q in rungs],
+    return ([build_basis(q, 12, grid, tol=1e-8) for q in rungs],
             [build_basis(q, 12, grid, tol=1e-12) for q in rungs])
 
 
 class TestBuildBases:
-    def test_lambdas_are_the_solo_builds(self, ladder_builds):
-        batch, solo, _ = ladder_builds
-        for b, s in zip(batch, solo):
-            assert np.array_equal(b.lambdas, s.lambdas)
-            assert np.array_equal(b.theta_residuals, s.theta_residuals)
-
-    def test_eigenfunctions_as_accurate_as_solo_builds(self, ladder_builds):
-        # each rung's eigenfunctions come from its own pass: the solo
-        # build's, bit for bit
-        for b, s, _ in zip(*ladder_builds):
-            for name in EIGENBASIS_ARRAYS:
-                assert np.array_equal(getattr(b, name), getattr(s, name))
+    """build_basis on an eps-ladder's rungs, one basis per call, and the
+    checks of its arguments and of its lambdas."""
 
     def test_rungs_match_tight_tolerance_builds(self, ladder_builds):
         # phi within 6.5e-8 (linear5) and 4.9e-8 (delta) of the builds at
         # tol 1e-12, where the pass over all four rungs at tol 1e-8 / 4
         # gave 1.2e-7
-        for b, _, t in zip(*ladder_builds):
+        for b, t in zip(*ladder_builds):
             assert np.max(np.abs(b.phi_matrix - t.phi_matrix)) <= 1e-7
-
-    def test_one_member_batch_is_build_basis(self):
-        q = MollifiedNu(STEP, MollifierSpec("bump", 0.125))
-        (one,), solo = (build_bases([q], 12, Grid(1024), tol=1e-8),
-                        build_basis(q, 12, Grid(1024), tol=1e-8))
-        for name in EIGENBASIS_ARRAYS:
-            assert np.array_equal(getattr(one, name), getattr(solo, name))
-        assert one.gram_max_offdiag == solo.gram_max_offdiag
-        assert one.theta_error_estimate == solo.theta_error_estimate
-
-    def test_member_failure_carries_its_index(self):
-        with pytest.raises(MeshTooLarge) as exc:
-            build_bases([FREE, NuPrimitive("linear", (1e100,))], 2, Grid(64))
-        assert exc.value.member == 1
-
-    def test_sampled_pass_failure_carries_its_index(self, monkeypatch):
-        # the sine's recorded Magnus pass runs, the delta's RK45 pass fails
-        def underflow(*args, **kwargs):
-            raise StepFailure("step underflow")
-
-        monkeypatch.setattr(vww.prufer, "integrate_rk45", underflow)
-        with pytest.raises(StepFailure) as exc:
-            build_bases([NuPrimitive("sine", (1.0, 1.0)), STEP], 2, Grid(64))
-        assert exc.value.member == 1
-
-    def test_argument_failure_carries_no_index(self):
-        with pytest.raises(ConfigError) as exc:
-            build_bases([FREE, STEP], 2, Grid(64), tol=0.0)
-        assert exc.value.member is None
 
     def test_each_basis_is_constructed_once(self, monkeypatch):
         made = []
@@ -672,14 +630,14 @@ class TestBuildBases:
             post_init(self)
 
         monkeypatch.setattr(EigenBasis, "__post_init__", counted)
-        bases = build_bases([FREE, STEP, NuPrimitive("linear", (2.0,))], 3,
-                            Grid(64))
+        bases = [build_basis(nu, 3, Grid(64))
+                 for nu in (FREE, STEP, NuPrimitive("linear", (2.0,)))]
         assert len(made) == 3 and all(m is b for m, b in zip(made, bases))
 
     @pytest.mark.parametrize("n_max", [0, -1])
     def test_n_max_below_one_is_a_config_error(self, n_max):
         with pytest.raises(ConfigError, match=f">= 1, got {n_max}"):
-            build_bases([FREE], n_max, Grid(64))
+            build_basis(FREE, n_max, Grid(64))
 
     @pytest.mark.parametrize("tol", [1e-200, 1e-30, 0.0, math.nan])
     def test_tol_below_floor_is_a_config_error(self, tol):
@@ -719,8 +677,8 @@ class TestBuildBases:
 
         monkeypatch.setattr(vww.prufer, "_roots", swapped)
         with pytest.raises(BracketFailure, match="increasing") as exc:
-            build_bases([FREE, STEP], 3, Grid(64))
-        assert exc.value.n == 3 and exc.value.member == 0
+            build_basis(FREE, 3, Grid(64))
+        assert exc.value.n == 3
         assert exc.value.bracket == pytest.approx((9 * math.pi**2,
                                                    4 * math.pi**2))
 
@@ -734,7 +692,7 @@ class TestLinearPanelClosedForm:
         # against DOP853 at 1e-13 on each tight rung's lambdas: phi up to
         # 1.9e-12 (linear5, eps = 2^-5), phi' / sqrt(lambda) 1.7e-12, tilde
         # norms 7.2e-13 relative
-        for basis in ladder_builds[2]:
+        for basis in ladder_builds[1]:
             phi, dphi, norms = rk45_eigenfunctions(basis)
             assert np.max(np.abs(basis.phi_matrix - phi)) <= 1e-11
             diff = basis.phi_prime_matrix - dphi
@@ -1222,9 +1180,8 @@ class TestNewtonMesh:
                  for base in (NuPrimitive("linear", (5.0,)), STEP)
                  for k in range(2, 6)]
         w = NuPrimitive("sine", (1.0, 2.0))
-        bases = build_bases([*rungs, PerturbedNu(rungs[0], w, 0.1),
-                             SINE_ATOM], 8, Grid(256))
-        assert len(bases) == 10
+        for nu in (*rungs, PerturbedNu(rungs[0], w, 0.1), SINE_ATOM):
+            build_basis(nu, 8, Grid(256))
 
 
 def ungauged_mesh(nu, cells):

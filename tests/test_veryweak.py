@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from vww.errors import (ConfigError, NonFiniteResult, StepFailure,
-                        UnresolvedBasis, per_member)
+                        UnresolvedBasis)
 from vww.grid import Grid, GridFunction
-from vww.potential import NuPrimitive
+from vww.potential import MollifiedNu, NuPrimitive, PerturbedNu
 from vww.veryweak import (DataNet, VeryWeakExperiment, default_ladder,
                           run_consistency, run_existence, run_uniqueness)
 
@@ -53,9 +53,8 @@ def run_cli_without_bases(tmp_path, monkeypatch, **changes):
     (exit code, --out path, the builds' arguments)."""
     import vww.veryweak
     built = []
-    for name in ("build_basis", "build_bases"):
-        monkeypatch.setattr(vww.veryweak, name,
-                            lambda *args, **kw: built.append(args))
+    monkeypatch.setattr(vww.veryweak, "build_basis",
+                        lambda *args, **kw: built.append(args))
     return (*run_cli(tmp_path, **changes), built)
 
 
@@ -146,6 +145,40 @@ class TestExperiment:
                        u1=DataNet(parabola(grid1024) * 1e308, 1.0))
 
 
+def ladder_experiment(**kw):
+    """linear 5 on grid 256, N 4, eps = 2^-2 .. 2^-5."""
+    return experiment(NuPrimitive("linear", (5.0,)), Grid(256),
+                      ladder=default_ladder(2, 5), n_max=4, **kw)
+
+
+def recorded_builds(monkeypatch, fail=lambda nu_like: False):
+    """The potentials of every build_basis call veryweak makes from here
+    on; a build of a potential for which fail holds raises
+    UnresolvedBasis("Gram defect 0.3") instead."""
+    import vww.veryweak
+    real, built = vww.veryweak.build_basis, []
+
+    def build(nu_like, *args, **kw):
+        built.append(nu_like)
+        if fail(nu_like):
+            raise UnresolvedBasis("Gram defect 0.3")
+        return real(nu_like, *args, **kw)
+
+    monkeypatch.setattr(vww.veryweak, "build_basis", build)
+    return built
+
+
+def rung_of(nu_like) -> float:
+    """The eps of a rung's potential, 0 for the unmollified limit."""
+    while isinstance(nu_like, PerturbedNu):
+        nu_like = nu_like.base
+    return nu_like.spec.epsilon if isinstance(nu_like, MollifiedNu) else 0.0
+
+
+def uniqueness_with_w(e):
+    return run_uniqueness(e, order=2, w_primitive=NuPrimitive("const", (1.0,)))
+
+
 class TestFailingRung:
     @pytest.mark.parametrize("run, eps", [
         (run_existence, 2.0**-4), (run_consistency, 2.0**-4),
@@ -156,25 +189,21 @@ class TestFailingRung:
         # the basis at the third rung, or consistency's unmollified limit
         # (eps 0, no mollifier), fails; the error keeps its class and
         # message and names that rung
-        import vww.veryweak
-        real = vww.veryweak.build_bases
-
-        def fail(potential):
-            spec = getattr(potential, "spec", None)
-            if (0.0 if spec is None else spec.epsilon) == eps:
-                raise UnresolvedBasis("Gram defect 0.3")
-
-        def build(potentials, *args, **kw):
-            # per_member ties the error to its potential, as build_bases does
-            per_member(fail, potentials)
-            return real(potentials, *args, **kw)
-
-        monkeypatch.setattr(vww.veryweak, "build_bases", build)
-        e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
-                       ladder=default_ladder(2, 5), n_max=4)
+        recorded_builds(monkeypatch, lambda nu_like: rung_of(nu_like) == eps)
         with pytest.raises(UnresolvedBasis, match=(
                 rf"^rung eps={re.escape(f'{eps:g}')}: Gram defect 0\.3$")):
-            run(e)
+            run(ladder_experiment())
+
+    def test_perturbed_build_failure_names_its_rung(self, monkeypatch):
+        # uniqueness with a w builds PerturbedNu(q_eps, w, eps^2) beside
+        # each rung's base; the third rung's perturbed build fails
+        built = recorded_builds(monkeypatch, lambda nu_like: isinstance(
+            nu_like, PerturbedNu) and rung_of(nu_like) == 2.0**-4)
+        with pytest.raises(UnresolvedBasis, match=(
+                r"^rung eps=0\.0625: Gram defect 0\.3$")):
+            uniqueness_with_w(ladder_experiment())
+        assert [type(nu).__name__ for nu in built[-2:]] == [
+            "MollifiedNu", "PerturbedNu"]
 
     @pytest.mark.parametrize("run, rung", [
         (run_existence, "0.25"), (run_consistency, "0"),
@@ -182,9 +211,9 @@ class TestFailingRung:
     ], ids=["existence", "consistency", "uniqueness"])
     def test_sampled_pass_failure_names_its_rung(self, run, rung,
                                                  monkeypatch):
-        # each member's sampled pass is its own: consistency's limit takes
+        # each basis's sampled pass is its own: consistency's limit takes
         # the RK45 pass, each mollified rung the recorded Magnus pass, and
-        # a failure of either names the first member's rung alone
+        # a failure of either names the first rung built
         import vww.prufer
 
         def underflow(*args, **kwargs):
@@ -192,25 +221,60 @@ class TestFailingRung:
 
         monkeypatch.setattr(vww.prufer, "integrate_rk45", underflow)
         monkeypatch.setattr(vww.prufer, "_recorded_pass", underflow)
-        e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
-                       ladder=default_ladder(2, 5), n_max=4)
         with pytest.raises(StepFailure, match=(
                 rf"^rung eps={re.escape(rung)}: step underflow$")):
-            run(e)
+            run(ladder_experiment())
 
-    @pytest.mark.parametrize("run, rungs", [
-        (run_existence, "0.25, 0.125, 0.0625, 0.03125"),
-        (run_consistency, "0, 0.25, 0.125, 0.0625, 0.03125"),
+    @pytest.mark.parametrize("run, rung", [
+        (run_existence, "0.25"), (run_consistency, "0"),
     ], ids=["existence", "consistency"])
-    def test_build_failure_names_every_rung(self, run, rungs):
-        # a tol below the floor is refused before any member is built, so
-        # the failure is every rung's
-        e = experiment(NuPrimitive("linear", (5.0,)), Grid(256),
-                       ladder=default_ladder(2, 5), n_max=4, ode_tol=1e-16)
+    def test_build_failure_names_the_first_rung_built(self, run, rung):
+        # a tol below the floor is refused before any basis is built, at
+        # the first rung built: consistency builds its limit first
         with pytest.raises(ConfigError, match=(
-                rf"^rungs eps={re.escape(rungs)}: tol must be in "
+                rf"^rung eps={re.escape(rung)}: tol must be in "
                 rf"\[1e-15, 1e-06\], got 1e-16$")):
-            run(e)
+            run(ladder_experiment(ode_tol=1e-16))
+
+
+class TestRungBuilds:
+    """One build_basis call per basis, and when each rung's bases are
+    built."""
+
+    @pytest.mark.parametrize("run, builds", [
+        (run_existence, 4), (run_consistency, 5),
+        (lambda e: run_uniqueness(e, order=2), 4), (uniqueness_with_w, 8)],
+        ids=["existence", "consistency", "uniqueness", "uniqueness_w"])
+    def test_one_build_basis_call_per_basis(self, run, builds, monkeypatch):
+        built = recorded_builds(monkeypatch)
+        run(ladder_experiment())
+        assert len(built) == builds
+
+    @pytest.mark.parametrize("run, order", [
+        (run_existence, "bs" * 4), (run_consistency, "b" * 5 + "s" * 5),
+        (lambda e: run_uniqueness(e, order=2), "bss" * 4),
+        (uniqueness_with_w, "bpss" * 4)],
+        ids=["existence", "consistency", "uniqueness", "uniqueness_w"])
+    def test_each_rung_is_built_then_solved(self, run, order, monkeypatch):
+        # b, p: a build of a rung's base or perturbed potential, s: a solve.
+        # Existence and uniqueness hold one rung's bases at a time;
+        # consistency builds its limit and every rung before any solve
+        import vww.veryweak
+        events = []
+        build, solve = vww.veryweak.build_basis, vww.veryweak.solve_homogeneous
+
+        def built(nu_like, *args):
+            events.append("p" if isinstance(nu_like, PerturbedNu) else "b")
+            return build(nu_like, *args)
+
+        def solved(*args):
+            events.append("s")
+            return solve(*args)
+
+        monkeypatch.setattr(vww.veryweak, "build_basis", built)
+        monkeypatch.setattr(vww.veryweak, "solve_homogeneous", solved)
+        run(ladder_experiment())
+        assert "".join(events) == order
 
 
 class TestExistence:
@@ -367,49 +431,42 @@ class TestConsistency:
 
 
 class TestConsistencyLimit:
-    """The unmollified limit, built with the rungs in one build_bases
-    call, against build_basis on the same potential."""
+    """The unmollified limit, built before the rungs, against build_basis
+    on the same potential."""
 
     @pytest.fixture(scope="class")
     def limit_builds(self):
-        """(calls, limit, solo): the build calls of one run_consistency on
-        the ladder benchmark's sizes, the limit basis it built, and
-        build_basis of its nu at its tol."""
+        """(built, solo): the bases one run_consistency on the ladder
+        benchmark's sizes built, in order, and build_basis of its nu at
+        its tol."""
         import vww.prufer
         import vww.veryweak
-        calls, built = [], []
-
-        def bases(*args, **kw):
-            calls.append("build_bases")
-            built.append(vww.prufer.build_bases(*args, **kw))
-            return built[-1]
+        built = []
 
         def basis(*args, **kw):
-            calls.append("build_basis")
-            return vww.prufer.build_basis(*args, **kw)
+            built.append(vww.prufer.build_basis(*args, **kw))
+            return built[-1]
 
         nu, grid = NuPrimitive("linear", (5.0,)), Grid(1024)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(vww.veryweak, "build_bases", bases)
             mp.setattr(vww.veryweak, "build_basis", basis)
             run_consistency(experiment(nu, grid, ladder=default_ladder(2, 5),
                                        ode_tol=1e-8))
-        return calls, built[0][0], vww.prufer.build_basis(nu, 12, grid,
-                                                          tol=1e-8)
+        return built, vww.prufer.build_basis(nu, 12, grid, tol=1e-8)
 
-    def test_one_build_bases_call_and_no_build_basis(self, limit_builds):
-        calls, limit, *_ = limit_builds
-        assert calls == ["build_bases"]
-        assert limit.nu == NuPrimitive("linear", (5.0,))
+    def test_five_build_basis_calls_limit_first(self, limit_builds):
+        built, _ = limit_builds
+        assert [rung_of(b.nu) for b in built] == [0.0, *default_ladder(2, 5)]
+        assert built[0].nu == NuPrimitive("linear", (5.0,))
 
     def test_lambdas_are_the_solo_build(self, limit_builds):
-        _, limit, solo = limit_builds
+        (limit, *_), solo = limit_builds
         assert np.array_equal(limit.lambdas, solo.lambdas)
         assert np.array_equal(limit.theta_residuals, solo.theta_residuals)
 
     def test_eigenfunctions_as_accurate_as_solo_build(self, limit_builds):
         # the limit's sampled pass is its own, the solo build's bit for bit
-        _, limit, solo = limit_builds
+        (limit, *_), solo = limit_builds
         assert np.array_equal(limit.phi_matrix, solo.phi_matrix)
         assert np.array_equal(limit.phi_prime_matrix, solo.phi_prime_matrix)
         assert np.array_equal(limit.tilde_norms, solo.tilde_norms)
